@@ -1,6 +1,6 @@
 """Exact simulator for ancilla-free OTOC measurement protocols.
 
-Dense, exact quantum simulation of the two measurement protocols that
+Exact quantum simulation of the two measurement protocols that
 reconstruct the real and imaginary parts of out-of-time-ordered
 correlators on small qubit registers, plus finite-shot Monte Carlo
 emulation of the experiment and a reduced two-atom model of
@@ -20,7 +20,15 @@ from .dressing import (
     pair_potential,
     scan_curve,
 )
-from .dynamics import Hamiltonian, Propagator, build_custom, build_xy_chain, evolve, heisenberg
+from .dynamics import (
+    Evolution,
+    Hamiltonian,
+    Propagator,
+    build_custom,
+    build_xy_chain,
+    evolve,
+    heisenberg,
+)
 from .hilbert import (
     DensityOperator,
     Operator,

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config, require
-from .dressing import InteractionCoefficients, LevelScheme, scan_curve
+from .dressing import AdiabaticityError, InteractionCoefficients, LevelScheme, scan_curve
 from .dynamics import Propagator, build_xy_chain
 from .hilbert import all_up_state, maximally_mixed_state
 from .otoc import OtocSpec, otoc_direct
@@ -39,9 +39,7 @@ from .sampling import (
     sample_rotation_protocol,
     sample_sequences,
 )
-from .verification import run_verification_suite
-
-IDENTITY_TOLERANCE = 1e-9
+from .verification import IDENTITY_TOLERANCE, run_verification_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -113,14 +111,16 @@ def run_exact(config: RunConfig, log) -> tuple[list[dict], list[str], bool]:
     rows = []
     worst_re = worst_im = 0.0
     for t in grid:
-        direct = otoc_direct(state, spec, prop, float(t))
-        re_residual = abs(re_otoc_via_protocol(state, spec, prop, float(t)) - direct.real)
-        im_residual = abs(im_otoc_via_protocol(state, spec, prop, float(t), angles) - direct.imag)
+        t = float(t)
+        ev = prop.evolution(t)
+        direct = otoc_direct(state, spec, prop, t, ev)
+        re_residual = abs(re_otoc_via_protocol(state, spec, prop, t, ev) - direct.real)
+        im_residual = abs(im_otoc_via_protocol(state, spec, prop, t, angles, ev) - direct.imag)
         worst_re = max(worst_re, re_residual)
         worst_im = max(worst_im, im_residual)
         rows.append(
             {
-                "t": float(t),
+                "t": t,
                 "re_exact": direct.real,
                 "im_exact": direct.imag,
                 "re_identity_residual": re_residual,
@@ -139,13 +139,15 @@ def run_sampled(config: RunConfig, log) -> tuple[list[dict], list[str], bool]:
     sampling = require(config, "sampling", "sample")
     rows = []
     for index, t in enumerate(grid):
-        direct = otoc_direct(state, spec, prop, float(t))
-        table = outcome_probabilities(state, spec, prop, float(t))
+        t = float(t)
+        ev = prop.evolution(t)
+        direct = otoc_direct(state, spec, prop, t, ev)
+        table = outcome_probabilities(state, spec, prop, t, ev)
         cfg = SampleConfig(sampling.n_shots, (sampling.seed + index) % 2**64)
         est = estimate_re_otoc(sample_sequences(table, cfg))
         rows.append(
             {
-                "t": float(t),
+                "t": t,
                 "re_exact": direct.real,
                 "im_exact": direct.imag,
                 "re_estimate": est.value,
@@ -163,12 +165,14 @@ def run_im_sampled(config: RunConfig, log) -> tuple[list[dict], list[str], bool]
     angles = _angles(config)
     rows = []
     for index, t in enumerate(grid):
-        direct = otoc_direct(state, spec, prop, float(t))
+        t = float(t)
+        ev = prop.evolution(t)
+        direct = otoc_direct(state, spec, prop, t, ev)
         cfg = SampleConfig(sampling.n_shots, (sampling.seed + index) % 2**64)
-        est = sample_rotation_protocol(state, spec, prop, float(t), angles, cfg)
+        est = sample_rotation_protocol(state, spec, prop, t, angles, cfg, ev)
         rows.append(
             {
-                "t": float(t),
+                "t": t,
                 "re_exact": direct.real,
                 "im_exact": direct.imag,
                 "im_estimate": est.value,
@@ -285,8 +289,8 @@ def main(argv=None) -> int:
             rows, columns, ok = run_dressing(config, log)
         else:
             rows, columns, ok = run_verify(seed, log)
-    except (ConfigError, DegenerateAnglesError) as exc:
-        # degenerate angles come straight from user configuration
+    except (ConfigError, DegenerateAnglesError, AdiabaticityError) as exc:
+        # degenerate angles and a lost dressing branch come straight from user configuration
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -17,6 +17,23 @@ import numpy as np
 HAMILTONIAN_KINDS = ("xy_chain",)
 INITIAL_STATE_KINDS = ("all_up", "maximally_mixed")
 
+# The exact path holds up to about 16 dense 2^N x 2^N complex matrices at
+# once: H, its eigenvectors, U(t) and U(t)^dagger, the temporaries of the
+# eigendecomposition checks and, for a full-rank state, factors of the same
+# size along the measurement tree (measured at N=10: about 4 for all_up and
+# 15 for maximally_mixed, above a ~60 MB interpreter).  Registers whose
+# estimate exceeds the budget are rejected before anything is allocated.
+DENSE_MATRICES_AT_PEAK = 16
+DENSE_MEMORY_BUDGET_BYTES = 4 * 2**30
+
+
+def dense_footprint_bytes(n_sites: int) -> int:
+    """Estimated peak bytes of dense matrices held by the exact path on n_sites qubits."""
+    return DENSE_MATRICES_AT_PEAK * 16 * 4**n_sites
+
+
+MAX_SITES = max(n for n in range(1, 64) if dense_footprint_bytes(n) <= DENSE_MEMORY_BUDGET_BYTES)
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
@@ -106,6 +123,13 @@ def _parse_choice(choices: tuple[str, ...]) -> Callable[[str], str]:
     return parse
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _parse_seed(raw: str) -> int:
     value = int(raw)
     if not 0 <= value < 2**64:
@@ -122,23 +146,23 @@ _SCHEMA: dict[str, tuple[str, Callable[[str], object]]] = {
     "axis_a": ("otoc", _parse_axis),
     "site_j": ("otoc", int),
     "axis_b": ("otoc", _parse_axis),
-    "t_start": ("otoc", float),
-    "t_stop": ("otoc", float),
+    "t_start": ("otoc", _parse_float),
+    "t_stop": ("otoc", _parse_float),
     "n_times": ("otoc", int),
     "n_shots": ("sampling", int),
     "seed": ("sampling", _parse_seed),
     "n_repeats": ("sampling", int),
-    "theta1": ("angles", float),
-    "theta2": ("angles", float),
-    "theta3": ("angles", float),
-    "omega_laser": ("dressing", float),
-    "delta_laser": ("dressing", float),
-    "omega_microwave": ("dressing", float),
-    "delta_microwave": ("dressing", float),
-    "c6": ("dressing", float),
-    "c3": ("dressing", float),
-    "r_min": ("dressing", float),
-    "r_max": ("dressing", float),
+    "theta1": ("angles", _parse_float),
+    "theta2": ("angles", _parse_float),
+    "theta3": ("angles", _parse_float),
+    "omega_laser": ("dressing", _parse_float),
+    "delta_laser": ("dressing", _parse_float),
+    "omega_microwave": ("dressing", _parse_float),
+    "delta_microwave": ("dressing", _parse_float),
+    "c6": ("dressing", _parse_float),
+    "c3": ("dressing", _parse_float),
+    "r_min": ("dressing", _parse_float),
+    "r_max": ("dressing", _parse_float),
     "n_r": ("dressing", int),
     "microwave": ("dressing", _parse_bool),
 }
@@ -210,6 +234,13 @@ def _cross_validate(config: RunConfig, source: str) -> None:
             fail("n_sites must be >= 1")
         if config.system.hamiltonian == "xy_chain" and config.system.n_sites < 2:
             fail("xy_chain needs n_sites >= 2")
+        if config.system.n_sites > MAX_SITES:
+            fail(
+                f"n_sites={config.system.n_sites} is above {MAX_SITES}, the largest register "
+                f"whose dense matrices fit in {DENSE_MEMORY_BUDGET_BYTES / 2**30:g} GiB "
+                f"({dense_footprint_bytes(MAX_SITES + 1) / 2**30:g} GiB needed at "
+                f"{MAX_SITES + 1} sites)"
+            )
     if config.otoc is not None:
         if config.otoc.n_times < 1:
             fail("n_times must be >= 1")

@@ -2,7 +2,9 @@
 
 Units: the XY coupling constant is 1 and hbar = 1, so time is
 dimensionless.  Evolution is exact via a cached Hermitian
-eigendecomposition; backward evolution is just a negative time argument.
+eigendecomposition; backward evolution is the adjoint U(t)^dagger = U(-t).
+An `Evolution` holds U(t) for one time point, so that every evaluator of
+that point shares one dense unitary.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from .hilbert import (
     ATOL_SPECTRUM,
     DensityOperator,
     Operator,
-    check_site,
-    embed_pauli,
+    apply_pauli,
     hermiticity_defect,
 )
 
@@ -47,8 +48,8 @@ class Hamiltonian:
 class Propagator:
     """Cached spectral decomposition H = V diag(eigenvalues) V^dagger.
 
-    Immutable after construction; evolve/heisenberg assemble e^(-iHt)
-    from it per time point.
+    Immutable after construction; `evolution` assembles e^(-iHt) from it
+    once per time point.
     """
 
     n_sites: int
@@ -74,18 +75,42 @@ class Propagator:
         phases = np.exp(-1j * self.eigenvalues * t)
         return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
 
+    def evolution(self, t: float) -> "Evolution":
+        """U(t) and its adjoint, built once for every evaluator of time point t."""
+        forward = self.unitary(t)
+        return Evolution(self, float(t), forward, forward.conj().T)
+
+
+@dataclass(frozen=True, eq=False)
+class Evolution:
+    """Dense U(t) = e^(-iHt) of one propagator at one time point, and U(t)^dagger."""
+
+    propagator: Propagator
+    t: float
+    forward: np.ndarray
+    backward: np.ndarray
+
+
+def evolution_for(prop: Propagator, t: float, evolution: Evolution | None = None) -> Evolution:
+    """`evolution` when given, checked to belong to (prop, t); else U(t) built from prop."""
+    if evolution is None:
+        return prop.evolution(t)
+    if evolution.propagator is not prop or evolution.t != t:
+        raise ValueError(
+            f"evolution was built for time {evolution.t} of another propagator, not time {t}"
+        )
+    return evolution
+
 
 def build_xy_chain(n_sites: int) -> Hamiltonian:
     """Open-boundary chain H = -sum_k (x_k x_(k+1) + y_k y_(k+1))."""
     if n_sites < 2:
         raise ValueError("XY chain needs at least 2 sites")
-    dim = 2**n_sites
-    mat = np.zeros((dim, dim), dtype=complex)
+    eye = np.eye(2**n_sites, dtype=complex)
+    mat = np.zeros_like(eye)
     for k in range(1, n_sites):
         for axis in ("x", "y"):
-            a = embed_pauli(k, axis, n_sites).matrix
-            b = embed_pauli(k + 1, axis, n_sites).matrix
-            mat -= a @ b
+            mat -= apply_pauli(apply_pauli(eye, k + 1, axis, n_sites), k, axis, n_sites)
     return Hamiltonian(n_sites, mat)
 
 
@@ -101,17 +126,13 @@ def build_custom(
     each must be Hermitian on its own.
     """
     dim = 2**n_sites
-    mat = np.zeros((dim, dim), dtype=complex)
+    eye = np.eye(dim, dtype=complex)
+    mat = np.zeros_like(eye)
     for site_k, axis_a, site_l, axis_b, coeff in pair_couplings:
-        check_site(site_k, n_sites)
-        check_site(site_l, n_sites)
-        mat += coeff * (
-            embed_pauli(site_k, axis_a, n_sites).matrix
-            @ embed_pauli(site_l, axis_b, n_sites).matrix
-        )
+        pair = apply_pauli(apply_pauli(eye, site_l, axis_b, n_sites), site_k, axis_a, n_sites)
+        mat += coeff * pair
     for site, axis, coeff in fields:
-        check_site(site, n_sites)
-        mat += coeff * embed_pauli(site, axis, n_sites).matrix
+        mat += coeff * apply_pauli(eye, site, axis, n_sites)
     for term in extra_terms:
         term = np.asarray(term, dtype=complex)
         if term.shape != (dim, dim):
@@ -122,17 +143,11 @@ def build_custom(
     return Hamiltonian(n_sites, mat)
 
 
-def evolve_matrix(matrix: np.ndarray, prop: Propagator, t: float) -> np.ndarray:
-    """U(t) M U(t)^dagger on a raw matrix, U(t) = e^(-iHt)."""
-    u = prop.unitary(t)
-    return u @ matrix @ u.conj().T
-
-
 def evolve(state: DensityOperator, prop: Propagator, t: float) -> DensityOperator:
-    """Schroedinger evolution of a state; negative t evolves backwards."""
+    """Schroedinger evolution, U(t) applied to the state factor; negative t evolves backwards."""
     if state.n_sites != prop.n_sites:
         raise ValueError("dimension mismatch between state and propagator")
-    return DensityOperator(state.n_sites, evolve_matrix(state.matrix, prop, t))
+    return DensityOperator.from_factor(state.n_sites, prop.unitary(t) @ state.factor)
 
 
 def heisenberg(op: Operator, prop: Propagator, t: float) -> Operator:

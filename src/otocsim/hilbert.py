@@ -1,4 +1,4 @@
-"""N-qubit Hilbert-space primitives: states, Pauli embeddings, projectors.
+"""N-qubit Hilbert-space primitives: states, single-site Pauli kernels, projectors.
 
 Basis convention (used everywhere in this package):
 the computational basis is indexed by bitstrings, site 1 maps to the least
@@ -6,12 +6,19 @@ significant bit, and |up> is bit 0.  Hence basis index 0 is the fully
 polarized state |up...up>, and for a single site sigma^z = diag(+1, -1).
 Sites are 1-based throughout.
 
-Everything is dense (2^N x 2^N complex matrices); the package targets
-N <= 10 where exact dense algebra is cheap and, more importantly, exact.
+A state rho is carried as a column factor Psi (2^N x r) with
+rho = Psi Psi^dagger: r = 1 for a pure state, r = 2^N for the maximally
+mixed one.  Single-site Paulis, projectors and rotations act on Psi through
+index kernels in O(2^N r) (a row gather and a phase read from one bit),
+never as dense matrices; the dense forms `embed_pauli`, `projector` and
+`rotation_operator` are the same kernels applied to the identity.  Time
+evolution U(t) stays a dense 2^N x 2^N matrix, built once per time point
+(see `dynamics.Evolution`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +35,14 @@ _PAULI = {
 }
 
 
-def pauli_matrix(axis: str) -> np.ndarray:
-    """Single-site 2x2 Pauli matrix for axis 'x', 'y' or 'z'."""
+def _check_axis(axis: str) -> None:
     if axis not in _PAULI:
         raise ValueError(f"unknown Pauli axis {axis!r}, expected one of {PAULI_AXES}")
+
+
+def pauli_matrix(axis: str) -> np.ndarray:
+    """Single-site 2x2 Pauli matrix for axis 'x', 'y' or 'z'."""
+    _check_axis(axis)
     return _PAULI[axis].copy()
 
 
@@ -50,6 +61,51 @@ def _check_dim(matrix: np.ndarray, n_sites: int, what: str) -> None:
 def hermiticity_defect(matrix: np.ndarray) -> float:
     """Max-norm of M - M^dagger."""
     return float(np.max(np.abs(matrix - matrix.conj().T)))
+
+
+def _scale_rows(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    return weights.reshape((-1,) + (1,) * (psi.ndim - 1)) * psi
+
+
+def apply_pauli(psi: np.ndarray, site: int, axis: str, n_sites: int) -> np.ndarray:
+    """sigma_site^axis @ psi in O(psi.size), for psi of shape (2^N,) or (2^N, r).
+
+    With m = 1 << (site - 1), row b of sigma^x psi is row b ^ m of psi;
+    sigma^y adds the phase -i (bit of b clear) or +i (set), and sigma^z is
+    the row sign +1 (clear) or -1 (set).
+    """
+    check_site(site, n_sites)
+    _check_axis(axis)
+    dim = 2**n_sites
+    if psi.shape[0] != dim:
+        raise ValueError(f"operand has {psi.shape[0]} rows, expected {dim}")
+    rows = np.arange(dim)
+    mask = 1 << (site - 1)
+    bit_set = (rows & mask) != 0
+    if axis == "z":
+        return _scale_rows(np.where(bit_set, -1.0, 1.0), psi)
+    flipped = psi[rows ^ mask]
+    if axis == "x":
+        return flipped
+    return _scale_rows(np.where(bit_set, 1j, -1j), flipped)
+
+
+def apply_projector(psi: np.ndarray, site: int, axis: str, sign: int, n_sites: int) -> np.ndarray:
+    """(psi +/- sigma_site^axis psi) / 2: the projector onto the +/- eigenspace applied to psi."""
+    if sign not in (+1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    return (psi + sign * apply_pauli(psi, site, axis, n_sites)) / 2.0
+
+
+def apply_rotation(psi: np.ndarray, site: int, axis: str, theta: float, n_sites: int) -> np.ndarray:
+    """exp(-i theta sigma_site^axis / 2) psi = cos(theta/2) psi - i sin(theta/2) sigma psi."""
+    return math.cos(theta / 2.0) * psi - 1j * math.sin(theta / 2.0) * apply_pauli(
+        psi, site, axis, n_sites
+    )
+
+
+def _identity(n_sites: int) -> np.ndarray:
+    return np.eye(2**n_sites, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -71,28 +127,56 @@ class StateVector:
             raise ValueError(f"state vector squared-norm {norm2} is not 1")
 
     def to_density(self) -> "DensityOperator":
-        return DensityOperator(self.n_sites, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityOperator.from_factor(self.n_sites, self.amplitudes[:, None])
 
 
-@dataclass(frozen=True)
 class DensityOperator:
-    """Mixed (or pure) state: Hermitian, unit-trace, positive semidefinite."""
+    """Mixed (or pure) state rho = factor @ factor^dagger, factor of shape (2^N, r).
 
-    n_sites: int
-    matrix: np.ndarray
+    Built from a matrix, rho is checked Hermitian, unit-trace and positive
+    semidefinite, and the factor is V sqrt(w) over the positive eigenvalues
+    w of the eigendecomposition that the PSD check performs.  Built with
+    `from_factor`, rho is PSD by construction and unit trace is checked as
+    ||factor||_F^2 = 1.  The dense `matrix` is formed only when asked for.
+    """
 
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
-        _check_dim(mat, self.n_sites, "density matrix")
+    __slots__ = ("n_sites", "factor", "_matrix")
+
+    def __init__(self, n_sites: int, matrix: np.ndarray):
+        mat = np.asarray(matrix, dtype=complex)
+        _check_dim(mat, n_sites, "density matrix")
         if hermiticity_defect(mat) > ATOL_ALGEBRA:
             raise ValueError("density matrix is not Hermitian")
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > ATOL_ALGEBRA:
             raise ValueError(f"density matrix trace {trace} is not 1")
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < -ATOL_SPECTRUM:
-            raise ValueError(f"density matrix has negative eigenvalue {min_eig}")
+        evals, evecs = np.linalg.eigh(mat)
+        if evals[0] < -ATOL_SPECTRUM:
+            raise ValueError(f"density matrix has negative eigenvalue {evals[0]}")
+        keep = evals > 0.0
+        self.n_sites = n_sites
+        self.factor = evecs[:, keep] * np.sqrt(evals[keep])
+        self._matrix = mat
+
+    @classmethod
+    def from_factor(cls, n_sites: int, factor: np.ndarray) -> "DensityOperator":
+        """The state factor @ factor^dagger; factor has 2^N rows and at least one column."""
+        psi = np.asarray(factor, dtype=complex)
+        if psi.ndim != 2 or psi.shape[0] != 2**n_sites or psi.shape[1] < 1:
+            raise ValueError(f"state factor has shape {psi.shape}, expected ({2**n_sites}, r)")
+        norm2 = float(np.vdot(psi, psi).real)
+        if abs(norm2 - 1.0) > ATOL_ALGEBRA:
+            raise ValueError(f"state factor squared Frobenius norm {norm2} is not 1")
+        state = object.__new__(cls)
+        state.n_sites, state.factor, state._matrix = n_sites, psi, None
+        return state
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense 2^N x 2^N rho; no evaluator needs it."""
+        if self._matrix is None:
+            self._matrix = self.factor @ self.factor.conj().T
+        return self._matrix
 
 
 @dataclass(frozen=True)
@@ -112,50 +196,38 @@ class Operator:
 
 
 def embed_pauli(site: int, axis: str, n_sites: int) -> Operator:
-    """sigma^axis acting on `site`, identity elsewhere.
-
-    With site 1 on the least significant bit the embedding is
-    I_(2^(N-k)) kron sigma kron I_(2^(k-1)) for site k.
-    """
-    check_site(site, n_sites)
-    sigma = pauli_matrix(axis)
-    left = np.eye(2 ** (n_sites - site))
-    right = np.eye(2 ** (site - 1))
-    full = np.kron(left, np.kron(sigma, right))
-    return Operator(n_sites, full, hermitian=True)
+    """Dense sigma^axis on `site`, identity elsewhere: `apply_pauli` on the identity."""
+    return Operator(n_sites, apply_pauli(_identity(n_sites), site, axis, n_sites), hermitian=True)
 
 
 def projector(site: int, axis: str, sign: int, n_sites: int) -> Operator:
-    """Projector (I +/- sigma_site^axis)/2 onto the +/- eigenspace."""
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    sigma = embed_pauli(site, axis, n_sites).matrix
-    full = (np.eye(2**n_sites) + sign * sigma) / 2.0
-    return Operator(n_sites, full, hermitian=True)
+    """Dense projector (I +/- sigma_site^axis)/2: `apply_projector` on the identity."""
+    return Operator(
+        n_sites, apply_projector(_identity(n_sites), site, axis, sign, n_sites), hermitian=True
+    )
 
 
 def all_up_state(n_sites: int) -> DensityOperator:
-    """Rank-1 projector onto the fully polarized +z product state."""
+    """Pure fully polarized +z product state; its factor is basis vector 0."""
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
-    dim = 2**n_sites
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[0, 0] = 1.0  # |up...up> is basis index 0
-    return DensityOperator(n_sites, mat)
+    factor = np.zeros((2**n_sites, 1), dtype=complex)
+    factor[0, 0] = 1.0  # |up...up> is basis index 0
+    return DensityOperator.from_factor(n_sites, factor)
 
 
 def maximally_mixed_state(n_sites: int) -> DensityOperator:
-    """Identity / 2^N."""
+    """Identity / 2^N; its factor is the identity / sqrt(2^N)."""
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
     dim = 2**n_sites
-    return DensityOperator(n_sites, np.eye(dim, dtype=complex) / dim)
+    return DensityOperator.from_factor(n_sites, _identity(n_sites) / math.sqrt(dim))
 
 
 def expectation(state: DensityOperator, obs: Operator) -> complex:
-    """Tr(rho * obs); real up to rounding when obs is Hermitian."""
+    """Tr(rho * obs) = Tr(factor^dagger obs factor); real up to rounding when obs is Hermitian."""
     if state.n_sites != obs.n_sites:
         raise ValueError(
             f"dimension mismatch: state on {state.n_sites} sites, operator on {obs.n_sites}"
         )
-    return complex(np.einsum("ij,ji->", state.matrix, obs.matrix))
+    return complex(np.vdot(state.factor, obs.matrix @ state.factor))

@@ -1,4 +1,4 @@
-"""Direct dense evaluation of Pauli OTOCs and the squared-commutator check.
+"""Direct evaluation of Pauli OTOCs and the squared-commutator check.
 
 This is the reference path the measurement protocols are validated
 against: C(t) = Tr[rho W(t) V W(t) V] with W = sigma_i^a, V = sigma_j^b.
@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Propagator, heisenberg
-from .hilbert import ATOL_SPECTRUM, DensityOperator, PAULI_AXES, check_site, embed_pauli
+from .dynamics import Evolution, Propagator, evolution_for
+from .hilbert import ATOL_SPECTRUM, DensityOperator, PAULI_AXES, apply_pauli, check_site
 
 
 @dataclass(frozen=True)
@@ -36,29 +36,52 @@ class OtocSpec:
         check_site(self.site_j, n_sites)
 
 
-def otoc_direct(state: DensityOperator, spec: OtocSpec, prop: Propagator, t: float) -> complex:
-    """Exact complex C(t) = Tr[rho sigma_i^a(t) sigma_j^b sigma_i^a(t) sigma_j^b]."""
+def _operands(state: DensityOperator, spec: OtocSpec, prop: Propagator, t: float, evolution):
+    """W(t) = U(t)^dagger W U(t) and V as maps on the state factor."""
     if state.n_sites != prop.n_sites:
         raise ValueError("dimension mismatch between state and propagator")
     n = prop.n_sites
     spec.validate_for(n)
-    w_t = heisenberg(embed_pauli(spec.site_i, spec.axis_a, n), prop, t).matrix
-    v = embed_pauli(spec.site_j, spec.axis_b, n).matrix
-    wv = w_t @ v
-    value = complex(np.einsum("ij,ji->", state.matrix, wv @ wv))
+    ev = evolution_for(prop, t, evolution)
+
+    def w_t(psi: np.ndarray) -> np.ndarray:
+        return ev.backward @ apply_pauli(ev.forward @ psi, spec.site_i, spec.axis_a, n)
+
+    def v(psi: np.ndarray) -> np.ndarray:
+        return apply_pauli(psi, spec.site_j, spec.axis_b, n)
+
+    return w_t, v
+
+
+def otoc_direct(
+    state: DensityOperator,
+    spec: OtocSpec,
+    prop: Propagator,
+    t: float,
+    evolution: Evolution | None = None,
+) -> complex:
+    """Exact complex C(t) = Tr[rho sigma_i^a(t) sigma_j^b sigma_i^a(t) sigma_j^b].
+
+    Evaluated as Tr[Psi^dagger W(t) V W(t) V Psi] on the state factor Psi;
+    `evolution`, when given, is the shared U(t) of this time point.
+    """
+    w_t, v = _operands(state, spec, prop, t, evolution)
+    psi = state.factor
+    value = complex(np.vdot(psi, w_t(v(w_t(v(psi))))))
     if abs(value) > 1.0 + ATOL_SPECTRUM:
         raise ValueError(f"OTOC magnitude {abs(value)} exceeds 1 beyond tolerance")
     return value
 
 
-def commutator_norm(state: DensityOperator, spec: OtocSpec, prop: Propagator, t: float) -> float:
-    """<|[W(t), V]|^2> = Tr(rho [W(t),V]^dagger [W(t),V]), nonnegative."""
-    if state.n_sites != prop.n_sites:
-        raise ValueError("dimension mismatch between state and propagator")
-    n = prop.n_sites
-    spec.validate_for(n)
-    w_t = heisenberg(embed_pauli(spec.site_i, spec.axis_a, n), prop, t).matrix
-    v = embed_pauli(spec.site_j, spec.axis_b, n).matrix
-    comm = w_t @ v - v @ w_t
-    value = complex(np.einsum("ij,ji->", state.matrix, comm.conj().T @ comm))
-    return float(value.real)
+def commutator_norm(
+    state: DensityOperator,
+    spec: OtocSpec,
+    prop: Propagator,
+    t: float,
+    evolution: Evolution | None = None,
+) -> float:
+    """<|[W(t), V]|^2> = ||[W(t), V] Psi||_F^2, nonnegative by construction."""
+    w_t, v = _operands(state, spec, prop, t, evolution)
+    psi = state.factor
+    comm_psi = w_t(v(psi)) - v(w_t(psi))
+    return float(np.vdot(comm_psi, comm_psi).real)

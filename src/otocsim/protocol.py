@@ -18,8 +18,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .dynamics import Propagator
-from .hilbert import DensityOperator, Operator, check_site, embed_pauli, projector
+from .dynamics import Evolution, Propagator, evolution_for
+from .hilbert import (
+    DensityOperator,
+    Operator,
+    apply_pauli,
+    apply_projector,
+    apply_rotation,
+)
 from .otoc import OtocSpec
 
 # Fixed enumeration order of the 16 outcome sequences (o1, o2, o3, o4),
@@ -42,6 +48,8 @@ PROB_ATOL = 1e-12       # tolerance on individual probabilities
 NORMALIZATION_ATOL = 1e-10  # tolerance on sum over the 16 sequences
 
 DEFAULT_ANGLES = (math.pi / 2, math.pi / 2, math.pi / 2)
+
+PREFACTOR_GUARD = 1e-6
 
 
 class DegenerateAnglesError(ValueError):
@@ -70,6 +78,16 @@ class RotationAngles:
             * math.sin(self.theta3 / 2.0)
         )
 
+    def checked_prefactor(self) -> float:
+        """`prefactor`, or DegenerateAnglesError when |prefactor| <= PREFACTOR_GUARD."""
+        prefactor = self.prefactor()
+        if abs(prefactor) <= PREFACTOR_GUARD:
+            raise DegenerateAnglesError(
+                f"reconstruction prefactor {prefactor} is below the guard {PREFACTOR_GUARD}; "
+                "choose non-degenerate angles"
+            )
+        return prefactor
+
 
 @dataclass(frozen=True)
 class ProbabilityTable:
@@ -96,28 +114,31 @@ class ProbabilityTable:
 
 
 def outcome_probabilities(
-    state: DensityOperator, spec: OtocSpec, prop: Propagator, t: float
+    state: DensityOperator,
+    spec: OtocSpec,
+    prop: Propagator,
+    t: float,
+    evolution: Evolution | None = None,
 ) -> ProbabilityTable:
     """Exact joint probabilities for the four-measurement sequence.
 
     Measurement order is sigma_j^b, sigma_i^a, sigma_j^b, sigma_i^a with
     evolution +t, -t, +t in between; each measurement collapses the state
-    projectively (Pi rho Pi / p).
+    factor projectively (Pi Psi / sqrt(p), with p = ||Pi Psi||_F^2).
+    `evolution`, when given, is the shared U(t) of this time point.
     """
     if state.n_sites != prop.n_sites:
         raise ValueError("dimension mismatch between state and propagator")
     n = prop.n_sites
     spec.validate_for(n)
-    projs = {
-        ("j", s): projector(spec.site_j, spec.axis_b, s, n).matrix for s in (+1, -1)
-    }
-    projs.update(
-        (("i", s), projector(spec.site_i, spec.axis_a, s, n).matrix) for s in (+1, -1)
+    ev = evolution_for(prop, t, evolution)
+    # (site and axis measured, unitary applied before the measurement)
+    steps = (
+        (spec.site_j, spec.axis_b, None),
+        (spec.site_i, spec.axis_a, ev.forward),
+        (spec.site_j, spec.axis_b, ev.backward),
+        (spec.site_i, spec.axis_a, ev.forward),
     )
-    u_fwd = prop.unitary(t)
-    u_bwd = u_fwd.conj().T
-    # (which site to measure, unitary applied before the measurement)
-    steps = (("j", None), ("i", u_fwd), ("j", u_bwd), ("i", u_fwd))
 
     probs: dict[tuple[int, int, int, int], float] = {}
 
@@ -126,23 +147,22 @@ def outcome_probabilities(
             if seq[: len(prefix)] == prefix:
                 probs[seq] = 0.0
 
-    def descend(rho: np.ndarray, joint: float, outcomes: tuple[int, ...]) -> None:
+    def descend(psi: np.ndarray, joint: float, outcomes: tuple[int, ...]) -> None:
         depth = len(outcomes)
         if depth == 4:
             probs[outcomes] = joint
             return
-        which, u = steps[depth]
-        rho_t = rho if u is None else u @ rho @ u.conj().T
+        site, axis, u = steps[depth]
+        psi_t = psi if u is None else u @ psi
         for sign in (+1, -1):
-            pi = projs[(which, sign)]
-            collapsed = pi @ rho_t @ pi
-            p = float(np.trace(collapsed).real)
+            collapsed = apply_projector(psi_t, site, axis, sign, n)
+            p = float(np.vdot(collapsed, collapsed).real)
             if p < ZERO_BRANCH_CUTOFF:
                 fill_zeros(outcomes + (sign,))
                 continue
-            descend(collapsed / p, joint * p, outcomes + (sign,))
+            descend(collapsed / math.sqrt(p), joint * p, outcomes + (sign,))
 
-    descend(state.matrix, 1.0, ())
+    descend(state.factor, 1.0, ())
     return ProbabilityTable(probs)
 
 
@@ -156,31 +176,23 @@ def corr_from_table(table: ProbabilityTable | Mapping[tuple[int, int, int, int],
 
 
 def re_otoc_via_protocol(
-    state: DensityOperator, spec: OtocSpec, prop: Propagator, t: float
+    state: DensityOperator,
+    spec: OtocSpec,
+    prop: Propagator,
+    t: float,
+    evolution: Evolution | None = None,
 ) -> float:
     """Re C(t) reconstructed as 2*corr - 1 from the projective protocol."""
-    return 2.0 * corr_from_table(outcome_probabilities(state, spec, prop, t)) - 1.0
+    return 2.0 * corr_from_table(outcome_probabilities(state, spec, prop, t, evolution)) - 1.0
 
 
 def rotation_operator(site: int, axis: str, theta: float, n_sites: int) -> Operator:
-    """Single-site rotation exp(-i sigma theta / 2) = cos(theta/2) - i sin(theta/2) sigma."""
-    check_site(site, n_sites)
-    sigma = embed_pauli(site, axis, n_sites).matrix
-    mat = math.cos(theta / 2.0) * np.eye(2**n_sites) - 1j * math.sin(theta / 2.0) * sigma
-    return Operator(n_sites, mat)
+    """Dense exp(-i sigma theta / 2) = cos(theta/2) - i sin(theta/2) sigma.
 
-
-def _composite_rotation(
-    spec: OtocSpec, prop: Propagator, t: float, angles: RotationAngles
-) -> np.ndarray:
-    """e^(-iHt) R_j^b(t3) e^(iHt) R_i^a(t2) e^(-iHt) R_j^b(t1)."""
-    n = prop.n_sites
-    r1 = rotation_operator(spec.site_j, spec.axis_b, angles.theta1, n).matrix
-    r2 = rotation_operator(spec.site_i, spec.axis_a, angles.theta2, n).matrix
-    r3 = rotation_operator(spec.site_j, spec.axis_b, angles.theta3, n).matrix
-    u_fwd = prop.unitary(t)
-    u_bwd = prop.unitary(-t)
-    return u_fwd @ r3 @ u_bwd @ r2 @ u_fwd @ r1
+    This is `apply_rotation` on the identity.
+    """
+    eye = np.eye(2**n_sites, dtype=complex)
+    return Operator(n_sites, apply_rotation(eye, site, axis, theta, n_sites))
 
 
 def rotated_expectation(
@@ -189,15 +201,27 @@ def rotated_expectation(
     prop: Propagator,
     t: float,
     angles: RotationAngles,
+    evolution: Evolution | None = None,
 ) -> float:
-    """<sigma_i^a> after the rotate/evolve sequence of the imaginary-part protocol."""
+    """<sigma_i^a> after the rotate/evolve sequence of the imaginary-part protocol.
+
+    The state factor goes through e^(-iHt) R_j^b(t3) e^(iHt) R_i^a(t2)
+    e^(-iHt) R_j^b(t1), right to left; `evolution`, when given, is the
+    shared U(t) of this time point.
+    """
     if state.n_sites != prop.n_sites:
         raise ValueError("dimension mismatch between state and propagator")
-    spec.validate_for(prop.n_sites)
-    r = _composite_rotation(spec, prop, t, angles)
-    rotated = r @ state.matrix @ r.conj().T
-    obs = embed_pauli(spec.site_i, spec.axis_a, prop.n_sites).matrix
-    return float(np.einsum("ij,ji->", rotated, obs).real)
+    n = prop.n_sites
+    spec.validate_for(n)
+    ev = evolution_for(prop, t, evolution)
+    psi = state.factor
+    for site, axis, theta, u in (
+        (spec.site_j, spec.axis_b, angles.theta1, ev.forward),
+        (spec.site_i, spec.axis_a, angles.theta2, ev.backward),
+        (spec.site_j, spec.axis_b, angles.theta3, ev.forward),
+    ):
+        psi = u @ apply_rotation(psi, site, axis, theta, n)
+    return float(np.vdot(psi, apply_pauli(psi, spec.site_i, spec.axis_a, n)).real)
 
 
 def angle_variants(angles: RotationAngles) -> tuple[RotationAngles, ...]:
@@ -213,8 +237,6 @@ def angle_variants(angles: RotationAngles) -> tuple[RotationAngles, ...]:
 
 ANGLE_VARIANT_SIGNS = (+1.0, -1.0, -1.0, +1.0)
 
-PREFACTOR_GUARD = 1e-6
-
 
 def im_otoc_via_protocol(
     state: DensityOperator,
@@ -222,18 +244,15 @@ def im_otoc_via_protocol(
     prop: Propagator,
     t: float,
     angles: RotationAngles | None = None,
+    evolution: Evolution | None = None,
 ) -> float:
     """Im C(t) from the four-angle-set combination of rotated expectations."""
     if angles is None:
         angles = RotationAngles(*DEFAULT_ANGLES)
-    prefactor = angles.prefactor()
-    if abs(prefactor) <= PREFACTOR_GUARD:
-        raise DegenerateAnglesError(
-            f"reconstruction prefactor {prefactor} is below the guard {PREFACTOR_GUARD}; "
-            "choose non-degenerate angles"
-        )
+    prefactor = angles.checked_prefactor()
+    evolution = evolution_for(prop, t, evolution)
     combo = math.fsum(
-        sign * rotated_expectation(state, spec, prop, t, var)
+        sign * rotated_expectation(state, spec, prop, t, var, evolution)
         for sign, var in zip(ANGLE_VARIANT_SIGNS, angle_variants(angles))
     )
     return combo / prefactor

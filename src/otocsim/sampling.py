@@ -15,14 +15,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .dynamics import Propagator
+from .dynamics import Evolution, Propagator, evolution_for
 from .hilbert import DensityOperator
 from .otoc import OtocSpec
 from .protocol import (
     ANGLE_VARIANT_SIGNS,
     OUTCOME_SEQUENCES,
-    DegenerateAnglesError,
-    PREFACTOR_GUARD,
     ProbabilityTable,
     RotationAngles,
     angle_variants,
@@ -121,24 +119,23 @@ def sample_rotation_protocol(
     t: float,
     angles: RotationAngles,
     cfg: SampleConfig,
+    evolution: Evolution | None = None,
 ) -> Estimate:
     """Finite-shot estimate of Im C(t) from the rotation protocol.
 
     Each of the four angle sets gets cfg.n_shots single-shot +/-1
     measurements of sigma_i^a, simulated with outcome probabilities
     (1 +/- <sigma_i^a>)/2; the empirical means combine exactly like the
-    exact expectations do.
+    exact expectations do.  `evolution`, when given, is the shared U(t)
+    of this time point.
     """
-    prefactor = angles.prefactor()
-    if abs(prefactor) <= PREFACTOR_GUARD:
-        raise DegenerateAnglesError(
-            f"reconstruction prefactor {prefactor} is below the guard {PREFACTOR_GUARD}"
-        )
+    prefactor = angles.checked_prefactor()
+    evolution = evolution_for(prop, t, evolution)
     rng = _rng(cfg.seed)
     combo = 0.0
     var_sum = 0.0
     for sign, variant in zip(ANGLE_VARIANT_SIGNS, angle_variants(angles)):
-        exact = rotated_expectation(state, spec, prop, t, variant)
+        exact = rotated_expectation(state, spec, prop, t, variant, evolution)
         p_up = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
         shots = np.where(rng.random(cfg.n_shots) < p_up, 1.0, -1.0)
         mean = float(shots.mean())

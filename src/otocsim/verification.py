@@ -17,6 +17,7 @@ from .hilbert import DensityOperator, PAULI_AXES
 from .otoc import OtocSpec, commutator_norm, otoc_direct
 from .protocol import RotationAngles, im_otoc_via_protocol, re_otoc_via_protocol
 
+# Largest accepted |reconstructed - direct| of a protocol identity, here and in `otocsim exact`.
 IDENTITY_TOLERANCE = 1e-9
 
 AXIS_PAIRS = tuple((a, b) for a in PAULI_AXES for b in PAULI_AXES)
@@ -75,7 +76,7 @@ def _instances(n_instances: int, sizes: tuple[int, ...], seed: int):
         state = random_density(n_sites, rng)
         spec = random_spec(n_sites, rng, axes)
         t = float(rng.uniform(0.0, 5.0))
-        yield rng, state, spec, prop, t
+        yield rng, state, spec, prop, t, prop.evolution(t)
 
 
 def check_re_identity(
@@ -83,9 +84,9 @@ def check_re_identity(
 ) -> CheckResult:
     """2*corr - 1 against Re C on random instances."""
     worst = 0.0
-    for _, state, spec, prop, t in _instances(n_instances, sizes, seed):
-        reconstructed = re_otoc_via_protocol(state, spec, prop, t)
-        direct = otoc_direct(state, spec, prop, t).real
+    for _, state, spec, prop, t, evolution in _instances(n_instances, sizes, seed):
+        reconstructed = re_otoc_via_protocol(state, spec, prop, t, evolution)
+        direct = otoc_direct(state, spec, prop, t, evolution).real
         worst = max(worst, abs(reconstructed - direct))
     return CheckResult("re_identity", worst, IDENTITY_TOLERANCE)
 
@@ -95,10 +96,10 @@ def check_im_identity(
 ) -> CheckResult:
     """Four-angle-set combination against Im C on random instances."""
     worst = 0.0
-    for rng, state, spec, prop, t in _instances(n_instances, sizes, seed):
+    for rng, state, spec, prop, t, evolution in _instances(n_instances, sizes, seed):
         angles = random_nondegenerate_angles(rng)
-        reconstructed = im_otoc_via_protocol(state, spec, prop, t, angles)
-        direct = otoc_direct(state, spec, prop, t).imag
+        reconstructed = im_otoc_via_protocol(state, spec, prop, t, angles, evolution)
+        direct = otoc_direct(state, spec, prop, t, evolution).imag
         worst = max(worst, abs(reconstructed - direct))
     return CheckResult("im_identity", worst, IDENTITY_TOLERANCE)
 
@@ -108,9 +109,9 @@ def check_commutator_relation(
 ) -> CheckResult:
     """Re C = 1 - <|[W(t),V]|^2>/2 on random instances."""
     worst = 0.0
-    for _, state, spec, prop, t in _instances(n_instances, sizes, seed):
-        direct = otoc_direct(state, spec, prop, t).real
-        via_commutator = 1.0 - commutator_norm(state, spec, prop, t) / 2.0
+    for _, state, spec, prop, t, evolution in _instances(n_instances, sizes, seed):
+        direct = otoc_direct(state, spec, prop, t, evolution).real
+        via_commutator = 1.0 - commutator_norm(state, spec, prop, t, evolution) / 2.0
         worst = max(worst, abs(direct - via_commutator))
     return CheckResult("commutator_relation", worst, IDENTITY_TOLERANCE)
 

@@ -1,6 +1,7 @@
 import pytest
 
 from otocsim.cli import EXIT_CONFIG, EXIT_OK, main
+from otocsim.dynamics import Propagator
 
 BASE_CONFIG = """
 n_sites = 4
@@ -118,6 +119,42 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
     path = tmp_path / "degenerate.cfg"
     path.write_text(BASE_CONFIG + "theta2 = 0.0\n")
     assert main(["im", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("exact", BASE_CONFIG.replace("n_sites = 4", "n_sites = 40"), "n_sites=40 is above"),
+        ("exact", BASE_CONFIG.replace("t_stop = 2.0", "t_stop = inf"), "finite"),
+        ("im", BASE_CONFIG + "theta1 = nan\n", "finite"),
+        ("dressing", DRESSING_CONFIG.replace("omega_laser = 2.0", "omega_laser = nan"), "finite"),
+        # a resonant strong laser leaves no dressed state of majority ground character
+        (
+            "dressing",
+            DRESSING_CONFIG.replace("omega_laser = 2.0", "omega_laser = 10.0").replace(
+                "delta_laser = 4.0", "delta_laser = 0.0"
+            ),
+            "majority ground character",
+        ),
+    ],
+    ids=["register_too_large", "infinite_time", "nan_angle", "nan_dressing", "lost_branch"],
+)
+def test_bad_input_fails_closed(tmp_path, capsys, command, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exact_builds_one_unitary_per_time_point(config_file, tmp_path, monkeypatch):
+    calls = []
+    unitary = Propagator.unitary
+    monkeypatch.setattr(Propagator, "unitary", lambda self, t: calls.append(t) or unitary(self, t))
+    out = tmp_path / "exact.csv"
+    assert main(["exact", "--config", str(config_file), "--out", str(out), "--quiet"]) == EXIT_OK
+    assert len(calls) == 9
 
 
 def test_dressing_run_flags_inversion(tmp_path):

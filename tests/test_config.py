@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from otocsim.config import ConfigError, parse_config, require
+from otocsim.config import (
+    DENSE_MEMORY_BUDGET_BYTES,
+    MAX_SITES,
+    ConfigError,
+    dense_footprint_bytes,
+    parse_config,
+    require,
+)
 
 FULL = """
 # system
@@ -130,3 +137,25 @@ def test_single_time_point_allowed():
     text = FULL.replace("n_times = 31", "n_times = 1")
     grid = parse_config(text).otoc.time_grid()
     np.testing.assert_allclose(grid, [0.0])
+
+
+@pytest.mark.parametrize("key", ["t_stop", "theta1", "omega_laser", "delta_microwave", "r_max"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_floats_rejected(key, value):
+    text = "\n".join(
+        f"{key} = {value}" if line.startswith(f"{key} =") else line for line in FULL.splitlines()
+    )
+    with pytest.raises(ConfigError, match=f"field '{key}': expected a finite number"):
+        parse_config(text)
+
+
+def test_register_above_dense_memory_cap_rejected():
+    """The cap is a size estimate: nothing of 2^N x 2^N is allocated here."""
+    assert dense_footprint_bytes(MAX_SITES) <= DENSE_MEMORY_BUDGET_BYTES
+    assert dense_footprint_bytes(MAX_SITES + 1) > DENSE_MEMORY_BUDGET_BYTES
+    assert MAX_SITES == 12
+    at_cap = FULL.replace("n_sites = 4", f"n_sites = {MAX_SITES}")
+    assert parse_config(at_cap).system.n_sites == MAX_SITES
+    for n_sites in (MAX_SITES + 1, 16, 40, 10**9):
+        with pytest.raises(ConfigError, match=f"n_sites={n_sites} is above {MAX_SITES}"):
+            parse_config(FULL.replace("n_sites = 4", f"n_sites = {n_sites}"))

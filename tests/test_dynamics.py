@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from otocsim.dynamics import Propagator, build_custom, build_xy_chain, evolve, heisenberg
+from otocsim.dynamics import (
+    Propagator,
+    build_custom,
+    build_xy_chain,
+    evolution_for,
+    evolve,
+    heisenberg,
+)
 from otocsim.hilbert import DensityOperator, all_up_state, embed_pauli
+from otocsim.otoc import otoc_direct
 
 # Expanding -(x1 x2 + y1 y2) by hand on the 4-dim basis leaves only the
 # flip-flop entries |up,down><down,up| and its transpose, each -2.
@@ -133,3 +141,16 @@ def test_evolution_time_must_be_finite(xy4, up4):
         evolve(up4, xy4, np.inf)
     with pytest.raises(ValueError, match="finite"):
         evolve(up4, xy4, np.nan)
+
+
+def test_evolution_is_shared_and_checked(xy4, up4, spec_xx):
+    evolution = xy4.evolution(0.5)
+    np.testing.assert_allclose(evolution.forward, xy4.unitary(0.5), atol=0)
+    np.testing.assert_allclose(evolution.backward, xy4.unitary(-0.5), atol=1e-12)
+    assert evolution_for(xy4, 0.5, evolution) is evolution
+    assert otoc_direct(up4, spec_xx, xy4, 0.5, evolution) == otoc_direct(up4, spec_xx, xy4, 0.5)
+    with pytest.raises(ValueError, match="another propagator"):
+        otoc_direct(up4, spec_xx, xy4, 0.6, evolution)
+    other = Propagator.from_hamiltonian(build_xy_chain(4))
+    with pytest.raises(ValueError, match="another propagator"):
+        evolution_for(other, 0.5, evolution)

@@ -8,18 +8,26 @@ from otocsim.hilbert import (
     Operator,
     StateVector,
     all_up_state,
+    apply_pauli,
+    apply_projector,
+    apply_rotation,
     embed_pauli,
     expectation,
     maximally_mixed_state,
     pauli_matrix,
     projector,
 )
+from otocsim.protocol import rotation_operator
+from otocsim.verification import random_density
 
-sites_and_axes = st.tuples(
-    st.integers(min_value=1, max_value=4),
-    st.sampled_from(["x", "y", "z"]),
-    st.integers(min_value=4, max_value=4),
-)
+import oracles
+
+
+@st.composite
+def sites_and_axes(draw):
+    """(site, axis, n_sites) over registers of 1 to 6 qubits."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    return draw(st.integers(min_value=1, max_value=n)), draw(st.sampled_from(["x", "y", "z"])), n
 
 
 def test_single_site_sigma_z_is_diag():
@@ -38,16 +46,41 @@ def test_disjoint_sites_commute_exactly():
     assert np.max(np.abs(a @ b - b @ a)) == 0.0
 
 
-@given(sites_and_axes)
+@given(sites_and_axes())
 @settings(max_examples=30, deadline=None)
 def test_embedded_pauli_algebra(args):
     site, axis, n = args
     op = embed_pauli(site, axis, n)
     dim = 2**n
     assert op.hermitian
+    np.testing.assert_array_equal(op.matrix, oracles.site_operator(n, site, axis))
     np.testing.assert_allclose(op.matrix, op.matrix.conj().T, atol=1e-15)
     np.testing.assert_allclose(op.matrix @ op.matrix, np.eye(dim), atol=1e-14)
     assert abs(np.trace(op.matrix)) < 1e-12
+
+
+@given(
+    sites_and_axes(),
+    st.sampled_from([+1, -1]),
+    st.floats(min_value=-7.0, max_value=7.0),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_index_kernels_match_kronecker_oracle(args, sign, theta, rank, seed):
+    """The kernels on a random (2^N, r) factor, and the dense forms built from
+    them on the identity, against explicit Kronecker chains and expm."""
+    site, axis, n = args
+    rng = np.random.Generator(np.random.PCG64(seed))
+    psi = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
+    sigma = oracles.site_operator(n, site, axis)
+    proj = oracles.site_projector(n, site, axis, sign)
+    rot = oracles.rotation(n, site, axis, theta)
+    np.testing.assert_array_equal(apply_pauli(psi, site, axis, n), sigma @ psi)
+    np.testing.assert_allclose(apply_projector(psi, site, axis, sign, n), proj @ psi, atol=1e-14)
+    np.testing.assert_allclose(apply_rotation(psi, site, axis, theta, n), rot @ psi, atol=1e-13)
+    np.testing.assert_allclose(projector(site, axis, sign, n).matrix, proj, atol=1e-15)
+    np.testing.assert_allclose(rotation_operator(site, axis, theta, n).matrix, rot, atol=1e-14)
 
 
 def test_embed_site_out_of_range():
@@ -145,3 +178,22 @@ def test_operator_hermitian_flag_is_checked():
         Operator(1, np.array([[0, 1], [0, 0]], dtype=complex), hermitian=True)
     # without the flag the same matrix is fine
     Operator(1, np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_state_factors_reproduce_density(rng):
+    mixed = random_density(3, rng)
+    np.testing.assert_allclose(mixed.factor @ mixed.factor.conj().T, mixed.matrix, atol=1e-14)
+    assert all_up_state(3).factor.shape == (8, 1)
+    assert maximally_mixed_state(3).factor.shape == (8, 8)
+    np.testing.assert_allclose(maximally_mixed_state(3).matrix, np.eye(8) / 8, atol=1e-16)
+    pure = DensityOperator(1, np.full((2, 2), 0.5))  # rank 1: zero eigenvalue dropped
+    assert pure.factor.shape == (2, 1)
+
+
+def test_from_factor_checks_shape_and_norm():
+    with pytest.raises(ValueError, match="Frobenius"):
+        DensityOperator.from_factor(1, np.ones((2, 1)))
+    with pytest.raises(ValueError, match="shape"):
+        DensityOperator.from_factor(2, np.ones((2, 1)) / np.sqrt(2))
+    with pytest.raises(ValueError, match="shape"):
+        DensityOperator.from_factor(1, np.ones(2) / np.sqrt(2))

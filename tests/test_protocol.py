@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otocsim.dynamics import Propagator, build_custom
-from otocsim.hilbert import maximally_mixed_state
+from otocsim.hilbert import all_up_state, maximally_mixed_state
 from otocsim.otoc import OtocSpec, otoc_direct
 from otocsim.protocol import (
     OUTCOME_SEQUENCES,
@@ -19,7 +21,12 @@ from otocsim.protocol import (
     rotated_expectation,
     rotation_operator,
 )
-from otocsim.verification import random_density, random_hamiltonian, random_nondegenerate_angles
+from otocsim.verification import (
+    AXIS_PAIRS,
+    random_density,
+    random_hamiltonian,
+    random_nondegenerate_angles,
+)
 
 import oracles
 
@@ -232,3 +239,38 @@ def test_degenerate_angles_rejected(xy4, up4, spec_xx):
         im_otoc_via_protocol(up4, spec_xx, xy4, 0.5, RotationAngles(0.3, 0.0, 0.9))
     with pytest.raises(ValueError, match="finite"):
         RotationAngles(math.nan, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("axes", AXIS_PAIRS, ids="".join)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+    mixed=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    t=st.floats(min_value=0.0, max_value=5.0),
+)
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_factor_evaluators_match_dense_oracles(axes, n, data, mixed, seed, t):
+    """otoc_direct, the 16-branch table and the rotated expectation on the state
+    factor against the dense expm oracles, for pure and full-rank mixed states,
+    distinct and same-site specs."""
+    site_i = data.draw(st.integers(min_value=1, max_value=n))
+    site_j = data.draw(st.one_of(st.just(site_i), st.integers(min_value=1, max_value=n)))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ham = random_hamiltonian(n, rng)
+    prop = Propagator.from_hamiltonian(ham)
+    state = random_density(n, rng) if mixed else all_up_state(n)
+    spec = OtocSpec(site_i, axes[0], site_j, axes[1])
+    angles = RotationAngles(*rng.uniform(-math.pi, math.pi, size=3))
+    dense = (state.matrix, ham.matrix, n, site_i, axes[0], site_j, axes[1], t)
+
+    evolution = prop.evolution(t)
+    assert abs(otoc_direct(state, spec, prop, t, evolution) - oracles.otoc_value(*dense)) < 1e-10
+    table = outcome_probabilities(state, spec, prop, t, evolution)
+    expected = oracles.probability_table(*dense)
+    assert max(abs(table[seq] - expected[seq]) for seq in OUTCOME_SEQUENCES) < 1e-10
+    value = rotated_expectation(state, spec, prop, t, angles, evolution)
+    rotated = oracles.rotated_sigma_expectation(
+        *dense, angles.theta1, angles.theta2, angles.theta3
+    )
+    assert abs(value - rotated) < 1e-10
