@@ -128,7 +128,10 @@ def run_exact(config: RunConfig, log) -> tuple[list[dict], list[str], bool]:
             }
         )
     log(f"identity cross-check: max |2corr-1 - Re C| = {worst_re:.3e}, "
-        f"max rotation residual = {worst_im:.3e}")
+        f"max rotation residual = {worst_im:.3e}; eigendecomposition in "
+        f"{len(prop.block_sizes)} blocks (largest {max(prop.block_sizes)}): "
+        f"residual {prop.reconstruction_residual:.3e}, "
+        f"unitarity defect {prop.unitarity_defect:.3e}")
     columns = list(RESULT_COLUMNS) + ["re_identity_residual", "im_identity_residual"]
     ok = worst_re < IDENTITY_TOLERANCE and worst_im < IDENTITY_TOLERANCE
     return rows, columns, ok
@@ -143,7 +146,7 @@ def run_sampled(config: RunConfig, log) -> tuple[list[dict], list[str], bool]:
         ev = prop.evolution(t)
         direct = otoc_direct(state, spec, prop, t, ev)
         table = outcome_probabilities(state, spec, prop, t, ev)
-        cfg = SampleConfig(sampling.n_shots, (sampling.seed + index) % 2**64)
+        cfg = SampleConfig(sampling.n_shots, sampling.seed, point=index)
         est = estimate_re_otoc(sample_sequences(table, cfg))
         rows.append(
             {
@@ -168,7 +171,7 @@ def run_im_sampled(config: RunConfig, log) -> tuple[list[dict], list[str], bool]
         t = float(t)
         ev = prop.evolution(t)
         direct = otoc_direct(state, spec, prop, t, ev)
-        cfg = SampleConfig(sampling.n_shots, (sampling.seed + index) % 2**64)
+        cfg = SampleConfig(sampling.n_shots, sampling.seed, point=index)
         est = sample_rotation_protocol(state, spec, prop, t, angles, cfg, ev)
         rows.append(
             {

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -141,12 +142,19 @@ def dressed_ground(scheme: LevelScheme) -> tuple[float, np.ndarray]:
 
 
 def _gg_connected_energy(
-    h: np.ndarray, reference: np.ndarray
-) -> tuple[float, np.ndarray, float]:
+    h: np.ndarray, reference: np.ndarray, lost: Callable[[float], str]
+) -> tuple[float, np.ndarray]:
+    """Energy and eigenvector of h with the largest squared overlap with `reference`.
+
+    Raises AdiabaticityError with the message lost(overlap) when even that
+    overlap is at most MIN_CONNECTED_OVERLAP.
+    """
     evals, evecs = np.linalg.eigh(h)
     overlaps = np.abs(evecs.conj().T @ reference) ** 2
     k = int(np.argmax(overlaps))
-    return float(evals[k]), evecs[:, k], float(overlaps[k])
+    if overlaps[k] <= MIN_CONNECTED_OVERLAP:
+        raise AdiabaticityError(lost(float(overlaps[k])))
+    return float(evals[k]), evecs[:, k]
 
 
 def dressed_ising_coupling(
@@ -162,12 +170,12 @@ def dressed_ising_coupling(
     e_single, v_single = dressed_ground(scheme)
     reference = np.kron(v_single, v_single)
     h = build_two_atom_hamiltonian(scheme, coeffs, r)
-    e_gg, _, overlap = _gg_connected_energy(h, reference)
-    if overlap <= MIN_CONNECTED_OVERLAP:
-        raise AdiabaticityError(
-            f"pair eigenstate at r={r} keeps only {overlap:.3f} of the "
-            "dressed-ground overlap; cannot identify the |gg>-connected branch"
-        )
+    e_gg, _ = _gg_connected_energy(
+        h,
+        reference,
+        lambda overlap: f"pair eigenstate at r={r} keeps only {overlap:.3f} of the "
+        "dressed-ground overlap; cannot identify the |gg>-connected branch",
+    )
     return e_gg - 2.0 * e_single
 
 
@@ -196,14 +204,13 @@ def scan_curve(
     j_values = np.empty(n_points)
     tracked = np.kron(v_single, v_single)
     for idx in reversed(range(n_points)):
-        h = build_two_atom_hamiltonian(effective, coeffs, distances[idx])
-        energy, vector, overlap = _gg_connected_energy(h, tracked)
-        if overlap <= MIN_CONNECTED_OVERLAP:
-            raise AdiabaticityError(
-                f"lost the |gg>-connected branch at r={distances[idx]:.4g} "
-                f"(overlap {overlap:.3f})"
-            )
-        tracked = vector
+        r = distances[idx]
+        h = build_two_atom_hamiltonian(effective, coeffs, r)
+        energy, tracked = _gg_connected_energy(
+            h,
+            tracked,
+            lambda overlap: f"lost the |gg>-connected branch at r={r:.4g} (overlap {overlap:.3f})",
+        )
         j_values[idx] = energy - 2.0 * e_single
     return DressedCurve(distances, j_values)
 

@@ -2,9 +2,10 @@
 
 Units: the XY coupling constant is 1 and hbar = 1, so time is
 dimensionless.  Evolution is exact via a cached Hermitian
-eigendecomposition; backward evolution is the adjoint U(t)^dagger = U(-t).
-An `Evolution` holds U(t) for one time point, so that every evaluator of
-that point shares one dense unitary.
+eigendecomposition, one per connected sector of H (the Hamming-weight
+sectors of the XY chain); backward evolution is the adjoint
+U(t)^dagger = U(-t).  An `Evolution` holds the sector blocks of U(t) for
+one time point, so that every evaluator of that point shares them.
 """
 
 from __future__ import annotations
@@ -44,51 +45,189 @@ class Hamiltonian:
             raise ValueError("Hamiltonian is not Hermitian")
 
 
+@dataclass(frozen=True, eq=False)
+class Sectors:
+    """A partition of the basis into blocks, each a contiguous slice of one permutation.
+
+    Block k is the basis indices order[bounds[k]:bounds[k+1]]; order is None
+    for the identity permutation, so that block k is plainly lo:hi.
+    """
+
+    order: np.ndarray | None
+    bounds: tuple[int, ...]
+
+    @classmethod
+    def connected(cls, matrix: np.ndarray) -> "Sectors":
+        """The connected components of matrix's nonzero pattern.
+
+        The matrix is exactly zero outside these diagonal blocks.  Indices
+        ascend within a block and blocks come in the order of their smallest
+        index.  Found by min-label propagation with pointer jumping over the
+        symmetrized pattern; each label is an index of the same component.
+        """
+        dim = matrix.shape[0]
+        pattern = matrix != 0
+        pattern |= pattern.T
+        pattern.flat[:: dim + 1] = True
+        rows, cols = np.nonzero(pattern)
+        labels = pattern.argmax(axis=1)  # smallest neighbour of each index, itself included
+        while True:
+            labels = labels[labels]
+            across = labels[cols]
+            if (labels[rows] == across).all():
+                break
+            np.minimum.at(labels, rows, across)
+        if not labels.any():  # a single component, as for a dense random H
+            return cls(None, (0, dim))
+        counts = np.bincount(labels, minlength=dim)
+        bounds = (0, *np.cumsum(counts[counts > 0]).tolist())
+        if (labels[1:] >= labels[:-1]).all():
+            return cls(None, bounds)
+        return cls(np.argsort(labels, kind="stable"), bounds)
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(hi - lo for lo, hi in zip(self.bounds, self.bounds[1:]))
+
+    def block(self, k: int):
+        """Index of the k-th diagonal block of a 2^N x 2^N matrix (a view when order is None)."""
+        lo, hi = self.bounds[k], self.bounds[k + 1]
+        if self.order is None:
+            return slice(lo, hi), slice(lo, hi)
+        return np.ix_(self.order[lo:hi], self.order[lo:hi])
+
+
+@dataclass(frozen=True, eq=False)
+class BlockDiagonal:
+    """Operator that is zero outside the diagonal blocks of `sectors`, one matrix per block."""
+
+    sectors: Sectors
+    blocks: tuple[np.ndarray, ...]
+
+    def with_blocks(self, blocks) -> "BlockDiagonal":
+        return BlockDiagonal(self.sectors, tuple(blocks))
+
+    def adjoint(self) -> "BlockDiagonal":
+        return self.with_blocks(block.conj().T for block in self.blocks)
+
+    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
+        """This operator applied to psi of shape (2^N,) or (2^N, r), block by block.
+
+        Rows are gathered into sector order and scattered back, unless the
+        permutation is the identity; a single such block is one plain matmul.
+        """
+        order, bounds = self.sectors.order, self.sectors.bounds
+        if order is None and len(self.blocks) == 1:
+            return self.blocks[0] @ psi
+        gathered = psi if order is None else psi[order]
+        moved = np.empty(gathered.shape, dtype=np.result_type(gathered, *self.blocks))
+        for lo, hi, block in zip(bounds, bounds[1:], self.blocks):
+            moved[lo:hi] = block @ gathered[lo:hi]
+        if order is None:
+            return moved
+        result = np.empty_like(moved)
+        result[order] = moved
+        return result
+
+    def dense(self) -> np.ndarray:
+        """The full block-diagonal matrix in the original basis."""
+        dim = self.sectors.bounds[-1]
+        mat = np.zeros((dim, dim), dtype=np.result_type(*self.blocks))
+        for k, block in enumerate(self.blocks):
+            mat[self.sectors.block(k)] = block
+        return mat
+
+
 @dataclass(frozen=True)
 class Propagator:
-    """Cached spectral decomposition H = V diag(eigenvalues) V^dagger.
+    """Cached spectral decomposition of H, one eigendecomposition per connected sector.
 
-    Immutable after construction; `evolution` assembles e^(-iHt) from it
-    once per time point.
+    H is split into the connected components of its nonzero pattern (for
+    the XY chain, the Hamming-weight sectors) and each block is
+    diagonalized as H_k = V_k diag(w_k) V_k^dagger.  Immutable after
+    construction; `block_unitary` assembles e^(-iHt) from it block by block.
+    `reconstruction_residual` and `unitarity_defect` are the worst
+    max|V_k diag(w_k) V_k^dagger - H_k| and max|V_k^dagger V_k - I| over the
+    blocks; since H and the assembled decomposition are both exactly zero
+    off the blocks, they equal the whole-matrix defects.
     """
 
     n_sites: int
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenbasis: BlockDiagonal
+    block_eigenvalues: tuple[np.ndarray, ...]
+    reconstruction_residual: float
+    unitarity_defect: float
 
     @classmethod
     def from_hamiltonian(cls, ham: Hamiltonian) -> "Propagator":
-        evals, evecs = np.linalg.eigh(ham.matrix)
-        prop = cls(ham.n_sites, evals, evecs)
-        residual = np.max(np.abs((evecs * evals) @ evecs.conj().T - ham.matrix))
+        sectors = Sectors.connected(ham.matrix)
+        evals, evecs = [], []
+        residual = unit = 0.0
+        for k in range(len(sectors.sizes)):
+            block = ham.matrix[sectors.block(k)]
+            w, v = np.linalg.eigh(block)
+            residual = max(residual, float(np.max(np.abs((v * w) @ v.conj().T - block))))
+            unit = max(unit, float(np.max(np.abs(v.conj().T @ v - np.eye(len(w))))))
+            evals.append(w)
+            evecs.append(v)
         if residual > ATOL_SPECTRUM:
             raise ValueError(f"eigendecomposition residual {residual} above tolerance")
-        unit = np.max(np.abs(evecs.conj().T @ evecs - np.eye(len(evals))))
         if unit > ATOL_SPECTRUM:
             raise ValueError(f"eigenvector unitarity defect {unit} above tolerance")
-        return prop
+        return cls(
+            ham.n_sites, BlockDiagonal(sectors, tuple(evecs)), tuple(evals), residual, unit
+        )
+
+    @property
+    def block_sizes(self) -> tuple[int, ...]:
+        return self.eigenbasis.sectors.sizes
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalue of each column of `eigenvectors` (sector by sector, not sorted)."""
+        values = np.concatenate(self.block_eigenvalues)
+        order = self.eigenbasis.sectors.order
+        if order is None:
+            return values
+        scattered = np.empty_like(values)
+        scattered[order] = values
+        return scattered
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Dense block-diagonal eigenvector matrix, H = V diag(eigenvalues) V^dagger."""
+        return self.eigenbasis.dense()
+
+    def block_unitary(self, t: float) -> BlockDiagonal:
+        """e^(-iHt) as one block U_k(t) = V_k diag(e^(-i w_k t)) V_k^dagger per sector."""
+        if not np.isfinite(t):
+            raise ValueError(f"evolution time must be finite, got {t}")
+        return self.eigenbasis.with_blocks(
+            (v * np.exp(-1j * w * t)) @ v.conj().T
+            for v, w in zip(self.eigenbasis.blocks, self.block_eigenvalues)
+        )
 
     def unitary(self, t: float) -> np.ndarray:
         """Dense e^(-iHt)."""
-        if not np.isfinite(t):
-            raise ValueError(f"evolution time must be finite, got {t}")
-        phases = np.exp(-1j * self.eigenvalues * t)
-        return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
+        return self.block_unitary(t).dense()
 
     def evolution(self, t: float) -> "Evolution":
         """U(t) and its adjoint, built once for every evaluator of time point t."""
-        forward = self.unitary(t)
-        return Evolution(self, float(t), forward, forward.conj().T)
+        forward = self.block_unitary(t)
+        return Evolution(self, float(t), forward, forward.adjoint())
 
 
 @dataclass(frozen=True, eq=False)
 class Evolution:
-    """Dense U(t) = e^(-iHt) of one propagator at one time point, and U(t)^dagger."""
+    """U(t) = e^(-iHt) of one propagator at one time point, and U(t)^dagger.
+
+    Both are `BlockDiagonal`: `ev.forward @ psi` applies U(t) sector by sector.
+    """
 
     propagator: Propagator
     t: float
-    forward: np.ndarray
-    backward: np.ndarray
+    forward: BlockDiagonal
+    backward: BlockDiagonal
 
 
 def evolution_for(prop: Propagator, t: float, evolution: Evolution | None = None) -> Evolution:
@@ -103,14 +242,20 @@ def evolution_for(prop: Propagator, t: float, evolution: Evolution | None = None
 
 
 def build_xy_chain(n_sites: int) -> Hamiltonian:
-    """Open-boundary chain H = -sum_k (x_k x_(k+1) + y_k y_(k+1))."""
+    """Open-boundary chain H = -sum_k (x_k x_(k+1) + y_k y_(k+1)).
+
+    x_k x_(k+1) + y_k y_(k+1) flips sites k and k+1 with amplitude 2 when
+    they differ and annihilates them otherwise, so H has the entry -2 at
+    (b ^ (3 << (k-1)), b) for every b whose bits k-1 and k differ.
+    """
     if n_sites < 2:
         raise ValueError("XY chain needs at least 2 sites")
-    eye = np.eye(2**n_sites, dtype=complex)
-    mat = np.zeros_like(eye)
+    dim = 2**n_sites
+    basis = np.arange(dim)
+    mat = np.zeros((dim, dim), dtype=complex)
     for k in range(1, n_sites):
-        for axis in ("x", "y"):
-            mat -= apply_pauli(apply_pauli(eye, k + 1, axis, n_sites), k, axis, n_sites)
+        differ = basis[((basis >> (k - 1)) ^ (basis >> k)) & 1 == 1]
+        mat[differ ^ (3 << (k - 1)), differ] = -2.0
     return Hamiltonian(n_sites, mat)
 
 
@@ -147,7 +292,7 @@ def evolve(state: DensityOperator, prop: Propagator, t: float) -> DensityOperato
     """Schroedinger evolution, U(t) applied to the state factor; negative t evolves backwards."""
     if state.n_sites != prop.n_sites:
         raise ValueError("dimension mismatch between state and propagator")
-    return DensityOperator.from_factor(state.n_sites, prop.unitary(t) @ state.factor)
+    return DensityOperator.from_factor(state.n_sites, prop.block_unitary(t) @ state.factor)
 
 
 def heisenberg(op: Operator, prop: Propagator, t: float) -> Operator:

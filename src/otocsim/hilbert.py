@@ -12,8 +12,9 @@ mixed one.  Single-site Paulis, projectors and rotations act on Psi through
 index kernels in O(2^N r) (a row gather and a phase read from one bit),
 never as dense matrices; the dense forms `embed_pauli`, `projector` and
 `rotation_operator` are the same kernels applied to the identity.  Time
-evolution U(t) stays a dense 2^N x 2^N matrix, built once per time point
-(see `dynamics.Evolution`).
+evolution U(t) is block-diagonal over the connected sectors of H, applied
+to Psi block by block and built once per time point (see
+`dynamics.Evolution`).
 """
 
 from __future__ import annotations

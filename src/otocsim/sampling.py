@@ -1,8 +1,10 @@
 """Finite-shot Monte Carlo simulation of the measurement protocols.
 
 Randomness comes from numpy's PCG64 generator (name and numpy version are
-pinned in CLI output metadata).  Runs are deterministic for a given seed;
-independent repeats use substreams seeded with seed + repeat index.
+pinned in CLI output metadata).  Runs are deterministic for a given seed.
+Every stream comes from `substream`: time point k of a run with seed s
+draws from SeedSequence(s, spawn_key=(k,)), and repeat m of its error
+band from spawn_key (k, m), so no two (seed, point, repeat) share uniforms.
 Shots are drawn one uniform per shot through the inverse CDF of the 16-way
 categorical, so single-shot outcome streams can be replayed.
 """
@@ -10,7 +12,7 @@ categorical, so single-shot outcome streams can be replayed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -31,13 +33,26 @@ GENERATOR_NAME = "numpy-PCG64"
 GENERATOR_VERSION = np.__version__
 
 
+def substream(seed: int, *path: int) -> np.random.Generator:
+    """PCG64 stream of child `path` (time point, then repeat) of the run seed.
+
+    The path is the SeedSequence's spawn key, kept apart from the seed: in
+    a flat entropy list [seed, point, 0] pools exactly like [seed, point],
+    so repeat 0 would replay the point's stream, and a seed above 2^32
+    spills into the next word, so seed s + k 2^32 at point 0 would replay
+    seed s at point k.
+    """
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=path)))
+
+
 @dataclass(frozen=True)
 class SampleConfig:
-    """Shot budget and seeding for one simulated experiment."""
+    """Shot budget and seeding for one simulated experiment at time point `point`."""
 
     n_shots: int
     seed: int
     n_repeats: int = 1
+    point: int = 0
 
     def __post_init__(self):
         if self.n_shots < 1:
@@ -46,9 +61,8 @@ class SampleConfig:
             raise ValueError("n_repeats must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-
-    def substream_seed(self, index: int) -> int:
-        return (self.seed + index) % 2**64
+        if self.point < 0:
+            raise ValueError("point must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -64,19 +78,22 @@ class Estimate:
             raise ValueError("stderr must be nonnegative")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def sample_sequences(
     table: ProbabilityTable, cfg: SampleConfig
 ) -> dict[tuple[int, int, int, int], int]:
-    """Draw cfg.n_shots outcome sequences; returns counts per sequence."""
+    """Draw cfg.n_shots outcome sequences from the stream of (cfg.seed, cfg.point)."""
+    return _draw_sequences(table, cfg.n_shots, substream(cfg.seed, cfg.point))
+
+
+def _draw_sequences(
+    table: ProbabilityTable, n_shots: int, rng: np.random.Generator
+) -> dict[tuple[int, int, int, int], int]:
+    """Counts per outcome sequence of n_shots draws, one uniform per shot."""
     if not isinstance(table, ProbabilityTable):
         table = ProbabilityTable(table)
     probs = np.array([table[seq] for seq in OUTCOME_SEQUENCES])
     cdf = np.cumsum(probs)
-    uniforms = _rng(cfg.seed).random(cfg.n_shots)
+    uniforms = rng.random(n_shots)
     indices = np.searchsorted(cdf, uniforms, side="right")
     np.clip(indices, 0, len(OUTCOME_SEQUENCES) - 1, out=indices)
     counts = np.bincount(indices, minlength=len(OUTCOME_SEQUENCES))
@@ -102,12 +119,17 @@ def estimate_re_otoc(counts: Mapping[tuple[int, int, int, int], int]) -> Estimat
 
 
 def error_band(table: ProbabilityTable, cfg: SampleConfig) -> float:
-    """Standard deviation of the Re C estimator across cfg.n_repeats samples."""
+    """Standard deviation of the Re C estimator across cfg.n_repeats samples.
+
+    Repeat m draws from the stream of (cfg.seed, cfg.point, m).
+    """
     if cfg.n_repeats < 2:
         raise ValueError("error band needs n_repeats >= 2")
     estimates = [
-        estimate_re_otoc(sample_sequences(table, replace(cfg, seed=cfg.substream_seed(k)))).value
-        for k in range(cfg.n_repeats)
+        estimate_re_otoc(
+            _draw_sequences(table, cfg.n_shots, substream(cfg.seed, cfg.point, m))
+        ).value
+        for m in range(cfg.n_repeats)
     ]
     return float(np.std(estimates))
 
@@ -131,7 +153,7 @@ def sample_rotation_protocol(
     """
     prefactor = angles.checked_prefactor()
     evolution = evolution_for(prop, t, evolution)
-    rng = _rng(cfg.seed)
+    rng = substream(cfg.seed, cfg.point)
     combo = 0.0
     var_sum = 0.0
     for sign, variant in zip(ANGLE_VARIANT_SIGNS, angle_variants(angles)):

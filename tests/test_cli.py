@@ -64,6 +64,15 @@ def test_exact_run_writes_metadata_and_residuals(config_file, tmp_path):
         assert row["re_estimate"] == ""  # no sampling in the exact command
 
 
+def test_exact_reports_spectral_defects_on_stderr_only(config_file, tmp_path, capsys):
+    out = tmp_path / "exact.csv"
+    assert main(["exact", "--config", str(config_file), "--out", str(out)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "eigendecomposition in 5 blocks (largest 6): residual " in err
+    assert "unitarity defect " in err
+    assert "unitarity" not in out.read_text()
+
+
 def test_sample_run_is_byte_identical(config_file, tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -150,8 +159,8 @@ def test_bad_input_fails_closed(tmp_path, capsys, command, text, message):
 
 def test_exact_builds_one_unitary_per_time_point(config_file, tmp_path, monkeypatch):
     calls = []
-    unitary = Propagator.unitary
-    monkeypatch.setattr(Propagator, "unitary", lambda self, t: calls.append(t) or unitary(self, t))
+    build = Propagator.block_unitary
+    monkeypatch.setattr(Propagator, "block_unitary", lambda self, t: calls.append(t) or build(self, t))
     out = tmp_path / "exact.csv"
     assert main(["exact", "--config", str(config_file), "--out", str(out), "--quiet"]) == EXIT_OK
     assert len(calls) == 9

@@ -119,6 +119,14 @@ def test_dressed_ground_requires_majority_overlap():
         dressed_ground(LevelScheme(10.0, 0.0))
 
 
+def test_pair_coupling_requires_majority_overlap():
+    # near the avoided crossing no pair eigenstate keeps half of the
+    # dressed-ground product state
+    scheme = LevelScheme(4.0, 7.7, 29.3, 19.8)
+    with pytest.raises(AdiabaticityError, match="r=2.5 keeps only 0.445 of the dressed-ground"):
+        dressed_ising_coupling(scheme, COEFFS, 2.5)
+
+
 def test_gg_eigenstate_is_exchange_symmetric():
     scheme = LevelScheme(2.0, 4.0, 20.0, 7.3)
     _, v_single = dressed_ground(scheme)

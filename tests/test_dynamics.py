@@ -1,6 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
+import oracles
 from otocsim.dynamics import (
     Propagator,
     build_custom,
@@ -145,8 +151,9 @@ def test_evolution_time_must_be_finite(xy4, up4):
 
 def test_evolution_is_shared_and_checked(xy4, up4, spec_xx):
     evolution = xy4.evolution(0.5)
-    np.testing.assert_allclose(evolution.forward, xy4.unitary(0.5), atol=0)
-    np.testing.assert_allclose(evolution.backward, xy4.unitary(-0.5), atol=1e-12)
+    eye = np.eye(16)
+    np.testing.assert_allclose(evolution.forward @ eye, xy4.unitary(0.5), atol=0)
+    np.testing.assert_allclose(evolution.backward @ eye, xy4.unitary(-0.5), atol=1e-12)
     assert evolution_for(xy4, 0.5, evolution) is evolution
     assert otoc_direct(up4, spec_xx, xy4, 0.5, evolution) == otoc_direct(up4, spec_xx, xy4, 0.5)
     with pytest.raises(ValueError, match="another propagator"):
@@ -154,3 +161,69 @@ def test_evolution_is_shared_and_checked(xy4, up4, spec_xx):
     other = Propagator.from_hamiltonian(build_xy_chain(4))
     with pytest.raises(ValueError, match="another propagator"):
         evolution_for(other, 0.5, evolution)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_xy_chain_matches_kronecker_oracle(n):
+    np.testing.assert_array_equal(build_xy_chain(n).matrix, oracles.xy_chain(n))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_xy_sectors_are_hamming_weight_classes(n):
+    prop = Propagator.from_hamiltonian(build_xy_chain(n))
+    assert prop.block_sizes == tuple(math.comb(n, k) for k in range(n + 1))
+    sectors = prop.eigenbasis.sectors
+    order = np.arange(2**n) if sectors.order is None else sectors.order  # None at n=2
+    for k in range(n + 1):
+        rows = order[sectors.bounds[k] : sectors.bounds[k + 1]]
+        assert {bin(int(b)).count("1") for b in rows} == {k}
+        assert list(rows) == sorted(rows)
+    assert 0.0 <= prop.reconstruction_residual < 1e-10
+    assert 0.0 <= prop.unitarity_defect < 1e-10
+
+
+def _hamiltonian_case(kind, n, rng):
+    """(H from the package, the same H from Kronecker chains, the expected block sizes).
+
+    XY couplings keep the Hamming weight, and so do z fields; x fields
+    connect every basis state; z fields alone leave every state its own block.
+    """
+    weights = tuple(math.comb(n, k) for k in range(n + 1))
+    if kind == "xy_chain":
+        return build_xy_chain(n), oracles.xy_chain(n), weights
+    if kind in ("z_fields", "x_fields", "z_only"):
+        axis = kind[0]
+        fields = [(site, axis, float(c)) for site, c in zip(range(1, n + 1), rng.normal(size=n))]
+        oracle = sum(c * oracles.site_operator(n, site, axis) for site, _, c in fields)
+        if kind == "z_only":
+            return build_custom(n, fields=fields), oracle, (1,) * 2**n
+        pairs = [(k, ax, k + 1, ax, -1.0) for k in range(1, n) for ax in ("x", "y")]
+        sizes = weights if axis == "z" else (2**n,)
+        return build_custom(n, pairs, fields), oracles.xy_chain(n) + oracle, sizes
+    g = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    dense = (g + g.conj().T) / 4.0
+    return build_custom(n, extra_terms=[dense]), dense, (2**n,)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind", ["xy_chain", "z_fields", "x_fields", "z_only", "dense"])
+@given(
+    rank=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    t=st.floats(min_value=-4.0, max_value=4.0),
+)
+@settings(max_examples=4, deadline=None, derandomize=True)
+def test_blocked_evolution_matches_expm_oracle(kind, n, rank, seed, t):
+    rng = np.random.default_rng(seed)
+    ham, oracle, sizes = _hamiltonian_case(kind, n, rng)
+    prop = Propagator.from_hamiltonian(ham)
+    assert prop.block_sizes == sizes
+    u = expm(-1j * oracle * t)
+    assert np.max(np.abs(prop.unitary(t) - u)) < 1e-10
+    rebuilt = (prop.eigenvectors * prop.eigenvalues) @ prop.eigenvectors.conj().T
+    assert np.max(np.abs(rebuilt - oracle)) < 1e-10
+    psi = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
+    evolution = prop.evolution(t)
+    assert np.max(np.abs(evolution.forward @ psi - u @ psi)) < 1e-9
+    assert np.max(np.abs(evolution.backward @ psi - u.conj().T @ psi)) < 1e-9
+    assert np.max(np.abs(evolution.forward @ psi[:, 0] - u @ psi[:, 0])) < 1e-9

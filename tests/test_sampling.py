@@ -19,6 +19,7 @@ from otocsim.sampling import (
     estimate_re_otoc,
     sample_rotation_protocol,
     sample_sequences,
+    substream,
 )
 from otocsim.verification import random_density, random_hamiltonian
 
@@ -48,6 +49,22 @@ def test_uniform_table_counts_within_five_sigma():
     assert sum(counts.values()) == n_shots
     for seq in OUTCOME_SEQUENCES:
         assert abs(counts[seq] - 1000) < 5 * sigma
+
+
+def test_neighbouring_seeds_points_and_repeats_share_no_uniforms():
+    """Seeding with seed + point made seed 42, point k replay seed 43, point k - 1."""
+    streams = [
+        (seed, *path)
+        for seed in (42, 43, 42 + 2**32)
+        for point in range(3)
+        for path in ((point,), (point, 0), (point, 1))
+    ]
+    draws = np.concatenate([substream(*stream).random(256) for stream in streams])
+    assert np.unique(draws).size == draws.size
+    table = uniform_table()
+    assert sample_sequences(table, SampleConfig(4000, 42, point=1)) != sample_sequences(
+        table, SampleConfig(4000, 43, point=0)
+    )
 
 
 def test_sampling_is_deterministic_per_seed(xy4, up4, spec_xx):
@@ -192,5 +209,7 @@ def test_sample_config_validation():
         SampleConfig(10, seed=2**64)
     with pytest.raises(ValueError):
         SampleConfig(10, seed=1, n_repeats=0)
+    with pytest.raises(ValueError):
+        SampleConfig(10, seed=1, point=-1)
     with pytest.raises(ValueError):
         Estimate(0.0, -1.0, 10)
