@@ -27,9 +27,9 @@ from .protocol import (
     DEFAULT_ANGLES,
     DegenerateAnglesError,
     RotationAngles,
+    corr_from_table,
     im_otoc_via_protocol,
     outcome_probabilities,
-    re_otoc_via_protocol,
 )
 from .sampling import (
     GENERATOR_NAME,
@@ -110,11 +110,15 @@ def run_exact(config: RunConfig, log) -> tuple[list[dict], list[str], bool]:
     angles = _angles(config)
     rows = []
     worst_re = worst_im = 0.0
+    pruned = clamped = 0
     for t in grid:
         t = float(t)
         ev = prop.evolution(t)
         direct = otoc_direct(state, spec, prop, t, ev)
-        re_residual = abs(re_otoc_via_protocol(state, spec, prop, t, ev) - direct.real)
+        table = outcome_probabilities(state, spec, prop, t, ev)
+        pruned += table.pruned
+        clamped += table.clamped
+        re_residual = abs(2.0 * corr_from_table(table) - 1.0 - direct.real)
         im_residual = abs(im_otoc_via_protocol(state, spec, prop, t, angles, ev) - direct.imag)
         worst_re = max(worst_re, re_residual)
         worst_im = max(worst_im, im_residual)
@@ -131,7 +135,8 @@ def run_exact(config: RunConfig, log) -> tuple[list[dict], list[str], bool]:
         f"max rotation residual = {worst_im:.3e}; eigendecomposition in "
         f"{len(prop.block_sizes)} blocks (largest {max(prop.block_sizes)}): "
         f"residual {prop.reconstruction_residual:.3e}, "
-        f"unitarity defect {prop.unitarity_defect:.3e}")
+        f"unitarity defect {prop.unitarity_defect:.3e}; {pruned} branches pruned, "
+        f"{clamped} probabilities clamped")
     columns = list(RESULT_COLUMNS) + ["re_identity_residual", "im_identity_residual"]
     ok = worst_re < IDENTITY_TOLERANCE and worst_im < IDENTITY_TOLERANCE
     return rows, columns, ok

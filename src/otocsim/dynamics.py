@@ -113,20 +113,17 @@ class BlockDiagonal:
     def __matmul__(self, psi: np.ndarray) -> np.ndarray:
         """This operator applied to psi of shape (2^N,) or (2^N, r), block by block.
 
-        Rows are gathered into sector order and scattered back, unless the
-        permutation is the identity; a single such block is one plain matmul.
+        Each block product reads its rows of psi and is written straight to
+        the same rows of the result, so no permuted copy of psi is formed; a
+        single block in the identity order is one plain matmul.
         """
         order, bounds = self.sectors.order, self.sectors.bounds
         if order is None and len(self.blocks) == 1:
             return self.blocks[0] @ psi
-        gathered = psi if order is None else psi[order]
-        moved = np.empty(gathered.shape, dtype=np.result_type(gathered, *self.blocks))
+        result = np.empty(psi.shape, dtype=np.result_type(psi, *self.blocks))
         for lo, hi, block in zip(bounds, bounds[1:], self.blocks):
-            moved[lo:hi] = block @ gathered[lo:hi]
-        if order is None:
-            return moved
-        result = np.empty_like(moved)
-        result[order] = moved
+            rows = slice(lo, hi) if order is None else order[lo:hi]
+            result[rows] = block @ psi[rows]
         return result
 
     def dense(self) -> np.ndarray:

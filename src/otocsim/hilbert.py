@@ -60,12 +60,24 @@ def _check_dim(matrix: np.ndarray, n_sites: int, what: str) -> None:
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
-    """Max-norm of M - M^dagger."""
-    return float(np.max(np.abs(matrix - matrix.conj().T)))
+    """Max-norm of M - M^dagger.
+
+    When at most half of the entries of M are nonzero (a structured H), it
+    is read over the nonzero pattern: max |M[r, c] - conj(M[c, r])| over the
+    nonzero (r, c), exactly the dense value, since an entry pair that is zero
+    on both sides contributes 0.  A denser M takes the dense difference.
+    """
+    pattern = matrix != 0
+    if 2 * np.count_nonzero(pattern) > pattern.size:
+        return float(np.max(np.abs(matrix - matrix.conj().T)))
+    rows, cols = np.nonzero(pattern)
+    if rows.size == 0:
+        return 0.0
+    return float(np.max(np.abs(matrix[rows, cols] - matrix[cols, rows].conj())))
 
 
-def _scale_rows(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    return weights.reshape((-1,) + (1,) * (psi.ndim - 1)) * psi
+def _row_weights(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    return weights.reshape((-1,) + (1,) * (psi.ndim - 1))
 
 
 def apply_pauli(psi: np.ndarray, site: int, axis: str, n_sites: int) -> np.ndarray:
@@ -84,11 +96,12 @@ def apply_pauli(psi: np.ndarray, site: int, axis: str, n_sites: int) -> np.ndarr
     mask = 1 << (site - 1)
     bit_set = (rows & mask) != 0
     if axis == "z":
-        return _scale_rows(np.where(bit_set, -1.0, 1.0), psi)
-    flipped = psi[rows ^ mask]
+        return _row_weights(np.where(bit_set, -1.0, 1.0), psi) * psi
     if axis == "x":
-        return flipped
-    return _scale_rows(np.where(bit_set, 1j, -1j), flipped)
+        return psi[rows ^ mask]
+    flipped = psi.astype(complex, copy=False)[rows ^ mask]
+    flipped *= _row_weights(np.where(bit_set, 1j, -1j), flipped)  # in place on the fresh gather
+    return flipped
 
 
 def apply_projector(psi: np.ndarray, site: int, axis: str, sign: int, n_sites: int) -> np.ndarray:
@@ -98,11 +111,38 @@ def apply_projector(psi: np.ndarray, site: int, axis: str, sign: int, n_sites: i
     return (psi + sign * apply_pauli(psi, site, axis, n_sites)) / 2.0
 
 
+def compress_projected(
+    collapsed: np.ndarray, site: int, axis: str, sign: int, n_sites: int
+) -> np.ndarray:
+    """A factor Phi of 2^(N-1) columns with Phi Phi^dagger = C C^dagger, C = c Pi psi.
+
+    Pi = (I +/- sigma_site^axis)/2 halves the rank, and the rows of a
+    factor in its range are fixed by 2^(N-1) of them, A: for z the rows Pi
+    keeps (the others are zero); for x and y the rows with the site's bit
+    clear, row b | m being sign * row b (x) or sign * i * row b (y).  With
+    the reduced QR A^dagger = Q R, Phi = C Q has Phi Phi^dagger = C C^dagger
+    and is R^dagger on the rows of A, so it is filled from R alone.  A factor
+    of at most 2^(N-1) columns is returned unchanged.
+    """
+    half = 2 ** (n_sites - 1)
+    if collapsed.shape[1] <= half:
+        return collapsed
+    bit_set = (np.arange(2 * half) & (1 << (site - 1))) != 0
+    keep = bit_set if axis == "z" and sign == -1 else ~bit_set
+    r_adjoint = np.linalg.qr(collapsed[keep].conj().T, mode="r").conj().T
+    phi = np.empty((2 * half, half), dtype=complex)
+    phi[keep] = r_adjoint
+    # rows b | m follow rows b in the same ascending order
+    phi[~keep] = 0.0 if axis == "z" else sign * (1j if axis == "y" else 1.0) * r_adjoint
+    return phi
+
+
 def apply_rotation(psi: np.ndarray, site: int, axis: str, theta: float, n_sites: int) -> np.ndarray:
     """exp(-i theta sigma_site^axis / 2) psi = cos(theta/2) psi - i sin(theta/2) sigma psi."""
-    return math.cos(theta / 2.0) * psi - 1j * math.sin(theta / 2.0) * apply_pauli(
-        psi, site, axis, n_sites
-    )
+    out = apply_pauli(psi, site, axis, n_sites).astype(complex, copy=False)
+    out *= -1j * math.sin(theta / 2.0)
+    out += math.cos(theta / 2.0) * psi
+    return out
 
 
 def _identity(n_sites: int) -> np.ndarray:

@@ -13,7 +13,7 @@ a four-angle-set combination reconstructs Im C(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -23,8 +23,8 @@ from .hilbert import (
     DensityOperator,
     Operator,
     apply_pauli,
-    apply_projector,
     apply_rotation,
+    compress_projected,
 )
 from .otoc import OtocSpec
 
@@ -91,23 +91,33 @@ class RotationAngles:
 
 @dataclass(frozen=True)
 class ProbabilityTable:
-    """Probabilities of the 16 outcome sequences of the projective protocol."""
+    """Probabilities of the 16 outcome sequences of the projective protocol.
+
+    `pruned` is the number of branches the tree that computed the table
+    cut below ZERO_BRANCH_CUTOFF; `clamped` counts the entries the clamp
+    onto [0, 1] moved.
+    """
 
     probabilities: Mapping[tuple[int, int, int, int], float]
+    pruned: int = 0
+    clamped: int = field(init=False, default=0)
 
     def __post_init__(self):
         probs = dict(self.probabilities)
         if set(probs) != set(OUTCOME_SEQUENCES):
             raise ValueError("table must have exactly the 16 outcome sequences as keys")
+        clamped = 0
         for seq in OUTCOME_SEQUENCES:
             p = probs[seq]
             if p < -PROB_ATOL or p > 1.0 + PROB_ATOL:
                 raise ValueError(f"probability {p} for {seq} outside [0, 1] beyond tolerance")
             probs[seq] = min(max(p, 0.0), 1.0)  # clamp onto the simplex after the check
+            clamped += probs[seq] != p
         total = math.fsum(probs[seq] for seq in OUTCOME_SEQUENCES)
         if abs(total - 1.0) > NORMALIZATION_ATOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "clamped", clamped)
 
     def __getitem__(self, seq: tuple[int, int, int, int]) -> float:
         return self.probabilities[seq]
@@ -123,8 +133,12 @@ def outcome_probabilities(
     """Exact joint probabilities for the four-measurement sequence.
 
     Measurement order is sigma_j^b, sigma_i^a, sigma_j^b, sigma_i^a with
-    evolution +t, -t, +t in between; each measurement collapses the state
-    factor projectively (Pi Psi / sqrt(p), with p = ||Pi Psi||_F^2).
+    evolution +t, -t, +t in between.  Each node forms sigma psi once and
+    reads e = Re <psi, sigma psi>: the branch probabilities are
+    p = (1 +/- e)/2, and the collapsed factor is (psi +/- sigma psi) / (2 sqrt(p)).
+    A collapsed factor wider than 2^(N-1) columns (a full-rank state at the
+    first measurement) is compressed to 2^(N-1) columns by
+    `compress_projected`, so every later level runs at half width.
     `evolution`, when given, is the shared U(t) of this time point.
     """
     if state.n_sites != prop.n_sites:
@@ -141,29 +155,33 @@ def outcome_probabilities(
     )
 
     probs: dict[tuple[int, int, int, int], float] = {}
-
-    def fill_zeros(prefix: tuple[int, ...]) -> None:
-        for seq in OUTCOME_SEQUENCES:
-            if seq[: len(prefix)] == prefix:
-                probs[seq] = 0.0
+    pruned = 0
 
     def descend(psi: np.ndarray, joint: float, outcomes: tuple[int, ...]) -> None:
+        nonlocal pruned
         depth = len(outcomes)
-        if depth == 4:
-            probs[outcomes] = joint
-            return
         site, axis, u = steps[depth]
         psi_t = psi if u is None else u @ psi
+        sigma_psi = apply_pauli(psi_t, site, axis, n)
+        e = float(np.vdot(psi_t, sigma_psi).real)
         for sign in (+1, -1):
-            collapsed = apply_projector(psi_t, site, axis, sign, n)
-            p = float(np.vdot(collapsed, collapsed).real)
+            p = (1.0 + sign * e) / 2.0
+            branch = outcomes + (sign,)
             if p < ZERO_BRANCH_CUTOFF:
-                fill_zeros(outcomes + (sign,))
-                continue
-            descend(collapsed / math.sqrt(p), joint * p, outcomes + (sign,))
+                pruned += 1
+                for seq in OUTCOME_SEQUENCES:
+                    if seq[: depth + 1] == branch:
+                        probs[seq] = 0.0
+            elif depth == 3:
+                probs[branch] = joint * p
+            else:
+                collapsed = psi_t + sigma_psi if sign > 0 else psi_t - sigma_psi
+                collapsed = compress_projected(collapsed, site, axis, sign, n)
+                collapsed *= 0.5 / math.sqrt(p)
+                descend(collapsed, joint * p, branch)
 
     descend(state.factor, 1.0, ())
-    return ProbabilityTable(probs)
+    return ProbabilityTable(probs, pruned)
 
 
 def corr_from_table(table: ProbabilityTable | Mapping[tuple[int, int, int, int], float]) -> float:

@@ -73,6 +73,22 @@ def test_exact_reports_spectral_defects_on_stderr_only(config_file, tmp_path, ca
     assert "unitarity" not in out.read_text()
 
 
+def test_exact_reports_pruned_and_clamped_counts_on_stderr_only(tmp_path, capsys):
+    """On the deterministic all_up zz run every point prunes the -1 branch of
+    each of its four measurements; the counts reach stderr, not the CSV."""
+    config = tmp_path / "zz.cfg"
+    config.write_text(BASE_CONFIG.replace("axis_a = x", "axis_a = z").replace(
+        "axis_b = x", "axis_b = z"))
+    logged, quiet = tmp_path / "logged.csv", tmp_path / "quiet.csv"
+    assert main(["exact", "--config", str(config), "--out", str(logged)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "; 36 branches pruned, 0 probabilities clamped" in err
+    assert main(["exact", "--config", str(config), "--out", str(quiet), "--quiet"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert logged.read_bytes() == quiet.read_bytes()
+    assert "pruned" not in logged.read_text()
+
+
 def test_sample_run_is_byte_identical(config_file, tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

@@ -11,8 +11,10 @@ from otocsim.hilbert import (
     apply_pauli,
     apply_projector,
     apply_rotation,
+    compress_projected,
     embed_pauli,
     expectation,
+    hermiticity_defect,
     maximally_mixed_state,
     pauli_matrix,
     projector,
@@ -81,6 +83,49 @@ def test_index_kernels_match_kronecker_oracle(args, sign, theta, rank, seed):
     np.testing.assert_allclose(apply_rotation(psi, site, axis, theta, n), rot @ psi, atol=1e-13)
     np.testing.assert_allclose(projector(site, axis, sign, n).matrix, proj, atol=1e-15)
     np.testing.assert_allclose(rotation_operator(site, axis, theta, n).matrix, rot, atol=1e-14)
+
+
+@given(
+    sites_and_axes(),
+    st.sampled_from([+1, -1]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_compress_projected_keeps_the_projected_state(args, sign, seed, extra):
+    """A collapsed factor wider than 2^(N-1) comes back with 2^(N-1) columns and
+    Phi Phi^dagger = Pi rho Pi; one of at most 2^(N-1) columns comes back as is."""
+    site, axis, n = args
+    rng = np.random.Generator(np.random.PCG64(seed))
+    half = 2 ** (n - 1)
+    proj = oracles.site_projector(n, site, axis, sign)
+    for width in (half + extra, 2**n, half, max(1, half - extra)):
+        psi = rng.standard_normal((2**n, width)) + 1j * rng.standard_normal((2**n, width))
+        psi /= np.linalg.norm(psi)
+        collapsed = proj @ psi
+        phi = compress_projected(collapsed, site, axis, sign, n)
+        if width <= half:
+            assert phi is collapsed
+            continue
+        assert phi.shape == (2**n, half)
+        target = proj @ psi @ psi.conj().T @ proj
+        np.testing.assert_allclose(phi @ phi.conj().T, target, rtol=0, atol=1e-12)
+
+
+def _dense_hermiticity_defect(matrix):
+    return float(np.max(np.abs(matrix - matrix.conj().T)))
+
+
+@pytest.mark.parametrize("dim", [1, 4, 32, 256])
+def test_hermiticity_defect_equals_dense_formula(dim, rng):
+    """Random dense, random sparse (one-sided entries included) and
+    non-Hermitian matrices, and a zero matrix: the value is exactly the dense one."""
+    dense = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    sparse = np.where(rng.random((dim, dim)) < 0.05, dense, 0.0)
+    sparse[0, -1], sparse[-1, 0] = 0.5, 0.0
+    for matrix in (dense, dense + dense.conj().T, sparse, sparse + sparse.conj().T):
+        assert hermiticity_defect(matrix) == _dense_hermiticity_defect(matrix)
+    assert hermiticity_defect(np.zeros((dim, dim), dtype=complex)) == 0.0
 
 
 def test_embed_site_out_of_range():

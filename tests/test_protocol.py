@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otocsim.dynamics import Propagator, build_custom
-from otocsim.hilbert import all_up_state, maximally_mixed_state
+from otocsim import protocol
+from otocsim.dynamics import Propagator, build_custom, build_xy_chain
+from otocsim.hilbert import (
+    DensityOperator,
+    all_up_state,
+    compress_projected,
+    maximally_mixed_state,
+)
 from otocsim.otoc import OtocSpec, otoc_direct
 from otocsim.protocol import (
     OUTCOME_SEQUENCES,
@@ -274,3 +280,71 @@ def test_factor_evaluators_match_dense_oracles(axes, n, data, mixed, seed, t):
         *dense, angles.theta1, angles.theta2, angles.theta3
     )
     assert abs(value - rotated) < 1e-10
+
+
+def _factor_of_width(n, kind, rng):
+    """A unit-norm (2^N, r) factor: r = 2^(N-1), 2^(N-1) + 1 or 2^N, or a
+    rank-2^(N-1) factor of width 2^N made of duplicated columns."""
+    half = 2 ** (n - 1)
+    width = {"half": half, "half+1": half + 1, "full": 2**n, "duplicated": half}[kind]
+    psi = rng.standard_normal((2**n, width)) + 1j * rng.standard_normal((2**n, width))
+    if kind == "duplicated":
+        psi = np.hstack([psi, psi])
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("axes", AXIS_PAIRS, ids="".join)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+    kind=st.sampled_from(["half", "half+1", "full", "duplicated"]),
+    xy=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    t=st.floats(min_value=0.0, max_value=5.0),
+)
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_compressed_tree_matches_probability_oracle(axes, n, data, kind, xy, seed, t):
+    """The 16-branch table from factors at and above 2^(N-1) columns (compressed
+    at the first collapse) against the closed-form trace oracle; both signs of
+    every measurement are taken, so z keeps either half."""
+    site_i = data.draw(st.integers(min_value=1, max_value=n))
+    site_j = data.draw(st.one_of(st.just(site_i), st.integers(min_value=1, max_value=n)))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ham = build_xy_chain(n) if xy and n >= 2 else random_hamiltonian(n, rng)
+    prop = Propagator.from_hamiltonian(ham)
+    state = DensityOperator.from_factor(n, _factor_of_width(n, kind, rng))
+    spec = OtocSpec(site_i, axes[0], site_j, axes[1])
+    table = outcome_probabilities(state, spec, prop, t)
+    expected = oracles.probability_table(
+        state.matrix, ham.matrix, n, site_i, axes[0], site_j, axes[1], t
+    )
+    assert max(abs(table[seq] - expected[seq]) for seq in OUTCOME_SEQUENCES) < 1e-10
+
+
+def test_pure_state_tree_never_compresses(xy4, up4, spec_xx, monkeypatch):
+    """compress_projected returns an all_up (rank-1) factor unchanged at every node."""
+    calls = []
+
+    def spy(collapsed, *args):
+        result = compress_projected(collapsed, *args)
+        calls.append(result is collapsed)
+        return result
+
+    monkeypatch.setattr(protocol, "compress_projected", spy)
+    outcome_probabilities(up4, spec_xx, xy4, 0.5)
+    assert calls and all(calls)
+
+
+def test_tree_counts_pruned_branches(xy4, up4):
+    table = outcome_probabilities(up4, OtocSpec(2, "z", 3, "z"), xy4, 1.3)
+    assert table.pruned == 4  # the -1 branch of each of the four measurements
+    mixed = outcome_probabilities(maximally_mixed_state(4), OtocSpec(2, "x", 3, "y"), xy4, 1.3)
+    assert mixed.pruned == 0
+
+
+def test_probability_table_counts_clamped_entries():
+    probs = {seq: 1.0 / 16.0 for seq in OUTCOME_SEQUENCES}
+    assert ProbabilityTable(probs).clamped == 0
+    probs[(1, 1, 1, 1)] = -5e-13
+    probs[(1, 1, 1, -1)] = 1.0 / 8.0 + 5e-13
+    assert ProbabilityTable(probs).clamped == 1
