@@ -27,19 +27,8 @@ from .dynamics import (
     build_custom,
     build_xy_chain,
     evolve,
-    heisenberg,
 )
-from .hilbert import (
-    DensityOperator,
-    Operator,
-    StateVector,
-    all_up_state,
-    embed_pauli,
-    expectation,
-    maximally_mixed_state,
-    pauli_matrix,
-    projector,
-)
+from .hilbert import DensityOperator, all_up_state, maximally_mixed_state
 from .otoc import OtocSpec, commutator_norm, otoc_direct
 from .protocol import (
     DEFAULT_ANGLES,
@@ -52,7 +41,6 @@ from .protocol import (
     outcome_probabilities,
     re_otoc_via_protocol,
     rotated_expectation,
-    rotation_operator,
 )
 from .sampling import (
     Estimate,

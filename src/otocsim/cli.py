@@ -105,91 +105,57 @@ def _angles(config: RunConfig) -> RotationAngles:
     return RotationAngles(block.theta1, block.theta2, block.theta3)
 
 
-def run_exact(config: RunConfig, log) -> tuple[list[dict], list[str], bool]:
-    state, spec, prop, grid = _build_system(config, "exact")
-    angles = _angles(config)
+def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str], bool]:
+    """The time loop of `exact`, `sample` and `im`: one U(t) per time point.
+
+    Every point evaluates the direct C(t); `exact` and `sample` add the
+    16-branch table, `exact` the two identity residuals, `sample` and `im`
+    the finite-shot draws of the point's substream.
+    """
+    state, spec, prop, grid = _build_system(config, command)
+    sampling = None if command == "exact" else require(config, "sampling", command)
+    angles = None if command == "sample" else _angles(config)
     rows = []
-    worst_re = worst_im = 0.0
     pruned = clamped = 0
-    for t in grid:
+    for index, t in enumerate(grid):
         t = float(t)
         ev = prop.evolution(t)
         direct = otoc_direct(state, spec, prop, t, ev)
-        table = outcome_probabilities(state, spec, prop, t, ev)
-        pruned += table.pruned
-        clamped += table.clamped
-        re_residual = abs(2.0 * corr_from_table(table) - 1.0 - direct.real)
-        im_residual = abs(im_otoc_via_protocol(state, spec, prop, t, angles, ev) - direct.imag)
-        worst_re = max(worst_re, re_residual)
-        worst_im = max(worst_im, im_residual)
-        rows.append(
-            {
-                "t": t,
-                "re_exact": direct.real,
-                "im_exact": direct.imag,
-                "re_identity_residual": re_residual,
-                "im_identity_residual": im_residual,
-            }
-        )
+        row = {"t": t, "re_exact": direct.real, "im_exact": direct.imag}
+        if command != "im":
+            table = outcome_probabilities(state, spec, prop, t, ev)
+            pruned += table.pruned
+            clamped += table.clamped
+        if command == "exact":
+            row["re_identity_residual"] = abs(2.0 * corr_from_table(table) - 1.0 - direct.real)
+            im_c = im_otoc_via_protocol(state, spec, prop, t, angles, ev)
+            row["im_identity_residual"] = abs(im_c - direct.imag)
+        else:
+            cfg = SampleConfig(sampling.n_shots, sampling.seed, point=index)
+            if command == "sample":
+                est = estimate_re_otoc(sample_sequences(table, cfg))
+                row.update(re_estimate=est.value, re_stderr=est.stderr, n_shots=est.n_shots)
+            else:
+                est = sample_rotation_protocol(state, spec, prop, t, angles, cfg, ev)
+                row.update(im_estimate=est.value, im_stderr=est.stderr, n_shots=est.n_shots)
+        rows.append(row)
+    counts = f"{pruned} branches pruned, {clamped} probabilities clamped"
+    if command == "im":
+        log(f"rotation protocol sampled at {sampling.n_shots} shots per angle set")
+        return rows, list(RESULT_COLUMNS), True
+    if command == "sample":
+        log(f"sampled {len(rows)} time points at {sampling.n_shots} shots each; {counts}")
+        return rows, list(RESULT_COLUMNS), True
+    worst_re = max(row["re_identity_residual"] for row in rows)
+    worst_im = max(row["im_identity_residual"] for row in rows)
     log(f"identity cross-check: max |2corr-1 - Re C| = {worst_re:.3e}, "
         f"max rotation residual = {worst_im:.3e}; eigendecomposition in "
         f"{len(prop.block_sizes)} blocks (largest {max(prop.block_sizes)}): "
         f"residual {prop.reconstruction_residual:.3e}, "
-        f"unitarity defect {prop.unitarity_defect:.3e}; {pruned} branches pruned, "
-        f"{clamped} probabilities clamped")
+        f"unitarity defect {prop.unitarity_defect:.3e}; {counts}")
     columns = list(RESULT_COLUMNS) + ["re_identity_residual", "im_identity_residual"]
     ok = worst_re < IDENTITY_TOLERANCE and worst_im < IDENTITY_TOLERANCE
     return rows, columns, ok
-
-
-def run_sampled(config: RunConfig, log) -> tuple[list[dict], list[str], bool]:
-    state, spec, prop, grid = _build_system(config, "sample")
-    sampling = require(config, "sampling", "sample")
-    rows = []
-    for index, t in enumerate(grid):
-        t = float(t)
-        ev = prop.evolution(t)
-        direct = otoc_direct(state, spec, prop, t, ev)
-        table = outcome_probabilities(state, spec, prop, t, ev)
-        cfg = SampleConfig(sampling.n_shots, sampling.seed, point=index)
-        est = estimate_re_otoc(sample_sequences(table, cfg))
-        rows.append(
-            {
-                "t": t,
-                "re_exact": direct.real,
-                "im_exact": direct.imag,
-                "re_estimate": est.value,
-                "re_stderr": est.stderr,
-                "n_shots": est.n_shots,
-            }
-        )
-    log(f"sampled {len(rows)} time points at {sampling.n_shots} shots each")
-    return rows, list(RESULT_COLUMNS), True
-
-
-def run_im_sampled(config: RunConfig, log) -> tuple[list[dict], list[str], bool]:
-    state, spec, prop, grid = _build_system(config, "im")
-    sampling = require(config, "sampling", "im")
-    angles = _angles(config)
-    rows = []
-    for index, t in enumerate(grid):
-        t = float(t)
-        ev = prop.evolution(t)
-        direct = otoc_direct(state, spec, prop, t, ev)
-        cfg = SampleConfig(sampling.n_shots, sampling.seed, point=index)
-        est = sample_rotation_protocol(state, spec, prop, t, angles, cfg, ev)
-        rows.append(
-            {
-                "t": t,
-                "re_exact": direct.real,
-                "im_exact": direct.imag,
-                "im_estimate": est.value,
-                "im_stderr": est.stderr,
-                "n_shots": est.n_shots,
-            }
-        )
-    log(f"rotation protocol sampled at {sampling.n_shots} shots per angle set")
-    return rows, list(RESULT_COLUMNS), True
 
 
 def run_dressing(config: RunConfig, log) -> tuple[list[dict], list[str], bool]:
@@ -287,12 +253,8 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else 1
 
     try:
-        if args.command == "exact":
-            rows, columns, ok = run_exact(config, log)
-        elif args.command == "sample":
-            rows, columns, ok = run_sampled(config, log)
-        elif args.command == "im":
-            rows, columns, ok = run_im_sampled(config, log)
+        if args.command in ("exact", "sample", "im"):
+            rows, columns, ok = run_otoc(config, args.command, log)
         elif args.command == "dressing":
             rows, columns, ok = run_dressing(config, log)
         else:

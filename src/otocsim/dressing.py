@@ -130,15 +130,12 @@ def pair_potential(scheme: LevelScheme, coeffs: InteractionCoefficients, r: floa
 
 def dressed_ground(scheme: LevelScheme) -> tuple[float, np.ndarray]:
     """Energy and eigenvector of the single-atom state connected to |g>."""
-    evals, evecs = np.linalg.eigh(single_atom_hamiltonian(scheme))
-    overlaps = np.abs(evecs[G, :]) ** 2
-    k = int(np.argmax(overlaps))
-    if overlaps[k] <= MIN_CONNECTED_OVERLAP:
-        raise AdiabaticityError(
-            f"no single-atom eigenstate keeps majority ground character "
-            f"(best overlap {overlaps[k]:.3f}); dressing is too strong"
-        )
-    return float(evals[k]), evecs[:, k]
+    return _gg_connected_energy(
+        single_atom_hamiltonian(scheme),
+        np.eye(3)[G],
+        lambda overlap: f"no single-atom eigenstate keeps majority ground character "
+        f"(best overlap {overlap:.3f}); dressing is too strong",
+    )
 
 
 def _gg_connected_energy(

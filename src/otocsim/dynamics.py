@@ -19,7 +19,6 @@ from .hilbert import (
     ATOL_ALGEBRA,
     ATOL_SPECTRUM,
     DensityOperator,
-    Operator,
     apply_pauli,
     hermiticity_defect,
 )
@@ -126,14 +125,6 @@ class BlockDiagonal:
             result[rows] = block @ psi[rows]
         return result
 
-    def dense(self) -> np.ndarray:
-        """The full block-diagonal matrix in the original basis."""
-        dim = self.sectors.bounds[-1]
-        mat = np.zeros((dim, dim), dtype=np.result_type(*self.blocks))
-        for k, block in enumerate(self.blocks):
-            mat[self.sectors.block(k)] = block
-        return mat
-
 
 @dataclass(frozen=True)
 class Propagator:
@@ -179,22 +170,6 @@ class Propagator:
     def block_sizes(self) -> tuple[int, ...]:
         return self.eigenbasis.sectors.sizes
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalue of each column of `eigenvectors` (sector by sector, not sorted)."""
-        values = np.concatenate(self.block_eigenvalues)
-        order = self.eigenbasis.sectors.order
-        if order is None:
-            return values
-        scattered = np.empty_like(values)
-        scattered[order] = values
-        return scattered
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """Dense block-diagonal eigenvector matrix, H = V diag(eigenvalues) V^dagger."""
-        return self.eigenbasis.dense()
-
     def block_unitary(self, t: float) -> BlockDiagonal:
         """e^(-iHt) as one block U_k(t) = V_k diag(e^(-i w_k t)) V_k^dagger per sector."""
         if not np.isfinite(t):
@@ -203,10 +178,6 @@ class Propagator:
             (v * np.exp(-1j * w * t)) @ v.conj().T
             for v, w in zip(self.eigenbasis.blocks, self.block_eigenvalues)
         )
-
-    def unitary(self, t: float) -> np.ndarray:
-        """Dense e^(-iHt)."""
-        return self.block_unitary(t).dense()
 
     def evolution(self, t: float) -> "Evolution":
         """U(t) and its adjoint, built once for every evaluator of time point t."""
@@ -290,11 +261,3 @@ def evolve(state: DensityOperator, prop: Propagator, t: float) -> DensityOperato
     if state.n_sites != prop.n_sites:
         raise ValueError("dimension mismatch between state and propagator")
     return DensityOperator.from_factor(state.n_sites, prop.block_unitary(t) @ state.factor)
-
-
-def heisenberg(op: Operator, prop: Propagator, t: float) -> Operator:
-    """Heisenberg-picture operator e^(iHt) op e^(-iHt)."""
-    if op.n_sites != prop.n_sites:
-        raise ValueError("dimension mismatch between operator and propagator")
-    u = prop.unitary(t)
-    return Operator(op.n_sites, u.conj().T @ op.matrix @ u, hermitian=op.hermitian)

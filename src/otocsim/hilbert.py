@@ -10,17 +10,14 @@ A state rho is carried as a column factor Psi (2^N x r) with
 rho = Psi Psi^dagger: r = 1 for a pure state, r = 2^N for the maximally
 mixed one.  Single-site Paulis, projectors and rotations act on Psi through
 index kernels in O(2^N r) (a row gather and a phase read from one bit),
-never as dense matrices; the dense forms `embed_pauli`, `projector` and
-`rotation_operator` are the same kernels applied to the identity.  Time
-evolution U(t) is block-diagonal over the connected sectors of H, applied
-to Psi block by block and built once per time point (see
-`dynamics.Evolution`).
+never as dense matrices.  Time evolution U(t) is block-diagonal over the
+connected sectors of H, applied to Psi block by block and built once per
+time point (see `dynamics.Evolution`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,34 +26,16 @@ ATOL_SPECTRUM = 1e-10  # spectral quantities (eigenvalues, reconstructions)
 
 PAULI_AXES = ("x", "y", "z")
 
-_PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
 
 def _check_axis(axis: str) -> None:
-    if axis not in _PAULI:
+    if axis not in PAULI_AXES:
         raise ValueError(f"unknown Pauli axis {axis!r}, expected one of {PAULI_AXES}")
-
-
-def pauli_matrix(axis: str) -> np.ndarray:
-    """Single-site 2x2 Pauli matrix for axis 'x', 'y' or 'z'."""
-    _check_axis(axis)
-    return _PAULI[axis].copy()
 
 
 def check_site(site: int, n_sites: int) -> None:
     """Validate a 1-based site label against the register size."""
     if not 1 <= site <= n_sites:
         raise IndexError(f"site {site} out of range for {n_sites} sites")
-
-
-def _check_dim(matrix: np.ndarray, n_sites: int, what: str) -> None:
-    dim = 2**n_sites
-    if matrix.shape != (dim, dim):
-        raise ValueError(f"{what} has shape {matrix.shape}, expected {(dim, dim)}")
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
@@ -104,13 +83,6 @@ def apply_pauli(psi: np.ndarray, site: int, axis: str, n_sites: int) -> np.ndarr
     return flipped
 
 
-def apply_projector(psi: np.ndarray, site: int, axis: str, sign: int, n_sites: int) -> np.ndarray:
-    """(psi +/- sigma_site^axis psi) / 2: the projector onto the +/- eigenspace applied to psi."""
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return (psi + sign * apply_pauli(psi, site, axis, n_sites)) / 2.0
-
-
 def compress_projected(
     collapsed: np.ndarray, site: int, axis: str, sign: int, n_sites: int
 ) -> np.ndarray:
@@ -145,32 +117,6 @@ def apply_rotation(psi: np.ndarray, site: int, axis: str, theta: float, n_sites:
     return out
 
 
-def _identity(n_sites: int) -> np.ndarray:
-    return np.eye(2**n_sites, dtype=complex)
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Pure state of an n_sites register; amplitudes normalized to 1."""
-
-    n_sites: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (2**self.n_sites,):
-            raise ValueError(
-                f"amplitude vector has shape {amps.shape}, expected ({2**self.n_sites},)"
-            )
-        norm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm2 - 1.0) > ATOL_ALGEBRA:
-            raise ValueError(f"state vector squared-norm {norm2} is not 1")
-
-    def to_density(self) -> "DensityOperator":
-        return DensityOperator.from_factor(self.n_sites, self.amplitudes[:, None])
-
-
 class DensityOperator:
     """Mixed (or pure) state rho = factor @ factor^dagger, factor of shape (2^N, r).
 
@@ -185,7 +131,9 @@ class DensityOperator:
 
     def __init__(self, n_sites: int, matrix: np.ndarray):
         mat = np.asarray(matrix, dtype=complex)
-        _check_dim(mat, n_sites, "density matrix")
+        dim = 2**n_sites
+        if mat.shape != (dim, dim):
+            raise ValueError(f"density matrix has shape {mat.shape}, expected {(dim, dim)}")
         if hermiticity_defect(mat) > ATOL_ALGEBRA:
             raise ValueError("density matrix is not Hermitian")
         trace = complex(np.trace(mat))
@@ -220,34 +168,6 @@ class DensityOperator:
         return self._matrix
 
 
-@dataclass(frozen=True)
-class Operator:
-    """Dense operator on the register; hermiticity is asserted, not assumed."""
-
-    n_sites: int
-    matrix: np.ndarray
-    hermitian: bool = field(default=False)
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
-        _check_dim(mat, self.n_sites, "operator matrix")
-        if self.hermitian and hermiticity_defect(mat) > ATOL_ALGEBRA:
-            raise ValueError("operator flagged Hermitian fails the Hermiticity check")
-
-
-def embed_pauli(site: int, axis: str, n_sites: int) -> Operator:
-    """Dense sigma^axis on `site`, identity elsewhere: `apply_pauli` on the identity."""
-    return Operator(n_sites, apply_pauli(_identity(n_sites), site, axis, n_sites), hermitian=True)
-
-
-def projector(site: int, axis: str, sign: int, n_sites: int) -> Operator:
-    """Dense projector (I +/- sigma_site^axis)/2: `apply_projector` on the identity."""
-    return Operator(
-        n_sites, apply_projector(_identity(n_sites), site, axis, sign, n_sites), hermitian=True
-    )
-
-
 def all_up_state(n_sites: int) -> DensityOperator:
     """Pure fully polarized +z product state; its factor is basis vector 0."""
     if n_sites < 1:
@@ -262,13 +182,4 @@ def maximally_mixed_state(n_sites: int) -> DensityOperator:
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
     dim = 2**n_sites
-    return DensityOperator.from_factor(n_sites, _identity(n_sites) / math.sqrt(dim))
-
-
-def expectation(state: DensityOperator, obs: Operator) -> complex:
-    """Tr(rho * obs) = Tr(factor^dagger obs factor); real up to rounding when obs is Hermitian."""
-    if state.n_sites != obs.n_sites:
-        raise ValueError(
-            f"dimension mismatch: state on {state.n_sites} sites, operator on {obs.n_sites}"
-        )
-    return complex(np.vdot(state.factor, obs.matrix @ state.factor))
+    return DensityOperator.from_factor(n_sites, np.eye(dim, dtype=complex) / math.sqrt(dim))

@@ -19,13 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .dynamics import Evolution, Propagator, evolution_for
-from .hilbert import (
-    DensityOperator,
-    Operator,
-    apply_pauli,
-    apply_rotation,
-    compress_projected,
-)
+from .hilbert import DensityOperator, apply_pauli, apply_rotation, compress_projected
 from .otoc import OtocSpec
 
 # Fixed enumeration order of the 16 outcome sequences (o1, o2, o3, o4),
@@ -202,15 +196,6 @@ def re_otoc_via_protocol(
 ) -> float:
     """Re C(t) reconstructed as 2*corr - 1 from the projective protocol."""
     return 2.0 * corr_from_table(outcome_probabilities(state, spec, prop, t, evolution)) - 1.0
-
-
-def rotation_operator(site: int, axis: str, theta: float, n_sites: int) -> Operator:
-    """Dense exp(-i sigma theta / 2) = cos(theta/2) - i sin(theta/2) sigma.
-
-    This is `apply_rotation` on the identity.
-    """
-    eye = np.eye(2**n_sites, dtype=complex)
-    return Operator(n_sites, apply_rotation(eye, site, axis, theta, n_sites))
 
 
 def rotated_expectation(

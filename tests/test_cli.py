@@ -89,6 +89,19 @@ def test_exact_reports_pruned_and_clamped_counts_on_stderr_only(tmp_path, capsys
     assert "pruned" not in logged.read_text()
 
 
+def test_sample_reports_pruned_and_clamped_counts_on_stderr_only(tmp_path, capsys):
+    """The all_up zz tables of `sample` prune as in `exact`; the counts reach
+    stderr, not the CSV."""
+    config = tmp_path / "zz.cfg"
+    config.write_text(BASE_CONFIG.replace("axis_a = x", "axis_a = z").replace(
+        "axis_b = x", "axis_b = z"))
+    out = tmp_path / "sample.csv"
+    assert main(["sample", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "at 2000 shots each; 36 branches pruned, 0 probabilities clamped" in err
+    assert "pruned" not in out.read_text()
+
+
 def test_sample_run_is_byte_identical(config_file, tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -173,12 +186,13 @@ def test_bad_input_fails_closed(tmp_path, capsys, command, text, message):
     assert not out.exists()
 
 
-def test_exact_builds_one_unitary_per_time_point(config_file, tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["exact", "sample", "im"])
+def test_otoc_command_builds_one_unitary_per_time_point(command, config_file, tmp_path, monkeypatch):
     calls = []
     build = Propagator.block_unitary
     monkeypatch.setattr(Propagator, "block_unitary", lambda self, t: calls.append(t) or build(self, t))
-    out = tmp_path / "exact.csv"
-    assert main(["exact", "--config", str(config_file), "--out", str(out), "--quiet"]) == EXIT_OK
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--config", str(config_file), "--out", str(out), "--quiet"]) == EXIT_OK
     assert len(calls) == 9
 
 

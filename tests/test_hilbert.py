@@ -5,21 +5,13 @@ from hypothesis import strategies as st
 
 from otocsim.hilbert import (
     DensityOperator,
-    Operator,
-    StateVector,
     all_up_state,
     apply_pauli,
-    apply_projector,
     apply_rotation,
     compress_projected,
-    embed_pauli,
-    expectation,
     hermiticity_defect,
     maximally_mixed_state,
-    pauli_matrix,
-    projector,
 )
-from otocsim.protocol import rotation_operator
 from otocsim.verification import random_density
 
 import oracles
@@ -32,19 +24,35 @@ def sites_and_axes(draw):
     return draw(st.integers(min_value=1, max_value=n)), draw(st.sampled_from(["x", "y", "z"])), n
 
 
+def dense_pauli(site, axis, n_sites):
+    """sigma_site^axis as a dense matrix: the kernel applied to the identity."""
+    return apply_pauli(np.eye(2**n_sites, dtype=complex), site, axis, n_sites)
+
+
+def dense_projector(site, axis, sign, n_sites):
+    """(I +/- sigma_site^axis)/2 from the kernel, as the projective tree forms it."""
+    eye = np.eye(2**n_sites, dtype=complex)
+    return (eye + sign * apply_pauli(eye, site, axis, n_sites)) / 2.0
+
+
+def expectation(state, site, axis):
+    """<sigma_site^axis> = Tr(Psi^dagger sigma Psi) on the state factor."""
+    psi = state.factor
+    return complex(np.vdot(psi, apply_pauli(psi, site, axis, state.n_sites)))
+
+
 def test_single_site_sigma_z_is_diag():
-    op = embed_pauli(1, "z", 1)
-    np.testing.assert_allclose(op.matrix, np.diag([1.0, -1.0]))
+    np.testing.assert_allclose(dense_pauli(1, "z", 1), np.diag([1.0, -1.0]))
 
 
 def test_embed_squares_to_identity():
-    op = embed_pauli(1, "x", 2)
-    np.testing.assert_allclose(op.matrix @ op.matrix, np.eye(4), atol=1e-15)
+    op = dense_pauli(1, "x", 2)
+    np.testing.assert_allclose(op @ op, np.eye(4), atol=1e-15)
 
 
 def test_disjoint_sites_commute_exactly():
-    a = embed_pauli(2, "y", 3).matrix
-    b = embed_pauli(1, "x", 3).matrix
+    a = dense_pauli(2, "y", 3)
+    b = dense_pauli(1, "x", 3)
     assert np.max(np.abs(a @ b - b @ a)) == 0.0
 
 
@@ -52,13 +60,13 @@ def test_disjoint_sites_commute_exactly():
 @settings(max_examples=30, deadline=None)
 def test_embedded_pauli_algebra(args):
     site, axis, n = args
-    op = embed_pauli(site, axis, n)
+    op = dense_pauli(site, axis, n)
     dim = 2**n
-    assert op.hermitian
-    np.testing.assert_array_equal(op.matrix, oracles.site_operator(n, site, axis))
-    np.testing.assert_allclose(op.matrix, op.matrix.conj().T, atol=1e-15)
-    np.testing.assert_allclose(op.matrix @ op.matrix, np.eye(dim), atol=1e-14)
-    assert abs(np.trace(op.matrix)) < 1e-12
+    np.testing.assert_array_equal(op, oracles.site_operator(n, site, axis))
+    assert hermiticity_defect(op) == 0.0
+    np.testing.assert_allclose(op, op.conj().T, atol=1e-15)
+    np.testing.assert_allclose(op @ op, np.eye(dim), atol=1e-14)
+    assert abs(np.trace(op)) < 1e-12
 
 
 @given(
@@ -71,18 +79,21 @@ def test_embedded_pauli_algebra(args):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_index_kernels_match_kronecker_oracle(args, sign, theta, rank, seed):
     """The kernels on a random (2^N, r) factor, and the dense forms built from
-    them on the identity, against explicit Kronecker chains and expm."""
+    them on the identity, against explicit Kronecker chains and expm; the
+    projector is (psi +/- sigma psi)/2, as the projective tree forms it."""
     site, axis, n = args
     rng = np.random.Generator(np.random.PCG64(seed))
     psi = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
     sigma = oracles.site_operator(n, site, axis)
     proj = oracles.site_projector(n, site, axis, sign)
     rot = oracles.rotation(n, site, axis, theta)
+    eye = np.eye(2**n, dtype=complex)
+    projected = (psi + sign * apply_pauli(psi, site, axis, n)) / 2.0
     np.testing.assert_array_equal(apply_pauli(psi, site, axis, n), sigma @ psi)
-    np.testing.assert_allclose(apply_projector(psi, site, axis, sign, n), proj @ psi, atol=1e-14)
+    np.testing.assert_allclose(projected, proj @ psi, atol=1e-14)
     np.testing.assert_allclose(apply_rotation(psi, site, axis, theta, n), rot @ psi, atol=1e-13)
-    np.testing.assert_allclose(projector(site, axis, sign, n).matrix, proj, atol=1e-15)
-    np.testing.assert_allclose(rotation_operator(site, axis, theta, n).matrix, rot, atol=1e-14)
+    np.testing.assert_allclose(dense_projector(site, axis, sign, n), proj, atol=1e-15)
+    np.testing.assert_allclose(apply_rotation(eye, site, axis, theta, n), rot, atol=1e-14)
 
 
 @given(
@@ -130,35 +141,30 @@ def test_hermiticity_defect_equals_dense_formula(dim, rng):
 
 def test_embed_site_out_of_range():
     with pytest.raises(IndexError):
-        embed_pauli(5, "x", 4)
+        dense_pauli(5, "x", 4)
     with pytest.raises(IndexError):
-        embed_pauli(0, "x", 4)
+        dense_pauli(0, "x", 4)
 
 
 def test_bad_axis_rejected():
-    with pytest.raises(ValueError):
-        pauli_matrix("w")
+    with pytest.raises(ValueError, match="axis"):
+        dense_pauli(1, "w", 1)
 
 
 def test_projector_single_site():
-    np.testing.assert_allclose(projector(1, "z", +1, 1).matrix, np.diag([1.0, 0.0]))
+    np.testing.assert_allclose(dense_projector(1, "z", +1, 1), np.diag([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("axis", ["x", "y", "z"])
 @pytest.mark.parametrize("site", [1, 2, 3])
 def test_projector_algebra(site, axis):
-    plus = projector(site, axis, +1, 3).matrix
-    minus = projector(site, axis, -1, 3).matrix
-    sigma = embed_pauli(site, axis, 3).matrix
+    plus = dense_projector(site, axis, +1, 3)
+    minus = dense_projector(site, axis, -1, 3)
+    sigma = dense_pauli(site, axis, 3)
     assert np.max(np.abs(plus @ minus)) < 1e-14
     np.testing.assert_allclose(plus + minus, np.eye(8), atol=1e-14)
     np.testing.assert_allclose(plus - minus, sigma, atol=1e-14)
     np.testing.assert_allclose(plus @ plus, plus, atol=1e-14)
-
-
-def test_projector_sign_validated():
-    with pytest.raises(ValueError):
-        projector(1, "z", 2, 1)
 
 
 def test_all_up_single_site():
@@ -170,25 +176,26 @@ def test_all_up_is_pure_and_polarized():
     assert abs(np.trace(state.matrix) - 1.0) < 1e-15
     assert abs(np.trace(state.matrix @ state.matrix) - 1.0) < 1e-15
     for k in (1, 2, 3):
-        val = expectation(state, embed_pauli(k, "z", 3))
+        val = expectation(state, k, "z")
         assert abs(val - 1.0) < 1e-14
 
 
 def test_expectations_on_all_up():
     state = all_up_state(2)
-    assert abs(expectation(state, embed_pauli(1, "z", 2)) - 1.0) < 1e-14
-    assert abs(expectation(state, embed_pauli(1, "x", 2))) < 1e-14
+    assert abs(expectation(state, 1, "z") - 1.0) < 1e-14
+    assert abs(expectation(state, 1, "x")) < 1e-14
 
 
 @pytest.mark.parametrize("axis", ["x", "y", "z"])
 def test_maximally_mixed_expectations_vanish(axis):
     state = maximally_mixed_state(2)
-    assert abs(expectation(state, embed_pauli(2, axis, 2))) < 1e-14
+    assert abs(expectation(state, 2, axis)) < 1e-14
 
 
 def test_expectation_dimension_mismatch():
-    with pytest.raises(ValueError):
-        expectation(all_up_state(2), embed_pauli(1, "z", 3))
+    """A factor of a 2-site state under a 3-site kernel is rejected by its row count."""
+    with pytest.raises(ValueError, match="4 rows, expected 8"):
+        apply_pauli(all_up_state(2).factor, 1, "z", 3)
 
 
 def test_density_operator_rejects_non_hermitian():
@@ -207,22 +214,10 @@ def test_density_operator_rejects_negative_eigenvalue():
         DensityOperator(1, np.diag([1.5, -0.5]).astype(complex))
 
 
-def test_state_vector_norm_enforced():
-    with pytest.raises(ValueError, match="norm"):
-        StateVector(1, np.array([1.0, 1.0]))
-
-
 def test_state_vector_to_density():
-    plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2))
-    rho = plus.to_density()
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    rho = DensityOperator.from_factor(1, plus[:, None])
     np.testing.assert_allclose(rho.matrix, np.full((2, 2), 0.5), atol=1e-15)
-
-
-def test_operator_hermitian_flag_is_checked():
-    with pytest.raises(ValueError, match="Hermiticity"):
-        Operator(1, np.array([[0, 1], [0, 0]], dtype=complex), hermitian=True)
-    # without the flag the same matrix is fine
-    Operator(1, np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_state_factors_reproduce_density(rng):
