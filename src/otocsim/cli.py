@@ -120,15 +120,15 @@ def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str
     for index, t in enumerate(grid):
         t = float(t)
         ev = prop.evolution(t)
-        direct = otoc_direct(state, spec, prop, t, ev)
+        direct = otoc_direct(state, spec, ev)
         row = {"t": t, "re_exact": direct.real, "im_exact": direct.imag}
         if command != "im":
-            table = outcome_probabilities(state, spec, prop, t, ev)
+            table = outcome_probabilities(state, spec, ev)
             pruned += table.pruned
             clamped += table.clamped
         if command == "exact":
             row["re_identity_residual"] = abs(2.0 * corr_from_table(table) - 1.0 - direct.real)
-            im_c = im_otoc_via_protocol(state, spec, prop, t, angles, ev)
+            im_c = im_otoc_via_protocol(state, spec, ev, angles)
             row["im_identity_residual"] = abs(im_c - direct.imag)
         else:
             cfg = SampleConfig(sampling.n_shots, sampling.seed, point=index)
@@ -136,7 +136,7 @@ def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str
                 est = estimate_re_otoc(sample_sequences(table, cfg))
                 row.update(re_estimate=est.value, re_stderr=est.stderr, n_shots=est.n_shots)
             else:
-                est = sample_rotation_protocol(state, spec, prop, t, angles, cfg, ev)
+                est = sample_rotation_protocol(state, spec, ev, angles, cfg)
                 row.update(im_estimate=est.value, im_stderr=est.stderr, n_shots=est.n_shots)
         rows.append(row)
     counts = f"{pruned} branches pruned, {clamped} probabilities clamped"
@@ -264,7 +264,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    _write_csv(args.out, args.command, config_hash, seed, columns, rows)
+    try:
+        _write_csv(args.out, args.command, config_hash, seed, columns, rows)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if not ok:
         print("error: numerical invariant violated (see log)", file=sys.stderr)
         return EXIT_INVARIANT

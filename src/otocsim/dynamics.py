@@ -4,8 +4,10 @@ Units: the XY coupling constant is 1 and hbar = 1, so time is
 dimensionless.  Evolution is exact via a cached Hermitian
 eigendecomposition, one per connected sector of H (the Hamming-weight
 sectors of the XY chain); backward evolution is the adjoint
-U(t)^dagger = U(-t).  An `Evolution` holds the sector blocks of U(t) for
-one time point, so that every evaluator of that point shares them.
+U(t)^dagger = U(-t).  `Propagator.evolution(t)` is the one place U(t) is
+built: the `Evolution` it returns holds the sector blocks of U(t) and
+U(t)^dagger for one time point, and is the only form in which the
+evaluators of that point receive the dynamics.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class Hamiltonian:
         dim = 2**self.n_sites
         if mat.shape != (dim, dim):
             raise ValueError(f"Hamiltonian has shape {mat.shape}, expected {(dim, dim)}")
-        if hermiticity_defect(mat) > ATOL_ALGEBRA:
+        if not hermiticity_defect(mat) <= ATOL_ALGEBRA:
             raise ValueError("Hamiltonian is not Hermitian")
 
 
@@ -133,7 +135,7 @@ class Propagator:
     H is split into the connected components of its nonzero pattern (for
     the XY chain, the Hamming-weight sectors) and each block is
     diagonalized as H_k = V_k diag(w_k) V_k^dagger.  Immutable after
-    construction; `block_unitary` assembles e^(-iHt) from it block by block.
+    construction; `evolution(t)` builds e^(-iHt) from it block by block.
     `reconstruction_residual` and `unitarity_defect` are the worst
     max|V_k diag(w_k) V_k^dagger - H_k| and max|V_k^dagger V_k - I| over the
     blocks; since H and the assembled decomposition are both exactly zero
@@ -154,13 +156,14 @@ class Propagator:
         for k in range(len(sectors.sizes)):
             block = ham.matrix[sectors.block(k)]
             w, v = np.linalg.eigh(block)
-            residual = max(residual, float(np.max(np.abs((v * w) @ v.conj().T - block))))
-            unit = max(unit, float(np.max(np.abs(v.conj().T @ v - np.eye(len(w))))))
+            # np.maximum, unlike max, keeps a NaN defect whatever the block order
+            residual = float(np.maximum(residual, np.max(np.abs((v * w) @ v.conj().T - block))))
+            unit = float(np.maximum(unit, np.max(np.abs(v.conj().T @ v - np.eye(len(w))))))
             evals.append(w)
             evecs.append(v)
-        if residual > ATOL_SPECTRUM:
+        if not residual <= ATOL_SPECTRUM:
             raise ValueError(f"eigendecomposition residual {residual} above tolerance")
-        if unit > ATOL_SPECTRUM:
+        if not unit <= ATOL_SPECTRUM:
             raise ValueError(f"eigenvector unitarity defect {unit} above tolerance")
         return cls(
             ham.n_sites, BlockDiagonal(sectors, tuple(evecs)), tuple(evals), residual, unit
@@ -170,43 +173,37 @@ class Propagator:
     def block_sizes(self) -> tuple[int, ...]:
         return self.eigenbasis.sectors.sizes
 
-    def block_unitary(self, t: float) -> BlockDiagonal:
-        """e^(-iHt) as one block U_k(t) = V_k diag(e^(-i w_k t)) V_k^dagger per sector."""
+    def evolution(self, t: float) -> "Evolution":
+        """U(t) and its adjoint for every evaluator of time point t.
+
+        U(t) = e^(-iHt) is one block U_k(t) = V_k diag(e^(-i w_k t)) V_k^dagger
+        per sector.
+        """
         if not np.isfinite(t):
             raise ValueError(f"evolution time must be finite, got {t}")
-        return self.eigenbasis.with_blocks(
+        forward = self.eigenbasis.with_blocks(
             (v * np.exp(-1j * w * t)) @ v.conj().T
             for v, w in zip(self.eigenbasis.blocks, self.block_eigenvalues)
         )
-
-    def evolution(self, t: float) -> "Evolution":
-        """U(t) and its adjoint, built once for every evaluator of time point t."""
-        forward = self.block_unitary(t)
-        return Evolution(self, float(t), forward, forward.adjoint())
+        return Evolution(self.n_sites, forward, forward.adjoint())
 
 
 @dataclass(frozen=True, eq=False)
 class Evolution:
-    """U(t) = e^(-iHt) of one propagator at one time point, and U(t)^dagger.
+    """U(t) = e^(-iHt) on an n_sites register at one time point, and U(t)^dagger.
 
     Both are `BlockDiagonal`: `ev.forward @ psi` applies U(t) sector by sector.
     """
 
-    propagator: Propagator
-    t: float
+    n_sites: int
     forward: BlockDiagonal
     backward: BlockDiagonal
 
-
-def evolution_for(prop: Propagator, t: float, evolution: Evolution | None = None) -> Evolution:
-    """`evolution` when given, checked to belong to (prop, t); else U(t) built from prop."""
-    if evolution is None:
-        return prop.evolution(t)
-    if evolution.propagator is not prop or evolution.t != t:
-        raise ValueError(
-            f"evolution was built for time {evolution.t} of another propagator, not time {t}"
-        )
-    return evolution
+    def check(self, state: DensityOperator) -> int:
+        """The register size, after checking that state lives on it."""
+        if state.n_sites != self.n_sites:
+            raise ValueError("dimension mismatch between state and propagator")
+        return self.n_sites
 
 
 def build_xy_chain(n_sites: int) -> Hamiltonian:
@@ -250,14 +247,13 @@ def build_custom(
         term = np.asarray(term, dtype=complex)
         if term.shape != (dim, dim):
             raise ValueError(f"extra term has shape {term.shape}, expected {(dim, dim)}")
-        if hermiticity_defect(term) > ATOL_ALGEBRA:
+        if not hermiticity_defect(term) <= ATOL_ALGEBRA:
             raise ValueError("extra term is not Hermitian")
         mat += term
     return Hamiltonian(n_sites, mat)
 
 
-def evolve(state: DensityOperator, prop: Propagator, t: float) -> DensityOperator:
-    """Schroedinger evolution, U(t) applied to the state factor; negative t evolves backwards."""
-    if state.n_sites != prop.n_sites:
-        raise ValueError("dimension mismatch between state and propagator")
-    return DensityOperator.from_factor(state.n_sites, prop.block_unitary(t) @ state.factor)
+def evolve(state: DensityOperator, ev: Evolution) -> DensityOperator:
+    """Schroedinger evolution, U(t) of `ev` applied to the state factor."""
+    ev.check(state)
+    return DensityOperator.from_factor(state.n_sites, ev.forward @ state.factor)

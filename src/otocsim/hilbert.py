@@ -134,13 +134,13 @@ class DensityOperator:
         dim = 2**n_sites
         if mat.shape != (dim, dim):
             raise ValueError(f"density matrix has shape {mat.shape}, expected {(dim, dim)}")
-        if hermiticity_defect(mat) > ATOL_ALGEBRA:
+        if not hermiticity_defect(mat) <= ATOL_ALGEBRA:
             raise ValueError("density matrix is not Hermitian")
         trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > ATOL_ALGEBRA:
+        if not abs(trace - 1.0) <= ATOL_ALGEBRA:
             raise ValueError(f"density matrix trace {trace} is not 1")
         evals, evecs = np.linalg.eigh(mat)
-        if evals[0] < -ATOL_SPECTRUM:
+        if not evals[0] >= -ATOL_SPECTRUM:
             raise ValueError(f"density matrix has negative eigenvalue {evals[0]}")
         keep = evals > 0.0
         self.n_sites = n_sites
@@ -154,7 +154,7 @@ class DensityOperator:
         if psi.ndim != 2 or psi.shape[0] != 2**n_sites or psi.shape[1] < 1:
             raise ValueError(f"state factor has shape {psi.shape}, expected ({2**n_sites}, r)")
         norm2 = float(np.vdot(psi, psi).real)
-        if abs(norm2 - 1.0) > ATOL_ALGEBRA:
+        if not abs(norm2 - 1.0) <= ATOL_ALGEBRA:
             raise ValueError(f"state factor squared Frobenius norm {norm2} is not 1")
         state = object.__new__(cls)
         state.n_sites, state.factor, state._matrix = n_sites, psi, None

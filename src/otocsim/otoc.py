@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Evolution, Propagator, evolution_for
+from .dynamics import Evolution
 from .hilbert import ATOL_SPECTRUM, DensityOperator, PAULI_AXES, apply_pauli, check_site
 
 
@@ -36,13 +36,10 @@ class OtocSpec:
         check_site(self.site_j, n_sites)
 
 
-def _operands(state: DensityOperator, spec: OtocSpec, prop: Propagator, t: float, evolution):
+def _operands(state: DensityOperator, spec: OtocSpec, ev: Evolution):
     """W(t) = U(t)^dagger W U(t) and V as maps on the state factor."""
-    if state.n_sites != prop.n_sites:
-        raise ValueError("dimension mismatch between state and propagator")
-    n = prop.n_sites
+    n = ev.check(state)
     spec.validate_for(n)
-    ev = evolution_for(prop, t, evolution)
 
     def w_t(psi: np.ndarray) -> np.ndarray:
         return ev.backward @ apply_pauli(ev.forward @ psi, spec.site_i, spec.axis_a, n)
@@ -53,35 +50,22 @@ def _operands(state: DensityOperator, spec: OtocSpec, prop: Propagator, t: float
     return w_t, v
 
 
-def otoc_direct(
-    state: DensityOperator,
-    spec: OtocSpec,
-    prop: Propagator,
-    t: float,
-    evolution: Evolution | None = None,
-) -> complex:
+def otoc_direct(state: DensityOperator, spec: OtocSpec, ev: Evolution) -> complex:
     """Exact complex C(t) = Tr[rho sigma_i^a(t) sigma_j^b sigma_i^a(t) sigma_j^b].
 
-    Evaluated as Tr[Psi^dagger W(t) V W(t) V Psi] on the state factor Psi;
-    `evolution`, when given, is the shared U(t) of this time point.
+    Evaluated as Tr[Psi^dagger W(t) V W(t) V Psi] on the state factor Psi.
     """
-    w_t, v = _operands(state, spec, prop, t, evolution)
+    w_t, v = _operands(state, spec, ev)
     psi = state.factor
     value = complex(np.vdot(psi, w_t(v(w_t(v(psi))))))
-    if abs(value) > 1.0 + ATOL_SPECTRUM:
+    if not abs(value) <= 1.0 + ATOL_SPECTRUM:
         raise ValueError(f"OTOC magnitude {abs(value)} exceeds 1 beyond tolerance")
     return value
 
 
-def commutator_norm(
-    state: DensityOperator,
-    spec: OtocSpec,
-    prop: Propagator,
-    t: float,
-    evolution: Evolution | None = None,
-) -> float:
+def commutator_norm(state: DensityOperator, spec: OtocSpec, ev: Evolution) -> float:
     """<|[W(t), V]|^2> = ||[W(t), V] Psi||_F^2, nonnegative by construction."""
-    w_t, v = _operands(state, spec, prop, t, evolution)
+    w_t, v = _operands(state, spec, ev)
     psi = state.factor
     comm_psi = w_t(v(psi)) - v(w_t(psi))
     return float(np.vdot(comm_psi, comm_psi).real)

@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dynamics import Evolution, Propagator, evolution_for
+from .dynamics import Evolution
 from .hilbert import DensityOperator, apply_pauli, apply_rotation, compress_projected
 from .otoc import OtocSpec
 
@@ -103,12 +103,12 @@ class ProbabilityTable:
         clamped = 0
         for seq in OUTCOME_SEQUENCES:
             p = probs[seq]
-            if p < -PROB_ATOL or p > 1.0 + PROB_ATOL:
+            if not -PROB_ATOL <= p <= 1.0 + PROB_ATOL:
                 raise ValueError(f"probability {p} for {seq} outside [0, 1] beyond tolerance")
             probs[seq] = min(max(p, 0.0), 1.0)  # clamp onto the simplex after the check
             clamped += probs[seq] != p
         total = math.fsum(probs[seq] for seq in OUTCOME_SEQUENCES)
-        if abs(total - 1.0) > NORMALIZATION_ATOL:
+        if not abs(total - 1.0) <= NORMALIZATION_ATOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "clamped", clamped)
@@ -118,11 +118,7 @@ class ProbabilityTable:
 
 
 def outcome_probabilities(
-    state: DensityOperator,
-    spec: OtocSpec,
-    prop: Propagator,
-    t: float,
-    evolution: Evolution | None = None,
+    state: DensityOperator, spec: OtocSpec, ev: Evolution
 ) -> ProbabilityTable:
     """Exact joint probabilities for the four-measurement sequence.
 
@@ -133,13 +129,9 @@ def outcome_probabilities(
     A collapsed factor wider than 2^(N-1) columns (a full-rank state at the
     first measurement) is compressed to 2^(N-1) columns by
     `compress_projected`, so every later level runs at half width.
-    `evolution`, when given, is the shared U(t) of this time point.
     """
-    if state.n_sites != prop.n_sites:
-        raise ValueError("dimension mismatch between state and propagator")
-    n = prop.n_sites
+    n = ev.check(state)
     spec.validate_for(n)
-    ev = evolution_for(prop, t, evolution)
     # (site and axis measured, unitary applied before the measurement)
     steps = (
         (spec.site_j, spec.axis_b, None),
@@ -187,36 +179,21 @@ def corr_from_table(table: ProbabilityTable | Mapping[tuple[int, int, int, int],
     )
 
 
-def re_otoc_via_protocol(
-    state: DensityOperator,
-    spec: OtocSpec,
-    prop: Propagator,
-    t: float,
-    evolution: Evolution | None = None,
-) -> float:
+def re_otoc_via_protocol(state: DensityOperator, spec: OtocSpec, ev: Evolution) -> float:
     """Re C(t) reconstructed as 2*corr - 1 from the projective protocol."""
-    return 2.0 * corr_from_table(outcome_probabilities(state, spec, prop, t, evolution)) - 1.0
+    return 2.0 * corr_from_table(outcome_probabilities(state, spec, ev)) - 1.0
 
 
 def rotated_expectation(
-    state: DensityOperator,
-    spec: OtocSpec,
-    prop: Propagator,
-    t: float,
-    angles: RotationAngles,
-    evolution: Evolution | None = None,
+    state: DensityOperator, spec: OtocSpec, ev: Evolution, angles: RotationAngles
 ) -> float:
     """<sigma_i^a> after the rotate/evolve sequence of the imaginary-part protocol.
 
     The state factor goes through e^(-iHt) R_j^b(t3) e^(iHt) R_i^a(t2)
-    e^(-iHt) R_j^b(t1), right to left; `evolution`, when given, is the
-    shared U(t) of this time point.
+    e^(-iHt) R_j^b(t1), right to left.
     """
-    if state.n_sites != prop.n_sites:
-        raise ValueError("dimension mismatch between state and propagator")
-    n = prop.n_sites
+    n = ev.check(state)
     spec.validate_for(n)
-    ev = evolution_for(prop, t, evolution)
     psi = state.factor
     for site, axis, theta, u in (
         (spec.site_j, spec.axis_b, angles.theta1, ev.forward),
@@ -242,20 +219,14 @@ ANGLE_VARIANT_SIGNS = (+1.0, -1.0, -1.0, +1.0)
 
 
 def im_otoc_via_protocol(
-    state: DensityOperator,
-    spec: OtocSpec,
-    prop: Propagator,
-    t: float,
-    angles: RotationAngles | None = None,
-    evolution: Evolution | None = None,
+    state: DensityOperator, spec: OtocSpec, ev: Evolution, angles: RotationAngles | None = None
 ) -> float:
     """Im C(t) from the four-angle-set combination of rotated expectations."""
     if angles is None:
         angles = RotationAngles(*DEFAULT_ANGLES)
     prefactor = angles.checked_prefactor()
-    evolution = evolution_for(prop, t, evolution)
     combo = math.fsum(
-        sign * rotated_expectation(state, spec, prop, t, var, evolution)
+        sign * rotated_expectation(state, spec, ev, var)
         for sign, var in zip(ANGLE_VARIANT_SIGNS, angle_variants(angles))
     )
     return combo / prefactor

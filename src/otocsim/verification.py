@@ -75,8 +75,7 @@ def _instances(n_instances: int, sizes: tuple[int, ...], seed: int):
         prop = Propagator.from_hamiltonian(ham)
         state = random_density(n_sites, rng)
         spec = random_spec(n_sites, rng, axes)
-        t = float(rng.uniform(0.0, 5.0))
-        yield rng, state, spec, prop, t, prop.evolution(t)
+        yield rng, state, spec, prop.evolution(float(rng.uniform(0.0, 5.0)))
 
 
 def check_re_identity(
@@ -84,9 +83,9 @@ def check_re_identity(
 ) -> CheckResult:
     """2*corr - 1 against Re C on random instances."""
     worst = 0.0
-    for _, state, spec, prop, t, evolution in _instances(n_instances, sizes, seed):
-        reconstructed = re_otoc_via_protocol(state, spec, prop, t, evolution)
-        direct = otoc_direct(state, spec, prop, t, evolution).real
+    for _, state, spec, ev in _instances(n_instances, sizes, seed):
+        reconstructed = re_otoc_via_protocol(state, spec, ev)
+        direct = otoc_direct(state, spec, ev).real
         worst = max(worst, abs(reconstructed - direct))
     return CheckResult("re_identity", worst, IDENTITY_TOLERANCE)
 
@@ -96,10 +95,10 @@ def check_im_identity(
 ) -> CheckResult:
     """Four-angle-set combination against Im C on random instances."""
     worst = 0.0
-    for rng, state, spec, prop, t, evolution in _instances(n_instances, sizes, seed):
+    for rng, state, spec, ev in _instances(n_instances, sizes, seed):
         angles = random_nondegenerate_angles(rng)
-        reconstructed = im_otoc_via_protocol(state, spec, prop, t, angles, evolution)
-        direct = otoc_direct(state, spec, prop, t, evolution).imag
+        reconstructed = im_otoc_via_protocol(state, spec, ev, angles)
+        direct = otoc_direct(state, spec, ev).imag
         worst = max(worst, abs(reconstructed - direct))
     return CheckResult("im_identity", worst, IDENTITY_TOLERANCE)
 
@@ -109,9 +108,9 @@ def check_commutator_relation(
 ) -> CheckResult:
     """Re C = 1 - <|[W(t),V]|^2>/2 on random instances."""
     worst = 0.0
-    for _, state, spec, prop, t, evolution in _instances(n_instances, sizes, seed):
-        direct = otoc_direct(state, spec, prop, t, evolution).real
-        via_commutator = 1.0 - commutator_norm(state, spec, prop, t, evolution) / 2.0
+    for _, state, spec, ev in _instances(n_instances, sizes, seed):
+        direct = otoc_direct(state, spec, ev).real
+        via_commutator = 1.0 - commutator_norm(state, spec, ev) / 2.0
         worst = max(worst, abs(direct - via_commutator))
     return CheckResult("commutator_relation", worst, IDENTITY_TOLERANCE)
 

@@ -95,13 +95,13 @@ def test_criterion_4_quasilocality_ordering():
         state = all_up_state(n)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                initial = otoc_direct(state, OtocSpec(i, "x", j, "x"), prop, 0.0)
+                initial = otoc_direct(state, OtocSpec(i, "x", j, "x"), prop.evolution(0.0))
                 ok = ok and abs(initial - 1.0) < 1e-10
         departures = {}
         pending = set(range(2, n + 1))
         for t in np.arange(0.0, 3.0001, 0.02):
             for j in sorted(pending):
-                value = otoc_direct(state, OtocSpec(1, "x", j, "x"), prop, float(t)).real
+                value = otoc_direct(state, OtocSpec(1, "x", j, "x"), prop.evolution(float(t))).real
                 if abs(1.0 - value) > 0.05:
                     departures[j] = float(t)
                     pending.discard(j)
@@ -123,8 +123,8 @@ def test_criterion_5_sampled_estimator_coverage(xy4, up4, spec_xx):
     grid = np.linspace(0.0, 3.0, 31)
     hits = total = 0
     for index, t in enumerate(grid):
-        exact = otoc_direct(up4, spec_xx, xy4, float(t)).real
-        table = outcome_probabilities(up4, spec_xx, xy4, float(t))
+        exact = otoc_direct(up4, spec_xx, xy4.evolution(float(t))).real
+        table = outcome_probabilities(up4, spec_xx, xy4.evolution(float(t)))
         for seed in range(100):
             est = estimate_re_otoc(
                 sample_sequences(table, SampleConfig(10_000, seed=1_000 * index + seed))
@@ -149,10 +149,10 @@ def test_criterion_6_error_band_scaling(xy4, up4, spec_xx):
     grid = np.linspace(0.0, 3.0, 31)
     bands_small, bands_large, exact = [], [], []
     for index, t in enumerate(grid):
-        table = outcome_probabilities(up4, spec_xx, xy4, float(t))
+        table = outcome_probabilities(up4, spec_xx, xy4.evolution(float(t)))
         bands_small.append(error_band(table, SampleConfig(100, seed=1000 + index, n_repeats=100)))
         bands_large.append(error_band(table, SampleConfig(1000, seed=5000 + index, n_repeats=100)))
-        exact.append(otoc_direct(up4, spec_xx, xy4, float(t)).real)
+        exact.append(otoc_direct(up4, spec_xx, xy4.evolution(float(t))).real)
     bands_small, bands_large, exact = map(np.asarray, (bands_small, bands_large, exact))
     ratio = bands_small.mean() / bands_large.mean()
     ratio_ok = math.sqrt(10) * 0.75 <= ratio <= math.sqrt(10) * 1.25

@@ -186,11 +186,33 @@ def test_bad_input_fails_closed(tmp_path, capsys, command, text, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "verify"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_unsigned_64_bit_fails_closed(config_file, tmp_path, capsys, command, seed):
+    out = tmp_path / "out.csv"
+    argv = [command, "--out", str(out), "--seed", seed]
+    if command != "verify":
+        argv += ["--config", str(config_file)]
+    assert main(argv) == EXIT_CONFIG
+    assert "unsigned 64-bit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["exact", "dressing"])
+def test_unwritable_output_fails_closed(tmp_path, capsys, command):
+    path = tmp_path / "run.cfg"
+    path.write_text(BASE_CONFIG + DRESSING_CONFIG)
+    out = tmp_path / "no" / "such" / "dir" / "x.csv"
+    # main returns instead of raising, so no traceback reaches the terminal
+    assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert "error: cannot write output:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["exact", "sample", "im"])
 def test_otoc_command_builds_one_unitary_per_time_point(command, config_file, tmp_path, monkeypatch):
     calls = []
-    build = Propagator.block_unitary
-    monkeypatch.setattr(Propagator, "block_unitary", lambda self, t: calls.append(t) or build(self, t))
+    build = Propagator.evolution
+    monkeypatch.setattr(Propagator, "evolution", lambda self, t: calls.append(t) or build(self, t))
     out = tmp_path / f"{command}.csv"
     assert main([command, "--config", str(config_file), "--out", str(out), "--quiet"]) == EXIT_OK
     assert len(calls) == 9

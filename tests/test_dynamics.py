@@ -8,14 +8,23 @@ from scipy.linalg import expm
 
 import oracles
 from otocsim.dynamics import (
+    Evolution,
+    Hamiltonian,
     Propagator,
     build_custom,
     build_xy_chain,
-    evolution_for,
     evolve,
 )
 from otocsim.hilbert import DensityOperator, all_up_state, apply_pauli
-from otocsim.otoc import otoc_direct
+from otocsim.otoc import OtocSpec, commutator_norm, otoc_direct
+from otocsim.protocol import (
+    DEFAULT_ANGLES,
+    OUTCOME_SEQUENCES,
+    ProbabilityTable,
+    RotationAngles,
+    outcome_probabilities,
+    rotated_expectation,
+)
 
 # Expanding -(x1 x2 + y1 y2) by hand on the 4-dim basis leaves only the
 # flip-flop entries |up,down><down,up| and its transpose, each -2.
@@ -107,19 +116,19 @@ def test_unitary_roundtrip_random_times(xy4, rng):
 
 
 def test_evolve_zero_time_identity(xy4, up4):
-    np.testing.assert_allclose(evolve(up4, xy4, 0.0).matrix, up4.matrix, atol=1e-15)
+    np.testing.assert_allclose(evolve(up4, xy4.evolution(0.0)).matrix, up4.matrix, atol=1e-15)
 
 
 def test_evolve_forward_backward_roundtrip(xy4, rng):
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     mat = g @ g.conj().T
     rho = DensityOperator(4, mat / np.trace(mat).real)
-    back = evolve(evolve(rho, xy4, 1.7), xy4, -1.7)
+    back = evolve(evolve(rho, xy4.evolution(1.7)), xy4.evolution(-1.7))
     assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-10
 
 
 def test_all_up_stationary_under_xy(xy4, up4):
-    evolved = evolve(up4, xy4, 2.3)
+    evolved = evolve(up4, xy4.evolution(2.3))
     np.testing.assert_allclose(evolved.matrix, up4.matrix, atol=1e-12)
 
 
@@ -130,7 +139,7 @@ def test_energy_conserved_along_trajectory(xy4, rng):
     rho = DensityOperator(4, mat / np.trace(mat).real)
     e0 = np.trace(rho.matrix @ ham).real
     for t in (0.3, 1.1, 4.0, -2.2):
-        e_t = np.trace(evolve(rho, xy4, t).matrix @ ham).real
+        e_t = np.trace(evolve(rho, xy4.evolution(t)).matrix @ ham).real
         assert abs(e_t - e0) < 1e-10
 
 
@@ -153,16 +162,25 @@ def test_heisenberg_preserves_pauli_spectrum(xy4):
     assert abs(np.linalg.norm(op, ord=2) - 1.0) < 1e-12
 
 
-def test_dimension_mismatch_raises(xy4):
-    with pytest.raises(ValueError, match="mismatch"):
-        evolve(all_up_state(3), xy4, 1.0)
+def test_dimension_mismatch_raises(xy4, spec_xx):
+    up3, ev = all_up_state(3), xy4.evolution(1.0)
+    angles = RotationAngles(*DEFAULT_ANGLES)
+    for apply in (
+        lambda: evolve(up3, ev),
+        lambda: otoc_direct(up3, spec_xx, ev),
+        lambda: commutator_norm(up3, spec_xx, ev),
+        lambda: outcome_probabilities(up3, spec_xx, ev),
+        lambda: rotated_expectation(up3, spec_xx, ev, angles),
+    ):
+        with pytest.raises(ValueError, match="dimension mismatch between state and propagator"):
+            apply()
 
 
 def test_evolution_time_must_be_finite(xy4, up4):
     with pytest.raises(ValueError, match="finite"):
-        evolve(up4, xy4, np.inf)
+        evolve(up4, xy4.evolution(np.inf))
     with pytest.raises(ValueError, match="finite"):
-        evolve(up4, xy4, np.nan)
+        evolve(up4, xy4.evolution(np.nan))
 
 
 def test_evolution_is_shared_and_checked(xy4, up4, spec_xx):
@@ -171,13 +189,69 @@ def test_evolution_is_shared_and_checked(xy4, up4, spec_xx):
     u = expm(-0.5j * oracles.xy_chain(4))
     np.testing.assert_allclose(evolution.forward @ eye, u, atol=1e-12)
     np.testing.assert_allclose(evolution.backward @ eye, u.conj().T, atol=1e-12)
-    assert evolution_for(xy4, 0.5, evolution) is evolution
-    assert otoc_direct(up4, spec_xx, xy4, 0.5, evolution) == otoc_direct(up4, spec_xx, xy4, 0.5)
-    with pytest.raises(ValueError, match="another propagator"):
-        otoc_direct(up4, spec_xx, xy4, 0.6, evolution)
-    other = Propagator.from_hamiltonian(build_xy_chain(4))
-    with pytest.raises(ValueError, match="another propagator"):
-        evolution_for(other, 0.5, evolution)
+    assert otoc_direct(up4, spec_xx, evolution) == otoc_direct(up4, spec_xx, xy4.evolution(0.5))
+
+
+def with_corner(matrix, value):
+    """A complex copy of matrix with entry (0, 0) replaced by value."""
+    matrix = np.array(matrix, dtype=complex)
+    matrix[0, 0] = value
+    return matrix
+
+
+def propagator_of_edited_hamiltonian(bad):
+    ham = build_xy_chain(2)
+    ham.matrix[0, 0] = bad  # edited in place, after the Hamiltonian's own check
+    return Propagator.from_hamiltonian(ham)
+
+
+def otoc_of_nonfinite_evolution(bad):
+    forward = Propagator.from_hamiltonian(build_xy_chain(2)).evolution(0.5).forward
+    broken = forward.with_blocks(np.full_like(block, bad) for block in forward.blocks)
+    return otoc_direct(all_up_state(2), OtocSpec(1, "x", 2, "x"), Evolution(2, broken, broken))
+
+
+NONFINITE_ENTRY_POINTS = [
+    pytest.param(
+        lambda bad: Hamiltonian(2, with_corner(XY_TWO_SITE, bad)),
+        "Hamiltonian is not Hermitian",
+        id="hamiltonian",
+    ),
+    pytest.param(
+        lambda bad: build_custom(2, extra_terms=[with_corner(XY_TWO_SITE, bad)]),
+        "extra term is not Hermitian",
+        id="extra_term",
+    ),
+    pytest.param(
+        lambda bad: DensityOperator(2, with_corner(np.eye(4) / 4, bad)),
+        "density matrix is not Hermitian",
+        id="density_matrix",
+    ),
+    pytest.param(
+        lambda bad: DensityOperator.from_factor(2, np.full((4, 1), bad)),
+        "Frobenius norm",
+        id="state_factor",
+    ),
+    pytest.param(propagator_of_edited_hamiltonian, "above tolerance", id="propagator"),
+    pytest.param(
+        lambda bad: ProbabilityTable(
+            {seq: bad if k == 0 else 1 / 16 for k, seq in enumerate(OUTCOME_SEQUENCES)}
+        ),
+        "outside",
+        id="probability_table",
+    ),
+    pytest.param(otoc_of_nonfinite_evolution, "magnitude", id="otoc_direct"),
+]
+
+
+# inf - inf and inf * 0 make numpy warn on the way to the NaN that the guard rejects
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry_point, message", NONFINITE_ENTRY_POINTS)
+def test_nonfinite_entries_fail_closed(entry_point, message, bad):
+    """Every tolerance guard rejects NaN and inf, which compare False against any bound."""
+    with pytest.raises(ValueError, match=message):
+        entry_point(bad)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -52,7 +52,7 @@ def frozen_table():
 
 
 def test_polarized_zz_protocol_is_deterministic(xy4, up4):
-    table = outcome_probabilities(up4, OtocSpec(2, "z", 3, "z"), xy4, 1.3)
+    table = outcome_probabilities(up4, OtocSpec(2, "z", 3, "z"), xy4.evolution(1.3))
     assert table[(1, 1, 1, 1)] == 1.0
     assert all(table[seq] == 0.0 for seq in OUTCOME_SEQUENCES if seq != (1, 1, 1, 1))
 
@@ -68,7 +68,7 @@ def test_mixed_state_conserved_axis_flip_symmetry():
     )
     prop = Propagator.from_hamiltonian(ham)
     table = outcome_probabilities(
-        maximally_mixed_state(n), OtocSpec(1, "x", 2, "z"), prop, 0.73
+        maximally_mixed_state(n), OtocSpec(1, "x", 2, "z"), prop.evolution(0.73)
     )
     for seq in OUTCOME_SEQUENCES:
         flipped = tuple(-o for o in seq)
@@ -76,7 +76,7 @@ def test_mixed_state_conserved_axis_flip_symmetry():
 
 
 def test_derived_table_frozen_and_live_oracle(xy4, up4, spec_xx):
-    table = outcome_probabilities(up4, spec_xx, xy4, 0.5)
+    table = outcome_probabilities(up4, spec_xx, xy4.evolution(0.5))
     expected = frozen_table()
     for seq in OUTCOME_SEQUENCES:
         assert abs(table[seq] - expected[seq]) < 1e-10
@@ -90,7 +90,7 @@ def test_derived_table_frozen_and_live_oracle(xy4, up4, spec_xx):
 def test_zero_probability_branches_are_safe(xy4, up4):
     """Pi_j^- annihilates the polarized state: no division errors, and the
     whole dead branch carries exactly zero probability."""
-    table = outcome_probabilities(up4, OtocSpec(2, "x", 3, "z"), xy4, 0.8)
+    table = outcome_probabilities(up4, OtocSpec(2, "x", 3, "z"), xy4.evolution(0.8))
     dead = [seq for seq in OUTCOME_SEQUENCES if seq[0] == -1]
     assert all(table[seq] == 0.0 for seq in dead)
     assert abs(sum(table.probabilities.values()) - 1.0) < 1e-10
@@ -103,7 +103,7 @@ def test_tables_normalized_on_random_instances(rng):
         state = random_density(n, rng)
         sites = rng.choice(np.arange(1, n + 1), size=2, replace=False)
         spec = OtocSpec(int(sites[0]), "y", int(sites[1]), "x")
-        table = outcome_probabilities(state, spec, prop, float(rng.uniform(0, 5)))
+        table = outcome_probabilities(state, spec, prop.evolution(float(rng.uniform(0, 5))))
         values = [table[seq] for seq in OUTCOME_SEQUENCES]
         assert all(0.0 <= p <= 1.0 for p in values)
         assert abs(sum(values) - 1.0) < 1e-10
@@ -118,9 +118,9 @@ def test_corr_deterministic_and_uniform_tables():
 
 
 def test_corr_matches_direct_otoc_via_identity(xy4, up4, spec_xx):
-    corr = corr_from_table(outcome_probabilities(up4, spec_xx, xy4, 0.5))
+    corr = corr_from_table(outcome_probabilities(up4, spec_xx, xy4.evolution(0.5)))
     assert abs(corr - CORR_T05) < 1e-10
-    direct = otoc_direct(up4, spec_xx, xy4, 0.5).real
+    direct = otoc_direct(up4, spec_xx, xy4.evolution(0.5)).real
     assert abs((2.0 * corr - 1.0) - direct) < 1e-10
 
 
@@ -144,9 +144,11 @@ def test_probability_table_validation_and_clamping():
 
 
 def test_re_identity_simple_cases(xy4, up4):
-    assert abs(re_otoc_via_protocol(up4, OtocSpec(1, "y", 4, "x"), xy4, 0.0) - 1.0) < 1e-12
+    ev = xy4.evolution(0.0)
+    assert abs(re_otoc_via_protocol(up4, OtocSpec(1, "y", 4, "x"), ev) - 1.0) < 1e-12
     for t in (0.4, 2.0):
-        assert abs(re_otoc_via_protocol(up4, OtocSpec(2, "z", 3, "z"), xy4, t) - 1.0) < 1e-12
+        ev = xy4.evolution(t)
+        assert abs(re_otoc_via_protocol(up4, OtocSpec(2, "z", 3, "z"), ev) - 1.0) < 1e-12
 
 
 def test_re_identity_random_instances(rng):
@@ -156,10 +158,9 @@ def test_re_identity_random_instances(rng):
         state = random_density(n, rng)
         sites = rng.choice(np.arange(1, n + 1), size=2, replace=False)
         spec = OtocSpec(int(sites[0]), "x", int(sites[1]), "y")
-        t = float(rng.uniform(0, 5))
-        assert abs(
-            re_otoc_via_protocol(state, spec, prop, t) - otoc_direct(state, spec, prop, t).real
-        ) < 1e-9
+        ev = prop.evolution(float(rng.uniform(0, 5)))
+        direct = otoc_direct(state, spec, ev).real
+        assert abs(re_otoc_via_protocol(state, spec, ev) - direct) < 1e-9
 
 
 def rotation_operator(site, axis, theta, n_sites):
@@ -185,22 +186,22 @@ def test_rotation_one_parameter_group(rng):
 
 
 def test_rotated_expectation_trivial_angles(xy4, up4):
-    value = rotated_expectation(up4, OtocSpec(2, "z", 3, "z"), xy4, 1.1, RotationAngles(0, 0, 0))
+    ev = xy4.evolution(1.1)
+    value = rotated_expectation(up4, OtocSpec(2, "z", 3, "z"), ev, RotationAngles(0, 0, 0))
     assert abs(value - 1.0) < 1e-12
 
 
 def test_four_term_combination_cancels_at_theta2_zero(xy4, up4, spec_xx):
     angles = RotationAngles(0.9, 0.0, 1.7)
-    expectations = [
-        rotated_expectation(up4, spec_xx, xy4, 0.6, var) for var in angle_variants(angles)
-    ]
+    ev = xy4.evolution(0.6)
+    expectations = [rotated_expectation(up4, spec_xx, ev, var) for var in angle_variants(angles)]
     combo = expectations[0] - expectations[1] - expectations[2] + expectations[3]
     assert combo == 0.0
 
 
 def test_rotated_expectation_frozen_and_live_oracle(xy4, up4, spec_xx):
     angles = RotationAngles(math.pi / 2, math.pi / 2, math.pi / 2)
-    value = rotated_expectation(up4, spec_xx, xy4, 0.5, angles)
+    value = rotated_expectation(up4, spec_xx, xy4.evolution(0.5), angles)
     assert abs(value - ROT_EXPECT_T05) < 1e-10
     rho = np.zeros((16, 16), dtype=complex)
     rho[0, 0] = 1.0
@@ -215,7 +216,7 @@ def test_optimal_angles_prefactor_is_two():
 
 
 def test_im_vanishes_at_zero_time(xy4, up4):
-    assert abs(im_otoc_via_protocol(up4, OtocSpec(1, "x", 3, "y"), xy4, 0.0)) < 1e-12
+    assert abs(im_otoc_via_protocol(up4, OtocSpec(1, "x", 3, "y"), xy4.evolution(0.0))) < 1e-12
 
 
 def test_im_identity_random_instances(rng):
@@ -225,11 +226,10 @@ def test_im_identity_random_instances(rng):
         state = random_density(n, rng)
         sites = rng.choice(np.arange(1, n + 1), size=2, replace=False)
         spec = OtocSpec(int(sites[0]), "z", int(sites[1]), "y")
-        t = float(rng.uniform(0, 5))
+        ev = prop.evolution(float(rng.uniform(0, 5)))
         angles = random_nondegenerate_angles(rng)
         assert abs(
-            im_otoc_via_protocol(state, spec, prop, t, angles)
-            - otoc_direct(state, spec, prop, t).imag
+            im_otoc_via_protocol(state, spec, ev, angles) - otoc_direct(state, spec, ev).imag
         ) < 1e-9
 
 
@@ -240,14 +240,14 @@ def test_im_invariant_under_base_set_negation(rng):
     spec = OtocSpec(1, "x", 3, "y")
     angles = random_nondegenerate_angles(rng)
     negated = RotationAngles(-angles.theta1, -angles.theta2, -angles.theta3)
-    a = im_otoc_via_protocol(state, spec, prop, 1.2, angles)
-    b = im_otoc_via_protocol(state, spec, prop, 1.2, negated)
+    a = im_otoc_via_protocol(state, spec, prop.evolution(1.2), angles)
+    b = im_otoc_via_protocol(state, spec, prop.evolution(1.2), negated)
     assert abs(a - b) < 1e-12
 
 
 def test_degenerate_angles_rejected(xy4, up4, spec_xx):
     with pytest.raises(DegenerateAnglesError):
-        im_otoc_via_protocol(up4, spec_xx, xy4, 0.5, RotationAngles(0.3, 0.0, 0.9))
+        im_otoc_via_protocol(up4, spec_xx, xy4.evolution(0.5), RotationAngles(0.3, 0.0, 0.9))
     with pytest.raises(ValueError, match="finite"):
         RotationAngles(math.nan, 0.1, 0.2)
 
@@ -276,11 +276,11 @@ def test_factor_evaluators_match_dense_oracles(axes, n, data, mixed, seed, t):
     dense = (state.matrix, ham.matrix, n, site_i, axes[0], site_j, axes[1], t)
 
     evolution = prop.evolution(t)
-    assert abs(otoc_direct(state, spec, prop, t, evolution) - oracles.otoc_value(*dense)) < 1e-10
-    table = outcome_probabilities(state, spec, prop, t, evolution)
+    assert abs(otoc_direct(state, spec, evolution) - oracles.otoc_value(*dense)) < 1e-10
+    table = outcome_probabilities(state, spec, evolution)
     expected = oracles.probability_table(*dense)
     assert max(abs(table[seq] - expected[seq]) for seq in OUTCOME_SEQUENCES) < 1e-10
-    value = rotated_expectation(state, spec, prop, t, angles, evolution)
+    value = rotated_expectation(state, spec, evolution, angles)
     rotated = oracles.rotated_sigma_expectation(
         *dense, angles.theta1, angles.theta2, angles.theta3
     )
@@ -319,7 +319,7 @@ def test_compressed_tree_matches_probability_oracle(axes, n, data, kind, xy, see
     prop = Propagator.from_hamiltonian(ham)
     state = DensityOperator.from_factor(n, _factor_of_width(n, kind, rng))
     spec = OtocSpec(site_i, axes[0], site_j, axes[1])
-    table = outcome_probabilities(state, spec, prop, t)
+    table = outcome_probabilities(state, spec, prop.evolution(t))
     expected = oracles.probability_table(
         state.matrix, ham.matrix, n, site_i, axes[0], site_j, axes[1], t
     )
@@ -336,14 +336,16 @@ def test_pure_state_tree_never_compresses(xy4, up4, spec_xx, monkeypatch):
         return result
 
     monkeypatch.setattr(protocol, "compress_projected", spy)
-    outcome_probabilities(up4, spec_xx, xy4, 0.5)
+    outcome_probabilities(up4, spec_xx, xy4.evolution(0.5))
     assert calls and all(calls)
 
 
 def test_tree_counts_pruned_branches(xy4, up4):
-    table = outcome_probabilities(up4, OtocSpec(2, "z", 3, "z"), xy4, 1.3)
+    table = outcome_probabilities(up4, OtocSpec(2, "z", 3, "z"), xy4.evolution(1.3))
     assert table.pruned == 4  # the -1 branch of each of the four measurements
-    mixed = outcome_probabilities(maximally_mixed_state(4), OtocSpec(2, "x", 3, "y"), xy4, 1.3)
+    mixed = outcome_probabilities(
+        maximally_mixed_state(4), OtocSpec(2, "x", 3, "y"), xy4.evolution(1.3)
+    )
     assert mixed.pruned == 0
 
 

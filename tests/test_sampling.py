@@ -68,7 +68,7 @@ def test_neighbouring_seeds_points_and_repeats_share_no_uniforms():
 
 
 def test_sampling_is_deterministic_per_seed(xy4, up4, spec_xx):
-    table = outcome_probabilities(up4, spec_xx, xy4, 0.5)
+    table = outcome_probabilities(up4, spec_xx, xy4.evolution(0.5))
     cfg = SampleConfig(1000, seed=42)
     assert sample_sequences(table, cfg) == sample_sequences(table, cfg)
     other = sample_sequences(table, SampleConfig(1000, seed=43))
@@ -98,8 +98,8 @@ def test_estimate_rejects_empty_counts():
 def test_estimator_coverage_on_exact_table(xy4, up4, spec_xx):
     """At 10^4 shots the estimate lands within 4 stderr of Re C in >= 99%
     of seeded repetitions."""
-    exact = otoc_direct(up4, spec_xx, xy4, 0.5).real
-    table = outcome_probabilities(up4, spec_xx, xy4, 0.5)
+    exact = otoc_direct(up4, spec_xx, xy4.evolution(0.5)).real
+    table = outcome_probabilities(up4, spec_xx, xy4.evolution(0.5))
     hits = 0
     for seed in range(100):
         est = estimate_re_otoc(sample_sequences(table, SampleConfig(10_000, seed=seed)))
@@ -109,8 +109,8 @@ def test_estimator_coverage_on_exact_table(xy4, up4, spec_xx):
 
 
 def test_estimator_unbiased_over_many_repetitions(xy4, up4, spec_xx):
-    exact = otoc_direct(up4, spec_xx, xy4, 0.5).real
-    table = outcome_probabilities(up4, spec_xx, xy4, 0.5)
+    exact = otoc_direct(up4, spec_xx, xy4.evolution(0.5)).real
+    table = outcome_probabilities(up4, spec_xx, xy4.evolution(0.5))
     repeats = 1000
     values, stderrs = [], []
     for seed in range(repeats):
@@ -126,7 +126,7 @@ def test_error_band_deterministic_table_is_zero():
 
 
 def test_error_band_scaling(xy4, up4, spec_xx):
-    table = outcome_probabilities(up4, spec_xx, xy4, 0.5)
+    table = outcome_probabilities(up4, spec_xx, xy4.evolution(0.5))
     band_small = error_band(table, SampleConfig(100, seed=5, n_repeats=100))
     band_large = error_band(table, SampleConfig(1000, seed=6, n_repeats=100))
     ratio = band_small / band_large
@@ -139,7 +139,7 @@ def test_error_band_needs_repeats():
 
 
 def test_stderr_scales_with_shot_count(xy4, up4, spec_xx):
-    table = outcome_probabilities(up4, spec_xx, xy4, 0.5)
+    table = outcome_probabilities(up4, spec_xx, xy4.evolution(0.5))
     means = []
     for n_shots in (100, 1000, 10_000):
         stderrs = [
@@ -153,7 +153,7 @@ def test_stderr_scales_with_shot_count(xy4, up4, spec_xx):
 
 def test_rotation_sampling_zero_time(xy4, up4, spec_xx):
     est = sample_rotation_protocol(
-        up4, spec_xx, xy4, 0.0, PI_HALF_ANGLES, SampleConfig(2000, seed=17)
+        up4, spec_xx, xy4.evolution(0.0), PI_HALF_ANGLES, SampleConfig(2000, seed=17)
     )
     assert est.stderr > 0.0
     assert abs(est.value) <= 4.0 * est.stderr
@@ -162,42 +162,42 @@ def test_rotation_sampling_zero_time(xy4, up4, spec_xx):
 def test_rotation_sampling_zero_variance_when_expectations_saturate(xy4, up4):
     # z rotations leave the polarized state invariant, so every angle set
     # measures <sigma_z> = +1 and the shots carry no noise at all
+    spec = OtocSpec(2, "z", 3, "z")
     est = sample_rotation_protocol(
-        up4, OtocSpec(2, "z", 3, "z"), xy4, 1.0, PI_HALF_ANGLES, SampleConfig(100, seed=2)
+        up4, spec, xy4.evolution(1.0), PI_HALF_ANGLES, SampleConfig(100, seed=2)
     )
     assert est == Estimate(0.0, 0.0, 100)
 
 
 def test_rotation_sampling_tracks_exact_im(xy4, up4, spec_xx, rng):
-    est = sample_rotation_protocol(
-        up4, spec_xx, xy4, 0.5, PI_HALF_ANGLES, SampleConfig(10_000, seed=21)
-    )
-    exact = otoc_direct(up4, spec_xx, xy4, 0.5).imag
+    ev = xy4.evolution(0.5)
+    est = sample_rotation_protocol(up4, spec_xx, ev, PI_HALF_ANGLES, SampleConfig(10_000, seed=21))
+    exact = otoc_direct(up4, spec_xx, ev).imag
     assert abs(est.value - exact) <= 4.0 * est.stderr
     # also on an instance with genuinely complex C
     prop = Propagator.from_hamiltonian(random_hamiltonian(3, rng))
     state = random_density(3, rng)
     spec = OtocSpec(1, "x", 3, "y")
-    exact_im = otoc_direct(state, spec, prop, 1.1).imag
+    ev = prop.evolution(1.1)
+    exact_im = otoc_direct(state, spec, ev).imag
     assert abs(exact_im) > 1e-3
     est2 = sample_rotation_protocol(
-        state, spec, prop, 1.1, PI_HALF_ANGLES, SampleConfig(200_000, seed=23)
+        state, spec, ev, PI_HALF_ANGLES, SampleConfig(200_000, seed=23)
     )
     assert abs(est2.value - exact_im) <= 4.0 * est2.stderr
 
 
 def test_rotation_sampling_deterministic(xy4, up4, spec_xx):
     cfg = SampleConfig(500, seed=99)
-    a = sample_rotation_protocol(up4, spec_xx, xy4, 0.7, PI_HALF_ANGLES, cfg)
-    b = sample_rotation_protocol(up4, spec_xx, xy4, 0.7, PI_HALF_ANGLES, cfg)
+    a = sample_rotation_protocol(up4, spec_xx, xy4.evolution(0.7), PI_HALF_ANGLES, cfg)
+    b = sample_rotation_protocol(up4, spec_xx, xy4.evolution(0.7), PI_HALF_ANGLES, cfg)
     assert a == b
 
 
 def test_rotation_sampling_rejects_degenerate_angles(xy4, up4, spec_xx):
+    angles = RotationAngles(0.1, 0.0, 0.3)
     with pytest.raises(DegenerateAnglesError):
-        sample_rotation_protocol(
-            up4, spec_xx, xy4, 0.5, RotationAngles(0.1, 0.0, 0.3), SampleConfig(10, seed=1)
-        )
+        sample_rotation_protocol(up4, spec_xx, xy4.evolution(0.5), angles, SampleConfig(10, seed=1))
 
 
 def test_sample_config_validation():
