@@ -34,6 +34,7 @@ from .protocol import (
     DEFAULT_ANGLES,
     DegenerateAnglesError,
     OUTCOME_SEQUENCES,
+    OUTCOME_SIGNS,
     ProbabilityTable,
     RotationAngles,
     corr_from_table,
@@ -45,7 +46,6 @@ from .protocol import (
 from .sampling import (
     Estimate,
     SampleConfig,
-    error_band,
     estimate_re_otoc,
     sample_rotation_protocol,
     sample_sequences,

@@ -18,13 +18,12 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import ConfigError, RunConfig, parse_config, require
+from .config import AnglesConfig, ConfigError, RunConfig, parse_config, require
 from .dressing import AdiabaticityError, InteractionCoefficients, LevelScheme, scan_curve
 from .dynamics import Propagator, build_xy_chain
 from .hilbert import all_up_state, maximally_mixed_state
 from .otoc import OtocSpec, otoc_direct
 from .protocol import (
-    DEFAULT_ANGLES,
     DegenerateAnglesError,
     RotationAngles,
     corr_from_table,
@@ -99,9 +98,7 @@ def _build_system(config: RunConfig, command: str):
 
 
 def _angles(config: RunConfig) -> RotationAngles:
-    block = config.angles
-    if block is None:
-        return RotationAngles(*DEFAULT_ANGLES)
+    block = config.angles or AnglesConfig()
     return RotationAngles(block.theta1, block.theta2, block.theta3)
 
 

@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .protocol import DEFAULT_ANGLES
+
 HAMILTONIAN_KINDS = ("xy_chain",)
 INITIAL_STATE_KINDS = ("all_up", "maximally_mixed")
 
@@ -70,14 +72,14 @@ class OtocConfig:
 class SamplingConfig:
     n_shots: int
     seed: int
-    n_repeats: int = 100
+    n_repeats: int = 100  # read by no command; accepted so existing configs still parse
 
 
 @dataclass(frozen=True)
 class AnglesConfig:
-    theta1: float = math.pi / 2
-    theta2: float = math.pi / 2
-    theta3: float = math.pi / 2
+    theta1: float = DEFAULT_ANGLES[0]
+    theta2: float = DEFAULT_ANGLES[1]
+    theta3: float = DEFAULT_ANGLES[2]
 
 
 @dataclass(frozen=True)

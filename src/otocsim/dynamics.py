@@ -156,9 +156,13 @@ class Propagator:
         for k in range(len(sectors.sizes)):
             block = ham.matrix[sectors.block(k)]
             w, v = np.linalg.eigh(block)
-            # np.maximum, unlike max, keeps a NaN defect whatever the block order
-            residual = float(np.maximum(residual, np.max(np.abs((v * w) @ v.conj().T - block))))
-            unit = float(np.maximum(unit, np.max(np.abs(v.conj().T @ v - np.eye(len(w))))))
+            # np.maximum, unlike max, keeps a NaN defect whatever the block order;
+            # a non-finite block makes NaN products, which the guards below reject
+            with np.errstate(invalid="ignore"):
+                residual = float(
+                    np.maximum(residual, np.max(np.abs((v * w) @ v.conj().T - block)))
+                )
+                unit = float(np.maximum(unit, np.max(np.abs(v.conj().T @ v - np.eye(len(w))))))
             evals.append(w)
             evecs.append(v)
         if not residual <= ATOL_SPECTRUM:

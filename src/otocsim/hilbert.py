@@ -47,12 +47,14 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
     on both sides contributes 0.  A denser M takes the dense difference.
     """
     pattern = matrix != 0
-    if 2 * np.count_nonzero(pattern) > pattern.size:
-        return float(np.max(np.abs(matrix - matrix.conj().T)))
-    rows, cols = np.nonzero(pattern)
-    if rows.size == 0:
-        return 0.0
-    return float(np.max(np.abs(matrix[rows, cols] - matrix[cols, rows].conj())))
+    # inf - inf is the NaN the callers' guards reject; it need not warn first
+    with np.errstate(invalid="ignore"):
+        if 2 * np.count_nonzero(pattern) > pattern.size:
+            return float(np.max(np.abs(matrix - matrix.conj().T)))
+        rows, cols = np.nonzero(pattern)
+        if rows.size == 0:
+            return 0.0
+        return float(np.max(np.abs(matrix[rows, cols] - matrix[cols, rows].conj())))
 
 
 def _row_weights(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:

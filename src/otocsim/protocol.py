@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -23,8 +22,10 @@ from .hilbert import DensityOperator, apply_pauli, apply_rotation, compress_proj
 from .otoc import OtocSpec
 
 # Fixed enumeration order of the 16 outcome sequences (o1, o2, o3, o4),
-# +1 before -1, o1 outermost.  All reductions sum in this order so results
-# are independent of any evaluation parallelism.
+# +1 before -1, o1 outermost: sequence k has o_m = -1 exactly where bit
+# 4 - m of k is set.  Probability tables and shot counts are arrays in this
+# order, and all reductions sum in it, so results are independent of any
+# evaluation parallelism.
 OUTCOME_SEQUENCES: tuple[tuple[int, int, int, int], ...] = tuple(
     (o1, o2, o3, o4)
     for o1 in (+1, -1)
@@ -32,6 +33,10 @@ OUTCOME_SEQUENCES: tuple[tuple[int, int, int, int], ...] = tuple(
     for o3 in (+1, -1)
     for o4 in (+1, -1)
 )
+
+# The signed product o1 o2 o3 o4 of each outcome sequence.
+OUTCOME_SIGNS = np.array([o1 * o2 * o3 * o4 for o1, o2, o3, o4 in OUTCOME_SEQUENCES])
+OUTCOME_SIGNS.flags.writeable = False
 
 # Branches whose parent probability falls below this are assigned joint
 # probability 0 without forming the conditional state (the chain rule
@@ -83,38 +88,38 @@ class RotationAngles:
         return prefactor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityTable:
     """Probabilities of the 16 outcome sequences of the projective protocol.
 
-    `pruned` is the number of branches the tree that computed the table
-    cut below ZERO_BRANCH_CUTOFF; `clamped` counts the entries the clamp
-    onto [0, 1] moved.
+    `probabilities` is a read-only float array of shape (16,) in
+    OUTCOME_SEQUENCES order.  `pruned` is the number of branches the tree
+    that computed the table cut below ZERO_BRANCH_CUTOFF; `clamped` counts
+    the entries the clamp onto [0, 1] moved.
     """
 
-    probabilities: Mapping[tuple[int, int, int, int], float]
+    probabilities: np.ndarray
     pruned: int = 0
     clamped: int = field(init=False, default=0)
 
     def __post_init__(self):
-        probs = dict(self.probabilities)
-        if set(probs) != set(OUTCOME_SEQUENCES):
-            raise ValueError("table must have exactly the 16 outcome sequences as keys")
-        clamped = 0
-        for seq in OUTCOME_SEQUENCES:
-            p = probs[seq]
-            if not -PROB_ATOL <= p <= 1.0 + PROB_ATOL:
-                raise ValueError(f"probability {p} for {seq} outside [0, 1] beyond tolerance")
-            probs[seq] = min(max(p, 0.0), 1.0)  # clamp onto the simplex after the check
-            clamped += probs[seq] != p
-        total = math.fsum(probs[seq] for seq in OUTCOME_SEQUENCES)
+        raw = np.array(self.probabilities, dtype=float)
+        if raw.shape != (len(OUTCOME_SEQUENCES),):
+            raise ValueError("table must have exactly the 16 outcome sequences as entries")
+        # the negated form rejects NaN, which compares False against any bound
+        outside = ~((-PROB_ATOL <= raw) & (raw <= 1.0 + PROB_ATOL))
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise ValueError(
+                f"probability {raw[k]} for {OUTCOME_SEQUENCES[k]} outside [0, 1] beyond tolerance"
+            )
+        probs = np.clip(raw, 0.0, 1.0)  # clamp onto the simplex after the check
+        total = math.fsum(probs)
         if not abs(total - 1.0) <= NORMALIZATION_ATOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
+        probs.flags.writeable = False
         object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "clamped", clamped)
-
-    def __getitem__(self, seq: tuple[int, int, int, int]) -> float:
-        return self.probabilities[seq]
+        object.__setattr__(self, "clamped", int(np.count_nonzero(probs != raw)))
 
 
 def outcome_probabilities(
@@ -140,43 +145,41 @@ def outcome_probabilities(
         (spec.site_i, spec.axis_a, ev.forward),
     )
 
-    probs: dict[tuple[int, int, int, int], float] = {}
+    probs = np.zeros(len(OUTCOME_SEQUENCES))
     pruned = 0
 
-    def descend(psi: np.ndarray, joint: float, outcomes: tuple[int, ...]) -> None:
+    def descend(psi: np.ndarray, joint: float, depth: int, branch: int) -> None:
+        # branch indexes the depth outcomes so far, o1 most significant and a
+        # -1 outcome a set bit, so a leaf's index is its place in OUTCOME_SEQUENCES
         nonlocal pruned
-        depth = len(outcomes)
         site, axis, u = steps[depth]
         psi_t = psi if u is None else u @ psi
         sigma_psi = apply_pauli(psi_t, site, axis, n)
         e = float(np.vdot(psi_t, sigma_psi).real)
         for sign in (+1, -1):
             p = (1.0 + sign * e) / 2.0
-            branch = outcomes + (sign,)
+            child = 2 * branch + (sign == -1)
             if p < ZERO_BRANCH_CUTOFF:
-                pruned += 1
-                for seq in OUTCOME_SEQUENCES:
-                    if seq[: depth + 1] == branch:
-                        probs[seq] = 0.0
+                pruned += 1  # every leaf below keeps probability 0
             elif depth == 3:
-                probs[branch] = joint * p
+                probs[child] = joint * p
             else:
                 collapsed = psi_t + sigma_psi if sign > 0 else psi_t - sigma_psi
                 collapsed = compress_projected(collapsed, site, axis, sign, n)
                 collapsed *= 0.5 / math.sqrt(p)
-                descend(collapsed, joint * p, branch)
+                descend(collapsed, joint * p, depth + 1, child)
 
-    descend(state.factor, 1.0, ())
+    descend(state.factor, 1.0, 0, 0)
+    # descend refers to itself through its closure cell; emptying the cell
+    # frees the closure, and the U(t) blocks it holds through steps, on return
+    # instead of at some later cyclic collection
+    del descend
     return ProbabilityTable(probs, pruned)
 
 
-def corr_from_table(table: ProbabilityTable | Mapping[tuple[int, int, int, int], float]) -> float:
+def corr_from_table(table: ProbabilityTable) -> float:
     """Signed correlation sum_o o1 o2 o3 o4 P_o, in [-1, 1]."""
-    if not isinstance(table, ProbabilityTable):
-        table = ProbabilityTable(table)
-    return math.fsum(
-        seq[0] * seq[1] * seq[2] * seq[3] * table[seq] for seq in OUTCOME_SEQUENCES
-    )
+    return math.fsum(OUTCOME_SIGNS * table.probabilities)
 
 
 def re_otoc_via_protocol(state: DensityOperator, spec: OtocSpec, ev: Evolution) -> float:

@@ -3,10 +3,13 @@
 Deliberately written on a different code path than the package: operators
 come from explicit per-site Kronecker factor lists, unitaries from
 scipy.linalg.expm rather than an eigendecomposition, probabilities from
-the closed-form single-trace expression rather than sequential collapse.
+the closed-form single-trace expression rather than sequential collapse,
+shot counts from a per-shot categorical index rather than threshold counts.
 Same basis convention as the package (site 1 = least significant bit,
 |up> = bit 0).
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -95,6 +98,34 @@ def rotated_sigma_expectation(
     )
     final = composite @ rho @ composite.conj().T
     return float(np.trace(final @ site_operator(n_sites, site_i, axis_a)).real)
+
+
+def categorical_counts(probabilities, uniforms):
+    """Counts per category of one uniform per shot through the inverse CDF.
+
+    Shot u takes the first category whose cumulative probability exceeds u,
+    or the last category when rounding leaves the cumulative sum below u.
+    """
+    cdf = np.cumsum(probabilities)
+    indices = np.searchsorted(cdf, uniforms, side="right")
+    np.clip(indices, 0, len(cdf) - 1, out=indices)
+    return np.bincount(indices, minlength=len(cdf))
+
+
+def sampled_rotation_estimate(expectations, signs, prefactor, n_shots, rng):
+    """Im C estimate and stderr from explicit +/-1 shot arrays.
+
+    Angle set k draws n_shots shots, +1 where a uniform is below
+    (1 + expectations[k]) / 2; the shot means combine with signs[k] and
+    divide by the prefactor.
+    """
+    combo = var_sum = 0.0
+    for sign, exact in zip(signs, expectations):
+        p_up = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
+        mean = float(np.where(rng.random(n_shots) < p_up, 1.0, -1.0).mean())
+        combo += sign * mean
+        var_sum += max(1.0 - mean * mean, 0.0) / n_shots
+    return combo / prefactor, math.sqrt(var_sum) / abs(prefactor)
 
 
 def soft_core_coupling(omega, delta, v):

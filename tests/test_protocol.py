@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from otocsim.hilbert import (
 from otocsim.otoc import OtocSpec, otoc_direct
 from otocsim.protocol import (
     OUTCOME_SEQUENCES,
+    OUTCOME_SIGNS,
     DegenerateAnglesError,
     ProbabilityTable,
     RotationAngles,
@@ -46,15 +49,31 @@ ROT_EXPECT_T05 = 0.20248425375191498
 
 
 def frozen_table():
-    return {
-        seq: (P_REPEATED if seq[:2] == seq[2:] else P_OTHER) for seq in OUTCOME_SEQUENCES
-    }
+    return np.array(
+        [P_REPEATED if seq[:2] == seq[2:] else P_OTHER for seq in OUTCOME_SEQUENCES]
+    )
+
+
+def in_sequence_order(oracle_table):
+    """An oracle's {(o1, o2, o3, o4): P} as an array in OUTCOME_SEQUENCES order."""
+    return np.array([oracle_table[seq] for seq in OUTCOME_SEQUENCES])
+
+
+def one_hot(seq):
+    probs = np.zeros(len(OUTCOME_SEQUENCES))
+    probs[OUTCOME_SEQUENCES.index(seq)] = 1.0
+    return probs
+
+
+def test_outcome_signs_are_the_sequence_products():
+    assert OUTCOME_SIGNS.shape == (16,)
+    for sign, seq in zip(OUTCOME_SIGNS, OUTCOME_SEQUENCES):
+        assert sign == seq[0] * seq[1] * seq[2] * seq[3]
 
 
 def test_polarized_zz_protocol_is_deterministic(xy4, up4):
     table = outcome_probabilities(up4, OtocSpec(2, "z", 3, "z"), xy4.evolution(1.3))
-    assert table[(1, 1, 1, 1)] == 1.0
-    assert all(table[seq] == 0.0 for seq in OUTCOME_SEQUENCES if seq != (1, 1, 1, 1))
+    assert np.array_equal(table.probabilities, one_hot((1, 1, 1, 1)))
 
 
 def test_mixed_state_conserved_axis_flip_symmetry():
@@ -70,30 +89,28 @@ def test_mixed_state_conserved_axis_flip_symmetry():
     table = outcome_probabilities(
         maximally_mixed_state(n), OtocSpec(1, "x", 2, "z"), prop.evolution(0.73)
     )
-    for seq in OUTCOME_SEQUENCES:
-        flipped = tuple(-o for o in seq)
-        assert abs(table[seq] - table[flipped]) < 1e-12
+    probs = table.probabilities
+    for k, seq in enumerate(OUTCOME_SEQUENCES):
+        flipped = OUTCOME_SEQUENCES.index(tuple(-o for o in seq))
+        assert abs(probs[k] - probs[flipped]) < 1e-12
 
 
 def test_derived_table_frozen_and_live_oracle(xy4, up4, spec_xx):
     table = outcome_probabilities(up4, spec_xx, xy4.evolution(0.5))
-    expected = frozen_table()
-    for seq in OUTCOME_SEQUENCES:
-        assert abs(table[seq] - expected[seq]) < 1e-10
+    assert np.max(np.abs(table.probabilities - frozen_table())) < 1e-10
     rho = np.zeros((16, 16), dtype=complex)
     rho[0, 0] = 1.0
     independent = oracles.probability_table(rho, oracles.xy_chain(4), 4, 2, "x", 3, "x", 0.5)
-    for seq in OUTCOME_SEQUENCES:
-        assert abs(table[seq] - independent[seq]) < 1e-10
+    assert np.max(np.abs(table.probabilities - in_sequence_order(independent))) < 1e-10
 
 
 def test_zero_probability_branches_are_safe(xy4, up4):
     """Pi_j^- annihilates the polarized state: no division errors, and the
     whole dead branch carries exactly zero probability."""
     table = outcome_probabilities(up4, OtocSpec(2, "x", 3, "z"), xy4.evolution(0.8))
-    dead = [seq for seq in OUTCOME_SEQUENCES if seq[0] == -1]
-    assert all(table[seq] == 0.0 for seq in dead)
-    assert abs(sum(table.probabilities.values()) - 1.0) < 1e-10
+    dead = [k for k, seq in enumerate(OUTCOME_SEQUENCES) if seq[0] == -1]
+    assert np.array_equal(table.probabilities[dead], np.zeros(len(dead)))
+    assert abs(math.fsum(table.probabilities) - 1.0) < 1e-10
 
 
 def test_tables_normalized_on_random_instances(rng):
@@ -104,17 +121,15 @@ def test_tables_normalized_on_random_instances(rng):
         sites = rng.choice(np.arange(1, n + 1), size=2, replace=False)
         spec = OtocSpec(int(sites[0]), "y", int(sites[1]), "x")
         table = outcome_probabilities(state, spec, prop.evolution(float(rng.uniform(0, 5))))
-        values = [table[seq] for seq in OUTCOME_SEQUENCES]
-        assert all(0.0 <= p <= 1.0 for p in values)
-        assert abs(sum(values) - 1.0) < 1e-10
+        values = table.probabilities
+        assert np.all((0.0 <= values) & (values <= 1.0))
+        assert abs(math.fsum(values) - 1.0) < 1e-10
 
 
 def test_corr_deterministic_and_uniform_tables():
-    deterministic = {seq: 0.0 for seq in OUTCOME_SEQUENCES}
-    deterministic[(1, 1, 1, 1)] = 1.0
-    assert corr_from_table(deterministic) == 1.0
-    uniform = {seq: 1.0 / 16.0 for seq in OUTCOME_SEQUENCES}
-    assert abs(corr_from_table(uniform)) < 1e-15
+    assert corr_from_table(ProbabilityTable(one_hot((1, 1, 1, 1)))) == 1.0
+    assert corr_from_table(ProbabilityTable(one_hot((1, -1, 1, 1)))) == -1.0
+    assert abs(corr_from_table(ProbabilityTable(np.full(16, 1.0 / 16.0)))) < 1e-15
 
 
 def test_corr_matches_direct_otoc_via_identity(xy4, up4, spec_xx):
@@ -125,22 +140,26 @@ def test_corr_matches_direct_otoc_via_identity(xy4, up4, spec_xx):
 
 
 def test_corr_rejects_unnormalized_table():
-    bad = {seq: 1.0 / 8.0 for seq in OUTCOME_SEQUENCES}
+    # corr_from_table reads only a ProbabilityTable, which cannot hold this array
     with pytest.raises(ValueError, match="sum"):
-        corr_from_table(bad)
+        corr_from_table(ProbabilityTable(np.full(16, 1.0 / 8.0)))
 
 
 def test_probability_table_validation_and_clamping():
-    probs = {seq: 1.0 / 16.0 for seq in OUTCOME_SEQUENCES}
-    probs[(1, 1, 1, 1)] += -5e-13  # tiny negative excursion is clamped
-    probs[(1, 1, 1, -1)] = 1.0 / 16.0 + 5e-13
+    probs = np.full(16, 1.0 / 16.0)
+    probs[0] = -5e-13  # tiny negative excursion is clamped
+    probs[1] = 1.0 / 8.0 + 5e-13
     table = ProbabilityTable(probs)
-    assert table[(1, 1, 1, 1)] >= 0.0
-    probs[(1, 1, 1, 1)] = -1e-9
-    with pytest.raises(ValueError, match="outside"):
+    assert table.probabilities[0] == 0.0
+    assert probs[0] < 0.0  # the caller's array is copied, not clamped in place
+    assert not table.probabilities.flags.writeable
+    probs[0] = -1e-9
+    with pytest.raises(ValueError, match=r"for \(1, 1, 1, 1\) outside"):
         ProbabilityTable(probs)
     with pytest.raises(ValueError, match="16"):
-        ProbabilityTable({(1, 1, 1, 1): 1.0})
+        ProbabilityTable(np.array([1.0]))
+    with pytest.raises(ValueError, match="16"):
+        ProbabilityTable(np.full((4, 4), 1.0 / 16.0))
 
 
 def test_re_identity_simple_cases(xy4, up4):
@@ -278,8 +297,8 @@ def test_factor_evaluators_match_dense_oracles(axes, n, data, mixed, seed, t):
     evolution = prop.evolution(t)
     assert abs(otoc_direct(state, spec, evolution) - oracles.otoc_value(*dense)) < 1e-10
     table = outcome_probabilities(state, spec, evolution)
-    expected = oracles.probability_table(*dense)
-    assert max(abs(table[seq] - expected[seq]) for seq in OUTCOME_SEQUENCES) < 1e-10
+    expected = in_sequence_order(oracles.probability_table(*dense))
+    assert np.max(np.abs(table.probabilities - expected)) < 1e-10
     value = rotated_expectation(state, spec, evolution, angles)
     rotated = oracles.rotated_sigma_expectation(
         *dense, angles.theta1, angles.theta2, angles.theta3
@@ -323,7 +342,7 @@ def test_compressed_tree_matches_probability_oracle(axes, n, data, kind, xy, see
     expected = oracles.probability_table(
         state.matrix, ham.matrix, n, site_i, axes[0], site_j, axes[1], t
     )
-    assert max(abs(table[seq] - expected[seq]) for seq in OUTCOME_SEQUENCES) < 1e-10
+    assert np.max(np.abs(table.probabilities - in_sequence_order(expected))) < 1e-10
 
 
 def test_pure_state_tree_never_compresses(xy4, up4, spec_xx, monkeypatch):
@@ -340,6 +359,20 @@ def test_pure_state_tree_never_compresses(xy4, up4, spec_xx, monkeypatch):
     assert calls and all(calls)
 
 
+def test_tree_frees_its_closure_on_return(xy4, up4, spec_xx):
+    """No reference cycle outlives the tree, so a point's U(t) dies with its
+    last reference rather than at some later cyclic collection."""
+    ev = xy4.evolution(0.5)
+    forward = weakref.ref(ev.forward)
+    gc.disable()
+    try:
+        outcome_probabilities(up4, spec_xx, ev)
+        del ev
+        assert forward() is None
+    finally:
+        gc.enable()
+
+
 def test_tree_counts_pruned_branches(xy4, up4):
     table = outcome_probabilities(up4, OtocSpec(2, "z", 3, "z"), xy4.evolution(1.3))
     assert table.pruned == 4  # the -1 branch of each of the four measurements
@@ -350,8 +383,8 @@ def test_tree_counts_pruned_branches(xy4, up4):
 
 
 def test_probability_table_counts_clamped_entries():
-    probs = {seq: 1.0 / 16.0 for seq in OUTCOME_SEQUENCES}
+    probs = np.full(16, 1.0 / 16.0)
     assert ProbabilityTable(probs).clamped == 0
-    probs[(1, 1, 1, 1)] = -5e-13
-    probs[(1, 1, 1, -1)] = 1.0 / 8.0 + 5e-13
+    probs[0] = -5e-13
+    probs[1] = 1.0 / 8.0 + 5e-13
     assert ProbabilityTable(probs).clamped == 1

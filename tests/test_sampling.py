@@ -2,20 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from otocsim import sampling
 from otocsim.dynamics import Propagator
 from otocsim.otoc import OtocSpec, otoc_direct
 from otocsim.protocol import (
+    ANGLE_VARIANT_SIGNS,
     OUTCOME_SEQUENCES,
     DegenerateAnglesError,
     ProbabilityTable,
     RotationAngles,
+    angle_variants,
     outcome_probabilities,
+    rotated_expectation,
 )
 from otocsim.sampling import (
     Estimate,
     SampleConfig,
-    error_band,
     estimate_re_otoc,
     sample_rotation_protocol,
     sample_sequences,
@@ -23,76 +28,138 @@ from otocsim.sampling import (
 )
 from otocsim.verification import random_density, random_hamiltonian
 
+import oracles
+
 PI_HALF_ANGLES = RotationAngles(math.pi / 2, math.pi / 2, math.pi / 2)
 
 
+def one_hot(k):
+    probs = np.zeros(len(OUTCOME_SEQUENCES))
+    probs[k] = 1.0
+    return probs
+
+
 def deterministic_table():
-    probs = {seq: 0.0 for seq in OUTCOME_SEQUENCES}
-    probs[(1, 1, 1, 1)] = 1.0
-    return ProbabilityTable(probs)
+    return ProbabilityTable(one_hot(OUTCOME_SEQUENCES.index((1, 1, 1, 1))))
 
 
 def uniform_table():
-    return ProbabilityTable({seq: 1.0 / 16.0 for seq in OUTCOME_SEQUENCES})
+    return ProbabilityTable(np.full(len(OUTCOME_SEQUENCES), 1.0 / 16.0))
+
+
+def spread(table, n_shots, seed, repeats=100):
+    """Standard deviation of the Re C estimate over the streams of points 0..repeats-1."""
+    return float(
+        np.std(
+            [
+                estimate_re_otoc(sample_sequences(table, SampleConfig(n_shots, seed, point=m))).value
+                for m in range(repeats)
+            ]
+        )
+    )
 
 
 def test_deterministic_table_puts_all_shots_on_one_sequence():
     counts = sample_sequences(deterministic_table(), SampleConfig(500, seed=7))
-    assert counts[(1, 1, 1, 1)] == 500
-    assert sum(counts.values()) == 500
+    assert np.array_equal(counts, 500 * one_hot(0))
 
 
 def test_uniform_table_counts_within_five_sigma():
     n_shots = 16000
     counts = sample_sequences(uniform_table(), SampleConfig(n_shots, seed=11))
     sigma = math.sqrt(n_shots * (1 / 16) * (15 / 16))
-    assert sum(counts.values()) == n_shots
-    for seq in OUTCOME_SEQUENCES:
-        assert abs(counts[seq] - 1000) < 5 * sigma
+    assert counts.shape == (16,)
+    assert counts.sum() == n_shots
+    assert np.all(np.abs(counts - 1000) < 5 * sigma)
 
 
-def test_neighbouring_seeds_points_and_repeats_share_no_uniforms():
+# sixteen weights of which some are exactly zero, or a one-hot table
+TABLES = st.one_of(
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+        min_size=16,
+        max_size=16,
+    ).filter(any),
+    st.integers(min_value=0, max_value=15).map(one_hot),
+)
+
+
+@given(
+    weights=TABLES,
+    n_shots=st.integers(min_value=1, max_value=5000),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    point=st.integers(min_value=0, max_value=1000),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_threshold_counts_match_categorical_oracle(weights, n_shots, seed, point):
+    """Counts by thresholds equal the per-shot inverse-CDF index on the same uniforms."""
+    weights = np.asarray(weights, dtype=float)
+    table = ProbabilityTable(weights / weights.sum())
+    counts = sample_sequences(table, SampleConfig(n_shots, seed, point=point))
+    expected = oracles.categorical_counts(
+        table.probabilities, substream(seed, point).random(n_shots)
+    )
+    assert np.array_equal(counts, expected)
+
+
+def test_threshold_counts_on_edges_and_past_the_cdf(monkeypatch):
+    """Uniforms exactly on each cumulative edge go to the next sequence, and
+    uniforms past a cumulative sum that rounds below 1 go to the last one."""
+    probs = np.full(16, 1.0 / 16.0)
+    probs[[3, 4, 15]] = [0.0, 0.125, 0.0625 - 5e-11]  # sums to 1 - 5e-11
+    table = ProbabilityTable(probs)
+    cdf = np.cumsum(table.probabilities)
+    uniforms = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf, 0.0), [1.0 - 1e-12]])
+
+    class Stream:
+        def random(self, n):
+            assert n == uniforms.size
+            return uniforms
+
+    monkeypatch.setattr(sampling, "substream", lambda seed, point: Stream())
+    counts = sample_sequences(table, SampleConfig(uniforms.size, seed=0))
+    assert np.array_equal(counts, oracles.categorical_counts(table.probabilities, uniforms))
+    assert counts[3] == 0
+    assert counts[15] == 3  # the edge cdf[14], just below cdf[15] and past it
+
+
+def test_neighbouring_seeds_and_points_share_no_uniforms():
     """Seeding with seed + point made seed 42, point k replay seed 43, point k - 1."""
-    streams = [
-        (seed, *path)
-        for seed in (42, 43, 42 + 2**32)
-        for point in range(3)
-        for path in ((point,), (point, 0), (point, 1))
-    ]
+    streams = [(seed, point) for seed in (42, 43, 42 + 2**32) for point in range(3)]
     draws = np.concatenate([substream(*stream).random(256) for stream in streams])
     assert np.unique(draws).size == draws.size
     table = uniform_table()
-    assert sample_sequences(table, SampleConfig(4000, 42, point=1)) != sample_sequences(
-        table, SampleConfig(4000, 43, point=0)
+    assert not np.array_equal(
+        sample_sequences(table, SampleConfig(4000, 42, point=1)),
+        sample_sequences(table, SampleConfig(4000, 43, point=0)),
     )
 
 
 def test_sampling_is_deterministic_per_seed(xy4, up4, spec_xx):
     table = outcome_probabilities(up4, spec_xx, xy4.evolution(0.5))
     cfg = SampleConfig(1000, seed=42)
-    assert sample_sequences(table, cfg) == sample_sequences(table, cfg)
+    assert np.array_equal(sample_sequences(table, cfg), sample_sequences(table, cfg))
     other = sample_sequences(table, SampleConfig(1000, seed=43))
-    assert other != sample_sequences(table, cfg)
+    assert not np.array_equal(other, sample_sequences(table, cfg))
 
 
 def test_estimate_from_deterministic_counts():
-    counts = {seq: 0 for seq in OUTCOME_SEQUENCES}
-    counts[(1, 1, 1, 1)] = 250
-    est = estimate_re_otoc(counts)
+    est = estimate_re_otoc(250 * one_hot(0).astype(int))
     assert est == Estimate(1.0, 0.0, 250)
 
 
 def test_estimate_from_uniform_counts():
     # mean signed product 0, so the identity 2*corr - 1 gives exactly -1
-    counts = {seq: 5 for seq in OUTCOME_SEQUENCES}
-    est = estimate_re_otoc(counts)
+    est = estimate_re_otoc(np.full(16, 5))
     assert est.value == -1.0
     assert est.stderr == 2.0 / math.sqrt(80)
 
 
 def test_estimate_rejects_empty_counts():
     with pytest.raises(ValueError, match="empty"):
-        estimate_re_otoc({seq: 0 for seq in OUTCOME_SEQUENCES})
+        estimate_re_otoc(np.zeros(16, dtype=int))
+    with pytest.raises(ValueError, match="one entry per outcome sequence"):
+        estimate_re_otoc(np.array([5]))
 
 
 def test_estimator_coverage_on_exact_table(xy4, up4, spec_xx):
@@ -122,20 +189,15 @@ def test_estimator_unbiased_over_many_repetitions(xy4, up4, spec_xx):
 
 
 def test_error_band_deterministic_table_is_zero():
-    assert error_band(deterministic_table(), SampleConfig(100, seed=3, n_repeats=20)) == 0.0
+    assert spread(deterministic_table(), 100, seed=3, repeats=20) == 0.0
 
 
 def test_error_band_scaling(xy4, up4, spec_xx):
     table = outcome_probabilities(up4, spec_xx, xy4.evolution(0.5))
-    band_small = error_band(table, SampleConfig(100, seed=5, n_repeats=100))
-    band_large = error_band(table, SampleConfig(1000, seed=6, n_repeats=100))
+    band_small = spread(table, 100, seed=5)
+    band_large = spread(table, 1000, seed=6)
     ratio = band_small / band_large
     assert math.sqrt(10) * 0.75 < ratio < math.sqrt(10) * 1.25
-
-
-def test_error_band_needs_repeats():
-    with pytest.raises(ValueError, match="n_repeats"):
-        error_band(uniform_table(), SampleConfig(100, seed=1, n_repeats=1))
 
 
 def test_stderr_scales_with_shot_count(xy4, up4, spec_xx):
@@ -187,6 +249,32 @@ def test_rotation_sampling_tracks_exact_im(xy4, up4, spec_xx, rng):
     assert abs(est2.value - exact_im) <= 4.0 * est2.stderr
 
 
+@pytest.mark.parametrize("n_shots", [1, 7, 1000, 10**6 + 3])
+@pytest.mark.parametrize("instance", ["saturated", "xy", "random"])
+def test_rotation_sampling_matches_shot_array_oracle(xy4, up4, instance, n_shots):
+    """Value and stderr equal, bit for bit, the means of explicit +/-1 shot
+    arrays on the same substream."""
+    rng = np.random.Generator(np.random.PCG64(77))
+    state, spec, ev, angles = {
+        "saturated": lambda: (up4, OtocSpec(2, "z", 3, "z"), xy4.evolution(1.0), PI_HALF_ANGLES),
+        "xy": lambda: (up4, OtocSpec(2, "x", 3, "x"), xy4.evolution(0.5), PI_HALF_ANGLES),
+        "random": lambda: (
+            random_density(3, rng),
+            OtocSpec(1, "x", 3, "y"),
+            Propagator.from_hamiltonian(random_hamiltonian(3, rng)).evolution(1.1),
+            RotationAngles(0.4, 1.3, -2.2),
+        ),
+    }[instance]()
+    cfg = SampleConfig(n_shots, seed=2024, point=5)
+    est = sample_rotation_protocol(state, spec, ev, angles, cfg)
+    expectations = [rotated_expectation(state, spec, ev, v) for v in angle_variants(angles)]
+    value, stderr = oracles.sampled_rotation_estimate(
+        expectations, ANGLE_VARIANT_SIGNS, angles.checked_prefactor(), n_shots,
+        substream(cfg.seed, cfg.point),
+    )
+    assert (est.value, est.stderr, est.n_shots) == (value, stderr, n_shots)
+
+
 def test_rotation_sampling_deterministic(xy4, up4, spec_xx):
     cfg = SampleConfig(500, seed=99)
     a = sample_rotation_protocol(up4, spec_xx, xy4.evolution(0.7), PI_HALF_ANGLES, cfg)
@@ -207,8 +295,6 @@ def test_sample_config_validation():
         SampleConfig(10, seed=-1)
     with pytest.raises(ValueError):
         SampleConfig(10, seed=2**64)
-    with pytest.raises(ValueError):
-        SampleConfig(10, seed=1, n_repeats=0)
     with pytest.raises(ValueError):
         SampleConfig(10, seed=1, point=-1)
     with pytest.raises(ValueError):
