@@ -19,14 +19,13 @@ from .protocol import DEFAULT_ANGLES
 HAMILTONIAN_KINDS = ("xy_chain",)
 INITIAL_STATE_KINDS = ("all_up", "maximally_mixed")
 
-# The exact path holds up to about 16 dense 2^N x 2^N complex matrices at
-# once: H and, for a full-rank state, factors of the same size along the
-# measurement tree.  The hermiticity check of a sparse H such as the XY
-# chain compares only its O(nnz) nonzero entries, through one boolean
-# pattern, and forms no complex temporary.  The eigenvectors, U(t) and
-# U(t)^dagger are block-diagonal over the Hamming-weight sectors of the XY
-# chain and hold sum_k C(N,k)^2 entries each (about 18% of 4^N at N=10),
-# so the estimate is an upper bound kept from the dense layout.
+# The estimate allows up to 16 dense 2^N x 2^N complex matrices at once:
+# for a full-rank state, the factors of that size along the measurement
+# tree.  The XY chain's H is never dense: it, its real eigenvectors, U(t)
+# and U(t)^dagger are block-diagonal over the Hamming-weight sectors and
+# hold sum_k C(N,k)^2 entries each (about 18% of 4^N at N=10), and H's
+# hermiticity is checked block by block.  The estimate is therefore an
+# upper bound kept from the dense layout.
 # Registers whose estimate exceeds the budget are rejected before anything
 # is allocated.
 DENSE_MATRICES_AT_PEAK = 16

@@ -1,17 +1,21 @@
 """Hamiltonian construction and exact unitary time evolution.
 
 Units: the XY coupling constant is 1 and hbar = 1, so time is
-dimensionless.  Evolution is exact via a cached Hermitian
-eigendecomposition, one per connected sector of H (the Hamming-weight
-sectors of the XY chain); backward evolution is the adjoint
-U(t)^dagger = U(-t).  `Propagator.evolution(t)` is the one place U(t) is
-built: the `Evolution` it returns holds the sector blocks of U(t) and
-U(t)^dagger for one time point, and is the only form in which the
-evaluators of that point receive the dynamics.
+dimensionless.  A `Hamiltonian` is its sector blocks: `build_xy_chain`
+writes the Hamming-weight sectors of the XY chain as real blocks by
+index, and `Hamiltonian.from_matrix` splits a dense H into the connected
+components of its nonzero pattern.  Evolution is exact via a cached
+Hermitian eigendecomposition per block, in the block's own dtype;
+backward evolution is the adjoint U(t)^dagger = U(-t).
+`Propagator.evolution(t)` is the one place U(t) is built: the `Evolution`
+it returns holds the sector blocks of U(t) and U(t)^dagger for one time
+point, and is the only form in which the evaluators of that point
+receive the dynamics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,23 +31,6 @@ from .hilbert import (
 
 PairCoupling = tuple[int, str, int, str, float]  # (site_k, axis_a, site_l, axis_b, coeff)
 LocalField = tuple[int, str, float]              # (site, axis, coeff)
-
-
-@dataclass(frozen=True)
-class Hamiltonian:
-    """Hermitian generator of the dynamics on an n_sites register."""
-
-    n_sites: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
-        dim = 2**self.n_sites
-        if mat.shape != (dim, dim):
-            raise ValueError(f"Hamiltonian has shape {mat.shape}, expected {(dim, dim)}")
-        if not hermiticity_defect(mat) <= ATOL_ALGEBRA:
-            raise ValueError("Hamiltonian is not Hermitian")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,13 +115,61 @@ class BlockDiagonal:
         return result
 
 
+@dataclass(frozen=True, eq=False)
+class Hamiltonian:
+    """Hermitian generator of the dynamics on an n_sites register, held as its sector blocks.
+
+    H is exactly zero outside the diagonal blocks of `blocks`, and each
+    block keeps its own dtype: real float64 for the XY chain, which
+    `build_xy_chain` writes sector by sector, complex for a dense H split
+    by `from_matrix`.  Every block is checked Hermitian; since H is zero
+    off the blocks, the worst block defect is the whole-matrix defect.
+    """
+
+    n_sites: int
+    blocks: BlockDiagonal
+
+    def __post_init__(self):
+        sectors = self.blocks.sectors
+        dim = 2**self.n_sites
+        shapes = tuple(block.shape for block in self.blocks.blocks)
+        if sectors.bounds[-1] != dim or shapes != tuple((s, s) for s in sectors.sizes):
+            raise ValueError(f"Hamiltonian blocks {shapes} do not tile a {dim}-dim register")
+        for block in self.blocks.blocks:
+            if not hermiticity_defect(block) <= ATOL_ALGEBRA:
+                raise ValueError("Hamiltonian is not Hermitian")
+
+    @classmethod
+    def from_matrix(cls, n_sites: int, matrix: np.ndarray) -> "Hamiltonian":
+        """A dense 2^N x 2^N H, split into the connected sectors of its nonzero pattern.
+
+        Every nonzero entry lies in one of those blocks, so the per-block
+        hermiticity check reads all of the matrix.
+        """
+        mat = np.asarray(matrix, dtype=complex)
+        dim = 2**n_sites
+        if mat.shape != (dim, dim):
+            raise ValueError(f"Hamiltonian has shape {mat.shape}, expected {(dim, dim)}")
+        sectors = Sectors.connected(mat)
+        blocks = tuple(mat[sectors.block(k)] for k in range(len(sectors.sizes)))
+        return cls(n_sites, BlockDiagonal(sectors, blocks))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense complex 2^N x 2^N H, assembled on each call; for tests and oracles."""
+        sectors = self.blocks.sectors
+        mat = np.zeros((2**self.n_sites,) * 2, dtype=complex)
+        for k, block in enumerate(self.blocks.blocks):
+            mat[sectors.block(k)] = block
+        return mat
+
+
 @dataclass(frozen=True)
 class Propagator:
-    """Cached spectral decomposition of H, one eigendecomposition per connected sector.
+    """Cached spectral decomposition of H, one eigendecomposition per sector block.
 
-    H is split into the connected components of its nonzero pattern (for
-    the XY chain, the Hamming-weight sectors) and each block is
-    diagonalized as H_k = V_k diag(w_k) V_k^dagger.  Immutable after
+    Each block of H is diagonalized in its own dtype (real arithmetic for
+    the XY chain) as H_k = V_k diag(w_k) V_k^dagger.  Immutable after
     construction; `evolution(t)` builds e^(-iHt) from it block by block.
     `reconstruction_residual` and `unitarity_defect` are the worst
     max|V_k diag(w_k) V_k^dagger - H_k| and max|V_k^dagger V_k - I| over the
@@ -150,11 +185,9 @@ class Propagator:
 
     @classmethod
     def from_hamiltonian(cls, ham: Hamiltonian) -> "Propagator":
-        sectors = Sectors.connected(ham.matrix)
         evals, evecs = [], []
         residual = unit = 0.0
-        for k in range(len(sectors.sizes)):
-            block = ham.matrix[sectors.block(k)]
+        for block in ham.blocks.blocks:
             w, v = np.linalg.eigh(block)
             # np.maximum, unlike max, keeps a NaN defect whatever the block order;
             # a non-finite block makes NaN products, which the guards below reject
@@ -169,9 +202,7 @@ class Propagator:
             raise ValueError(f"eigendecomposition residual {residual} above tolerance")
         if not unit <= ATOL_SPECTRUM:
             raise ValueError(f"eigenvector unitarity defect {unit} above tolerance")
-        return cls(
-            ham.n_sites, BlockDiagonal(sectors, tuple(evecs)), tuple(evals), residual, unit
-        )
+        return cls(ham.n_sites, ham.blocks.with_blocks(evecs), tuple(evals), residual, unit)
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -180,15 +211,21 @@ class Propagator:
     def evolution(self, t: float) -> "Evolution":
         """U(t) and its adjoint for every evaluator of time point t.
 
-        U(t) = e^(-iHt) is one block U_k(t) = V_k diag(e^(-i w_k t)) V_k^dagger
-        per sector.
+        U(t) = e^(-iHt) is one block per sector,
+        U_k(t) = V_k diag(cos w_k t) V_k^dagger - i V_k diag(sin w_k t) V_k^dagger:
+        two real products when V_k is real.
         """
         if not np.isfinite(t):
             raise ValueError(f"evolution time must be finite, got {t}")
-        forward = self.eigenbasis.with_blocks(
-            (v * np.exp(-1j * w * t)) @ v.conj().T
-            for v, w in zip(self.eigenbasis.blocks, self.block_eigenvalues)
-        )
+        blocks = []
+        for v, w in zip(self.eigenbasis.blocks, self.block_eigenvalues):
+            v_h = v.conj().T
+            # the real-plus-complex sum is taken in place: numpy's mixed-dtype
+            # binary subtraction is several times slower than the products
+            block = ((v * np.sin(w * t)) @ v_h) * -1j
+            block += (v * np.cos(w * t)) @ v_h
+            blocks.append(block)
+        forward = self.eigenbasis.with_blocks(blocks)
         return Evolution(self.n_sites, forward, forward.adjoint())
 
 
@@ -211,21 +248,32 @@ class Evolution:
 
 
 def build_xy_chain(n_sites: int) -> Hamiltonian:
-    """Open-boundary chain H = -sum_k (x_k x_(k+1) + y_k y_(k+1)).
+    """Open-boundary chain H = -sum_k (x_k x_(k+1) + y_k y_(k+1)), as its Hamming-weight blocks.
 
     x_k x_(k+1) + y_k y_(k+1) flips sites k and k+1 with amplitude 2 when
     they differ and annihilates them otherwise, so H has the entry -2 at
-    (b ^ (3 << (k-1)), b) for every b whose bits k-1 and k differ.
+    (b ^ (3 << (k-1)), b) for every b whose bits k-1 and k differ.  Such a
+    flip keeps the Hamming weight, so H is written straight into one real
+    C(N, w) x C(N, w) block per weight w, its basis indices in ascending
+    order; no 2^N x 2^N array is formed.
     """
     if n_sites < 2:
         raise ValueError("XY chain needs at least 2 sites")
-    dim = 2**n_sites
-    basis = np.arange(dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, n_sites):
-        differ = basis[((basis >> (k - 1)) ^ (basis >> k)) & 1 == 1]
-        mat[differ ^ (3 << (k - 1)), differ] = -2.0
-    return Hamiltonian(n_sites, mat)
+    basis = np.arange(2**n_sites)
+    weight = sum((basis >> s) & 1 for s in range(n_sites))
+    sizes = [math.comb(n_sites, w) for w in range(n_sites + 1)]
+    sectors = Sectors(np.argsort(weight, kind="stable"), (0, *np.cumsum(sizes).tolist()))
+    local = np.empty_like(basis)  # position of each basis index within its block
+    local[sectors.order] = basis - np.repeat(sectors.bounds[:-1], sizes)
+    cols = np.concatenate(
+        [basis[((basis >> (k - 1)) ^ (basis >> k)) & 1 == 1] for k in range(1, n_sites)]
+    )
+    rows = cols ^ np.repeat([3 << (k - 1) for k in range(1, n_sites)], 2 ** (n_sites - 1))
+    blocks = tuple(np.zeros((size, size)) for size in sizes)
+    for w, block in enumerate(blocks):
+        flip = weight[cols] == w
+        block[local[rows[flip]], local[cols[flip]]] = -2.0
+    return Hamiltonian(n_sites, BlockDiagonal(sectors, blocks))
 
 
 def build_custom(
@@ -254,7 +302,7 @@ def build_custom(
         if not hermiticity_defect(term) <= ATOL_ALGEBRA:
             raise ValueError("extra term is not Hermitian")
         mat += term
-    return Hamiltonian(n_sites, mat)
+    return Hamiltonian.from_matrix(n_sites, mat)
 
 
 def evolve(state: DensityOperator, ev: Evolution) -> DensityOperator:

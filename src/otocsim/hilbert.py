@@ -11,7 +11,7 @@ rho = Psi Psi^dagger: r = 1 for a pure state, r = 2^N for the maximally
 mixed one.  Single-site Paulis, projectors and rotations act on Psi through
 index kernels in O(2^N r) (a row gather and a phase read from one bit),
 never as dense matrices.  Time evolution U(t) is block-diagonal over the
-connected sectors of H, applied to Psi block by block and built once per
+sectors of H, applied to Psi block by block and built once per
 time point (see `dynamics.Evolution`).
 """
 
@@ -39,22 +39,10 @@ def check_site(site: int, n_sites: int) -> None:
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
-    """Max-norm of M - M^dagger.
-
-    When at most half of the entries of M are nonzero (a structured H), it
-    is read over the nonzero pattern: max |M[r, c] - conj(M[c, r])| over the
-    nonzero (r, c), exactly the dense value, since an entry pair that is zero
-    on both sides contributes 0.  A denser M takes the dense difference.
-    """
-    pattern = matrix != 0
+    """Max-norm of M - M^dagger."""
     # inf - inf is the NaN the callers' guards reject; it need not warn first
     with np.errstate(invalid="ignore"):
-        if 2 * np.count_nonzero(pattern) > pattern.size:
-            return float(np.max(np.abs(matrix - matrix.conj().T)))
-        rows, cols = np.nonzero(pattern)
-        if rows.size == 0:
-            return 0.0
-        return float(np.max(np.abs(matrix[rows, cols] - matrix[cols, rows].conj())))
+        return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
 def _row_weights(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:

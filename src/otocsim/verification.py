@@ -29,7 +29,7 @@ def random_hamiltonian(n_sites: int, rng: np.random.Generator, max_norm: float =
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2.0
     h *= max_norm * rng.uniform(0.5, 1.0) / np.max(np.abs(h))
-    return Hamiltonian(n_sites, h)
+    return Hamiltonian.from_matrix(n_sites, h)
 
 
 def random_density(n_sites: int, rng: np.random.Generator) -> DensityOperator:

@@ -49,6 +49,43 @@ def xy_chain(n_sites):
     return h
 
 
+def hopping_propagator(n_sites, t):
+    """u(t) = e^(-iht) for the XY chain's single-particle hopping h_(k,k+1) = -2.
+
+    The Jordan-Wigner map (Lieb, Schultz, Mattis 1961) turns the open XY
+    chain into free fermions hopping with amplitude -2 between neighbours.
+    The open chain's normal modes are closed-form: mode m has amplitude
+    sqrt(2/(N+1)) sin(pi m k/(N+1)) on site k and energy -4 cos(pi m/(N+1)).
+    """
+    k = np.arange(1, n_sites + 1)
+    modes = math.sqrt(2.0 / (n_sites + 1)) * np.sin(math.pi * np.outer(k, k) / (n_sites + 1))
+    energies = -4.0 * np.cos(math.pi * k / (n_sites + 1))
+    return (modes * np.exp(-1j * energies * t)) @ modes.T
+
+
+def free_fermion_zz_otoc(n_sites, site_i, site_j, t):
+    """Infinite-temperature XY-chain C(t) for W = sigma_i^z, V = sigma_j^z.
+
+    sigma_k^z = exp(i pi n_k) is the Gaussian unitary of Z_k = 1 - 2 e_k e_k^T,
+    Gaussians multiply as their single-particle matrices, and the Fock-space
+    trace of the Gaussian of M is det(1 + M), so
+    C = det(1 + u^dagger Z_i u Z_j u^dagger Z_i u Z_j) / 2^N.
+    """
+    u = hopping_propagator(n_sites, t)
+    z_i, z_j = np.eye(n_sites), np.eye(n_sites)
+    z_i[site_i - 1, site_i - 1] = z_j[site_j - 1, site_j - 1] = -1.0
+    w = u.conj().T @ z_i @ u
+    return complex(np.linalg.det(np.eye(n_sites) + w @ z_j @ w @ z_j)) / 2**n_sites
+
+
+def free_fermion_xz_otoc(n_sites, site_j, t):
+    """Infinite-temperature XY-chain C(t) for W = sigma_1^x, V = sigma_j^z: 1 - 2|u_1j(t)|^2.
+
+    sigma_1^x is a single Majorana operator with no Jordan-Wigner string.
+    """
+    return 1.0 - 2.0 * abs(hopping_propagator(n_sites, t)[0, site_j - 1]) ** 2
+
+
 def otoc_value(rho, h, n_sites, site_i, axis_a, site_j, axis_b, t):
     """C(t) = Tr[rho W(t) V W(t) V] with W(t) from expm."""
     u = expm(-1j * h * t)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from otocsim.dynamics import (
     Evolution,
     Hamiltonian,
     Propagator,
+    Sectors,
     build_custom,
     build_xy_chain,
     evolve,
@@ -201,7 +203,7 @@ def with_corner(matrix, value):
 
 def propagator_of_edited_hamiltonian(bad):
     ham = build_xy_chain(2)
-    ham.matrix[0, 0] = bad  # edited in place, after the Hamiltonian's own check
+    ham.blocks.blocks[0][0, 0] = bad  # edited in place, after the Hamiltonian's own check
     return Propagator.from_hamiltonian(ham)
 
 
@@ -213,7 +215,7 @@ def otoc_of_nonfinite_evolution(bad):
 
 NONFINITE_ENTRY_POINTS = [
     pytest.param(
-        lambda bad: Hamiltonian(2, with_corner(XY_TWO_SITE, bad)),
+        lambda bad: Hamiltonian.from_matrix(2, with_corner(XY_TWO_SITE, bad)),
         "Hamiltonian is not Hermitian",
         id="hamiltonian",
     ),
@@ -257,7 +259,7 @@ def test_nonfinite_entries_fail_closed(entry_point, message, bad):
         entry_point(bad)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_xy_chain_matches_kronecker_oracle(n):
     np.testing.assert_array_equal(build_xy_chain(n).matrix, oracles.xy_chain(n))
 
@@ -274,6 +276,38 @@ def test_xy_sectors_are_hamming_weight_classes(n):
         assert list(rows) == sorted(rows)
     assert 0.0 <= prop.reconstruction_residual < 1e-10
     assert 0.0 <= prop.unitarity_defect < 1e-10
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_xy_propagator_is_real_and_never_dense(n, monkeypatch):
+    """The XY chain is diagonalized from its own blocks, in real arithmetic."""
+
+    def dense_sectors(matrix):
+        raise AssertionError("the XY chain must not rediscover its sectors from a dense H")
+
+    monkeypatch.setattr(Sectors, "connected", dense_sectors)
+    prop = Propagator.from_hamiltonian(build_xy_chain(n))
+    assert all(v.dtype == np.float64 for v in prop.eigenbasis.blocks)
+    assert prop.block_sizes == tuple(math.comb(n, k) for k in range(n + 1))
+
+
+def test_xy_propagator_peak_memory_is_below_one_dense_matrix():
+    dense_bytes = 16 * 4**10  # one complex 2^10 x 2^10 array, 16 MiB
+    tracemalloc.start()
+    try:
+        Propagator.from_hamiltonian(build_xy_chain(10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes
+
+
+def test_hamiltonian_rejects_blocks_that_do_not_tile_the_register():
+    blocks = build_xy_chain(3).blocks
+    with pytest.raises(ValueError, match="tile"):
+        Hamiltonian(4, blocks)
+    with pytest.raises(ValueError, match="tile"):
+        Hamiltonian(3, blocks.with_blocks(np.zeros((2, 2)) for _ in blocks.blocks))
 
 
 def _hamiltonian_case(kind, n, rng):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from otocsim.dynamics import Propagator
+from otocsim.dynamics import Propagator, build_xy_chain
+from otocsim.hilbert import maximally_mixed_state
 from otocsim.otoc import OtocSpec, commutator_norm, otoc_direct
 from otocsim.verification import random_density, random_hamiltonian
 
@@ -79,3 +80,29 @@ def test_spec_validates_axes_and_sites(xy4, up4):
         OtocSpec(1, "q", 2, "x")
     with pytest.raises(IndexError):
         otoc_direct(up4, OtocSpec(1, "x", 9, "x"), xy4.evolution(0.1))
+
+
+def _free_fermion_cases(n, pairs, times):
+    prop = Propagator.from_hamiltonian(build_xy_chain(n))
+    state = maximally_mixed_state(n)
+    for t in times:
+        ev = prop.evolution(t)
+        for site_i, site_j in pairs:
+            value = otoc_direct(state, OtocSpec(site_i, "z", site_j, "z"), ev)
+            yield value, oracles.free_fermion_zz_otoc(n, site_i, site_j, t)
+        for site_j in sorted({site_j for _, site_j in pairs}):
+            value = otoc_direct(state, OtocSpec(1, "x", site_j, "z"), ev)
+            yield value, oracles.free_fermion_xz_otoc(n, site_j, t)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_xy_chain_matches_free_fermion_oracle(n):
+    """Infinite-temperature C(t) against the Jordan-Wigner closed forms, every site pair."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    for value, expected in _free_fermion_cases(n, pairs, (0.4, 1.3, 3.7)):
+        assert abs(value - expected) < 1e-12
+
+
+def test_xy_chain_matches_free_fermion_oracle_at_ten_sites():
+    for value, expected in _free_fermion_cases(10, [(1, 10), (4, 6)], (0.9, 2.6)):
+        assert abs(value - expected) < 1e-12
