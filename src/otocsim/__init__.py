@@ -28,18 +28,20 @@ from .dynamics import (
     build_xy_chain,
     evolve,
 )
-from .hilbert import DensityOperator, all_up_state, maximally_mixed_state
+from .hilbert import DensityOperator, Register, all_up_state, maximally_mixed_state
 from .otoc import OtocSpec, commutator_norm, otoc_direct
 from .protocol import (
     DEFAULT_ANGLES,
     DegenerateAnglesError,
     OUTCOME_SEQUENCES,
     OUTCOME_SIGNS,
+    PreparedState,
     ProbabilityTable,
     RotationAngles,
     corr_from_table,
     im_otoc_via_protocol,
     outcome_probabilities,
+    prepare,
     re_otoc_via_protocol,
     rotated_expectation,
 )

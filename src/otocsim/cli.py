@@ -29,6 +29,7 @@ from .protocol import (
     corr_from_table,
     im_otoc_via_protocol,
     outcome_probabilities,
+    prepare,
 )
 from .sampling import (
     GENERATOR_NAME,
@@ -85,6 +86,11 @@ def _write_csv(path, command, config_hash, seed, columns, rows):
 
 
 def _build_system(config: RunConfig, command: str):
+    """The run's prepared state, its propagator and its time grid.
+
+    Only the prepared state keeps the state factor, in the propagator's
+    register order; the computational-order factor is dropped here.
+    """
     system = require(config, "system", command)
     otoc_cfg = require(config, "otoc", command)
     ham = build_xy_chain(system.n_sites)
@@ -94,7 +100,7 @@ def _build_system(config: RunConfig, command: str):
     else:
         state = maximally_mixed_state(system.n_sites)
     spec = OtocSpec(otoc_cfg.site_i, otoc_cfg.axis_a, otoc_cfg.site_j, otoc_cfg.axis_b)
-    return state, spec, prop, otoc_cfg.time_grid()
+    return prepare(state, spec, prop.register), prop, otoc_cfg.time_grid()
 
 
 def _angles(config: RunConfig) -> RotationAngles:
@@ -105,11 +111,12 @@ def _angles(config: RunConfig) -> RotationAngles:
 def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str], bool]:
     """The time loop of `exact`, `sample` and `im`: one U(t) per time point.
 
-    Every point evaluates the direct C(t); `exact` and `sample` add the
-    16-branch table, `exact` the two identity residuals, `sample` and `im`
-    the finite-shot draws of the point's substream.
+    The state is prepared once per run (`protocol.prepare`).  Every point
+    evaluates the direct C(t); `exact` and `sample` add the 16-branch
+    table, `exact` the two identity residuals, `sample` and `im` the
+    finite-shot draws of the point's substream.
     """
-    state, spec, prop, grid = _build_system(config, command)
+    prepared, prop, grid = _build_system(config, command)
     sampling = None if command == "exact" else require(config, "sampling", command)
     angles = None if command == "sample" else _angles(config)
     rows = []
@@ -117,15 +124,15 @@ def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str
     for index, t in enumerate(grid):
         t = float(t)
         ev = prop.evolution(t)
-        direct = otoc_direct(state, spec, ev)
+        direct = otoc_direct(prepared, ev)
         row = {"t": t, "re_exact": direct.real, "im_exact": direct.imag}
         if command != "im":
-            table = outcome_probabilities(state, spec, ev)
+            table = outcome_probabilities(prepared, ev)
             pruned += table.pruned
             clamped += table.clamped
         if command == "exact":
             row["re_identity_residual"] = abs(2.0 * corr_from_table(table) - 1.0 - direct.real)
-            im_c = im_otoc_via_protocol(state, spec, ev, angles)
+            im_c = im_otoc_via_protocol(prepared, ev, angles)
             row["im_identity_residual"] = abs(im_c - direct.imag)
         else:
             cfg = SampleConfig(sampling.n_shots, sampling.seed, point=index)
@@ -133,7 +140,7 @@ def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str
                 est = estimate_re_otoc(sample_sequences(table, cfg))
                 row.update(re_estimate=est.value, re_stderr=est.stderr, n_shots=est.n_shots)
             else:
-                est = sample_rotation_protocol(state, spec, ev, angles, cfg)
+                est = sample_rotation_protocol(prepared, ev, angles, cfg)
                 row.update(im_estimate=est.value, im_stderr=est.stderr, n_shots=est.n_shots)
         rows.append(row)
     counts = f"{pruned} branches pruned, {clamped} probabilities clamped"

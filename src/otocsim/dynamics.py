@@ -10,7 +10,9 @@ backward evolution is the adjoint U(t)^dagger = U(-t).
 `Propagator.evolution(t)` is the one place U(t) is built: the `Evolution`
 it returns holds the sector blocks of U(t) and U(t)^dagger for one time
 point, and is the only form in which the evaluators of that point
-receive the dynamics.
+receive the dynamics.  It acts on factors whose rows are in the sector
+order, the propagator's `register`, where each block is a contiguous
+slice of rows.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import (
-    ATOL_ALGEBRA,
-    ATOL_SPECTRUM,
-    DensityOperator,
-    apply_pauli,
-    hermiticity_defect,
-)
+from .hilbert import ATOL_ALGEBRA, ATOL_SPECTRUM, DensityOperator, Register, hermiticity_defect
 
 PairCoupling = tuple[int, str, int, str, float]  # (site_k, axis_a, site_l, axis_b, coeff)
 LocalField = tuple[int, str, float]              # (site, axis, coeff)
@@ -38,7 +34,9 @@ class Sectors:
     """A partition of the basis into blocks, each a contiguous slice of one permutation.
 
     Block k is the basis indices order[bounds[k]:bounds[k+1]]; order is None
-    for the identity permutation, so that block k is plainly lo:hi.
+    for the identity permutation, so that block k is plainly lo:hi.  The
+    permutation is the row order (`hilbert.Register`) of the factors a
+    `BlockDiagonal` over these sectors is applied to.
     """
 
     order: np.ndarray | None
@@ -99,19 +97,17 @@ class BlockDiagonal:
         return self.with_blocks(block.conj().T for block in self.blocks)
 
     def __matmul__(self, psi: np.ndarray) -> np.ndarray:
-        """This operator applied to psi of shape (2^N,) or (2^N, r), block by block.
+        """This operator applied to psi of shape (2^N,) or (2^N, r), rows in sector order.
 
-        Each block product reads its rows of psi and is written straight to
-        the same rows of the result, so no permuted copy of psi is formed; a
-        single block in the identity order is one plain matmul.
+        Block k reads rows bounds[k]:bounds[k+1] of psi and writes the same
+        rows of the result, so every product works on contiguous slices.
         """
-        order, bounds = self.sectors.order, self.sectors.bounds
-        if order is None and len(self.blocks) == 1:
+        bounds = self.sectors.bounds
+        if len(self.blocks) == 1:
             return self.blocks[0] @ psi
         result = np.empty(psi.shape, dtype=np.result_type(psi, *self.blocks))
         for lo, hi, block in zip(bounds, bounds[1:], self.blocks):
-            rows = slice(lo, hi) if order is None else order[lo:hi]
-            result[rows] = block @ psi[rows]
+            np.matmul(block, psi[lo:hi], out=result[lo:hi])
         return result
 
 
@@ -171,6 +167,8 @@ class Propagator:
     Each block of H is diagonalized in its own dtype (real arithmetic for
     the XY chain) as H_k = V_k diag(w_k) V_k^dagger.  Immutable after
     construction; `evolution(t)` builds e^(-iHt) from it block by block.
+    `register` is the sector order of H, the row order of the factors the
+    evolution acts on; its kernel tables are built on first use.
     `reconstruction_residual` and `unitarity_defect` are the worst
     max|V_k diag(w_k) V_k^dagger - H_k| and max|V_k^dagger V_k - I| over the
     blocks; since H and the assembled decomposition are both exactly zero
@@ -182,6 +180,7 @@ class Propagator:
     block_eigenvalues: tuple[np.ndarray, ...]
     reconstruction_residual: float
     unitarity_defect: float
+    register: Register
 
     @classmethod
     def from_hamiltonian(cls, ham: Hamiltonian) -> "Propagator":
@@ -202,7 +201,10 @@ class Propagator:
             raise ValueError(f"eigendecomposition residual {residual} above tolerance")
         if not unit <= ATOL_SPECTRUM:
             raise ValueError(f"eigenvector unitarity defect {unit} above tolerance")
-        return cls(ham.n_sites, ham.blocks.with_blocks(evecs), tuple(evals), residual, unit)
+        register = Register(ham.n_sites, ham.blocks.sectors.order)
+        return cls(
+            ham.n_sites, ham.blocks.with_blocks(evecs), tuple(evals), residual, unit, register
+        )
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -226,25 +228,29 @@ class Propagator:
             block += (v * np.cos(w * t)) @ v_h
             blocks.append(block)
         forward = self.eigenbasis.with_blocks(blocks)
-        return Evolution(self.n_sites, forward, forward.adjoint())
+        return Evolution(self.register, forward, forward.adjoint())
 
 
 @dataclass(frozen=True, eq=False)
 class Evolution:
-    """U(t) = e^(-iHt) on an n_sites register at one time point, and U(t)^dagger.
+    """U(t) = e^(-iHt) at one time point, and U(t)^dagger, on factors in `register` order.
 
     Both are `BlockDiagonal`: `ev.forward @ psi` applies U(t) sector by sector.
     """
 
-    n_sites: int
+    register: Register
     forward: BlockDiagonal
     backward: BlockDiagonal
 
-    def check(self, state: DensityOperator) -> int:
-        """The register size, after checking that state lives on it."""
-        if state.n_sites != self.n_sites:
+    def check(self, register: Register) -> Register:
+        """This evolution's register, after checking that factors in `register` order fit it."""
+        if register.n_sites != self.register.n_sites:
             raise ValueError("dimension mismatch between state and propagator")
-        return self.n_sites
+        if register is not self.register and not np.array_equal(
+            register.order, self.register.order
+        ):
+            raise ValueError("state and propagator hold their rows in different orders")
+        return self.register
 
 
 def build_xy_chain(n_sites: int) -> Hamiltonian:
@@ -288,13 +294,13 @@ def build_custom(
     each must be Hermitian on its own.
     """
     dim = 2**n_sites
+    register = Register(n_sites)  # computational order
     eye = np.eye(dim, dtype=complex)
     mat = np.zeros_like(eye)
     for site_k, axis_a, site_l, axis_b, coeff in pair_couplings:
-        pair = apply_pauli(apply_pauli(eye, site_l, axis_b, n_sites), site_k, axis_a, n_sites)
-        mat += coeff * pair
+        mat += coeff * register.pauli(register.pauli(eye, site_l, axis_b), site_k, axis_a)
     for site, axis, coeff in fields:
-        mat += coeff * apply_pauli(eye, site, axis, n_sites)
+        mat += coeff * register.pauli(eye, site, axis)
     for term in extra_terms:
         term = np.asarray(term, dtype=complex)
         if term.shape != (dim, dim):
@@ -306,6 +312,13 @@ def build_custom(
 
 
 def evolve(state: DensityOperator, ev: Evolution) -> DensityOperator:
-    """Schroedinger evolution, U(t) of `ev` applied to the state factor."""
-    ev.check(state)
-    return DensityOperator.from_factor(state.n_sites, ev.forward @ state.factor)
+    """Schroedinger evolution, U(t) of `ev` applied to the state factor.
+
+    The factor is taken into the evolution's register order and back, so
+    the result is in computational order, like every `DensityOperator`.
+    """
+    register = ev.register
+    if state.n_sites != register.n_sites:
+        raise ValueError("dimension mismatch between state and propagator")
+    psi = register.from_computational(state.factor)
+    return DensityOperator.from_factor(state.n_sites, register.to_computational(ev.forward @ psi))

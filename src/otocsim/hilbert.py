@@ -8,11 +8,13 @@ Sites are 1-based throughout.
 
 A state rho is carried as a column factor Psi (2^N x r) with
 rho = Psi Psi^dagger: r = 1 for a pure state, r = 2^N for the maximally
-mixed one.  Single-site Paulis, projectors and rotations act on Psi through
-index kernels in O(2^N r) (a row gather and a phase read from one bit),
-never as dense matrices.  Time evolution U(t) is block-diagonal over the
-sectors of H, applied to Psi block by block and built once per
-time point (see `dynamics.Evolution`).
+mixed one.  A `DensityOperator` holds Psi in computational order.  The
+evaluators hold it in the row order of a `Register` (the sector order of
+H, so that each block of U(t) acts on a contiguous slice of rows), where
+single-site Paulis, projectors and rotations act on Psi through index
+kernels in O(2^N r) (a row gather and a row phase), never as dense
+matrices.  Time evolution U(t) is block-diagonal over the sectors of H
+and built once per time point (see `dynamics.Evolution`).
 """
 
 from __future__ import annotations
@@ -45,66 +47,121 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
         return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
-def _row_weights(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    return weights.reshape((-1,) + (1,) * (psi.ndim - 1))
+def _row_weights(weights, psi: np.ndarray) -> np.ndarray:
+    """A per-row (or scalar) weight shaped to broadcast over the rows of psi."""
+    return np.reshape(weights, (-1,) + (1,) * (psi.ndim - 1))
 
 
-def apply_pauli(psi: np.ndarray, site: int, axis: str, n_sites: int) -> np.ndarray:
-    """sigma_site^axis @ psi in O(psi.size), for psi of shape (2^N,) or (2^N, r).
+class Register:
+    """The row order of the factors an evaluator holds, and the single-site kernels in it.
 
-    With m = 1 << (site - 1), row b of sigma^x psi is row b ^ m of psi;
-    sigma^y adds the phase -i (bit of b clear) or +i (set), and sigma^z is
-    the row sign +1 (clear) or -1 (set).
+    Row k of a factor in register order is basis index order[k], for a
+    permutation `order` of range(2^N); the identity order is the
+    computational one.  The evaluators use the sector order of H, in which
+    every block of U(t) acts on a contiguous slice of rows.
+
+    With m = 1 << (site - 1), sigma^x sends the row of basis index b to the
+    row of b ^ m; sigma^y adds the phase -i (bit of b clear) or +i (set),
+    and sigma^z is the row sign +1 (clear) or -1 (set).  Each kernel is one
+    row gather and one row phase, read from a table built on the first use
+    of its (site, axis) and kept for the register's lifetime.
     """
-    check_site(site, n_sites)
-    _check_axis(axis)
-    dim = 2**n_sites
-    if psi.shape[0] != dim:
-        raise ValueError(f"operand has {psi.shape[0]} rows, expected {dim}")
-    rows = np.arange(dim)
-    mask = 1 << (site - 1)
-    bit_set = (rows & mask) != 0
-    if axis == "z":
-        return _row_weights(np.where(bit_set, -1.0, 1.0), psi) * psi
-    if axis == "x":
-        return psi[rows ^ mask]
-    flipped = psi.astype(complex, copy=False)[rows ^ mask]
-    flipped *= _row_weights(np.where(bit_set, 1j, -1j), flipped)  # in place on the fresh gather
-    return flipped
 
+    __slots__ = ("n_sites", "order", "_tables")
 
-def compress_projected(
-    collapsed: np.ndarray, site: int, axis: str, sign: int, n_sites: int
-) -> np.ndarray:
-    """A factor Phi of 2^(N-1) columns with Phi Phi^dagger = C C^dagger, C = c Pi psi.
+    def __init__(self, n_sites: int, order: np.ndarray | None = None):
+        dim = 2**n_sites
+        order = np.arange(dim) if order is None else np.asarray(order)
+        is_index = order.shape == (dim,) and order.dtype.kind in "iu" and order.min() >= 0
+        # dim indices below dim, none repeated, are a permutation
+        counts = np.bincount(order, minlength=dim) if is_index else None
+        if counts is None or len(counts) != dim or counts.max() != 1:
+            raise ValueError(f"register order is not a permutation of range({dim})")
+        self.n_sites = n_sites
+        self.order = order
+        self._tables: dict[tuple[int, str], tuple[np.ndarray | None, np.ndarray | None]] = {}
 
-    Pi = (I +/- sigma_site^axis)/2 halves the rank, and the rows of a
-    factor in its range are fixed by 2^(N-1) of them, A: for z the rows Pi
-    keeps (the others are zero); for x and y the rows with the site's bit
-    clear, row b | m being sign * row b (x) or sign * i * row b (y).  With
-    the reduced QR A^dagger = Q R, Phi = C Q has Phi Phi^dagger = C C^dagger
-    and is R^dagger on the rows of A, so it is filled from R alone.  A factor
-    of at most 2^(N-1) columns is returned unchanged.
-    """
-    half = 2 ** (n_sites - 1)
-    if collapsed.shape[1] <= half:
-        return collapsed
-    bit_set = (np.arange(2 * half) & (1 << (site - 1))) != 0
-    keep = bit_set if axis == "z" and sign == -1 else ~bit_set
-    r_adjoint = np.linalg.qr(collapsed[keep].conj().T, mode="r").conj().T
-    phi = np.empty((2 * half, half), dtype=complex)
-    phi[keep] = r_adjoint
-    # rows b | m follow rows b in the same ascending order
-    phi[~keep] = 0.0 if axis == "z" else sign * (1j if axis == "y" else 1.0) * r_adjoint
-    return phi
+    def _kernel(self, psi: np.ndarray, site: int, axis: str):
+        """(row gather or None, row phase or None) of sigma_site^axis, for psi's rows."""
+        table = self._tables.get((site, axis))
+        if table is None:
+            check_site(site, self.n_sites)
+            _check_axis(axis)
+            mask = 1 << (site - 1)
+            sign = np.where(self.order & mask, -1.0, 1.0)
+            if axis == "z":
+                table = (None, sign)
+            else:
+                position = np.empty_like(self.order)
+                position[self.order] = np.arange(len(self.order))
+                table = (position[self.order ^ mask], None if axis == "x" else -1j * sign)
+            self._tables[site, axis] = table
+        if psi.shape[0] != len(self.order):
+            raise ValueError(f"operand has {psi.shape[0]} rows, expected {len(self.order)}")
+        return table
 
+    def from_computational(self, psi: np.ndarray) -> np.ndarray:
+        """A computational-order factor with its rows put in register order."""
+        return psi[self.order]
 
-def apply_rotation(psi: np.ndarray, site: int, axis: str, theta: float, n_sites: int) -> np.ndarray:
-    """exp(-i theta sigma_site^axis / 2) psi = cos(theta/2) psi - i sin(theta/2) sigma psi."""
-    out = apply_pauli(psi, site, axis, n_sites).astype(complex, copy=False)
-    out *= -1j * math.sin(theta / 2.0)
-    out += math.cos(theta / 2.0) * psi
-    return out
+    def to_computational(self, psi: np.ndarray) -> np.ndarray:
+        """A register-order factor with its rows put back in computational order."""
+        out = np.empty_like(psi)
+        out[self.order] = psi
+        return out
+
+    def pauli(self, psi: np.ndarray, site: int, axis: str) -> np.ndarray:
+        """sigma_site^axis @ psi in O(psi.size), for psi of shape (2^N,) or (2^N, r)."""
+        gather, phase = self._kernel(psi, site, axis)
+        if gather is None:
+            return _row_weights(phase, psi) * psi
+        out = psi.take(gather, axis=0)
+        if phase is not None:
+            out = out.astype(complex, copy=False)
+            out *= _row_weights(phase, out)  # in place on the fresh gather
+        return out
+
+    def rotation(self, psi: np.ndarray, site: int, axis: str, theta: float) -> np.ndarray:
+        """exp(-i theta sigma_site^axis / 2) psi = cos(theta/2) psi - i sin(theta/2) sigma psi.
+
+        The phase of sigma and the factor -i sin(theta/2) are one row weight;
+        sigma^z has no gather, so its rotation is a single row phase.
+        """
+        gather, phase = self._kernel(psi, site, axis)
+        weights = -1j * math.sin(theta / 2.0) * (1.0 if phase is None else phase)
+        if gather is None:
+            return _row_weights(math.cos(theta / 2.0) + weights, psi) * psi
+        out = psi.take(gather, axis=0).astype(complex, copy=False)
+        out *= _row_weights(weights, out)
+        out += math.cos(theta / 2.0) * psi
+        return out
+
+    def compress_projected(
+        self, collapsed: np.ndarray, site: int, axis: str, sign: int
+    ) -> np.ndarray:
+        """A factor Phi of 2^(N-1) columns with Phi Phi^dagger = C C^dagger, C = c Pi psi.
+
+        Pi = (I +/- sigma_site^axis)/2 halves the rank, and the rows of a
+        factor in its range are fixed by 2^(N-1) of them, A: for z the rows
+        Pi keeps (the others are zero); for x and y the rows whose basis
+        index has the site's bit clear, the row of b | m being sign * row b
+        (x) or sign * i * row b (y).  With the reduced QR A^dagger = Q R,
+        Phi = C Q has Phi Phi^dagger = C C^dagger and is R^dagger on the rows
+        of A, so it is filled from R alone.  A factor of at most 2^(N-1)
+        columns is returned unchanged.
+        """
+        half = len(self.order) // 2
+        if collapsed.shape[1] <= half:
+            return collapsed
+        bit_set = (self.order & (1 << (site - 1))) != 0
+        keep = np.flatnonzero(bit_set if axis == "z" and sign == -1 else ~bit_set)
+        r_adjoint = np.linalg.qr(collapsed[keep].conj().T, mode="r").conj().T
+        phi = np.zeros((2 * half, half), dtype=complex)
+        phi[keep] = r_adjoint
+        if axis != "z":
+            gather, _ = self._kernel(collapsed, site, axis)
+            phi[gather[keep]] = sign * (1j if axis == "y" else 1.0) * r_adjoint
+        return phi
 
 
 class DensityOperator:

@@ -7,11 +7,15 @@ against: C(t) = Tr[rho W(t) V W(t) V] with W = sigma_i^a, V = sigma_j^b.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dynamics import Evolution
-from .hilbert import ATOL_SPECTRUM, DensityOperator, PAULI_AXES, apply_pauli, check_site
+from .hilbert import ATOL_SPECTRUM, PAULI_AXES, check_site
+
+if TYPE_CHECKING:  # protocol imports OtocSpec from here
+    from .protocol import PreparedState
 
 
 @dataclass(frozen=True)
@@ -36,36 +40,36 @@ class OtocSpec:
         check_site(self.site_j, n_sites)
 
 
-def _operands(state: DensityOperator, spec: OtocSpec, ev: Evolution):
-    """W(t) = U(t)^dagger W U(t) and V as maps on the state factor."""
-    n = ev.check(state)
-    spec.validate_for(n)
+def _operands(prepared: PreparedState, ev: Evolution):
+    """W(t) = U(t)^dagger W U(t) and V as maps on factors in the register order."""
+    register = ev.check(prepared.register)
+    spec = prepared.spec
 
     def w_t(psi: np.ndarray) -> np.ndarray:
-        return ev.backward @ apply_pauli(ev.forward @ psi, spec.site_i, spec.axis_a, n)
+        return ev.backward @ register.pauli(ev.forward @ psi, spec.site_i, spec.axis_a)
 
     def v(psi: np.ndarray) -> np.ndarray:
-        return apply_pauli(psi, spec.site_j, spec.axis_b, n)
+        return register.pauli(psi, spec.site_j, spec.axis_b)
 
     return w_t, v
 
 
-def otoc_direct(state: DensityOperator, spec: OtocSpec, ev: Evolution) -> complex:
+def otoc_direct(prepared: PreparedState, ev: Evolution) -> complex:
     """Exact complex C(t) = Tr[rho sigma_i^a(t) sigma_j^b sigma_i^a(t) sigma_j^b].
 
-    Evaluated as Tr[Psi^dagger W(t) V W(t) V Psi] on the state factor Psi.
+    Evaluated as Tr[Psi^dagger W(t) V W(t) V Psi] on the prepared factor Psi.
     """
-    w_t, v = _operands(state, spec, ev)
-    psi = state.factor
+    w_t, v = _operands(prepared, ev)
+    psi = prepared.psi
     value = complex(np.vdot(psi, w_t(v(w_t(v(psi))))))
     if not abs(value) <= 1.0 + ATOL_SPECTRUM:
         raise ValueError(f"OTOC magnitude {abs(value)} exceeds 1 beyond tolerance")
     return value
 
 
-def commutator_norm(state: DensityOperator, spec: OtocSpec, ev: Evolution) -> float:
+def commutator_norm(prepared: PreparedState, ev: Evolution) -> float:
     """<|[W(t), V]|^2> = ||[W(t), V] Psi||_F^2, nonnegative by construction."""
-    w_t, v = _operands(state, spec, ev)
-    psi = state.factor
+    w_t, v = _operands(prepared, ev)
+    psi = prepared.psi
     comm_psi = w_t(v(psi)) - v(w_t(psi))
     return float(np.vdot(comm_psi, comm_psi).real)

@@ -8,17 +8,22 @@ Re C(t) via 2*corr - 1.
 Rotation branch: three single-site rotations interleaved with the same
 evolution pattern, followed by one expectation value of sigma_i^a;
 a four-angle-set combination reconstructs Im C(t).
+
+Every evaluator of a run reads one `PreparedState`: the state factor in
+the register order of the propagator, and the tree's first measurement,
+which does not depend on t.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .dynamics import Evolution
-from .hilbert import DensityOperator, apply_pauli, apply_rotation, compress_projected
+from .hilbert import DensityOperator, Register
 from .otoc import OtocSpec
 
 # Fixed enumeration order of the 16 outcome sequences (o1, o2, o3, o4),
@@ -122,24 +127,80 @@ class ProbabilityTable:
         object.__setattr__(self, "clamped", int(np.count_nonzero(probs != raw)))
 
 
-def outcome_probabilities(
-    state: DensityOperator, spec: OtocSpec, ev: Evolution
-) -> ProbabilityTable:
+def _branches(register: Register, psi: np.ndarray, site: int, axis: str, collapse: bool):
+    """(p, factor) for the outcomes +1 and -1 of measuring sigma_site^axis on psi.
+
+    sigma psi is formed once and e = Re <psi, sigma psi> read from it: the
+    probabilities are p = (1 +/- e)/2.  With `collapse`, the factor is the
+    collapsed (psi +/- sigma psi) / (2 sqrt(p)), compressed to 2^(N-1)
+    columns when wider (`Register.compress_projected`); it is None without
+    `collapse` and where p falls below ZERO_BRANCH_CUTOFF.  The -1 factor is
+    formed only once the caller has finished with the +1 one.
+    """
+    sigma_psi = register.pauli(psi, site, axis)
+    e = float(np.vdot(psi, sigma_psi).real)
+    for sign in (+1, -1):
+        p = (1.0 + sign * e) / 2.0
+        factor = None
+        if collapse and p >= ZERO_BRANCH_CUTOFF:
+            factor = psi + sigma_psi if sign > 0 else psi - sigma_psi
+            factor = register.compress_projected(factor, site, axis, sign)
+            factor *= 0.5 / math.sqrt(p)
+        yield p, factor
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedState:
+    """What every evaluator of a run shares: Psi in register order and the first collapse.
+
+    `psi` is the state factor with its rows in `register` order, the row
+    order of the propagator's evolutions.  Build it with `prepare`.
+    """
+
+    register: Register
+    spec: OtocSpec
+    psi: np.ndarray
+
+    @cached_property
+    def first_branches(self) -> tuple[tuple[float, np.ndarray | None], ...]:
+        """(p, collapsed factor) for the outcomes +1 and -1 of the tree's first measurement.
+
+        sigma_j^b on Psi does not depend on t, so the first tree of a run
+        measures it for all the others: a full-rank factor comes compressed
+        to 2^(N-1) columns, and the factor is None where p falls below
+        ZERO_BRANCH_CUTOFF.
+        """
+        spec = self.spec
+        first = tuple(_branches(self.register, self.psi, spec.site_j, spec.axis_b, collapse=True))
+        for _, factor in first:
+            if factor is not None:
+                factor.flags.writeable = False  # shared by every time point of the run
+        return first
+
+
+def prepare(state: DensityOperator, spec: OtocSpec, register: Register) -> PreparedState:
+    """The state and correlator of a run, checked against the register, Psi in its order."""
+    if state.n_sites != register.n_sites:
+        raise ValueError("dimension mismatch between state and propagator")
+    spec.validate_for(register.n_sites)
+    psi = register.from_computational(state.factor)
+    psi.flags.writeable = False  # shared by every time point of the run
+    return PreparedState(register, spec, psi)
+
+
+def outcome_probabilities(prepared: PreparedState, ev: Evolution) -> ProbabilityTable:
     """Exact joint probabilities for the four-measurement sequence.
 
     Measurement order is sigma_j^b, sigma_i^a, sigma_j^b, sigma_i^a with
-    evolution +t, -t, +t in between.  Each node forms sigma psi once and
-    reads e = Re <psi, sigma psi>: the branch probabilities are
-    p = (1 +/- e)/2, and the collapsed factor is (psi +/- sigma psi) / (2 sqrt(p)).
-    A collapsed factor wider than 2^(N-1) columns (a full-rank state at the
-    first measurement) is compressed to 2^(N-1) columns by
-    `compress_projected`, so every later level runs at half width.
+    evolution +t, -t, +t in between.  The first measurement comes collapsed
+    (and a full-rank factor compressed to 2^(N-1) columns) from the prepared
+    state, so every later level runs at that width; each later node forms
+    sigma psi once (`_branches`).
     """
-    n = ev.check(state)
-    spec.validate_for(n)
+    register = ev.check(prepared.register)
+    spec = prepared.spec
     # (site and axis measured, unitary applied before the measurement)
     steps = (
-        (spec.site_j, spec.axis_b, None),
         (spec.site_i, spec.axis_a, ev.forward),
         (spec.site_j, spec.axis_b, ev.backward),
         (spec.site_i, spec.axis_a, ev.forward),
@@ -148,28 +209,23 @@ def outcome_probabilities(
     probs = np.zeros(len(OUTCOME_SEQUENCES))
     pruned = 0
 
-    def descend(psi: np.ndarray, joint: float, depth: int, branch: int) -> None:
-        # branch indexes the depth outcomes so far, o1 most significant and a
-        # -1 outcome a set bit, so a leaf's index is its place in OUTCOME_SEQUENCES
+    def descend(branches, joint: float, depth: int, branch: int) -> None:
+        # branches are the outcomes of measurement depth + 1; branch indexes
+        # the depth outcomes before it, o1 most significant and a -1 outcome a
+        # set bit, so a leaf's index is its place in OUTCOME_SEQUENCES
         nonlocal pruned
-        site, axis, u = steps[depth]
-        psi_t = psi if u is None else u @ psi
-        sigma_psi = apply_pauli(psi_t, site, axis, n)
-        e = float(np.vdot(psi_t, sigma_psi).real)
-        for sign in (+1, -1):
-            p = (1.0 + sign * e) / 2.0
+        for sign, (p, psi) in zip((+1, -1), branches):
             child = 2 * branch + (sign == -1)
             if p < ZERO_BRANCH_CUTOFF:
                 pruned += 1  # every leaf below keeps probability 0
             elif depth == 3:
                 probs[child] = joint * p
             else:
-                collapsed = psi_t + sigma_psi if sign > 0 else psi_t - sigma_psi
-                collapsed = compress_projected(collapsed, site, axis, sign, n)
-                collapsed *= 0.5 / math.sqrt(p)
-                descend(collapsed, joint * p, depth + 1, child)
+                site, axis, u = steps[depth]
+                measured = _branches(register, u @ psi, site, axis, collapse=depth < 2)
+                descend(measured, joint * p, depth + 1, child)
 
-    descend(state.factor, 1.0, 0, 0)
+    descend(prepared.first_branches, 1.0, 0, 0)
     # descend refers to itself through its closure cell; emptying the cell
     # frees the closure, and the U(t) blocks it holds through steps, on return
     # instead of at some later cyclic collection
@@ -182,29 +238,27 @@ def corr_from_table(table: ProbabilityTable) -> float:
     return math.fsum(OUTCOME_SIGNS * table.probabilities)
 
 
-def re_otoc_via_protocol(state: DensityOperator, spec: OtocSpec, ev: Evolution) -> float:
+def re_otoc_via_protocol(prepared: PreparedState, ev: Evolution) -> float:
     """Re C(t) reconstructed as 2*corr - 1 from the projective protocol."""
-    return 2.0 * corr_from_table(outcome_probabilities(state, spec, ev)) - 1.0
+    return 2.0 * corr_from_table(outcome_probabilities(prepared, ev)) - 1.0
 
 
-def rotated_expectation(
-    state: DensityOperator, spec: OtocSpec, ev: Evolution, angles: RotationAngles
-) -> float:
+def rotated_expectation(prepared: PreparedState, ev: Evolution, angles: RotationAngles) -> float:
     """<sigma_i^a> after the rotate/evolve sequence of the imaginary-part protocol.
 
     The state factor goes through e^(-iHt) R_j^b(t3) e^(iHt) R_i^a(t2)
     e^(-iHt) R_j^b(t1), right to left.
     """
-    n = ev.check(state)
-    spec.validate_for(n)
-    psi = state.factor
+    register = ev.check(prepared.register)
+    spec = prepared.spec
+    psi = prepared.psi
     for site, axis, theta, u in (
         (spec.site_j, spec.axis_b, angles.theta1, ev.forward),
         (spec.site_i, spec.axis_a, angles.theta2, ev.backward),
         (spec.site_j, spec.axis_b, angles.theta3, ev.forward),
     ):
-        psi = u @ apply_rotation(psi, site, axis, theta, n)
-    return float(np.vdot(psi, apply_pauli(psi, spec.site_i, spec.axis_a, n)).real)
+        psi = u @ register.rotation(psi, site, axis, theta)
+    return float(np.vdot(psi, register.pauli(psi, spec.site_i, spec.axis_a)).real)
 
 
 def angle_variants(angles: RotationAngles) -> tuple[RotationAngles, ...]:
@@ -222,14 +276,14 @@ ANGLE_VARIANT_SIGNS = (+1.0, -1.0, -1.0, +1.0)
 
 
 def im_otoc_via_protocol(
-    state: DensityOperator, spec: OtocSpec, ev: Evolution, angles: RotationAngles | None = None
+    prepared: PreparedState, ev: Evolution, angles: RotationAngles | None = None
 ) -> float:
     """Im C(t) from the four-angle-set combination of rotated expectations."""
     if angles is None:
         angles = RotationAngles(*DEFAULT_ANGLES)
     prefactor = angles.checked_prefactor()
     combo = math.fsum(
-        sign * rotated_expectation(state, spec, ev, var)
+        sign * rotated_expectation(prepared, ev, var)
         for sign, var in zip(ANGLE_VARIANT_SIGNS, angle_variants(angles))
     )
     return combo / prefactor

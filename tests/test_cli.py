@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from otocsim.cli import EXIT_CONFIG, EXIT_OK, main
@@ -216,6 +219,49 @@ def test_otoc_command_builds_one_unitary_per_time_point(command, config_file, tm
     out = tmp_path / f"{command}.csv"
     assert main([command, "--config", str(config_file), "--out", str(out), "--quiet"]) == EXIT_OK
     assert len(calls) == 9
+
+
+def mixed_yz_config(n_sites, n_times):
+    """A maximally_mixed run of the (4, y)/(5, z) correlator, the exact_mixed_n8 benchmark's."""
+    return (
+        BASE_CONFIG.replace("n_sites = 4", f"n_sites = {n_sites}")
+        .replace("initial_state = all_up", "initial_state = maximally_mixed")
+        .replace("site_i = 2\naxis_a = x", "site_i = 4\naxis_a = y")
+        .replace("site_j = 3\naxis_b = x", "site_j = 5\naxis_b = z")
+        .replace("t_stop = 2.0\nn_times = 9", f"t_stop = 3.0\nn_times = {n_times}")
+    )
+
+
+@pytest.mark.parametrize("n_times", [1, 3, 8])
+def test_full_rank_exact_run_compresses_the_first_collapse_once(n_times, tmp_path, monkeypatch):
+    """The t-independent first measurement is collapsed and QR-compressed once
+    per run, one QR per outcome, while U(t) is still built once per point."""
+    qr_calls, evolutions = [], []
+    qr, build = np.linalg.qr, Propagator.evolution
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
+    monkeypatch.setattr(Propagator, "evolution", lambda p, t: evolutions.append(t) or build(p, t))
+    path = tmp_path / "mixed.cfg"
+    path.write_text(mixed_yz_config(6, n_times))
+    out = tmp_path / "exact.csv"
+    assert main(["exact", "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    assert len(qr_calls) == 2
+    assert len(evolutions) == n_times
+
+
+def test_full_rank_exact_run_stays_within_its_memory_budget(tmp_path):
+    """The traced peak of a 31-point N=8 maximally_mixed `exact` run: the prepared
+    state keeps Psi once, in register order, and caches nothing per point."""
+    path = tmp_path / "mixed8.cfg"
+    path.write_text(mixed_yz_config(8, 31))
+    out = tmp_path / "exact.csv"
+    tracemalloc.start()
+    try:
+        code = main(["exact", "--config", str(path), "--out", str(out), "--quiet"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak <= 8 * 2**20
 
 
 def test_dressing_run_flags_inversion(tmp_path):

@@ -17,7 +17,7 @@ from otocsim.dynamics import (
     build_xy_chain,
     evolve,
 )
-from otocsim.hilbert import DensityOperator, all_up_state, apply_pauli
+from otocsim.hilbert import DensityOperator, Register, all_up_state
 from otocsim.otoc import OtocSpec, commutator_norm, otoc_direct
 from otocsim.protocol import (
     DEFAULT_ANGLES,
@@ -25,6 +25,7 @@ from otocsim.protocol import (
     ProbabilityTable,
     RotationAngles,
     outcome_probabilities,
+    prepare,
     rotated_expectation,
 )
 
@@ -56,7 +57,7 @@ def test_xy_annihilates_all_up(n):
 def test_xy_conserves_total_magnetization(n):
     ham = build_xy_chain(n).matrix
     eye = np.eye(2**n, dtype=complex)
-    total_z = sum(apply_pauli(eye, k, "z", n) for k in range(1, n + 1))
+    total_z = sum(Register(n).pauli(eye, k, "z") for k in range(1, n + 1))
     assert np.max(np.abs(ham @ total_z - total_z @ ham)) < 1e-12
 
 
@@ -91,16 +92,21 @@ def test_custom_rejects_non_hermitian_extra():
         build_custom(3, extra_terms=[bad])
 
 
+def dense(register, operator):
+    """The computational-order matrix of an operator on factors in register order."""
+    eye = np.eye(2**register.n_sites, dtype=complex)
+    return register.to_computational(operator @ register.from_computational(eye))
+
+
 def reconstruction(prop):
     """V diag(w) V^dagger assembled block by block, as a dense matrix."""
     eigenbasis = prop.eigenbasis
-    dim = 2**prop.n_sites
     blocks = ((v * w) @ v.conj().T for v, w in zip(eigenbasis.blocks, prop.block_eigenvalues))
-    return eigenbasis.with_blocks(blocks) @ np.eye(dim, dtype=complex)
+    return dense(prop.register, eigenbasis.with_blocks(blocks))
 
 
 def dense_unitary(prop, t):
-    return prop.evolution(t).forward @ np.eye(2**prop.n_sites, dtype=complex)
+    return dense(prop.register, prop.evolution(t).forward)
 
 
 def test_propagator_reconstructs_hamiltonian(rng):
@@ -147,13 +153,13 @@ def test_energy_conserved_along_trajectory(xy4, rng):
 
 def heisenberg_pauli(prop, site, axis, t):
     """Dense W(t) = U(t)^dagger sigma_site^axis U(t), as `otoc` applies it."""
-    ev = prop.evolution(t)
-    eye = np.eye(2**prop.n_sites, dtype=complex)
-    return ev.backward @ apply_pauli(ev.forward @ eye, site, axis, prop.n_sites)
+    ev, register = prop.evolution(t), prop.register
+    eye = register.from_computational(np.eye(2**prop.n_sites, dtype=complex))
+    return register.to_computational(ev.backward @ register.pauli(ev.forward @ eye, site, axis))
 
 
 def test_heisenberg_zero_time(xy4):
-    op = apply_pauli(np.eye(16, dtype=complex), 1, "x", 4)
+    op = Register(4).pauli(np.eye(16, dtype=complex), 1, "x")
     np.testing.assert_allclose(heisenberg_pauli(xy4, 1, "x", 0.0), op, atol=1e-15)
 
 
@@ -166,16 +172,33 @@ def test_heisenberg_preserves_pauli_spectrum(xy4):
 
 def test_dimension_mismatch_raises(xy4, spec_xx):
     up3, ev = all_up_state(3), xy4.evolution(1.0)
+    prepared3 = prepare(up3, spec_xx, Propagator.from_hamiltonian(build_xy_chain(3)).register)
     angles = RotationAngles(*DEFAULT_ANGLES)
     for apply in (
         lambda: evolve(up3, ev),
-        lambda: otoc_direct(up3, spec_xx, ev),
-        lambda: commutator_norm(up3, spec_xx, ev),
-        lambda: outcome_probabilities(up3, spec_xx, ev),
-        lambda: rotated_expectation(up3, spec_xx, ev, angles),
+        lambda: prepare(up3, spec_xx, xy4.register),
+        lambda: otoc_direct(prepared3, ev),
+        lambda: commutator_norm(prepared3, ev),
+        lambda: outcome_probabilities(prepared3, ev),
+        lambda: rotated_expectation(prepared3, ev, angles),
     ):
         with pytest.raises(ValueError, match="dimension mismatch between state and propagator"):
             apply()
+
+
+def test_evaluators_reject_a_state_in_another_row_order(xy4, up4, spec_xx):
+    """A state prepared in the computational order does not fit the sector-order U(t)."""
+    ev = xy4.evolution(1.0)
+    computational = prepare(up4, spec_xx, Register(4))
+    for apply in (
+        lambda: otoc_direct(computational, ev),
+        lambda: outcome_probabilities(computational, ev),
+        lambda: rotated_expectation(computational, ev, RotationAngles(*DEFAULT_ANGLES)),
+    ):
+        with pytest.raises(ValueError, match="different orders"):
+            apply()
+    same_order = prepare(up4, spec_xx, Register(4, xy4.register.order))
+    assert otoc_direct(same_order, ev) == otoc_direct(prepare(up4, spec_xx, xy4.register), ev)
 
 
 def test_evolution_time_must_be_finite(xy4, up4):
@@ -189,9 +212,10 @@ def test_evolution_is_shared_and_checked(xy4, up4, spec_xx):
     evolution = xy4.evolution(0.5)
     eye = np.eye(16)
     u = expm(-0.5j * oracles.xy_chain(4))
-    np.testing.assert_allclose(evolution.forward @ eye, u, atol=1e-12)
-    np.testing.assert_allclose(evolution.backward @ eye, u.conj().T, atol=1e-12)
-    assert otoc_direct(up4, spec_xx, evolution) == otoc_direct(up4, spec_xx, xy4.evolution(0.5))
+    np.testing.assert_allclose(dense(xy4.register, evolution.forward), u, atol=1e-12)
+    np.testing.assert_allclose(dense(xy4.register, evolution.backward), u.conj().T, atol=1e-12)
+    prepared = prepare(up4, spec_xx, xy4.register)
+    assert otoc_direct(prepared, evolution) == otoc_direct(prepared, xy4.evolution(0.5))
 
 
 def with_corner(matrix, value):
@@ -208,9 +232,11 @@ def propagator_of_edited_hamiltonian(bad):
 
 
 def otoc_of_nonfinite_evolution(bad):
-    forward = Propagator.from_hamiltonian(build_xy_chain(2)).evolution(0.5).forward
+    prop = Propagator.from_hamiltonian(build_xy_chain(2))
+    forward = prop.evolution(0.5).forward
     broken = forward.with_blocks(np.full_like(block, bad) for block in forward.blocks)
-    return otoc_direct(all_up_state(2), OtocSpec(1, "x", 2, "x"), Evolution(2, broken, broken))
+    prepared = prepare(all_up_state(2), OtocSpec(1, "x", 2, "x"), prop.register)
+    return otoc_direct(prepared, Evolution(prop.register, broken, broken))
 
 
 NONFINITE_ENTRY_POINTS = [
@@ -270,6 +296,7 @@ def test_xy_sectors_are_hamming_weight_classes(n):
     assert prop.block_sizes == tuple(math.comb(n, k) for k in range(n + 1))
     sectors = prop.eigenbasis.sectors
     order = np.arange(2**n) if sectors.order is None else sectors.order  # None at n=2
+    np.testing.assert_array_equal(prop.register.order, order)
     for k in range(n + 1):
         rows = order[sectors.bounds[k] : sectors.bounds[k + 1]]
         assert {bin(int(b)).count("1") for b in rows} == {k}
@@ -350,7 +377,10 @@ def test_blocked_evolution_matches_expm_oracle(kind, n, rank, seed, t):
     assert np.max(np.abs(dense_unitary(prop, t) - u)) < 1e-10
     assert np.max(np.abs(reconstruction(prop) - oracle)) < 1e-10
     psi = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
-    evolution = prop.evolution(t)
-    assert np.max(np.abs(evolution.forward @ psi - u @ psi)) < 1e-9
-    assert np.max(np.abs(evolution.backward @ psi - u.conj().T @ psi)) < 1e-9
-    assert np.max(np.abs(evolution.forward @ psi[:, 0] - u @ psi[:, 0])) < 1e-9
+    evolution, register = prop.evolution(t), prop.register
+    rows = register.from_computational(psi)  # the evaluators hold factors in register order
+    assert np.max(np.abs(evolution.forward @ rows - register.from_computational(u @ psi))) < 1e-9
+    back = register.from_computational(u.conj().T @ psi)
+    assert np.max(np.abs(evolution.backward @ rows - back)) < 1e-9
+    column = register.from_computational(u @ psi[:, 0])
+    assert np.max(np.abs(evolution.forward @ rows[:, 0] - column)) < 1e-9

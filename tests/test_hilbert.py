@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otocsim.dynamics import build_xy_chain
 from otocsim.hilbert import (
     DensityOperator,
+    Register,
     all_up_state,
-    apply_pauli,
-    apply_rotation,
-    compress_projected,
     hermiticity_defect,
     maximally_mixed_state,
 )
@@ -26,19 +25,37 @@ def sites_and_axes(draw):
 
 def dense_pauli(site, axis, n_sites):
     """sigma_site^axis as a dense matrix: the kernel applied to the identity."""
-    return apply_pauli(np.eye(2**n_sites, dtype=complex), site, axis, n_sites)
+    return Register(n_sites).pauli(np.eye(2**n_sites, dtype=complex), site, axis)
 
 
-def dense_projector(site, axis, sign, n_sites):
+def dense_projector(site, axis, sign, n_sites, register=None):
     """(I +/- sigma_site^axis)/2 from the kernel, as the projective tree forms it."""
+    register = Register(n_sites) if register is None else register
     eye = np.eye(2**n_sites, dtype=complex)
-    return (eye + sign * apply_pauli(eye, site, axis, n_sites)) / 2.0
+    return (eye + sign * register.pauli(eye, site, axis)) / 2.0
 
 
 def expectation(state, site, axis):
     """<sigma_site^axis> = Tr(Psi^dagger sigma Psi) on the state factor."""
     psi = state.factor
-    return complex(np.vdot(psi, apply_pauli(psi, site, axis, state.n_sites)))
+    return complex(np.vdot(psi, Register(state.n_sites).pauli(psi, site, axis)))
+
+
+REGISTER_ORDERS = ("identity", "sectors", "random")
+
+
+def register_of(kind, n_sites, rng):
+    """A Register in the identity order, the XY chain's sector order or a random one."""
+    if kind == "random":
+        return Register(n_sites, rng.permutation(2**n_sites))
+    if kind == "sectors" and n_sites >= 2:  # one site has only the identity order
+        return Register(n_sites, build_xy_chain(n_sites).blocks.sectors.order)
+    return Register(n_sites)
+
+
+def in_register_order(register, operator):
+    """P A P^T, with P the permutation taking computational rows to register rows."""
+    return operator[np.ix_(register.order, register.order)]
 
 
 def test_single_site_sigma_z_is_diag():
@@ -75,25 +92,28 @@ def test_embedded_pauli_algebra(args):
     st.floats(min_value=-7.0, max_value=7.0),
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(REGISTER_ORDERS),
 )
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_index_kernels_match_kronecker_oracle(args, sign, theta, rank, seed):
+def test_index_kernels_match_kronecker_oracle(args, sign, theta, rank, seed, order):
     """The kernels on a random (2^N, r) factor, and the dense forms built from
-    them on the identity, against explicit Kronecker chains and expm; the
-    projector is (psi +/- sigma psi)/2, as the projective tree forms it."""
+    them on the identity, against P (explicit Kronecker chains and expm) P^T
+    for the register's row order P; the projector is (psi +/- sigma psi)/2,
+    as the projective tree forms it."""
     site, axis, n = args
     rng = np.random.Generator(np.random.PCG64(seed))
     psi = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
-    sigma = oracles.site_operator(n, site, axis)
-    proj = oracles.site_projector(n, site, axis, sign)
-    rot = oracles.rotation(n, site, axis, theta)
+    register = register_of(order, n, rng)
+    sigma = in_register_order(register, oracles.site_operator(n, site, axis))
+    proj = in_register_order(register, oracles.site_projector(n, site, axis, sign))
+    rot = in_register_order(register, oracles.rotation(n, site, axis, theta))
     eye = np.eye(2**n, dtype=complex)
-    projected = (psi + sign * apply_pauli(psi, site, axis, n)) / 2.0
-    np.testing.assert_array_equal(apply_pauli(psi, site, axis, n), sigma @ psi)
+    projected = (psi + sign * register.pauli(psi, site, axis)) / 2.0
+    np.testing.assert_array_equal(register.pauli(psi, site, axis), sigma @ psi)
     np.testing.assert_allclose(projected, proj @ psi, atol=1e-14)
-    np.testing.assert_allclose(apply_rotation(psi, site, axis, theta, n), rot @ psi, atol=1e-13)
-    np.testing.assert_allclose(dense_projector(site, axis, sign, n), proj, atol=1e-15)
-    np.testing.assert_allclose(apply_rotation(eye, site, axis, theta, n), rot, atol=1e-14)
+    np.testing.assert_allclose(register.rotation(psi, site, axis, theta), rot @ psi, atol=1e-13)
+    np.testing.assert_allclose(dense_projector(site, axis, sign, n, register), proj, atol=1e-15)
+    np.testing.assert_allclose(register.rotation(eye, site, axis, theta), rot, atol=1e-14)
 
 
 @given(
@@ -101,26 +121,40 @@ def test_index_kernels_match_kronecker_oracle(args, sign, theta, rank, seed):
     st.sampled_from([+1, -1]),
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=1, max_value=4),
+    st.sampled_from(REGISTER_ORDERS),
 )
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_compress_projected_keeps_the_projected_state(args, sign, seed, extra):
+def test_compress_projected_keeps_the_projected_state(args, sign, seed, extra, order):
     """A collapsed factor wider than 2^(N-1) comes back with 2^(N-1) columns and
-    Phi Phi^dagger = Pi rho Pi; one of at most 2^(N-1) columns comes back as is."""
+    Phi Phi^dagger = Pi rho Pi, in the register's row order; one of at most
+    2^(N-1) columns comes back as is."""
     site, axis, n = args
     rng = np.random.Generator(np.random.PCG64(seed))
     half = 2 ** (n - 1)
-    proj = oracles.site_projector(n, site, axis, sign)
+    register = register_of(order, n, rng)
+    proj = in_register_order(register, oracles.site_projector(n, site, axis, sign))
     for width in (half + extra, 2**n, half, max(1, half - extra)):
         psi = rng.standard_normal((2**n, width)) + 1j * rng.standard_normal((2**n, width))
         psi /= np.linalg.norm(psi)
         collapsed = proj @ psi
-        phi = compress_projected(collapsed, site, axis, sign, n)
+        phi = register.compress_projected(collapsed, site, axis, sign)
         if width <= half:
             assert phi is collapsed
             continue
         assert phi.shape == (2**n, half)
         target = proj @ psi @ psi.conj().T @ proj
         np.testing.assert_allclose(phi @ phi.conj().T, target, rtol=0, atol=1e-12)
+
+
+def test_register_order_is_a_checked_permutation(rng):
+    for order in ([0, 1, 1, 3], [0, 1, 2], [0, 1, 2, 4], [-1, 0, 1, 2], [0.0, 1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="permutation"):
+            Register(2, order)
+    register = Register(3, rng.permutation(8))
+    psi = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    rows = register.from_computational(psi)
+    np.testing.assert_array_equal(rows[3], psi[register.order[3]])
+    np.testing.assert_array_equal(register.to_computational(rows), psi)
 
 
 def _dense_hermiticity_defect(matrix):
@@ -195,7 +229,7 @@ def test_maximally_mixed_expectations_vanish(axis):
 def test_expectation_dimension_mismatch():
     """A factor of a 2-site state under a 3-site kernel is rejected by its row count."""
     with pytest.raises(ValueError, match="4 rows, expected 8"):
-        apply_pauli(all_up_state(2).factor, 1, "z", 3)
+        Register(3).pauli(all_up_state(2).factor, 1, "z")
 
 
 def test_density_operator_rejects_non_hermitian():

@@ -4,6 +4,7 @@ import pytest
 from otocsim.dynamics import Propagator, build_xy_chain
 from otocsim.hilbert import maximally_mixed_state
 from otocsim.otoc import OtocSpec, commutator_norm, otoc_direct
+from otocsim.protocol import prepare
 from otocsim.verification import random_density, random_hamiltonian
 
 import oracles
@@ -15,18 +16,19 @@ OTOC_XX_T05 = -0.187394533949537 + 0.0j
 
 @pytest.mark.parametrize("axes", [("x", "y"), ("z", "x"), ("y", "y")])
 def test_initial_value_is_one_for_disjoint_sites(xy4, up4, axes):
-    value = otoc_direct(up4, OtocSpec(1, axes[0], 3, axes[1]), xy4.evolution(0.0))
+    prepared = prepare(up4, OtocSpec(1, axes[0], 3, axes[1]), xy4.register)
+    value = otoc_direct(prepared, xy4.evolution(0.0))
     assert abs(value - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("t", [0.0, 0.7, 3.3])
 def test_zz_otoc_stays_one_on_polarized_state(xy4, up4, t):
-    value = otoc_direct(up4, OtocSpec(2, "z", 3, "z"), xy4.evolution(t))
+    value = otoc_direct(prepare(up4, OtocSpec(2, "z", 3, "z"), xy4.register), xy4.evolution(t))
     assert abs(value - 1.0) < 1e-12
 
 
 def test_derived_value_frozen_and_live_oracle(xy4, up4, spec_xx):
-    value = otoc_direct(up4, spec_xx, xy4.evolution(0.5))
+    value = otoc_direct(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
     assert abs(value - OTOC_XX_T05) < 1e-10
     # live second opinion through the independent code path
     rho = np.zeros((16, 16), dtype=complex)
@@ -36,7 +38,8 @@ def test_derived_value_frozen_and_live_oracle(xy4, up4, spec_xx):
 
 
 def test_commutator_vanishes_initially(xy4, up4):
-    assert abs(commutator_norm(up4, OtocSpec(1, "x", 4, "y"), xy4.evolution(0.0))) < 1e-12
+    prepared = prepare(up4, OtocSpec(1, "x", 4, "y"), xy4.register)
+    assert abs(commutator_norm(prepared, xy4.evolution(0.0))) < 1e-12
 
 
 def test_commutator_norm_nonnegative(rng):
@@ -45,8 +48,8 @@ def test_commutator_norm_nonnegative(rng):
         prop = Propagator.from_hamiltonian(random_hamiltonian(n, rng))
         state = random_density(n, rng)
         sites = rng.choice(np.arange(1, n + 1), size=2, replace=False)
-        spec = OtocSpec(int(sites[0]), "y", int(sites[1]), "x")
-        assert commutator_norm(state, spec, prop.evolution(float(rng.uniform(0, 5)))) >= -1e-12
+        prepared = prepare(state, OtocSpec(int(sites[0]), "y", int(sites[1]), "x"), prop.register)
+        assert commutator_norm(prepared, prop.evolution(float(rng.uniform(0, 5)))) >= -1e-12
 
 
 def test_commutator_relation_random_instances(rng):
@@ -58,9 +61,10 @@ def test_commutator_relation_random_instances(rng):
         state = random_density(n, rng)
         sites = rng.choice(np.arange(1, n + 1), size=2, replace=False)
         spec = OtocSpec(int(sites[0]), axes[k % 3], int(sites[1]), axes[(k // 3) % 3])
+        prepared = prepare(state, spec, prop.register)
         t = float(rng.uniform(0, 5))
-        lhs = otoc_direct(state, spec, prop.evolution(t)).real
-        rhs = 1.0 - commutator_norm(state, spec, prop.evolution(t)) / 2.0
+        lhs = otoc_direct(prepared, prop.evolution(t)).real
+        rhs = 1.0 - commutator_norm(prepared, prop.evolution(t)) / 2.0
         assert abs(lhs - rhs) < 1e-9
 
 
@@ -70,8 +74,8 @@ def test_magnitude_bounded_by_one(rng):
         prop = Propagator.from_hamiltonian(random_hamiltonian(n, rng))
         state = random_density(n, rng)
         sites = rng.choice(np.arange(1, n + 1), size=2, replace=False)
-        spec = OtocSpec(int(sites[0]), "x", int(sites[1]), "z")
-        value = otoc_direct(state, spec, prop.evolution(float(rng.uniform(0, 5))))
+        prepared = prepare(state, OtocSpec(int(sites[0]), "x", int(sites[1]), "z"), prop.register)
+        value = otoc_direct(prepared, prop.evolution(float(rng.uniform(0, 5))))
         assert abs(value) <= 1.0 + 1e-10
 
 
@@ -79,20 +83,21 @@ def test_spec_validates_axes_and_sites(xy4, up4):
     with pytest.raises(ValueError):
         OtocSpec(1, "q", 2, "x")
     with pytest.raises(IndexError):
-        otoc_direct(up4, OtocSpec(1, "x", 9, "x"), xy4.evolution(0.1))
+        prepare(up4, OtocSpec(1, "x", 9, "x"), xy4.register)
 
 
 def _free_fermion_cases(n, pairs, times):
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
     state = maximally_mixed_state(n)
-    for t in times:
-        ev = prop.evolution(t)
-        for site_i, site_j in pairs:
-            value = otoc_direct(state, OtocSpec(site_i, "z", site_j, "z"), ev)
-            yield value, oracles.free_fermion_zz_otoc(n, site_i, site_j, t)
-        for site_j in sorted({site_j for _, site_j in pairs}):
-            value = otoc_direct(state, OtocSpec(1, "x", site_j, "z"), ev)
-            yield value, oracles.free_fermion_xz_otoc(n, site_j, t)
+    evolutions = [(t, prop.evolution(t)) for t in times]
+    for site_i, site_j in pairs:
+        prepared = prepare(state, OtocSpec(site_i, "z", site_j, "z"), prop.register)
+        for t, ev in evolutions:
+            yield otoc_direct(prepared, ev), oracles.free_fermion_zz_otoc(n, site_i, site_j, t)
+    for site_j in sorted({site_j for _, site_j in pairs}):
+        prepared = prepare(state, OtocSpec(1, "x", site_j, "z"), prop.register)
+        for t, ev in evolutions:
+            yield otoc_direct(prepared, ev), oracles.free_fermion_xz_otoc(n, site_j, t)
 
 
 @pytest.mark.parametrize("n", range(3, 9))

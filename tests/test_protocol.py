@@ -7,15 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otocsim import protocol
 from otocsim.dynamics import Propagator, build_custom, build_xy_chain
-from otocsim.hilbert import (
-    DensityOperator,
-    all_up_state,
-    apply_rotation,
-    compress_projected,
-    maximally_mixed_state,
-)
+from otocsim.hilbert import DensityOperator, Register, all_up_state, maximally_mixed_state
 from otocsim.otoc import OtocSpec, otoc_direct
 from otocsim.protocol import (
     OUTCOME_SEQUENCES,
@@ -27,6 +20,7 @@ from otocsim.protocol import (
     corr_from_table,
     im_otoc_via_protocol,
     outcome_probabilities,
+    prepare,
     re_otoc_via_protocol,
     rotated_expectation,
 )
@@ -72,7 +66,8 @@ def test_outcome_signs_are_the_sequence_products():
 
 
 def test_polarized_zz_protocol_is_deterministic(xy4, up4):
-    table = outcome_probabilities(up4, OtocSpec(2, "z", 3, "z"), xy4.evolution(1.3))
+    prepared = prepare(up4, OtocSpec(2, "z", 3, "z"), xy4.register)
+    table = outcome_probabilities(prepared, xy4.evolution(1.3))
     assert np.array_equal(table.probabilities, one_hot((1, 1, 1, 1)))
 
 
@@ -86,9 +81,8 @@ def test_mixed_state_conserved_axis_flip_symmetry():
         [(1, "x", 0.4), (3, "x", 0.9), (2, "z", 0.5)],
     )
     prop = Propagator.from_hamiltonian(ham)
-    table = outcome_probabilities(
-        maximally_mixed_state(n), OtocSpec(1, "x", 2, "z"), prop.evolution(0.73)
-    )
+    prepared = prepare(maximally_mixed_state(n), OtocSpec(1, "x", 2, "z"), prop.register)
+    table = outcome_probabilities(prepared, prop.evolution(0.73))
     probs = table.probabilities
     for k, seq in enumerate(OUTCOME_SEQUENCES):
         flipped = OUTCOME_SEQUENCES.index(tuple(-o for o in seq))
@@ -96,7 +90,7 @@ def test_mixed_state_conserved_axis_flip_symmetry():
 
 
 def test_derived_table_frozen_and_live_oracle(xy4, up4, spec_xx):
-    table = outcome_probabilities(up4, spec_xx, xy4.evolution(0.5))
+    table = outcome_probabilities(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
     assert np.max(np.abs(table.probabilities - frozen_table())) < 1e-10
     rho = np.zeros((16, 16), dtype=complex)
     rho[0, 0] = 1.0
@@ -107,7 +101,8 @@ def test_derived_table_frozen_and_live_oracle(xy4, up4, spec_xx):
 def test_zero_probability_branches_are_safe(xy4, up4):
     """Pi_j^- annihilates the polarized state: no division errors, and the
     whole dead branch carries exactly zero probability."""
-    table = outcome_probabilities(up4, OtocSpec(2, "x", 3, "z"), xy4.evolution(0.8))
+    prepared = prepare(up4, OtocSpec(2, "x", 3, "z"), xy4.register)
+    table = outcome_probabilities(prepared, xy4.evolution(0.8))
     dead = [k for k, seq in enumerate(OUTCOME_SEQUENCES) if seq[0] == -1]
     assert np.array_equal(table.probabilities[dead], np.zeros(len(dead)))
     assert abs(math.fsum(table.probabilities) - 1.0) < 1e-10
@@ -120,7 +115,8 @@ def test_tables_normalized_on_random_instances(rng):
         state = random_density(n, rng)
         sites = rng.choice(np.arange(1, n + 1), size=2, replace=False)
         spec = OtocSpec(int(sites[0]), "y", int(sites[1]), "x")
-        table = outcome_probabilities(state, spec, prop.evolution(float(rng.uniform(0, 5))))
+        ev = prop.evolution(float(rng.uniform(0, 5)))
+        table = outcome_probabilities(prepare(state, spec, prop.register), ev)
         values = table.probabilities
         assert np.all((0.0 <= values) & (values <= 1.0))
         assert abs(math.fsum(values) - 1.0) < 1e-10
@@ -133,9 +129,10 @@ def test_corr_deterministic_and_uniform_tables():
 
 
 def test_corr_matches_direct_otoc_via_identity(xy4, up4, spec_xx):
-    corr = corr_from_table(outcome_probabilities(up4, spec_xx, xy4.evolution(0.5)))
+    prepared = prepare(up4, spec_xx, xy4.register)
+    corr = corr_from_table(outcome_probabilities(prepared, xy4.evolution(0.5)))
     assert abs(corr - CORR_T05) < 1e-10
-    direct = otoc_direct(up4, spec_xx, xy4.evolution(0.5)).real
+    direct = otoc_direct(prepared, xy4.evolution(0.5)).real
     assert abs((2.0 * corr - 1.0) - direct) < 1e-10
 
 
@@ -163,11 +160,11 @@ def test_probability_table_validation_and_clamping():
 
 
 def test_re_identity_simple_cases(xy4, up4):
-    ev = xy4.evolution(0.0)
-    assert abs(re_otoc_via_protocol(up4, OtocSpec(1, "y", 4, "x"), ev) - 1.0) < 1e-12
+    prepared = prepare(up4, OtocSpec(1, "y", 4, "x"), xy4.register)
+    assert abs(re_otoc_via_protocol(prepared, xy4.evolution(0.0)) - 1.0) < 1e-12
+    prepared = prepare(up4, OtocSpec(2, "z", 3, "z"), xy4.register)
     for t in (0.4, 2.0):
-        ev = xy4.evolution(t)
-        assert abs(re_otoc_via_protocol(up4, OtocSpec(2, "z", 3, "z"), ev) - 1.0) < 1e-12
+        assert abs(re_otoc_via_protocol(prepared, xy4.evolution(t)) - 1.0) < 1e-12
 
 
 def test_re_identity_random_instances(rng):
@@ -178,13 +175,14 @@ def test_re_identity_random_instances(rng):
         sites = rng.choice(np.arange(1, n + 1), size=2, replace=False)
         spec = OtocSpec(int(sites[0]), "x", int(sites[1]), "y")
         ev = prop.evolution(float(rng.uniform(0, 5)))
-        direct = otoc_direct(state, spec, ev).real
-        assert abs(re_otoc_via_protocol(state, spec, ev) - direct) < 1e-9
+        prepared = prepare(state, spec, prop.register)
+        direct = otoc_direct(prepared, ev).real
+        assert abs(re_otoc_via_protocol(prepared, ev) - direct) < 1e-9
 
 
 def rotation_operator(site, axis, theta, n_sites):
     """Dense exp(-i theta sigma / 2): the rotation kernel applied to the identity."""
-    return apply_rotation(np.eye(2**n_sites, dtype=complex), site, axis, theta, n_sites)
+    return Register(n_sites).rotation(np.eye(2**n_sites, dtype=complex), site, axis, theta)
 
 
 def test_rotation_operator_closed_form():
@@ -205,22 +203,22 @@ def test_rotation_one_parameter_group(rng):
 
 
 def test_rotated_expectation_trivial_angles(xy4, up4):
-    ev = xy4.evolution(1.1)
-    value = rotated_expectation(up4, OtocSpec(2, "z", 3, "z"), ev, RotationAngles(0, 0, 0))
+    prepared = prepare(up4, OtocSpec(2, "z", 3, "z"), xy4.register)
+    value = rotated_expectation(prepared, xy4.evolution(1.1), RotationAngles(0, 0, 0))
     assert abs(value - 1.0) < 1e-12
 
 
 def test_four_term_combination_cancels_at_theta2_zero(xy4, up4, spec_xx):
     angles = RotationAngles(0.9, 0.0, 1.7)
-    ev = xy4.evolution(0.6)
-    expectations = [rotated_expectation(up4, spec_xx, ev, var) for var in angle_variants(angles)]
+    prepared, ev = prepare(up4, spec_xx, xy4.register), xy4.evolution(0.6)
+    expectations = [rotated_expectation(prepared, ev, var) for var in angle_variants(angles)]
     combo = expectations[0] - expectations[1] - expectations[2] + expectations[3]
     assert combo == 0.0
 
 
 def test_rotated_expectation_frozen_and_live_oracle(xy4, up4, spec_xx):
     angles = RotationAngles(math.pi / 2, math.pi / 2, math.pi / 2)
-    value = rotated_expectation(up4, spec_xx, xy4.evolution(0.5), angles)
+    value = rotated_expectation(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5), angles)
     assert abs(value - ROT_EXPECT_T05) < 1e-10
     rho = np.zeros((16, 16), dtype=complex)
     rho[0, 0] = 1.0
@@ -235,7 +233,8 @@ def test_optimal_angles_prefactor_is_two():
 
 
 def test_im_vanishes_at_zero_time(xy4, up4):
-    assert abs(im_otoc_via_protocol(up4, OtocSpec(1, "x", 3, "y"), xy4.evolution(0.0))) < 1e-12
+    prepared = prepare(up4, OtocSpec(1, "x", 3, "y"), xy4.register)
+    assert abs(im_otoc_via_protocol(prepared, xy4.evolution(0.0))) < 1e-12
 
 
 def test_im_identity_random_instances(rng):
@@ -247,9 +246,9 @@ def test_im_identity_random_instances(rng):
         spec = OtocSpec(int(sites[0]), "z", int(sites[1]), "y")
         ev = prop.evolution(float(rng.uniform(0, 5)))
         angles = random_nondegenerate_angles(rng)
-        assert abs(
-            im_otoc_via_protocol(state, spec, ev, angles) - otoc_direct(state, spec, ev).imag
-        ) < 1e-9
+        prepared = prepare(state, spec, prop.register)
+        reconstructed = im_otoc_via_protocol(prepared, ev, angles)
+        assert abs(reconstructed - otoc_direct(prepared, ev).imag) < 1e-9
 
 
 def test_im_invariant_under_base_set_negation(rng):
@@ -259,14 +258,16 @@ def test_im_invariant_under_base_set_negation(rng):
     spec = OtocSpec(1, "x", 3, "y")
     angles = random_nondegenerate_angles(rng)
     negated = RotationAngles(-angles.theta1, -angles.theta2, -angles.theta3)
-    a = im_otoc_via_protocol(state, spec, prop.evolution(1.2), angles)
-    b = im_otoc_via_protocol(state, spec, prop.evolution(1.2), negated)
+    prepared = prepare(state, spec, prop.register)
+    a = im_otoc_via_protocol(prepared, prop.evolution(1.2), angles)
+    b = im_otoc_via_protocol(prepared, prop.evolution(1.2), negated)
     assert abs(a - b) < 1e-12
 
 
 def test_degenerate_angles_rejected(xy4, up4, spec_xx):
+    prepared = prepare(up4, spec_xx, xy4.register)
     with pytest.raises(DegenerateAnglesError):
-        im_otoc_via_protocol(up4, spec_xx, xy4.evolution(0.5), RotationAngles(0.3, 0.0, 0.9))
+        im_otoc_via_protocol(prepared, xy4.evolution(0.5), RotationAngles(0.3, 0.0, 0.9))
     with pytest.raises(ValueError, match="finite"):
         RotationAngles(math.nan, 0.1, 0.2)
 
@@ -294,16 +295,53 @@ def test_factor_evaluators_match_dense_oracles(axes, n, data, mixed, seed, t):
     angles = RotationAngles(*rng.uniform(-math.pi, math.pi, size=3))
     dense = (state.matrix, ham.matrix, n, site_i, axes[0], site_j, axes[1], t)
 
-    evolution = prop.evolution(t)
-    assert abs(otoc_direct(state, spec, evolution) - oracles.otoc_value(*dense)) < 1e-10
-    table = outcome_probabilities(state, spec, evolution)
+    prepared, evolution = prepare(state, spec, prop.register), prop.evolution(t)
+    assert abs(otoc_direct(prepared, evolution) - oracles.otoc_value(*dense)) < 1e-10
+    table = outcome_probabilities(prepared, evolution)
     expected = in_sequence_order(oracles.probability_table(*dense))
     assert np.max(np.abs(table.probabilities - expected)) < 1e-10
-    value = rotated_expectation(state, spec, evolution, angles)
+    value = rotated_expectation(prepared, evolution, angles)
     rotated = oracles.rotated_sigma_expectation(
         *dense, angles.theta1, angles.theta2, angles.theta3
     )
     assert abs(value - rotated) < 1e-10
+
+
+def _free_fermion_protocol_cases(n, pairs, times):
+    """(Re C from the tree, Im C from the rotations, the Jordan-Wigner C) on the
+    infinite-temperature XY chain: (i,z)/(j,z) for every pair, (1,x)/(j,z) for every j."""
+    prop = Propagator.from_hamiltonian(build_xy_chain(n))
+    state = maximally_mixed_state(n)
+    evolutions = [(t, prop.evolution(t)) for t in times]
+    cases = [
+        (OtocSpec(i, "z", j, "z"), lambda t, i=i, j=j: oracles.free_fermion_zz_otoc(n, i, j, t))
+        for i, j in pairs
+    ]
+    cases += [
+        (OtocSpec(1, "x", j, "z"), lambda t, j=j: oracles.free_fermion_xz_otoc(n, j, t))
+        for j in sorted({j for _, j in pairs})
+    ]
+    for spec, oracle in cases:
+        prepared = prepare(state, spec, prop.register)
+        for t, ev in evolutions:
+            yield re_otoc_via_protocol(prepared, ev), im_otoc_via_protocol(prepared, ev), oracle(t)
+
+
+@pytest.mark.parametrize("n", range(6, 9))
+def test_protocols_match_free_fermion_oracle(n):
+    """Both protocols on maximally_mixed XY chains, every site pair: 2 corr - 1
+    is the Jordan-Wigner C, and the rotation combination is 0, because C is
+    real at infinite temperature (cyclicity of the trace)."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for re_c, im_c, expected in _free_fermion_protocol_cases(n, pairs, (0.7, 2.9)):
+        assert abs(re_c - expected.real) < 1e-12
+        assert abs(im_c) < 1e-12
+
+
+def test_protocols_match_free_fermion_oracle_at_ten_sites():
+    for re_c, im_c, expected in _free_fermion_protocol_cases(10, [(4, 7)], (0.7, 2.9)):
+        assert abs(re_c - expected.real) < 1e-12
+        assert abs(im_c) < 1e-12
 
 
 def _factor_of_width(n, kind, rng):
@@ -338,7 +376,7 @@ def test_compressed_tree_matches_probability_oracle(axes, n, data, kind, xy, see
     prop = Propagator.from_hamiltonian(ham)
     state = DensityOperator.from_factor(n, _factor_of_width(n, kind, rng))
     spec = OtocSpec(site_i, axes[0], site_j, axes[1])
-    table = outcome_probabilities(state, spec, prop.evolution(t))
+    table = outcome_probabilities(prepare(state, spec, prop.register), prop.evolution(t))
     expected = oracles.probability_table(
         state.matrix, ham.matrix, n, site_i, axes[0], site_j, axes[1], t
     )
@@ -348,14 +386,15 @@ def test_compressed_tree_matches_probability_oracle(axes, n, data, kind, xy, see
 def test_pure_state_tree_never_compresses(xy4, up4, spec_xx, monkeypatch):
     """compress_projected returns an all_up (rank-1) factor unchanged at every node."""
     calls = []
+    compress = Register.compress_projected
 
-    def spy(collapsed, *args):
-        result = compress_projected(collapsed, *args)
+    def spy(register, collapsed, *args):
+        result = compress(register, collapsed, *args)
         calls.append(result is collapsed)
         return result
 
-    monkeypatch.setattr(protocol, "compress_projected", spy)
-    outcome_probabilities(up4, spec_xx, xy4.evolution(0.5))
+    monkeypatch.setattr(Register, "compress_projected", spy)
+    outcome_probabilities(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
     assert calls and all(calls)
 
 
@@ -366,7 +405,7 @@ def test_tree_frees_its_closure_on_return(xy4, up4, spec_xx):
     forward = weakref.ref(ev.forward)
     gc.disable()
     try:
-        outcome_probabilities(up4, spec_xx, ev)
+        outcome_probabilities(prepare(up4, spec_xx, xy4.register), ev)
         del ev
         assert forward() is None
     finally:
@@ -374,12 +413,11 @@ def test_tree_frees_its_closure_on_return(xy4, up4, spec_xx):
 
 
 def test_tree_counts_pruned_branches(xy4, up4):
-    table = outcome_probabilities(up4, OtocSpec(2, "z", 3, "z"), xy4.evolution(1.3))
+    prepared = prepare(up4, OtocSpec(2, "z", 3, "z"), xy4.register)
+    table = outcome_probabilities(prepared, xy4.evolution(1.3))
     assert table.pruned == 4  # the -1 branch of each of the four measurements
-    mixed = outcome_probabilities(
-        maximally_mixed_state(4), OtocSpec(2, "x", 3, "y"), xy4.evolution(1.3)
-    )
-    assert mixed.pruned == 0
+    mixed = prepare(maximally_mixed_state(4), OtocSpec(2, "x", 3, "y"), xy4.register)
+    assert outcome_probabilities(mixed, xy4.evolution(1.3)).pruned == 0
 
 
 def test_probability_table_counts_clamped_entries():

@@ -16,6 +16,7 @@ from otocsim.protocol import (
     RotationAngles,
     angle_variants,
     outcome_probabilities,
+    prepare,
     rotated_expectation,
 )
 from otocsim.sampling import (
@@ -136,7 +137,7 @@ def test_neighbouring_seeds_and_points_share_no_uniforms():
 
 
 def test_sampling_is_deterministic_per_seed(xy4, up4, spec_xx):
-    table = outcome_probabilities(up4, spec_xx, xy4.evolution(0.5))
+    table = outcome_probabilities(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
     cfg = SampleConfig(1000, seed=42)
     assert np.array_equal(sample_sequences(table, cfg), sample_sequences(table, cfg))
     other = sample_sequences(table, SampleConfig(1000, seed=43))
@@ -165,8 +166,8 @@ def test_estimate_rejects_empty_counts():
 def test_estimator_coverage_on_exact_table(xy4, up4, spec_xx):
     """At 10^4 shots the estimate lands within 4 stderr of Re C in >= 99%
     of seeded repetitions."""
-    exact = otoc_direct(up4, spec_xx, xy4.evolution(0.5)).real
-    table = outcome_probabilities(up4, spec_xx, xy4.evolution(0.5))
+    exact = otoc_direct(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5)).real
+    table = outcome_probabilities(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
     hits = 0
     for seed in range(100):
         est = estimate_re_otoc(sample_sequences(table, SampleConfig(10_000, seed=seed)))
@@ -176,8 +177,8 @@ def test_estimator_coverage_on_exact_table(xy4, up4, spec_xx):
 
 
 def test_estimator_unbiased_over_many_repetitions(xy4, up4, spec_xx):
-    exact = otoc_direct(up4, spec_xx, xy4.evolution(0.5)).real
-    table = outcome_probabilities(up4, spec_xx, xy4.evolution(0.5))
+    exact = otoc_direct(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5)).real
+    table = outcome_probabilities(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
     repeats = 1000
     values, stderrs = [], []
     for seed in range(repeats):
@@ -193,7 +194,7 @@ def test_error_band_deterministic_table_is_zero():
 
 
 def test_error_band_scaling(xy4, up4, spec_xx):
-    table = outcome_probabilities(up4, spec_xx, xy4.evolution(0.5))
+    table = outcome_probabilities(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
     band_small = spread(table, 100, seed=5)
     band_large = spread(table, 1000, seed=6)
     ratio = band_small / band_large
@@ -201,7 +202,7 @@ def test_error_band_scaling(xy4, up4, spec_xx):
 
 
 def test_stderr_scales_with_shot_count(xy4, up4, spec_xx):
-    table = outcome_probabilities(up4, spec_xx, xy4.evolution(0.5))
+    table = outcome_probabilities(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
     means = []
     for n_shots in (100, 1000, 10_000):
         stderrs = [
@@ -214,8 +215,9 @@ def test_stderr_scales_with_shot_count(xy4, up4, spec_xx):
 
 
 def test_rotation_sampling_zero_time(xy4, up4, spec_xx):
+    prepared = prepare(up4, spec_xx, xy4.register)
     est = sample_rotation_protocol(
-        up4, spec_xx, xy4.evolution(0.0), PI_HALF_ANGLES, SampleConfig(2000, seed=17)
+        prepared, xy4.evolution(0.0), PI_HALF_ANGLES, SampleConfig(2000, seed=17)
     )
     assert est.stderr > 0.0
     assert abs(est.value) <= 4.0 * est.stderr
@@ -225,27 +227,26 @@ def test_rotation_sampling_zero_variance_when_expectations_saturate(xy4, up4):
     # z rotations leave the polarized state invariant, so every angle set
     # measures <sigma_z> = +1 and the shots carry no noise at all
     spec = OtocSpec(2, "z", 3, "z")
+    prepared = prepare(up4, spec, xy4.register)
     est = sample_rotation_protocol(
-        up4, spec, xy4.evolution(1.0), PI_HALF_ANGLES, SampleConfig(100, seed=2)
+        prepared, xy4.evolution(1.0), PI_HALF_ANGLES, SampleConfig(100, seed=2)
     )
     assert est == Estimate(0.0, 0.0, 100)
 
 
 def test_rotation_sampling_tracks_exact_im(xy4, up4, spec_xx, rng):
-    ev = xy4.evolution(0.5)
-    est = sample_rotation_protocol(up4, spec_xx, ev, PI_HALF_ANGLES, SampleConfig(10_000, seed=21))
-    exact = otoc_direct(up4, spec_xx, ev).imag
+    prepared, ev = prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5)
+    est = sample_rotation_protocol(prepared, ev, PI_HALF_ANGLES, SampleConfig(10_000, seed=21))
+    exact = otoc_direct(prepared, ev).imag
     assert abs(est.value - exact) <= 4.0 * est.stderr
     # also on an instance with genuinely complex C
     prop = Propagator.from_hamiltonian(random_hamiltonian(3, rng))
     state = random_density(3, rng)
-    spec = OtocSpec(1, "x", 3, "y")
+    prepared = prepare(state, OtocSpec(1, "x", 3, "y"), prop.register)
     ev = prop.evolution(1.1)
-    exact_im = otoc_direct(state, spec, ev).imag
+    exact_im = otoc_direct(prepared, ev).imag
     assert abs(exact_im) > 1e-3
-    est2 = sample_rotation_protocol(
-        state, spec, ev, PI_HALF_ANGLES, SampleConfig(200_000, seed=23)
-    )
+    est2 = sample_rotation_protocol(prepared, ev, PI_HALF_ANGLES, SampleConfig(200_000, seed=23))
     assert abs(est2.value - exact_im) <= 4.0 * est2.stderr
 
 
@@ -255,19 +256,29 @@ def test_rotation_sampling_matches_shot_array_oracle(xy4, up4, instance, n_shots
     """Value and stderr equal, bit for bit, the means of explicit +/-1 shot
     arrays on the same substream."""
     rng = np.random.Generator(np.random.PCG64(77))
-    state, spec, ev, angles = {
-        "saturated": lambda: (up4, OtocSpec(2, "z", 3, "z"), xy4.evolution(1.0), PI_HALF_ANGLES),
-        "xy": lambda: (up4, OtocSpec(2, "x", 3, "x"), xy4.evolution(0.5), PI_HALF_ANGLES),
-        "random": lambda: (
-            random_density(3, rng),
-            OtocSpec(1, "x", 3, "y"),
-            Propagator.from_hamiltonian(random_hamiltonian(3, rng)).evolution(1.1),
-            RotationAngles(0.4, 1.3, -2.2),
+
+    def random_instance():
+        state = random_density(3, rng)
+        prop = Propagator.from_hamiltonian(random_hamiltonian(3, rng))
+        prepared = prepare(state, OtocSpec(1, "x", 3, "y"), prop.register)
+        return prepared, prop.evolution(1.1), RotationAngles(0.4, 1.3, -2.2)
+
+    prepared, ev, angles = {
+        "saturated": lambda: (
+            prepare(up4, OtocSpec(2, "z", 3, "z"), xy4.register),
+            xy4.evolution(1.0),
+            PI_HALF_ANGLES,
         ),
+        "xy": lambda: (
+            prepare(up4, OtocSpec(2, "x", 3, "x"), xy4.register),
+            xy4.evolution(0.5),
+            PI_HALF_ANGLES,
+        ),
+        "random": random_instance,
     }[instance]()
     cfg = SampleConfig(n_shots, seed=2024, point=5)
-    est = sample_rotation_protocol(state, spec, ev, angles, cfg)
-    expectations = [rotated_expectation(state, spec, ev, v) for v in angle_variants(angles)]
+    est = sample_rotation_protocol(prepared, ev, angles, cfg)
+    expectations = [rotated_expectation(prepared, ev, v) for v in angle_variants(angles)]
     value, stderr = oracles.sampled_rotation_estimate(
         expectations, ANGLE_VARIANT_SIGNS, angles.checked_prefactor(), n_shots,
         substream(cfg.seed, cfg.point),
@@ -277,15 +288,17 @@ def test_rotation_sampling_matches_shot_array_oracle(xy4, up4, instance, n_shots
 
 def test_rotation_sampling_deterministic(xy4, up4, spec_xx):
     cfg = SampleConfig(500, seed=99)
-    a = sample_rotation_protocol(up4, spec_xx, xy4.evolution(0.7), PI_HALF_ANGLES, cfg)
-    b = sample_rotation_protocol(up4, spec_xx, xy4.evolution(0.7), PI_HALF_ANGLES, cfg)
+    prepared = prepare(up4, spec_xx, xy4.register)
+    a = sample_rotation_protocol(prepared, xy4.evolution(0.7), PI_HALF_ANGLES, cfg)
+    b = sample_rotation_protocol(prepared, xy4.evolution(0.7), PI_HALF_ANGLES, cfg)
     assert a == b
 
 
 def test_rotation_sampling_rejects_degenerate_angles(xy4, up4, spec_xx):
     angles = RotationAngles(0.1, 0.0, 0.3)
+    prepared = prepare(up4, spec_xx, xy4.register)
     with pytest.raises(DegenerateAnglesError):
-        sample_rotation_protocol(up4, spec_xx, xy4.evolution(0.5), angles, SampleConfig(10, seed=1))
+        sample_rotation_protocol(prepared, xy4.evolution(0.5), angles, SampleConfig(10, seed=1))
 
 
 def test_sample_config_validation():
