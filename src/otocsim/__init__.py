@@ -33,11 +33,13 @@ from .otoc import OtocSpec, commutator_norm, otoc_direct
 from .protocol import (
     DEFAULT_ANGLES,
     DegenerateAnglesError,
+    Ladder,
     OUTCOME_SEQUENCES,
     OUTCOME_SIGNS,
     PreparedState,
     ProbabilityTable,
     RotationAngles,
+    build_ladder,
     corr_from_table,
     im_otoc_via_protocol,
     outcome_probabilities,

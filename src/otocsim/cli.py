@@ -26,6 +26,7 @@ from .otoc import OtocSpec, otoc_direct
 from .protocol import (
     DegenerateAnglesError,
     RotationAngles,
+    build_ladder,
     corr_from_table,
     im_otoc_via_protocol,
     outcome_probabilities,
@@ -109,12 +110,13 @@ def _angles(config: RunConfig) -> RotationAngles:
 
 
 def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str], bool]:
-    """The time loop of `exact`, `sample` and `im`: one U(t) per time point.
+    """The time loop of `exact`, `sample` and `im`: one U(t) and one ladder per time point.
 
     The state is prepared once per run (`protocol.prepare`).  Every point
-    evaluates the direct C(t); `exact` and `sample` add the 16-branch
-    table, `exact` the two identity residuals, `sample` and `im` the
-    finite-shot draws of the point's substream.
+    evaluates the direct C(t) and builds the point's `Ladder`, which both
+    protocols read: `exact` and `sample` take the 16-branch table from it,
+    `exact` the two identity residuals, `sample` and `im` the finite-shot
+    draws of the point's substream.
     """
     prepared, prop, grid = _build_system(config, command)
     sampling = None if command == "exact" else require(config, "sampling", command)
@@ -125,14 +127,15 @@ def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str
         t = float(t)
         ev = prop.evolution(t)
         direct = otoc_direct(prepared, ev)
+        ladder = build_ladder(prepared, ev)
         row = {"t": t, "re_exact": direct.real, "im_exact": direct.imag}
         if command != "im":
-            table = outcome_probabilities(prepared, ev)
+            table = outcome_probabilities(ladder)
             pruned += table.pruned
             clamped += table.clamped
         if command == "exact":
             row["re_identity_residual"] = abs(2.0 * corr_from_table(table) - 1.0 - direct.real)
-            im_c = im_otoc_via_protocol(prepared, ev, angles)
+            im_c = im_otoc_via_protocol(ladder, angles)
             row["im_identity_residual"] = abs(im_c - direct.imag)
         else:
             cfg = SampleConfig(sampling.n_shots, sampling.seed, point=index)
@@ -140,7 +143,7 @@ def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str
                 est = estimate_re_otoc(sample_sequences(table, cfg))
                 row.update(re_estimate=est.value, re_stderr=est.stderr, n_shots=est.n_shots)
             else:
-                est = sample_rotation_protocol(prepared, ev, angles, cfg)
+                est = sample_rotation_protocol(ladder, angles, cfg)
                 row.update(im_estimate=est.value, im_stderr=est.stderr, n_shots=est.n_shots)
         rows.append(row)
     counts = f"{pruned} branches pruned, {clamped} probabilities clamped"

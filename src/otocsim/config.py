@@ -21,16 +21,16 @@ INITIAL_STATE_KINDS = ("all_up", "maximally_mixed")
 
 # The estimate allows up to 16 dense 2^N x 2^N complex matrices at once.
 # For a full-rank state a run holds, for its whole length, the prepared
-# state: Psi in register order (one such matrix) and the two 2^(N-1)-column
-# factors of the first collapse (one more together).  A time point adds its
-# temporaries: the rotations and the direct OTOC up to three full-width
-# factors, the tree up to three half-width ones per level below the first
-# (U psi, sigma U psi and one collapsed factor).  A traced 31-point N=8
-# maximally_mixed `exact` run peaks at about 7 of them.  The XY chain's H
-# is never dense: it, its real eigenvectors, U(t) and U(t)^dagger are
-# block-diagonal over the Hamming-weight sectors and hold sum_k C(N,k)^2
-# entries each (about 18% of 4^N at N=10), and H's hermiticity is checked
-# block by block.  The estimate is therefore an upper bound kept from the
+# state: Psi in register order (one such matrix).  A time point adds its
+# temporaries: the direct OTOC up to three full-width factors, and the
+# ladder both protocols read its four evolved factors plus at most two
+# more while it builds them and takes their Gram matrices; only the two
+# 6 x 6 Gram matrices outlive it.  Traced one-point N=10 and 31-point N=8
+# maximally_mixed `exact` runs peak at 6.5 and 6.9 of them, U(t) and
+# U(t)^dagger included.  The XY chain's H is never dense: it, its real
+# eigenvectors, U(t) and U(t)^dagger are block-diagonal over the
+# Hamming-weight sectors and hold sum_k C(N,k)^2 entries each (about 18%
+# of 4^N at N=10), and H's hermiticity is checked block by block.  The estimate is therefore an upper bound kept from the
 # dense layout.
 # Registers whose estimate exceeds the budget are rejected before anything
 # is allocated.

@@ -1,4 +1,4 @@
-"""N-qubit Hilbert-space primitives: states, single-site Pauli kernels, projectors.
+"""N-qubit Hilbert-space primitives: states and single-site Pauli and rotation kernels.
 
 Basis convention (used everywhere in this package):
 the computational basis is indexed by bitstrings, site 1 maps to the least
@@ -11,7 +11,7 @@ rho = Psi Psi^dagger: r = 1 for a pure state, r = 2^N for the maximally
 mixed one.  A `DensityOperator` holds Psi in computational order.  The
 evaluators hold it in the row order of a `Register` (the sector order of
 H, so that each block of U(t) acts on a contiguous slice of rows), where
-single-site Paulis, projectors and rotations act on Psi through index
+single-site Paulis and rotations act on Psi through index
 kernels in O(2^N r) (a row gather and a row phase), never as dense
 matrices.  Time evolution U(t) is block-diagonal over the sectors of H
 and built once per time point (see `dynamics.Evolution`).
@@ -135,33 +135,6 @@ class Register:
         out *= _row_weights(weights, out)
         out += math.cos(theta / 2.0) * psi
         return out
-
-    def compress_projected(
-        self, collapsed: np.ndarray, site: int, axis: str, sign: int
-    ) -> np.ndarray:
-        """A factor Phi of 2^(N-1) columns with Phi Phi^dagger = C C^dagger, C = c Pi psi.
-
-        Pi = (I +/- sigma_site^axis)/2 halves the rank, and the rows of a
-        factor in its range are fixed by 2^(N-1) of them, A: for z the rows
-        Pi keeps (the others are zero); for x and y the rows whose basis
-        index has the site's bit clear, the row of b | m being sign * row b
-        (x) or sign * i * row b (y).  With the reduced QR A^dagger = Q R,
-        Phi = C Q has Phi Phi^dagger = C C^dagger and is R^dagger on the rows
-        of A, so it is filled from R alone.  A factor of at most 2^(N-1)
-        columns is returned unchanged.
-        """
-        half = len(self.order) // 2
-        if collapsed.shape[1] <= half:
-            return collapsed
-        bit_set = (self.order & (1 << (site - 1))) != 0
-        keep = np.flatnonzero(bit_set if axis == "z" and sign == -1 else ~bit_set)
-        r_adjoint = np.linalg.qr(collapsed[keep].conj().T, mode="r").conj().T
-        phi = np.zeros((2 * half, half), dtype=complex)
-        phi[keep] = r_adjoint
-        if axis != "z":
-            gather, _ = self._kernel(collapsed, site, axis)
-            phi[gather[keep]] = sign * (1j if axis == "y" else 1.0) * r_adjoint
-        return phi
 
 
 class DensityOperator:

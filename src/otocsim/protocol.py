@@ -9,16 +9,19 @@ Rotation branch: three single-site rotations interleaved with the same
 evolution pattern, followed by one expectation value of sigma_i^a;
 a four-angle-set combination reconstructs Im C(t).
 
-Every evaluator of a run reads one `PreparedState`: the state factor in
-the register order of the propagator, and the tree's first measurement,
-which does not depend on t.
+A run prepares its state once (`prepare`: Psi in the register order of
+the propagator).  Each time point then builds one `Ladder` from six
+applications of U(t) or U(t)^dagger: since U^dagger U = I and sigma^2 = I,
+every state of either protocol is a combination of six evolved factors,
+and the ladder keeps only their Gram matrices.  The 16-branch table and
+every angle set read from it; no state is collapsed or re-evolved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import partial
 
 import numpy as np
 
@@ -43,9 +46,9 @@ OUTCOME_SEQUENCES: tuple[tuple[int, int, int, int], ...] = tuple(
 OUTCOME_SIGNS = np.array([o1 * o2 * o3 * o4 for o1, o2, o3, o4 in OUTCOME_SEQUENCES])
 OUTCOME_SIGNS.flags.writeable = False
 
-# Branches whose parent probability falls below this are assigned joint
-# probability 0 without forming the conditional state (the chain rule
-# divides by the parent probability, but the joint stays well defined).
+# A node of the outcome tree whose conditional probability falls below this
+# is pruned: every leaf below it gets joint probability 0, where the leaves'
+# own values would be rounding noise around it.
 ZERO_BRANCH_CUTOFF = 1e-14
 
 PROB_ATOL = 1e-12       # tolerance on individual probabilities
@@ -127,31 +130,9 @@ class ProbabilityTable:
         object.__setattr__(self, "clamped", int(np.count_nonzero(probs != raw)))
 
 
-def _branches(register: Register, psi: np.ndarray, site: int, axis: str, collapse: bool):
-    """(p, factor) for the outcomes +1 and -1 of measuring sigma_site^axis on psi.
-
-    sigma psi is formed once and e = Re <psi, sigma psi> read from it: the
-    probabilities are p = (1 +/- e)/2.  With `collapse`, the factor is the
-    collapsed (psi +/- sigma psi) / (2 sqrt(p)), compressed to 2^(N-1)
-    columns when wider (`Register.compress_projected`); it is None without
-    `collapse` and where p falls below ZERO_BRANCH_CUTOFF.  The -1 factor is
-    formed only once the caller has finished with the +1 one.
-    """
-    sigma_psi = register.pauli(psi, site, axis)
-    e = float(np.vdot(psi, sigma_psi).real)
-    for sign in (+1, -1):
-        p = (1.0 + sign * e) / 2.0
-        factor = None
-        if collapse and p >= ZERO_BRANCH_CUTOFF:
-            factor = psi + sigma_psi if sign > 0 else psi - sigma_psi
-            factor = register.compress_projected(factor, site, axis, sign)
-            factor *= 0.5 / math.sqrt(p)
-        yield p, factor
-
-
 @dataclass(frozen=True, eq=False)
 class PreparedState:
-    """What every evaluator of a run shares: Psi in register order and the first collapse.
+    """What every evaluator of a run shares: the state and correlator, Psi in register order.
 
     `psi` is the state factor with its rows in `register` order, the row
     order of the propagator's evolutions.  Build it with `prepare`.
@@ -160,22 +141,6 @@ class PreparedState:
     register: Register
     spec: OtocSpec
     psi: np.ndarray
-
-    @cached_property
-    def first_branches(self) -> tuple[tuple[float, np.ndarray | None], ...]:
-        """(p, collapsed factor) for the outcomes +1 and -1 of the tree's first measurement.
-
-        sigma_j^b on Psi does not depend on t, so the first tree of a run
-        measures it for all the others: a full-rank factor comes compressed
-        to 2^(N-1) columns, and the factor is None where p falls below
-        ZERO_BRANCH_CUTOFF.
-        """
-        spec = self.spec
-        first = tuple(_branches(self.register, self.psi, spec.site_j, spec.axis_b, collapse=True))
-        for _, factor in first:
-            if factor is not None:
-                factor.flags.writeable = False  # shared by every time point of the run
-        return first
 
 
 def prepare(state: DensityOperator, spec: OtocSpec, register: Register) -> PreparedState:
@@ -188,49 +153,95 @@ def prepare(state: DensityOperator, spec: OtocSpec, register: Register) -> Prepa
     return PreparedState(register, spec, psi)
 
 
-def outcome_probabilities(prepared: PreparedState, ev: Evolution) -> ProbabilityTable:
-    """Exact joint probabilities for the four-measurement sequence.
+# The unnormalised state U Pi_j^o3 U^dagger Pi_i^o2 U Pi_j^o1 Psi that the last
+# measurement reads, over the ladder basis; one row per (o1, o2, o3), o1
+# outermost as in OUTCOME_SEQUENCES.
+_LEAF_COEFFICIENTS = np.array(
+    [
+        (1 + o1 * o3, o1 + o3, o2, o1 * o2, o2 * o3, o1 * o2 * o3)
+        for o1 in (+1, -1)
+        for o2 in (+1, -1)
+        for o3 in (+1, -1)
+    ]
+) / 8.0
 
-    Measurement order is sigma_j^b, sigma_i^a, sigma_j^b, sigma_i^a with
-    evolution +t, -t, +t in between.  The first measurement comes collapsed
-    (and a full-rank factor compressed to 2^(N-1) columns) from the prepared
-    state, so every later level runs at that width; each later node forms
-    sigma psi once (`_branches`).
+
+@dataclass(frozen=True, eq=False)
+class Ladder:
+    """What both protocols read at one time point: two Hermitian 6 x 6 Gram matrices.
+
+    Both protocols interleave single-site operations with U, U^dagger, U
+    (U = U(t)).  Since U^dagger U = I, sigma^2 = I and Pi = (1 +/- sigma)/2,
+    every state either one forms is a combination c . B of the basis
+    B = (X0, X1, sigma_i X0, sigma_i X1, Z0, Z1), where X0 = U Psi,
+    X1 = U sigma_j Psi and Z_k = U sigma_j U^dagger sigma_i X_k (so
+    U sigma_j U^dagger swaps X0 and X1).  `grams` holds G0 = <B_m|B_n> and
+    G1 = <B_m|sigma_i B_n>, traced over the factor's columns: c . B has
+    squared norm c^dagger G0 c and <sigma_i> = c^dagger G1 c.  Build it with
+    `build_ladder`.
+    """
+
+    grams: np.ndarray
+
+
+def build_ladder(prepared: PreparedState, ev: Evolution) -> Ladder:
+    """The ladder of time point `ev`, from six applications of U(t) or U(t)^dagger.
+
+    K = (X0, X1, Z0, Z1) gives P_ab = <K_a|K_b> and Q_ab = <K_a|sigma_i K_b>.
+    As sigma_i is Hermitian and squares to I, G0 takes P where both basis
+    vectors carry sigma_i or neither does, and Q otherwise; G1 the reverse.
+    Every temporary is dropped once read, so at most two live beside Psi and K.
     """
     register = ev.check(prepared.register)
     spec = prepared.spec
-    # (site and axis measured, unitary applied before the measurement)
-    steps = (
-        (spec.site_i, spec.axis_a, ev.forward),
-        (spec.site_j, spec.axis_b, ev.backward),
-        (spec.site_i, spec.axis_a, ev.forward),
-    )
+    sigma_i = partial(register.pauli, site=spec.site_i, axis=spec.axis_a)
+    sigma_j = partial(register.pauli, site=spec.site_j, axis=spec.axis_b)
+    factors = [ev.forward @ prepared.psi, ev.forward @ sigma_j(prepared.psi)]
+    for k in (0, 1):
+        factors.append(ev.forward @ sigma_j(ev.backward @ sigma_i(factors[k])))
+    upper = np.zeros((2, 4, 4), dtype=complex)  # P and Q above their diagonals
+    for b, factor in enumerate(factors):
+        flipped = sigma_i(factor)
+        for a in range(b + 1):
+            upper[:, a, b] = np.vdot(factors[a], factor), np.vdot(factors[a], flipped)
+        del flipped  # before the next one is formed
+    p, q = upper + np.triu(upper, 1).conj().swapaxes(1, 2)
+    under = np.ix_(*2 * ([0, 1, 0, 1, 2, 3],))  # the K under each vector of B
+    carries = np.array([0, 0, 1, 1, 0, 0])  # and whether it carries sigma_i
+    same = carries[:, None] == carries
+    p, q = p[under], q[under]
+    grams = np.stack([np.where(same, p, q), np.where(same, q, p)])
+    grams.flags.writeable = False
+    return Ladder(grams)
 
-    probs = np.zeros(len(OUTCOME_SEQUENCES))
+
+def outcome_probabilities(ladder: Ladder) -> ProbabilityTable:
+    """Exact joint probabilities for the four-measurement sequence.
+
+    Measurement order is sigma_j^b, sigma_i^a, sigma_j^b, sigma_i^a with
+    evolution +t, -t, +t in between.  The state before the last measurement
+    is c . B with c = (1 + o1 o3, o1 + o3, o2, o1 o2, o2 o3, o1 o2 o3) / 8,
+    so the joint probability of (o1, o2, o3, o4) is
+    (c^dagger G0 c + o4 c^dagger G1 c) / 2.  A node whose conditional
+    probability, the ratio of its leaves' sum to its parent's, falls below
+    ZERO_BRANCH_CUTOFF zeroes every leaf below it and counts once as pruned.
+    """
+    # c is real and G Hermitian, so c^dagger G c reads only the real part of G
+    c = _LEAF_COEFFICIENTS
+    norm, sigma = np.einsum("ka,gab,kb->gk", c, ladder.grams.real, c)
+    leaves = np.stack([norm + sigma, norm - sigma], axis=1).ravel() / 2.0
+    alive = np.ones(1, dtype=bool)
+    parent = np.ones(1)
     pruned = 0
-
-    def descend(branches, joint: float, depth: int, branch: int) -> None:
-        # branches are the outcomes of measurement depth + 1; branch indexes
-        # the depth outcomes before it, o1 most significant and a -1 outcome a
-        # set bit, so a leaf's index is its place in OUTCOME_SEQUENCES
-        nonlocal pruned
-        for sign, (p, psi) in zip((+1, -1), branches):
-            child = 2 * branch + (sign == -1)
-            if p < ZERO_BRANCH_CUTOFF:
-                pruned += 1  # every leaf below keeps probability 0
-            elif depth == 3:
-                probs[child] = joint * p
-            else:
-                site, axis, u = steps[depth]
-                measured = _branches(register, u @ psi, site, axis, collapse=depth < 2)
-                descend(measured, joint * p, depth + 1, child)
-
-    descend(prepared.first_branches, 1.0, 0, 0)
-    # descend refers to itself through its closure cell; emptying the cell
-    # frees the closure, and the U(t) blocks it holds through steps, on return
-    # instead of at some later cyclic collection
-    del descend
-    return ProbabilityTable(probs, pruned)
+    for depth in range(1, 5):
+        # the nodes of this depth, o1 most significant, as sums of their leaves
+        marginal = leaves.reshape(2**depth, -1).sum(axis=1)
+        alive = np.repeat(alive, 2)
+        below = marginal < ZERO_BRANCH_CUTOFF * np.repeat(parent, 2)
+        pruned += int(np.count_nonzero(alive & below))
+        alive &= ~below
+        parent = marginal
+    return ProbabilityTable(np.where(alive, leaves, 0.0), pruned)
 
 
 def corr_from_table(table: ProbabilityTable) -> float:
@@ -238,27 +249,34 @@ def corr_from_table(table: ProbabilityTable) -> float:
     return math.fsum(OUTCOME_SIGNS * table.probabilities)
 
 
-def re_otoc_via_protocol(prepared: PreparedState, ev: Evolution) -> float:
+def re_otoc_via_protocol(ladder: Ladder) -> float:
     """Re C(t) reconstructed as 2*corr - 1 from the projective protocol."""
-    return 2.0 * corr_from_table(outcome_probabilities(prepared, ev)) - 1.0
+    return 2.0 * corr_from_table(outcome_probabilities(ladder)) - 1.0
 
 
-def rotated_expectation(prepared: PreparedState, ev: Evolution, angles: RotationAngles) -> float:
+def rotated_expectation(ladder: Ladder, angles: RotationAngles) -> float:
     """<sigma_i^a> after the rotate/evolve sequence of the imaginary-part protocol.
 
     The state factor goes through e^(-iHt) R_j^b(t3) e^(iHt) R_i^a(t2)
-    e^(-iHt) R_j^b(t1), right to left.
+    e^(-iHt) R_j^b(t1), right to left, with R(theta) = c - i n sigma for
+    c = cos(theta/2), n = sin(theta/2).  Over the ladder basis the final
+    state is c3 (c2 c1 X0 - i c2 n1 X1 - i n2 c1 sigma_i X0 - n2 n1 sigma_i X1)
+    - i n3 (-i c2 n1 X0 + c2 c1 X1 - i n2 c1 Z0 - n2 n1 Z1).
     """
-    register = ev.check(prepared.register)
-    spec = prepared.spec
-    psi = prepared.psi
-    for site, axis, theta, u in (
-        (spec.site_j, spec.axis_b, angles.theta1, ev.forward),
-        (spec.site_i, spec.axis_a, angles.theta2, ev.backward),
-        (spec.site_j, spec.axis_b, angles.theta3, ev.forward),
-    ):
-        psi = u @ register.rotation(psi, site, axis, theta)
-    return float(np.vdot(psi, register.pauli(psi, spec.site_i, spec.axis_a)).real)
+    half = (angles.theta1 / 2.0, angles.theta2 / 2.0, angles.theta3 / 2.0)
+    c1, c2, c3 = (math.cos(h) for h in half)
+    n1, n2, n3 = (math.sin(h) for h in half)
+    coeffs = np.array(
+        [
+            c3 * c2 * c1 - n3 * c2 * n1,
+            -1j * (c3 * c2 * n1 + n3 * c2 * c1),
+            -1j * c3 * n2 * c1,
+            -c3 * n2 * n1,
+            -n3 * n2 * c1,
+            1j * n3 * n2 * n1,
+        ]
+    )
+    return float(np.vdot(coeffs, ladder.grams[1] @ coeffs).real)
 
 
 def angle_variants(angles: RotationAngles) -> tuple[RotationAngles, ...]:
@@ -275,15 +293,13 @@ def angle_variants(angles: RotationAngles) -> tuple[RotationAngles, ...]:
 ANGLE_VARIANT_SIGNS = (+1.0, -1.0, -1.0, +1.0)
 
 
-def im_otoc_via_protocol(
-    prepared: PreparedState, ev: Evolution, angles: RotationAngles | None = None
-) -> float:
+def im_otoc_via_protocol(ladder: Ladder, angles: RotationAngles | None = None) -> float:
     """Im C(t) from the four-angle-set combination of rotated expectations."""
     if angles is None:
         angles = RotationAngles(*DEFAULT_ANGLES)
     prefactor = angles.checked_prefactor()
     combo = math.fsum(
-        sign * rotated_expectation(prepared, ev, var)
+        sign * rotated_expectation(ladder, var)
         for sign, var in zip(ANGLE_VARIANT_SIGNS, angle_variants(angles))
     )
     return combo / prefactor

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Evolution
 from .protocol import (
     ANGLE_VARIANT_SIGNS,
     OUTCOME_SIGNS,
-    PreparedState,
+    Ladder,
     ProbabilityTable,
     RotationAngles,
     angle_variants,
@@ -104,7 +103,7 @@ def estimate_re_otoc(counts: np.ndarray) -> Estimate:
 
 
 def sample_rotation_protocol(
-    prepared: PreparedState, ev: Evolution, angles: RotationAngles, cfg: SampleConfig
+    ladder: Ladder, angles: RotationAngles, cfg: SampleConfig
 ) -> Estimate:
     """Finite-shot estimate of Im C(t) from the rotation protocol.
 
@@ -119,7 +118,7 @@ def sample_rotation_protocol(
     combo = 0.0
     var_sum = 0.0
     for sign, variant in zip(ANGLE_VARIANT_SIGNS, angle_variants(angles)):
-        exact = rotated_expectation(prepared, ev, variant)
+        exact = rotated_expectation(ladder, variant)
         p_up = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
         ups = np.count_nonzero(rng.random(cfg.n_shots) < p_up)
         mean = (2 * ups - cfg.n_shots) / cfg.n_shots

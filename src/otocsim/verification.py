@@ -15,7 +15,7 @@ import numpy as np
 from .dynamics import Hamiltonian, Propagator
 from .hilbert import DensityOperator, PAULI_AXES
 from .otoc import OtocSpec, commutator_norm, otoc_direct
-from .protocol import RotationAngles, im_otoc_via_protocol, prepare, re_otoc_via_protocol
+from .protocol import RotationAngles, build_ladder, im_otoc_via_protocol, prepare, re_otoc_via_protocol
 
 # Largest accepted |reconstructed - direct| of a protocol identity, here and in `otocsim exact`.
 IDENTITY_TOLERANCE = 1e-9
@@ -84,7 +84,7 @@ def check_re_identity(
     """2*corr - 1 against Re C on random instances."""
     worst = 0.0
     for _, prepared, ev in _instances(n_instances, sizes, seed):
-        reconstructed = re_otoc_via_protocol(prepared, ev)
+        reconstructed = re_otoc_via_protocol(build_ladder(prepared, ev))
         direct = otoc_direct(prepared, ev).real
         worst = max(worst, abs(reconstructed - direct))
     return CheckResult("re_identity", worst, IDENTITY_TOLERANCE)
@@ -97,7 +97,7 @@ def check_im_identity(
     worst = 0.0
     for rng, prepared, ev in _instances(n_instances, sizes, seed):
         angles = random_nondegenerate_angles(rng)
-        reconstructed = im_otoc_via_protocol(prepared, ev, angles)
+        reconstructed = im_otoc_via_protocol(build_ladder(prepared, ev), angles)
         direct = otoc_direct(prepared, ev).imag
         worst = max(worst, abs(reconstructed - direct))
     return CheckResult("im_identity", worst, IDENTITY_TOLERANCE)

@@ -49,8 +49,8 @@ def xy_chain(n_sites):
     return h
 
 
-def hopping_propagator(n_sites, t):
-    """u(t) = e^(-iht) for the XY chain's single-particle hopping h_(k,k+1) = -2.
+def hopping_modes(n_sites):
+    """(modes, energies) of the XY chain's single-particle hopping h_(k,k+1) = -2.
 
     The Jordan-Wigner map (Lieb, Schultz, Mattis 1961) turns the open XY
     chain into free fermions hopping with amplitude -2 between neighbours.
@@ -59,7 +59,12 @@ def hopping_propagator(n_sites, t):
     """
     k = np.arange(1, n_sites + 1)
     modes = math.sqrt(2.0 / (n_sites + 1)) * np.sin(math.pi * np.outer(k, k) / (n_sites + 1))
-    energies = -4.0 * np.cos(math.pi * k / (n_sites + 1))
+    return modes, -4.0 * np.cos(math.pi * k / (n_sites + 1))
+
+
+def hopping_propagator(n_sites, t):
+    """u(t) = e^(-iht) for the XY chain's single-particle hopping h (`hopping_modes`)."""
+    modes, energies = hopping_modes(n_sites)
     return (modes * np.exp(-1j * energies * t)) @ modes.T
 
 
@@ -78,12 +83,66 @@ def free_fermion_zz_otoc(n_sites, site_i, site_j, t):
     return complex(np.linalg.det(np.eye(n_sites) + w @ z_j @ w @ z_j)) / 2**n_sites
 
 
+def free_fermion_thermal_zz_otoc(n_sites, site_i, site_j, t, beta):
+    """XY-chain C(t) in the state e^(-beta H)/Z for W = sigma_i^z, V = sigma_j^z.
+
+    e^(-beta H) is the Gaussian of g = e^(-beta h), so with the Gaussians of
+    `free_fermion_zz_otoc`, C = det(1 + g w Z_j w Z_j) / det(1 + g) for
+    w = u^dagger Z_i u.  Unlike beta = 0, the state does not commute with
+    the sublattice flip that sends H to -H, so Im C is not zero.
+    """
+    modes, energies = hopping_modes(n_sites)
+    g = (modes * np.exp(-beta * energies)) @ modes.T
+    u = hopping_propagator(n_sites, t)
+    z_i, z_j = np.eye(n_sites), np.eye(n_sites)
+    z_i[site_i - 1, site_i - 1] = z_j[site_j - 1, site_j - 1] = -1.0
+    w = u.conj().T @ z_i @ u
+    one = np.eye(n_sites)
+    return complex(np.linalg.det(one + g @ w @ z_j @ w @ z_j) / np.linalg.det(one + g))
+
+
 def free_fermion_xz_otoc(n_sites, site_j, t):
     """Infinite-temperature XY-chain C(t) for W = sigma_1^x, V = sigma_j^z: 1 - 2|u_1j(t)|^2.
 
     sigma_1^x is a single Majorana operator with no Jordan-Wigner string.
     """
     return 1.0 - 2.0 * abs(hopping_propagator(n_sites, t)[0, site_j - 1]) ** 2
+
+
+def free_fermion_xx_vacuum_otoc(n_sites, site_i, site_j, t):
+    """XY-chain C(t) on all_up for W = sigma_i^x, V = sigma_j^x, by Wick's theorem.
+
+    all_up is the fermion vacuum |0>.  Under Jordan-Wigner
+    sigma_k^x = S_k (c_k + c_k^dagger) with the string S_k, the Gaussian
+    unitary of diag(-1 on sites < k, +1 elsewhere); U is the Gaussian of u.
+    A number-conserving Gaussian G of matrix M sends alpha.c + beta.c^dagger
+    to conj(M) alpha.c + M beta.c^dagger under G . G^dagger, the Gaussians
+    of a product multiply as their matrices, and every one of them fixes
+    |0>.  Moving them all to the right leaves C = <0|L1 L2 L3 L4|0> with
+    La = alpha_a.c + beta_a.c^dagger.  Wick's theorem gives
+    <L1 L2><L3 L4> - <L1 L3><L2 L4> + <L1 L4><L2 L3>, and
+    <0|La Lb|0> = alpha_a.beta_b.  This C is real: H is real, and the
+    sublattice flip that sends H to -H fixes |0> and at most negates sigma^x.
+    """
+    u = hopping_propagator(n_sites, t)
+
+    def string(site):
+        return np.diag(np.where(np.arange(1, n_sites + 1) < site, -1.0, 1.0))
+
+    # W(t) V W(t) V = u^dagger S_i A_i u S_j A_j u^dagger S_i A_i u S_j A_j with
+    # A_k = c_k + c_k^dagger: each step is the Gaussians left of one A_site
+    steps = 2 * [((u.conj().T, string(site_i)), site_i), ((u, string(site_j)), site_j)]
+    passed = np.eye(n_sites, dtype=complex)  # the product of the Gaussians moved so far
+    terms = []
+    for gaussians, site in steps:
+        for matrix in gaussians:
+            passed = passed @ matrix
+        terms.append((passed.conj()[:, site - 1], passed[:, site - 1]))
+
+    def pair(a, b):
+        return terms[a][0] @ terms[b][1]
+
+    return complex(pair(0, 1) * pair(2, 3) - pair(0, 2) * pair(1, 3) + pair(0, 3) * pair(1, 2))
 
 
 def otoc_value(rho, h, n_sites, site_i, axis_a, site_j, axis_b, t):

@@ -22,7 +22,7 @@ from otocsim import (
 )
 from otocsim.cli import main
 from otocsim.dressing import dressed_ising_coupling
-from otocsim.protocol import outcome_probabilities, prepare
+from otocsim.protocol import build_ladder, outcome_probabilities, prepare
 from otocsim.sampling import SampleConfig, estimate_re_otoc, sample_sequences
 from otocsim.verification import (
     check_commutator_relation,
@@ -127,7 +127,7 @@ def test_criterion_5_sampled_estimator_coverage(xy4, up4, spec_xx):
     hits = total = 0
     for index, t in enumerate(grid):
         exact = otoc_direct(prepared, xy4.evolution(float(t))).real
-        table = outcome_probabilities(prepared, xy4.evolution(float(t)))
+        table = outcome_probabilities(build_ladder(prepared, xy4.evolution(float(t))))
         for seed in range(100):
             est = estimate_re_otoc(
                 sample_sequences(table, SampleConfig(10_000, seed=1_000 * index + seed))
@@ -164,7 +164,7 @@ def test_criterion_6_error_band_scaling(xy4, up4, spec_xx):
     prepared = prepare(up4, spec_xx, xy4.register)
     bands_small, bands_large, exact = [], [], []
     for index, t in enumerate(grid):
-        table = outcome_probabilities(prepared, xy4.evolution(float(t)))
+        table = outcome_probabilities(build_ladder(prepared, xy4.evolution(float(t))))
         bands_small.append(band(table, 100, seed=1000 + index))
         bands_large.append(band(table, 1000, seed=5000 + index))
         exact.append(otoc_direct(prepared, xy4.evolution(float(t))).real)

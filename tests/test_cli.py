@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from otocsim.cli import EXIT_CONFIG, EXIT_OK, main
-from otocsim.dynamics import Propagator
+from otocsim.dynamics import BlockDiagonal, Propagator
+
+import oracles
 
 BASE_CONFIG = """
 n_sites = 4
@@ -232,20 +234,45 @@ def mixed_yz_config(n_sites, n_times):
     )
 
 
-@pytest.mark.parametrize("n_times", [1, 3, 8])
-def test_full_rank_exact_run_compresses_the_first_collapse_once(n_times, tmp_path, monkeypatch):
-    """The t-independent first measurement is collapsed and QR-compressed once
-    per run, one QR per outcome, while U(t) is still built once per point."""
-    qr_calls, evolutions = [], []
-    qr, build = np.linalg.qr, Propagator.evolution
+@pytest.mark.parametrize("command", ["exact", "sample", "im"])
+@pytest.mark.parametrize("n_times", [1, 3])
+def test_each_point_applies_u_ten_times_and_factorizes_nothing(
+    command, n_times, tmp_path, monkeypatch
+):
+    """On a full-rank state every time point applies U(t) or U(t)^dagger 10 times,
+    4 for the direct C(t) and 6 for the ladder both protocols read, and no
+    command calls a QR."""
+    applications, qr_calls = [], []
+    apply, qr = BlockDiagonal.__matmul__, np.linalg.qr
+    monkeypatch.setattr(
+        BlockDiagonal, "__matmul__", lambda op, psi: applications.append(1) or apply(op, psi)
+    )
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
-    monkeypatch.setattr(Propagator, "evolution", lambda p, t: evolutions.append(t) or build(p, t))
     path = tmp_path / "mixed.cfg"
     path.write_text(mixed_yz_config(6, n_times))
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    assert len(applications) == 10 * n_times
+    assert not qr_calls
+
+
+def test_exact_matches_xx_vacuum_oracle_at_twelve_sites(tmp_path):
+    """One N=12 all_up point of the paper's (6,x)/(7,x) correlator: the direct C(t)
+    against the free-fermion Wick oracle, and both protocols against it."""
+    path = tmp_path / "n12.cfg"
+    path.write_text(
+        BASE_CONFIG.replace("n_sites = 4", "n_sites = 12")
+        .replace("site_i = 2", "site_i = 6")
+        .replace("site_j = 3", "site_j = 7")
+        .replace("t_start = 0.0\nt_stop = 2.0\nn_times = 9", "t_start = 1.7\nt_stop = 1.7\nn_times = 1")
+    )
     out = tmp_path / "exact.csv"
     assert main(["exact", "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
-    assert len(qr_calls) == 2
-    assert len(evolutions) == n_times
+    _, _, (row,) = read_table(out)
+    expected = oracles.free_fermion_xx_vacuum_otoc(12, 6, 7, 1.7)
+    assert abs(complex(float(row["re_exact"]), float(row["im_exact"])) - expected) < 1e-12
+    assert float(row["re_identity_residual"]) < 1e-12
+    assert float(row["im_identity_residual"]) < 1e-12
 
 
 def test_full_rank_exact_run_stays_within_its_memory_budget(tmp_path):

@@ -19,15 +19,7 @@ from otocsim.dynamics import (
 )
 from otocsim.hilbert import DensityOperator, Register, all_up_state
 from otocsim.otoc import OtocSpec, commutator_norm, otoc_direct
-from otocsim.protocol import (
-    DEFAULT_ANGLES,
-    OUTCOME_SEQUENCES,
-    ProbabilityTable,
-    RotationAngles,
-    outcome_probabilities,
-    prepare,
-    rotated_expectation,
-)
+from otocsim.protocol import OUTCOME_SEQUENCES, ProbabilityTable, build_ladder, prepare
 
 # Expanding -(x1 x2 + y1 y2) by hand on the 4-dim basis leaves only the
 # flip-flop entries |up,down><down,up| and its transpose, each -2.
@@ -173,14 +165,12 @@ def test_heisenberg_preserves_pauli_spectrum(xy4):
 def test_dimension_mismatch_raises(xy4, spec_xx):
     up3, ev = all_up_state(3), xy4.evolution(1.0)
     prepared3 = prepare(up3, spec_xx, Propagator.from_hamiltonian(build_xy_chain(3)).register)
-    angles = RotationAngles(*DEFAULT_ANGLES)
     for apply in (
         lambda: evolve(up3, ev),
         lambda: prepare(up3, spec_xx, xy4.register),
         lambda: otoc_direct(prepared3, ev),
         lambda: commutator_norm(prepared3, ev),
-        lambda: outcome_probabilities(prepared3, ev),
-        lambda: rotated_expectation(prepared3, ev, angles),
+        lambda: build_ladder(prepared3, ev),
     ):
         with pytest.raises(ValueError, match="dimension mismatch between state and propagator"):
             apply()
@@ -192,8 +182,7 @@ def test_evaluators_reject_a_state_in_another_row_order(xy4, up4, spec_xx):
     computational = prepare(up4, spec_xx, Register(4))
     for apply in (
         lambda: otoc_direct(computational, ev),
-        lambda: outcome_probabilities(computational, ev),
-        lambda: rotated_expectation(computational, ev, RotationAngles(*DEFAULT_ANGLES)),
+        lambda: build_ladder(computational, ev),
     ):
         with pytest.raises(ValueError, match="different orders"):
             apply()

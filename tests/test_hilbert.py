@@ -29,7 +29,7 @@ def dense_pauli(site, axis, n_sites):
 
 
 def dense_projector(site, axis, sign, n_sites, register=None):
-    """(I +/- sigma_site^axis)/2 from the kernel, as the projective tree forms it."""
+    """(I +/- sigma_site^axis)/2 from the kernel, the projector the ladder expands."""
     register = Register(n_sites) if register is None else register
     eye = np.eye(2**n_sites, dtype=complex)
     return (eye + sign * register.pauli(eye, site, axis)) / 2.0
@@ -99,7 +99,7 @@ def test_index_kernels_match_kronecker_oracle(args, sign, theta, rank, seed, ord
     """The kernels on a random (2^N, r) factor, and the dense forms built from
     them on the identity, against P (explicit Kronecker chains and expm) P^T
     for the register's row order P; the projector is (psi +/- sigma psi)/2,
-    as the projective tree forms it."""
+    the Pi = (1 +/- sigma)/2 that the ladder expands."""
     site, axis, n = args
     rng = np.random.Generator(np.random.PCG64(seed))
     psi = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
@@ -114,36 +114,6 @@ def test_index_kernels_match_kronecker_oracle(args, sign, theta, rank, seed, ord
     np.testing.assert_allclose(register.rotation(psi, site, axis, theta), rot @ psi, atol=1e-13)
     np.testing.assert_allclose(dense_projector(site, axis, sign, n, register), proj, atol=1e-15)
     np.testing.assert_allclose(register.rotation(eye, site, axis, theta), rot, atol=1e-14)
-
-
-@given(
-    sites_and_axes(),
-    st.sampled_from([+1, -1]),
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=1, max_value=4),
-    st.sampled_from(REGISTER_ORDERS),
-)
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_compress_projected_keeps_the_projected_state(args, sign, seed, extra, order):
-    """A collapsed factor wider than 2^(N-1) comes back with 2^(N-1) columns and
-    Phi Phi^dagger = Pi rho Pi, in the register's row order; one of at most
-    2^(N-1) columns comes back as is."""
-    site, axis, n = args
-    rng = np.random.Generator(np.random.PCG64(seed))
-    half = 2 ** (n - 1)
-    register = register_of(order, n, rng)
-    proj = in_register_order(register, oracles.site_projector(n, site, axis, sign))
-    for width in (half + extra, 2**n, half, max(1, half - extra)):
-        psi = rng.standard_normal((2**n, width)) + 1j * rng.standard_normal((2**n, width))
-        psi /= np.linalg.norm(psi)
-        collapsed = proj @ psi
-        phi = register.compress_projected(collapsed, site, axis, sign)
-        if width <= half:
-            assert phi is collapsed
-            continue
-        assert phi.shape == (2**n, half)
-        target = proj @ psi @ psi.conj().T @ proj
-        np.testing.assert_allclose(phi @ phi.conj().T, target, rtol=0, atol=1e-12)
 
 
 def test_register_order_is_a_checked_permutation(rng):

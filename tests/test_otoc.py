@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from otocsim.dynamics import Propagator, build_xy_chain
-from otocsim.hilbert import maximally_mixed_state
+from otocsim.hilbert import all_up_state, maximally_mixed_state
 from otocsim.otoc import OtocSpec, commutator_norm, otoc_direct
 from otocsim.protocol import prepare
 from otocsim.verification import random_density, random_hamiltonian
@@ -111,3 +111,17 @@ def test_xy_chain_matches_free_fermion_oracle(n):
 def test_xy_chain_matches_free_fermion_oracle_at_ten_sites():
     for value, expected in _free_fermion_cases(10, [(1, 10), (4, 6)], (0.9, 2.6)):
         assert abs(value - expected) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_xx_vacuum_matches_wick_oracle(n):
+    """The paper's (i,x)/(j,x) correlator on all_up, every ordered pair, against
+    the free-fermion Wick oracle."""
+    prop = Propagator.from_hamiltonian(build_xy_chain(n))
+    evolutions = [(t, prop.evolution(t)) for t in (0.6, 2.3)]
+    for site_i in range(1, n + 1):
+        for site_j in range(1, n + 1):
+            prepared = prepare(all_up_state(n), OtocSpec(site_i, "x", site_j, "x"), prop.register)
+            for t, ev in evolutions:
+                expected = oracles.free_fermion_xx_vacuum_otoc(n, site_i, site_j, t)
+                assert abs(otoc_direct(prepared, ev) - expected) < 1e-12

@@ -1,11 +1,10 @@
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from otocsim.dynamics import Propagator, build_custom, build_xy_chain
 from otocsim.hilbert import DensityOperator, Register, all_up_state, maximally_mixed_state
@@ -17,6 +16,7 @@ from otocsim.protocol import (
     ProbabilityTable,
     RotationAngles,
     angle_variants,
+    build_ladder,
     corr_from_table,
     im_otoc_via_protocol,
     outcome_probabilities,
@@ -67,7 +67,7 @@ def test_outcome_signs_are_the_sequence_products():
 
 def test_polarized_zz_protocol_is_deterministic(xy4, up4):
     prepared = prepare(up4, OtocSpec(2, "z", 3, "z"), xy4.register)
-    table = outcome_probabilities(prepared, xy4.evolution(1.3))
+    table = outcome_probabilities(build_ladder(prepared, xy4.evolution(1.3)))
     assert np.array_equal(table.probabilities, one_hot((1, 1, 1, 1)))
 
 
@@ -82,7 +82,7 @@ def test_mixed_state_conserved_axis_flip_symmetry():
     )
     prop = Propagator.from_hamiltonian(ham)
     prepared = prepare(maximally_mixed_state(n), OtocSpec(1, "x", 2, "z"), prop.register)
-    table = outcome_probabilities(prepared, prop.evolution(0.73))
+    table = outcome_probabilities(build_ladder(prepared, prop.evolution(0.73)))
     probs = table.probabilities
     for k, seq in enumerate(OUTCOME_SEQUENCES):
         flipped = OUTCOME_SEQUENCES.index(tuple(-o for o in seq))
@@ -90,7 +90,8 @@ def test_mixed_state_conserved_axis_flip_symmetry():
 
 
 def test_derived_table_frozen_and_live_oracle(xy4, up4, spec_xx):
-    table = outcome_probabilities(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    table = outcome_probabilities(ladder)
     assert np.max(np.abs(table.probabilities - frozen_table())) < 1e-10
     rho = np.zeros((16, 16), dtype=complex)
     rho[0, 0] = 1.0
@@ -102,7 +103,7 @@ def test_zero_probability_branches_are_safe(xy4, up4):
     """Pi_j^- annihilates the polarized state: no division errors, and the
     whole dead branch carries exactly zero probability."""
     prepared = prepare(up4, OtocSpec(2, "x", 3, "z"), xy4.register)
-    table = outcome_probabilities(prepared, xy4.evolution(0.8))
+    table = outcome_probabilities(build_ladder(prepared, xy4.evolution(0.8)))
     dead = [k for k, seq in enumerate(OUTCOME_SEQUENCES) if seq[0] == -1]
     assert np.array_equal(table.probabilities[dead], np.zeros(len(dead)))
     assert abs(math.fsum(table.probabilities) - 1.0) < 1e-10
@@ -116,7 +117,7 @@ def test_tables_normalized_on_random_instances(rng):
         sites = rng.choice(np.arange(1, n + 1), size=2, replace=False)
         spec = OtocSpec(int(sites[0]), "y", int(sites[1]), "x")
         ev = prop.evolution(float(rng.uniform(0, 5)))
-        table = outcome_probabilities(prepare(state, spec, prop.register), ev)
+        table = outcome_probabilities(build_ladder(prepare(state, spec, prop.register), ev))
         values = table.probabilities
         assert np.all((0.0 <= values) & (values <= 1.0))
         assert abs(math.fsum(values) - 1.0) < 1e-10
@@ -130,7 +131,7 @@ def test_corr_deterministic_and_uniform_tables():
 
 def test_corr_matches_direct_otoc_via_identity(xy4, up4, spec_xx):
     prepared = prepare(up4, spec_xx, xy4.register)
-    corr = corr_from_table(outcome_probabilities(prepared, xy4.evolution(0.5)))
+    corr = corr_from_table(outcome_probabilities(build_ladder(prepared, xy4.evolution(0.5))))
     assert abs(corr - CORR_T05) < 1e-10
     direct = otoc_direct(prepared, xy4.evolution(0.5)).real
     assert abs((2.0 * corr - 1.0) - direct) < 1e-10
@@ -161,10 +162,10 @@ def test_probability_table_validation_and_clamping():
 
 def test_re_identity_simple_cases(xy4, up4):
     prepared = prepare(up4, OtocSpec(1, "y", 4, "x"), xy4.register)
-    assert abs(re_otoc_via_protocol(prepared, xy4.evolution(0.0)) - 1.0) < 1e-12
+    assert abs(re_otoc_via_protocol(build_ladder(prepared, xy4.evolution(0.0))) - 1.0) < 1e-12
     prepared = prepare(up4, OtocSpec(2, "z", 3, "z"), xy4.register)
     for t in (0.4, 2.0):
-        assert abs(re_otoc_via_protocol(prepared, xy4.evolution(t)) - 1.0) < 1e-12
+        assert abs(re_otoc_via_protocol(build_ladder(prepared, xy4.evolution(t))) - 1.0) < 1e-12
 
 
 def test_re_identity_random_instances(rng):
@@ -177,7 +178,7 @@ def test_re_identity_random_instances(rng):
         ev = prop.evolution(float(rng.uniform(0, 5)))
         prepared = prepare(state, spec, prop.register)
         direct = otoc_direct(prepared, ev).real
-        assert abs(re_otoc_via_protocol(prepared, ev) - direct) < 1e-9
+        assert abs(re_otoc_via_protocol(build_ladder(prepared, ev)) - direct) < 1e-9
 
 
 def rotation_operator(site, axis, theta, n_sites):
@@ -204,21 +205,23 @@ def test_rotation_one_parameter_group(rng):
 
 def test_rotated_expectation_trivial_angles(xy4, up4):
     prepared = prepare(up4, OtocSpec(2, "z", 3, "z"), xy4.register)
-    value = rotated_expectation(prepared, xy4.evolution(1.1), RotationAngles(0, 0, 0))
+    ladder = build_ladder(prepared, xy4.evolution(1.1))
+    value = rotated_expectation(ladder, RotationAngles(0, 0, 0))
     assert abs(value - 1.0) < 1e-12
 
 
 def test_four_term_combination_cancels_at_theta2_zero(xy4, up4, spec_xx):
     angles = RotationAngles(0.9, 0.0, 1.7)
-    prepared, ev = prepare(up4, spec_xx, xy4.register), xy4.evolution(0.6)
-    expectations = [rotated_expectation(prepared, ev, var) for var in angle_variants(angles)]
+    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.6))
+    expectations = [rotated_expectation(ladder, var) for var in angle_variants(angles)]
     combo = expectations[0] - expectations[1] - expectations[2] + expectations[3]
     assert combo == 0.0
 
 
 def test_rotated_expectation_frozen_and_live_oracle(xy4, up4, spec_xx):
     angles = RotationAngles(math.pi / 2, math.pi / 2, math.pi / 2)
-    value = rotated_expectation(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5), angles)
+    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    value = rotated_expectation(ladder, angles)
     assert abs(value - ROT_EXPECT_T05) < 1e-10
     rho = np.zeros((16, 16), dtype=complex)
     rho[0, 0] = 1.0
@@ -234,7 +237,7 @@ def test_optimal_angles_prefactor_is_two():
 
 def test_im_vanishes_at_zero_time(xy4, up4):
     prepared = prepare(up4, OtocSpec(1, "x", 3, "y"), xy4.register)
-    assert abs(im_otoc_via_protocol(prepared, xy4.evolution(0.0))) < 1e-12
+    assert abs(im_otoc_via_protocol(build_ladder(prepared, xy4.evolution(0.0)))) < 1e-12
 
 
 def test_im_identity_random_instances(rng):
@@ -247,7 +250,7 @@ def test_im_identity_random_instances(rng):
         ev = prop.evolution(float(rng.uniform(0, 5)))
         angles = random_nondegenerate_angles(rng)
         prepared = prepare(state, spec, prop.register)
-        reconstructed = im_otoc_via_protocol(prepared, ev, angles)
+        reconstructed = im_otoc_via_protocol(build_ladder(prepared, ev), angles)
         assert abs(reconstructed - otoc_direct(prepared, ev).imag) < 1e-9
 
 
@@ -258,16 +261,16 @@ def test_im_invariant_under_base_set_negation(rng):
     spec = OtocSpec(1, "x", 3, "y")
     angles = random_nondegenerate_angles(rng)
     negated = RotationAngles(-angles.theta1, -angles.theta2, -angles.theta3)
-    prepared = prepare(state, spec, prop.register)
-    a = im_otoc_via_protocol(prepared, prop.evolution(1.2), angles)
-    b = im_otoc_via_protocol(prepared, prop.evolution(1.2), negated)
+    ladder = build_ladder(prepare(state, spec, prop.register), prop.evolution(1.2))
+    a = im_otoc_via_protocol(ladder, angles)
+    b = im_otoc_via_protocol(ladder, negated)
     assert abs(a - b) < 1e-12
 
 
 def test_degenerate_angles_rejected(xy4, up4, spec_xx):
-    prepared = prepare(up4, spec_xx, xy4.register)
+    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
     with pytest.raises(DegenerateAnglesError):
-        im_otoc_via_protocol(prepared, xy4.evolution(0.5), RotationAngles(0.3, 0.0, 0.9))
+        im_otoc_via_protocol(ladder, RotationAngles(0.3, 0.0, 0.9))
     with pytest.raises(ValueError, match="finite"):
         RotationAngles(math.nan, 0.1, 0.2)
 
@@ -297,10 +300,11 @@ def test_factor_evaluators_match_dense_oracles(axes, n, data, mixed, seed, t):
 
     prepared, evolution = prepare(state, spec, prop.register), prop.evolution(t)
     assert abs(otoc_direct(prepared, evolution) - oracles.otoc_value(*dense)) < 1e-10
-    table = outcome_probabilities(prepared, evolution)
+    ladder = build_ladder(prepared, evolution)
+    table = outcome_probabilities(ladder)
     expected = in_sequence_order(oracles.probability_table(*dense))
     assert np.max(np.abs(table.probabilities - expected)) < 1e-10
-    value = rotated_expectation(prepared, evolution, angles)
+    value = rotated_expectation(ladder, angles)
     rotated = oracles.rotated_sigma_expectation(
         *dense, angles.theta1, angles.theta2, angles.theta3
     )
@@ -324,7 +328,8 @@ def _free_fermion_protocol_cases(n, pairs, times):
     for spec, oracle in cases:
         prepared = prepare(state, spec, prop.register)
         for t, ev in evolutions:
-            yield re_otoc_via_protocol(prepared, ev), im_otoc_via_protocol(prepared, ev), oracle(t)
+            ladder = build_ladder(prepared, ev)
+            yield re_otoc_via_protocol(ladder), im_otoc_via_protocol(ladder), oracle(t)
 
 
 @pytest.mark.parametrize("n", range(6, 9))
@@ -342,6 +347,47 @@ def test_protocols_match_free_fermion_oracle_at_ten_sites():
     for re_c, im_c, expected in _free_fermion_protocol_cases(10, [(4, 7)], (0.7, 2.9)):
         assert abs(re_c - expected.real) < 1e-12
         assert abs(im_c) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_protocols_match_xx_vacuum_oracle(n):
+    """Both protocols on all_up, (i,x)/(j,x) for every ordered pair, against the
+    Wick oracle: 2 corr - 1 is its C, and the rotation combination its Im C = 0."""
+    prop = Propagator.from_hamiltonian(build_xy_chain(n))
+    evolutions = [(t, prop.evolution(t)) for t in (0.6, 2.3)]
+    for site_i in range(1, n + 1):
+        for site_j in range(1, n + 1):
+            prepared = prepare(all_up_state(n), OtocSpec(site_i, "x", site_j, "x"), prop.register)
+            for t, ev in evolutions:
+                expected = oracles.free_fermion_xx_vacuum_otoc(n, site_i, site_j, t)
+                ladder = build_ladder(prepared, ev)
+                assert abs(re_otoc_via_protocol(ladder) - expected.real) < 1e-12
+                assert abs(im_otoc_via_protocol(ladder) - expected.imag) < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_protocols_match_thermal_oracle(n):
+    """The direct C(t) and both protocols on the full-rank state e^(-beta H)/Z,
+    (i,z)/(j,z), against the free-fermion determinant; here Im C is far from 0,
+    so the rotation combination is checked against a nonzero value."""
+    prop = Propagator.from_hamiltonian(build_xy_chain(n))
+    h = oracles.xy_chain(n)
+    pairs = [(1, n), (n // 2, n // 2 + 1), (2, 2)]
+    largest_im = 0.0
+    for beta in (0.3, 1.1):
+        rho = expm(-beta * h)
+        state = DensityOperator(n, rho / np.trace(rho).real)
+        for site_i, site_j in pairs:
+            prepared = prepare(state, OtocSpec(site_i, "z", site_j, "z"), prop.register)
+            for t in (0.7, 2.9):
+                expected = oracles.free_fermion_thermal_zz_otoc(n, site_i, site_j, t, beta)
+                ev = prop.evolution(t)
+                assert abs(otoc_direct(prepared, ev) - expected) < 1e-12
+                ladder = build_ladder(prepared, ev)
+                assert abs(re_otoc_via_protocol(ladder) - expected.real) < 1e-12
+                assert abs(im_otoc_via_protocol(ladder) - expected.imag) < 1e-12
+                largest_im = max(largest_im, abs(expected.imag))
+    assert largest_im > 0.1
 
 
 def _factor_of_width(n, kind, rng):
@@ -366,9 +412,10 @@ def _factor_of_width(n, kind, rng):
 )
 @settings(max_examples=12, deadline=None, derandomize=True)
 def test_compressed_tree_matches_probability_oracle(axes, n, data, kind, xy, seed, t):
-    """The 16-branch table from factors at and above 2^(N-1) columns (compressed
-    at the first collapse) against the closed-form trace oracle; both signs of
-    every measurement are taken, so z keeps either half."""
+    """The 16-branch table from factors of 2^(N-1), 2^(N-1) + 1 and 2^N columns,
+    and from a rank-2^(N-1) factor of 2^N columns (widths that once decided
+    whether the first collapse was compressed), against the closed-form trace
+    oracle; both signs of every measurement are taken."""
     site_i = data.draw(st.integers(min_value=1, max_value=n))
     site_j = data.draw(st.one_of(st.just(site_i), st.integers(min_value=1, max_value=n)))
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -376,48 +423,20 @@ def test_compressed_tree_matches_probability_oracle(axes, n, data, kind, xy, see
     prop = Propagator.from_hamiltonian(ham)
     state = DensityOperator.from_factor(n, _factor_of_width(n, kind, rng))
     spec = OtocSpec(site_i, axes[0], site_j, axes[1])
-    table = outcome_probabilities(prepare(state, spec, prop.register), prop.evolution(t))
+    ladder = build_ladder(prepare(state, spec, prop.register), prop.evolution(t))
+    table = outcome_probabilities(ladder)
     expected = oracles.probability_table(
         state.matrix, ham.matrix, n, site_i, axes[0], site_j, axes[1], t
     )
     assert np.max(np.abs(table.probabilities - in_sequence_order(expected))) < 1e-10
 
 
-def test_pure_state_tree_never_compresses(xy4, up4, spec_xx, monkeypatch):
-    """compress_projected returns an all_up (rank-1) factor unchanged at every node."""
-    calls = []
-    compress = Register.compress_projected
-
-    def spy(register, collapsed, *args):
-        result = compress(register, collapsed, *args)
-        calls.append(result is collapsed)
-        return result
-
-    monkeypatch.setattr(Register, "compress_projected", spy)
-    outcome_probabilities(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
-    assert calls and all(calls)
-
-
-def test_tree_frees_its_closure_on_return(xy4, up4, spec_xx):
-    """No reference cycle outlives the tree, so a point's U(t) dies with its
-    last reference rather than at some later cyclic collection."""
-    ev = xy4.evolution(0.5)
-    forward = weakref.ref(ev.forward)
-    gc.disable()
-    try:
-        outcome_probabilities(prepare(up4, spec_xx, xy4.register), ev)
-        del ev
-        assert forward() is None
-    finally:
-        gc.enable()
-
-
 def test_tree_counts_pruned_branches(xy4, up4):
     prepared = prepare(up4, OtocSpec(2, "z", 3, "z"), xy4.register)
-    table = outcome_probabilities(prepared, xy4.evolution(1.3))
+    table = outcome_probabilities(build_ladder(prepared, xy4.evolution(1.3)))
     assert table.pruned == 4  # the -1 branch of each of the four measurements
     mixed = prepare(maximally_mixed_state(4), OtocSpec(2, "x", 3, "y"), xy4.register)
-    assert outcome_probabilities(mixed, xy4.evolution(1.3)).pruned == 0
+    assert outcome_probabilities(build_ladder(mixed, xy4.evolution(1.3))).pruned == 0
 
 
 def test_probability_table_counts_clamped_entries():

@@ -15,6 +15,7 @@ from otocsim.protocol import (
     ProbabilityTable,
     RotationAngles,
     angle_variants,
+    build_ladder,
     outcome_probabilities,
     prepare,
     rotated_expectation,
@@ -137,7 +138,8 @@ def test_neighbouring_seeds_and_points_share_no_uniforms():
 
 
 def test_sampling_is_deterministic_per_seed(xy4, up4, spec_xx):
-    table = outcome_probabilities(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    table = outcome_probabilities(ladder)
     cfg = SampleConfig(1000, seed=42)
     assert np.array_equal(sample_sequences(table, cfg), sample_sequences(table, cfg))
     other = sample_sequences(table, SampleConfig(1000, seed=43))
@@ -167,7 +169,8 @@ def test_estimator_coverage_on_exact_table(xy4, up4, spec_xx):
     """At 10^4 shots the estimate lands within 4 stderr of Re C in >= 99%
     of seeded repetitions."""
     exact = otoc_direct(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5)).real
-    table = outcome_probabilities(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    table = outcome_probabilities(ladder)
     hits = 0
     for seed in range(100):
         est = estimate_re_otoc(sample_sequences(table, SampleConfig(10_000, seed=seed)))
@@ -178,7 +181,8 @@ def test_estimator_coverage_on_exact_table(xy4, up4, spec_xx):
 
 def test_estimator_unbiased_over_many_repetitions(xy4, up4, spec_xx):
     exact = otoc_direct(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5)).real
-    table = outcome_probabilities(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    table = outcome_probabilities(ladder)
     repeats = 1000
     values, stderrs = [], []
     for seed in range(repeats):
@@ -194,7 +198,8 @@ def test_error_band_deterministic_table_is_zero():
 
 
 def test_error_band_scaling(xy4, up4, spec_xx):
-    table = outcome_probabilities(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    table = outcome_probabilities(ladder)
     band_small = spread(table, 100, seed=5)
     band_large = spread(table, 1000, seed=6)
     ratio = band_small / band_large
@@ -202,7 +207,8 @@ def test_error_band_scaling(xy4, up4, spec_xx):
 
 
 def test_stderr_scales_with_shot_count(xy4, up4, spec_xx):
-    table = outcome_probabilities(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    table = outcome_probabilities(ladder)
     means = []
     for n_shots in (100, 1000, 10_000):
         stderrs = [
@@ -217,7 +223,7 @@ def test_stderr_scales_with_shot_count(xy4, up4, spec_xx):
 def test_rotation_sampling_zero_time(xy4, up4, spec_xx):
     prepared = prepare(up4, spec_xx, xy4.register)
     est = sample_rotation_protocol(
-        prepared, xy4.evolution(0.0), PI_HALF_ANGLES, SampleConfig(2000, seed=17)
+        build_ladder(prepared, xy4.evolution(0.0)), PI_HALF_ANGLES, SampleConfig(2000, seed=17)
     )
     assert est.stderr > 0.0
     assert abs(est.value) <= 4.0 * est.stderr
@@ -229,14 +235,15 @@ def test_rotation_sampling_zero_variance_when_expectations_saturate(xy4, up4):
     spec = OtocSpec(2, "z", 3, "z")
     prepared = prepare(up4, spec, xy4.register)
     est = sample_rotation_protocol(
-        prepared, xy4.evolution(1.0), PI_HALF_ANGLES, SampleConfig(100, seed=2)
+        build_ladder(prepared, xy4.evolution(1.0)), PI_HALF_ANGLES, SampleConfig(100, seed=2)
     )
     assert est == Estimate(0.0, 0.0, 100)
 
 
 def test_rotation_sampling_tracks_exact_im(xy4, up4, spec_xx, rng):
     prepared, ev = prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5)
-    est = sample_rotation_protocol(prepared, ev, PI_HALF_ANGLES, SampleConfig(10_000, seed=21))
+    ladder = build_ladder(prepared, ev)
+    est = sample_rotation_protocol(ladder, PI_HALF_ANGLES, SampleConfig(10_000, seed=21))
     exact = otoc_direct(prepared, ev).imag
     assert abs(est.value - exact) <= 4.0 * est.stderr
     # also on an instance with genuinely complex C
@@ -246,7 +253,8 @@ def test_rotation_sampling_tracks_exact_im(xy4, up4, spec_xx, rng):
     ev = prop.evolution(1.1)
     exact_im = otoc_direct(prepared, ev).imag
     assert abs(exact_im) > 1e-3
-    est2 = sample_rotation_protocol(prepared, ev, PI_HALF_ANGLES, SampleConfig(200_000, seed=23))
+    ladder = build_ladder(prepared, ev)
+    est2 = sample_rotation_protocol(ladder, PI_HALF_ANGLES, SampleConfig(200_000, seed=23))
     assert abs(est2.value - exact_im) <= 4.0 * est2.stderr
 
 
@@ -277,8 +285,9 @@ def test_rotation_sampling_matches_shot_array_oracle(xy4, up4, instance, n_shots
         "random": random_instance,
     }[instance]()
     cfg = SampleConfig(n_shots, seed=2024, point=5)
-    est = sample_rotation_protocol(prepared, ev, angles, cfg)
-    expectations = [rotated_expectation(prepared, ev, v) for v in angle_variants(angles)]
+    ladder = build_ladder(prepared, ev)
+    est = sample_rotation_protocol(ladder, angles, cfg)
+    expectations = [rotated_expectation(ladder, v) for v in angle_variants(angles)]
     value, stderr = oracles.sampled_rotation_estimate(
         expectations, ANGLE_VARIANT_SIGNS, angles.checked_prefactor(), n_shots,
         substream(cfg.seed, cfg.point),
@@ -289,8 +298,9 @@ def test_rotation_sampling_matches_shot_array_oracle(xy4, up4, instance, n_shots
 def test_rotation_sampling_deterministic(xy4, up4, spec_xx):
     cfg = SampleConfig(500, seed=99)
     prepared = prepare(up4, spec_xx, xy4.register)
-    a = sample_rotation_protocol(prepared, xy4.evolution(0.7), PI_HALF_ANGLES, cfg)
-    b = sample_rotation_protocol(prepared, xy4.evolution(0.7), PI_HALF_ANGLES, cfg)
+    ladder = build_ladder(prepared, xy4.evolution(0.7))
+    a = sample_rotation_protocol(ladder, PI_HALF_ANGLES, cfg)
+    b = sample_rotation_protocol(ladder, PI_HALF_ANGLES, cfg)
     assert a == b
 
 
@@ -298,7 +308,8 @@ def test_rotation_sampling_rejects_degenerate_angles(xy4, up4, spec_xx):
     angles = RotationAngles(0.1, 0.0, 0.3)
     prepared = prepare(up4, spec_xx, xy4.register)
     with pytest.raises(DegenerateAnglesError):
-        sample_rotation_protocol(prepared, xy4.evolution(0.5), angles, SampleConfig(10, seed=1))
+        ladder = build_ladder(prepared, xy4.evolution(0.5))
+        sample_rotation_protocol(ladder, angles, SampleConfig(10, seed=1))
 
 
 def test_sample_config_validation():
