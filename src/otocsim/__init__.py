@@ -22,6 +22,7 @@ from .dressing import (
 )
 from .dynamics import (
     Evolution,
+    EvolutionTimeError,
     Hamiltonian,
     Propagator,
     build_custom,

@@ -20,7 +20,7 @@ from dataclasses import replace
 from . import __version__
 from .config import AnglesConfig, ConfigError, RunConfig, parse_config, require
 from .dressing import AdiabaticityError, InteractionCoefficients, LevelScheme, scan_curve
-from .dynamics import Propagator, build_xy_chain
+from .dynamics import EvolutionTimeError, Propagator, build_xy_chain
 from .hilbert import all_up_state, maximally_mixed_state
 from .otoc import OtocSpec, otoc_direct
 from .protocol import (
@@ -266,8 +266,8 @@ def main(argv=None) -> int:
             rows, columns, ok = run_dressing(config, log)
         else:
             rows, columns, ok = run_verify(seed, log)
-    except (ConfigError, DegenerateAnglesError, AdiabaticityError) as exc:
-        # degenerate angles and a lost dressing branch come straight from user configuration
+    except (ConfigError, DegenerateAnglesError, AdiabaticityError, EvolutionTimeError) as exc:
+        # degenerate angles, a lost dressing branch and an overflowing t are config errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -273,6 +273,10 @@ def _cross_validate(config: RunConfig, source: str) -> None:
             fail("Rabi frequencies must be nonnegative")
         if not 0 < d.r_min < d.r_max:
             fail("need 0 < r_min < r_max")
+        with np.errstate(all="ignore"):  # the pair potential is largest at r_min
+            potential = d.c6 / np.float64(d.r_min) ** 6, d.c3 / np.float64(d.r_min) ** 3
+        if not np.isfinite(potential).all():
+            fail(f"the pair potential c6/r^6 or c3/r^3 overflows at r = r_min = {d.r_min}")
         if d.n_r < 2:
             fail("n_r must be >= 2")
 

@@ -10,9 +10,10 @@ backward evolution is the adjoint U(t)^dagger = U(-t).
 `Propagator.evolution(t)` is the one place U(t) is built: the `Evolution`
 it returns holds the sector blocks of U(t) and U(t)^dagger for one time
 point, and is the only form in which the evaluators of that point
-receive the dynamics.  It acts on factors whose rows are in the sector
-order, the propagator's `register`, where each block is a contiguous
-slice of rows.
+receive the dynamics.  Every block-diagonal operator of one H (H, its
+eigenbasis, U(t), U(t)^dagger) carries the same `hilbert.Register`, the
+row order and sector bounds of H, and acts on factors whose rows are in
+that order, where each block is a contiguous slice of rows.
 """
 
 from __future__ import annotations
@@ -29,80 +30,55 @@ PairCoupling = tuple[int, str, int, str, float]  # (site_k, axis_a, site_l, axis
 LocalField = tuple[int, str, float]              # (site, axis, coeff)
 
 
-@dataclass(frozen=True, eq=False)
-class Sectors:
-    """A partition of the basis into blocks, each a contiguous slice of one permutation.
+class EvolutionTimeError(ValueError):
+    """A time t at which some phase w t of U(t) = e^(-iHt) is not a finite float."""
 
-    Block k is the basis indices order[bounds[k]:bounds[k+1]]; order is None
-    for the identity permutation, so that block k is plainly lo:hi.  The
-    permutation is the row order (`hilbert.Register`) of the factors a
-    `BlockDiagonal` over these sectors is applied to.
+
+def connected_sectors(n_sites: int, matrix: np.ndarray) -> Register:
+    """The register whose sectors are the connected components of matrix's nonzero pattern.
+
+    The matrix is exactly zero outside these diagonal blocks.  Indices
+    ascend within a sector and sectors come in the order of their smallest
+    index.  Found by min-label propagation with pointer jumping over the
+    symmetrized pattern; each label is an index of the same component.
     """
-
-    order: np.ndarray | None
-    bounds: tuple[int, ...]
-
-    @classmethod
-    def connected(cls, matrix: np.ndarray) -> "Sectors":
-        """The connected components of matrix's nonzero pattern.
-
-        The matrix is exactly zero outside these diagonal blocks.  Indices
-        ascend within a block and blocks come in the order of their smallest
-        index.  Found by min-label propagation with pointer jumping over the
-        symmetrized pattern; each label is an index of the same component.
-        """
-        dim = matrix.shape[0]
-        pattern = matrix != 0
-        pattern |= pattern.T
-        pattern.flat[:: dim + 1] = True
-        rows, cols = np.nonzero(pattern)
-        labels = pattern.argmax(axis=1)  # smallest neighbour of each index, itself included
-        while True:
-            labels = labels[labels]
-            across = labels[cols]
-            if (labels[rows] == across).all():
-                break
-            np.minimum.at(labels, rows, across)
-        if not labels.any():  # a single component, as for a dense random H
-            return cls(None, (0, dim))
-        counts = np.bincount(labels, minlength=dim)
-        bounds = (0, *np.cumsum(counts[counts > 0]).tolist())
-        if (labels[1:] >= labels[:-1]).all():
-            return cls(None, bounds)
-        return cls(np.argsort(labels, kind="stable"), bounds)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(hi - lo for lo, hi in zip(self.bounds, self.bounds[1:]))
-
-    def block(self, k: int):
-        """Index of the k-th diagonal block of a 2^N x 2^N matrix (a view when order is None)."""
-        lo, hi = self.bounds[k], self.bounds[k + 1]
-        if self.order is None:
-            return slice(lo, hi), slice(lo, hi)
-        return np.ix_(self.order[lo:hi], self.order[lo:hi])
+    dim = matrix.shape[0]
+    pattern = matrix != 0
+    pattern |= pattern.T
+    pattern.flat[:: dim + 1] = True
+    rows, cols = np.nonzero(pattern)
+    labels = pattern.argmax(axis=1)  # smallest neighbour of each index, itself included
+    while True:
+        labels = labels[labels]
+        across = labels[cols]
+        if (labels[rows] == across).all():
+            break
+        np.minimum.at(labels, rows, across)
+    counts = np.bincount(labels, minlength=dim)
+    bounds = (0, *np.cumsum(counts[counts > 0]).tolist())
+    return Register(n_sites, np.argsort(labels, kind="stable"), bounds)
 
 
 @dataclass(frozen=True, eq=False)
 class BlockDiagonal:
-    """Operator that is zero outside the diagonal blocks of `sectors`, one matrix per block."""
+    """Operator that is zero outside the sectors of `register`, one matrix per sector."""
 
-    sectors: Sectors
+    register: Register
     blocks: tuple[np.ndarray, ...]
 
     def with_blocks(self, blocks) -> "BlockDiagonal":
-        return BlockDiagonal(self.sectors, tuple(blocks))
+        return BlockDiagonal(self.register, tuple(blocks))
 
     def adjoint(self) -> "BlockDiagonal":
         return self.with_blocks(block.conj().T for block in self.blocks)
 
     def __matmul__(self, psi: np.ndarray) -> np.ndarray:
-        """This operator applied to psi of shape (2^N,) or (2^N, r), rows in sector order.
+        """This operator applied to psi of shape (2^N,) or (2^N, r), rows in register order.
 
         Block k reads rows bounds[k]:bounds[k+1] of psi and writes the same
         rows of the result, so every product works on contiguous slices.
         """
-        bounds = self.sectors.bounds
+        bounds = self.register.bounds
         if len(self.blocks) == 1:
             return self.blocks[0] @ psi
         result = np.empty(psi.shape, dtype=np.result_type(psi, *self.blocks))
@@ -113,24 +89,22 @@ class BlockDiagonal:
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Hermitian generator of the dynamics on an n_sites register, held as its sector blocks.
+    """Hermitian generator of the dynamics, held as its sector blocks.
 
-    H is exactly zero outside the diagonal blocks of `blocks`, and each
+    H is exactly zero outside the sectors of `blocks.register`, and each
     block keeps its own dtype: real float64 for the XY chain, which
     `build_xy_chain` writes sector by sector, complex for a dense H split
     by `from_matrix`.  Every block is checked Hermitian; since H is zero
     off the blocks, the worst block defect is the whole-matrix defect.
     """
 
-    n_sites: int
     blocks: BlockDiagonal
 
     def __post_init__(self):
-        sectors = self.blocks.sectors
-        dim = 2**self.n_sites
+        register = self.blocks.register
         shapes = tuple(block.shape for block in self.blocks.blocks)
-        if sectors.bounds[-1] != dim or shapes != tuple((s, s) for s in sectors.sizes):
-            raise ValueError(f"Hamiltonian blocks {shapes} do not tile a {dim}-dim register")
+        if shapes != tuple((s, s) for s in register.sizes):
+            raise ValueError(f"Hamiltonian blocks {shapes} do not tile sectors {register.sizes}")
         for block in self.blocks.blocks:
             if not hermiticity_defect(block) <= ATOL_ALGEBRA:
                 raise ValueError("Hamiltonian is not Hermitian")
@@ -146,17 +120,21 @@ class Hamiltonian:
         dim = 2**n_sites
         if mat.shape != (dim, dim):
             raise ValueError(f"Hamiltonian has shape {mat.shape}, expected {(dim, dim)}")
-        sectors = Sectors.connected(mat)
-        blocks = tuple(mat[sectors.block(k)] for k in range(len(sectors.sizes)))
-        return cls(n_sites, BlockDiagonal(sectors, blocks))
+        register = connected_sectors(n_sites, mat)
+        sectors = (register.sector(k) for k in range(len(register.sizes)))
+        return cls(BlockDiagonal(register, tuple(mat[np.ix_(rows, rows)] for rows in sectors)))
+
+    @property
+    def n_sites(self) -> int:
+        return self.blocks.register.n_sites
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense complex 2^N x 2^N H, assembled on each call; for tests and oracles."""
-        sectors = self.blocks.sectors
+        register = self.blocks.register
         mat = np.zeros((2**self.n_sites,) * 2, dtype=complex)
         for k, block in enumerate(self.blocks.blocks):
-            mat[sectors.block(k)] = block
+            mat[np.ix_(register.sector(k), register.sector(k))] = block
         return mat
 
 
@@ -167,20 +145,18 @@ class Propagator:
     Each block of H is diagonalized in its own dtype (real arithmetic for
     the XY chain) as H_k = V_k diag(w_k) V_k^dagger.  Immutable after
     construction; `evolution(t)` builds e^(-iHt) from it block by block.
-    `register` is the sector order of H, the row order of the factors the
-    evolution acts on; its kernel tables are built on first use.
+    `register` is H's own, read from the eigenbasis: the row order of the
+    factors the evolution acts on; its kernel tables are built on first use.
     `reconstruction_residual` and `unitarity_defect` are the worst
     max|V_k diag(w_k) V_k^dagger - H_k| and max|V_k^dagger V_k - I| over the
     blocks; since H and the assembled decomposition are both exactly zero
     off the blocks, they equal the whole-matrix defects.
     """
 
-    n_sites: int
     eigenbasis: BlockDiagonal
     block_eigenvalues: tuple[np.ndarray, ...]
     reconstruction_residual: float
     unitarity_defect: float
-    register: Register
 
     @classmethod
     def from_hamiltonian(cls, ham: Hamiltonian) -> "Propagator":
@@ -201,46 +177,58 @@ class Propagator:
             raise ValueError(f"eigendecomposition residual {residual} above tolerance")
         if not unit <= ATOL_SPECTRUM:
             raise ValueError(f"eigenvector unitarity defect {unit} above tolerance")
-        register = Register(ham.n_sites, ham.blocks.sectors.order)
-        return cls(
-            ham.n_sites, ham.blocks.with_blocks(evecs), tuple(evals), residual, unit, register
-        )
+        return cls(ham.blocks.with_blocks(evecs), tuple(evals), residual, unit)
+
+    @property
+    def register(self) -> Register:
+        return self.eigenbasis.register
+
+    @property
+    def n_sites(self) -> int:
+        return self.register.n_sites
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
-        return self.eigenbasis.sectors.sizes
+        return self.register.sizes
 
     def evolution(self, t: float) -> "Evolution":
         """U(t) and its adjoint for every evaluator of time point t.
 
         U(t) = e^(-iHt) is one block per sector,
         U_k(t) = V_k diag(cos w_k t) V_k^dagger - i V_k diag(sin w_k t) V_k^dagger:
-        two real products when V_k is real.
+        two real products when V_k is real.  A t that is not finite, or so
+        large that some w_k t overflows, raises `EvolutionTimeError`.
         """
-        if not np.isfinite(t):
-            raise ValueError(f"evolution time must be finite, got {t}")
         blocks = []
         for v, w in zip(self.eigenbasis.blocks, self.block_eigenvalues):
+            with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+                phase = w * t
+            if not np.isfinite(phase).all():
+                raise EvolutionTimeError(f"evolution time t={t} makes a phase w*t non-finite")
             v_h = v.conj().T
             # the real-plus-complex sum is taken in place: numpy's mixed-dtype
             # binary subtraction is several times slower than the products
-            block = ((v * np.sin(w * t)) @ v_h) * -1j
-            block += (v * np.cos(w * t)) @ v_h
+            block = ((v * np.sin(phase)) @ v_h) * -1j
+            block += (v * np.cos(phase)) @ v_h
             blocks.append(block)
         forward = self.eigenbasis.with_blocks(blocks)
-        return Evolution(self.register, forward, forward.adjoint())
+        return Evolution(forward, forward.adjoint())
 
 
 @dataclass(frozen=True, eq=False)
 class Evolution:
     """U(t) = e^(-iHt) at one time point, and U(t)^dagger, on factors in `register` order.
 
-    Both are `BlockDiagonal`: `ev.forward @ psi` applies U(t) sector by sector.
+    Both are `BlockDiagonal` over the propagator's register: `ev.forward @ psi`
+    applies U(t) sector by sector.
     """
 
-    register: Register
     forward: BlockDiagonal
     backward: BlockDiagonal
+
+    @property
+    def register(self) -> Register:
+        return self.forward.register
 
     def check(self, register: Register) -> Register:
         """This evolution's register, after checking that factors in `register` order fit it."""
@@ -268,9 +256,10 @@ def build_xy_chain(n_sites: int) -> Hamiltonian:
     basis = np.arange(2**n_sites)
     weight = sum((basis >> s) & 1 for s in range(n_sites))
     sizes = [math.comb(n_sites, w) for w in range(n_sites + 1)]
-    sectors = Sectors(np.argsort(weight, kind="stable"), (0, *np.cumsum(sizes).tolist()))
+    bounds = (0, *np.cumsum(sizes).tolist())
+    register = Register(n_sites, np.argsort(weight, kind="stable"), bounds)
     local = np.empty_like(basis)  # position of each basis index within its block
-    local[sectors.order] = basis - np.repeat(sectors.bounds[:-1], sizes)
+    local[register.order] = basis - np.repeat(bounds[:-1], sizes)
     cols = np.concatenate(
         [basis[((basis >> (k - 1)) ^ (basis >> k)) & 1 == 1] for k in range(1, n_sites)]
     )
@@ -279,7 +268,7 @@ def build_xy_chain(n_sites: int) -> Hamiltonian:
     for w, block in enumerate(blocks):
         flip = weight[cols] == w
         block[local[rows[flip]], local[cols[flip]]] = -2.0
-    return Hamiltonian(n_sites, BlockDiagonal(sectors, blocks))
+    return Hamiltonian(BlockDiagonal(register, blocks))
 
 
 def build_custom(

@@ -1,4 +1,4 @@
-"""N-qubit Hilbert-space primitives: states and single-site Pauli and rotation kernels.
+"""N-qubit Hilbert-space primitives: states, the register layout and single-site Pauli kernels.
 
 Basis convention (used everywhere in this package):
 the computational basis is indexed by bitstrings, site 1 maps to the least
@@ -8,13 +8,13 @@ Sites are 1-based throughout.
 
 A state rho is carried as a column factor Psi (2^N x r) with
 rho = Psi Psi^dagger: r = 1 for a pure state, r = 2^N for the maximally
-mixed one.  A `DensityOperator` holds Psi in computational order.  The
-evaluators hold it in the row order of a `Register` (the sector order of
-H, so that each block of U(t) acts on a contiguous slice of rows), where
-single-site Paulis and rotations act on Psi through index
+mixed one.  A `DensityOperator` holds Psi in computational order.  H,
+U(t), U(t)^dagger and the evaluators' Psi share one `Register`: a row
+order and its cut into the sectors of H, so that each block of U(t) acts
+on a contiguous slice of rows.  Single-site Paulis act on Psi through index
 kernels in O(2^N r) (a row gather and a row phase), never as dense
-matrices.  Time evolution U(t) is block-diagonal over the sectors of H
-and built once per time point (see `dynamics.Evolution`).
+matrices.  Time evolution U(t) is block-diagonal over the sectors and
+built once per time point (see `dynamics.Evolution`).
 """
 
 from __future__ import annotations
@@ -53,12 +53,14 @@ def _row_weights(weights, psi: np.ndarray) -> np.ndarray:
 
 
 class Register:
-    """The row order of the factors an evaluator holds, and the single-site kernels in it.
+    """The layout of an n_sites register: a row order, its sectors, and the single-site kernels.
 
     Row k of a factor in register order is basis index order[k], for a
     permutation `order` of range(2^N); the identity order is the
-    computational one.  The evaluators use the sector order of H, in which
-    every block of U(t) acts on a contiguous slice of rows.
+    computational one.  Sector k is rows bounds[k]:bounds[k+1], the basis
+    indices `sector(k)`; by default one sector holds every row.  The
+    evaluators use H's sectors, so that each block of H and U(t) acts on a
+    contiguous slice of rows.
 
     With m = 1 << (site - 1), sigma^x sends the row of basis index b to the
     row of b ^ m; sigma^y adds the phase -i (bit of b clear) or +i (set),
@@ -67,19 +69,33 @@ class Register:
     of its (site, axis) and kept for the register's lifetime.
     """
 
-    __slots__ = ("n_sites", "order", "_tables")
+    __slots__ = ("n_sites", "order", "bounds", "_tables")
 
-    def __init__(self, n_sites: int, order: np.ndarray | None = None):
+    def __init__(
+        self, n_sites: int, order: np.ndarray | None = None, bounds: tuple[int, ...] | None = None
+    ):
         dim = 2**n_sites
-        order = np.arange(dim) if order is None else np.asarray(order)
+        order = np.asarray(order) if order is not None else np.arange(dim)
         is_index = order.shape == (dim,) and order.dtype.kind in "iu" and order.min() >= 0
         # dim indices below dim, none repeated, are a permutation
         counts = np.bincount(order, minlength=dim) if is_index else None
         if counts is None or len(counts) != dim or counts.max() != 1:
             raise ValueError(f"register order is not a permutation of range({dim})")
+        bounds = tuple(map(int, bounds)) if bounds is not None else (0, dim)
+        if bounds[:1] != (0,) or bounds[-1:] != (dim,) or not (np.diff(bounds) > 0).all():
+            raise ValueError(f"sector bounds {bounds} do not tile a {dim}-dim register")
         self.n_sites = n_sites
         self.order = order
+        self.bounds = bounds
         self._tables: dict[tuple[int, str], tuple[np.ndarray | None, np.ndarray | None]] = {}
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(hi - lo for lo, hi in zip(self.bounds, self.bounds[1:]))
+
+    def sector(self, k: int) -> np.ndarray:
+        """The basis indices of sector k, in row order."""
+        return self.order[self.bounds[k] : self.bounds[k + 1]]
 
     def _kernel(self, psi: np.ndarray, site: int, axis: str):
         """(row gather or None, row phase or None) of sigma_site^axis, for psi's rows."""
@@ -119,21 +135,6 @@ class Register:
         if phase is not None:
             out = out.astype(complex, copy=False)
             out *= _row_weights(phase, out)  # in place on the fresh gather
-        return out
-
-    def rotation(self, psi: np.ndarray, site: int, axis: str, theta: float) -> np.ndarray:
-        """exp(-i theta sigma_site^axis / 2) psi = cos(theta/2) psi - i sin(theta/2) sigma psi.
-
-        The phase of sigma and the factor -i sin(theta/2) are one row weight;
-        sigma^z has no gather, so its rotation is a single row phase.
-        """
-        gather, phase = self._kernel(psi, site, axis)
-        weights = -1j * math.sin(theta / 2.0) * (1.0 if phase is None else phase)
-        if gather is None:
-            return _row_weights(math.cos(theta / 2.0) + weights, psi) * psi
-        out = psi.take(gather, axis=0).astype(complex, copy=False)
-        out *= _row_weights(weights, out)
-        out += math.cos(theta / 2.0) * psi
         return out
 
 

@@ -36,6 +36,12 @@ n_r = 20
 microwave = on
 """
 
+HUGE_TIME_CONFIG = (
+    BASE_CONFIG.replace("t_start = 0.0", "t_start = 1e308")
+    .replace("t_stop = 2.0", "t_stop = 1e308")
+    .replace("n_times = 9", "n_times = 1")
+)
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -179,8 +185,22 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
             ),
             "majority ground character",
         ),
+        # finite, but w*t overflows, so U(t) would be NaN
+        *((command, HUGE_TIME_CONFIG, "t=1e+308") for command in ("exact", "sample", "im")),
+        # finite, but c6/r^6 overflows at r_min
+        ("dressing", DRESSING_CONFIG.replace("r_min = 1.0", "r_min = 1e-60"), "r = r_min = 1e-60"),
     ],
-    ids=["register_too_large", "infinite_time", "nan_angle", "nan_dressing", "lost_branch"],
+    ids=[
+        "register_too_large",
+        "infinite_time",
+        "nan_angle",
+        "nan_dressing",
+        "lost_branch",
+        "huge_time_exact",
+        "huge_time_sample",
+        "huge_time_im",
+        "overflowing_potential",
+    ],
 )
 def test_bad_input_fails_closed(tmp_path, capsys, command, text, message):
     path = tmp_path / "bad.cfg"

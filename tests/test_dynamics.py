@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oracles
+from otocsim import dynamics
 from otocsim.dynamics import (
     Evolution,
     Hamiltonian,
     Propagator,
-    Sectors,
     build_custom,
     build_xy_chain,
     evolve,
@@ -225,7 +225,7 @@ def otoc_of_nonfinite_evolution(bad):
     forward = prop.evolution(0.5).forward
     broken = forward.with_blocks(np.full_like(block, bad) for block in forward.blocks)
     prepared = prepare(all_up_state(2), OtocSpec(1, "x", 2, "x"), prop.register)
-    return otoc_direct(prepared, Evolution(prop.register, broken, broken))
+    return otoc_direct(prepared, Evolution(broken, broken))
 
 
 NONFINITE_ENTRY_POINTS = [
@@ -283,11 +283,8 @@ def test_xy_chain_matches_kronecker_oracle(n):
 def test_xy_sectors_are_hamming_weight_classes(n):
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
     assert prop.block_sizes == tuple(math.comb(n, k) for k in range(n + 1))
-    sectors = prop.eigenbasis.sectors
-    order = np.arange(2**n) if sectors.order is None else sectors.order  # None at n=2
-    np.testing.assert_array_equal(prop.register.order, order)
     for k in range(n + 1):
-        rows = order[sectors.bounds[k] : sectors.bounds[k + 1]]
+        rows = prop.register.sector(k)
         assert {bin(int(b)).count("1") for b in rows} == {k}
         assert list(rows) == sorted(rows)
     assert 0.0 <= prop.reconstruction_residual < 1e-10
@@ -298,10 +295,10 @@ def test_xy_sectors_are_hamming_weight_classes(n):
 def test_xy_propagator_is_real_and_never_dense(n, monkeypatch):
     """The XY chain is diagonalized from its own blocks, in real arithmetic."""
 
-    def dense_sectors(matrix):
+    def dense_sectors(n_sites, matrix):
         raise AssertionError("the XY chain must not rediscover its sectors from a dense H")
 
-    monkeypatch.setattr(Sectors, "connected", dense_sectors)
+    monkeypatch.setattr(dynamics, "connected_sectors", dense_sectors)
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
     assert all(v.dtype == np.float64 for v in prop.eigenbasis.blocks)
     assert prop.block_sizes == tuple(math.comb(n, k) for k in range(n + 1))
@@ -319,11 +316,28 @@ def test_xy_propagator_peak_memory_is_below_one_dense_matrix():
 
 
 def test_hamiltonian_rejects_blocks_that_do_not_tile_the_register():
+    for bounds in ((0, 4, 7), (1, 8), (0, 4, 4, 8), (0, 5, 4, 8), (0,), ()):
+        with pytest.raises(ValueError, match="tile"):
+            Register(3, bounds=bounds)
     blocks = build_xy_chain(3).blocks
     with pytest.raises(ValueError, match="tile"):
-        Hamiltonian(4, blocks)
-    with pytest.raises(ValueError, match="tile"):
-        Hamiltonian(3, blocks.with_blocks(np.zeros((2, 2)) for _ in blocks.blocks))
+        Hamiltonian(blocks.with_blocks(np.zeros((2, 2)) for _ in blocks.blocks))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: build_xy_chain(4), lambda: build_custom(3, fields=[(1, "x", 0.5)])]
+)
+def test_one_register_is_shared_by_every_operator_and_the_state(make):
+    """H, its eigenbasis, U(t), U(t)^dagger and the prepared state share one layout object."""
+    ham = make()
+    prop = Propagator.from_hamiltonian(ham)
+    ev = prop.evolution(0.3)
+    prepared = prepare(all_up_state(ham.n_sites), OtocSpec(1, "x", 2, "z"), prop.register)
+    register = ham.blocks.register
+    assert prop.register is register
+    assert ev.forward.register is register and ev.backward.register is register
+    assert ev.register is register and prepared.register is register
+    assert prop.n_sites == ham.n_sites == register.n_sites
 
 
 def _hamiltonian_case(kind, n, rng):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from otocsim.dynamics import Propagator, build_custom, build_xy_chain
-from otocsim.hilbert import DensityOperator, Register, all_up_state, maximally_mixed_state
+from otocsim.hilbert import DensityOperator, all_up_state, maximally_mixed_state
 from otocsim.otoc import OtocSpec, otoc_direct
 from otocsim.protocol import (
     OUTCOME_SEQUENCES,
@@ -179,28 +179,6 @@ def test_re_identity_random_instances(rng):
         prepared = prepare(state, spec, prop.register)
         direct = otoc_direct(prepared, ev).real
         assert abs(re_otoc_via_protocol(build_ladder(prepared, ev)) - direct) < 1e-9
-
-
-def rotation_operator(site, axis, theta, n_sites):
-    """Dense exp(-i theta sigma / 2): the rotation kernel applied to the identity."""
-    return Register(n_sites).rotation(np.eye(2**n_sites, dtype=complex), site, axis, theta)
-
-
-def test_rotation_operator_closed_form():
-    assert np.max(np.abs(rotation_operator(1, "x", 0.0, 2) - np.eye(4))) < 1e-15
-    r_pi = rotation_operator(1, "x", math.pi, 1)
-    np.testing.assert_allclose(r_pi, -1j * np.array([[0, 1], [1, 0]]), atol=1e-15)
-
-
-def test_rotation_one_parameter_group(rng):
-    t1, t2 = rng.uniform(-3, 3, size=2)
-    lhs = rotation_operator(2, "y", t1, 3) @ rotation_operator(2, "y", t2, 3)
-    rhs = rotation_operator(2, "y", t1 + t2, 3)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-14)
-    full_turn = rotation_operator(1, "z", 2 * math.pi, 1)
-    np.testing.assert_allclose(full_turn, -np.eye(2), atol=1e-14)
-    r = rotation_operator(3, "x", 0.7, 3)
-    np.testing.assert_allclose(r @ r.conj().T, np.eye(8), atol=1e-14)
 
 
 def test_rotated_expectation_trivial_angles(xy4, up4):
