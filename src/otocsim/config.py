@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .dressing import InteractionCoefficients, LevelScheme, build_two_atom_hamiltonian
+from .hilbert import PAULI_AXES
 from .protocol import DEFAULT_ANGLES
 
 HAMILTONIAN_KINDS = ("xy_chain",)
@@ -30,8 +32,8 @@ INITIAL_STATE_KINDS = ("all_up", "maximally_mixed")
 # U(t)^dagger included.  The XY chain's H is never dense: it, its real
 # eigenvectors, U(t) and U(t)^dagger are block-diagonal over the
 # Hamming-weight sectors and hold sum_k C(N,k)^2 entries each (about 18%
-# of 4^N at N=10), and H's hermiticity is checked block by block.  The estimate is therefore an upper bound kept from the
-# dense layout.
+# of 4^N at N=10), and H's hermiticity is checked block by block.  The
+# estimate is therefore an upper bound kept from the dense layout.
 # Registers whose estimate exceeds the budget are rejected before anything
 # is allocated.
 DENSE_MATRICES_AT_PEAK = 16
@@ -119,12 +121,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean (on/off), got {raw!r}")
 
 
-def _parse_axis(raw: str) -> str:
-    if raw not in ("x", "y", "z"):
-        raise ValueError(f"expected one of x, y, z, got {raw!r}")
-    return raw
-
-
 def _parse_choice(choices: tuple[str, ...]) -> Callable[[str], str]:
     def parse(raw: str) -> str:
         if raw not in choices:
@@ -154,9 +150,9 @@ _SCHEMA: dict[str, tuple[str, Callable[[str], object]]] = {
     "hamiltonian": ("system", _parse_choice(HAMILTONIAN_KINDS)),
     "initial_state": ("system", _parse_choice(INITIAL_STATE_KINDS)),
     "site_i": ("otoc", int),
-    "axis_a": ("otoc", _parse_axis),
+    "axis_a": ("otoc", _parse_choice(PAULI_AXES)),
     "site_j": ("otoc", int),
-    "axis_b": ("otoc", _parse_axis),
+    "axis_b": ("otoc", _parse_choice(PAULI_AXES)),
     "t_start": ("otoc", _parse_float),
     "t_stop": ("otoc", _parse_float),
     "n_times": ("otoc", int),
@@ -255,8 +251,12 @@ def _cross_validate(config: RunConfig, source: str) -> None:
     if config.otoc is not None:
         if config.otoc.n_times < 1:
             fail("n_times must be >= 1")
-        if config.otoc.n_times > 1 and not config.otoc.t_stop > config.otoc.t_start:
-            fail("time grid must be strictly increasing (t_stop > t_start)")
+        if config.otoc.n_times > 1:
+            span = config.otoc.t_stop - config.otoc.t_start
+            if not span > 0:
+                fail("time grid must be strictly increasing (t_stop > t_start)")
+            if not math.isfinite(span):
+                fail(f"the time span t_stop - t_start = {span} overflows")
         if config.system is not None:
             for field in ("site_i", "site_j"):
                 site = getattr(config.otoc, field)
@@ -273,10 +273,15 @@ def _cross_validate(config: RunConfig, source: str) -> None:
             fail("Rabi frequencies must be nonnegative")
         if not 0 < d.r_min < d.r_max:
             fail("need 0 < r_min < r_max")
-        with np.errstate(all="ignore"):  # the pair potential is largest at r_min
-            potential = d.c6 / np.float64(d.r_min) ** 6, d.c3 / np.float64(d.r_min) ** 3
-        if not np.isfinite(potential).all():
-            fail(f"the pair potential c6/r^6 or c3/r^3 overflows at r = r_min = {d.r_min}")
+        scheme = LevelScheme(d.omega_laser, d.delta_laser, d.omega_microwave, d.delta_microwave)
+        # both potentials fall with r, so every entry of the pair Hamiltonian is largest at r_min
+        with np.errstate(all="ignore"):
+            pair = build_two_atom_hamiltonian(scheme, InteractionCoefficients(d.c6, d.c3), d.r_min)
+        if not np.isfinite(pair).all():
+            fail(
+                "the pair Hamiltonian of delta_laser, delta_microwave, omega_laser, "
+                f"omega_microwave, c6 and c3 overflows at r = r_min = {d.r_min}"
+            )
         if d.n_r < 2:
             fail("n_r must be >= 2")
 

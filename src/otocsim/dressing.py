@@ -39,6 +39,11 @@ G, S, P = 0, 1, 2
 # keeps the majority of the squared overlap.
 MIN_CONNECTED_OVERLAP = 0.5
 
+# J = E_gg - 2 E_g within this many ulps of 2|E_g| is the rounding noise of
+# the two eigenvalues (2-6 ulps where the pair no longer interacts), not a
+# coupling, and is set to exactly 0.
+COUPLING_NOISE_ULPS = 8
+
 
 class AdiabaticityError(RuntimeError):
     """No eigenstate retains majority overlap with the tracked branch."""
@@ -107,8 +112,10 @@ def build_two_atom_hamiltonian(
     single = single_atom_hamiltonian(scheme)
     eye = np.eye(3)
     h = np.kron(single, eye) + np.kron(eye, single)
-    h[3 * S + S, 3 * S + S] += coeffs.c6 / r**6
-    exchange = coeffs.c3 / r**3
+    with np.errstate(over="ignore"):  # far out r^6 is inf, so c6/r^6 is exactly 0
+        r = np.float64(r)
+        vdw, exchange = coeffs.c6 / r**6, coeffs.c3 / r**3
+    h[3 * S + S, 3 * S + S] += vdw
     h[3 * S + P, 3 * P + S] += exchange
     h[3 * P + S, 3 * S + P] += exchange
     return h
@@ -173,7 +180,13 @@ def dressed_ising_coupling(
         lambda overlap: f"pair eigenstate at r={r} keeps only {overlap:.3f} of the "
         "dressed-ground overlap; cannot identify the |gg>-connected branch",
     )
-    return e_gg - 2.0 * e_single
+    return _coupling(e_gg, e_single)
+
+
+def _coupling(e_gg: float, e_single: float) -> float:
+    """J = e_gg - 2 e_single, or 0.0 within COUPLING_NOISE_ULPS ulps of 2|e_single|."""
+    j = e_gg - 2.0 * e_single
+    return 0.0 if abs(j) <= COUPLING_NOISE_ULPS * np.spacing(abs(2.0 * e_single)) else j
 
 
 def scan_curve(
@@ -208,7 +221,7 @@ def scan_curve(
             tracked,
             lambda overlap: f"lost the |gg>-connected branch at r={r:.4g} (overlap {overlap:.3f})",
         )
-        j_values[idx] = energy - 2.0 * e_single
+        j_values[idx] = _coupling(energy, e_single)
     return DressedCurve(distances, j_values)
 
 

@@ -1,12 +1,12 @@
 """Hamiltonian construction and exact unitary time evolution.
 
 Units: the XY coupling constant is 1 and hbar = 1, so time is
-dimensionless.  A `Hamiltonian` is its sector blocks: `build_xy_chain`
-writes the Hamming-weight sectors of the XY chain as real blocks by
-index, and `Hamiltonian.from_matrix` splits a dense H into the connected
-components of its nonzero pattern.  Evolution is exact via a cached
-Hermitian eigendecomposition per block, in the block's own dtype;
-backward evolution is the adjoint U(t)^dagger = U(-t).
+dimensionless.  A `Hamiltonian` is its sector blocks, and its builder
+declares them: `build_xy_chain` writes the Hamming-weight sectors of the
+XY chain as real blocks by index, and `Hamiltonian.from_matrix` holds a
+dense H as one complex block in computational order.  Evolution is
+exact via a cached Hermitian eigendecomposition per block, in the
+block's own dtype; backward evolution is the adjoint U(t)^dagger = U(-t).
 `Propagator.evolution(t)` is the one place U(t) is built: the `Evolution`
 it returns holds the sector blocks of U(t) and U(t)^dagger for one time
 point, and is the only form in which the evaluators of that point
@@ -34,31 +34,6 @@ class EvolutionTimeError(ValueError):
     """A time t at which some phase w t of U(t) = e^(-iHt) is not a finite float."""
 
 
-def connected_sectors(n_sites: int, matrix: np.ndarray) -> Register:
-    """The register whose sectors are the connected components of matrix's nonzero pattern.
-
-    The matrix is exactly zero outside these diagonal blocks.  Indices
-    ascend within a sector and sectors come in the order of their smallest
-    index.  Found by min-label propagation with pointer jumping over the
-    symmetrized pattern; each label is an index of the same component.
-    """
-    dim = matrix.shape[0]
-    pattern = matrix != 0
-    pattern |= pattern.T
-    pattern.flat[:: dim + 1] = True
-    rows, cols = np.nonzero(pattern)
-    labels = pattern.argmax(axis=1)  # smallest neighbour of each index, itself included
-    while True:
-        labels = labels[labels]
-        across = labels[cols]
-        if (labels[rows] == across).all():
-            break
-        np.minimum.at(labels, rows, across)
-    counts = np.bincount(labels, minlength=dim)
-    bounds = (0, *np.cumsum(counts[counts > 0]).tolist())
-    return Register(n_sites, np.argsort(labels, kind="stable"), bounds)
-
-
 @dataclass(frozen=True, eq=False)
 class BlockDiagonal:
     """Operator that is zero outside the sectors of `register`, one matrix per sector."""
@@ -79,8 +54,6 @@ class BlockDiagonal:
         rows of the result, so every product works on contiguous slices.
         """
         bounds = self.register.bounds
-        if len(self.blocks) == 1:
-            return self.blocks[0] @ psi
         result = np.empty(psi.shape, dtype=np.result_type(psi, *self.blocks))
         for lo, hi, block in zip(bounds, bounds[1:], self.blocks):
             np.matmul(block, psi[lo:hi], out=result[lo:hi])
@@ -93,9 +66,10 @@ class Hamiltonian:
 
     H is exactly zero outside the sectors of `blocks.register`, and each
     block keeps its own dtype: real float64 for the XY chain, which
-    `build_xy_chain` writes sector by sector, complex for a dense H split
-    by `from_matrix`.  Every block is checked Hermitian; since H is zero
-    off the blocks, the worst block defect is the whole-matrix defect.
+    `build_xy_chain` writes sector by sector, complex for the one block of
+    a dense H from `from_matrix`.  Every block is checked Hermitian; since
+    H is zero off the blocks, the worst block defect is the whole-matrix
+    defect.
     """
 
     blocks: BlockDiagonal
@@ -111,18 +85,15 @@ class Hamiltonian:
 
     @classmethod
     def from_matrix(cls, n_sites: int, matrix: np.ndarray) -> "Hamiltonian":
-        """A dense 2^N x 2^N H, split into the connected sectors of its nonzero pattern.
+        """A dense 2^N x 2^N H as one block, in computational order.
 
-        Every nonzero entry lies in one of those blocks, so the per-block
-        hermiticity check reads all of the matrix.
+        The block is a copy of the matrix, so H does not alias the caller's array.
         """
-        mat = np.asarray(matrix, dtype=complex)
+        mat = np.array(matrix, dtype=complex)
         dim = 2**n_sites
         if mat.shape != (dim, dim):
             raise ValueError(f"Hamiltonian has shape {mat.shape}, expected {(dim, dim)}")
-        register = connected_sectors(n_sites, mat)
-        sectors = (register.sector(k) for k in range(len(register.sizes)))
-        return cls(BlockDiagonal(register, tuple(mat[np.ix_(rows, rows)] for rows in sectors)))
+        return cls(BlockDiagonal(Register(n_sites), (mat,)))
 
     @property
     def n_sites(self) -> int:

@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-ATOL_ALGEBRA = 1e-12   # algebraic identities (hermiticity, trace, norm)
-ATOL_SPECTRUM = 1e-10  # spectral quantities (eigenvalues, reconstructions)
+ATOL_ALGEBRA = 1e-12   # algebraic identities (hermiticity, trace, norm, each probability)
+ATOL_SPECTRUM = 1e-10  # spectral quantities (eigenvalues, reconstructions, probability sum)
 
 PAULI_AXES = ("x", "y", "z")
 

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .dynamics import Evolution
-from .hilbert import DensityOperator, Register
+from .hilbert import ATOL_ALGEBRA, ATOL_SPECTRUM, DensityOperator, Register
 from .otoc import OtocSpec
 
 # Fixed enumeration order of the 16 outcome sequences (o1, o2, o3, o4),
@@ -50,9 +50,6 @@ OUTCOME_SIGNS.flags.writeable = False
 # is pruned: every leaf below it gets joint probability 0, where the leaves'
 # own values would be rounding noise around it.
 ZERO_BRANCH_CUTOFF = 1e-14
-
-PROB_ATOL = 1e-12       # tolerance on individual probabilities
-NORMALIZATION_ATOL = 1e-10  # tolerance on sum over the 16 sequences
 
 DEFAULT_ANGLES = (math.pi / 2, math.pi / 2, math.pi / 2)
 
@@ -115,7 +112,7 @@ class ProbabilityTable:
         if raw.shape != (len(OUTCOME_SEQUENCES),):
             raise ValueError("table must have exactly the 16 outcome sequences as entries")
         # the negated form rejects NaN, which compares False against any bound
-        outside = ~((-PROB_ATOL <= raw) & (raw <= 1.0 + PROB_ATOL))
+        outside = ~((-ATOL_ALGEBRA <= raw) & (raw <= 1.0 + ATOL_ALGEBRA))
         if outside.any():
             k = int(np.argmax(outside))
             raise ValueError(
@@ -123,7 +120,7 @@ class ProbabilityTable:
             )
         probs = np.clip(raw, 0.0, 1.0)  # clamp onto the simplex after the check
         total = math.fsum(probs)
-        if not abs(total - 1.0) <= NORMALIZATION_ATOL:
+        if not abs(total - 1.0) <= ATOL_SPECTRUM:
             raise ValueError(f"probabilities sum to {total}, not 1")
         probs.flags.writeable = False
         object.__setattr__(self, "probabilities", probs)

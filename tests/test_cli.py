@@ -189,6 +189,28 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
         *((command, HUGE_TIME_CONFIG, "t=1e+308") for command in ("exact", "sample", "im")),
         # finite, but c6/r^6 overflows at r_min
         ("dressing", DRESSING_CONFIG.replace("r_min = 1.0", "r_min = 1e-60"), "r = r_min = 1e-60"),
+        # finite detunings whose sum (the P level) overflows
+        (
+            "dressing",
+            DRESSING_CONFIG.replace("delta_laser = 4.0", "delta_laser = 1e308").replace(
+                "delta_microwave = 7.2857142857142857", "delta_microwave = 1e308"
+            ),
+            "delta_laser, delta_microwave",
+        ),
+        # a finite laser detuning whose double (the SS level) overflows
+        (
+            "dressing",
+            DRESSING_CONFIG.replace("delta_laser = 4.0", "delta_laser = 1e308"),
+            "overflows at r = r_min = 1.0",
+        ),
+        # finite ends whose span overflows
+        (
+            "exact",
+            BASE_CONFIG.replace("t_start = 0.0", "t_start = -1e308")
+            .replace("t_stop = 2.0", "t_stop = 1e308")
+            .replace("n_times = 9", "n_times = 3"),
+            "t_stop - t_start = inf",
+        ),
     ],
     ids=[
         "register_too_large",
@@ -200,6 +222,9 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
         "huge_time_sample",
         "huge_time_im",
         "overflowing_potential",
+        "overflowing_detunings",
+        "overflowing_laser_detuning",
+        "overflowing_time_span",
     ],
 )
 def test_bad_input_fails_closed(tmp_path, capsys, command, text, message):
@@ -322,6 +347,21 @@ def test_dressing_run_flags_inversion(tmp_path):
     # far tail: both couplings die off
     assert abs(float(rows[-1]["j_off"])) < 1e-6
     assert abs(float(rows[-1]["j_on"])) < 1e-6
+
+
+def test_dressing_far_tail_is_zero_not_rounding_noise(tmp_path):
+    """Where the pair no longer interacts, J is exactly 0 and no sign inversion is flagged."""
+    path = tmp_path / "far.cfg"
+    path.write_text(
+        DRESSING_CONFIG.replace("r_max = 400.0", "r_max = 1e60").replace("n_r = 20", "n_r = 5")
+    )
+    out = tmp_path / "far.csv"
+    # any RuntimeWarning, such as an overflow in r^6, is an error under the test settings
+    assert main(["dressing", "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    _, _, rows = read_table(out)
+    assert rows[0]["sign_inverted"] == "true"  # r_min = 1.0, on the plateau
+    for row in rows[1:]:  # r >= 2.5e59
+        assert (row["j_off"], row["j_on"], row["sign_inverted"]) == ("0", "0", "false")
 
 
 def test_dressing_without_laser_gives_zero_columns(tmp_path):

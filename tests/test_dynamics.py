@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oracles
-from otocsim import dynamics
 from otocsim.dynamics import (
     Evolution,
     Hamiltonian,
@@ -295,13 +294,28 @@ def test_xy_sectors_are_hamming_weight_classes(n):
 def test_xy_propagator_is_real_and_never_dense(n, monkeypatch):
     """The XY chain is diagonalized from its own blocks, in real arithmetic."""
 
-    def dense_sectors(n_sites, matrix):
-        raise AssertionError("the XY chain must not rediscover its sectors from a dense H")
+    def from_dense(n_sites, matrix):
+        raise AssertionError("the XY chain must not be built from a dense H")
 
-    monkeypatch.setattr(dynamics, "connected_sectors", dense_sectors)
+    monkeypatch.setattr(Hamiltonian, "from_matrix", from_dense)
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
     assert all(v.dtype == np.float64 for v in prop.eigenbasis.blocks)
     assert prop.block_sizes == tuple(math.comb(n, k) for k in range(n + 1))
+
+
+def test_dense_hamiltonian_is_one_block_in_computational_order():
+    matrix = oracles.xy_chain(3)
+    ham = Hamiltonian.from_matrix(3, matrix)
+    register = ham.blocks.register
+    assert register.bounds == (0, 8)
+    np.testing.assert_array_equal(register.order, np.arange(8))
+    (block,) = ham.blocks.blocks
+    assert block.dtype == complex and not np.shares_memory(block, matrix)
+    np.testing.assert_array_equal(block, matrix)
+    matrix[0, 0] = 1.0  # the caller's array stays the caller's
+    assert block[0, 0] == 0.0
+    with pytest.raises(ValueError, match="shape"):
+        Hamiltonian.from_matrix(2, matrix)
 
 
 def test_xy_propagator_peak_memory_is_below_one_dense_matrix():
@@ -343,21 +357,19 @@ def test_one_register_is_shared_by_every_operator_and_the_state(make):
 def _hamiltonian_case(kind, n, rng):
     """(H from the package, the same H from Kronecker chains, the expected block sizes).
 
-    XY couplings keep the Hamming weight, and so do z fields; x fields
-    connect every basis state; z fields alone leave every state its own block.
+    `build_xy_chain` declares the Hamming-weight sectors; `build_custom`
+    declares none, so whatever its terms conserve, its H is one dense block.
     """
-    weights = tuple(math.comb(n, k) for k in range(n + 1))
     if kind == "xy_chain":
-        return build_xy_chain(n), oracles.xy_chain(n), weights
+        return build_xy_chain(n), oracles.xy_chain(n), tuple(math.comb(n, k) for k in range(n + 1))
     if kind in ("z_fields", "x_fields", "z_only"):
         axis = kind[0]
         fields = [(site, axis, float(c)) for site, c in zip(range(1, n + 1), rng.normal(size=n))]
         oracle = sum(c * oracles.site_operator(n, site, axis) for site, _, c in fields)
         if kind == "z_only":
-            return build_custom(n, fields=fields), oracle, (1,) * 2**n
+            return build_custom(n, fields=fields), oracle, (2**n,)
         pairs = [(k, ax, k + 1, ax, -1.0) for k in range(1, n) for ax in ("x", "y")]
-        sizes = weights if axis == "z" else (2**n,)
-        return build_custom(n, pairs, fields), oracles.xy_chain(n) + oracle, sizes
+        return build_custom(n, pairs, fields), oracles.xy_chain(n) + oracle, (2**n,)
     g = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
     dense = (g + g.conj().T) / 4.0
     return build_custom(n, extra_terms=[dense]), dense, (2**n,)
