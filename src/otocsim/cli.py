@@ -22,7 +22,7 @@ from .config import AnglesConfig, ConfigError, RunConfig, parse_config, require
 from .dressing import AdiabaticityError, InteractionCoefficients, LevelScheme, scan_curve
 from .dynamics import EvolutionTimeError, Propagator, build_xy_chain
 from .hilbert import all_up_state, maximally_mixed_state
-from .otoc import OtocSpec, otoc_direct
+from .otoc import OtocSpec
 from .protocol import (
     DegenerateAnglesError,
     RotationAngles,
@@ -113,10 +113,10 @@ def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str
     """The time loop of `exact`, `sample` and `im`: one U(t) and one ladder per time point.
 
     The state is prepared once per run (`protocol.prepare`).  Every point
-    evaluates the direct C(t) and builds the point's `Ladder`, which both
-    protocols read: `exact` and `sample` take the 16-branch table from it,
-    `exact` the two identity residuals, `sample` and `im` the finite-shot
-    draws of the point's substream.
+    builds the point's `Ladder`, which carries the direct C(t) and which
+    both protocols read: `exact` and `sample` take the 16-branch table from
+    it, `exact` the two identity residuals against the direct C(t),
+    `sample` and `im` the finite-shot draws of the point's substream.
     """
     prepared, prop, grid = _build_system(config, command)
     sampling = None if command == "exact" else require(config, "sampling", command)
@@ -126,8 +126,8 @@ def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str
     for index, t in enumerate(grid):
         t = float(t)
         ev = prop.evolution(t)
-        direct = otoc_direct(prepared, ev)
         ladder = build_ladder(prepared, ev)
+        direct = ladder.direct
         row = {"t": t, "re_exact": direct.real, "im_exact": direct.imag}
         if command != "im":
             table = outcome_probabilities(ladder)

@@ -24,11 +24,11 @@ INITIAL_STATE_KINDS = ("all_up", "maximally_mixed")
 # The estimate allows up to 16 dense 2^N x 2^N complex matrices at once.
 # For a full-rank state a run holds, for its whole length, the prepared
 # state: Psi in register order (one such matrix).  A time point adds its
-# temporaries: the direct OTOC up to three full-width factors, and the
-# ladder both protocols read its four evolved factors plus at most two
-# more while it builds them and takes their Gram matrices; only the two
-# 6 x 6 Gram matrices outlive it.  Traced one-point N=10 and 31-point N=8
-# maximally_mixed `exact` runs peak at 6.5 and 6.9 of them, U(t) and
+# temporaries: the ladder that both protocols and the direct C(t) read
+# holds at most five full-width factors while it builds its four evolved
+# factors and takes their Gram matrices; only the two 6 x 6 Gram matrices
+# and C(t) outlive it.  Traced one-point N=10 and 31-point N=8
+# maximally_mixed `exact` runs peak at 6.46 and 6.71 of them, U(t) and
 # U(t)^dagger included.  The XY chain's H is never dense: it, its real
 # eigenvectors, U(t) and U(t)^dagger are block-diagonal over the
 # Hamming-weight sectors and hold sum_k C(N,k)^2 entries each (about 18%

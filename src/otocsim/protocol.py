@@ -10,11 +10,13 @@ evolution pattern, followed by one expectation value of sigma_i^a;
 a four-angle-set combination reconstructs Im C(t).
 
 A run prepares its state once (`prepare`: Psi in the register order of
-the propagator).  Each time point then builds one `Ladder` from six
+the propagator).  Each time point then builds one `Ladder` from seven
 applications of U(t) or U(t)^dagger: since U^dagger U = I and sigma^2 = I,
-every state of either protocol is a combination of six evolved factors,
-and the ladder keeps only their Gram matrices.  The 16-branch table and
-every angle set read from it; no state is collapsed or re-evolved.
+every state of either protocol is a combination of six vectors built
+from four evolved factors, and the ladder keeps only their Gram
+matrices, plus the direct C(t) that one more application reads off the
+same chain.  The 16-branch table and every angle set read from it; no
+state is collapsed or re-evolved.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .dynamics import Evolution
 from .hilbert import ATOL_ALGEBRA, ATOL_SPECTRUM, DensityOperator, Register
-from .otoc import OtocSpec
+from .otoc import OtocSpec, checked_otoc
 
 # Fixed enumeration order of the 16 outcome sequences (o1, o2, o3, o4),
 # +1 before -1, o1 outermost: sequence k has o_m = -1 exactly where bit
@@ -174,34 +176,51 @@ class Ladder:
     X1 = U sigma_j Psi and Z_k = U sigma_j U^dagger sigma_i X_k (so
     U sigma_j U^dagger swaps X0 and X1).  `grams` holds G0 = <B_m|B_n> and
     G1 = <B_m|sigma_i B_n>, traced over the factor's columns: c . B has
-    squared norm c^dagger G0 c and <sigma_i> = c^dagger G1 c.  Build it with
-    `build_ladder`.
+    squared norm c^dagger G0 c and <sigma_i> = c^dagger G1 c.  `direct` is
+    the exact C(t) = <Psi|U^dagger sigma_i Z1>, bit-equal to `otoc_direct`.
+    Build it with `build_ladder`.
     """
 
     grams: np.ndarray
+    direct: complex
 
 
 def build_ladder(prepared: PreparedState, ev: Evolution) -> Ladder:
-    """The ladder of time point `ev`, from six applications of U(t) or U(t)^dagger.
+    """The ladder of time point `ev`, from seven applications of U(t) or U(t)^dagger.
 
     K = (X0, X1, Z0, Z1) gives P_ab = <K_a|K_b> and Q_ab = <K_a|sigma_i K_b>.
     As sigma_i is Hermitian and squares to I, G0 takes P where both basis
     vectors carry sigma_i or neither does, and Q otherwise; G1 the reverse.
-    Every temporary is dropped once read, so at most two live beside Psi and K.
+    K is built in that order, and column b of P and Q is taken as soon as
+    K_b is: sigma_i K_b serves that column and, for X0 and X1, starts the
+    chain of Z0 and Z1.  X1 and Z1 are the first three evolutions of
+    `otoc_direct`'s chain, built with the same operations, so one more
+    application gives its C(t) bit for bit; like it, the ladder raises
+    ValueError when |C| exceeds 1 beyond ATOL_SPECTRUM.  Each temporary is
+    dropped once read, so at most five factors live beside Psi.
     """
     register = ev.check(prepared.register)
     spec = prepared.spec
     sigma_i = partial(register.pauli, site=spec.site_i, axis=spec.axis_a)
     sigma_j = partial(register.pauli, site=spec.site_j, axis=spec.axis_b)
-    factors = [ev.forward @ prepared.psi, ev.forward @ sigma_j(prepared.psi)]
-    for k in (0, 1):
-        factors.append(ev.forward @ sigma_j(ev.backward @ sigma_i(factors[k])))
+    psi = prepared.psi
+    factors = []
     upper = np.zeros((2, 4, 4), dtype=complex)  # P and Q above their diagonals
-    for b, factor in enumerate(factors):
+
+    def append(factor: np.ndarray) -> np.ndarray:
+        """K_b = factor: fills column b of P and Q and returns sigma_i K_b."""
         flipped = sigma_i(factor)
-        for a in range(b + 1):
-            upper[:, a, b] = np.vdot(factors[a], factor), np.vdot(factors[a], flipped)
-        del flipped  # before the next one is formed
+        factors.append(factor)
+        for a, earlier in enumerate(factors):
+            upper[:, a, len(factors) - 1] = np.vdot(earlier, factor), np.vdot(earlier, flipped)
+        return flipped
+
+    flipped_x = [append(ev.forward @ psi), append(ev.forward @ sigma_j(psi))]
+    # each sigma_i X_k is dropped as soon as U^dagger has read it
+    append(ev.forward @ sigma_j(ev.backward @ flipped_x.pop(0)))
+    flipped_z1 = append(ev.forward @ sigma_j(ev.backward @ flipped_x.pop()))
+    factors.clear()  # K is read; only sigma_i Z1 lives on
+    direct = checked_otoc(np.vdot(psi, ev.backward @ flipped_z1))
     p, q = upper + np.triu(upper, 1).conj().swapaxes(1, 2)
     under = np.ix_(*2 * ([0, 1, 0, 1, 2, 3],))  # the K under each vector of B
     carries = np.array([0, 0, 1, 1, 0, 0])  # and whether it carries sigma_i
@@ -209,7 +228,7 @@ def build_ladder(prepared: PreparedState, ev: Evolution) -> Ladder:
     p, q = p[under], q[under]
     grams = np.stack([np.where(same, p, q), np.where(same, q, p)])
     grams.flags.writeable = False
-    return Ladder(grams)
+    return Ladder(grams, direct)
 
 
 def outcome_probabilities(ladder: Ladder) -> ProbabilityTable:

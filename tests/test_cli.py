@@ -5,6 +5,7 @@ import pytest
 
 from otocsim.cli import EXIT_CONFIG, EXIT_OK, main
 from otocsim.dynamics import BlockDiagonal, Propagator
+from otocsim.hilbert import Register
 
 import oracles
 
@@ -281,23 +282,25 @@ def mixed_yz_config(n_sites, n_times):
 
 @pytest.mark.parametrize("command", ["exact", "sample", "im"])
 @pytest.mark.parametrize("n_times", [1, 3])
-def test_each_point_applies_u_ten_times_and_factorizes_nothing(
+def test_each_point_applies_u_and_a_pauli_seven_times_and_factorizes_nothing(
     command, n_times, tmp_path, monkeypatch
 ):
-    """On a full-rank state every time point applies U(t) or U(t)^dagger 10 times,
-    4 for the direct C(t) and 6 for the ladder both protocols read, and no
-    command calls a QR."""
-    applications, qr_calls = [], []
-    apply, qr = BlockDiagonal.__matmul__, np.linalg.qr
+    """On a full-rank state every time point applies U(t) or U(t)^dagger 7 times and
+    a single-site Pauli 7 times, all in the ladder that carries both protocols and
+    the direct C(t), and no command calls a QR."""
+    applications, paulis, qr_calls = [], [], []
+    apply, pauli, qr = BlockDiagonal.__matmul__, Register.pauli, np.linalg.qr
     monkeypatch.setattr(
         BlockDiagonal, "__matmul__", lambda op, psi: applications.append(1) or apply(op, psi)
     )
+    monkeypatch.setattr(Register, "pauli", lambda *a, **k: paulis.append(1) or pauli(*a, **k))
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
     path = tmp_path / "mixed.cfg"
     path.write_text(mixed_yz_config(6, n_times))
     out = tmp_path / f"{command}.csv"
     assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
-    assert len(applications) == 10 * n_times
+    assert len(applications) == 7 * n_times
+    assert len(paulis) == 7 * n_times
     assert not qr_calls
 
 

@@ -219,12 +219,18 @@ def propagator_of_edited_hamiltonian(bad):
     return Propagator.from_hamiltonian(ham)
 
 
-def otoc_of_nonfinite_evolution(bad):
+def nonfinite_point(bad):
+    """A prepared state and an Evolution whose every entry of U(t) and U(t)^dagger is bad."""
     prop = Propagator.from_hamiltonian(build_xy_chain(2))
     forward = prop.evolution(0.5).forward
     broken = forward.with_blocks(np.full_like(block, bad) for block in forward.blocks)
     prepared = prepare(all_up_state(2), OtocSpec(1, "x", 2, "x"), prop.register)
-    return otoc_direct(prepared, Evolution(broken, broken))
+    return prepared, Evolution(broken, broken)
+
+
+# the hand-built inf U(t) makes the evaluators' own products warn on the way
+# to the NaN that the guard rejects
+PRODUCTS_OF_INF_WARN = pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 
 
 NONFINITE_ENTRY_POINTS = [
@@ -255,12 +261,16 @@ NONFINITE_ENTRY_POINTS = [
         id="probability_table",
     ),
     pytest.param(
-        otoc_of_nonfinite_evolution,
+        lambda bad: otoc_direct(*nonfinite_point(bad)),
         "magnitude",
         id="otoc_direct",
-        # the hand-built inf U(t) makes the evaluator's own products warn on
-        # the way to the NaN that the guard rejects
-        marks=pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning"),
+        marks=PRODUCTS_OF_INF_WARN,
+    ),
+    pytest.param(
+        lambda bad: build_ladder(*nonfinite_point(bad)),
+        "magnitude",
+        id="build_ladder",
+        marks=PRODUCTS_OF_INF_WARN,
     ),
 ]
 

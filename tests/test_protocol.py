@@ -26,6 +26,7 @@ from otocsim.protocol import (
 )
 from otocsim.verification import (
     AXIS_PAIRS,
+    _instances,
     random_density,
     random_hamiltonian,
     random_nondegenerate_angles,
@@ -287,6 +288,28 @@ def test_factor_evaluators_match_dense_oracles(axes, n, data, mixed, seed, t):
         *dense, angles.theta1, angles.theta2, angles.theta3
     )
     assert abs(value - rotated) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_ladder_direct_is_otoc_direct_on_random_instances(seed):
+    """The ladder's C(t) shares otoc_direct's chain, so it equals it bit for bit:
+    dense random H, random full-rank states, every (size, axis pair) once."""
+    for _, prepared, ev in _instances(36, (2, 3, 4, 5), seed):
+        assert build_ladder(prepared, ev).direct == otoc_direct(prepared, ev)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_ladder_direct_is_otoc_direct_on_xy_chains(n):
+    """Bit-equal on the XY chain's real blocks too: pure and full-rank states,
+    every axis pair, a same-site spec, at t = 0 and t > 0."""
+    prop = Propagator.from_hamiltonian(build_xy_chain(n))
+    evolutions = [prop.evolution(t) for t in (0.0, 0.7, 2.3)]
+    specs = [OtocSpec(2, a, n - 1, b) for a, b in AXIS_PAIRS] + [OtocSpec(3, "y", 3, "x")]
+    for state in (all_up_state(n), maximally_mixed_state(n)):
+        for spec in specs:
+            prepared = prepare(state, spec, prop.register)
+            for ev in evolutions:
+                assert build_ladder(prepared, ev).direct == otoc_direct(prepared, ev)
 
 
 def _free_fermion_protocol_cases(n, pairs, times):
