@@ -15,37 +15,52 @@ from typing import Callable
 import numpy as np
 
 from .dressing import InteractionCoefficients, LevelScheme, build_two_atom_hamiltonian
+from .dynamics import builds_blocks
 from .hilbert import PAULI_AXES
 from .protocol import DEFAULT_ANGLES
 
 HAMILTONIAN_KINDS = ("xy_chain",)
-INITIAL_STATE_KINDS = ("all_up", "maximally_mixed")
 
-# The estimate allows up to 16 dense 2^N x 2^N complex matrices at once.
-# For a full-rank state a run holds, for its whole length, the prepared
-# state: Psi in register order (one such matrix).  A time point adds its
-# temporaries: the ladder that both protocols and the direct C(t) read
-# holds at most five full-width factors while it builds its four evolved
-# factors and takes their Gram matrices; only the two 6 x 6 Gram matrices
-# and C(t) outlive it.  Traced one-point N=10 and 31-point N=8
-# maximally_mixed `exact` runs peak at 6.46 and 6.71 of them, U(t) and
-# U(t)^dagger included.  The XY chain's H is never dense: it, its real
-# eigenvectors, U(t) and U(t)^dagger are block-diagonal over the
-# Hamming-weight sectors and hold sum_k C(N,k)^2 entries each (about 18%
-# of 4^N at N=10), and H's hermiticity is checked block by block.  The
-# estimate is therefore an upper bound kept from the dense layout.
-# Registers whose estimate exceeds the budget are rejected before anything
-# is allocated.
-DENSE_MATRICES_AT_PEAK = 16
-DENSE_MEMORY_BUDGET_BYTES = 4 * 2**30
+# The cap is an estimate of the bytes of the arrays an OTOC run holds at
+# once, which depends on the rank r of the initial state's factor
+# (`STATE_RANKS`).  The XY chain's H and its real eigenvectors V are
+# block-diagonal over the Hamming-weight sectors, sum_w C(N,w)^2 = C(2N,N)
+# entries each, both held while the propagator is built.  A factor at least
+# as wide as the largest sector, C(N, N//2), is evolved through U(t) and
+# U(t)^dagger blocks, complex, of that size again; a narrower one in the
+# eigenbasis, with no such blocks.  Beside them a time point holds at most
+# FACTORS_AT_PEAK complex 2^N x r factors: the prepared Psi, the five that
+# the ladder keeps alive while it builds its four evolved factors, and the
+# one being formed.  Traced one-point N=10 and 31-point N=8 maximally_mixed
+# `exact` runs peaked at 6.46 and 6.71 dense 2^N x 2^N matrices, U(t) and
+# U(t)^dagger included.  So all_up (r = 1) fits up to N = 14, where V alone
+# is 320 MB, and maximally_mixed (r = 2^N) up to N = 12.  Registers whose
+# estimate exceeds the budget are rejected before anything is allocated.
+FACTORS_AT_PEAK = 7
+MEMORY_BUDGET_BYTES = 2 * 2**30
+
+# initial_state -> rank of its factor on n_sites qubits
+STATE_RANKS: dict[str, Callable[[int], int]] = {
+    "all_up": lambda n_sites: 1,
+    "maximally_mixed": lambda n_sites: 2**n_sites,
+}
+INITIAL_STATE_KINDS = tuple(STATE_RANKS)
 
 
-def dense_footprint_bytes(n_sites: int) -> int:
-    """Estimated peak bytes of dense matrices held by the exact path on n_sites qubits."""
-    return DENSE_MATRICES_AT_PEAK * 16 * 4**n_sites
+def footprint_bytes(n_sites: int, rank: int) -> int:
+    """Estimated peak bytes an OTOC run on n_sites qubits holds for a rank-`rank` state."""
+    sector_entries = math.comb(2 * n_sites, n_sites)
+    held = 2 * 8 * sector_entries  # H and V, real
+    if builds_blocks(rank, math.comb(n_sites, n_sites // 2)):
+        held += 2 * 16 * sector_entries  # U(t) and U(t)^dagger, complex
+    return held + FACTORS_AT_PEAK * 16 * 2**n_sites * rank
 
 
-MAX_SITES = max(n for n in range(1, 64) if dense_footprint_bytes(n) <= DENSE_MEMORY_BUDGET_BYTES)
+# initial_state -> the largest register whose estimate fits the budget
+MAX_SITES = {
+    kind: max(n for n in range(2, 64) if footprint_bytes(n, rank(n)) <= MEMORY_BUDGET_BYTES)
+    for kind, rank in STATE_RANKS.items()
+}
 
 
 class ConfigError(ValueError):
@@ -241,12 +256,15 @@ def _cross_validate(config: RunConfig, source: str) -> None:
             fail("n_sites must be >= 1")
         if config.system.hamiltonian == "xy_chain" and config.system.n_sites < 2:
             fail("xy_chain needs n_sites >= 2")
-        if config.system.n_sites > MAX_SITES:
+        kind, n_sites = config.system.initial_state, config.system.n_sites
+        cap = MAX_SITES[kind]
+        if n_sites > cap:
+            rank = STATE_RANKS[kind](cap + 1)
             fail(
-                f"n_sites={config.system.n_sites} is above {MAX_SITES}, the largest register "
-                f"whose dense matrices fit in {DENSE_MEMORY_BUDGET_BYTES / 2**30:g} GiB "
-                f"({dense_footprint_bytes(MAX_SITES + 1) / 2**30:g} GiB needed at "
-                f"{MAX_SITES + 1} sites)"
+                f"n_sites={n_sites} is above {cap}, the largest register on which an "
+                f"initial_state = {kind} run fits in {MEMORY_BUDGET_BYTES / 2**30:g} GiB "
+                f"({footprint_bytes(cap + 1, rank) / 2**30:.3g} GiB needed at {cap + 1} "
+                f"sites, for a state of rank {rank})"
             )
     if config.otoc is not None:
         if config.otoc.n_times < 1:

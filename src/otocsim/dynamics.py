@@ -3,17 +3,20 @@
 Units: the XY coupling constant is 1 and hbar = 1, so time is
 dimensionless.  A `Hamiltonian` is its sector blocks, and its builder
 declares them: `build_xy_chain` writes the Hamming-weight sectors of the
-XY chain as real blocks by index, and `Hamiltonian.from_matrix` holds a
-dense H as one complex block in computational order.  Evolution is
-exact via a cached Hermitian eigendecomposition per block, in the
-block's own dtype; backward evolution is the adjoint U(t)^dagger = U(-t).
-`Propagator.evolution(t)` is the one place U(t) is built: the `Evolution`
-it returns holds the sector blocks of U(t) and U(t)^dagger for one time
-point, and is the only form in which the evaluators of that point
-receive the dynamics.  Every block-diagonal operator of one H (H, its
-eigenbasis, U(t), U(t)^dagger) carries the same `hilbert.Register`, the
-row order and sector bounds of H, and acts on factors whose rows are in
-that order, where each block is a contiguous slice of rows.
+XY chain as real blocks by index, and declares the open chain's
+reflection, and `Hamiltonian.from_matrix` holds a dense H as one complex
+block in computational order.  Evolution is exact via a cached Hermitian
+eigendecomposition per block, in the block's own dtype; a block with a
+declared reflection is diagonalized as its even and odd parts.
+`Propagator.evolution(t)` gives the `Evolution` of one time point: the
+phases e^(-iwt) of every block, the only form in which the evaluators of
+that point receive the dynamics.  It applies U(t) and U(t)^dagger to a
+factor narrower than H's largest sector as V (phase * V^dagger psi) in
+the eigenbasis, and to a wider one through U(t) blocks that it builds on
+first use.  Every block-diagonal operator of one H (H, its eigenbasis,
+U(t), U(t)^dagger) carries the same `hilbert.Register`, the row order and
+sector bounds of H, and acts on factors whose rows are in that order,
+where each block is a contiguous slice of rows.
 """
 
 from __future__ import annotations
@@ -70,9 +73,15 @@ class Hamiltonian:
     a dense H from `from_matrix`.  Every block is checked Hermitian; since
     H is zero off the blocks, the worst block defect is the whole-matrix
     defect.
+
+    `reflection`, when a builder declares one, is a symmetry of H as a row
+    permutation in register order: an involution that keeps every sector.
+    It is checked to be one here; that it commutes with H is checked where
+    it is used, by `Propagator.from_hamiltonian`.
     """
 
     blocks: BlockDiagonal
+    reflection: np.ndarray | None = None
 
     def __post_init__(self):
         register = self.blocks.register
@@ -82,6 +91,18 @@ class Hamiltonian:
         for block in self.blocks.blocks:
             if not hermiticity_defect(block) <= ATOL_ALGEBRA:
                 raise ValueError("Hamiltonian is not Hermitian")
+        if self.reflection is not None:
+            mirror = np.asarray(self.reflection)
+            rows = np.arange(len(register.order))
+            sector = np.repeat(np.arange(len(register.sizes)), register.sizes)
+            if not (
+                mirror.shape == rows.shape
+                and mirror.dtype.kind in "iu"
+                and ((0 <= mirror) & (mirror < len(rows))).all()
+                and np.array_equal(mirror[mirror], rows)
+                and np.array_equal(sector[mirror], sector)
+            ):
+                raise ValueError("reflection is not an involution of the rows of each sector")
 
     @classmethod
     def from_matrix(cls, n_sites: int, matrix: np.ndarray) -> "Hamiltonian":
@@ -109,46 +130,116 @@ class Hamiltonian:
         return mat
 
 
+def _checked_eigh(part: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """eigh of a Hermitian matrix, with max|V diag(w) V^dagger - part| and max|V^dagger V - I|."""
+    w, v = np.linalg.eigh(part)
+    # a non-finite part makes NaN products, which the caller's guards reject
+    with np.errstate(invalid="ignore"):
+        residual = np.abs((v * w) @ v.conj().T - part).max(initial=0.0)
+        unit = np.abs(v.conj().T @ v - np.eye(len(w))).max(initial=0.0)
+    return w, v, float(residual), float(unit)
+
+
+def _parity_parts(block: np.ndarray, mirror: np.ndarray, reps: np.ndarray, paired: np.ndarray):
+    """(even part, odd part, max|R H R - H|) of a block; see `_eigh_by_parity`.
+
+    Its gathers are dropped on return, before the parts are diagonalized.
+    """
+    # rows, then columns: a gather per axis is several times faster than np.ix_
+    rep_rows = block[reps]
+    # rows reps of R H R - H; the other rows repeat them, as R is an involution
+    commutator = block[mirror[reps]][:, mirror]
+    same, across = rep_rows[:, reps], rep_rows[:, mirror[reps]]
+    scale = np.where(paired, 1.0, math.sqrt(0.5))
+    # a non-finite block makes NaN parts and defects, which the caller's guards reject
+    with np.errstate(invalid="ignore"):
+        commutator -= rep_rows
+        defect = np.abs(commutator, out=commutator).max(initial=0.0)
+        return (same + across) * np.outer(scale, scale), (same - across)[paired][:, paired], defect
+
+
+def _eigh_by_parity(block: np.ndarray, mirror: np.ndarray):
+    """(w, V, part sizes, residual, unitarity defect) of a block split by a reflection.
+
+    `mirror` is the reflection R as a permutation of the block's rows.
+    Rows pair off as (a, R a), or are fixed by R; `reps` are the fixed rows
+    and the first row a < R a of each pair.  The even part acts on
+    (e_a + e_(R a))/sqrt2 for a pair and e_a for a fixed row, the odd part
+    on (e_a - e_(R a))/sqrt2 for a pair.  As R H R = H, their matrices are
+    (H_ab +/- H_a(R b)) scaled by 1/sqrt2 for each fixed index, and nothing
+    couples them.  Each part gets its own `eigh` (an empty part is allowed),
+    and the columns of V, even then odd, are assembled in the block's row
+    order.  The residual is the worse of the parts' own and of
+    max|R H R - H|; together they bound the whole block's residual to
+    within a factor of 2, since each row of the basis change has at most
+    two entries, each at most 1 in modulus.
+    """
+    reps = np.flatnonzero(np.arange(len(block)) <= mirror)
+    paired = mirror[reps] != reps
+    even, odd, commutator = _parity_parts(block, mirror, reps, paired)
+    w_even, v_even, res_even, unit_even = _checked_eigh(even)
+    w_odd, v_odd, res_odd, unit_odd = _checked_eigh(odd)
+    n_even, half = len(w_even), math.sqrt(0.5)
+    v = np.zeros_like(block)
+    v[reps, :n_even] = v[mirror[reps], :n_even] = v_even * np.where(paired, half, 1.0)[:, None]
+    lead = reps[paired]
+    v[lead, n_even:] = v_odd * half
+    v[mirror[lead], n_even:] = v_odd * -half
+    residual = np.maximum.reduce([res_even, res_odd, commutator])  # keeps a NaN
+    unit = np.maximum(unit_even, unit_odd)
+    return np.concatenate([w_even, w_odd]), v, (n_even, len(w_odd)), residual, unit
+
+
 @dataclass(frozen=True)
 class Propagator:
     """Cached spectral decomposition of H, one eigendecomposition per sector block.
 
     Each block of H is diagonalized in its own dtype (real arithmetic for
-    the XY chain) as H_k = V_k diag(w_k) V_k^dagger.  Immutable after
-    construction; `evolution(t)` builds e^(-iHt) from it block by block.
+    the XY chain) as H_k = V_k diag(w_k) V_k^dagger; a block with a declared
+    reflection is diagonalized as its even and odd parts (`_eigh_by_parity`),
+    and its V_k assembled from theirs in register order.  `eigh_sizes` are
+    the sizes of the nonempty matrices `eigh` ran on.  Immutable after
+    construction; `evolution(t)` takes the phases e^(-iwt) from it.
     `register` is H's own, read from the eigenbasis: the row order of the
     factors the evolution acts on; its kernel tables are built on first use.
     `reconstruction_residual` and `unitarity_defect` are the worst
-    max|V_k diag(w_k) V_k^dagger - H_k| and max|V_k^dagger V_k - I| over the
-    blocks; since H and the assembled decomposition are both exactly zero
-    off the blocks, they equal the whole-matrix defects.
+    max|V diag(w) V^dagger - H| and max|V^dagger V - I| over the matrices
+    `eigh` ran on, the residual including each split block's
+    max|R H_k R - H_k|; as H and the assembled decomposition are both
+    exactly zero off the blocks, an unsplit block's defects are the
+    whole-matrix ones.
     """
 
     eigenbasis: BlockDiagonal
     block_eigenvalues: tuple[np.ndarray, ...]
+    eigh_sizes: tuple[int, ...]
     reconstruction_residual: float
     unitarity_defect: float
 
     @classmethod
     def from_hamiltonian(cls, ham: Hamiltonian) -> "Propagator":
-        evals, evecs = [], []
+        register = ham.blocks.register
+        evals, evecs, sizes = [], [], []
         residual = unit = 0.0
-        for block in ham.blocks.blocks:
-            w, v = np.linalg.eigh(block)
-            # np.maximum, unlike max, keeps a NaN defect whatever the block order;
-            # a non-finite block makes NaN products, which the guards below reject
-            with np.errstate(invalid="ignore"):
-                residual = float(
-                    np.maximum(residual, np.max(np.abs((v * w) @ v.conj().T - block)))
+        for lo, hi, block in zip(register.bounds, register.bounds[1:], ham.blocks.blocks):
+            if ham.reflection is None:
+                w, v, block_residual, block_unit = _checked_eigh(block)
+                parts = (len(w),)
+            else:
+                w, v, parts, block_residual, block_unit = _eigh_by_parity(
+                    block, ham.reflection[lo:hi] - lo
                 )
-                unit = float(np.maximum(unit, np.max(np.abs(v.conj().T @ v - np.eye(len(w))))))
+            # np.maximum, unlike max, keeps a NaN defect whatever the block order
+            residual = float(np.maximum(residual, block_residual))
+            unit = float(np.maximum(unit, block_unit))
             evals.append(w)
             evecs.append(v)
+            sizes += [size for size in parts if size]
         if not residual <= ATOL_SPECTRUM:
             raise ValueError(f"eigendecomposition residual {residual} above tolerance")
         if not unit <= ATOL_SPECTRUM:
             raise ValueError(f"eigenvector unitarity defect {unit} above tolerance")
-        return cls(ham.blocks.with_blocks(evecs), tuple(evals), residual, unit)
+        return cls(ham.blocks.with_blocks(evecs), tuple(evals), tuple(sizes), residual, unit)
 
     @property
     def register(self) -> Register:
@@ -165,41 +256,104 @@ class Propagator:
     def evolution(self, t: float) -> "Evolution":
         """U(t) and its adjoint for every evaluator of time point t.
 
-        U(t) = e^(-iHt) is one block per sector,
-        U_k(t) = V_k diag(cos w_k t) V_k^dagger - i V_k diag(sin w_k t) V_k^dagger:
-        two real products when V_k is real.  A t that is not finite, or so
+        U(t) = e^(-iHt) is V_k diag(e^(-i w_k t)) V_k^dagger on each sector;
+        the `Evolution` holds the phases.  A t that is not finite, or so
         large that some w_k t overflows, raises `EvolutionTimeError`.
         """
-        blocks = []
-        for v, w in zip(self.eigenbasis.blocks, self.block_eigenvalues):
+        phases = []
+        for w in self.block_eigenvalues:
             with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-                phase = w * t
-            if not np.isfinite(phase).all():
+                angle = w * t
+            if not np.isfinite(angle).all():
                 raise EvolutionTimeError(f"evolution time t={t} makes a phase w*t non-finite")
-            v_h = v.conj().T
-            # the real-plus-complex sum is taken in place: numpy's mixed-dtype
-            # binary subtraction is several times slower than the products
-            block = ((v * np.sin(phase)) @ v_h) * -1j
-            block += (v * np.cos(phase)) @ v_h
-            blocks.append(block)
-        forward = self.eigenbasis.with_blocks(blocks)
-        return Evolution(forward, forward.adjoint())
+            phase = np.empty(len(angle), dtype=complex)
+            phase.real, phase.imag = np.cos(angle), -np.sin(angle)
+            phases.append(phase)
+        return Evolution(self.eigenbasis, tuple(phases))
 
 
-@dataclass(frozen=True, eq=False)
+def builds_blocks(width: int, largest_sector: int) -> bool:
+    """Whether an `Evolution` applies U(t) to a factor of `width` columns through built blocks.
+
+    From the width of the largest sector on, a built block applies faster
+    than the eigenbasis form, and building it costs less than one
+    application (XY chain, N = 8, 256 columns, one BLAS thread: 0.74 ms
+    against 0.88 ms per application, 0.25 ms to build); below it, the
+    eigenbasis form is cheaper and holds no block of U(t).
+    """
+    return width >= largest_sector
+
+
 class Evolution:
     """U(t) = e^(-iHt) at one time point, and U(t)^dagger, on factors in `register` order.
 
-    Both are `BlockDiagonal` over the propagator's register: `ev.forward @ psi`
-    applies U(t) sector by sector.
+    `ev.forward @ psi` and `ev.backward @ psi` apply U(t) and U(t)^dagger
+    sector by sector to psi of shape (2^N,) or (2^N, r).  The form is chosen
+    by the operand's width r (`builds_blocks`): a factor narrower than H's
+    largest sector goes through the eigenbasis, V (phase * V^dagger psi),
+    which for a real V is two real products on psi's (re, im) pairs; a
+    wider one through the blocks of U(t) and U(t)^dagger, built from V and
+    the phases on first use and kept.
     """
 
-    forward: BlockDiagonal
-    backward: BlockDiagonal
+    __slots__ = ("eigenbasis", "phases", "_blocks")
+
+    def __init__(self, eigenbasis: BlockDiagonal, phases: tuple[np.ndarray, ...]):
+        self.eigenbasis = eigenbasis
+        self.phases = phases
+        self._blocks: tuple[BlockDiagonal, BlockDiagonal] | None = None
 
     @property
     def register(self) -> Register:
-        return self.forward.register
+        return self.eigenbasis.register
+
+    @property
+    def forward(self) -> "EvolutionOperator":
+        return EvolutionOperator(self, adjoint=False)
+
+    @property
+    def backward(self) -> "EvolutionOperator":
+        return EvolutionOperator(self, adjoint=True)
+
+    def blocks(self) -> tuple[BlockDiagonal, BlockDiagonal]:
+        """U(t) and U(t)^dagger as sector blocks, built on the first call and kept.
+
+        U_k(t) = V_k diag(cos w_k t) V_k^dagger - i V_k diag(sin w_k t) V_k^dagger:
+        two real products when V_k is real.
+        """
+        if self._blocks is None:
+            blocks = []
+            for v, phase in zip(self.eigenbasis.blocks, self.phases):
+                v_h = v.conj().T
+                # the real-plus-complex sum is taken in place: numpy's mixed-dtype
+                # binary subtraction is several times slower than the products
+                block = ((v * -phase.imag) @ v_h) * -1j
+                block += (v * phase.real) @ v_h
+                blocks.append(block)
+            forward = self.eigenbasis.with_blocks(blocks)
+            self._blocks = (forward, forward.adjoint())
+        return self._blocks
+
+    def apply(self, psi: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """U(t) psi, or U(t)^dagger psi when `adjoint`, rows in register order."""
+        if builds_blocks(1 if psi.ndim == 1 else psi.shape[1], max(self.register.sizes)):
+            return self.blocks()[adjoint] @ psi
+        # (2^N, r), C-contiguous, so that its row slices view as (re, im) float pairs
+        columns = np.ascontiguousarray(psi, dtype=complex).reshape(len(psi), -1)
+        result = np.empty_like(columns)
+        bounds = self.register.bounds
+        for lo, hi, v, phase in zip(bounds, bounds[1:], self.eigenbasis.blocks, self.phases):
+            phase = (phase.conj() if adjoint else phase)[:, None]
+            if v.dtype.kind == "f":
+                coeffs = v.T @ columns[lo:hi].view(float)
+                rotated = coeffs.view(complex)  # the same memory, as complex coefficients
+                rotated *= phase
+                np.matmul(v, coeffs, out=result[lo:hi].view(float))
+            else:
+                coeffs = np.conj(v.T @ columns[lo:hi].conj())  # V^dagger psi
+                coeffs *= phase
+                np.matmul(v, coeffs, out=result[lo:hi])
+        return result.reshape(psi.shape)
 
     def check(self, register: Register) -> Register:
         """This evolution's register, after checking that factors in `register` order fit it."""
@@ -212,6 +366,21 @@ class Evolution:
         return self.register
 
 
+@dataclass(frozen=True, eq=False)
+class EvolutionOperator:
+    """U(t) of an `Evolution`, or U(t)^dagger when `adjoint`, applied with `@`."""
+
+    evolution: Evolution
+    adjoint: bool
+
+    @property
+    def register(self) -> Register:
+        return self.evolution.register
+
+    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
+        return self.evolution.apply(psi, self.adjoint)
+
+
 def build_xy_chain(n_sites: int) -> Hamiltonian:
     """Open-boundary chain H = -sum_k (x_k x_(k+1) + y_k y_(k+1)), as its Hamming-weight blocks.
 
@@ -220,7 +389,9 @@ def build_xy_chain(n_sites: int) -> Hamiltonian:
     (b ^ (3 << (k-1)), b) for every b whose bits k-1 and k differ.  Such a
     flip keeps the Hamming weight, so H is written straight into one real
     C(N, w) x C(N, w) block per weight w, its basis indices in ascending
-    order; no 2^N x 2^N array is formed.
+    order; no 2^N x 2^N array is formed.  The chain's reflection, site k to
+    site N + 1 - k, sends b to its bit reversal, keeps the weight and maps
+    the bond terms onto each other; it is declared as `reflection`.
     """
     if n_sites < 2:
         raise ValueError("XY chain needs at least 2 sites")
@@ -239,7 +410,9 @@ def build_xy_chain(n_sites: int) -> Hamiltonian:
     for w, block in enumerate(blocks):
         flip = weight[cols] == w
         block[local[rows[flip]], local[cols[flip]]] = -2.0
-    return Hamiltonian(BlockDiagonal(register, blocks))
+    reverse = sum(((basis >> s) & 1) << (n_sites - 1 - s) for s in range(n_sites))
+    reflection = local[reverse[register.order]] + np.repeat(bounds[:-1], sizes)
+    return Hamiltonian(BlockDiagonal(register, blocks), reflection)
 
 
 def build_custom(

@@ -13,8 +13,10 @@ U(t), U(t)^dagger and the evaluators' Psi share one `Register`: a row
 order and its cut into the sectors of H, so that each block of U(t) acts
 on a contiguous slice of rows.  Single-site Paulis act on Psi through index
 kernels in O(2^N r) (a row gather and a row phase), never as dense
-matrices.  Time evolution U(t) is block-diagonal over the sectors and
-built once per time point (see `dynamics.Evolution`).
+matrices.  Time evolution U(t) is block-diagonal over the sectors; a
+time point's `dynamics.Evolution` applies it to a factor narrower than
+the largest sector in the eigenbasis of H, and to a wider one through
+U(t) blocks that it builds once, on first use.
 """
 
 from __future__ import annotations

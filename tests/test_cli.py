@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from otocsim.cli import EXIT_CONFIG, EXIT_OK, main
-from otocsim.dynamics import BlockDiagonal, Propagator
+from otocsim.dynamics import BlockDiagonal, Evolution, Propagator
 from otocsim.hilbert import Register
 
 import oracles
@@ -77,12 +77,24 @@ def test_exact_run_writes_metadata_and_residuals(config_file, tmp_path):
 
 
 def test_exact_reports_spectral_defects_on_stderr_only(config_file, tmp_path, capsys):
-    out = tmp_path / "exact.csv"
-    assert main(["exact", "--config", str(config_file), "--out", str(out)]) == EXIT_OK
-    err = capsys.readouterr().err
-    assert "eigendecomposition in 5 blocks (largest 6): residual " in err
-    assert "unitarity defect " in err
-    assert "unitarity" not in out.read_text()
+    """The N=4 sectors 1, 4, 6, 4, 1 split by reflection parity into 1, 2+2, 4+2,
+    2+2, 1; a pure state is evolved in the eigenbasis, a full-rank one through
+    built blocks.  All of it reaches stderr, none of it the CSV."""
+    mixed = tmp_path / "mixed.cfg"
+    mixed.write_text(BASE_CONFIG.replace("initial_state = all_up", "initial_state = maximally_mixed"))
+    for config, form in ((config_file, "eigenbasis"), (mixed, "built-block")):
+        out = tmp_path / "exact.csv"
+        assert main(["exact", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert (
+            "eigendecomposition in 5 blocks (largest 6), 8 parity blocks (largest 4): residual "
+            in err
+        )
+        assert "unitarity defect " in err
+        assert f"; U(t) applied in the {form} form; " in err
+        text = out.read_text()
+        for logged in ("unitarity", "parity", "form", form):
+            assert logged not in text
 
 
 def test_exact_reports_pruned_and_clamped_counts_on_stderr_only(tmp_path, capsys):
@@ -175,6 +187,14 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
     "command, text, message",
     [
         ("exact", BASE_CONFIG.replace("n_sites = 4", "n_sites = 40"), "n_sites=40 is above"),
+        # a full-rank state above its cap of 12 sites, rejected before anything is built
+        (
+            "exact",
+            BASE_CONFIG.replace("n_sites = 4", "n_sites = 13").replace(
+                "initial_state = all_up", "initial_state = maximally_mixed"
+            ),
+            "for a state of rank 8192",
+        ),
         ("exact", BASE_CONFIG.replace("t_stop = 2.0", "t_stop = inf"), "finite"),
         ("im", BASE_CONFIG + "theta1 = nan\n", "finite"),
         ("dressing", DRESSING_CONFIG.replace("omega_laser = 2.0", "omega_laser = nan"), "finite"),
@@ -215,6 +235,7 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
     ],
     ids=[
         "register_too_large",
+        "full_rank_register_too_large",
         "infinite_time",
         "nan_angle",
         "nan_dressing",
@@ -304,12 +325,32 @@ def test_each_point_applies_u_and_a_pauli_seven_times_and_factorizes_nothing(
     assert not qr_calls
 
 
-def test_exact_matches_xx_vacuum_oracle_at_twelve_sites(tmp_path):
-    """One N=12 all_up point of the paper's (6,x)/(7,x) correlator: the direct C(t)
-    against the free-fermion Wick oracle, and both protocols against it."""
-    path = tmp_path / "n12.cfg"
+@pytest.mark.parametrize("command", ["exact", "sample", "im"])
+def test_pure_state_points_apply_u_seven_times_and_build_no_blocks(command, tmp_path, monkeypatch):
+    """On all_up every time point applies U(t) or U(t)^dagger 7 times, all in the
+    eigenbasis: no U(t) block is built in the run."""
+    applications, builds = [], []
+    apply, blocks = Evolution.apply, Evolution.blocks
+    monkeypatch.setattr(
+        Evolution, "apply", lambda ev, *a: applications.append(1) or apply(ev, *a)
+    )
+    monkeypatch.setattr(Evolution, "blocks", lambda ev: builds.append(1) or blocks(ev))
+    path = tmp_path / "pure.cfg"
+    path.write_text(BASE_CONFIG)
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    assert len(applications) == 7 * 9
+    assert not builds
+
+
+@pytest.mark.parametrize("n_sites", [12, 13, 14])
+def test_exact_matches_xx_vacuum_oracle_up_to_fourteen_sites(n_sites, tmp_path):
+    """One all_up point of the paper's (6,x)/(7,x) correlator at the largest pure-state
+    registers: the direct C(t) against the free-fermion Wick oracle, and both protocols
+    against it."""
+    path = tmp_path / "vacuum.cfg"
     path.write_text(
-        BASE_CONFIG.replace("n_sites = 4", "n_sites = 12")
+        BASE_CONFIG.replace("n_sites = 4", f"n_sites = {n_sites}")
         .replace("site_i = 2", "site_i = 6")
         .replace("site_j = 3", "site_j = 7")
         .replace("t_start = 0.0\nt_stop = 2.0\nn_times = 9", "t_start = 1.7\nt_stop = 1.7\nn_times = 1")
@@ -317,7 +358,7 @@ def test_exact_matches_xx_vacuum_oracle_at_twelve_sites(tmp_path):
     out = tmp_path / "exact.csv"
     assert main(["exact", "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
     _, _, (row,) = read_table(out)
-    expected = oracles.free_fermion_xx_vacuum_otoc(12, 6, 7, 1.7)
+    expected = oracles.free_fermion_xx_vacuum_otoc(n_sites, 6, 7, 1.7)
     assert abs(complex(float(row["re_exact"]), float(row["im_exact"])) - expected) < 1e-12
     assert float(row["re_identity_residual"]) < 1e-12
     assert float(row["im_identity_residual"]) < 1e-12

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from otocsim.config import (
-    DENSE_MEMORY_BUDGET_BYTES,
     MAX_SITES,
+    MEMORY_BUDGET_BYTES,
+    STATE_RANKS,
     ConfigError,
-    dense_footprint_bytes,
+    footprint_bytes,
     parse_config,
     require,
 )
@@ -150,12 +151,21 @@ def test_non_finite_floats_rejected(key, value):
 
 
 def test_register_above_dense_memory_cap_rejected():
-    """The cap is a size estimate: nothing of 2^N x 2^N is allocated here."""
-    assert dense_footprint_bytes(MAX_SITES) <= DENSE_MEMORY_BUDGET_BYTES
-    assert dense_footprint_bytes(MAX_SITES + 1) > DENSE_MEMORY_BUDGET_BYTES
-    assert MAX_SITES == 12
-    at_cap = FULL.replace("n_sites = 4", f"n_sites = {MAX_SITES}")
-    assert parse_config(at_cap).system.n_sites == MAX_SITES
-    for n_sites in (MAX_SITES + 1, 16, 40, 10**9):
-        with pytest.raises(ConfigError, match=f"n_sites={n_sites} is above {MAX_SITES}"):
-            parse_config(FULL.replace("n_sites = 4", f"n_sites = {n_sites}"))
+    """The cap is a size estimate per initial state: nothing of 2^N x 2^N is allocated
+    here.  A pure state fits to N = 14, where V alone is C(28,14) floats, a full-rank
+    one to 12, and the message names the rank that does not fit."""
+    for kind, rank in STATE_RANKS.items():
+        cap = MAX_SITES[kind]
+        assert footprint_bytes(cap, rank(cap)) <= MEMORY_BUDGET_BYTES
+        assert footprint_bytes(cap + 1, rank(cap + 1)) > MEMORY_BUDGET_BYTES
+    assert MAX_SITES == {"all_up": 14, "maximally_mixed": 12}
+    for kind, cap in MAX_SITES.items():
+        text = FULL.replace("initial_state = all_up", f"initial_state = {kind}")
+        at_cap = text.replace("n_sites = 4", f"n_sites = {cap}")
+        assert parse_config(at_cap).system.n_sites == cap
+        for n_sites in (cap + 1, 16, 40, 10**9):
+            with pytest.raises(ConfigError, match=f"n_sites={n_sites} is above {cap}") as info:
+                parse_config(text.replace("n_sites = 4", f"n_sites = {n_sites}"))
+            rank = 1 if kind == "all_up" else 2 ** (cap + 1)
+            assert f"initial_state = {kind} " in str(info.value)
+            assert f"for a state of rank {rank})" in str(info.value)

@@ -14,9 +14,10 @@ from otocsim.dynamics import (
     Propagator,
     build_custom,
     build_xy_chain,
+    builds_blocks,
     evolve,
 )
-from otocsim.hilbert import DensityOperator, Register, all_up_state
+from otocsim.hilbert import DensityOperator, Register, all_up_state, maximally_mixed_state
 from otocsim.otoc import OtocSpec, commutator_norm, otoc_direct
 from otocsim.protocol import OUTCOME_SEQUENCES, ProbabilityTable, build_ladder, prepare
 
@@ -219,13 +220,17 @@ def propagator_of_edited_hamiltonian(bad):
     return Propagator.from_hamiltonian(ham)
 
 
-def nonfinite_point(bad):
-    """A prepared state and an Evolution whose every entry of U(t) and U(t)^dagger is bad."""
+def nonfinite_point(bad, state=all_up_state):
+    """A prepared state and an Evolution whose every eigenvector entry is bad.
+
+    The pure default is evolved in the eigenbasis; a full-rank state goes
+    through U(t) blocks built from the bad eigenvectors.
+    """
     prop = Propagator.from_hamiltonian(build_xy_chain(2))
-    forward = prop.evolution(0.5).forward
-    broken = forward.with_blocks(np.full_like(block, bad) for block in forward.blocks)
-    prepared = prepare(all_up_state(2), OtocSpec(1, "x", 2, "x"), prop.register)
-    return prepared, Evolution(broken, broken)
+    eigenbasis = prop.eigenbasis
+    broken = eigenbasis.with_blocks(np.full_like(block, bad) for block in eigenbasis.blocks)
+    prepared = prepare(state(2), OtocSpec(1, "x", 2, "x"), prop.register)
+    return prepared, Evolution(broken, prop.evolution(0.5).phases)
 
 
 # the hand-built inf U(t) makes the evaluators' own products warn on the way
@@ -270,6 +275,12 @@ NONFINITE_ENTRY_POINTS = [
         lambda bad: build_ladder(*nonfinite_point(bad)),
         "magnitude",
         id="build_ladder",
+        marks=PRODUCTS_OF_INF_WARN,
+    ),
+    pytest.param(
+        lambda bad: build_ladder(*nonfinite_point(bad, maximally_mixed_state)),
+        "magnitude",
+        id="build_ladder_built_blocks",
         marks=PRODUCTS_OF_INF_WARN,
     ),
 ]
@@ -409,3 +420,87 @@ def test_blocked_evolution_matches_expm_oracle(kind, n, rank, seed, t):
     assert np.max(np.abs(evolution.backward @ rows - back)) < 1e-9
     column = register.from_computational(u @ psi[:, 0])
     assert np.max(np.abs(evolution.forward @ rows[:, 0] - column)) < 1e-9
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind", ["xy_chain", "x_fields"])
+def test_evolution_matches_expm_on_both_sides_of_the_width_choice(kind, n, monkeypatch):
+    """Narrow factors go through the eigenbasis, factors at least as wide as the
+    largest sector through built U(t) blocks; both forms equal expm(-iHt)."""
+    builds = []
+    blocks = Evolution.blocks
+    monkeypatch.setattr(Evolution, "blocks", lambda ev: builds.append(1) or blocks(ev))
+    rng = np.random.default_rng(n)
+    ham, oracle, _ = _hamiltonian_case(kind, n, rng)  # x_fields: one complex block
+    prop = Propagator.from_hamiltonian(ham)
+    register, largest = prop.register, max(prop.block_sizes)
+    t = 0.9
+    u = expm(-1j * oracle * t)
+    for width in sorted({1, 2, max(largest - 1, 1), largest, largest + 1}):
+        ev = prop.evolution(t)
+        builds.clear()
+        psi = rng.standard_normal((2**n, width)) + 1j * rng.standard_normal((2**n, width))
+        rows = register.from_computational(psi)
+        forward = register.from_computational(u @ psi)
+        backward = register.from_computational(u.conj().T @ psi)
+        assert np.max(np.abs(ev.forward @ rows - forward)) < 1e-10
+        assert np.max(np.abs(ev.backward @ rows - backward)) < 1e-10
+        assert bool(builds) == builds_blocks(width, largest) == (width >= largest)
+        if width == 1:  # a 1-D operand keeps its shape
+            assert np.max(np.abs(ev.forward @ rows[:, 0] - forward[:, 0])) < 1e-10
+
+
+def test_narrow_factors_build_no_u_blocks():
+    """At N=10 one column is evolved in the eigenbasis, holding far less than the
+    C(20,10) complex entries of U(t); a full-width factor builds the blocks."""
+    prop = Propagator.from_hamiltonian(build_xy_chain(10))
+    u_bytes = 16 * math.comb(20, 10)
+    psi = np.zeros((2**10, 1), dtype=complex)
+    psi[0] = 1.0
+    tracemalloc.start()
+    try:
+        ev = prop.evolution(0.7)
+        ev.backward @ (ev.forward @ psi)
+        _, narrow = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        ev.forward @ np.eye(2**10, dtype=complex)[:, : max(prop.block_sizes)]
+        _, wide = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert narrow < u_bytes / 20
+    assert wide > 2 * u_bytes  # U(t) and U(t)^dagger
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_xy_reflection_is_a_sector_involution_that_commutes_with_h(n):
+    """The declared reflection maps each basis index to its bit reversal, within its
+    sector, squares to the identity, and R H R = H on the Kronecker-chain H."""
+    ham = build_xy_chain(n)
+    register, mirror = ham.blocks.register, ham.reflection
+    rows = np.arange(2**n)
+    np.testing.assert_array_equal(mirror[mirror], rows)
+    for lo, hi in zip(register.bounds, register.bounds[1:]):
+        assert ((lo <= mirror[lo:hi]) & (mirror[lo:hi] < hi)).all()
+    reverse = [int(format(int(b), f"0{n}b")[::-1], 2) for b in register.order]
+    np.testing.assert_array_equal(register.order[mirror], reverse)
+    reflection = np.zeros((2**n, 2**n))
+    reflection[register.order[mirror], register.order] = 1.0  # computational order
+    oracle = oracles.xy_chain(n)
+    np.testing.assert_array_equal(reflection @ oracle @ reflection, oracle)
+
+
+def test_hamiltonian_rejects_a_reflection_that_is_not_a_sector_involution():
+    blocks = build_xy_chain(3).blocks  # sectors of sizes 1, 3, 3, 1
+    for bad in ([0, 2, 3, 1, 4, 5, 6, 7], [1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4, 5, 6, 8]):
+        with pytest.raises(ValueError, match="involution"):
+            Hamiltonian(blocks, np.array(bad))
+
+
+def test_propagator_rejects_a_reflection_that_does_not_commute_with_h():
+    """Swapping two rows of one sector is an involution, but not a symmetry of H:
+    the split's residual includes max|R H R - H| and fails closed."""
+    ham = build_xy_chain(4)
+    mirror = np.arange(16)
+    mirror[[1, 2]] = [2, 1]  # sites 1 and 2 of weight 1; the chain is not symmetric under it
+    with pytest.raises(ValueError, match="residual"):
+        Propagator.from_hamiltonian(Hamiltonian(ham.blocks, mirror))
