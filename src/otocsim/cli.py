@@ -20,7 +20,7 @@ from dataclasses import replace
 from . import __version__
 from .config import AnglesConfig, ConfigError, RunConfig, parse_config, require
 from .dressing import AdiabaticityError, InteractionCoefficients, LevelScheme, scan_curve
-from .dynamics import EvolutionTimeError, Propagator, build_xy_chain, builds_blocks
+from .dynamics import EvolutionTimeError, Propagator, build_xy_chain
 from .hilbert import all_up_state, maximally_mixed_state
 from .otoc import OtocSpec
 from .protocol import (
@@ -155,15 +155,12 @@ def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str
         return rows, list(RESULT_COLUMNS), True
     worst_re = max(row["re_identity_residual"] for row in rows)
     worst_im = max(row["im_identity_residual"] for row in rows)
-    wide = builds_blocks(prepared.psi.shape[1], max(prop.block_sizes))
-    form = "built-block" if wide else "eigenbasis"
     log(f"identity cross-check: max |2corr-1 - Re C| = {worst_re:.3e}, "
         f"max rotation residual = {worst_im:.3e}; eigendecomposition in "
         f"{len(prop.block_sizes)} blocks (largest {max(prop.block_sizes)}), "
         f"{len(prop.eigh_sizes)} parity blocks (largest {max(prop.eigh_sizes)}): "
         f"residual {prop.reconstruction_residual:.3e}, "
-        f"unitarity defect {prop.unitarity_defect:.3e}; U(t) applied in the {form} form; "
-        f"{counts}")
+        f"unitarity defect {prop.unitarity_defect:.3e}; {counts}")
     columns = list(RESULT_COLUMNS) + ["re_identity_residual", "im_identity_residual"]
     ok = worst_re < IDENTITY_TOLERANCE and worst_im < IDENTITY_TOLERANCE
     return rows, columns, ok

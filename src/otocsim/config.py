@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from .dressing import InteractionCoefficients, LevelScheme, build_two_atom_hamiltonian
-from .dynamics import builds_blocks
 from .hilbert import PAULI_AXES
 from .protocol import DEFAULT_ANGLES
 
@@ -25,16 +24,18 @@ HAMILTONIAN_KINDS = ("xy_chain",)
 # once, which depends on the rank r of the initial state's factor
 # (`STATE_RANKS`).  The XY chain's H and its real eigenvectors V are
 # block-diagonal over the Hamming-weight sectors, sum_w C(N,w)^2 = C(2N,N)
-# entries each, both held while the propagator is built.  A factor at least
-# as wide as the largest sector, C(N, N//2), is evolved through U(t) and
-# U(t)^dagger blocks, complex, of that size again; a narrower one in the
-# eigenbasis, with no such blocks.  Beside them a time point holds at most
-# FACTORS_AT_PEAK complex 2^N x r factors: the prepared Psi, the five that
-# the ladder keeps alive while it builds its four evolved factors, and the
-# one being formed.  Traced one-point N=10 and 31-point N=8 maximally_mixed
-# `exact` runs peaked at 6.46 and 6.71 dense 2^N x 2^N matrices, U(t) and
-# U(t)^dagger included.  So all_up (r = 1) fits up to N = 14, where V alone
-# is 320 MB, and maximally_mixed (r = 2^N) up to N = 12.  Registers whose
+# entries each, both held while the propagator is built, beside at most two
+# real temporaries of the largest sector, C(N, N//2)^2 entries each: the
+# hermiticity check's M - M^T and its modulus, which also cover the
+# parity-split `eigh` and its checks.  U(t) is applied in the eigenbasis
+# at every width, so no block of it is held.  Beside them a time point
+# holds at most FACTORS_AT_PEAK complex 2^N x r factors: the prepared Psi,
+# the five that the ladder keeps alive while it builds its four evolved
+# factors, and the one being formed.  Traced one-point N=10 and 31-point
+# N=8 maximally_mixed `exact` runs peak at 6.56 and 6.83 dense 2^N x 2^N
+# matrices, and one-point all_up runs at N=10 and 12 at 1.23 and 1.10
+# times H and V.  So all_up (r = 1) fits up to N = 14, where V alone is
+# 320 MB, and maximally_mixed (r = 2^N) up to N = 12.  Registers whose
 # estimate exceeds the budget are rejected before anything is allocated.
 FACTORS_AT_PEAK = 7
 MEMORY_BUDGET_BYTES = 2 * 2**30
@@ -49,10 +50,8 @@ INITIAL_STATE_KINDS = tuple(STATE_RANKS)
 
 def footprint_bytes(n_sites: int, rank: int) -> int:
     """Estimated peak bytes an OTOC run on n_sites qubits holds for a rank-`rank` state."""
-    sector_entries = math.comb(2 * n_sites, n_sites)
-    held = 2 * 8 * sector_entries  # H and V, real
-    if builds_blocks(rank, math.comb(n_sites, n_sites // 2)):
-        held += 2 * 16 * sector_entries  # U(t) and U(t)^dagger, complex
+    largest = math.comb(n_sites, n_sites // 2)
+    held = 2 * 8 * (math.comb(2 * n_sites, n_sites) + largest**2)  # H, V and two temporaries
     return held + FACTORS_AT_PEAK * 16 * 2**n_sites * rank
 
 
@@ -281,8 +280,15 @@ def _cross_validate(config: RunConfig, source: str) -> None:
                 if not 1 <= site <= config.system.n_sites:
                     fail(f"{field}={site} outside the register (n_sites={config.system.n_sites})")
     if config.sampling is not None:
-        if config.sampling.n_shots < 1:
+        n_shots = config.sampling.n_shots
+        if n_shots < 1:
             fail("n_shots must be >= 1")
+        # a draw holds n_shots uniforms (float64) and one comparison mask (bool)
+        if 9 * n_shots > MEMORY_BUDGET_BYTES:
+            fail(
+                f"n_shots={n_shots} needs {9 * n_shots / 2**30:.3g} GiB for its uniforms "
+                f"and comparison mask, above the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget"
+            )
         if config.sampling.n_repeats < 1:
             fail("n_repeats must be >= 1")
     if config.dressing is not None:

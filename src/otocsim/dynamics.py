@@ -11,12 +11,11 @@ declared reflection is diagonalized as its even and odd parts.
 `Propagator.evolution(t)` gives the `Evolution` of one time point: the
 phases e^(-iwt) of every block, the only form in which the evaluators of
 that point receive the dynamics.  It applies U(t) and U(t)^dagger to a
-factor narrower than H's largest sector as V (phase * V^dagger psi) in
-the eigenbasis, and to a wider one through U(t) blocks that it builds on
-first use.  Every block-diagonal operator of one H (H, its eigenbasis,
-U(t), U(t)^dagger) carries the same `hilbert.Register`, the row order and
-sector bounds of H, and acts on factors whose rows are in that order,
-where each block is a contiguous slice of rows.
+factor of any width in the eigenbasis, as V (phase * V^dagger psi); no
+block of U(t) is formed.  H and its eigenbasis, and so U(t) and
+U(t)^dagger, carry the same `hilbert.Register`, the row order and sector
+bounds of H, and act on factors whose rows are in that order, where each
+block is a contiguous slice of rows.
 """
 
 from __future__ import annotations
@@ -46,21 +45,6 @@ class BlockDiagonal:
 
     def with_blocks(self, blocks) -> "BlockDiagonal":
         return BlockDiagonal(self.register, tuple(blocks))
-
-    def adjoint(self) -> "BlockDiagonal":
-        return self.with_blocks(block.conj().T for block in self.blocks)
-
-    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
-        """This operator applied to psi of shape (2^N,) or (2^N, r), rows in register order.
-
-        Block k reads rows bounds[k]:bounds[k+1] of psi and writes the same
-        rows of the result, so every product works on contiguous slices.
-        """
-        bounds = self.register.bounds
-        result = np.empty(psi.shape, dtype=np.result_type(psi, *self.blocks))
-        for lo, hi, block in zip(bounds, bounds[1:], self.blocks):
-            np.matmul(block, psi[lo:hi], out=result[lo:hi])
-        return result
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,72 +256,35 @@ class Propagator:
         return Evolution(self.eigenbasis, tuple(phases))
 
 
-def builds_blocks(width: int, largest_sector: int) -> bool:
-    """Whether an `Evolution` applies U(t) to a factor of `width` columns through built blocks.
-
-    From the width of the largest sector on, a built block applies faster
-    than the eigenbasis form, and building it costs less than one
-    application (XY chain, N = 8, 256 columns, one BLAS thread: 0.74 ms
-    against 0.88 ms per application, 0.25 ms to build); below it, the
-    eigenbasis form is cheaper and holds no block of U(t).
-    """
-    return width >= largest_sector
-
-
+@dataclass(frozen=True, eq=False)
 class Evolution:
     """U(t) = e^(-iHt) at one time point, and U(t)^dagger, on factors in `register` order.
 
-    `ev.forward @ psi` and `ev.backward @ psi` apply U(t) and U(t)^dagger
-    sector by sector to psi of shape (2^N,) or (2^N, r).  The form is chosen
-    by the operand's width r (`builds_blocks`): a factor narrower than H's
-    largest sector goes through the eigenbasis, V (phase * V^dagger psi),
-    which for a real V is two real products on psi's (re, im) pairs; a
-    wider one through the blocks of U(t) and U(t)^dagger, built from V and
-    the phases on first use and kept.
+    `ev.forward(psi)` and `ev.backward(psi)` apply U(t) and U(t)^dagger
+    sector by sector to psi of shape (2^N,) or (2^N, r), of any width r, in
+    the eigenbasis: V (phase * V^dagger psi), which for a real V is two real
+    products on psi's (re, im) pairs.  No block of U(t) is ever formed.
     """
 
-    __slots__ = ("eigenbasis", "phases", "_blocks")
-
-    def __init__(self, eigenbasis: BlockDiagonal, phases: tuple[np.ndarray, ...]):
-        self.eigenbasis = eigenbasis
-        self.phases = phases
-        self._blocks: tuple[BlockDiagonal, BlockDiagonal] | None = None
+    eigenbasis: BlockDiagonal
+    phases: tuple[np.ndarray, ...]
 
     @property
     def register(self) -> Register:
         return self.eigenbasis.register
 
-    @property
-    def forward(self) -> "EvolutionOperator":
-        return EvolutionOperator(self, adjoint=False)
+    def forward(self, psi: np.ndarray) -> np.ndarray:
+        return self.apply(psi)
 
-    @property
-    def backward(self) -> "EvolutionOperator":
-        return EvolutionOperator(self, adjoint=True)
-
-    def blocks(self) -> tuple[BlockDiagonal, BlockDiagonal]:
-        """U(t) and U(t)^dagger as sector blocks, built on the first call and kept.
-
-        U_k(t) = V_k diag(cos w_k t) V_k^dagger - i V_k diag(sin w_k t) V_k^dagger:
-        two real products when V_k is real.
-        """
-        if self._blocks is None:
-            blocks = []
-            for v, phase in zip(self.eigenbasis.blocks, self.phases):
-                v_h = v.conj().T
-                # the real-plus-complex sum is taken in place: numpy's mixed-dtype
-                # binary subtraction is several times slower than the products
-                block = ((v * -phase.imag) @ v_h) * -1j
-                block += (v * phase.real) @ v_h
-                blocks.append(block)
-            forward = self.eigenbasis.with_blocks(blocks)
-            self._blocks = (forward, forward.adjoint())
-        return self._blocks
+    def backward(self, psi: np.ndarray) -> np.ndarray:
+        return self.apply(psi, adjoint=True)
 
     def apply(self, psi: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """U(t) psi, or U(t)^dagger psi when `adjoint`, rows in register order."""
-        if builds_blocks(1 if psi.ndim == 1 else psi.shape[1], max(self.register.sizes)):
-            return self.blocks()[adjoint] @ psi
+        """U(t) psi, or U(t)^dagger psi when `adjoint`, rows in register order.
+
+        Block k reads rows bounds[k]:bounds[k+1] of psi and writes the same
+        rows of the result, so every product works on contiguous slices.
+        """
         # (2^N, r), C-contiguous, so that its row slices view as (re, im) float pairs
         columns = np.ascontiguousarray(psi, dtype=complex).reshape(len(psi), -1)
         result = np.empty_like(columns)
@@ -345,14 +292,14 @@ class Evolution:
         for lo, hi, v, phase in zip(bounds, bounds[1:], self.eigenbasis.blocks, self.phases):
             phase = (phase.conj() if adjoint else phase)[:, None]
             if v.dtype.kind == "f":
-                coeffs = v.T @ columns[lo:hi].view(float)
-                rotated = coeffs.view(complex)  # the same memory, as complex coefficients
-                rotated *= phase
-                np.matmul(v, coeffs, out=result[lo:hi].view(float))
+                coeffs = (v.T @ columns[lo:hi].view(float)).view(complex)
+                coeffs *= phase
+                np.matmul(v, coeffs.view(float), out=result[lo:hi].view(float))
             else:
                 coeffs = np.conj(v.T @ columns[lo:hi].conj())  # V^dagger psi
                 coeffs *= phase
                 np.matmul(v, coeffs, out=result[lo:hi])
+            del coeffs  # freed before the next sector's are allocated
         return result.reshape(psi.shape)
 
     def check(self, register: Register) -> Register:
@@ -364,21 +311,6 @@ class Evolution:
         ):
             raise ValueError("state and propagator hold their rows in different orders")
         return self.register
-
-
-@dataclass(frozen=True, eq=False)
-class EvolutionOperator:
-    """U(t) of an `Evolution`, or U(t)^dagger when `adjoint`, applied with `@`."""
-
-    evolution: Evolution
-    adjoint: bool
-
-    @property
-    def register(self) -> Register:
-        return self.evolution.register
-
-    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
-        return self.evolution.apply(psi, self.adjoint)
 
 
 def build_xy_chain(n_sites: int) -> Hamiltonian:
@@ -454,4 +386,4 @@ def evolve(state: DensityOperator, ev: Evolution) -> DensityOperator:
     if state.n_sites != register.n_sites:
         raise ValueError("dimension mismatch between state and propagator")
     psi = register.from_computational(state.factor)
-    return DensityOperator.from_factor(state.n_sites, register.to_computational(ev.forward @ psi))
+    return DensityOperator.from_factor(state.n_sites, register.to_computational(ev.forward(psi)))

@@ -10,13 +10,12 @@ A state rho is carried as a column factor Psi (2^N x r) with
 rho = Psi Psi^dagger: r = 1 for a pure state, r = 2^N for the maximally
 mixed one.  A `DensityOperator` holds Psi in computational order.  H,
 U(t), U(t)^dagger and the evaluators' Psi share one `Register`: a row
-order and its cut into the sectors of H, so that each block of U(t) acts
-on a contiguous slice of rows.  Single-site Paulis act on Psi through index
+order and its cut into the sectors of H, so that U(t) acts on each sector
+as a contiguous slice of rows.  Single-site Paulis act on Psi through index
 kernels in O(2^N r) (a row gather and a row phase), never as dense
 matrices.  Time evolution U(t) is block-diagonal over the sectors; a
-time point's `dynamics.Evolution` applies it to a factor narrower than
-the largest sector in the eigenbasis of H, and to a wider one through
-U(t) blocks that it builds once, on first use.
+time point's `dynamics.Evolution` applies it to a factor of any width in
+the eigenbasis of H, and never forms a block of U(t).
 """
 
 from __future__ import annotations

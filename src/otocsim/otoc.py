@@ -50,7 +50,7 @@ def _operands(prepared: PreparedState, ev: Evolution):
     spec = prepared.spec
 
     def w_t(psi: np.ndarray) -> np.ndarray:
-        return ev.backward @ register.pauli(ev.forward @ psi, spec.site_i, spec.axis_a)
+        return ev.backward(register.pauli(ev.forward(psi), spec.site_i, spec.axis_a))
 
     def v(psi: np.ndarray) -> np.ndarray:
         return register.pauli(psi, spec.site_j, spec.axis_b)

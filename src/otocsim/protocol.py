@@ -215,12 +215,12 @@ def build_ladder(prepared: PreparedState, ev: Evolution) -> Ladder:
             upper[:, a, len(factors) - 1] = np.vdot(earlier, factor), np.vdot(earlier, flipped)
         return flipped
 
-    flipped_x = [append(ev.forward @ psi), append(ev.forward @ sigma_j(psi))]
+    flipped_x = [append(ev.forward(psi)), append(ev.forward(sigma_j(psi)))]
     # each sigma_i X_k is dropped as soon as U^dagger has read it
-    append(ev.forward @ sigma_j(ev.backward @ flipped_x.pop(0)))
-    flipped_z1 = append(ev.forward @ sigma_j(ev.backward @ flipped_x.pop()))
+    append(ev.forward(sigma_j(ev.backward(flipped_x.pop(0)))))
+    flipped_z1 = append(ev.forward(sigma_j(ev.backward(flipped_x.pop()))))
     factors.clear()  # K is read; only sigma_i Z1 lives on
-    direct = checked_otoc(np.vdot(psi, ev.backward @ flipped_z1))
+    direct = checked_otoc(np.vdot(psi, ev.backward(flipped_z1)))
     p, q = upper + np.triu(upper, 1).conj().swapaxes(1, 2)
     under = np.ix_(*2 * ([0, 1, 0, 1, 2, 3],))  # the K under each vector of B
     carries = np.array([0, 0, 1, 1, 0, 0])  # and whether it carries sigma_i

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from otocsim.cli import EXIT_CONFIG, EXIT_OK, main
-from otocsim.dynamics import BlockDiagonal, Evolution, Propagator
+from otocsim.config import STATE_RANKS, footprint_bytes
+from otocsim.dynamics import Evolution, Propagator
 from otocsim.hilbert import Register
 
 import oracles
@@ -78,11 +79,11 @@ def test_exact_run_writes_metadata_and_residuals(config_file, tmp_path):
 
 def test_exact_reports_spectral_defects_on_stderr_only(config_file, tmp_path, capsys):
     """The N=4 sectors 1, 4, 6, 4, 1 split by reflection parity into 1, 2+2, 4+2,
-    2+2, 1; a pure state is evolved in the eigenbasis, a full-rank one through
-    built blocks.  All of it reaches stderr, none of it the CSV."""
+    2+2, 1, for a pure and a full-rank state alike.  All of it reaches stderr,
+    none of it the CSV."""
     mixed = tmp_path / "mixed.cfg"
     mixed.write_text(BASE_CONFIG.replace("initial_state = all_up", "initial_state = maximally_mixed"))
-    for config, form in ((config_file, "eigenbasis"), (mixed, "built-block")):
+    for config in (config_file, mixed):
         out = tmp_path / "exact.csv"
         assert main(["exact", "--config", str(config), "--out", str(out)]) == EXIT_OK
         err = capsys.readouterr().err
@@ -91,9 +92,8 @@ def test_exact_reports_spectral_defects_on_stderr_only(config_file, tmp_path, ca
             in err
         )
         assert "unitarity defect " in err
-        assert f"; U(t) applied in the {form} form; " in err
         text = out.read_text()
-        for logged in ("unitarity", "parity", "form", form):
+        for logged in ("unitarity", "parity"):
             assert logged not in text
 
 
@@ -232,6 +232,12 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
             .replace("n_times = 9", "n_times = 3"),
             "t_stop - t_start = inf",
         ),
+        # 10^12 shots would need 8.2 TiB of uniforms and masks: rejected before any draw
+        (
+            "sample",
+            BASE_CONFIG.replace("n_shots = 2000", "n_shots = 1000000000000"),
+            "n_shots=1000000000000 needs",
+        ),
     ],
     ids=[
         "register_too_large",
@@ -247,6 +253,7 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
         "overflowing_detunings",
         "overflowing_laser_detuning",
         "overflowing_time_span",
+        "huge_n_shots",
     ],
 )
 def test_bad_input_fails_closed(tmp_path, capsys, command, text, message):
@@ -310,9 +317,9 @@ def test_each_point_applies_u_and_a_pauli_seven_times_and_factorizes_nothing(
     a single-site Pauli 7 times, all in the ladder that carries both protocols and
     the direct C(t), and no command calls a QR."""
     applications, paulis, qr_calls = [], [], []
-    apply, pauli, qr = BlockDiagonal.__matmul__, Register.pauli, np.linalg.qr
+    apply, pauli, qr = Evolution.apply, Register.pauli, np.linalg.qr
     monkeypatch.setattr(
-        BlockDiagonal, "__matmul__", lambda op, psi: applications.append(1) or apply(op, psi)
+        Evolution, "apply", lambda ev, *a, **k: applications.append(1) or apply(ev, *a, **k)
     )
     monkeypatch.setattr(Register, "pauli", lambda *a, **k: paulis.append(1) or pauli(*a, **k))
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
@@ -326,21 +333,18 @@ def test_each_point_applies_u_and_a_pauli_seven_times_and_factorizes_nothing(
 
 
 @pytest.mark.parametrize("command", ["exact", "sample", "im"])
-def test_pure_state_points_apply_u_seven_times_and_build_no_blocks(command, tmp_path, monkeypatch):
-    """On all_up every time point applies U(t) or U(t)^dagger 7 times, all in the
-    eigenbasis: no U(t) block is built in the run."""
-    applications, builds = [], []
-    apply, blocks = Evolution.apply, Evolution.blocks
+def test_pure_state_points_apply_u_seven_times(command, tmp_path, monkeypatch):
+    """On all_up every time point applies U(t) or U(t)^dagger 7 times."""
+    applications = []
+    apply = Evolution.apply
     monkeypatch.setattr(
-        Evolution, "apply", lambda ev, *a: applications.append(1) or apply(ev, *a)
+        Evolution, "apply", lambda ev, *a, **k: applications.append(1) or apply(ev, *a, **k)
     )
-    monkeypatch.setattr(Evolution, "blocks", lambda ev: builds.append(1) or blocks(ev))
     path = tmp_path / "pure.cfg"
     path.write_text(BASE_CONFIG)
     out = tmp_path / f"{command}.csv"
     assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
     assert len(applications) == 7 * 9
-    assert not builds
 
 
 @pytest.mark.parametrize("n_sites", [12, 13, 14])
@@ -378,6 +382,22 @@ def test_full_rank_exact_run_stays_within_its_memory_budget(tmp_path):
         tracemalloc.stop()
     assert code == EXIT_OK
     assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("state, n_sites", [("maximally_mixed", 8), ("all_up", 10)])
+def test_one_point_exact_peak_is_within_the_cap_estimate(state, n_sites, tmp_path):
+    """The register cap rests on `footprint_bytes`: the traced peak of a one-point
+    `exact` run, set-up included, stays within it for a full-rank and a pure state."""
+    path = tmp_path / "one.cfg"
+    path.write_text(mixed_yz_config(n_sites, 1).replace("maximally_mixed", state))
+    tracemalloc.start()
+    try:
+        code = main(["exact", "--config", str(path), "--out", str(tmp_path / "x.csv"), "--quiet"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak <= footprint_bytes(n_sites, STATE_RANKS[state](n_sites))
 
 
 def test_dressing_run_flags_inversion(tmp_path):

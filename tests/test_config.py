@@ -150,6 +150,16 @@ def test_non_finite_floats_rejected(key, value):
         parse_config(text)
 
 
+def test_n_shots_above_memory_budget_rejected():
+    """A draw holds 8 bytes of uniform and 1 byte of mask per shot; the largest
+    n_shots that fits the budget parses, one more is rejected, naming the key."""
+    largest = MEMORY_BUDGET_BYTES // 9
+    assert parse_config(f"n_shots = {largest}\nseed = 1\n").sampling.n_shots == largest
+    for n_shots in (largest + 1, 10**12):
+        with pytest.raises(ConfigError, match=f"n_shots={n_shots} needs"):
+            parse_config(f"n_shots = {n_shots}\nseed = 1\n")
+
+
 def test_register_above_dense_memory_cap_rejected():
     """The cap is a size estimate per initial state: nothing of 2^N x 2^N is allocated
     here.  A pure state fits to N = 14, where V alone is C(28,14) floats, a full-rank

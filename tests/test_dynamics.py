@@ -14,7 +14,6 @@ from otocsim.dynamics import (
     Propagator,
     build_custom,
     build_xy_chain,
-    builds_blocks,
     evolve,
 )
 from otocsim.hilbert import DensityOperator, Register, all_up_state, maximally_mixed_state
@@ -84,17 +83,19 @@ def test_custom_rejects_non_hermitian_extra():
         build_custom(3, extra_terms=[bad])
 
 
-def dense(register, operator):
-    """The computational-order matrix of an operator on factors in register order."""
+def dense(register, apply):
+    """The computational-order matrix of a map on factors in register order."""
     eye = np.eye(2**register.n_sites, dtype=complex)
-    return register.to_computational(operator @ register.from_computational(eye))
+    return register.to_computational(apply(register.from_computational(eye)))
 
 
 def reconstruction(prop):
     """V diag(w) V^dagger assembled block by block, as a dense matrix."""
-    eigenbasis = prop.eigenbasis
-    blocks = ((v * w) @ v.conj().T for v, w in zip(eigenbasis.blocks, prop.block_eigenvalues))
-    return dense(prop.register, eigenbasis.with_blocks(blocks))
+    register = prop.register
+    mat = np.zeros((2**prop.n_sites,) * 2, dtype=complex)
+    for k, (v, w) in enumerate(zip(prop.eigenbasis.blocks, prop.block_eigenvalues)):
+        mat[np.ix_(register.sector(k), register.sector(k))] = (v * w) @ v.conj().T
+    return mat
 
 
 def dense_unitary(prop, t):
@@ -147,7 +148,7 @@ def heisenberg_pauli(prop, site, axis, t):
     """Dense W(t) = U(t)^dagger sigma_site^axis U(t), as `otoc` applies it."""
     ev, register = prop.evolution(t), prop.register
     eye = register.from_computational(np.eye(2**prop.n_sites, dtype=complex))
-    return register.to_computational(ev.backward @ register.pauli(ev.forward @ eye, site, axis))
+    return register.to_computational(ev.backward(register.pauli(ev.forward(eye), site, axis)))
 
 
 def test_heisenberg_zero_time(xy4):
@@ -221,11 +222,7 @@ def propagator_of_edited_hamiltonian(bad):
 
 
 def nonfinite_point(bad, state=all_up_state):
-    """A prepared state and an Evolution whose every eigenvector entry is bad.
-
-    The pure default is evolved in the eigenbasis; a full-rank state goes
-    through U(t) blocks built from the bad eigenvectors.
-    """
+    """A prepared state and an Evolution whose every eigenvector entry is bad."""
     prop = Propagator.from_hamiltonian(build_xy_chain(2))
     eigenbasis = prop.eigenbasis
     broken = eigenbasis.with_blocks(np.full_like(block, bad) for block in eigenbasis.blocks)
@@ -233,7 +230,7 @@ def nonfinite_point(bad, state=all_up_state):
     return prepared, Evolution(broken, prop.evolution(0.5).phases)
 
 
-# the hand-built inf U(t) makes the evaluators' own products warn on the way
+# the hand-built inf eigenvectors make the evaluators' own products warn on the way
 # to the NaN that the guard rejects
 PRODUCTS_OF_INF_WARN = pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 
@@ -280,7 +277,7 @@ NONFINITE_ENTRY_POINTS = [
     pytest.param(
         lambda bad: build_ladder(*nonfinite_point(bad, maximally_mixed_state)),
         "magnitude",
-        id="build_ladder_built_blocks",
+        id="build_ladder_full_rank",
         marks=PRODUCTS_OF_INF_WARN,
     ),
 ]
@@ -370,7 +367,6 @@ def test_one_register_is_shared_by_every_operator_and_the_state(make):
     prepared = prepare(all_up_state(ham.n_sites), OtocSpec(1, "x", 2, "z"), prop.register)
     register = ham.blocks.register
     assert prop.register is register
-    assert ev.forward.register is register and ev.backward.register is register
     assert ev.register is register and prepared.register is register
     assert prop.n_sites == ham.n_sites == register.n_sites
 
@@ -415,60 +411,58 @@ def test_blocked_evolution_matches_expm_oracle(kind, n, rank, seed, t):
     psi = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
     evolution, register = prop.evolution(t), prop.register
     rows = register.from_computational(psi)  # the evaluators hold factors in register order
-    assert np.max(np.abs(evolution.forward @ rows - register.from_computational(u @ psi))) < 1e-9
+    assert np.max(np.abs(evolution.forward(rows) - register.from_computational(u @ psi))) < 1e-9
     back = register.from_computational(u.conj().T @ psi)
-    assert np.max(np.abs(evolution.backward @ rows - back)) < 1e-9
+    assert np.max(np.abs(evolution.backward(rows) - back)) < 1e-9
     column = register.from_computational(u @ psi[:, 0])
-    assert np.max(np.abs(evolution.forward @ rows[:, 0] - column)) < 1e-9
+    assert np.max(np.abs(evolution.forward(rows[:, 0]) - column)) < 1e-9
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("kind", ["xy_chain", "x_fields"])
-def test_evolution_matches_expm_on_both_sides_of_the_width_choice(kind, n, monkeypatch):
-    """Narrow factors go through the eigenbasis, factors at least as wide as the
-    largest sector through built U(t) blocks; both forms equal expm(-iHt)."""
-    builds = []
-    blocks = Evolution.blocks
-    monkeypatch.setattr(Evolution, "blocks", lambda ev: builds.append(1) or blocks(ev))
+def test_evolution_matches_expm_on_both_sides_of_the_width_choice(kind, n):
+    """Factors narrower than, as wide as and wider than the largest sector, up to
+    the full width 2^N, all equal expm(-iHt) forward and backward, with a real V
+    (xy_chain) and a complex one (x_fields: one complex block)."""
     rng = np.random.default_rng(n)
-    ham, oracle, _ = _hamiltonian_case(kind, n, rng)  # x_fields: one complex block
+    ham, oracle, _ = _hamiltonian_case(kind, n, rng)
     prop = Propagator.from_hamiltonian(ham)
     register, largest = prop.register, max(prop.block_sizes)
     t = 0.9
     u = expm(-1j * oracle * t)
-    for width in sorted({1, 2, max(largest - 1, 1), largest, largest + 1}):
-        ev = prop.evolution(t)
-        builds.clear()
+    ev = prop.evolution(t)
+    for width in sorted({1, 2, max(largest - 1, 1), largest, largest + 1, 2**n}):
         psi = rng.standard_normal((2**n, width)) + 1j * rng.standard_normal((2**n, width))
         rows = register.from_computational(psi)
         forward = register.from_computational(u @ psi)
         backward = register.from_computational(u.conj().T @ psi)
-        assert np.max(np.abs(ev.forward @ rows - forward)) < 1e-10
-        assert np.max(np.abs(ev.backward @ rows - backward)) < 1e-10
-        assert bool(builds) == builds_blocks(width, largest) == (width >= largest)
+        assert np.max(np.abs(ev.forward(rows) - forward)) < 1e-10
+        assert np.max(np.abs(ev.backward(rows) - backward)) < 1e-10
         if width == 1:  # a 1-D operand keeps its shape
-            assert np.max(np.abs(ev.forward @ rows[:, 0] - forward[:, 0])) < 1e-10
+            assert np.max(np.abs(ev.forward(rows[:, 0]) - forward[:, 0])) < 1e-10
 
 
-def test_narrow_factors_build_no_u_blocks():
-    """At N=10 one column is evolved in the eigenbasis, holding far less than the
-    C(20,10) complex entries of U(t); a full-width factor builds the blocks."""
+def test_evolution_forms_no_u_blocks():
+    """At N=10 one column is evolved holding far less than the C(20,10) complex
+    entries of U(t), and a full-width factor holding only its result and one
+    sector's coefficients, never a block of U(t)."""
     prop = Propagator.from_hamiltonian(build_xy_chain(10))
     u_bytes = 16 * math.comb(20, 10)
     psi = np.zeros((2**10, 1), dtype=complex)
     psi[0] = 1.0
+    eye = np.eye(2**10, dtype=complex)  # allocated before tracing starts
     tracemalloc.start()
     try:
         ev = prop.evolution(0.7)
-        ev.backward @ (ev.forward @ psi)
+        ev.backward(ev.forward(psi))
         _, narrow = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        ev.forward @ np.eye(2**10, dtype=complex)[:, : max(prop.block_sizes)]
+        ev.forward(eye)
         _, wide = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert narrow < u_bytes / 20
-    assert wide > 2 * u_bytes  # U(t) and U(t)^dagger
+    assert wide < 16 * 2**10 * (2**10 + max(prop.block_sizes)) + u_bytes / 10
 
 
 @pytest.mark.parametrize("n", range(2, 9))
