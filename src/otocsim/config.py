@@ -28,17 +28,29 @@ HAMILTONIAN_KINDS = ("xy_chain",)
 # real temporaries of the largest sector, C(N, N//2)^2 entries each: the
 # hermiticity check's M - M^T and its modulus, which also cover the
 # parity-split `eigh` and its checks.  U(t) is applied in the eigenbasis
-# at every width, so no block of it is held.  Beside them a time point
-# holds at most FACTORS_AT_PEAK complex 2^N x r factors: the prepared Psi,
-# the five that the ladder keeps alive while it builds its four evolved
-# factors, and the one being formed.  Traced one-point N=10 and 31-point
-# N=8 maximally_mixed `exact` runs peak at 6.56 and 6.83 dense 2^N x 2^N
-# matrices, and one-point all_up runs at N=10 and 12 at 1.23 and 1.10
+# at every width, so no block of it is held.  Beside them a run holds at
+# most FACTORS_AT_PEAK complex 2^N x r factors.  Its largest live set is
+# `protocol.prepare`'s: the computational-order factor it reads, Psi in
+# register order, the three slots that every time point writes its
+# factors into, and the coefficient scratch of the largest sector, under a
+# third of a factor for N >= 6; a time point then holds Psi, the slots and
+# the scratch, and allocates no factor.  Traced one-point maximally_mixed
+# `exact` runs at N=8 and 10 peak at 5.68 and 5.44 dense 2^N x 2^N
+# matrices, 5.48 and 5.26 of them beside H and V (a 31-point N=8 run also
+# at 5.68), and one-point all_up runs at N=10 and 12 at 1.23 and 1.10
 # times H and V.  So all_up (r = 1) fits up to N = 14, where V alone is
 # 320 MB, and maximally_mixed (r = 2^N) up to N = 12.  Registers whose
 # estimate exceeds the budget are rejected before anything is allocated.
-FACTORS_AT_PEAK = 7
+FACTORS_AT_PEAK = 6
 MEMORY_BUDGET_BYTES = 2 * 2**30
+
+# `eigh` of the dressing model's 9 x 9 pair Hamiltonian resolves its
+# eigenvalues only to about eps * max|H|, and the coupling J is read from
+# them against the laser scale max(omega_laser / 2, |delta_laser|), which
+# sets the light shift.  So the largest entry of the pair H at r_min, where
+# every entry is largest, may be at most this many times that scale: J is
+# then resolved to about 2e-8 of it.
+PAIR_DYNAMIC_RANGE = 1e8
 
 # initial_state -> rank of its factor on n_sites qubits
 STATE_RANKS: dict[str, Callable[[int], int]] = {
@@ -301,10 +313,16 @@ def _cross_validate(config: RunConfig, source: str) -> None:
         # both potentials fall with r, so every entry of the pair Hamiltonian is largest at r_min
         with np.errstate(all="ignore"):
             pair = build_two_atom_hamiltonian(scheme, InteractionCoefficients(d.c6, d.c3), d.r_min)
+        keys = "delta_laser, delta_microwave, omega_laser, omega_microwave, c6 and c3"
         if not np.isfinite(pair).all():
+            fail(f"the pair Hamiltonian of {keys} overflows at r = r_min = {d.r_min}")
+        largest, scale = np.abs(pair).max(), max(d.omega_laser / 2.0, abs(d.delta_laser))
+        if not largest <= PAIR_DYNAMIC_RANGE * scale:
             fail(
-                "the pair Hamiltonian of delta_laser, delta_microwave, omega_laser, "
-                f"omega_microwave, c6 and c3 overflows at r = r_min = {d.r_min}"
+                f"the pair Hamiltonian of {keys} has an entry of {largest:.3g} at r = r_min = "
+                f"{d.r_min}, above {PAIR_DYNAMIC_RANGE:g} times the laser scale "
+                f"max(omega_laser / 2, |delta_laser|) = {scale:g}, so its eigenvalues "
+                "cannot resolve the coupling"
             )
         if d.n_r < 2:
             fail("n_r must be >= 2")

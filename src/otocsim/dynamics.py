@@ -264,6 +264,8 @@ class Evolution:
     sector by sector to psi of shape (2^N,) or (2^N, r), of any width r, in
     the eigenbasis: V (phase * V^dagger psi), which for a real V is two real
     products on psi's (re, im) pairs.  No block of U(t) is ever formed.
+    Both take the optional buffers of `apply`, so that a caller that owns
+    its factors can evolve them in place and allocate nothing.
     """
 
     eigenbasis: BlockDiagonal
@@ -273,34 +275,56 @@ class Evolution:
     def register(self) -> Register:
         return self.eigenbasis.register
 
-    def forward(self, psi: np.ndarray) -> np.ndarray:
-        return self.apply(psi)
+    def forward(
+        self, psi: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> np.ndarray:
+        return self.apply(psi, False, out, scratch)
 
-    def backward(self, psi: np.ndarray) -> np.ndarray:
-        return self.apply(psi, adjoint=True)
+    def backward(
+        self, psi: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> np.ndarray:
+        return self.apply(psi, True, out, scratch)
 
-    def apply(self, psi: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    def apply(
+        self,
+        psi: np.ndarray,
+        adjoint: bool = False,
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
+    ) -> np.ndarray:
         """U(t) psi, or U(t)^dagger psi when `adjoint`, rows in register order.
 
-        Block k reads rows bounds[k]:bounds[k+1] of psi and writes the same
-        rows of the result, so every product works on contiguous slices.
+        Block k reads rows bounds[k]:bounds[k+1] of psi, so every product
+        works on contiguous slices.  Their coefficients V^dagger psi go into
+        the first rows of `scratch`, a complex C-contiguous array of at
+        least the largest sector's rows and psi's width, before the block
+        writes the same rows of the result; so the result may go into psi
+        itself.  It goes into `out`, a complex C-contiguous array shaped
+        like psi, when that is given.  Either buffer not given is allocated.
         """
         # (2^N, r), C-contiguous, so that its row slices view as (re, im) float pairs
         columns = np.ascontiguousarray(psi, dtype=complex).reshape(len(psi), -1)
-        result = np.empty_like(columns)
+        if out is None:
+            out = np.empty(psi.shape, dtype=complex)
+        elif not (out.shape == psi.shape and out.dtype == complex and out.flags.c_contiguous):
+            raise ValueError("out must be a complex C-contiguous array shaped like psi")
+        if scratch is None:
+            scratch = np.empty((max(self.register.sizes), columns.shape[1]), dtype=complex)
+        result = out.reshape(columns.shape)
         bounds = self.register.bounds
         for lo, hi, v, phase in zip(bounds, bounds[1:], self.eigenbasis.blocks, self.phases):
             phase = (phase.conj() if adjoint else phase)[:, None]
+            coeffs = scratch[: hi - lo]
             if v.dtype.kind == "f":
-                coeffs = (v.T @ columns[lo:hi].view(float)).view(complex)
+                np.matmul(v.T, columns[lo:hi].view(float), out=coeffs.view(float))
                 coeffs *= phase
                 np.matmul(v, coeffs.view(float), out=result[lo:hi].view(float))
             else:
-                coeffs = np.conj(v.T @ columns[lo:hi].conj())  # V^dagger psi
+                np.matmul(v.T, columns[lo:hi].conj(), out=coeffs)
+                np.conjugate(coeffs, out=coeffs)  # V^dagger psi
                 coeffs *= phase
                 np.matmul(v, coeffs, out=result[lo:hi])
-            del coeffs  # freed before the next sector's are allocated
-        return result.reshape(psi.shape)
+        return out
 
     def check(self, register: Register) -> Register:
         """This evolution's register, after checking that factors in `register` order fit it."""

@@ -127,15 +127,23 @@ class Register:
         out[self.order] = psi
         return out
 
-    def pauli(self, psi: np.ndarray, site: int, axis: str) -> np.ndarray:
-        """sigma_site^axis @ psi in O(psi.size), for psi of shape (2^N,) or (2^N, r)."""
+    def pauli(
+        self, psi: np.ndarray, site: int, axis: str, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """sigma_site^axis @ psi in O(psi.size), for psi of shape (2^N,) or (2^N, r).
+
+        The result is written into `out` when given: an array shaped like
+        psi, of the result's dtype, that does not overlap psi.
+        """
         gather, phase = self._kernel(psi, site, axis)
         if gather is None:
-            return _row_weights(phase, psi) * psi
-        out = psi.take(gather, axis=0)
+            return np.multiply(_row_weights(phase, psi), psi, out=out)
+        # "clip" (the indices are in range anyway) lets take write straight
+        # into `out`; the default mode first gathers into a buffered copy
+        out = psi.take(gather, axis=0, out=out, mode="clip")
         if phase is not None:
             out = out.astype(complex, copy=False)
-            out *= _row_weights(phase, out)  # in place on the fresh gather
+            out *= _row_weights(phase, out)  # in place on the gather
         return out
 
 

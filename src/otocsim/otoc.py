@@ -3,9 +3,10 @@
 This is the reference path the measurement protocols are validated
 against: C(t) = Tr[rho W(t) V W(t) V] with W = sigma_i^a, V = sigma_j^b.
 The CLI reads C(t) off the time point's ladder instead (`Ladder.direct`):
-the ladder already holds the first three evolutions of this chain, so
-one more gives the same value, bit for bit.  `otoc_direct` stays the
-standalone evaluator that `verify` and the tests check against.
+C(t) = <V W(t) Psi|W(t) V Psi> is one entry of its Gram matrices, formed
+from the same chain with the same operations, so it is the same value
+bit for bit.  `otoc_direct` stays the standalone evaluator that `verify`
+and the tests check against.
 """
 
 from __future__ import annotations
@@ -69,11 +70,12 @@ def checked_otoc(value) -> complex:
 def otoc_direct(prepared: PreparedState, ev: Evolution) -> complex:
     """Exact complex C(t) = Tr[rho sigma_i^a(t) sigma_j^b sigma_i^a(t) sigma_j^b].
 
-    Evaluated as Tr[Psi^dagger W(t) V W(t) V Psi] on the prepared factor Psi.
+    Evaluated as <V W(t) Psi|W(t) V Psi>, traced over the columns of the
+    prepared factor Psi: four applications of U(t) or U(t)^dagger.
     """
     w_t, v = _operands(prepared, ev)
     psi = prepared.psi
-    return checked_otoc(np.vdot(psi, w_t(v(w_t(v(psi))))))
+    return checked_otoc(np.vdot(v(w_t(psi)), w_t(v(psi))))
 
 
 def commutator_norm(prepared: PreparedState, ev: Evolution) -> float:

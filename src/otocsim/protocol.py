@@ -10,20 +10,20 @@ evolution pattern, followed by one expectation value of sigma_i^a;
 a four-angle-set combination reconstructs Im C(t).
 
 A run prepares its state once (`prepare`: Psi in the register order of
-the propagator).  Each time point then builds one `Ladder` from seven
-applications of U(t) or U(t)^dagger: since U^dagger U = I and sigma^2 = I,
-every state of either protocol is a combination of six vectors built
-from four evolved factors, and the ladder keeps only their Gram
-matrices, plus the direct C(t) that one more application reads off the
-same chain.  The 16-branch table and every angle set read from it; no
-state is collapsed or re-evolved.
+the propagator, and the three factor slots and the scratch that every
+time point reuses).  Each time point then builds one `Ladder` from six
+applications of U(t) or U(t)^dagger, written into those slots: since
+U^dagger U = I and sigma^2 = I, every state of either protocol is a
+combination of six vectors built from four evolved factors, and the
+ladder keeps only their Gram matrices, one entry of which is the direct
+C(t).  The 16-branch table and every angle set read from it; no state is
+collapsed or re-evolved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -134,12 +134,18 @@ class PreparedState:
     """What every evaluator of a run shares: the state and correlator, Psi in register order.
 
     `psi` is the state factor with its rows in `register` order, the row
-    order of the propagator's evolutions.  Build it with `prepare`.
+    order of the propagator's evolutions.  `slots` are three complex
+    arrays shaped like psi and `scratch` one of the largest sector's rows
+    by psi's width: the run's work buffers, which every `build_ladder`
+    overwrites, so that a time point allocates no factor.  Build it with
+    `prepare`.
     """
 
     register: Register
     spec: OtocSpec
     psi: np.ndarray
+    slots: tuple[np.ndarray, np.ndarray, np.ndarray]
+    scratch: np.ndarray
 
 
 def prepare(state: DensityOperator, spec: OtocSpec, register: Register) -> PreparedState:
@@ -149,7 +155,9 @@ def prepare(state: DensityOperator, spec: OtocSpec, register: Register) -> Prepa
     spec.validate_for(register.n_sites)
     psi = register.from_computational(state.factor)
     psi.flags.writeable = False  # shared by every time point of the run
-    return PreparedState(register, spec, psi)
+    slots = tuple(np.empty_like(psi) for _ in range(3))
+    scratch = np.empty((max(register.sizes), psi.shape[1]), dtype=complex)
+    return PreparedState(register, spec, psi, slots, scratch)
 
 
 # The unnormalised state U Pi_j^o3 U^dagger Pi_i^o2 U Pi_j^o1 Psi that the last
@@ -177,8 +185,9 @@ class Ladder:
     U sigma_j U^dagger swaps X0 and X1).  `grams` holds G0 = <B_m|B_n> and
     G1 = <B_m|sigma_i B_n>, traced over the factor's columns: c . B has
     squared norm c^dagger G0 c and <sigma_i> = c^dagger G1 c.  `direct` is
-    the exact C(t) = <Psi|U^dagger sigma_i Z1>, bit-equal to `otoc_direct`.
-    Build it with `build_ladder`.
+    the exact C(t) = <X0|sigma_i Z1>, bit-equal to `otoc_direct`.  Both are
+    values: a ladder holds no view of the run's slots.  Build it with
+    `build_ladder`.
     """
 
     grams: np.ndarray
@@ -186,41 +195,60 @@ class Ladder:
 
 
 def build_ladder(prepared: PreparedState, ev: Evolution) -> Ladder:
-    """The ladder of time point `ev`, from seven applications of U(t) or U(t)^dagger.
+    """The ladder of time point `ev`, from six applications of U(t) or U(t)^dagger.
 
     K = (X0, X1, Z0, Z1) gives P_ab = <K_a|K_b> and Q_ab = <K_a|sigma_i K_b>.
     As sigma_i is Hermitian and squares to I, G0 takes P where both basis
     vectors carry sigma_i or neither does, and Q otherwise; G1 the reverse.
-    K is built in that order, and column b of P and Q is taken as soon as
-    K_b is: sigma_i K_b serves that column and, for X0 and X1, starts the
-    chain of Z0 and Z1.  X1 and Z1 are the first three evolutions of
-    `otoc_direct`'s chain, built with the same operations, so one more
-    application gives its C(t) bit for bit; like it, the ladder raises
-    ValueError when |C| exceeds 1 beyond ATOL_SPECTRUM.  Each temporary is
-    dropped once read, so at most five factors live beside Psi.
+    With Psi_0 = Psi, Psi_1 = sigma_j Psi, X_b = U Psi_b, S_b = sigma_i X_b,
+    M_b = U^dagger S_b, T_b = sigma_j M_b and Z_b = U T_b, U^dagger U = I
+    and sigma^2 = I give every entry from the chain itself:
+    P_XX = P_ZZ = <Psi_a|Psi_b>, P_XZ[0, b] = <Psi|T_b>,
+    P_XZ[1, b] = <Psi|M_b>, Q_XX[a, b] = <X_a|S_b>, Q_XZ[a, b] = <M_a|T_b>
+    and Q_ZZ[a, b] = <Z_a|sigma_i Z_b>.  Q_XZ[0, 1] = <T0|M1> is the
+    direct C(t) = <Psi|W(t) V W(t) V Psi>, built with the operations of
+    `otoc_direct` and so equal to it bit for bit; like it, the ladder
+    raises ValueError when |C| exceeds 1 beyond ATOL_SPECTRUM.  Every
+    factor is written into the three slots of `prepared`, so at most three
+    live beside Psi and the point allocates none.
     """
     register = ev.check(prepared.register)
-    spec = prepared.spec
-    sigma_i = partial(register.pauli, site=spec.site_i, axis=spec.axis_a)
-    sigma_j = partial(register.pauli, site=spec.site_j, axis=spec.axis_b)
-    psi = prepared.psi
-    factors = []
-    upper = np.zeros((2, 4, 4), dtype=complex)  # P and Q above their diagonals
+    spec, psi, scratch = prepared.spec, prepared.psi, prepared.scratch
+    a, b, c = prepared.slots
 
-    def append(factor: np.ndarray) -> np.ndarray:
-        """K_b = factor: fills column b of P and Q and returns sigma_i K_b."""
-        flipped = sigma_i(factor)
-        factors.append(factor)
-        for a, earlier in enumerate(factors):
-            upper[:, a, len(factors) - 1] = np.vdot(earlier, factor), np.vdot(earlier, flipped)
-        return flipped
+    def sigma_i(factor: np.ndarray, out: np.ndarray) -> None:
+        register.pauli(factor, spec.site_i, spec.axis_a, out=out)
 
-    flipped_x = [append(ev.forward(psi)), append(ev.forward(sigma_j(psi)))]
-    # each sigma_i X_k is dropped as soon as U^dagger has read it
-    append(ev.forward(sigma_j(ev.backward(flipped_x.pop(0)))))
-    flipped_z1 = append(ev.forward(sigma_j(ev.backward(flipped_x.pop()))))
-    factors.clear()  # K is read; only sigma_i Z1 lives on
-    direct = checked_otoc(np.vdot(psi, ev.backward(flipped_z1)))
+    def sigma_j(factor: np.ndarray, out: np.ndarray) -> None:
+        register.pauli(factor, spec.site_j, spec.axis_b, out=out)
+
+    upper = np.zeros((2, 4, 4), dtype=complex)  # P and Q on and above their diagonals
+    p, q = upper
+    # each comment names what the slots it writes hold afterwards
+    sigma_j(psi, a)  # a = Psi_1
+    p[0, 0] = p[1, 1] = p[2, 2] = p[3, 3] = np.vdot(psi, psi)
+    p[0, 1] = p[2, 3] = np.vdot(psi, a)
+    ev.forward(psi, b, scratch)  # b = X0
+    ev.forward(a, a, scratch)  # a = X1
+    sigma_i(b, c)  # c = S0
+    q[0, 0], q[0, 1] = np.vdot(b, c), np.vdot(c, a)  # <S0|X1> = <X0|S1>
+    sigma_i(a, b)  # b = S1
+    q[1, 1] = np.vdot(a, b)
+    ev.backward(c, c, scratch)  # c = M0
+    ev.backward(b, b, scratch)  # b = M1
+    p[1, 2], p[1, 3] = np.vdot(psi, c), np.vdot(psi, b)
+    sigma_j(c, a)  # a = T0
+    p[0, 2], q[0, 2], q[0, 3] = np.vdot(psi, a), np.vdot(c, a), np.vdot(a, b)
+    q[1, 2] = q[0, 3].conjugate()  # <M1|T0>
+    sigma_j(b, c)  # c = T1
+    p[0, 3], q[1, 3] = np.vdot(psi, c), np.vdot(b, c)
+    ev.forward(a, a, scratch)  # a = Z0
+    ev.forward(c, c, scratch)  # c = Z1
+    sigma_i(a, b)  # b = sigma_i Z0
+    q[2, 2], q[2, 3] = np.vdot(a, b), np.vdot(b, c)
+    sigma_i(c, b)  # b = sigma_i Z1
+    q[3, 3] = np.vdot(c, b)
+    direct = checked_otoc(q[0, 3])
     p, q = upper + np.triu(upper, 1).conj().swapaxes(1, 2)
     under = np.ix_(*2 * ([0, 1, 0, 1, 2, 3],))  # the K under each vector of B
     carries = np.array([0, 0, 1, 1, 0, 0])  # and whether it carries sigma_i

@@ -1,12 +1,15 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from otocsim import cli
 from otocsim.cli import EXIT_CONFIG, EXIT_OK, main
-from otocsim.config import STATE_RANKS, footprint_bytes
+from otocsim.config import STATE_RANKS, footprint_bytes, parse_config
 from otocsim.dynamics import Evolution, Propagator
 from otocsim.hilbert import Register
+from otocsim.protocol import build_ladder, im_otoc_via_protocol, outcome_probabilities
 
 import oracles
 
@@ -224,6 +227,21 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
             DRESSING_CONFIG.replace("delta_laser = 4.0", "delta_laser = 1e308"),
             "overflows at r = r_min = 1.0",
         ),
+        # finite, but so far above the laser scale that eigh cannot resolve the coupling:
+        # the P level ...
+        (
+            "dressing",
+            DRESSING_CONFIG.replace(
+                "delta_microwave = 7.2857142857142857", "delta_microwave = 1e300"
+            ),
+            "an entry of 2e+300 at r = r_min = 1.0, above 1e+08 times the laser scale",
+        ),
+        # ... and the dipolar exchange at r_min
+        (
+            "dressing",
+            DRESSING_CONFIG.replace("c3 = -3.0e2", "c3 = 1e308"),
+            "an entry of 1e+308 at r = r_min = 1.0, above 1e+08 times the laser scale",
+        ),
         # finite ends whose span overflows
         (
             "exact",
@@ -252,6 +270,8 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
         "overflowing_potential",
         "overflowing_detunings",
         "overflowing_laser_detuning",
+        "unresolvable_microwave_detuning",
+        "unresolvable_exchange",
         "overflowing_time_span",
         "huge_n_shots",
     ],
@@ -310,10 +330,10 @@ def mixed_yz_config(n_sites, n_times):
 
 @pytest.mark.parametrize("command", ["exact", "sample", "im"])
 @pytest.mark.parametrize("n_times", [1, 3])
-def test_each_point_applies_u_and_a_pauli_seven_times_and_factorizes_nothing(
+def test_each_point_applies_u_six_times_and_a_pauli_seven_times_and_factorizes_nothing(
     command, n_times, tmp_path, monkeypatch
 ):
-    """On a full-rank state every time point applies U(t) or U(t)^dagger 7 times and
+    """On a full-rank state every time point applies U(t) or U(t)^dagger 6 times and
     a single-site Pauli 7 times, all in the ladder that carries both protocols and
     the direct C(t), and no command calls a QR."""
     applications, paulis, qr_calls = [], [], []
@@ -327,14 +347,14 @@ def test_each_point_applies_u_and_a_pauli_seven_times_and_factorizes_nothing(
     path.write_text(mixed_yz_config(6, n_times))
     out = tmp_path / f"{command}.csv"
     assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
-    assert len(applications) == 7 * n_times
+    assert len(applications) == 6 * n_times
     assert len(paulis) == 7 * n_times
     assert not qr_calls
 
 
 @pytest.mark.parametrize("command", ["exact", "sample", "im"])
-def test_pure_state_points_apply_u_seven_times(command, tmp_path, monkeypatch):
-    """On all_up every time point applies U(t) or U(t)^dagger 7 times."""
+def test_pure_state_points_apply_u_six_times(command, tmp_path, monkeypatch):
+    """On all_up every time point applies U(t) or U(t)^dagger 6 times."""
     applications = []
     apply = Evolution.apply
     monkeypatch.setattr(
@@ -344,7 +364,68 @@ def test_pure_state_points_apply_u_seven_times(command, tmp_path, monkeypatch):
     path.write_text(BASE_CONFIG)
     out = tmp_path / f"{command}.csv"
     assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
-    assert len(applications) == 7 * 9
+    assert len(applications) == 6 * 9
+
+
+@pytest.mark.parametrize("command", ["exact", "sample", "im"])
+def test_points_carry_nothing_through_the_run_owned_slots(command, tmp_path, monkeypatch):
+    """Every point of a 31-point full-rank run builds, byte for byte, the ladder of a
+    one-point run at its t, whose slots and scratch start out NaN; so no point reads
+    a buffer before writing it, and the rows, which read only the ladder and the
+    point's substream, do not depend on the points before them.  The exact rows
+    equal those of 31 one-point `exact` runs, byte for byte."""
+    ladders = []
+    build = cli.build_ladder
+    monkeypatch.setattr(
+        cli, "build_ladder", lambda *args: ladders.append(build(*args)) or ladders[-1]
+    )
+    path = tmp_path / "mixed.cfg"
+    path.write_text(mixed_yz_config(6, 31))
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    config = parse_config(path.read_text())
+    _, _, rows = read_table(out)
+    assert len(ladders) == len(rows) == 31
+    for row, ladder in zip(rows, ladders):
+        t = float(row["t"])
+        one_point = replace(config, otoc=replace(config.otoc, t_start=t, t_stop=t, n_times=1))
+        prepared, prop, _ = cli._build_system(one_point, command)
+        for buffer in (*prepared.slots, prepared.scratch):
+            buffer.fill(np.nan)
+        fresh = build(prepared, prop.evolution(t))
+        assert fresh.grams.tobytes() == ladder.grams.tobytes()
+        assert fresh.direct == ladder.direct
+    if command == "exact":
+        for k, row in enumerate(rows):
+            single = tmp_path / f"point{k}.cfg"
+            single.write_text(
+                path.read_text()
+                .replace("t_start = 0.0", f"t_start = {row['t']}")
+                .replace("t_stop = 3.0", f"t_stop = {row['t']}")
+                .replace("n_times = 31", "n_times = 1")
+            )
+            one = tmp_path / f"point{k}.csv"
+            argv = ["exact", "--config", str(single), "--out", str(one), "--quiet"]
+            assert main(argv) == EXIT_OK
+            assert read_table(one)[2] == [row]
+
+
+def test_a_warm_full_rank_point_allocates_less_than_one_factor():
+    """After the first point of a full-rank N = 8 run, a point's ladder, 16-branch table
+    and rotation combination allocate less than one 2^N x 2^N factor: every factor goes
+    into the run's slots."""
+    prepared, prop, grid = cli._build_system(parse_config(mixed_yz_config(8, 31)), "exact")
+    build_ladder(prepared, prop.evolution(float(grid[0])))
+    tracemalloc.start()
+    try:
+        for t in grid[1:4]:
+            ladder = build_ladder(prepared, prop.evolution(float(t)))
+            outcome_probabilities(ladder)
+            im_otoc_via_protocol(ladder)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < prepared.psi.nbytes
 
 
 @pytest.mark.parametrize("n_sites", [12, 13, 14])

@@ -111,6 +111,19 @@ def test_index_kernels_match_kronecker_oracle(args, sign, rank, seed, order):
     np.testing.assert_allclose(dense_projector(site, axis, sign, n, register), proj, atol=1e-15)
 
 
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_pauli_into_a_buffer_is_bit_equal_to_the_allocating_form(axis, rng):
+    """On the XY chain's row order, every site's kernel writes into `out` exactly
+    what it allocates, for a full-rank width and a single column."""
+    register = build_xy_chain(5).blocks.register
+    for width in (1, 2**5):
+        psi = rng.standard_normal((2**5, width)) + 1j * rng.standard_normal((2**5, width))
+        out = np.empty_like(psi)
+        for site in range(1, 6):
+            assert register.pauli(psi, site, axis, out=out) is out
+            assert out.tobytes() == register.pauli(psi, site, axis).tobytes()
+
+
 def test_register_order_is_a_checked_permutation(rng):
     for order in ([0, 1, 1, 3], [0, 1, 2], [0, 1, 2, 4], [-1, 0, 1, 2], [0.0, 1.0, 2.0, 3.0]):
         with pytest.raises(ValueError, match="permutation"):
