@@ -330,7 +330,7 @@ def mixed_yz_config(n_sites, n_times):
 
 @pytest.mark.parametrize("command", ["exact", "sample", "im"])
 @pytest.mark.parametrize("n_times", [1, 3])
-def test_each_point_applies_u_six_times_and_a_pauli_seven_times_and_factorizes_nothing(
+def test_each_point_applies_u_and_a_pauli_seven_times_and_factorizes_nothing(
     command, n_times, tmp_path, monkeypatch
 ):
     """On a full-rank state every time point applies U(t) or U(t)^dagger 6 times and
