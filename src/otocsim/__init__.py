@@ -32,7 +32,6 @@ from .dynamics import (
 from .hilbert import DensityOperator, Register, all_up_state, maximally_mixed_state
 from .otoc import OtocSpec, commutator_norm, otoc_direct
 from .protocol import (
-    DEFAULT_ANGLES,
     DegenerateAnglesError,
     Ladder,
     OUTCOME_SEQUENCES,

@@ -18,11 +18,10 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import AnglesConfig, ConfigError, RunConfig, parse_config, require
+from .config import ConfigError, RunConfig, parse_config, require
 from .dressing import AdiabaticityError, InteractionCoefficients, LevelScheme, scan_curve
 from .dynamics import EvolutionTimeError, Propagator, build_xy_chain
 from .hilbert import all_up_state, maximally_mixed_state
-from .otoc import OtocSpec
 from .protocol import (
     DegenerateAnglesError,
     RotationAngles,
@@ -35,7 +34,7 @@ from .protocol import (
 from .sampling import (
     GENERATOR_NAME,
     GENERATOR_VERSION,
-    SampleConfig,
+    check_seed,
     estimate_re_otoc,
     sample_rotation_protocol,
     sample_sequences,
@@ -100,13 +99,7 @@ def _build_system(config: RunConfig, command: str):
         state = all_up_state(system.n_sites)
     else:
         state = maximally_mixed_state(system.n_sites)
-    spec = OtocSpec(otoc_cfg.site_i, otoc_cfg.axis_a, otoc_cfg.site_j, otoc_cfg.axis_b)
-    return prepare(state, spec, prop.register), prop, otoc_cfg.time_grid()
-
-
-def _angles(config: RunConfig) -> RotationAngles:
-    block = config.angles or AnglesConfig()
-    return RotationAngles(block.theta1, block.theta2, block.theta3)
+    return prepare(state, otoc_cfg.spec, prop.register), prop, otoc_cfg.time_grid()
 
 
 def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str], bool]:
@@ -120,7 +113,7 @@ def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str
     """
     prepared, prop, grid = _build_system(config, command)
     sampling = None if command == "exact" else require(config, "sampling", command)
-    angles = None if command == "sample" else _angles(config)
+    angles = config.angles or RotationAngles()
     rows = []
     pruned = clamped = 0
     for index, t in enumerate(grid):
@@ -138,7 +131,7 @@ def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str
             im_c = im_otoc_via_protocol(ladder, angles)
             row["im_identity_residual"] = abs(im_c - direct.imag)
         else:
-            cfg = SampleConfig(sampling.n_shots, sampling.seed, point=index)
+            cfg = replace(sampling, point=index)
             if command == "sample":
                 est = estimate_re_otoc(sample_sequences(table, cfg))
                 row.update(re_estimate=est.value, re_stderr=est.stderr, n_shots=est.n_shots)
@@ -170,8 +163,9 @@ def run_dressing(config: RunConfig, log) -> tuple[list[dict], list[str], bool]:
     d = require(config, "dressing", "dressing")
     scheme = LevelScheme(d.omega_laser, d.delta_laser, d.omega_microwave, d.delta_microwave)
     coeffs = InteractionCoefficients(d.c6, d.c3)
-    curve_off = scan_curve(scheme, coeffs, d.r_min, d.r_max, d.n_r, microwave_on=False)
-    curve_on = scan_curve(scheme, coeffs, d.r_min, d.r_max, d.n_r, microwave_on=d.microwave)
+    grid = (scheme, coeffs, d.r_min, d.r_max, d.n_r)
+    curve_off = scan_curve(*grid, microwave_on=False)
+    curve_on = scan_curve(*grid) if d.microwave else curve_off
     rows = [
         {
             "r": float(r),
@@ -250,8 +244,10 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
 
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            print("error: --seed must be an unsigned 64-bit integer", file=sys.stderr)
+        try:
+            check_seed(args.seed)
+        except ValueError as exc:
+            print(f"error: --seed: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         if config.sampling is not None:
             config = replace(config, sampling=replace(config.sampling, seed=args.seed))

@@ -3,7 +3,8 @@
 Unknown keys are errors: a silently ignored typo in a physics parameter
 is worse than a rejected file.  Keys are grouped into blocks (system,
 otoc, sampling, angles, dressing); a command validates only the blocks it
-needs, so one file can drive every subcommand.
+needs, so one file can drive every subcommand.  A rule that a library
+type checks is checked there only, and its error names the block.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import numpy as np
 
 from .dressing import InteractionCoefficients, LevelScheme, build_two_atom_hamiltonian
 from .hilbert import PAULI_AXES
-from .protocol import DEFAULT_ANGLES
+from .otoc import OtocSpec
+from .protocol import RotationAngles
+from .sampling import SampleConfig, check_seed
 
 HAMILTONIAN_KINDS = ("xy_chain",)
 
@@ -43,6 +46,13 @@ HAMILTONIAN_KINDS = ("xy_chain",)
 # estimate exceeds the budget are rejected before anything is allocated.
 FACTORS_AT_PEAK = 6
 MEMORY_BUDGET_BYTES = 2 * 2**30
+
+# The same budget bounds what grows with a run's counts.  A shot holds a
+# float64 uniform and a bool of comparison mask.  An output row, a dict and
+# then its line of the CSV text, traces at 695 (exact), 788 (sample), 777
+# (im) and 532 (dressing) bytes, over 20 000 rows at N = 2.
+SHOT_BYTES = 9
+ROW_BYTES = 800
 
 # `eigh` of the dressing model's 9 x 9 pair Hamiltonian resolves its
 # eigenvalues only to about eps * max|H|, and the coupling J is read from
@@ -95,24 +105,14 @@ class OtocConfig:
     t_stop: float
     n_times: int
 
+    @property
+    def spec(self) -> OtocSpec:
+        return OtocSpec(self.site_i, self.axis_a, self.site_j, self.axis_b)
+
     def time_grid(self) -> np.ndarray:
         if self.n_times == 1:
             return np.array([self.t_start])
         return np.linspace(self.t_start, self.t_stop, self.n_times)
-
-
-@dataclass(frozen=True)
-class SamplingConfig:
-    n_shots: int
-    seed: int
-    n_repeats: int = 100  # read by no command; accepted so existing configs still parse
-
-
-@dataclass(frozen=True)
-class AnglesConfig:
-    theta1: float = DEFAULT_ANGLES[0]
-    theta2: float = DEFAULT_ANGLES[1]
-    theta3: float = DEFAULT_ANGLES[2]
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,8 @@ class DressingConfig:
 class RunConfig:
     system: SystemConfig | None = None
     otoc: OtocConfig | None = None
-    sampling: SamplingConfig | None = None
-    angles: AnglesConfig | None = None
+    sampling: SampleConfig | None = None
+    angles: RotationAngles | None = None
     dressing: DressingConfig | None = None
 
 
@@ -164,14 +164,19 @@ def _parse_float(raw: str) -> float:
 
 
 def _parse_seed(raw: str) -> int:
+    return check_seed(int(raw))
+
+
+def _parse_count(raw: str) -> int:
     value = int(raw)
-    if not 0 <= value < 2**64:
-        raise ValueError(f"seed {value} outside the unsigned 64-bit range")
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
     return value
 
 
-# key -> (block, parser)
-_SCHEMA: dict[str, tuple[str, Callable[[str], object]]] = {
+# key -> (block, parser); a key of no block is read by no command and
+# accepted only so that existing configs still parse
+_SCHEMA: dict[str, tuple[str | None, Callable[[str], object]]] = {
     "n_sites": ("system", int),
     "hamiltonian": ("system", _parse_choice(HAMILTONIAN_KINDS)),
     "initial_state": ("system", _parse_choice(INITIAL_STATE_KINDS)),
@@ -181,10 +186,10 @@ _SCHEMA: dict[str, tuple[str, Callable[[str], object]]] = {
     "axis_b": ("otoc", _parse_choice(PAULI_AXES)),
     "t_start": ("otoc", _parse_float),
     "t_stop": ("otoc", _parse_float),
-    "n_times": ("otoc", int),
+    "n_times": ("otoc", _parse_count),
     "n_shots": ("sampling", int),
     "seed": ("sampling", _parse_seed),
-    "n_repeats": ("sampling", int),
+    "n_repeats": (None, _parse_count),
     "theta1": ("angles", _parse_float),
     "theta2": ("angles", _parse_float),
     "theta3": ("angles", _parse_float),
@@ -201,7 +206,7 @@ _SCHEMA: dict[str, tuple[str, Callable[[str], object]]] = {
 }
 
 # keys with spec-stated defaults; everything else must be spelled out
-_OPTIONAL = {"theta1", "theta2", "theta3", "n_repeats"}
+_OPTIONAL = {"theta1", "theta2", "theta3"}
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
@@ -245,26 +250,39 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
             raise ConfigError(
                 f"{source}: {block} block is incomplete, missing: {', '.join(missing)}"
             )
-        return cls(**present)
+        return _in_block(source, block, cls, **present)
 
     config = RunConfig(
         system=build("system", SystemConfig),
         otoc=build("otoc", OtocConfig),
-        sampling=build("sampling", SamplingConfig),
-        angles=build("angles", AnglesConfig),
+        sampling=build("sampling", SampleConfig),
+        angles=build("angles", RotationAngles),
         dressing=build("dressing", DressingConfig),
     )
     _cross_validate(config, source)
     return config
 
 
+def _in_block(source: str, block: str, check: Callable, *args, **kwargs):
+    """check(*args, **kwargs), its ValueError or IndexError a ConfigError naming `block`."""
+    try:
+        return check(*args, **kwargs)
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"{source}: {block} block: {exc}") from None
+
+
 def _cross_validate(config: RunConfig, source: str) -> None:
     def fail(message: str):
         raise ConfigError(f"{source}: {message}")
 
+    def within_budget(key: str, count: int, bytes_each: int, holds: str) -> None:
+        if bytes_each * count > MEMORY_BUDGET_BYTES:
+            fail(
+                f"{key}={count} needs {bytes_each * count / 2**30:.3g} GiB for {holds}, "
+                f"above the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget"
+            )
+
     if config.system is not None:
-        if config.system.n_sites < 1:
-            fail("n_sites must be >= 1")
         if config.system.hamiltonian == "xy_chain" and config.system.n_sites < 2:
             fail("xy_chain needs n_sites >= 2")
         kind, n_sites = config.system.initial_state, config.system.n_sites
@@ -278,8 +296,7 @@ def _cross_validate(config: RunConfig, source: str) -> None:
                 f"sites, for a state of rank {rank})"
             )
     if config.otoc is not None:
-        if config.otoc.n_times < 1:
-            fail("n_times must be >= 1")
+        within_budget("n_times", config.otoc.n_times, ROW_BYTES, "its output rows")
         if config.otoc.n_times > 1:
             span = config.otoc.t_stop - config.otoc.t_start
             if not span > 0:
@@ -287,29 +304,17 @@ def _cross_validate(config: RunConfig, source: str) -> None:
             if not math.isfinite(span):
                 fail(f"the time span t_stop - t_start = {span} overflows")
         if config.system is not None:
-            for field in ("site_i", "site_j"):
-                site = getattr(config.otoc, field)
-                if not 1 <= site <= config.system.n_sites:
-                    fail(f"{field}={site} outside the register (n_sites={config.system.n_sites})")
+            _in_block(source, "otoc", config.otoc.spec.validate_for, config.system.n_sites)
     if config.sampling is not None:
-        n_shots = config.sampling.n_shots
-        if n_shots < 1:
-            fail("n_shots must be >= 1")
-        # a draw holds n_shots uniforms (float64) and one comparison mask (bool)
-        if 9 * n_shots > MEMORY_BUDGET_BYTES:
-            fail(
-                f"n_shots={n_shots} needs {9 * n_shots / 2**30:.3g} GiB for its uniforms "
-                f"and comparison mask, above the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget"
-            )
-        if config.sampling.n_repeats < 1:
-            fail("n_repeats must be >= 1")
+        within_budget(
+            "n_shots", config.sampling.n_shots, SHOT_BYTES, "its uniforms and comparison mask"
+        )
     if config.dressing is not None:
         d = config.dressing
-        if d.omega_laser < 0 or d.omega_microwave < 0:
-            fail("Rabi frequencies must be nonnegative")
+        drive = (d.omega_laser, d.delta_laser, d.omega_microwave, d.delta_microwave)
+        scheme = _in_block(source, "dressing", LevelScheme, *drive)
         if not 0 < d.r_min < d.r_max:
             fail("need 0 < r_min < r_max")
-        scheme = LevelScheme(d.omega_laser, d.delta_laser, d.omega_microwave, d.delta_microwave)
         # both potentials fall with r, so every entry of the pair Hamiltonian is largest at r_min
         with np.errstate(all="ignore"):
             pair = build_two_atom_hamiltonian(scheme, InteractionCoefficients(d.c6, d.c3), d.r_min)
@@ -326,6 +331,7 @@ def _cross_validate(config: RunConfig, source: str) -> None:
             )
         if d.n_r < 2:
             fail("n_r must be >= 2")
+        within_budget("n_r", d.n_r, ROW_BYTES, "its output rows")
 
 
 def require(config: RunConfig, block: str, command: str):

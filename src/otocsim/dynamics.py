@@ -37,21 +37,10 @@ class EvolutionTimeError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class BlockDiagonal:
-    """Operator that is zero outside the sectors of `register`, one matrix per sector."""
-
-    register: Register
-    blocks: tuple[np.ndarray, ...]
-
-    def with_blocks(self, blocks) -> "BlockDiagonal":
-        return BlockDiagonal(self.register, tuple(blocks))
-
-
-@dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """Hermitian generator of the dynamics, held as its sector blocks.
 
-    H is exactly zero outside the sectors of `blocks.register`, and each
+    H is exactly zero outside the sectors of `register`, and each
     block keeps its own dtype: real float64 for the XY chain, which
     `build_xy_chain` writes sector by sector, complex for the one block of
     a dense H from `from_matrix`.  Every block is checked Hermitian; since
@@ -64,15 +53,16 @@ class Hamiltonian:
     it is used, by `Propagator.from_hamiltonian`.
     """
 
-    blocks: BlockDiagonal
+    register: Register
+    blocks: tuple[np.ndarray, ...]
     reflection: np.ndarray | None = None
 
     def __post_init__(self):
-        register = self.blocks.register
-        shapes = tuple(block.shape for block in self.blocks.blocks)
+        register = self.register
+        shapes = tuple(block.shape for block in self.blocks)
         if shapes != tuple((s, s) for s in register.sizes):
             raise ValueError(f"Hamiltonian blocks {shapes} do not tile sectors {register.sizes}")
-        for block in self.blocks.blocks:
+        for block in self.blocks:
             if not hermiticity_defect(block) <= ATOL_ALGEBRA:
                 raise ValueError("Hamiltonian is not Hermitian")
         if self.reflection is not None:
@@ -98,18 +88,18 @@ class Hamiltonian:
         dim = 2**n_sites
         if mat.shape != (dim, dim):
             raise ValueError(f"Hamiltonian has shape {mat.shape}, expected {(dim, dim)}")
-        return cls(BlockDiagonal(Register(n_sites), (mat,)))
+        return cls(Register(n_sites), (mat,))
 
     @property
     def n_sites(self) -> int:
-        return self.blocks.register.n_sites
+        return self.register.n_sites
 
     @property
     def matrix(self) -> np.ndarray:
         """The dense complex 2^N x 2^N H, assembled on each call; for tests and oracles."""
-        register = self.blocks.register
+        register = self.register
         mat = np.zeros((2**self.n_sites,) * 2, dtype=complex)
-        for k, block in enumerate(self.blocks.blocks):
+        for k, block in enumerate(self.blocks):
             mat[np.ix_(register.sector(k), register.sector(k))] = block
         return mat
 
@@ -184,8 +174,9 @@ class Propagator:
     and its V_k assembled from theirs in register order.  `eigh_sizes` are
     the sizes of the nonempty matrices `eigh` ran on.  Immutable after
     construction; `evolution(t)` takes the phases e^(-iwt) from it.
-    `register` is H's own, read from the eigenbasis: the row order of the
-    factors the evolution acts on; its kernel tables are built on first use.
+    `register` is H's own: the row order of `eigenvectors`, one V_k per
+    sector, and of the factors the evolution acts on; its kernel tables are
+    built on first use.
     `reconstruction_residual` and `unitarity_defect` are the worst
     max|V diag(w) V^dagger - H| and max|V^dagger V - I| over the matrices
     `eigh` ran on, the residual including each split block's
@@ -194,7 +185,8 @@ class Propagator:
     whole-matrix ones.
     """
 
-    eigenbasis: BlockDiagonal
+    register: Register
+    eigenvectors: tuple[np.ndarray, ...]
     block_eigenvalues: tuple[np.ndarray, ...]
     eigh_sizes: tuple[int, ...]
     reconstruction_residual: float
@@ -202,10 +194,10 @@ class Propagator:
 
     @classmethod
     def from_hamiltonian(cls, ham: Hamiltonian) -> "Propagator":
-        register = ham.blocks.register
+        register = ham.register
         evals, evecs, sizes = [], [], []
         residual = unit = 0.0
-        for lo, hi, block in zip(register.bounds, register.bounds[1:], ham.blocks.blocks):
+        for lo, hi, block in zip(register.bounds, register.bounds[1:], ham.blocks):
             if ham.reflection is None:
                 w, v, block_residual, block_unit = _checked_eigh(block)
                 parts = (len(w),)
@@ -223,11 +215,7 @@ class Propagator:
             raise ValueError(f"eigendecomposition residual {residual} above tolerance")
         if not unit <= ATOL_SPECTRUM:
             raise ValueError(f"eigenvector unitarity defect {unit} above tolerance")
-        return cls(ham.blocks.with_blocks(evecs), tuple(evals), tuple(sizes), residual, unit)
-
-    @property
-    def register(self) -> Register:
-        return self.eigenbasis.register
+        return cls(register, tuple(evecs), tuple(evals), tuple(sizes), residual, unit)
 
     @property
     def n_sites(self) -> int:
@@ -253,7 +241,7 @@ class Propagator:
             phase = np.empty(len(angle), dtype=complex)
             phase.real, phase.imag = np.cos(angle), -np.sin(angle)
             phases.append(phase)
-        return Evolution(self.eigenbasis, tuple(phases))
+        return Evolution(self, tuple(phases))
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,15 +253,16 @@ class Evolution:
     the eigenbasis: V (phase * V^dagger psi), which for a real V is two real
     products on psi's (re, im) pairs.  No block of U(t) is ever formed.
     Both take the optional buffers of `apply`, so that a caller that owns
-    its factors can evolve them in place and allocate nothing.
+    its factors can evolve them in place and allocate nothing.  The
+    register and the eigenvectors V are the propagator's.
     """
 
-    eigenbasis: BlockDiagonal
+    propagator: Propagator
     phases: tuple[np.ndarray, ...]
 
     @property
     def register(self) -> Register:
-        return self.eigenbasis.register
+        return self.propagator.register
 
     def forward(
         self, psi: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
@@ -312,7 +301,7 @@ class Evolution:
             scratch = np.empty((max(self.register.sizes), columns.shape[1]), dtype=complex)
         result = out.reshape(columns.shape)
         bounds = self.register.bounds
-        for lo, hi, v, phase in zip(bounds, bounds[1:], self.eigenbasis.blocks, self.phases):
+        for lo, hi, v, phase in zip(bounds, bounds[1:], self.propagator.eigenvectors, self.phases):
             phase = (phase.conj() if adjoint else phase)[:, None]
             coeffs = scratch[: hi - lo]
             if v.dtype.kind == "f":
@@ -368,7 +357,7 @@ def build_xy_chain(n_sites: int) -> Hamiltonian:
         block[local[rows[flip]], local[cols[flip]]] = -2.0
     reverse = sum(((basis >> s) & 1) << (n_sites - 1 - s) for s in range(n_sites))
     reflection = local[reverse[register.order]] + np.repeat(bounds[:-1], sizes)
-    return Hamiltonian(BlockDiagonal(register, blocks), reflection)
+    return Hamiltonian(register, blocks, reflection)
 
 
 def build_custom(

@@ -41,8 +41,13 @@ class OtocSpec:
             raise ValueError(f"axes must be in {PAULI_AXES}")
 
     def validate_for(self, n_sites: int) -> None:
-        check_site(self.site_i, n_sites)
-        check_site(self.site_j, n_sites)
+        """IndexError, naming site_i or site_j, when a site is outside an n_sites register."""
+        for name in ("site_i", "site_j"):
+            site = getattr(self, name)
+            try:
+                check_site(site, n_sites)
+            except IndexError as exc:
+                raise IndexError(f"{name}={site}: {exc}") from None
 
 
 def _operands(prepared: PreparedState, ev: Evolution):

@@ -53,8 +53,6 @@ OUTCOME_SIGNS.flags.writeable = False
 # own values would be rounding noise around it.
 ZERO_BRANCH_CUTOFF = 1e-14
 
-DEFAULT_ANGLES = (math.pi / 2, math.pi / 2, math.pi / 2)
-
 PREFACTOR_GUARD = 1e-6
 
 
@@ -64,11 +62,11 @@ class DegenerateAnglesError(ValueError):
 
 @dataclass(frozen=True)
 class RotationAngles:
-    """Angle triple (theta1, theta2, theta3) of the rotation protocol."""
+    """Angle triple (theta1, theta2, theta3) of the rotation protocol, pi/2 each by default."""
 
-    theta1: float
-    theta2: float
-    theta3: float
+    theta1: float = math.pi / 2
+    theta2: float = math.pi / 2
+    theta3: float = math.pi / 2
 
     def __post_init__(self):
         for name in ("theta1", "theta2", "theta3"):
@@ -337,10 +335,8 @@ def angle_variants(angles: RotationAngles) -> tuple[RotationAngles, ...]:
 ANGLE_VARIANT_SIGNS = (+1.0, -1.0, -1.0, +1.0)
 
 
-def im_otoc_via_protocol(ladder: Ladder, angles: RotationAngles | None = None) -> float:
+def im_otoc_via_protocol(ladder: Ladder, angles: RotationAngles = RotationAngles()) -> float:
     """Im C(t) from the four-angle-set combination of rotated expectations."""
-    if angles is None:
-        angles = RotationAngles(*DEFAULT_ANGLES)
     prefactor = angles.checked_prefactor()
     combo = math.fsum(
         sign * rotated_expectation(ladder, var)

@@ -40,6 +40,13 @@ def substream(seed: int, point: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(point,))))
 
 
+def check_seed(seed: int) -> int:
+    """`seed`, or ValueError when it is outside the unsigned 64-bit range of a run seed."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} outside the unsigned 64-bit range")
+    return seed
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     """Shot budget and seeding for one simulated experiment at time point `point`."""
@@ -51,8 +58,7 @@ class SampleConfig:
     def __post_init__(self):
         if self.n_shots < 1:
             raise ValueError("n_shots must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        check_seed(self.seed)
         if self.point < 0:
             raise ValueError("point must be >= 0")
 

@@ -6,7 +6,8 @@ import pytest
 
 from otocsim import cli
 from otocsim.cli import EXIT_CONFIG, EXIT_OK, main
-from otocsim.config import STATE_RANKS, footprint_bytes, parse_config
+from otocsim.config import ROW_BYTES, STATE_RANKS, footprint_bytes, parse_config
+from otocsim.dressing import InteractionCoefficients, LevelScheme
 from otocsim.dynamics import Evolution, Propagator
 from otocsim.hilbert import Register
 from otocsim.protocol import build_ladder, im_otoc_via_protocol, outcome_probabilities
@@ -256,6 +257,39 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
             BASE_CONFIG.replace("n_shots = 2000", "n_shots = 1000000000000"),
             "n_shots=1000000000000 needs",
         ),
+        # 10^13 rows would need 7.1 PiB of output rows: rejected before the grid exists
+        (
+            "exact",
+            BASE_CONFIG.replace("n_times = 9", "n_times = 10000000000000"),
+            "n_times=10000000000000 needs 7.45e+06 GiB for its output rows",
+        ),
+        (
+            "dressing",
+            DRESSING_CONFIG.replace("n_r = 20", "n_r = 10000000000000"),
+            "n_r=10000000000000 needs 7.45e+06 GiB for its output rows",
+        ),
+        # the library's own checks, each reported with the block it came from
+        (
+            "dressing",
+            DRESSING_CONFIG.replace("omega_laser = 2.0", "omega_laser = -1.0"),
+            "dressing block: Rabi frequencies must be nonnegative",
+        ),
+        (
+            "sample",
+            BASE_CONFIG.replace("n_shots = 2000", "n_shots = 0"),
+            "sampling block: n_shots must be >= 1",
+        ),
+        ("sample", BASE_CONFIG + "n_repeats = 0\n", "field 'n_repeats': must be >= 1, got 0"),
+        (
+            "exact",
+            BASE_CONFIG.replace("site_j = 3", "site_j = 9"),
+            "otoc block: site_j=9: site 9 out of range for 4 sites",
+        ),
+        (
+            "sample",
+            BASE_CONFIG.replace("seed = 42", "seed = -1"),
+            "field 'seed': seed -1 outside the unsigned 64-bit range",
+        ),
     ],
     ids=[
         "register_too_large",
@@ -274,6 +308,13 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
         "unresolvable_exchange",
         "overflowing_time_span",
         "huge_n_shots",
+        "huge_n_times",
+        "huge_n_r",
+        "negative_rabi_frequency",
+        "zero_n_shots",
+        "zero_n_repeats",
+        "site_outside_register",
+        "negative_seed_in_file",
     ],
 )
 def test_bad_input_fails_closed(tmp_path, capsys, command, text, message):
@@ -479,6 +520,67 @@ def test_one_point_exact_peak_is_within_the_cap_estimate(state, n_sites, tmp_pat
         tracemalloc.stop()
     assert code == EXIT_OK
     assert peak <= footprint_bytes(n_sites, STATE_RANKS[state](n_sites))
+
+
+TWO_SITE_CONFIG = (
+    BASE_CONFIG.replace("n_sites = 4", "n_sites = 2")
+    .replace("site_i = 2", "site_i = 1")
+    .replace("site_j = 3", "site_j = 2")
+    .replace("n_shots = 2000", "n_shots = 10")
+)
+
+
+@pytest.mark.parametrize(
+    "command, text, key, rows",
+    [("sample", TWO_SITE_CONFIG, "n_times", 400), ("dressing", DRESSING_CONFIG, "n_r", 500)],
+    ids=["sample", "dressing"],
+)
+def test_an_output_row_costs_at_most_row_bytes(command, text, key, rows, tmp_path):
+    """The n_times and n_r budgets rest on ROW_BYTES: the traced peak of a run grows by
+    at most that much per output row, for `sample`, whose rows are the largest, and for
+    `dressing`.  Differencing two run lengths cancels the fixed cost of a run; below a
+    few hundred rows that cost, not the rows, sets the peak."""
+    path, out = tmp_path / "rows.cfg", tmp_path / "rows.csv"
+    (line,) = [line for line in text.splitlines() if line.startswith(f"{key} = ")]
+
+    def peak(n_rows):
+        path.write_text(text.replace(line, f"{key} = {n_rows}"))
+        tracemalloc.start()
+        try:
+            code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
+            _, traced = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        return traced
+
+    peak(2)  # first calls, whose one-off allocations would count against the rows
+    assert peak(2 * rows) - peak(rows) <= rows * ROW_BYTES
+
+
+def test_dressing_scan_runs_once_with_the_microwave_off(tmp_path, monkeypatch):
+    """With the microwave off both columns are the same scan, run once."""
+    calls = []
+    scan = cli.scan_curve
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "scan_curve", counted)
+    path = tmp_path / "off.cfg"
+    path.write_text(DRESSING_CONFIG.replace("microwave = on", "microwave = off"))
+    out = tmp_path / "off.csv"
+    assert main(["dressing", "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    assert calls == [{"microwave_on": False}]
+    # the rows a second scan would have given: both columns the microwave-off curve
+    d = parse_config(DRESSING_CONFIG).dressing
+    scheme = LevelScheme(d.omega_laser, d.delta_laser, d.omega_microwave, d.delta_microwave)
+    curve = scan(scheme, InteractionCoefficients(d.c6, d.c3), d.r_min, d.r_max, d.n_r, False)
+    expected = [format(j, ".17g") for j in curve.j_values]
+    _, _, rows = read_table(out)
+    assert [row["j_off"] for row in rows] == [row["j_on"] for row in rows] == expected
+    assert all(row["sign_inverted"] == "false" for row in rows)
 
 
 def test_dressing_run_flags_inversion(tmp_path):

@@ -8,10 +8,12 @@ from otocsim.config import (
     MEMORY_BUDGET_BYTES,
     STATE_RANKS,
     ConfigError,
+    RunConfig,
     footprint_bytes,
     parse_config,
     require,
 )
+from otocsim.sampling import SampleConfig
 
 FULL = """
 # system
@@ -97,9 +99,14 @@ def test_angles_default_to_pi_half():
     assert config.angles.theta3 == math.pi / 2
 
 
-def test_n_repeats_defaults_to_hundred():
-    config = parse_config("n_shots = 10\nseed = 1\n")
-    assert config.sampling.n_repeats == 100
+def test_n_repeats_is_accepted_and_stored_nowhere():
+    """n_repeats is read by no command: it parses, is checked >= 1, and joins no block,
+    so a file that sets only it has no sampling block."""
+    assert parse_config("n_repeats = 5\n") == RunConfig()
+    config = parse_config("n_shots = 10\nseed = 1\nn_repeats = 5\n")
+    assert config.sampling == SampleConfig(10, 1)
+    with pytest.raises(ConfigError, match=r"cfg:1: field 'n_repeats': must be >= 1, got 0"):
+        parse_config("n_repeats = 0\n", source="cfg")
 
 
 def test_site_outside_register_rejected():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ def reconstruction(prop):
     """V diag(w) V^dagger assembled block by block, as a dense matrix."""
     register = prop.register
     mat = np.zeros((2**prop.n_sites,) * 2, dtype=complex)
-    for k, (v, w) in enumerate(zip(prop.eigenbasis.blocks, prop.block_eigenvalues)):
+    for k, (v, w) in enumerate(zip(prop.eigenvectors, prop.block_eigenvalues)):
         mat[np.ix_(register.sector(k), register.sector(k))] = (v * w) @ v.conj().T
     return mat
 
@@ -217,15 +218,14 @@ def with_corner(matrix, value):
 
 def propagator_of_edited_hamiltonian(bad):
     ham = build_xy_chain(2)
-    ham.blocks.blocks[0][0, 0] = bad  # edited in place, after the Hamiltonian's own check
+    ham.blocks[0][0, 0] = bad  # edited in place, after the Hamiltonian's own check
     return Propagator.from_hamiltonian(ham)
 
 
 def nonfinite_point(bad, state=all_up_state):
     """A prepared state and an Evolution whose every eigenvector entry is bad."""
     prop = Propagator.from_hamiltonian(build_xy_chain(2))
-    eigenbasis = prop.eigenbasis
-    broken = eigenbasis.with_blocks(np.full_like(block, bad) for block in eigenbasis.blocks)
+    broken = replace(prop, eigenvectors=tuple(np.full_like(v, bad) for v in prop.eigenvectors))
     prepared = prepare(state(2), OtocSpec(1, "x", 2, "x"), prop.register)
     return prepared, Evolution(broken, prop.evolution(0.5).phases)
 
@@ -317,17 +317,17 @@ def test_xy_propagator_is_real_and_never_dense(n, monkeypatch):
 
     monkeypatch.setattr(Hamiltonian, "from_matrix", from_dense)
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
-    assert all(v.dtype == np.float64 for v in prop.eigenbasis.blocks)
+    assert all(v.dtype == np.float64 for v in prop.eigenvectors)
     assert prop.block_sizes == tuple(math.comb(n, k) for k in range(n + 1))
 
 
 def test_dense_hamiltonian_is_one_block_in_computational_order():
     matrix = oracles.xy_chain(3)
     ham = Hamiltonian.from_matrix(3, matrix)
-    register = ham.blocks.register
+    register = ham.register
     assert register.bounds == (0, 8)
     np.testing.assert_array_equal(register.order, np.arange(8))
-    (block,) = ham.blocks.blocks
+    (block,) = ham.blocks
     assert block.dtype == complex and not np.shares_memory(block, matrix)
     np.testing.assert_array_equal(block, matrix)
     matrix[0, 0] = 1.0  # the caller's array stays the caller's
@@ -351,9 +351,9 @@ def test_hamiltonian_rejects_blocks_that_do_not_tile_the_register():
     for bounds in ((0, 4, 7), (1, 8), (0, 4, 4, 8), (0, 5, 4, 8), (0,), ()):
         with pytest.raises(ValueError, match="tile"):
             Register(3, bounds=bounds)
-    blocks = build_xy_chain(3).blocks
+    ham = build_xy_chain(3)
     with pytest.raises(ValueError, match="tile"):
-        Hamiltonian(blocks.with_blocks(np.zeros((2, 2)) for _ in blocks.blocks))
+        Hamiltonian(ham.register, tuple(np.zeros((2, 2)) for _ in ham.blocks))
 
 
 @pytest.mark.parametrize(
@@ -365,7 +365,7 @@ def test_one_register_is_shared_by_every_operator_and_the_state(make):
     prop = Propagator.from_hamiltonian(ham)
     ev = prop.evolution(0.3)
     prepared = prepare(all_up_state(ham.n_sites), OtocSpec(1, "x", 2, "z"), prop.register)
-    register = ham.blocks.register
+    register = ham.register
     assert prop.register is register
     assert ev.register is register and prepared.register is register
     assert prop.n_sites == ham.n_sites == register.n_sites
@@ -493,7 +493,7 @@ def test_xy_reflection_is_a_sector_involution_that_commutes_with_h(n):
     """The declared reflection maps each basis index to its bit reversal, within its
     sector, squares to the identity, and R H R = H on the Kronecker-chain H."""
     ham = build_xy_chain(n)
-    register, mirror = ham.blocks.register, ham.reflection
+    register, mirror = ham.register, ham.reflection
     rows = np.arange(2**n)
     np.testing.assert_array_equal(mirror[mirror], rows)
     for lo, hi in zip(register.bounds, register.bounds[1:]):
@@ -507,10 +507,10 @@ def test_xy_reflection_is_a_sector_involution_that_commutes_with_h(n):
 
 
 def test_hamiltonian_rejects_a_reflection_that_is_not_a_sector_involution():
-    blocks = build_xy_chain(3).blocks  # sectors of sizes 1, 3, 3, 1
+    ham = build_xy_chain(3)  # sectors of sizes 1, 3, 3, 1
     for bad in ([0, 2, 3, 1, 4, 5, 6, 7], [1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4, 5, 6, 8]):
         with pytest.raises(ValueError, match="involution"):
-            Hamiltonian(blocks, np.array(bad))
+            Hamiltonian(ham.register, ham.blocks, np.array(bad))
 
 
 def test_propagator_rejects_a_reflection_that_does_not_commute_with_h():
@@ -520,4 +520,4 @@ def test_propagator_rejects_a_reflection_that_does_not_commute_with_h():
     mirror = np.arange(16)
     mirror[[1, 2]] = [2, 1]  # sites 1 and 2 of weight 1; the chain is not symmetric under it
     with pytest.raises(ValueError, match="residual"):
-        Propagator.from_hamiltonian(Hamiltonian(ham.blocks, mirror))
+        Propagator.from_hamiltonian(Hamiltonian(ham.register, ham.blocks, mirror))

@@ -49,7 +49,7 @@ def register_of(kind, n_sites, rng):
     if kind == "random":
         return Register(n_sites, rng.permutation(2**n_sites))
     if kind == "sectors" and n_sites >= 2:  # one site has only the identity order
-        return build_xy_chain(n_sites).blocks.register
+        return build_xy_chain(n_sites).register
     return Register(n_sites)
 
 
@@ -115,7 +115,7 @@ def test_index_kernels_match_kronecker_oracle(args, sign, rank, seed, order):
 def test_pauli_into_a_buffer_is_bit_equal_to_the_allocating_form(axis, rng):
     """On the XY chain's row order, every site's kernel writes into `out` exactly
     what it allocates, for a full-rank width and a single column."""
-    register = build_xy_chain(5).blocks.register
+    register = build_xy_chain(5).register
     for width in (1, 2**5):
         psi = rng.standard_normal((2**5, width)) + 1j * rng.standard_normal((2**5, width))
         out = np.empty_like(psi)
