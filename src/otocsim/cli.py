@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config, require
-from .dressing import AdiabaticityError, InteractionCoefficients, LevelScheme, scan_curve
+from .dressing import AdiabaticityError, scan_curve
 from .dynamics import EvolutionTimeError, Propagator, build_xy_chain
 from .hilbert import all_up_state, maximally_mixed_state
 from .protocol import (
@@ -93,12 +93,10 @@ def _build_system(config: RunConfig, command: str):
     """
     system = require(config, "system", command)
     otoc_cfg = require(config, "otoc", command)
-    ham = build_xy_chain(system.n_sites)
-    prop = Propagator.from_hamiltonian(ham)
-    if system.initial_state == "all_up":
-        state = all_up_state(system.n_sites)
-    else:
-        state = maximally_mixed_state(system.n_sites)
+    prop = Propagator.from_hamiltonian(build_xy_chain(system.n_sites))
+    # one builder per kind of config.STATE_RANKS, read at each call (perfbench wraps both names)
+    build = {"all_up": all_up_state, "maximally_mixed": maximally_mixed_state}
+    state = build[system.initial_state](system.n_sites)
     return prepare(state, otoc_cfg.spec, prop.register), prop, otoc_cfg.time_grid()
 
 
@@ -161,9 +159,7 @@ def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str
 
 def run_dressing(config: RunConfig, log) -> tuple[list[dict], list[str], bool]:
     d = require(config, "dressing", "dressing")
-    scheme = LevelScheme(d.omega_laser, d.delta_laser, d.omega_microwave, d.delta_microwave)
-    coeffs = InteractionCoefficients(d.c6, d.c3)
-    grid = (scheme, coeffs, d.r_min, d.r_max, d.n_r)
+    grid = (d.scheme, d.coeffs, d.r_min, d.r_max, d.n_r)
     curve_off = scan_curve(*grid, microwave_on=False)
     curve_on = scan_curve(*grid) if d.microwave else curve_off
     rows = [

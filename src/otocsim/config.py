@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dressing import InteractionCoefficients, LevelScheme, build_two_atom_hamiltonian
+from .dressing import InteractionCoefficients, LevelScheme, check_scan
+from .dynamics import check_chain_sites
 from .hilbert import PAULI_AXES
 from .otoc import OtocSpec
 from .protocol import RotationAngles
@@ -54,20 +55,11 @@ MEMORY_BUDGET_BYTES = 2 * 2**30
 SHOT_BYTES = 9
 ROW_BYTES = 800
 
-# `eigh` of the dressing model's 9 x 9 pair Hamiltonian resolves its
-# eigenvalues only to about eps * max|H|, and the coupling J is read from
-# them against the laser scale max(omega_laser / 2, |delta_laser|), which
-# sets the light shift.  So the largest entry of the pair H at r_min, where
-# every entry is largest, may be at most this many times that scale: J is
-# then resolved to about 2e-8 of it.
-PAIR_DYNAMIC_RANGE = 1e8
-
 # initial_state -> rank of its factor on n_sites qubits
 STATE_RANKS: dict[str, Callable[[int], int]] = {
     "all_up": lambda n_sites: 1,
     "maximally_mixed": lambda n_sites: 2**n_sites,
 }
-INITIAL_STATE_KINDS = tuple(STATE_RANKS)
 
 
 def footprint_bytes(n_sites: int, rank: int) -> int:
@@ -97,17 +89,10 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class OtocConfig:
-    site_i: int
-    axis_a: str
-    site_j: int
-    axis_b: str
+    spec: OtocSpec
     t_start: float
     t_stop: float
     n_times: int
-
-    @property
-    def spec(self) -> OtocSpec:
-        return OtocSpec(self.site_i, self.axis_a, self.site_j, self.axis_b)
 
     def time_grid(self) -> np.ndarray:
         if self.n_times == 1:
@@ -117,12 +102,8 @@ class OtocConfig:
 
 @dataclass(frozen=True)
 class DressingConfig:
-    omega_laser: float
-    delta_laser: float
-    omega_microwave: float
-    delta_microwave: float
-    c6: float
-    c3: float
+    scheme: LevelScheme
+    coeffs: InteractionCoefficients
     r_min: float
     r_max: float
     n_r: int
@@ -179,7 +160,7 @@ def _parse_count(raw: str) -> int:
 _SCHEMA: dict[str, tuple[str | None, Callable[[str], object]]] = {
     "n_sites": ("system", int),
     "hamiltonian": ("system", _parse_choice(HAMILTONIAN_KINDS)),
-    "initial_state": ("system", _parse_choice(INITIAL_STATE_KINDS)),
+    "initial_state": ("system", _parse_choice(tuple(STATE_RANKS))),
     "site_i": ("otoc", int),
     "axis_a": ("otoc", _parse_choice(PAULI_AXES)),
     "site_j": ("otoc", int),
@@ -205,8 +186,24 @@ _SCHEMA: dict[str, tuple[str | None, Callable[[str], object]]] = {
     "microwave": ("dressing", _parse_bool),
 }
 
+
+# the blocks that hold a library value type: the keys of its fields build it
+def _otoc_block(t_start, t_stop, n_times, **spec) -> OtocConfig:
+    return OtocConfig(OtocSpec(**spec), t_start, t_stop, n_times)
+
+
+def _dressing_block(c6, c3, r_min, r_max, n_r, microwave, **drive) -> DressingConfig:
+    scheme, coeffs = LevelScheme(**drive), InteractionCoefficients(c6, c3)
+    check_scan(scheme, coeffs, r_min, r_max, n_r)
+    return DressingConfig(scheme, coeffs, r_min, r_max, n_r, microwave)
+
+
 # keys with spec-stated defaults; everything else must be spelled out
 _OPTIONAL = {"theta1", "theta2", "theta3"}
+
+
+def _required(block: str) -> list[str]:
+    return sorted(k for k, (b, _) in _SCHEMA.items() if b == block and k not in _OPTIONAL)
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
@@ -238,26 +235,23 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     for key, value in values.items():
         blocks.setdefault(_SCHEMA[key][0], {})[key] = value
 
-    def build(block: str, cls):
+    def build(block: str, make: Callable):
         present = blocks.get(block)
         if present is None:
             return None
-        required = {
-            k for k, (b, _) in _SCHEMA.items() if b == block and k not in _OPTIONAL
-        }
-        missing = sorted(required - set(present))
+        missing = [k for k in _required(block) if k not in present]
         if missing:
             raise ConfigError(
                 f"{source}: {block} block is incomplete, missing: {', '.join(missing)}"
             )
-        return _in_block(source, block, cls, **present)
+        return _in_block(source, block, make, **present)
 
     config = RunConfig(
         system=build("system", SystemConfig),
-        otoc=build("otoc", OtocConfig),
+        otoc=build("otoc", _otoc_block),
         sampling=build("sampling", SampleConfig),
         angles=build("angles", RotationAngles),
-        dressing=build("dressing", DressingConfig),
+        dressing=build("dressing", _dressing_block),
     )
     _cross_validate(config, source)
     return config
@@ -283,9 +277,8 @@ def _cross_validate(config: RunConfig, source: str) -> None:
             )
 
     if config.system is not None:
-        if config.system.hamiltonian == "xy_chain" and config.system.n_sites < 2:
-            fail("xy_chain needs n_sites >= 2")
         kind, n_sites = config.system.initial_state, config.system.n_sites
+        _in_block(source, "system", check_chain_sites, n_sites)  # xy_chain is the only H
         cap = MAX_SITES[kind]
         if n_sites > cap:
             rank = STATE_RANKS[kind](cap + 1)
@@ -310,36 +303,14 @@ def _cross_validate(config: RunConfig, source: str) -> None:
             "n_shots", config.sampling.n_shots, SHOT_BYTES, "its uniforms and comparison mask"
         )
     if config.dressing is not None:
-        d = config.dressing
-        drive = (d.omega_laser, d.delta_laser, d.omega_microwave, d.delta_microwave)
-        scheme = _in_block(source, "dressing", LevelScheme, *drive)
-        if not 0 < d.r_min < d.r_max:
-            fail("need 0 < r_min < r_max")
-        # both potentials fall with r, so every entry of the pair Hamiltonian is largest at r_min
-        with np.errstate(all="ignore"):
-            pair = build_two_atom_hamiltonian(scheme, InteractionCoefficients(d.c6, d.c3), d.r_min)
-        keys = "delta_laser, delta_microwave, omega_laser, omega_microwave, c6 and c3"
-        if not np.isfinite(pair).all():
-            fail(f"the pair Hamiltonian of {keys} overflows at r = r_min = {d.r_min}")
-        largest, scale = np.abs(pair).max(), max(d.omega_laser / 2.0, abs(d.delta_laser))
-        if not largest <= PAIR_DYNAMIC_RANGE * scale:
-            fail(
-                f"the pair Hamiltonian of {keys} has an entry of {largest:.3g} at r = r_min = "
-                f"{d.r_min}, above {PAIR_DYNAMIC_RANGE:g} times the laser scale "
-                f"max(omega_laser / 2, |delta_laser|) = {scale:g}, so its eigenvalues "
-                "cannot resolve the coupling"
-            )
-        if d.n_r < 2:
-            fail("n_r must be >= 2")
-        within_budget("n_r", d.n_r, ROW_BYTES, "its output rows")
+        within_budget("n_r", config.dressing.n_r, ROW_BYTES, "its output rows")
 
 
 def require(config: RunConfig, block: str, command: str):
     """Fetch a block, raising a command-specific error when absent."""
     value = getattr(config, block)
     if value is None:
-        keys = sorted(k for k, (b, _) in _SCHEMA.items() if b == block and k not in _OPTIONAL)
         raise ConfigError(
-            f"command {command!r} needs the {block} block (keys: {', '.join(keys)})"
+            f"command {command!r} needs the {block} block (keys: {', '.join(_required(block))})"
         )
     return value

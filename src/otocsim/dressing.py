@@ -44,6 +44,14 @@ MIN_CONNECTED_OVERLAP = 0.5
 # coupling, and is set to exactly 0.
 COUPLING_NOISE_ULPS = 8
 
+# `eigh` of the 9 x 9 pair Hamiltonian resolves its eigenvalues only to
+# about eps * max|H|, and the coupling J is read from them against the
+# laser scale max(omega_laser / 2, |delta_laser|), which sets the light
+# shift.  So the largest entry of the pair H at r_min, where every entry is
+# largest, may be at most this many times that scale: J is then resolved to
+# about 2e-8 of it.
+PAIR_DYNAMIC_RANGE = 1e8
+
 
 class AdiabaticityError(RuntimeError):
     """No eigenstate retains majority overlap with the tracked branch."""
@@ -189,6 +197,29 @@ def _coupling(e_gg: float, e_single: float) -> float:
     return 0.0 if abs(j) <= COUPLING_NOISE_ULPS * np.spacing(abs(2.0 * e_single)) else j
 
 
+def check_scan(
+    scheme: LevelScheme, coeffs: InteractionCoefficients, r_min: float, r_max: float, n_points: int
+) -> None:
+    """ValueError unless `scan_curve` can resolve J on this grid (see PAIR_DYNAMIC_RANGE)."""
+    if not 0 < r_min < r_max:
+        raise ValueError("need 0 < r_min < r_max")
+    if n_points < 2:
+        raise ValueError(f"a scan needs at least 2 grid points, got {n_points}")
+    with np.errstate(all="ignore"):  # a NaN or inf entry makes the largest one NaN or inf
+        largest = np.abs(build_two_atom_hamiltonian(scheme, coeffs, r_min)).max()
+    keys = "delta_laser, delta_microwave, omega_laser, omega_microwave, c6 and c3"
+    if not np.isfinite(largest):
+        raise ValueError(f"the pair Hamiltonian of {keys} overflows at r = r_min = {r_min}")
+    scale = max(scheme.omega_laser / 2.0, abs(scheme.delta_laser))
+    if not largest <= PAIR_DYNAMIC_RANGE * scale:
+        raise ValueError(
+            f"the pair Hamiltonian of {keys} has an entry of {largest:.3g} at r = r_min = "
+            f"{r_min}, above {PAIR_DYNAMIC_RANGE:g} times the laser scale "
+            f"max(omega_laser / 2, |delta_laser|) = {scale:g}, so its eigenvalues "
+            "cannot resolve the coupling"
+        )
+
+
 def scan_curve(
     scheme: LevelScheme,
     coeffs: InteractionCoefficients,
@@ -204,11 +235,8 @@ def scan_curve(
     the previous grid point's eigenvector; plain energy ordering would
     mislabel branches through the avoided crossing.
     """
-    if not 0 < r_min < r_max:
-        raise ValueError("need 0 < r_min < r_max")
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
     effective = scheme if microwave_on else replace(scheme, omega_microwave=0.0)
+    check_scan(effective, coeffs, r_min, r_max, n_points)
     e_single, v_single = dressed_ground(effective)
     distances = np.linspace(r_min, r_max, n_points)
     j_values = np.empty(n_points)

@@ -326,6 +326,12 @@ class Evolution:
         return self.register
 
 
+def check_chain_sites(n_sites: int) -> None:
+    """ValueError unless an XY chain of n_sites sites has a bond to build."""
+    if n_sites < 2:
+        raise ValueError(f"an XY chain needs n_sites >= 2, got {n_sites}")
+
+
 def build_xy_chain(n_sites: int) -> Hamiltonian:
     """Open-boundary chain H = -sum_k (x_k x_(k+1) + y_k y_(k+1)), as its Hamming-weight blocks.
 
@@ -338,8 +344,7 @@ def build_xy_chain(n_sites: int) -> Hamiltonian:
     site N + 1 - k, sends b to its bit reversal, keeps the weight and maps
     the bond terms onto each other; it is declared as `reflection`.
     """
-    if n_sites < 2:
-        raise ValueError("XY chain needs at least 2 sites")
+    check_chain_sites(n_sites)
     basis = np.arange(2**n_sites)
     weight = sum((basis >> s) & 1 for s in range(n_sites))
     sizes = [math.comb(n_sites, w) for w in range(n_sites + 1)]

@@ -7,7 +7,6 @@ import pytest
 from otocsim import cli
 from otocsim.cli import EXIT_CONFIG, EXIT_OK, main
 from otocsim.config import ROW_BYTES, STATE_RANKS, footprint_bytes, parse_config
-from otocsim.dressing import InteractionCoefficients, LevelScheme
 from otocsim.dynamics import Evolution, Propagator
 from otocsim.hilbert import Register
 from otocsim.protocol import build_ladder, im_otoc_via_protocol, outcome_probabilities
@@ -290,6 +289,23 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
             BASE_CONFIG.replace("seed = 42", "seed = -1"),
             "field 'seed': seed -1 outside the unsigned 64-bit range",
         ),
+        (
+            "dressing",
+            DRESSING_CONFIG.replace("r_min = 1.0", "r_min = 7.0").replace(
+                "r_max = 400.0", "r_max = 6.0"
+            ),
+            "dressing block: need 0 < r_min < r_max",
+        ),
+        (
+            "dressing",
+            DRESSING_CONFIG.replace("n_r = 20", "n_r = 1"),
+            "dressing block: a scan needs at least 2 grid points, got 1",
+        ),
+        (
+            "exact",
+            BASE_CONFIG.replace("n_sites = 4", "n_sites = 1"),
+            "system block: an XY chain needs n_sites >= 2, got 1",
+        ),
     ],
     ids=[
         "register_too_large",
@@ -315,6 +331,9 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
         "zero_n_repeats",
         "site_outside_register",
         "negative_seed_in_file",
+        "r_min_above_r_max",
+        "one_grid_point",
+        "one_site_chain",
     ],
 )
 def test_bad_input_fails_closed(tmp_path, capsys, command, text, message):
@@ -451,6 +470,20 @@ def test_points_carry_nothing_through_the_run_owned_slots(command, tmp_path, mon
             assert read_table(one)[2] == [row]
 
 
+@pytest.mark.parametrize("kind", sorted(STATE_RANKS))
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+def test_the_built_state_has_the_rank_the_cap_assumes(kind, n_sites):
+    """Every initial_state kind that the memory cap knows builds a factor of its rank."""
+    text = (
+        BASE_CONFIG.replace("n_sites = 4", f"n_sites = {n_sites}")
+        .replace("initial_state = all_up", f"initial_state = {kind}")
+        .replace("site_i = 2", "site_i = 1")
+        .replace("site_j = 3", "site_j = 2")
+    )
+    prepared, _, _ = cli._build_system(parse_config(text), "exact")
+    assert prepared.psi.shape == (2**n_sites, STATE_RANKS[kind](n_sites))
+
+
 def test_a_warm_full_rank_point_allocates_less_than_one_factor():
     """After the first point of a full-rank N = 8 run, a point's ladder, 16-branch table
     and rotation combination allocate less than one 2^N x 2^N factor: every factor goes
@@ -575,8 +608,7 @@ def test_dressing_scan_runs_once_with_the_microwave_off(tmp_path, monkeypatch):
     assert calls == [{"microwave_on": False}]
     # the rows a second scan would have given: both columns the microwave-off curve
     d = parse_config(DRESSING_CONFIG).dressing
-    scheme = LevelScheme(d.omega_laser, d.delta_laser, d.omega_microwave, d.delta_microwave)
-    curve = scan(scheme, InteractionCoefficients(d.c6, d.c3), d.r_min, d.r_max, d.n_r, False)
+    curve = scan(d.scheme, d.coeffs, d.r_min, d.r_max, d.n_r, False)
     expected = [format(j, ".17g") for j in curve.j_values]
     _, _, rows = read_table(out)
     assert [row["j_off"] for row in rows] == [row["j_on"] for row in rows] == expected

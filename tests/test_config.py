@@ -13,6 +13,8 @@ from otocsim.config import (
     parse_config,
     require,
 )
+from otocsim.dressing import InteractionCoefficients, LevelScheme
+from otocsim.otoc import OtocSpec
 from otocsim.sampling import SampleConfig
 
 FULL = """
@@ -53,8 +55,10 @@ microwave = on
 def test_full_config_round_trip():
     config = parse_config(FULL, source="full.cfg")
     assert config.system.n_sites == 4
-    assert config.otoc.axis_b == "x"
+    assert config.otoc.spec == OtocSpec(2, "x", 3, "x")
     assert config.sampling.seed == 42
+    assert config.dressing.scheme == LevelScheme(2.0, 4.0, 30.0, 18.3857)
+    assert config.dressing.coeffs == InteractionCoefficients(3.0e4, -3.0e2)
     assert config.dressing.microwave is True
     grid = config.otoc.time_grid()
     assert len(grid) == 31

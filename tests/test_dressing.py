@@ -48,6 +48,21 @@ def test_pair_hamiltonian_rejects_bad_distance():
         build_two_atom_hamiltonian(LevelScheme(1.0, 4.0), COEFFS, 0.0)
 
 
+@pytest.mark.parametrize(
+    "c3, r_min, message",
+    [
+        # an exchange of 1e308 at r_min, so far above the laser scale that J is unresolved
+        (1e308, 1.0, r"laser scale max\(omega_laser / 2, \|delta_laser\|\)"),
+        # c6 / r^6 overflows at r_min, with no divide-by-zero warning first
+        (-3.0e2, 1e-60, "overflows at r = r_min = 1e-60"),
+    ],
+)
+def test_scan_rejects_a_pair_hamiltonian_it_cannot_resolve(c3, r_min, message):
+    scheme, coeffs = LevelScheme(2.0, 4.0, 30.0, 18.386), InteractionCoefficients(3.0e4, c3)
+    with pytest.raises(ValueError, match=message):
+        scan_curve(scheme, coeffs, r_min, 6.0, 5)
+
+
 def test_rabi_frequencies_nonnegative():
     with pytest.raises(ValueError):
         LevelScheme(-1.0, 4.0)

@@ -1,4 +1,4 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written and its config example parses."""
 
 import os
 import re
@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import otocsim
+from otocsim.config import parse_config
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -21,3 +22,10 @@ def test_readme_library_example_runs():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_config_example_parses_into_every_block():
+    text = re.search(r"```ini\n(.*?)```", README.read_text(), re.DOTALL).group(1)
+    config = parse_config(text, source="README.md")
+    for block in ("system", "otoc", "sampling", "angles", "dressing"):
+        assert getattr(config, block) is not None, block
