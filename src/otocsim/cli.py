@@ -86,7 +86,7 @@ def _write_csv(path, command, config_hash, seed, columns, rows):
 
 
 def _build_system(config: RunConfig, command: str):
-    """The run's prepared state, its propagator and its time grid.
+    """The run's prepared state, which holds its propagator, and its time grid.
 
     Only the prepared state keeps the state factor, in the propagator's
     register order; the computational-order factor is dropped here.
@@ -97,7 +97,7 @@ def _build_system(config: RunConfig, command: str):
     # one builder per kind of config.STATE_RANKS, read at each call (perfbench wraps both names)
     build = {"all_up": all_up_state, "maximally_mixed": maximally_mixed_state}
     state = build[system.initial_state](system.n_sites)
-    return prepare(state, otoc_cfg.spec, prop.register), prop, otoc_cfg.time_grid()
+    return prepare(state, otoc_cfg.spec, prop), otoc_cfg.time_grid()
 
 
 def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str], bool]:
@@ -109,15 +109,14 @@ def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str
     it, `exact` the two identity residuals against the direct C(t),
     `sample` and `im` the finite-shot draws of the point's substream.
     """
-    prepared, prop, grid = _build_system(config, command)
+    prepared, grid = _build_system(config, command)
     sampling = None if command == "exact" else require(config, "sampling", command)
     angles = config.angles or RotationAngles()
     rows = []
     pruned = clamped = 0
     for index, t in enumerate(grid):
         t = float(t)
-        ev = prop.evolution(t)
-        ladder = build_ladder(prepared, ev)
+        ladder = build_ladder(prepared, t)
         direct = ladder.direct
         row = {"t": t, "re_exact": direct.real, "im_exact": direct.imag}
         if command != "im":
@@ -146,9 +145,10 @@ def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str
         return rows, list(RESULT_COLUMNS), True
     worst_re = max(row["re_identity_residual"] for row in rows)
     worst_im = max(row["im_identity_residual"] for row in rows)
+    prop = prepared.propagator
     log(f"identity cross-check: max |2corr-1 - Re C| = {worst_re:.3e}, "
         f"max rotation residual = {worst_im:.3e}; eigendecomposition in "
-        f"{len(prop.block_sizes)} blocks (largest {max(prop.block_sizes)}), "
+        f"{len(prop.register.sizes)} blocks (largest {max(prop.register.sizes)}), "
         f"{len(prop.eigh_sizes)} parity blocks (largest {max(prop.eigh_sizes)}): "
         f"residual {prop.reconstruction_residual:.3e}, "
         f"unitarity defect {prop.unitarity_defect:.3e}; {counts}")

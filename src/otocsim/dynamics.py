@@ -9,13 +9,14 @@ block in computational order.  Evolution is exact via a cached Hermitian
 eigendecomposition per block, in the block's own dtype; a block with a
 declared reflection is diagonalized as its even and odd parts.
 `Propagator.evolution(t)` gives the `Evolution` of one time point: the
-phases e^(-iwt) of every block, the only form in which the evaluators of
-that point receive the dynamics.  It applies U(t) and U(t)^dagger to a
+phases e^(-iwt) of every block.  It applies U(t) and U(t)^dagger to a
 factor of any width in the eigenbasis, as V (phase * V^dagger psi); no
-block of U(t) is formed.  H and its eigenbasis, and so U(t) and
-U(t)^dagger, carry the same `hilbert.Register`, the row order and sector
-bounds of H, and act on factors whose rows are in that order, where each
-block is a contiguous slice of rows.
+block of U(t) is formed.  The evaluators of a time point take the run's
+`protocol.PreparedState`, which holds the propagator, and the time t,
+and each makes the point's `Evolution` itself.  H and its eigenbasis,
+and so U(t) and U(t)^dagger, carry the same `hilbert.Register`, the row
+order and sector bounds of H, and act on factors whose rows are in that
+order, where each block is a contiguous slice of rows.
 """
 
 from __future__ import annotations
@@ -221,10 +222,6 @@ class Propagator:
     def n_sites(self) -> int:
         return self.register.n_sites
 
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        return self.register.sizes
-
     def evolution(self, t: float) -> "Evolution":
         """U(t) and its adjoint for every evaluator of time point t.
 
@@ -290,7 +287,9 @@ class Evolution:
         writes the same rows of the result; so the result may go into psi
         itself.  It goes into `out`, a complex C-contiguous array shaped
         like psi, when that is given.  Either buffer not given is allocated.
+        A psi without one row per basis index raises ValueError.
         """
+        self.register.check_rows(psi)
         # (2^N, r), C-contiguous, so that its row slices view as (re, im) float pairs
         columns = np.ascontiguousarray(psi, dtype=complex).reshape(len(psi), -1)
         if out is None:
@@ -314,16 +313,6 @@ class Evolution:
                 coeffs *= phase
                 np.matmul(v, coeffs, out=result[lo:hi])
         return out
-
-    def check(self, register: Register) -> Register:
-        """This evolution's register, after checking that factors in `register` order fit it."""
-        if register.n_sites != self.register.n_sites:
-            raise ValueError("dimension mismatch between state and propagator")
-        if register is not self.register and not np.array_equal(
-            register.order, self.register.order
-        ):
-            raise ValueError("state and propagator hold their rows in different orders")
-        return self.register
 
 
 def check_chain_sites(n_sites: int) -> None:
@@ -401,7 +390,5 @@ def evolve(state: DensityOperator, ev: Evolution) -> DensityOperator:
     the result is in computational order, like every `DensityOperator`.
     """
     register = ev.register
-    if state.n_sites != register.n_sites:
-        raise ValueError("dimension mismatch between state and propagator")
     psi = register.from_computational(state.factor)
     return DensityOperator.from_factor(state.n_sites, register.to_computational(ev.forward(psi)))

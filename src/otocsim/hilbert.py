@@ -30,7 +30,8 @@ ATOL_SPECTRUM = 1e-10  # spectral quantities (eigenvalues, reconstructions, prob
 PAULI_AXES = ("x", "y", "z")
 
 
-def _check_axis(axis: str) -> None:
+def check_axis(axis: str) -> None:
+    """ValueError unless axis names a Pauli axis."""
     if axis not in PAULI_AXES:
         raise ValueError(f"unknown Pauli axis {axis!r}, expected one of {PAULI_AXES}")
 
@@ -67,7 +68,8 @@ class Register:
     row of b ^ m; sigma^y adds the phase -i (bit of b clear) or +i (set),
     and sigma^z is the row sign +1 (clear) or -1 (set).  Each kernel is one
     row gather and one row phase, read from a table built on the first use
-    of its (site, axis) and kept for the register's lifetime.
+    of its (site, axis) and kept for the register's lifetime.  Every map on
+    factors, here and in `dynamics.Evolution`, checks them with `check_rows`.
     """
 
     __slots__ = ("n_sites", "order", "bounds", "_tables")
@@ -98,12 +100,17 @@ class Register:
         """The basis indices of sector k, in row order."""
         return self.order[self.bounds[k] : self.bounds[k + 1]]
 
-    def _kernel(self, psi: np.ndarray, site: int, axis: str):
-        """(row gather or None, row phase or None) of sigma_site^axis, for psi's rows."""
+    def check_rows(self, psi: np.ndarray) -> None:
+        """ValueError unless psi has one row per basis index of the register."""
+        if psi.shape[0] != len(self.order):
+            raise ValueError(f"factor has {psi.shape[0]} rows, expected {len(self.order)}")
+
+    def _kernel(self, site: int, axis: str):
+        """(row gather or None, row phase or None) of sigma_site^axis."""
         table = self._tables.get((site, axis))
         if table is None:
             check_site(site, self.n_sites)
-            _check_axis(axis)
+            check_axis(axis)
             mask = 1 << (site - 1)
             sign = np.where(self.order & mask, -1.0, 1.0)
             if axis == "z":
@@ -113,16 +120,16 @@ class Register:
                 position[self.order] = np.arange(len(self.order))
                 table = (position[self.order ^ mask], None if axis == "x" else -1j * sign)
             self._tables[site, axis] = table
-        if psi.shape[0] != len(self.order):
-            raise ValueError(f"operand has {psi.shape[0]} rows, expected {len(self.order)}")
         return table
 
     def from_computational(self, psi: np.ndarray) -> np.ndarray:
         """A computational-order factor with its rows put in register order."""
+        self.check_rows(psi)
         return psi[self.order]
 
     def to_computational(self, psi: np.ndarray) -> np.ndarray:
         """A register-order factor with its rows put back in computational order."""
+        self.check_rows(psi)
         out = np.empty_like(psi)
         out[self.order] = psi
         return out
@@ -135,7 +142,8 @@ class Register:
         The result is written into `out` when given: an array shaped like
         psi, of the result's dtype, that does not overlap psi.
         """
-        gather, phase = self._kernel(psi, site, axis)
+        gather, phase = self._kernel(site, axis)
+        self.check_rows(psi)
         if gather is None:
             return np.multiply(_row_weights(phase, psi), psi, out=out)
         # "clip" (the indices are in range anyway) lets take write straight

@@ -6,7 +6,8 @@ The CLI reads C(t) off the time point's ladder instead (`Ladder.direct`):
 C(t) = <V W(t) Psi|W(t) V Psi> is one entry of its Gram matrices, formed
 from the same chain with the same operations, so it is the same value
 bit for bit.  `otoc_direct` stays the standalone evaluator that `verify`
-and the tests check against.
+and the tests check against.  Like the ladder, both evaluators take the
+prepared state and a time t, and make U(t) from the propagator it holds.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import Evolution
-from .hilbert import ATOL_SPECTRUM, PAULI_AXES, check_site
+from .hilbert import ATOL_SPECTRUM, check_axis, check_site
 
 if TYPE_CHECKING:  # protocol imports OtocSpec from here
     from .protocol import PreparedState
@@ -37,8 +37,8 @@ class OtocSpec:
     axis_b: str
 
     def __post_init__(self):
-        if self.axis_a not in PAULI_AXES or self.axis_b not in PAULI_AXES:
-            raise ValueError(f"axes must be in {PAULI_AXES}")
+        check_axis(self.axis_a)
+        check_axis(self.axis_b)
 
     def validate_for(self, n_sites: int) -> None:
         """IndexError, naming site_i or site_j, when a site is outside an n_sites register."""
@@ -50,10 +50,10 @@ class OtocSpec:
                 raise IndexError(f"{name}={site}: {exc}") from None
 
 
-def _operands(prepared: PreparedState, ev: Evolution):
+def _operands(prepared: PreparedState, t: float):
     """W(t) = U(t)^dagger W U(t) and V as maps on factors in the register order."""
-    register = ev.check(prepared.register)
-    spec = prepared.spec
+    ev = prepared.propagator.evolution(t)
+    register, spec = ev.register, prepared.spec
 
     def w_t(psi: np.ndarray) -> np.ndarray:
         return ev.backward(register.pauli(ev.forward(psi), spec.site_i, spec.axis_a))
@@ -72,20 +72,20 @@ def checked_otoc(value) -> complex:
     return value
 
 
-def otoc_direct(prepared: PreparedState, ev: Evolution) -> complex:
+def otoc_direct(prepared: PreparedState, t: float) -> complex:
     """Exact complex C(t) = Tr[rho sigma_i^a(t) sigma_j^b sigma_i^a(t) sigma_j^b].
 
     Evaluated as <V W(t) Psi|W(t) V Psi>, traced over the columns of the
     prepared factor Psi: four applications of U(t) or U(t)^dagger.
     """
-    w_t, v = _operands(prepared, ev)
+    w_t, v = _operands(prepared, t)
     psi = prepared.psi
     return checked_otoc(np.vdot(v(w_t(psi)), w_t(v(psi))))
 
 
-def commutator_norm(prepared: PreparedState, ev: Evolution) -> float:
+def commutator_norm(prepared: PreparedState, t: float) -> float:
     """<|[W(t), V]|^2> = ||[W(t), V] Psi||_F^2, nonnegative by construction."""
-    w_t, v = _operands(prepared, ev)
+    w_t, v = _operands(prepared, t)
     psi = prepared.psi
     comm_psi = w_t(v(psi)) - v(w_t(psi))
     return float(np.vdot(comm_psi, comm_psi).real)

@@ -9,15 +9,16 @@ Rotation branch: three single-site rotations interleaved with the same
 evolution pattern, followed by one expectation value of sigma_i^a;
 a four-angle-set combination reconstructs Im C(t).
 
-A run prepares its state once (`prepare`: Psi in the register order of
-the propagator, and the three factor slots and the scratch that every
-time point reuses).  Each time point then builds one `Ladder` from six
-applications of U(t) or U(t)^dagger, written into those slots: since
-U^dagger U = I and sigma^2 = I, every state of either protocol is a
-combination of six vectors built from four evolved factors, and the
-ladder keeps only their Gram matrices, one entry of which is the direct
-C(t).  The 16-branch table and every angle set read from it; no state is
-collapsed or re-evolved.
+A run prepares its state once on its propagator (`prepare`: Psi in the
+propagator's register order, and the three factor slots and the scratch
+that every time point reuses).  Each time point t then builds one
+`Ladder`, `build_ladder(prepared, t)`, from six applications of U(t) or
+U(t)^dagger, written into those slots: since U^dagger U = I and
+sigma^2 = I, every state of either protocol is a combination of six
+vectors built from four evolved factors, and the ladder keeps only
+their Gram matrices, one entry of which is the direct C(t).  The
+16-branch table and every angle set read from it; no state is collapsed
+or re-evolved.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Evolution
-from .hilbert import ATOL_ALGEBRA, ATOL_SPECTRUM, DensityOperator, Register
+from .dynamics import Propagator
+from .hilbert import ATOL_ALGEBRA, ATOL_SPECTRUM, DensityOperator
 from .otoc import OtocSpec, checked_otoc
 
 # Fixed enumeration order of the 16 outcome sequences (o1, o2, o3, o4),
@@ -129,33 +130,32 @@ class ProbabilityTable:
 
 @dataclass(frozen=True, eq=False)
 class PreparedState:
-    """What every evaluator of a run shares: the state and correlator, Psi in register order.
+    """What every evaluator of a run shares: the dynamics, the correlator and the state.
 
-    `psi` is the state factor with its rows in `register` order, the row
-    order of the propagator's evolutions.  `slots` are three complex
-    arrays shaped like psi and `scratch` one of the largest sector's rows
-    by psi's width: the run's work buffers, which every `build_ladder`
-    overwrites, so that a time point allocates no factor.  Build it with
-    `prepare`.
+    `psi` is the state factor in the register order of `propagator`, whose
+    `evolution(t)` gives each point's U(t): state and dynamics cannot come
+    apart.  `slots` are three complex arrays shaped like psi and `scratch`
+    one of the largest sector's rows by psi's width: the run's work
+    buffers, which every `build_ladder` overwrites, so that a time point
+    allocates no factor.  Build it with `prepare`.
     """
 
-    register: Register
+    propagator: Propagator
     spec: OtocSpec
     psi: np.ndarray
     slots: tuple[np.ndarray, np.ndarray, np.ndarray]
     scratch: np.ndarray
 
 
-def prepare(state: DensityOperator, spec: OtocSpec, register: Register) -> PreparedState:
-    """The state and correlator of a run, checked against the register, Psi in its order."""
-    if state.n_sites != register.n_sites:
-        raise ValueError("dimension mismatch between state and propagator")
-    spec.validate_for(register.n_sites)
+def prepare(state: DensityOperator, spec: OtocSpec, propagator: Propagator) -> PreparedState:
+    """A run of `propagator` on `state`, Psi in its register order, the spec checked against it."""
+    register = propagator.register
     psi = register.from_computational(state.factor)
+    spec.validate_for(register.n_sites)
     psi.flags.writeable = False  # shared by every time point of the run
     slots = tuple(np.empty_like(psi) for _ in range(3))
     scratch = np.empty((max(register.sizes), psi.shape[1]), dtype=complex)
-    return PreparedState(register, spec, psi, slots, scratch)
+    return PreparedState(propagator, spec, psi, slots, scratch)
 
 
 # The unnormalised state U Pi_j^o3 U^dagger Pi_i^o2 U Pi_j^o1 Psi that the last
@@ -192,8 +192,8 @@ class Ladder:
     direct: complex
 
 
-def build_ladder(prepared: PreparedState, ev: Evolution) -> Ladder:
-    """The ladder of time point `ev`, from six applications of U(t) or U(t)^dagger.
+def build_ladder(prepared: PreparedState, t: float) -> Ladder:
+    """The ladder of time point t, from six applications of U(t) or U(t)^dagger.
 
     K = (X0, X1, Z0, Z1) gives P_ab = <K_a|K_b> and Q_ab = <K_a|sigma_i K_b>.
     As sigma_i is Hermitian and squares to I, G0 takes P where both basis
@@ -210,7 +210,8 @@ def build_ladder(prepared: PreparedState, ev: Evolution) -> Ladder:
     factor is written into the three slots of `prepared`, so at most three
     live beside Psi and the point allocates none.
     """
-    register = ev.check(prepared.register)
+    ev = prepared.propagator.evolution(t)
+    register = ev.register
     spec, psi, scratch = prepared.spec, prepared.psi, prepared.scratch
     a, b, c = prepared.slots
 

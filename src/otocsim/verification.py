@@ -74,8 +74,8 @@ def _instances(n_instances: int, sizes: tuple[int, ...], seed: int):
         ham = random_hamiltonian(n_sites, rng)
         prop = Propagator.from_hamiltonian(ham)
         state = random_density(n_sites, rng)
-        prepared = prepare(state, random_spec(n_sites, rng, axes), prop.register)
-        yield rng, prepared, prop.evolution(float(rng.uniform(0.0, 5.0)))
+        prepared = prepare(state, random_spec(n_sites, rng, axes), prop)
+        yield rng, prepared, float(rng.uniform(0.0, 5.0))
 
 
 def check_re_identity(
@@ -83,9 +83,9 @@ def check_re_identity(
 ) -> CheckResult:
     """2*corr - 1 against Re C on random instances."""
     worst = 0.0
-    for _, prepared, ev in _instances(n_instances, sizes, seed):
-        reconstructed = re_otoc_via_protocol(build_ladder(prepared, ev))
-        direct = otoc_direct(prepared, ev).real
+    for _, prepared, t in _instances(n_instances, sizes, seed):
+        reconstructed = re_otoc_via_protocol(build_ladder(prepared, t))
+        direct = otoc_direct(prepared, t).real
         worst = max(worst, abs(reconstructed - direct))
     return CheckResult("re_identity", worst, IDENTITY_TOLERANCE)
 
@@ -95,10 +95,10 @@ def check_im_identity(
 ) -> CheckResult:
     """Four-angle-set combination against Im C on random instances."""
     worst = 0.0
-    for rng, prepared, ev in _instances(n_instances, sizes, seed):
+    for rng, prepared, t in _instances(n_instances, sizes, seed):
         angles = random_nondegenerate_angles(rng)
-        reconstructed = im_otoc_via_protocol(build_ladder(prepared, ev), angles)
-        direct = otoc_direct(prepared, ev).imag
+        reconstructed = im_otoc_via_protocol(build_ladder(prepared, t), angles)
+        direct = otoc_direct(prepared, t).imag
         worst = max(worst, abs(reconstructed - direct))
     return CheckResult("im_identity", worst, IDENTITY_TOLERANCE)
 
@@ -108,9 +108,9 @@ def check_commutator_relation(
 ) -> CheckResult:
     """Re C = 1 - <|[W(t),V]|^2>/2 on random instances."""
     worst = 0.0
-    for _, prepared, ev in _instances(n_instances, sizes, seed):
-        direct = otoc_direct(prepared, ev).real
-        via_commutator = 1.0 - commutator_norm(prepared, ev) / 2.0
+    for _, prepared, t in _instances(n_instances, sizes, seed):
+        direct = otoc_direct(prepared, t).real
+        via_commutator = 1.0 - commutator_norm(prepared, t) / 2.0
         worst = max(worst, abs(direct - via_commutator))
     return CheckResult("commutator_relation", worst, IDENTITY_TOLERANCE)
 

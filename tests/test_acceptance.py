@@ -95,15 +95,15 @@ def test_criterion_4_quasilocality_ordering():
         state = all_up_state(n)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                prepared = prepare(state, OtocSpec(i, "x", j, "x"), prop.register)
-                initial = otoc_direct(prepared, prop.evolution(0.0))
+                prepared = prepare(state, OtocSpec(i, "x", j, "x"), prop)
+                initial = otoc_direct(prepared, 0.0)
                 ok = ok and abs(initial - 1.0) < 1e-10
         departures = {}
         pending = set(range(2, n + 1))
-        from_site_1 = {j: prepare(state, OtocSpec(1, "x", j, "x"), prop.register) for j in pending}
+        from_site_1 = {j: prepare(state, OtocSpec(1, "x", j, "x"), prop) for j in pending}
         for t in np.arange(0.0, 3.0001, 0.02):
             for j in sorted(pending):
-                value = otoc_direct(from_site_1[j], prop.evolution(float(t))).real
+                value = otoc_direct(from_site_1[j], float(t)).real
                 if abs(1.0 - value) > 0.05:
                     departures[j] = float(t)
                     pending.discard(j)
@@ -123,11 +123,11 @@ def test_criterion_5_sampled_estimator_coverage(xy4, up4, spec_xx):
     """10^4-shot estimates lie within 4 stderr of the exact curve at
     >= 99% of (time point, seed) pairs over 100 seeds."""
     grid = np.linspace(0.0, 3.0, 31)
-    prepared = prepare(up4, spec_xx, xy4.register)
+    prepared = prepare(up4, spec_xx, xy4)
     hits = total = 0
     for index, t in enumerate(grid):
-        exact = otoc_direct(prepared, xy4.evolution(float(t))).real
-        table = outcome_probabilities(build_ladder(prepared, xy4.evolution(float(t))))
+        exact = otoc_direct(prepared, float(t)).real
+        table = outcome_probabilities(build_ladder(prepared, float(t)))
         for seed in range(100):
             est = estimate_re_otoc(
                 sample_sequences(table, SampleConfig(10_000, seed=1_000 * index + seed))
@@ -161,13 +161,13 @@ def test_criterion_6_error_band_scaling(xy4, up4, spec_xx):
         )
 
     grid = np.linspace(0.0, 3.0, 31)
-    prepared = prepare(up4, spec_xx, xy4.register)
+    prepared = prepare(up4, spec_xx, xy4)
     bands_small, bands_large, exact = [], [], []
     for index, t in enumerate(grid):
-        table = outcome_probabilities(build_ladder(prepared, xy4.evolution(float(t))))
+        table = outcome_probabilities(build_ladder(prepared, float(t)))
         bands_small.append(band(table, 100, seed=1000 + index))
         bands_large.append(band(table, 1000, seed=5000 + index))
-        exact.append(otoc_direct(prepared, xy4.evolution(float(t))).real)
+        exact.append(otoc_direct(prepared, float(t)).real)
     bands_small, bands_large, exact = map(np.asarray, (bands_small, bands_large, exact))
     ratio = bands_small.mean() / bands_large.mean()
     ratio_ok = math.sqrt(10) * 0.75 <= ratio <= math.sqrt(10) * 1.25

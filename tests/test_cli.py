@@ -449,10 +449,10 @@ def test_points_carry_nothing_through_the_run_owned_slots(command, tmp_path, mon
     for row, ladder in zip(rows, ladders):
         t = float(row["t"])
         one_point = replace(config, otoc=replace(config.otoc, t_start=t, t_stop=t, n_times=1))
-        prepared, prop, _ = cli._build_system(one_point, command)
+        prepared, _ = cli._build_system(one_point, command)
         for buffer in (*prepared.slots, prepared.scratch):
             buffer.fill(np.nan)
-        fresh = build(prepared, prop.evolution(t))
+        fresh = build(prepared, t)
         assert fresh.grams.tobytes() == ladder.grams.tobytes()
         assert fresh.direct == ladder.direct
     if command == "exact":
@@ -480,7 +480,7 @@ def test_the_built_state_has_the_rank_the_cap_assumes(kind, n_sites):
         .replace("site_i = 2", "site_i = 1")
         .replace("site_j = 3", "site_j = 2")
     )
-    prepared, _, _ = cli._build_system(parse_config(text), "exact")
+    prepared, _ = cli._build_system(parse_config(text), "exact")
     assert prepared.psi.shape == (2**n_sites, STATE_RANKS[kind](n_sites))
 
 
@@ -488,12 +488,12 @@ def test_a_warm_full_rank_point_allocates_less_than_one_factor():
     """After the first point of a full-rank N = 8 run, a point's ladder, 16-branch table
     and rotation combination allocate less than one 2^N x 2^N factor: every factor goes
     into the run's slots."""
-    prepared, prop, grid = cli._build_system(parse_config(mixed_yz_config(8, 31)), "exact")
-    build_ladder(prepared, prop.evolution(float(grid[0])))
+    prepared, grid = cli._build_system(parse_config(mixed_yz_config(8, 31)), "exact")
+    build_ladder(prepared, float(grid[0]))
     tracemalloc.start()
     try:
         for t in grid[1:4]:
-            ladder = build_ladder(prepared, prop.evolution(float(t)))
+            ladder = build_ladder(prepared, float(t))
             outcome_probabilities(ladder)
             im_otoc_via_protocol(ladder)
         _, peak = tracemalloc.get_traced_memory()

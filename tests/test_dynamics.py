@@ -10,7 +10,6 @@ from scipy.linalg import expm
 
 import oracles
 from otocsim.dynamics import (
-    Evolution,
     Hamiltonian,
     Propagator,
     build_custom,
@@ -18,7 +17,7 @@ from otocsim.dynamics import (
     evolve,
 )
 from otocsim.hilbert import DensityOperator, Register, all_up_state, maximally_mixed_state
-from otocsim.otoc import OtocSpec, commutator_norm, otoc_direct
+from otocsim.otoc import OtocSpec, otoc_direct
 from otocsim.protocol import OUTCOME_SEQUENCES, ProbabilityTable, build_ladder, prepare
 
 # Expanding -(x1 x2 + y1 y2) by hand on the 4-dim basis leaves only the
@@ -164,32 +163,24 @@ def test_heisenberg_preserves_pauli_spectrum(xy4):
     assert abs(np.linalg.norm(op, ord=2) - 1.0) < 1e-12
 
 
-def test_dimension_mismatch_raises(xy4, spec_xx):
-    up3, ev = all_up_state(3), xy4.evolution(1.0)
-    prepared3 = prepare(up3, spec_xx, Propagator.from_hamiltonian(build_xy_chain(3)).register)
+def test_a_factor_without_a_row_per_basis_index_is_rejected_by_its_register(xy4, spec_xx):
+    """One register check, with one message, guards every map on factors: a factor
+    of 2^N + 1 rows, and a 3-site state on a 4-site propagator."""
+    ev, register = xy4.evolution(1.0), xy4.register
+    extra_row = np.ones((17, 2), dtype=complex)
     for apply in (
-        lambda: evolve(up3, ev),
-        lambda: prepare(up3, spec_xx, xy4.register),
-        lambda: otoc_direct(prepared3, ev),
-        lambda: commutator_norm(prepared3, ev),
-        lambda: build_ladder(prepared3, ev),
+        lambda: ev.forward(extra_row),
+        lambda: ev.backward(extra_row),
+        lambda: register.from_computational(extra_row),
+        lambda: register.to_computational(extra_row),
+        lambda: register.pauli(extra_row, 1, "x"),
     ):
-        with pytest.raises(ValueError, match="dimension mismatch between state and propagator"):
+        with pytest.raises(ValueError, match="^factor has 17 rows, expected 16$"):
             apply()
-
-
-def test_evaluators_reject_a_state_in_another_row_order(xy4, up4, spec_xx):
-    """A state prepared in the computational order does not fit the sector-order U(t)."""
-    ev = xy4.evolution(1.0)
-    computational = prepare(up4, spec_xx, Register(4))
-    for apply in (
-        lambda: otoc_direct(computational, ev),
-        lambda: build_ladder(computational, ev),
-    ):
-        with pytest.raises(ValueError, match="different orders"):
+    up3 = all_up_state(3)
+    for apply in (lambda: prepare(up3, spec_xx, xy4), lambda: evolve(up3, ev)):
+        with pytest.raises(ValueError, match="^factor has 8 rows, expected 16$"):
             apply()
-    same_order = prepare(up4, spec_xx, Register(4, xy4.register.order))
-    assert otoc_direct(same_order, ev) == otoc_direct(prepare(up4, spec_xx, xy4.register), ev)
 
 
 def test_evolution_time_must_be_finite(xy4, up4):
@@ -199,14 +190,14 @@ def test_evolution_time_must_be_finite(xy4, up4):
         evolve(up4, xy4.evolution(np.nan))
 
 
-def test_evolution_is_shared_and_checked(xy4, up4, spec_xx):
+def test_evolution_is_shared_and_checked(xy4):
     evolution = xy4.evolution(0.5)
     eye = np.eye(16)
     u = expm(-0.5j * oracles.xy_chain(4))
     np.testing.assert_allclose(dense(xy4.register, evolution.forward), u, atol=1e-12)
     np.testing.assert_allclose(dense(xy4.register, evolution.backward), u.conj().T, atol=1e-12)
-    prepared = prepare(up4, spec_xx, xy4.register)
-    assert otoc_direct(prepared, evolution) == otoc_direct(prepared, xy4.evolution(0.5))
+    # every evaluator of a point makes its own evolution, each with the same phases
+    assert all(map(np.array_equal, evolution.phases, xy4.evolution(0.5).phases))
 
 
 def with_corner(matrix, value):
@@ -223,11 +214,10 @@ def propagator_of_edited_hamiltonian(bad):
 
 
 def nonfinite_point(bad, state=all_up_state):
-    """A prepared state and an Evolution whose every eigenvector entry is bad."""
+    """A state prepared on a propagator whose every eigenvector entry is bad, and a time."""
     prop = Propagator.from_hamiltonian(build_xy_chain(2))
     broken = replace(prop, eigenvectors=tuple(np.full_like(v, bad) for v in prop.eigenvectors))
-    prepared = prepare(state(2), OtocSpec(1, "x", 2, "x"), prop.register)
-    return prepared, Evolution(broken, prop.evolution(0.5).phases)
+    return prepare(state(2), OtocSpec(1, "x", 2, "x"), broken), 0.5
 
 
 # the hand-built inf eigenvectors make the evaluators' own products warn on the way
@@ -299,7 +289,7 @@ def test_xy_chain_matches_kronecker_oracle(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_xy_sectors_are_hamming_weight_classes(n):
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
-    assert prop.block_sizes == tuple(math.comb(n, k) for k in range(n + 1))
+    assert prop.register.sizes == tuple(math.comb(n, k) for k in range(n + 1))
     for k in range(n + 1):
         rows = prop.register.sector(k)
         assert {bin(int(b)).count("1") for b in rows} == {k}
@@ -318,7 +308,7 @@ def test_xy_propagator_is_real_and_never_dense(n, monkeypatch):
     monkeypatch.setattr(Hamiltonian, "from_matrix", from_dense)
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
     assert all(v.dtype == np.float64 for v in prop.eigenvectors)
-    assert prop.block_sizes == tuple(math.comb(n, k) for k in range(n + 1))
+    assert prop.register.sizes == tuple(math.comb(n, k) for k in range(n + 1))
 
 
 def test_dense_hamiltonian_is_one_block_in_computational_order():
@@ -364,10 +354,10 @@ def test_one_register_is_shared_by_every_operator_and_the_state(make):
     ham = make()
     prop = Propagator.from_hamiltonian(ham)
     ev = prop.evolution(0.3)
-    prepared = prepare(all_up_state(ham.n_sites), OtocSpec(1, "x", 2, "z"), prop.register)
+    prepared = prepare(all_up_state(ham.n_sites), OtocSpec(1, "x", 2, "z"), prop)
     register = ham.register
-    assert prop.register is register
-    assert ev.register is register and prepared.register is register
+    assert prop.register is register and prepared.propagator is prop
+    assert ev.register is register
     assert prop.n_sites == ham.n_sites == register.n_sites
 
 
@@ -404,7 +394,7 @@ def test_blocked_evolution_matches_expm_oracle(kind, n, rank, seed, t):
     rng = np.random.default_rng(seed)
     ham, oracle, sizes = _hamiltonian_case(kind, n, rng)
     prop = Propagator.from_hamiltonian(ham)
-    assert prop.block_sizes == sizes
+    assert prop.register.sizes == sizes
     u = expm(-1j * oracle * t)
     assert np.max(np.abs(dense_unitary(prop, t) - u)) < 1e-10
     assert np.max(np.abs(reconstruction(prop) - oracle)) < 1e-10
@@ -427,7 +417,7 @@ def test_evolution_matches_expm_on_both_sides_of_the_width_choice(kind, n):
     rng = np.random.default_rng(n)
     ham, oracle, _ = _hamiltonian_case(kind, n, rng)
     prop = Propagator.from_hamiltonian(ham)
-    register, largest = prop.register, max(prop.block_sizes)
+    register, largest = prop.register, max(prop.register.sizes)
     t = 0.9
     u = expm(-1j * oracle * t)
     ev = prop.evolution(t)
@@ -455,7 +445,7 @@ def test_evolution_into_buffers_is_bit_equal_to_the_allocating_form(kind, adjoin
     for width in (1, 5, 2**6):
         psi = rng.standard_normal((2**6, width)) + 1j * rng.standard_normal((2**6, width))
         expected = ev.apply(psi, adjoint).tobytes()
-        for scratch in (None, np.empty((max(prop.block_sizes), width), dtype=complex)):
+        for scratch in (None, np.empty((max(prop.register.sizes), width), dtype=complex)):
             out = np.empty_like(psi)
             assert ev.apply(psi, adjoint, out, scratch) is out
             in_place = psi.copy()
@@ -485,7 +475,7 @@ def test_evolution_forms_no_u_blocks():
     finally:
         tracemalloc.stop()
     assert narrow < u_bytes / 20
-    assert wide < 16 * 2**10 * (2**10 + max(prop.block_sizes)) + u_bytes / 10
+    assert wide < 16 * 2**10 * (2**10 + max(prop.register.sizes)) + u_bytes / 10
 
 
 @pytest.mark.parametrize("n", range(2, 9))

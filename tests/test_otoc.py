@@ -16,19 +16,19 @@ OTOC_XX_T05 = -0.187394533949537 + 0.0j
 
 @pytest.mark.parametrize("axes", [("x", "y"), ("z", "x"), ("y", "y")])
 def test_initial_value_is_one_for_disjoint_sites(xy4, up4, axes):
-    prepared = prepare(up4, OtocSpec(1, axes[0], 3, axes[1]), xy4.register)
-    value = otoc_direct(prepared, xy4.evolution(0.0))
+    prepared = prepare(up4, OtocSpec(1, axes[0], 3, axes[1]), xy4)
+    value = otoc_direct(prepared, 0.0)
     assert abs(value - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("t", [0.0, 0.7, 3.3])
 def test_zz_otoc_stays_one_on_polarized_state(xy4, up4, t):
-    value = otoc_direct(prepare(up4, OtocSpec(2, "z", 3, "z"), xy4.register), xy4.evolution(t))
+    value = otoc_direct(prepare(up4, OtocSpec(2, "z", 3, "z"), xy4), t)
     assert abs(value - 1.0) < 1e-12
 
 
 def test_derived_value_frozen_and_live_oracle(xy4, up4, spec_xx):
-    value = otoc_direct(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    value = otoc_direct(prepare(up4, spec_xx, xy4), 0.5)
     assert abs(value - OTOC_XX_T05) < 1e-10
     # live second opinion through the independent code path
     rho = np.zeros((16, 16), dtype=complex)
@@ -38,8 +38,8 @@ def test_derived_value_frozen_and_live_oracle(xy4, up4, spec_xx):
 
 
 def test_commutator_vanishes_initially(xy4, up4):
-    prepared = prepare(up4, OtocSpec(1, "x", 4, "y"), xy4.register)
-    assert abs(commutator_norm(prepared, xy4.evolution(0.0))) < 1e-12
+    prepared = prepare(up4, OtocSpec(1, "x", 4, "y"), xy4)
+    assert abs(commutator_norm(prepared, 0.0)) < 1e-12
 
 
 def test_commutator_norm_nonnegative(rng):
@@ -48,8 +48,8 @@ def test_commutator_norm_nonnegative(rng):
         prop = Propagator.from_hamiltonian(random_hamiltonian(n, rng))
         state = random_density(n, rng)
         sites = rng.choice(np.arange(1, n + 1), size=2, replace=False)
-        prepared = prepare(state, OtocSpec(int(sites[0]), "y", int(sites[1]), "x"), prop.register)
-        assert commutator_norm(prepared, prop.evolution(float(rng.uniform(0, 5)))) >= -1e-12
+        prepared = prepare(state, OtocSpec(int(sites[0]), "y", int(sites[1]), "x"), prop)
+        assert commutator_norm(prepared, float(rng.uniform(0, 5))) >= -1e-12
 
 
 def test_commutator_relation_random_instances(rng):
@@ -61,10 +61,10 @@ def test_commutator_relation_random_instances(rng):
         state = random_density(n, rng)
         sites = rng.choice(np.arange(1, n + 1), size=2, replace=False)
         spec = OtocSpec(int(sites[0]), axes[k % 3], int(sites[1]), axes[(k // 3) % 3])
-        prepared = prepare(state, spec, prop.register)
+        prepared = prepare(state, spec, prop)
         t = float(rng.uniform(0, 5))
-        lhs = otoc_direct(prepared, prop.evolution(t)).real
-        rhs = 1.0 - commutator_norm(prepared, prop.evolution(t)) / 2.0
+        lhs = otoc_direct(prepared, t).real
+        rhs = 1.0 - commutator_norm(prepared, t) / 2.0
         assert abs(lhs - rhs) < 1e-9
 
 
@@ -74,30 +74,31 @@ def test_magnitude_bounded_by_one(rng):
         prop = Propagator.from_hamiltonian(random_hamiltonian(n, rng))
         state = random_density(n, rng)
         sites = rng.choice(np.arange(1, n + 1), size=2, replace=False)
-        prepared = prepare(state, OtocSpec(int(sites[0]), "x", int(sites[1]), "z"), prop.register)
-        value = otoc_direct(prepared, prop.evolution(float(rng.uniform(0, 5))))
+        prepared = prepare(state, OtocSpec(int(sites[0]), "x", int(sites[1]), "z"), prop)
+        value = otoc_direct(prepared, float(rng.uniform(0, 5)))
         assert abs(value) <= 1.0 + 1e-10
 
 
 def test_spec_validates_axes_and_sites(xy4, up4):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown Pauli axis 'q'"):
         OtocSpec(1, "q", 2, "x")
+    with pytest.raises(ValueError, match="unknown Pauli axis 'X'"):
+        OtocSpec(1, "x", 2, "X")
     with pytest.raises(IndexError):
-        prepare(up4, OtocSpec(1, "x", 9, "x"), xy4.register)
+        prepare(up4, OtocSpec(1, "x", 9, "x"), xy4)
 
 
 def _free_fermion_cases(n, pairs, times):
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
     state = maximally_mixed_state(n)
-    evolutions = [(t, prop.evolution(t)) for t in times]
     for site_i, site_j in pairs:
-        prepared = prepare(state, OtocSpec(site_i, "z", site_j, "z"), prop.register)
-        for t, ev in evolutions:
-            yield otoc_direct(prepared, ev), oracles.free_fermion_zz_otoc(n, site_i, site_j, t)
+        prepared = prepare(state, OtocSpec(site_i, "z", site_j, "z"), prop)
+        for t in times:
+            yield otoc_direct(prepared, t), oracles.free_fermion_zz_otoc(n, site_i, site_j, t)
     for site_j in sorted({site_j for _, site_j in pairs}):
-        prepared = prepare(state, OtocSpec(1, "x", site_j, "z"), prop.register)
-        for t, ev in evolutions:
-            yield otoc_direct(prepared, ev), oracles.free_fermion_xz_otoc(n, site_j, t)
+        prepared = prepare(state, OtocSpec(1, "x", site_j, "z"), prop)
+        for t in times:
+            yield otoc_direct(prepared, t), oracles.free_fermion_xz_otoc(n, site_j, t)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -118,10 +119,9 @@ def test_xx_vacuum_matches_wick_oracle(n):
     """The paper's (i,x)/(j,x) correlator on all_up, every ordered pair, against
     the free-fermion Wick oracle."""
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
-    evolutions = [(t, prop.evolution(t)) for t in (0.6, 2.3)]
     for site_i in range(1, n + 1):
         for site_j in range(1, n + 1):
-            prepared = prepare(all_up_state(n), OtocSpec(site_i, "x", site_j, "x"), prop.register)
-            for t, ev in evolutions:
+            prepared = prepare(all_up_state(n), OtocSpec(site_i, "x", site_j, "x"), prop)
+            for t in (0.6, 2.3):
                 expected = oracles.free_fermion_xx_vacuum_otoc(n, site_i, site_j, t)
-                assert abs(otoc_direct(prepared, ev) - expected) < 1e-12
+                assert abs(otoc_direct(prepared, t) - expected) < 1e-12

@@ -67,8 +67,8 @@ def test_outcome_signs_are_the_sequence_products():
 
 
 def test_polarized_zz_protocol_is_deterministic(xy4, up4):
-    prepared = prepare(up4, OtocSpec(2, "z", 3, "z"), xy4.register)
-    table = outcome_probabilities(build_ladder(prepared, xy4.evolution(1.3)))
+    prepared = prepare(up4, OtocSpec(2, "z", 3, "z"), xy4)
+    table = outcome_probabilities(build_ladder(prepared, 1.3))
     assert np.array_equal(table.probabilities, one_hot((1, 1, 1, 1)))
 
 
@@ -82,8 +82,8 @@ def test_mixed_state_conserved_axis_flip_symmetry():
         [(1, "x", 0.4), (3, "x", 0.9), (2, "z", 0.5)],
     )
     prop = Propagator.from_hamiltonian(ham)
-    prepared = prepare(maximally_mixed_state(n), OtocSpec(1, "x", 2, "z"), prop.register)
-    table = outcome_probabilities(build_ladder(prepared, prop.evolution(0.73)))
+    prepared = prepare(maximally_mixed_state(n), OtocSpec(1, "x", 2, "z"), prop)
+    table = outcome_probabilities(build_ladder(prepared, 0.73))
     probs = table.probabilities
     for k, seq in enumerate(OUTCOME_SEQUENCES):
         flipped = OUTCOME_SEQUENCES.index(tuple(-o for o in seq))
@@ -91,7 +91,7 @@ def test_mixed_state_conserved_axis_flip_symmetry():
 
 
 def test_derived_table_frozen_and_live_oracle(xy4, up4, spec_xx):
-    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    ladder = build_ladder(prepare(up4, spec_xx, xy4), 0.5)
     table = outcome_probabilities(ladder)
     assert np.max(np.abs(table.probabilities - frozen_table())) < 1e-10
     rho = np.zeros((16, 16), dtype=complex)
@@ -103,8 +103,8 @@ def test_derived_table_frozen_and_live_oracle(xy4, up4, spec_xx):
 def test_zero_probability_branches_are_safe(xy4, up4):
     """Pi_j^- annihilates the polarized state: no division errors, and the
     whole dead branch carries exactly zero probability."""
-    prepared = prepare(up4, OtocSpec(2, "x", 3, "z"), xy4.register)
-    table = outcome_probabilities(build_ladder(prepared, xy4.evolution(0.8)))
+    prepared = prepare(up4, OtocSpec(2, "x", 3, "z"), xy4)
+    table = outcome_probabilities(build_ladder(prepared, 0.8))
     dead = [k for k, seq in enumerate(OUTCOME_SEQUENCES) if seq[0] == -1]
     assert np.array_equal(table.probabilities[dead], np.zeros(len(dead)))
     assert abs(math.fsum(table.probabilities) - 1.0) < 1e-10
@@ -117,8 +117,8 @@ def test_tables_normalized_on_random_instances(rng):
         state = random_density(n, rng)
         sites = rng.choice(np.arange(1, n + 1), size=2, replace=False)
         spec = OtocSpec(int(sites[0]), "y", int(sites[1]), "x")
-        ev = prop.evolution(float(rng.uniform(0, 5)))
-        table = outcome_probabilities(build_ladder(prepare(state, spec, prop.register), ev))
+        t = float(rng.uniform(0, 5))
+        table = outcome_probabilities(build_ladder(prepare(state, spec, prop), t))
         values = table.probabilities
         assert np.all((0.0 <= values) & (values <= 1.0))
         assert abs(math.fsum(values) - 1.0) < 1e-10
@@ -131,10 +131,10 @@ def test_corr_deterministic_and_uniform_tables():
 
 
 def test_corr_matches_direct_otoc_via_identity(xy4, up4, spec_xx):
-    prepared = prepare(up4, spec_xx, xy4.register)
-    corr = corr_from_table(outcome_probabilities(build_ladder(prepared, xy4.evolution(0.5))))
+    prepared = prepare(up4, spec_xx, xy4)
+    corr = corr_from_table(outcome_probabilities(build_ladder(prepared, 0.5)))
     assert abs(corr - CORR_T05) < 1e-10
-    direct = otoc_direct(prepared, xy4.evolution(0.5)).real
+    direct = otoc_direct(prepared, 0.5).real
     assert abs((2.0 * corr - 1.0) - direct) < 1e-10
 
 
@@ -162,11 +162,11 @@ def test_probability_table_validation_and_clamping():
 
 
 def test_re_identity_simple_cases(xy4, up4):
-    prepared = prepare(up4, OtocSpec(1, "y", 4, "x"), xy4.register)
-    assert abs(re_otoc_via_protocol(build_ladder(prepared, xy4.evolution(0.0))) - 1.0) < 1e-12
-    prepared = prepare(up4, OtocSpec(2, "z", 3, "z"), xy4.register)
+    prepared = prepare(up4, OtocSpec(1, "y", 4, "x"), xy4)
+    assert abs(re_otoc_via_protocol(build_ladder(prepared, 0.0)) - 1.0) < 1e-12
+    prepared = prepare(up4, OtocSpec(2, "z", 3, "z"), xy4)
     for t in (0.4, 2.0):
-        assert abs(re_otoc_via_protocol(build_ladder(prepared, xy4.evolution(t))) - 1.0) < 1e-12
+        assert abs(re_otoc_via_protocol(build_ladder(prepared, t)) - 1.0) < 1e-12
 
 
 def test_re_identity_random_instances(rng):
@@ -176,22 +176,22 @@ def test_re_identity_random_instances(rng):
         state = random_density(n, rng)
         sites = rng.choice(np.arange(1, n + 1), size=2, replace=False)
         spec = OtocSpec(int(sites[0]), "x", int(sites[1]), "y")
-        ev = prop.evolution(float(rng.uniform(0, 5)))
-        prepared = prepare(state, spec, prop.register)
-        direct = otoc_direct(prepared, ev).real
-        assert abs(re_otoc_via_protocol(build_ladder(prepared, ev)) - direct) < 1e-9
+        t = float(rng.uniform(0, 5))
+        prepared = prepare(state, spec, prop)
+        direct = otoc_direct(prepared, t).real
+        assert abs(re_otoc_via_protocol(build_ladder(prepared, t)) - direct) < 1e-9
 
 
 def test_rotated_expectation_trivial_angles(xy4, up4):
-    prepared = prepare(up4, OtocSpec(2, "z", 3, "z"), xy4.register)
-    ladder = build_ladder(prepared, xy4.evolution(1.1))
+    prepared = prepare(up4, OtocSpec(2, "z", 3, "z"), xy4)
+    ladder = build_ladder(prepared, 1.1)
     value = rotated_expectation(ladder, RotationAngles(0, 0, 0))
     assert abs(value - 1.0) < 1e-12
 
 
 def test_four_term_combination_cancels_at_theta2_zero(xy4, up4, spec_xx):
     angles = RotationAngles(0.9, 0.0, 1.7)
-    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.6))
+    ladder = build_ladder(prepare(up4, spec_xx, xy4), 0.6)
     expectations = [rotated_expectation(ladder, var) for var in angle_variants(angles)]
     combo = expectations[0] - expectations[1] - expectations[2] + expectations[3]
     assert combo == 0.0
@@ -199,7 +199,7 @@ def test_four_term_combination_cancels_at_theta2_zero(xy4, up4, spec_xx):
 
 def test_rotated_expectation_frozen_and_live_oracle(xy4, up4, spec_xx):
     angles = RotationAngles(math.pi / 2, math.pi / 2, math.pi / 2)
-    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    ladder = build_ladder(prepare(up4, spec_xx, xy4), 0.5)
     value = rotated_expectation(ladder, angles)
     assert abs(value - ROT_EXPECT_T05) < 1e-10
     rho = np.zeros((16, 16), dtype=complex)
@@ -215,8 +215,8 @@ def test_optimal_angles_prefactor_is_two():
 
 
 def test_im_vanishes_at_zero_time(xy4, up4):
-    prepared = prepare(up4, OtocSpec(1, "x", 3, "y"), xy4.register)
-    assert abs(im_otoc_via_protocol(build_ladder(prepared, xy4.evolution(0.0)))) < 1e-12
+    prepared = prepare(up4, OtocSpec(1, "x", 3, "y"), xy4)
+    assert abs(im_otoc_via_protocol(build_ladder(prepared, 0.0))) < 1e-12
 
 
 def test_im_identity_random_instances(rng):
@@ -226,11 +226,11 @@ def test_im_identity_random_instances(rng):
         state = random_density(n, rng)
         sites = rng.choice(np.arange(1, n + 1), size=2, replace=False)
         spec = OtocSpec(int(sites[0]), "z", int(sites[1]), "y")
-        ev = prop.evolution(float(rng.uniform(0, 5)))
+        t = float(rng.uniform(0, 5))
         angles = random_nondegenerate_angles(rng)
-        prepared = prepare(state, spec, prop.register)
-        reconstructed = im_otoc_via_protocol(build_ladder(prepared, ev), angles)
-        assert abs(reconstructed - otoc_direct(prepared, ev).imag) < 1e-9
+        prepared = prepare(state, spec, prop)
+        reconstructed = im_otoc_via_protocol(build_ladder(prepared, t), angles)
+        assert abs(reconstructed - otoc_direct(prepared, t).imag) < 1e-9
 
 
 def test_im_invariant_under_base_set_negation(rng):
@@ -240,14 +240,14 @@ def test_im_invariant_under_base_set_negation(rng):
     spec = OtocSpec(1, "x", 3, "y")
     angles = random_nondegenerate_angles(rng)
     negated = RotationAngles(-angles.theta1, -angles.theta2, -angles.theta3)
-    ladder = build_ladder(prepare(state, spec, prop.register), prop.evolution(1.2))
+    ladder = build_ladder(prepare(state, spec, prop), 1.2)
     a = im_otoc_via_protocol(ladder, angles)
     b = im_otoc_via_protocol(ladder, negated)
     assert abs(a - b) < 1e-12
 
 
 def test_degenerate_angles_rejected(xy4, up4, spec_xx):
-    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    ladder = build_ladder(prepare(up4, spec_xx, xy4), 0.5)
     with pytest.raises(DegenerateAnglesError):
         im_otoc_via_protocol(ladder, RotationAngles(0.3, 0.0, 0.9))
     with pytest.raises(ValueError, match="finite"):
@@ -277,9 +277,9 @@ def test_factor_evaluators_match_dense_oracles(axes, n, data, mixed, seed, t):
     angles = RotationAngles(*rng.uniform(-math.pi, math.pi, size=3))
     dense = (state.matrix, ham.matrix, n, site_i, axes[0], site_j, axes[1], t)
 
-    prepared, evolution = prepare(state, spec, prop.register), prop.evolution(t)
-    assert abs(otoc_direct(prepared, evolution) - oracles.otoc_value(*dense)) < 1e-10
-    ladder = build_ladder(prepared, evolution)
+    prepared = prepare(state, spec, prop)
+    assert abs(otoc_direct(prepared, t) - oracles.otoc_value(*dense)) < 1e-10
+    ladder = build_ladder(prepared, t)
     table = outcome_probabilities(ladder)
     expected = in_sequence_order(oracles.probability_table(*dense))
     assert np.max(np.abs(table.probabilities - expected)) < 1e-10
@@ -294,8 +294,8 @@ def test_factor_evaluators_match_dense_oracles(axes, n, data, mixed, seed, t):
 def test_ladder_direct_is_otoc_direct_on_random_instances(seed):
     """The ladder's C(t) shares otoc_direct's chain, so it equals it bit for bit:
     dense random H, random full-rank states, every (size, axis pair) once."""
-    for _, prepared, ev in _instances(36, (2, 3, 4, 5), seed):
-        assert build_ladder(prepared, ev).direct == otoc_direct(prepared, ev)
+    for _, prepared, t in _instances(36, (2, 3, 4, 5), seed):
+        assert build_ladder(prepared, t).direct == otoc_direct(prepared, t)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -303,13 +303,12 @@ def test_ladder_direct_is_otoc_direct_on_xy_chains(n):
     """Bit-equal on the XY chain's real blocks too: pure and full-rank states,
     every axis pair, a same-site spec, at t = 0 and t > 0."""
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
-    evolutions = [prop.evolution(t) for t in (0.0, 0.7, 2.3)]
     specs = [OtocSpec(2, a, n - 1, b) for a, b in AXIS_PAIRS] + [OtocSpec(3, "y", 3, "x")]
     for state in (all_up_state(n), maximally_mixed_state(n)):
         for spec in specs:
-            prepared = prepare(state, spec, prop.register)
-            for ev in evolutions:
-                assert build_ladder(prepared, ev).direct == otoc_direct(prepared, ev)
+            prepared = prepare(state, spec, prop)
+            for t in (0.0, 0.7, 2.3):
+                assert build_ladder(prepared, t).direct == otoc_direct(prepared, t)
 
 
 def _free_fermion_protocol_cases(n, pairs, times):
@@ -317,7 +316,6 @@ def _free_fermion_protocol_cases(n, pairs, times):
     infinite-temperature XY chain: (i,z)/(j,z) for every pair, (1,x)/(j,z) for every j."""
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
     state = maximally_mixed_state(n)
-    evolutions = [(t, prop.evolution(t)) for t in times]
     cases = [
         (OtocSpec(i, "z", j, "z"), lambda t, i=i, j=j: oracles.free_fermion_zz_otoc(n, i, j, t))
         for i, j in pairs
@@ -327,9 +325,9 @@ def _free_fermion_protocol_cases(n, pairs, times):
         for j in sorted({j for _, j in pairs})
     ]
     for spec, oracle in cases:
-        prepared = prepare(state, spec, prop.register)
-        for t, ev in evolutions:
-            ladder = build_ladder(prepared, ev)
+        prepared = prepare(state, spec, prop)
+        for t in times:
+            ladder = build_ladder(prepared, t)
             yield re_otoc_via_protocol(ladder), im_otoc_via_protocol(ladder), oracle(t)
 
 
@@ -355,13 +353,12 @@ def test_protocols_match_xx_vacuum_oracle(n):
     """Both protocols on all_up, (i,x)/(j,x) for every ordered pair, against the
     Wick oracle: 2 corr - 1 is its C, and the rotation combination its Im C = 0."""
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
-    evolutions = [(t, prop.evolution(t)) for t in (0.6, 2.3)]
     for site_i in range(1, n + 1):
         for site_j in range(1, n + 1):
-            prepared = prepare(all_up_state(n), OtocSpec(site_i, "x", site_j, "x"), prop.register)
-            for t, ev in evolutions:
+            prepared = prepare(all_up_state(n), OtocSpec(site_i, "x", site_j, "x"), prop)
+            for t in (0.6, 2.3):
                 expected = oracles.free_fermion_xx_vacuum_otoc(n, site_i, site_j, t)
-                ladder = build_ladder(prepared, ev)
+                ladder = build_ladder(prepared, t)
                 assert abs(re_otoc_via_protocol(ladder) - expected.real) < 1e-12
                 assert abs(im_otoc_via_protocol(ladder) - expected.imag) < 1e-12
 
@@ -379,12 +376,11 @@ def test_protocols_match_thermal_oracle(n):
         rho = expm(-beta * h)
         state = DensityOperator(n, rho / np.trace(rho).real)
         for site_i, site_j in pairs:
-            prepared = prepare(state, OtocSpec(site_i, "z", site_j, "z"), prop.register)
+            prepared = prepare(state, OtocSpec(site_i, "z", site_j, "z"), prop)
             for t in (0.7, 2.9):
                 expected = oracles.free_fermion_thermal_zz_otoc(n, site_i, site_j, t, beta)
-                ev = prop.evolution(t)
-                assert abs(otoc_direct(prepared, ev) - expected) < 1e-12
-                ladder = build_ladder(prepared, ev)
+                assert abs(otoc_direct(prepared, t) - expected) < 1e-12
+                ladder = build_ladder(prepared, t)
                 assert abs(re_otoc_via_protocol(ladder) - expected.real) < 1e-12
                 assert abs(im_otoc_via_protocol(ladder) - expected.imag) < 1e-12
                 largest_im = max(largest_im, abs(expected.imag))
@@ -424,7 +420,7 @@ def test_compressed_tree_matches_probability_oracle(axes, n, data, kind, xy, see
     prop = Propagator.from_hamiltonian(ham)
     state = DensityOperator.from_factor(n, _factor_of_width(n, kind, rng))
     spec = OtocSpec(site_i, axes[0], site_j, axes[1])
-    ladder = build_ladder(prepare(state, spec, prop.register), prop.evolution(t))
+    ladder = build_ladder(prepare(state, spec, prop), t)
     table = outcome_probabilities(ladder)
     expected = oracles.probability_table(
         state.matrix, ham.matrix, n, site_i, axes[0], site_j, axes[1], t
@@ -433,11 +429,11 @@ def test_compressed_tree_matches_probability_oracle(axes, n, data, kind, xy, see
 
 
 def test_tree_counts_pruned_branches(xy4, up4):
-    prepared = prepare(up4, OtocSpec(2, "z", 3, "z"), xy4.register)
-    table = outcome_probabilities(build_ladder(prepared, xy4.evolution(1.3)))
+    prepared = prepare(up4, OtocSpec(2, "z", 3, "z"), xy4)
+    table = outcome_probabilities(build_ladder(prepared, 1.3))
     assert table.pruned == 4  # the -1 branch of each of the four measurements
-    mixed = prepare(maximally_mixed_state(4), OtocSpec(2, "x", 3, "y"), xy4.register)
-    assert outcome_probabilities(build_ladder(mixed, xy4.evolution(1.3))).pruned == 0
+    mixed = prepare(maximally_mixed_state(4), OtocSpec(2, "x", 3, "y"), xy4)
+    assert outcome_probabilities(build_ladder(mixed, 1.3)).pruned == 0
 
 
 def test_probability_table_counts_clamped_entries():

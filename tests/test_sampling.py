@@ -138,7 +138,7 @@ def test_neighbouring_seeds_and_points_share_no_uniforms():
 
 
 def test_sampling_is_deterministic_per_seed(xy4, up4, spec_xx):
-    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    ladder = build_ladder(prepare(up4, spec_xx, xy4), 0.5)
     table = outcome_probabilities(ladder)
     cfg = SampleConfig(1000, seed=42)
     assert np.array_equal(sample_sequences(table, cfg), sample_sequences(table, cfg))
@@ -168,8 +168,8 @@ def test_estimate_rejects_empty_counts():
 def test_estimator_coverage_on_exact_table(xy4, up4, spec_xx):
     """At 10^4 shots the estimate lands within 4 stderr of Re C in >= 99%
     of seeded repetitions."""
-    exact = otoc_direct(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5)).real
-    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    exact = otoc_direct(prepare(up4, spec_xx, xy4), 0.5).real
+    ladder = build_ladder(prepare(up4, spec_xx, xy4), 0.5)
     table = outcome_probabilities(ladder)
     hits = 0
     for seed in range(100):
@@ -180,8 +180,8 @@ def test_estimator_coverage_on_exact_table(xy4, up4, spec_xx):
 
 
 def test_estimator_unbiased_over_many_repetitions(xy4, up4, spec_xx):
-    exact = otoc_direct(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5)).real
-    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    exact = otoc_direct(prepare(up4, spec_xx, xy4), 0.5).real
+    ladder = build_ladder(prepare(up4, spec_xx, xy4), 0.5)
     table = outcome_probabilities(ladder)
     repeats = 1000
     values, stderrs = [], []
@@ -198,7 +198,7 @@ def test_error_band_deterministic_table_is_zero():
 
 
 def test_error_band_scaling(xy4, up4, spec_xx):
-    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    ladder = build_ladder(prepare(up4, spec_xx, xy4), 0.5)
     table = outcome_probabilities(ladder)
     band_small = spread(table, 100, seed=5)
     band_large = spread(table, 1000, seed=6)
@@ -207,7 +207,7 @@ def test_error_band_scaling(xy4, up4, spec_xx):
 
 
 def test_stderr_scales_with_shot_count(xy4, up4, spec_xx):
-    ladder = build_ladder(prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5))
+    ladder = build_ladder(prepare(up4, spec_xx, xy4), 0.5)
     table = outcome_probabilities(ladder)
     means = []
     for n_shots in (100, 1000, 10_000):
@@ -221,9 +221,9 @@ def test_stderr_scales_with_shot_count(xy4, up4, spec_xx):
 
 
 def test_rotation_sampling_zero_time(xy4, up4, spec_xx):
-    prepared = prepare(up4, spec_xx, xy4.register)
+    prepared = prepare(up4, spec_xx, xy4)
     est = sample_rotation_protocol(
-        build_ladder(prepared, xy4.evolution(0.0)), PI_HALF_ANGLES, SampleConfig(2000, seed=17)
+        build_ladder(prepared, 0.0), PI_HALF_ANGLES, SampleConfig(2000, seed=17)
     )
     assert est.stderr > 0.0
     assert abs(est.value) <= 4.0 * est.stderr
@@ -233,27 +233,26 @@ def test_rotation_sampling_zero_variance_when_expectations_saturate(xy4, up4):
     # z rotations leave the polarized state invariant, so every angle set
     # measures <sigma_z> = +1 and the shots carry no noise at all
     spec = OtocSpec(2, "z", 3, "z")
-    prepared = prepare(up4, spec, xy4.register)
+    prepared = prepare(up4, spec, xy4)
     est = sample_rotation_protocol(
-        build_ladder(prepared, xy4.evolution(1.0)), PI_HALF_ANGLES, SampleConfig(100, seed=2)
+        build_ladder(prepared, 1.0), PI_HALF_ANGLES, SampleConfig(100, seed=2)
     )
     assert est == Estimate(0.0, 0.0, 100)
 
 
 def test_rotation_sampling_tracks_exact_im(xy4, up4, spec_xx, rng):
-    prepared, ev = prepare(up4, spec_xx, xy4.register), xy4.evolution(0.5)
-    ladder = build_ladder(prepared, ev)
+    prepared = prepare(up4, spec_xx, xy4)
+    ladder = build_ladder(prepared, 0.5)
     est = sample_rotation_protocol(ladder, PI_HALF_ANGLES, SampleConfig(10_000, seed=21))
-    exact = otoc_direct(prepared, ev).imag
+    exact = otoc_direct(prepared, 0.5).imag
     assert abs(est.value - exact) <= 4.0 * est.stderr
     # also on an instance with genuinely complex C
     prop = Propagator.from_hamiltonian(random_hamiltonian(3, rng))
     state = random_density(3, rng)
-    prepared = prepare(state, OtocSpec(1, "x", 3, "y"), prop.register)
-    ev = prop.evolution(1.1)
-    exact_im = otoc_direct(prepared, ev).imag
+    prepared = prepare(state, OtocSpec(1, "x", 3, "y"), prop)
+    exact_im = otoc_direct(prepared, 1.1).imag
     assert abs(exact_im) > 1e-3
-    ladder = build_ladder(prepared, ev)
+    ladder = build_ladder(prepared, 1.1)
     est2 = sample_rotation_protocol(ladder, PI_HALF_ANGLES, SampleConfig(200_000, seed=23))
     assert abs(est2.value - exact_im) <= 4.0 * est2.stderr
 
@@ -268,24 +267,24 @@ def test_rotation_sampling_matches_shot_array_oracle(xy4, up4, instance, n_shots
     def random_instance():
         state = random_density(3, rng)
         prop = Propagator.from_hamiltonian(random_hamiltonian(3, rng))
-        prepared = prepare(state, OtocSpec(1, "x", 3, "y"), prop.register)
-        return prepared, prop.evolution(1.1), RotationAngles(0.4, 1.3, -2.2)
+        prepared = prepare(state, OtocSpec(1, "x", 3, "y"), prop)
+        return prepared, 1.1, RotationAngles(0.4, 1.3, -2.2)
 
-    prepared, ev, angles = {
+    prepared, t, angles = {
         "saturated": lambda: (
-            prepare(up4, OtocSpec(2, "z", 3, "z"), xy4.register),
-            xy4.evolution(1.0),
+            prepare(up4, OtocSpec(2, "z", 3, "z"), xy4),
+            1.0,
             PI_HALF_ANGLES,
         ),
         "xy": lambda: (
-            prepare(up4, OtocSpec(2, "x", 3, "x"), xy4.register),
-            xy4.evolution(0.5),
+            prepare(up4, OtocSpec(2, "x", 3, "x"), xy4),
+            0.5,
             PI_HALF_ANGLES,
         ),
         "random": random_instance,
     }[instance]()
     cfg = SampleConfig(n_shots, seed=2024, point=5)
-    ladder = build_ladder(prepared, ev)
+    ladder = build_ladder(prepared, t)
     est = sample_rotation_protocol(ladder, angles, cfg)
     expectations = [rotated_expectation(ladder, v) for v in angle_variants(angles)]
     value, stderr = oracles.sampled_rotation_estimate(
@@ -297,8 +296,8 @@ def test_rotation_sampling_matches_shot_array_oracle(xy4, up4, instance, n_shots
 
 def test_rotation_sampling_deterministic(xy4, up4, spec_xx):
     cfg = SampleConfig(500, seed=99)
-    prepared = prepare(up4, spec_xx, xy4.register)
-    ladder = build_ladder(prepared, xy4.evolution(0.7))
+    prepared = prepare(up4, spec_xx, xy4)
+    ladder = build_ladder(prepared, 0.7)
     a = sample_rotation_protocol(ladder, PI_HALF_ANGLES, cfg)
     b = sample_rotation_protocol(ladder, PI_HALF_ANGLES, cfg)
     assert a == b
@@ -306,9 +305,9 @@ def test_rotation_sampling_deterministic(xy4, up4, spec_xx):
 
 def test_rotation_sampling_rejects_degenerate_angles(xy4, up4, spec_xx):
     angles = RotationAngles(0.1, 0.0, 0.3)
-    prepared = prepare(up4, spec_xx, xy4.register)
+    prepared = prepare(up4, spec_xx, xy4)
     with pytest.raises(DegenerateAnglesError):
-        ladder = build_ladder(prepared, xy4.evolution(0.5))
+        ladder = build_ladder(prepared, 0.5)
         sample_rotation_protocol(ladder, angles, SampleConfig(10, seed=1))
 
 
