@@ -37,13 +37,16 @@ from .protocol import (
     OUTCOME_SEQUENCES,
     OUTCOME_SIGNS,
     PreparedState,
+    PreparedTrace,
     ProbabilityTable,
     RotationAngles,
     build_ladder,
+    build_trace_ladder,
     corr_from_table,
     im_otoc_via_protocol,
     outcome_probabilities,
     prepare,
+    prepare_maximally_mixed,
     re_otoc_via_protocol,
     rotated_expectation,
 )

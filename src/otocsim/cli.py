@@ -21,15 +21,17 @@ from . import __version__
 from .config import ConfigError, RunConfig, parse_config, require
 from .dressing import AdiabaticityError, scan_curve
 from .dynamics import EvolutionTimeError, Propagator, build_xy_chain
-from .hilbert import all_up_state, maximally_mixed_state
+from .hilbert import all_up_state
 from .protocol import (
     DegenerateAnglesError,
     RotationAngles,
     build_ladder,
+    build_trace_ladder,
     corr_from_table,
     im_otoc_via_protocol,
     outcome_probabilities,
     prepare,
+    prepare_maximally_mixed,
 )
 from .sampling import (
     GENERATOR_NAME,
@@ -86,37 +88,40 @@ def _write_csv(path, command, config_hash, seed, columns, rows):
 
 
 def _build_system(config: RunConfig, command: str):
-    """The run's prepared state, which holds its propagator, and its time grid.
+    """The run's prepared state, which holds its propagator, its ladder builder and its time grid.
 
-    Only the prepared state keeps the state factor, in the propagator's
-    register order; the computational-order factor is dropped here.
+    `maximally_mixed` is prepared in the eigenbasis of H and holds no state
+    factor (`prepare_maximally_mixed`, `build_trace_ladder`).  `all_up`
+    keeps only the prepared factor, in the propagator's register order; the
+    computational-order factor is dropped here.
     """
     system = require(config, "system", command)
     otoc_cfg = require(config, "otoc", command)
     prop = Propagator.from_hamiltonian(build_xy_chain(system.n_sites))
-    # one builder per kind of config.STATE_RANKS, read at each call (perfbench wraps both names)
-    build = {"all_up": all_up_state, "maximally_mixed": maximally_mixed_state}
-    state = build[system.initial_state](system.n_sites)
-    return prepare(state, otoc_cfg.spec, prop), otoc_cfg.time_grid()
+    grid = otoc_cfg.time_grid()
+    if system.initial_state == "maximally_mixed":
+        return prepare_maximally_mixed(otoc_cfg.spec, prop), build_trace_ladder, grid
+    # all_up_state and build_ladder are read at each call (perfbench wraps the first)
+    return prepare(all_up_state(system.n_sites), otoc_cfg.spec, prop), build_ladder, grid
 
 
 def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str], bool]:
     """The time loop of `exact`, `sample` and `im`: one `Evolution` and one ladder per point.
 
-    The state is prepared once per run (`protocol.prepare`).  Every point
+    The state is prepared once per run (`_build_system`).  Every point
     builds the point's `Ladder`, which carries the direct C(t) and which
     both protocols read: `exact` and `sample` take the 16-branch table from
     it, `exact` the two identity residuals against the direct C(t),
     `sample` and `im` the finite-shot draws of the point's substream.
     """
-    prepared, grid = _build_system(config, command)
+    prepared, ladder_at, grid = _build_system(config, command)
     sampling = None if command == "exact" else require(config, "sampling", command)
     angles = config.angles or RotationAngles()
     rows = []
     pruned = clamped = 0
     for index, t in enumerate(grid):
         t = float(t)
-        ladder = build_ladder(prepared, t)
+        ladder = ladder_at(prepared, t)
         direct = ladder.direct
         row = {"t": t, "re_exact": direct.real, "im_exact": direct.imag}
         if command != "im":

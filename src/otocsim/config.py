@@ -17,7 +17,6 @@ import numpy as np
 
 from .dressing import InteractionCoefficients, LevelScheme, check_scan
 from .dynamics import check_chain_sites
-from .hilbert import PAULI_AXES
 from .otoc import OtocSpec
 from .protocol import RotationAngles
 from .sampling import SampleConfig, check_seed
@@ -25,27 +24,34 @@ from .sampling import SampleConfig, check_seed
 HAMILTONIAN_KINDS = ("xy_chain",)
 
 # The cap is an estimate of the bytes of the arrays an OTOC run holds at
-# once, which depends on the rank r of the initial state's factor
-# (`STATE_RANKS`).  The XY chain's H and its real eigenvectors V are
-# block-diagonal over the Hamming-weight sectors, sum_w C(N,w)^2 = C(2N,N)
-# entries each, both held while the propagator is built, beside at most two
-# real temporaries of the largest sector, C(N, N//2)^2 entries each: the
-# hermiticity check's M - M^T and its modulus, which also cover the
-# parity-split `eigh` and its checks.  U(t) is applied in the eigenbasis
-# at every width, so no block of it is held.  Beside them a run holds at
-# most FACTORS_AT_PEAK complex 2^N x r factors.  Its largest live set is
-# `protocol.prepare`'s: the computational-order factor it reads, Psi in
-# register order, the three slots that every time point writes its
-# factors into, and the coefficient scratch of the largest sector, under a
-# third of a factor for N >= 6; a time point then holds Psi, the slots and
-# the scratch, and allocates no factor.  Traced one-point maximally_mixed
-# `exact` runs at N=8 and 10 peak at 5.68 and 5.44 dense 2^N x 2^N
-# matrices, 5.48 and 5.26 of them beside H and V (a 31-point N=8 run also
-# at 5.68), and one-point all_up runs at N=10 and 12 at 1.23 and 1.10
-# times H and V.  So all_up (r = 1) fits up to N = 14, where V alone is
-# 320 MB, and maximally_mixed (r = 2^N) up to N = 12.  Registers whose
-# estimate exceeds the budget are rejected before anything is allocated.
+# once, per initial_state (`STATE_FOOTPRINTS`).  The XY chain's H and its
+# real eigenvectors V are block-diagonal over the Hamming-weight sectors,
+# sum_w C(N,w)^2 = C(2N,N) entries each, both held while the propagator is
+# built, beside at most two real temporaries of the largest sector,
+# C(N, N//2)^2 entries each: the hermiticity check's M - M^T and its
+# modulus, which also cover the parity-split `eigh` and its checks.  U(t)
+# is applied in the eigenbasis at every width, so no block of it is held.
+#
+# A pure state (all_up) is a 2^N x 1 factor, and a run holds at most
+# FACTORS_AT_PEAK of them beside H and V: `protocol.prepare`'s
+# computational-order factor, Psi in register order, the three slots that
+# every time point writes its factors into, and the coefficient scratch.
+# One-point all_up runs at N=10 and 12 trace at 1.23 and 1.10 times H and V,
+# so all_up fits up to N = 14, where V alone is 320 MB.
+#
+# maximally_mixed, I/2^N, holds no factor (`protocol.prepare_maximally_mixed`):
+# beside H and V it holds W_E and V_E, the two Paulis in the eigenbasis,
+# and a time point's blocks of B = V_E W(t)_E.  x and y move a sector by
+# +/-1, so each Pauli has at most 2 C(2N,N-1) entries, complex for y, and
+# B's blocks move by -2, 0 or +2, C(2N,N) + 2 C(2N,N-2) complex entries.
+# A point adds at most B_TEMPORARIES complex blocks of the largest sector at
+# once: a W(t)_E block (or its half-phased intermediate) and its product
+# into B, or a product B_kl B_lm and the elementwise product its trace
+# sums.  So maximally_mixed fits up to N = 13.
+# Registers whose estimate exceeds the budget are rejected before anything
+# is allocated.
 FACTORS_AT_PEAK = 6
+B_TEMPORARIES = 2
 MEMORY_BUDGET_BYTES = 2 * 2**30
 
 # The same budget bounds what grows with a run's counts.  A shot holds a
@@ -55,24 +61,34 @@ MEMORY_BUDGET_BYTES = 2 * 2**30
 SHOT_BYTES = 9
 ROW_BYTES = 800
 
-# initial_state -> rank of its factor on n_sites qubits
-STATE_RANKS: dict[str, Callable[[int], int]] = {
-    "all_up": lambda n_sites: 1,
-    "maximally_mixed": lambda n_sites: 2**n_sites,
-}
-
-
-def footprint_bytes(n_sites: int, rank: int) -> int:
-    """Estimated peak bytes an OTOC run on n_sites qubits holds for a rank-`rank` state."""
+def _held_bytes(n_sites: int) -> int:
+    """H, V and two real temporaries of the largest sector."""
     largest = math.comb(n_sites, n_sites // 2)
-    held = 2 * 8 * (math.comb(2 * n_sites, n_sites) + largest**2)  # H, V and two temporaries
-    return held + FACTORS_AT_PEAK * 16 * 2**n_sites * rank
+    return 2 * 8 * (math.comb(2 * n_sites, n_sites) + largest**2)
+
+
+def _pure_bytes(n_sites: int) -> int:
+    return _held_bytes(n_sites) + FACTORS_AT_PEAK * 16 * 2**n_sites
+
+
+def _maximally_mixed_bytes(n_sites: int) -> int:
+    paulis = 2 * 16 * 2 * math.comb(2 * n_sites, n_sites - 1)  # W_E and V_E
+    b_blocks = 16 * (math.comb(2 * n_sites, n_sites) + 2 * math.comb(2 * n_sites, n_sites - 2))
+    temporaries = B_TEMPORARIES * 16 * math.comb(n_sites, n_sites // 2) ** 2
+    return _held_bytes(n_sites) + paulis + b_blocks + temporaries
+
+
+# initial_state -> estimated peak bytes of an OTOC run on n_sites qubits
+STATE_FOOTPRINTS: dict[str, Callable[[int], int]] = {
+    "all_up": _pure_bytes,
+    "maximally_mixed": _maximally_mixed_bytes,
+}
 
 
 # initial_state -> the largest register whose estimate fits the budget
 MAX_SITES = {
-    kind: max(n for n in range(2, 64) if footprint_bytes(n, rank(n)) <= MEMORY_BUDGET_BYTES)
-    for kind, rank in STATE_RANKS.items()
+    kind: max(n for n in range(2, 64) if footprint(n) <= MEMORY_BUDGET_BYTES)
+    for kind, footprint in STATE_FOOTPRINTS.items()
 }
 
 
@@ -160,11 +176,11 @@ def _parse_count(raw: str) -> int:
 _SCHEMA: dict[str, tuple[str | None, Callable[[str], object]]] = {
     "n_sites": ("system", int),
     "hamiltonian": ("system", _parse_choice(HAMILTONIAN_KINDS)),
-    "initial_state": ("system", _parse_choice(tuple(STATE_RANKS))),
+    "initial_state": ("system", _parse_choice(tuple(STATE_FOOTPRINTS))),
     "site_i": ("otoc", int),
-    "axis_a": ("otoc", _parse_choice(PAULI_AXES)),
+    "axis_a": ("otoc", str),
     "site_j": ("otoc", int),
-    "axis_b": ("otoc", _parse_choice(PAULI_AXES)),
+    "axis_b": ("otoc", str),
     "t_start": ("otoc", _parse_float),
     "t_stop": ("otoc", _parse_float),
     "n_times": ("otoc", _parse_count),
@@ -281,12 +297,10 @@ def _cross_validate(config: RunConfig, source: str) -> None:
         _in_block(source, "system", check_chain_sites, n_sites)  # xy_chain is the only H
         cap = MAX_SITES[kind]
         if n_sites > cap:
-            rank = STATE_RANKS[kind](cap + 1)
             fail(
                 f"n_sites={n_sites} is above {cap}, the largest register on which an "
                 f"initial_state = {kind} run fits in {MEMORY_BUDGET_BYTES / 2**30:g} GiB "
-                f"({footprint_bytes(cap + 1, rank) / 2**30:.3g} GiB needed at {cap + 1} "
-                f"sites, for a state of rank {rank})"
+                f"({STATE_FOOTPRINTS[kind](cap + 1) / 2**30:.3g} GiB needed at {cap + 1} sites)"
             )
     if config.otoc is not None:
         within_budget("n_times", config.otoc.n_times, ROW_BYTES, "its output rows")

@@ -12,8 +12,9 @@ declared reflection is diagonalized as its even and odd parts.
 phases e^(-iwt) of every block.  It applies U(t) and U(t)^dagger to a
 factor of any width in the eigenbasis, as V (phase * V^dagger psi); no
 block of U(t) is formed.  The evaluators of a time point take the run's
-`protocol.PreparedState`, which holds the propagator, and the time t,
-and each makes the point's `Evolution` itself.  H and its eigenbasis,
+`protocol.PreparedState` or `protocol.PreparedTrace`, which holds the
+propagator, and the time t, and each makes the point's `Evolution`
+itself; the traces of `PreparedTrace` read only its phases.  H and its eigenbasis,
 and so U(t) and U(t)^dagger, carry the same `hilbert.Register`, the row
 order and sector bounds of H, and act on factors whose rows are in that
 order, where each block is a contiguous slice of rows.

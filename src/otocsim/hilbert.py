@@ -122,6 +122,19 @@ class Register:
             self._tables[site, axis] = table
         return table
 
+    def pauli_entries(self, site: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
+        """(columns, values) of sigma_site^axis in register order.
+
+        Row r of the matrix holds values[r] at column columns[r] and zeros
+        elsewhere; these are the entries that `pauli` applies.
+        """
+        gather, phase = self._kernel(site, axis)
+        rows = len(self.order)
+        return (
+            np.arange(rows) if gather is None else gather,
+            np.ones(rows) if phase is None else phase,
+        )
+
     def from_computational(self, psi: np.ndarray) -> np.ndarray:
         """A computational-order factor with its rows put in register order."""
         self.check_rows(psi)

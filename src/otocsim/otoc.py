@@ -2,12 +2,16 @@
 
 This is the reference path the measurement protocols are validated
 against: C(t) = Tr[rho W(t) V W(t) V] with W = sigma_i^a, V = sigma_j^b.
-The CLI reads C(t) off the time point's ladder instead (`Ladder.direct`):
-C(t) = <V W(t) Psi|W(t) V Psi> is one entry of its Gram matrices, formed
-from the same chain with the same operations, so it is the same value
-bit for bit.  `otoc_direct` stays the standalone evaluator that `verify`
-and the tests check against.  Like the ladder, both evaluators take the
-prepared state and a time t, and make U(t) from the propagator it holds.
+The CLI reads C(t) off the time point's ladder instead (`Ladder.direct`).
+For a pure state C(t) = <V W(t) Psi|W(t) V Psi> is one entry of
+`build_ladder`'s Gram matrices, formed from the same chain with the same
+operations, so it is the same value bit for bit.  For `maximally_mixed`
+the CLI takes C(t) = Tr[(W(t) V)^2]/2^N from `build_trace_ladder`'s
+eigenbasis traces, equal to `otoc_direct` on `maximally_mixed_state`
+within rounding but not bit for bit.  `otoc_direct` stays the standalone
+evaluator that `verify` and the tests check against.  Like the ladder,
+both evaluators take the prepared state and a time t, and make U(t) from
+the propagator it holds.
 """
 
 from __future__ import annotations
@@ -37,8 +41,12 @@ class OtocSpec:
     axis_b: str
 
     def __post_init__(self):
-        check_axis(self.axis_a)
-        check_axis(self.axis_b)
+        for name in ("axis_a", "axis_b"):
+            axis = getattr(self, name)
+            try:
+                check_axis(axis)
+            except ValueError as exc:
+                raise ValueError(f"{name}={axis!r}: {exc}") from None
 
     def validate_for(self, n_sites: int) -> None:
         """IndexError, naming site_i or site_j, when a site is outside an n_sites register."""

@@ -19,6 +19,23 @@ vectors built from four evolved factors, and the ladder keeps only
 their Gram matrices, one entry of which is the direct C(t).  The
 16-branch table and every angle set read from it; no state is collapsed
 or re-evolved.
+
+A run on the maximally mixed state rho = I/D, D = 2^N, which commutes
+with H, is prepared in the eigenbasis of H instead
+(`prepare_maximally_mixed`: W_E = V^dagger sigma_i V and
+V_E = V^dagger sigma_j V, formed once as sector blocks, and no state
+factor).  There every Gram entry is a trace, and cyclicity with
+W(t)^2 = V^2 = I leaves three of them, a = Tr[A]/D, C = Tr[A^2]/D and
+E = Tr[A^3]/D for A = W(t) V:
+
+    P = [[1, 0, a, 0],      Q = [[0, a, 0, C],
+         [0, 1, 0, a],           [a, 0, C, 0],
+         [a, 0, 1, 0],           [0, C, 0, E],
+         [0, a, 0, 1]]           [C, 0, E, 0]]
+
+`build_trace_ladder(prepared, t)` takes them from the phased W_E and
+V_E blocks and returns the same `Ladder`, so both protocols read it
+unchanged.
 """
 
 from __future__ import annotations
@@ -247,7 +264,11 @@ def build_ladder(prepared: PreparedState, t: float) -> Ladder:
     q[2, 2], q[2, 3] = np.vdot(a, b), np.vdot(b, c)
     sigma_i(c, b)  # b = sigma_i Z1
     q[3, 3] = np.vdot(c, b)
-    direct = checked_otoc(q[0, 3])
+    return _ladder(upper, checked_otoc(q[0, 3]))
+
+
+def _ladder(upper: np.ndarray, direct: complex) -> Ladder:
+    """The Ladder whose P and Q (see `build_ladder`) hold `upper` on and above their diagonals."""
     p, q = upper + np.triu(upper, 1).conj().swapaxes(1, 2)
     under = np.ix_(*2 * ([0, 1, 0, 1, 2, 3],))  # the K under each vector of B
     carries = np.array([0, 0, 1, 1, 0, 0])  # and whether it carries sigma_i
@@ -256,6 +277,130 @@ def build_ladder(prepared: PreparedState, t: float) -> Ladder:
     grams = np.stack([np.where(same, p, q), np.where(same, q, p)])
     grams.flags.writeable = False
     return Ladder(grams, direct)
+
+
+SectorBlocks = dict[tuple[int, int], np.ndarray]  # (row sector, column sector) -> block
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedTrace:
+    """What every evaluator of a run on rho = I/2^N shares, held in the eigenbasis of H.
+
+    rho commutes with H, so the run needs no state factor: `w_blocks` and
+    `v_blocks` are W_E = V^dagger sigma_i^a V and V_E = V^dagger sigma_j^b V,
+    V the eigenvectors of `propagator`, as their nonzero blocks keyed by
+    (row sector, column sector).  Every `build_trace_ladder` reads them.
+    Build it with `prepare_maximally_mixed`.
+    """
+
+    propagator: Propagator
+    spec: OtocSpec
+    w_blocks: SectorBlocks
+    v_blocks: SectorBlocks
+
+
+def _eigenbasis_blocks(propagator: Propagator, site: int, axis: str) -> SectorBlocks:
+    """V^dagger sigma_site^axis V as its nonzero sector blocks.
+
+    The pattern is read off the register: block (k, l) exists where a row
+    of sector k has its entry in a column of sector l.  On the XY chain's
+    Hamming-weight sectors x and y move a sector by +/-1 and z by 0.  A
+    block is real where V and the Pauli's entries are (x and z on the XY
+    chain), complex otherwise.
+    """
+    register = propagator.register
+    columns, values = register.pauli_entries(site, axis)
+    bounds, vectors = register.bounds, propagator.eigenvectors
+    sector_of = np.repeat(np.arange(len(register.sizes)), register.sizes)
+    blocks = {}
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        targets = sector_of[columns[lo:hi]]
+        for l in np.unique(targets).tolist():
+            rows = lo + np.flatnonzero(targets == l)
+            hit = values[rows, None] * vectors[l][columns[rows] - bounds[l]]
+            block = vectors[k][rows - lo].conj().T @ hit
+            block.flags.writeable = False  # shared by every time point of the run
+            blocks[k, l] = block
+    return blocks
+
+
+def prepare_maximally_mixed(spec: OtocSpec, propagator: Propagator) -> PreparedTrace:
+    """A run of `propagator` on I/2^N: W_E and V_E formed once, the spec checked against it."""
+    spec.validate_for(propagator.n_sites)
+    return PreparedTrace(
+        propagator,
+        spec,
+        _eigenbasis_blocks(propagator, spec.site_i, spec.axis_a),
+        _eigenbasis_blocks(propagator, spec.site_j, spec.axis_b),
+    )
+
+
+def _matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ right for a complex C-contiguous right; a real left is one real product on
+    right's (re, im) pairs."""
+    if left.dtype.kind == "f":
+        return (left @ right.view(float)).view(complex)
+    return left @ right
+
+
+def _trace_of_product(x: np.ndarray, y: np.ndarray) -> complex:
+    """Tr[x y] as the elementwise sum of x * y^T."""
+    return complex((x * y.T).sum())
+
+
+def build_trace_ladder(prepared: PreparedTrace, t: float) -> Ladder:
+    """The ladder of time point t on rho = I/D, D = 2^N, from three traces in the eigenbasis.
+
+    With U = U(t), W(t) = U^dagger sigma_i U and V = sigma_j, the vectors
+    K of `build_ladder` are K_b = U O_b Psi for O = (I, V, V W(t), V W(t) V),
+    and Psi Psi^dagger = I/D, so P_ab = Tr[O_a^dagger O_b]/D and
+    Q_ab = Tr[O_a^dagger W(t) O_b]/D.  As W(t)^2 = V^2 = I and each Pauli is
+    traceless, cyclicity leaves every entry 0, 1 or one of a = Tr[A]/D,
+    C = Tr[A^2]/D and E = Tr[A^3]/D, with A = W(t) V, as the module
+    docstring tabulates.  The direct C(t) is C.  Each trace is real, Tr[A^k]* = Tr[(V W(t))^k] =
+    Tr[A^k], so only its real part is kept.  They are taken over the sector
+    blocks of `prepared`: W(t)_E = Phi^dagger W_E Phi with
+    Phi = diag(e^(-iwt)), and B = V_E W(t)_E, whose powers have the traces
+    of A's.  B is formed only in the blocks the pattern of V_E and W_E
+    allows.  Tr[B^2] sums tr(B_km B_mk) and needs no product; Tr[B^3] sums
+    tr(B_kl B_lm B_mk) over the triples of sectors whose three blocks
+    exist, and as the cyclic rotations of a triple give the same term it
+    forms one product B_kl B_lm per rotation class.  No 2^N-wide array is
+    formed.  Like `build_ladder`, a t that makes a phase non-finite raises
+    EvolutionTimeError, and |C| above 1 beyond ATOL_SPECTRUM ValueError.
+    """
+    phases = prepared.propagator.evolution(t).phases
+    b: SectorBlocks = {}
+    for (l, m), w in prepared.w_blocks.items():
+        w_t = phases[l].conj()[:, None] * w * phases[m]  # block (l, m) of W(t)_E
+        for (k, into), v in prepared.v_blocks.items():
+            if into == l:
+                term = _matmul(v, w_t)
+                if (k, m) in b:
+                    b[k, m] += term
+                else:
+                    b[k, m] = term
+    traces = np.zeros(3, dtype=complex)  # Tr[B], Tr[B^2], Tr[B^3]
+    for (k, m), block in b.items():
+        back = b.get((m, k))
+        if back is None:
+            continue
+        if k == m:
+            traces[0] += np.trace(block)
+        traces[1] += _trace_of_product(block, back)
+        for row, l in b:
+            # each cyclic class of triples once, at its least rotation
+            if row == k and (l, m) in b and (k, l, m) <= min((l, m, k), (m, k, l)):
+                weight = 1 if k == l == m else 3
+                traces[2] += weight * _trace_of_product(b[k, l] @ b[l, m], back)
+    a, c, e = traces.real / len(prepared.propagator.register.order)
+    upper = np.zeros((2, 4, 4), dtype=complex)
+    p, q = upper
+    p[0, 0] = p[1, 1] = p[2, 2] = p[3, 3] = 1.0
+    p[0, 2] = p[1, 3] = q[0, 1] = a
+    q[0, 3] = q[1, 2] = c
+    q[2, 3] = e
+    return _ladder(upper, checked_otoc(c))
 
 
 def outcome_probabilities(ladder: Ladder) -> ProbabilityTable:

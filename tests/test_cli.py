@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -6,10 +7,16 @@ import pytest
 
 from otocsim import cli
 from otocsim.cli import EXIT_CONFIG, EXIT_OK, main
-from otocsim.config import ROW_BYTES, STATE_RANKS, footprint_bytes, parse_config
+from otocsim.config import ROW_BYTES, STATE_FOOTPRINTS, parse_config
 from otocsim.dynamics import Evolution, Propagator
 from otocsim.hilbert import Register
-from otocsim.protocol import build_ladder, im_otoc_via_protocol, outcome_probabilities
+from otocsim.protocol import (
+    PreparedTrace,
+    build_ladder,
+    build_trace_ladder,
+    im_otoc_via_protocol,
+    outcome_probabilities,
+)
 
 import oracles
 
@@ -46,6 +53,7 @@ HUGE_TIME_CONFIG = (
     .replace("t_stop = 2.0", "t_stop = 1e308")
     .replace("n_times = 9", "n_times = 1")
 )
+MIXED_HUGE_TIME_CONFIG = HUGE_TIME_CONFIG.replace("all_up", "maximally_mixed")
 
 
 @pytest.fixture
@@ -190,13 +198,14 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
     "command, text, message",
     [
         ("exact", BASE_CONFIG.replace("n_sites = 4", "n_sites = 40"), "n_sites=40 is above"),
-        # a full-rank state above its cap of 12 sites, rejected before anything is built
+        # a full-rank state above its cap of 13 sites, rejected before anything is built
         (
             "exact",
-            BASE_CONFIG.replace("n_sites = 4", "n_sites = 13").replace(
+            BASE_CONFIG.replace("n_sites = 4", "n_sites = 14").replace(
                 "initial_state = all_up", "initial_state = maximally_mixed"
             ),
-            "for a state of rank 8192",
+            "n_sites=14 is above 13, the largest register on which an "
+            "initial_state = maximally_mixed run fits",
         ),
         ("exact", BASE_CONFIG.replace("t_stop = 2.0", "t_stop = inf"), "finite"),
         ("im", BASE_CONFIG + "theta1 = nan\n", "finite"),
@@ -209,8 +218,10 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
             ),
             "majority ground character",
         ),
-        # finite, but w*t overflows, so U(t) would be NaN
+        # finite, but w*t overflows, so U(t) would be NaN, and so would the phases
+        # that the eigenbasis traces of maximally_mixed read
         *((command, HUGE_TIME_CONFIG, "t=1e+308") for command in ("exact", "sample", "im")),
+        *((command, MIXED_HUGE_TIME_CONFIG, "t=1e+308") for command in ("exact", "sample", "im")),
         # finite, but c6/r^6 overflows at r_min
         ("dressing", DRESSING_CONFIG.replace("r_min = 1.0", "r_min = 1e-60"), "r = r_min = 1e-60"),
         # finite detunings whose sum (the P level) overflows
@@ -285,6 +296,11 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
             "otoc block: site_j=9: site 9 out of range for 4 sites",
         ),
         (
+            "exact",
+            BASE_CONFIG.replace("axis_a = x", "axis_a = w"),
+            "otoc block: axis_a='w': unknown Pauli axis 'w', expected one of ('x', 'y', 'z')",
+        ),
+        (
             "sample",
             BASE_CONFIG.replace("seed = 42", "seed = -1"),
             "field 'seed': seed -1 outside the unsigned 64-bit range",
@@ -317,6 +333,9 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
         "huge_time_exact",
         "huge_time_sample",
         "huge_time_im",
+        "huge_time_exact_maximally_mixed",
+        "huge_time_sample_maximally_mixed",
+        "huge_time_im_maximally_mixed",
         "overflowing_potential",
         "overflowing_detunings",
         "overflowing_laser_detuning",
@@ -330,6 +349,7 @@ def test_degenerate_config_angles_are_a_config_error(tmp_path):
         "zero_n_shots",
         "zero_n_repeats",
         "site_outside_register",
+        "unknown_axis",
         "negative_seed_in_file",
         "r_min_above_r_max",
         "one_grid_point",
@@ -393,22 +413,32 @@ def mixed_yz_config(n_sites, n_times):
 def test_each_point_applies_u_and_a_pauli_seven_times_and_factorizes_nothing(
     command, n_times, tmp_path, monkeypatch
 ):
-    """On a full-rank state every time point applies U(t) or U(t)^dagger 6 times and
-    a single-site Pauli 7 times, all in the ladder that carries both protocols and
-    the direct C(t), and no command calls a QR."""
+    """On all_up every time point applies U(t) or U(t)^dagger 6 times and a
+    single-site Pauli 7 times, all in the ladder that carries both protocols and
+    the direct C(t).  On maximally_mixed a point applies neither: the run forms
+    the two Paulis in the eigenbasis once, two kernel lookups at set-up, and
+    every point reads them.  No command calls a QR."""
     applications, paulis, qr_calls = [], [], []
-    apply, pauli, qr = Evolution.apply, Register.pauli, np.linalg.qr
+    apply, pauli, entries, qr = (
+        Evolution.apply, Register.pauli, Register.pauli_entries, np.linalg.qr
+    )
     monkeypatch.setattr(
         Evolution, "apply", lambda ev, *a, **k: applications.append(1) or apply(ev, *a, **k)
     )
     monkeypatch.setattr(Register, "pauli", lambda *a, **k: paulis.append(1) or pauli(*a, **k))
+    monkeypatch.setattr(
+        Register, "pauli_entries", lambda *a, **k: paulis.append(1) or entries(*a, **k)
+    )
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
-    path = tmp_path / "mixed.cfg"
-    path.write_text(mixed_yz_config(6, n_times))
-    out = tmp_path / f"{command}.csv"
-    assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
-    assert len(applications) == 6 * n_times
-    assert len(paulis) == 7 * n_times
+    for state, per_point, set_up in (("all_up", (6, 7), 0), ("maximally_mixed", (0, 0), 2)):
+        applications.clear()
+        paulis.clear()
+        path = tmp_path / f"{state}.cfg"
+        path.write_text(mixed_yz_config(6, n_times).replace("maximally_mixed", state))
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+        assert len(applications) == per_point[0] * n_times
+        assert len(paulis) == per_point[1] * n_times + set_up
     assert not qr_calls
 
 
@@ -429,7 +459,7 @@ def test_pure_state_points_apply_u_six_times(command, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["exact", "sample", "im"])
 def test_points_carry_nothing_through_the_run_owned_slots(command, tmp_path, monkeypatch):
-    """Every point of a 31-point full-rank run builds, byte for byte, the ladder of a
+    """Every point of a 31-point all_up run builds, byte for byte, the ladder of a
     one-point run at its t, whose slots and scratch start out NaN; so no point reads
     a buffer before writing it, and the rows, which read only the ladder and the
     point's substream, do not depend on the points before them.  The exact rows
@@ -439,8 +469,8 @@ def test_points_carry_nothing_through_the_run_owned_slots(command, tmp_path, mon
     monkeypatch.setattr(
         cli, "build_ladder", lambda *args: ladders.append(build(*args)) or ladders[-1]
     )
-    path = tmp_path / "mixed.cfg"
-    path.write_text(mixed_yz_config(6, 31))
+    path = tmp_path / "pure.cfg"
+    path.write_text(mixed_yz_config(6, 31).replace("maximally_mixed", "all_up"))
     out = tmp_path / f"{command}.csv"
     assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
     config = parse_config(path.read_text())
@@ -449,57 +479,85 @@ def test_points_carry_nothing_through_the_run_owned_slots(command, tmp_path, mon
     for row, ladder in zip(rows, ladders):
         t = float(row["t"])
         one_point = replace(config, otoc=replace(config.otoc, t_start=t, t_stop=t, n_times=1))
-        prepared, _ = cli._build_system(one_point, command)
+        prepared, _, _ = cli._build_system(one_point, command)
         for buffer in (*prepared.slots, prepared.scratch):
             buffer.fill(np.nan)
         fresh = build(prepared, t)
         assert fresh.grams.tobytes() == ladder.grams.tobytes()
         assert fresh.direct == ladder.direct
     if command == "exact":
-        for k, row in enumerate(rows):
-            single = tmp_path / f"point{k}.cfg"
-            single.write_text(
-                path.read_text()
-                .replace("t_start = 0.0", f"t_start = {row['t']}")
-                .replace("t_stop = 3.0", f"t_stop = {row['t']}")
-                .replace("n_times = 31", "n_times = 1")
-            )
-            one = tmp_path / f"point{k}.csv"
-            argv = ["exact", "--config", str(single), "--out", str(one), "--quiet"]
-            assert main(argv) == EXIT_OK
-            assert read_table(one)[2] == [row]
+        assert_rows_equal_one_point_runs(path, rows, tmp_path)
 
 
-@pytest.mark.parametrize("kind", sorted(STATE_RANKS))
+def assert_rows_equal_one_point_runs(path, rows, tmp_path):
+    """Each row of a 31-point `exact` CSV equals, byte for byte, the one-point run at its t."""
+    for k, row in enumerate(rows):
+        single = tmp_path / f"point{k}.cfg"
+        single.write_text(
+            path.read_text()
+            .replace("t_start = 0.0", f"t_start = {row['t']}")
+            .replace("t_stop = 3.0", f"t_stop = {row['t']}")
+            .replace("n_times = 31", "n_times = 1")
+        )
+        one = tmp_path / f"point{k}.csv"
+        argv = ["exact", "--config", str(single), "--out", str(one), "--quiet"]
+        assert main(argv) == EXIT_OK
+        assert read_table(one)[2] == [row]
+
+
+def test_maximally_mixed_points_equal_one_point_runs(tmp_path):
+    """A maximally_mixed point reads only the run's W_E and V_E and its own phases:
+    each of 31 `exact` rows equals the one-point run at its t, byte for byte."""
+    path = tmp_path / "mixed.cfg"
+    path.write_text(mixed_yz_config(6, 31).replace("axis_b = z", "axis_b = x"))
+    out = tmp_path / "exact.csv"
+    assert main(["exact", "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    _, _, rows = read_table(out)
+    assert len(rows) == 31
+    assert_rows_equal_one_point_runs(path, rows, tmp_path)
+
+
+@pytest.mark.parametrize("kind", sorted(STATE_FOOTPRINTS))
 @pytest.mark.parametrize("n_sites", [2, 3, 4])
 def test_the_built_state_has_the_rank_the_cap_assumes(kind, n_sites):
-    """Every initial_state kind that the memory cap knows builds a factor of its rank."""
+    """Every initial_state kind that the memory cap knows builds what its footprint
+    counts: all_up a 2^N x 1 factor and the Schroedinger ladder; maximally_mixed no
+    factor, W_E and V_E of at most 2 C(2N, N-1) entries each, and the trace ladder."""
     text = (
         BASE_CONFIG.replace("n_sites = 4", f"n_sites = {n_sites}")
         .replace("initial_state = all_up", f"initial_state = {kind}")
         .replace("site_i = 2", "site_i = 1")
         .replace("site_j = 3", "site_j = 2")
     )
-    prepared, _ = cli._build_system(parse_config(text), "exact")
-    assert prepared.psi.shape == (2**n_sites, STATE_RANKS[kind](n_sites))
+    prepared, ladder_at, _ = cli._build_system(parse_config(text), "exact")
+    if kind == "all_up":
+        assert prepared.psi.shape == (2**n_sites, 1)
+        assert ladder_at is build_ladder
+        return
+    assert isinstance(prepared, PreparedTrace)
+    assert ladder_at is build_trace_ladder
+    for blocks in (prepared.w_blocks, prepared.v_blocks):
+        assert sum(block.size for block in blocks.values()) <= 2 * math.comb(
+            2 * n_sites, n_sites - 1
+        )
 
 
 def test_a_warm_full_rank_point_allocates_less_than_one_factor():
     """After the first point of a full-rank N = 8 run, a point's ladder, 16-branch table
-    and rotation combination allocate less than one 2^N x 2^N factor: every factor goes
-    into the run's slots."""
-    prepared, grid = cli._build_system(parse_config(mixed_yz_config(8, 31)), "exact")
-    build_ladder(prepared, float(grid[0]))
+    and rotation combination allocate less than one 2^N x 2^N complex factor: the
+    trace ladder forms sector blocks only."""
+    prepared, ladder_at, grid = cli._build_system(parse_config(mixed_yz_config(8, 31)), "exact")
+    ladder_at(prepared, float(grid[0]))
     tracemalloc.start()
     try:
         for t in grid[1:4]:
-            ladder = build_ladder(prepared, float(t))
+            ladder = ladder_at(prepared, float(t))
             outcome_probabilities(ladder)
             im_otoc_via_protocol(ladder)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < prepared.psi.nbytes
+    assert peak < 16 * 4**8
 
 
 @pytest.mark.parametrize("n_sites", [12, 13, 14])
@@ -523,6 +581,52 @@ def test_exact_matches_xx_vacuum_oracle_up_to_fourteen_sites(n_sites, tmp_path):
     assert float(row["im_identity_residual"]) < 1e-12
 
 
+def mixed_point_config(n_sites, site_i, axis_a, site_j, axis_b, t_stop, n_times):
+    """A maximally_mixed `exact` config of n_times points on [0, t_stop]."""
+    return (
+        BASE_CONFIG.replace("n_sites = 4", f"n_sites = {n_sites}")
+        .replace("initial_state = all_up", "initial_state = maximally_mixed")
+        .replace("site_i = 2\naxis_a = x", f"site_i = {site_i}\naxis_a = {axis_a}")
+        .replace("site_j = 3\naxis_b = x", f"site_j = {site_j}\naxis_b = {axis_b}")
+        .replace("t_stop = 2.0\nn_times = 9", f"t_stop = {t_stop}\nn_times = {n_times}")
+    )
+
+
+def exact_rows(text, tmp_path):
+    path, out = tmp_path / "run.cfg", tmp_path / "exact.csv"
+    path.write_text(text)
+    assert main(["exact", "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    return read_table(out)[2]
+
+
+@pytest.mark.parametrize(
+    "n_sites, site_i, site_j, t_stop, n_times",
+    [(6, 1, 6, 3.0, 4), (7, 3, 4, 3.0, 4), (8, 4, 5, 3.0, 4), (9, 2, 2, 3.0, 4),
+     (10, 5, 6, 3.0, 4), (12, 6, 7, 1.7, 1)],
+)
+def test_maximally_mixed_exact_matches_free_fermion_oracles(
+    n_sites, site_i, site_j, t_stop, n_times, tmp_path
+):
+    """The `exact` command on maximally_mixed, which takes its traces in the eigenbasis,
+    against the Jordan-Wigner closed forms: (i,z)/(j,z), and (1,x)/(j,z) below N = 12.
+    C is real at infinite temperature, and both protocols reproduce it."""
+    cases = [("z", site_i, oracles.free_fermion_zz_otoc)]
+    if n_sites < 12:
+        cases.append(("x", 1, lambda n, _, j, t: oracles.free_fermion_xz_otoc(n, j, t)))
+    for axis_a, first, oracle in cases:
+        text = mixed_point_config(n_sites, first, axis_a, site_j, "z", t_stop, n_times)
+        if n_times == 1:
+            text = text.replace("t_start = 0.0", f"t_start = {t_stop}")
+        rows = exact_rows(text, tmp_path)
+        assert len(rows) == n_times
+        for row in rows:
+            expected = oracle(n_sites, first, site_j, float(row["t"]))
+            value = complex(float(row["re_exact"]), float(row["im_exact"]))
+            assert abs(value - expected) < 1e-12
+            assert float(row["re_identity_residual"]) < 1e-12
+            assert float(row["im_identity_residual"]) < 1e-12
+
+
 def test_full_rank_exact_run_stays_within_its_memory_budget(tmp_path):
     """The traced peak of a 31-point N=8 maximally_mixed `exact` run: the prepared
     state keeps Psi once, in register order, and caches nothing per point."""
@@ -541,7 +645,7 @@ def test_full_rank_exact_run_stays_within_its_memory_budget(tmp_path):
 
 @pytest.mark.parametrize("state, n_sites", [("maximally_mixed", 8), ("all_up", 10)])
 def test_one_point_exact_peak_is_within_the_cap_estimate(state, n_sites, tmp_path):
-    """The register cap rests on `footprint_bytes`: the traced peak of a one-point
+    """The register cap rests on `STATE_FOOTPRINTS`: the traced peak of a one-point
     `exact` run, set-up included, stays within it for a full-rank and a pure state."""
     path = tmp_path / "one.cfg"
     path.write_text(mixed_yz_config(n_sites, 1).replace("maximally_mixed", state))
@@ -552,7 +656,7 @@ def test_one_point_exact_peak_is_within_the_cap_estimate(state, n_sites, tmp_pat
     finally:
         tracemalloc.stop()
     assert code == EXIT_OK
-    assert peak <= footprint_bytes(n_sites, STATE_RANKS[state](n_sites))
+    assert peak <= STATE_FOOTPRINTS[state](n_sites)
 
 
 TWO_SITE_CONFIG = (

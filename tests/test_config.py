@@ -6,10 +6,9 @@ import pytest
 from otocsim.config import (
     MAX_SITES,
     MEMORY_BUDGET_BYTES,
-    STATE_RANKS,
+    STATE_FOOTPRINTS,
     ConfigError,
     RunConfig,
-    footprint_bytes,
     parse_config,
     require,
 )
@@ -78,8 +77,11 @@ def test_duplicate_key_rejected():
 def test_type_error_reports_field():
     with pytest.raises(ConfigError, match=r"field 'n_sites'"):
         parse_config("n_sites = four")
-    with pytest.raises(ConfigError, match=r"field 'axis_a'"):
-        parse_config("axis_a = q")
+    # the axes are OtocSpec's rule, reported under the otoc block with the key
+    with pytest.raises(ConfigError, match=r"otoc block: axis_a='q': unknown Pauli axis 'q'"):
+        parse_config(FULL.replace("axis_a = x", "axis_a = q"))
+    with pytest.raises(ConfigError, match=r"otoc block: axis_b='X': unknown Pauli axis 'X'"):
+        parse_config(FULL.replace("axis_b = x", "axis_b = X"))
     with pytest.raises(ConfigError, match=r"field 'microwave'"):
         parse_config("microwave = maybe")
     with pytest.raises(ConfigError, match=r"field 'hamiltonian'"):
@@ -173,13 +175,14 @@ def test_n_shots_above_memory_budget_rejected():
 
 def test_register_above_dense_memory_cap_rejected():
     """The cap is a size estimate per initial state: nothing of 2^N x 2^N is allocated
-    here.  A pure state fits to N = 14, where V alone is C(28,14) floats, a full-rank
-    one to 12, and the message names the rank that does not fit."""
-    for kind, rank in STATE_RANKS.items():
+    here.  A pure state fits to N = 14, where V alone is C(28,14) floats, and
+    maximally_mixed, which holds sector blocks and no factor, to 13; the message
+    names the state and the size that does not fit."""
+    for kind in STATE_FOOTPRINTS:
         cap = MAX_SITES[kind]
-        assert footprint_bytes(cap, rank(cap)) <= MEMORY_BUDGET_BYTES
-        assert footprint_bytes(cap + 1, rank(cap + 1)) > MEMORY_BUDGET_BYTES
-    assert MAX_SITES == {"all_up": 14, "maximally_mixed": 12}
+        assert STATE_FOOTPRINTS[kind](cap) <= MEMORY_BUDGET_BYTES
+        assert STATE_FOOTPRINTS[kind](cap + 1) > MEMORY_BUDGET_BYTES
+    assert MAX_SITES == {"all_up": 14, "maximally_mixed": 13}
     for kind, cap in MAX_SITES.items():
         text = FULL.replace("initial_state = all_up", f"initial_state = {kind}")
         at_cap = text.replace("n_sites = 4", f"n_sites = {cap}")
@@ -187,6 +190,6 @@ def test_register_above_dense_memory_cap_rejected():
         for n_sites in (cap + 1, 16, 40, 10**9):
             with pytest.raises(ConfigError, match=f"n_sites={n_sites} is above {cap}") as info:
                 parse_config(text.replace("n_sites = 4", f"n_sites = {n_sites}"))
-            rank = 1 if kind == "all_up" else 2 ** (cap + 1)
             assert f"initial_state = {kind} " in str(info.value)
-            assert f"for a state of rank {rank})" in str(info.value)
+            needed = STATE_FOOTPRINTS[kind](cap + 1) / 2**30
+            assert f"({needed:.3g} GiB needed at {cap + 1} sites)" in str(info.value)

@@ -95,10 +95,11 @@ def test_embedded_pauli_algebra(args):
 )
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_index_kernels_match_kronecker_oracle(args, sign, rank, seed, order):
-    """The kernels on a random (2^N, r) factor, and the dense projector built
-    from them on the identity, against P (explicit Kronecker chains) P^T for
-    the register's row order P; the projector is (psi +/- sigma psi)/2, the
-    Pi = (1 +/- sigma)/2 that the ladder expands."""
+    """The kernels on a random (2^N, r) factor, the matrix of the entries that
+    `pauli_entries` lists, and the dense projector built from the kernels on the
+    identity, against P (explicit Kronecker chains) P^T for the register's row
+    order P; the projector is (psi +/- sigma psi)/2, the Pi = (1 +/- sigma)/2
+    that the ladder expands."""
     site, axis, n = args
     rng = np.random.Generator(np.random.PCG64(seed))
     psi = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
@@ -107,6 +108,10 @@ def test_index_kernels_match_kronecker_oracle(args, sign, rank, seed, order):
     proj = in_register_order(register, oracles.site_projector(n, site, axis, sign))
     projected = (psi + sign * register.pauli(psi, site, axis)) / 2.0
     np.testing.assert_array_equal(register.pauli(psi, site, axis), sigma @ psi)
+    columns, values = register.pauli_entries(site, axis)
+    listed = np.zeros_like(sigma)
+    listed[np.arange(2**n), columns] = values
+    np.testing.assert_array_equal(listed, sigma)
     np.testing.assert_allclose(projected, proj @ psi, atol=1e-14)
     np.testing.assert_allclose(dense_projector(site, axis, sign, n, register), proj, atol=1e-15)
 

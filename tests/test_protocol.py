@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from otocsim.dynamics import Propagator, build_custom, build_xy_chain
+from otocsim.dynamics import EvolutionTimeError, Propagator, build_custom, build_xy_chain
 from otocsim.hilbert import DensityOperator, all_up_state, maximally_mixed_state
 from otocsim.otoc import OtocSpec, otoc_direct
 from otocsim.protocol import (
@@ -17,10 +17,12 @@ from otocsim.protocol import (
     RotationAngles,
     angle_variants,
     build_ladder,
+    build_trace_ladder,
     corr_from_table,
     im_otoc_via_protocol,
     outcome_probabilities,
     prepare,
+    prepare_maximally_mixed,
     re_otoc_via_protocol,
     rotated_expectation,
 )
@@ -309,6 +311,60 @@ def test_ladder_direct_is_otoc_direct_on_xy_chains(n):
             prepared = prepare(state, spec, prop)
             for t in (0.0, 0.7, 2.3):
                 assert build_ladder(prepared, t).direct == otoc_direct(prepared, t)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_trace_ladder_equals_the_schroedinger_ladder_on_the_maximally_mixed_state(n):
+    """All 72 Gram entries and the direct C(t) of the eigenbasis traces equal
+    `build_ladder`'s on the factor of I/2^N: every axis pair, a middle, a same-site
+    and an edge-site spec, t = 0, 0.7, 3 and 50.  Up to N = 8 every combination;
+    at N = 9 and 10, where a Schroedinger point costs a 2^N x 2^N factor, each
+    axis pair once, cycling the specs and times."""
+    prop = Propagator.from_hamiltonian(build_xy_chain(n))
+    state = maximally_mixed_state(n)
+    pairs = list(dict.fromkeys([(n // 2, n // 2 + 1), (2, 2), (1, n)]))
+    times = (0.0, 0.7, 3.0, 50.0)
+    if n <= 8:
+        cases = [(a, b, i, j, t) for a, b in AXIS_PAIRS for i, j in pairs for t in times]
+    else:
+        cases = [
+            (a, b, *pairs[k % len(pairs)], times[k % len(times)])
+            for k, (a, b) in enumerate(AXIS_PAIRS)
+        ]
+    for axis_a, axis_b, site_i, site_j, t in cases:
+        spec = OtocSpec(site_i, axis_a, site_j, axis_b)
+        expected = build_ladder(prepare(state, spec, prop), t)
+        ladder = build_trace_ladder(prepare_maximally_mixed(spec, prop), t)
+        assert np.max(np.abs(ladder.grams - expected.grams)) < 1e-12
+        assert abs(ladder.direct - expected.direct) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_trace_ladder_equals_the_schroedinger_ladder_on_dense_hamiltonians(seed):
+    """The same on a dense random H: one complex sector, so W_E and V_E are single
+    complex blocks, every axis pair on N = 1 to 4."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for n in range(1, 5):
+        prop = Propagator.from_hamiltonian(random_hamiltonian(n, rng))
+        for axis_a, axis_b in AXIS_PAIRS:
+            site_i, site_j = (int(s) for s in rng.integers(1, n + 1, size=2))
+            spec = OtocSpec(site_i, axis_a, site_j, axis_b)
+            t = float(rng.uniform(0, 5))
+            expected = build_ladder(prepare(maximally_mixed_state(n), spec, prop), t)
+            ladder = build_trace_ladder(prepare_maximally_mixed(spec, prop), t)
+            assert np.max(np.abs(ladder.grams - expected.grams)) < 1e-12
+            assert abs(ladder.direct - expected.direct) < 1e-12
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 1e308])
+def test_trace_ladder_rejects_a_time_whose_phases_are_not_finite(t):
+    """A non-finite t, or one whose phases w t overflow, raises EvolutionTimeError,
+    which the CLI reports as a config error."""
+    prepared = prepare_maximally_mixed(
+        OtocSpec(2, "x", 3, "y"), Propagator.from_hamiltonian(build_xy_chain(4))
+    )
+    with pytest.raises(EvolutionTimeError, match="non-finite"):
+        build_trace_ladder(prepared, t)
 
 
 def _free_fermion_protocol_cases(n, pairs, times):
