@@ -200,9 +200,9 @@ class Ladder:
     U sigma_j U^dagger swaps X0 and X1).  `grams` holds G0 = <B_m|B_n> and
     G1 = <B_m|sigma_i B_n>, traced over the factor's columns: c . B has
     squared norm c^dagger G0 c and <sigma_i> = c^dagger G1 c.  `direct` is
-    the exact C(t) = <X0|sigma_i Z1>, bit-equal to `otoc_direct`.  Both are
-    values: a ladder holds no view of the run's slots.  Build it with
-    `build_ladder`.
+    the exact C(t) = <X0|sigma_i Z1>.  Both are values: a ladder holds no
+    view of the run's slots.  Build it with `build_ladder`, whose `direct`
+    is bit-equal to `otoc_direct`, or, on I/2^N, with `build_trace_ladder`.
     """
 
     grams: np.ndarray
@@ -357,12 +357,12 @@ def build_trace_ladder(prepared: PreparedTrace, t: float) -> Ladder:
     Q_ab = Tr[O_a^dagger W(t) O_b]/D.  As W(t)^2 = V^2 = I and each Pauli is
     traceless, cyclicity leaves every entry 0, 1 or one of a = Tr[A]/D,
     C = Tr[A^2]/D and E = Tr[A^3]/D, with A = W(t) V, as the module
-    docstring tabulates.  The direct C(t) is C.  Each trace is real, Tr[A^k]* = Tr[(V W(t))^k] =
-    Tr[A^k], so only its real part is kept.  They are taken over the sector
-    blocks of `prepared`: W(t)_E = Phi^dagger W_E Phi with
-    Phi = diag(e^(-iwt)), and B = V_E W(t)_E, whose powers have the traces
-    of A's.  B is formed only in the blocks the pattern of V_E and W_E
-    allows.  Tr[B^2] sums tr(B_km B_mk) and needs no product; Tr[B^3] sums
+    docstring tabulates.  The direct C(t) is C.  Each trace is real,
+    Tr[A^k]* = Tr[(V W(t))^k] = Tr[A^k], so only its real part is kept.
+    They are taken over the sector blocks of `prepared`:
+    W(t)_E = Phi^dagger W_E Phi with Phi = diag(e^(-iwt)), and
+    B = V_E W(t)_E, whose powers have the traces of A's.  B is formed only
+    in the blocks the pattern of V_E and W_E allows.  Tr[B^2] sums tr(B_km B_mk) and needs no product; Tr[B^3] sums
     tr(B_kl B_lm B_mk) over the triples of sectors whose three blocks
     exist, and as the cyclic rotations of a triple give the same term it
     forms one product B_kl B_lm per rotation class.  No 2^N-wide array is
