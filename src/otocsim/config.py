@@ -32,12 +32,17 @@ HAMILTONIAN_KINDS = ("xy_chain",)
 # modulus, which also cover the parity-split `eigh` and its checks.  U(t)
 # is applied in the eigenbasis at every width, so no block of it is held.
 #
-# A pure state (all_up) is a 2^N x 1 factor, and a run holds at most
-# FACTORS_AT_PEAK of them beside H and V: `protocol.prepare`'s
-# computational-order factor, Psi in register order, the three slots that
-# every time point writes its factors into, and the coefficient scratch.
-# One-point all_up runs at N=10 and 12 trace at 1.23 and 1.10 times H and V,
-# so all_up fits up to N = 14, where V alone is 320 MB.
+# A pure state (all_up) is a 2^N x 1 factor.  Beside H and V a run holds
+# at most FACTORS_AT_PEAK arrays of that factor's 16 * 2^N bytes: Psi in
+# register order (1); the tables of its two Pauli kernels, each at most an
+# int64 gather and a complex phase (3); a time point's phases e^(-iwt)
+# (1); the three factors that `protocol.build_ladder` rebinds and the one
+# it is building (4); and one temporary of at most a factor (1),
+# `Evolution.apply`'s coefficient buffer beside one sector's conjugated
+# phases, or numpy's complex cast of a z kernel's real signs.  An N = 12
+# run traces within them for every axis pair.  One-point all_up runs at
+# N=10 and 12 trace at 1.23 and 1.10 times H and V, so all_up fits up to
+# N = 14, where V alone is 320 MB.
 #
 # maximally_mixed, I/2^N, holds no factor (`protocol.prepare_maximally_mixed`):
 # beside H and V it holds W_E and V_E, the two Paulis in the eigenbasis,
@@ -50,7 +55,7 @@ HAMILTONIAN_KINDS = ("xy_chain",)
 # sums.  So maximally_mixed fits up to N = 13.
 # Registers whose estimate exceeds the budget are rejected before anything
 # is allocated.
-FACTORS_AT_PEAK = 6
+FACTORS_AT_PEAK = 10
 B_TEMPORARIES = 2
 MEMORY_BUDGET_BYTES = 2 * 2**30
 

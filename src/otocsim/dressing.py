@@ -67,6 +67,9 @@ class LevelScheme:
     delta_microwave: float = 0.0
 
     def __post_init__(self):
+        for name in ("omega_laser", "delta_laser", "omega_microwave", "delta_microwave"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.omega_laser < 0 or self.omega_microwave < 0:
             raise ValueError("Rabi frequencies must be nonnegative")
 

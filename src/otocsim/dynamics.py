@@ -10,13 +10,14 @@ eigendecomposition per block, in the block's own dtype; a block with a
 declared reflection is diagonalized as its even and odd parts.
 `Propagator.evolution(t)` gives the `Evolution` of one time point: the
 phases e^(-iwt) of every block.  It applies U(t) and U(t)^dagger to a
-factor of any width in the eigenbasis, as V (phase * V^dagger psi); no
-block of U(t) is formed.  The evaluators of a time point take the run's
-`protocol.PreparedState` or `protocol.PreparedTrace`, which holds the
-propagator, and the time t, and each makes the point's `Evolution`
-itself; the traces of `PreparedTrace` read only its phases.  H and its eigenbasis,
-and so U(t) and U(t)^dagger, carry the same `hilbert.Register`, the row
-order and sector bounds of H, and act on factors whose rows are in that
+factor of any width in the eigenbasis, as V (phase * V^dagger psi), and
+returns the result as a new array; no block of U(t) is formed.  The
+evaluators of a time point take the run's `protocol.PreparedState` or
+`protocol.PreparedTrace`, which holds the propagator, and the time t,
+and each makes the point's `Evolution` itself; the traces of
+`PreparedTrace` read only its phases.  H and its eigenbasis, and so
+U(t) and U(t)^dagger, carry the same `hilbert.Register`, the row order
+and sector bounds of H, and act on factors whose rows are in that
 order, where each block is a contiguous slice of rows.
 """
 
@@ -246,13 +247,12 @@ class Propagator:
 class Evolution:
     """U(t) = e^(-iHt) at one time point, and U(t)^dagger, on factors in `register` order.
 
-    `ev.forward(psi)` and `ev.backward(psi)` apply U(t) and U(t)^dagger
-    sector by sector to psi of shape (2^N,) or (2^N, r), of any width r, in
-    the eigenbasis: V (phase * V^dagger psi), which for a real V is two real
-    products on psi's (re, im) pairs.  No block of U(t) is ever formed.
-    Both take the optional buffers of `apply`, so that a caller that owns
-    its factors can evolve them in place and allocate nothing.  The
-    register and the eigenvectors V are the propagator's.
+    `ev.forward(psi)` and `ev.backward(psi)` return U(t) psi and
+    U(t)^dagger psi, sector by sector, for psi of shape (2^N,) or (2^N, r),
+    of any width r, in the eigenbasis: V (phase * V^dagger psi), which for
+    a real V is two real products on psi's (re, im) pairs.  No block of
+    U(t) is ever formed.  The register and the eigenvectors V are the
+    propagator's.
     """
 
     propagator: Propagator
@@ -262,48 +262,30 @@ class Evolution:
     def register(self) -> Register:
         return self.propagator.register
 
-    def forward(
-        self, psi: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-    ) -> np.ndarray:
-        return self.apply(psi, False, out, scratch)
+    def forward(self, psi: np.ndarray) -> np.ndarray:
+        return self.apply(psi)
 
-    def backward(
-        self, psi: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-    ) -> np.ndarray:
-        return self.apply(psi, True, out, scratch)
+    def backward(self, psi: np.ndarray) -> np.ndarray:
+        return self.apply(psi, adjoint=True)
 
-    def apply(
-        self,
-        psi: np.ndarray,
-        adjoint: bool = False,
-        out: np.ndarray | None = None,
-        scratch: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """U(t) psi, or U(t)^dagger psi when `adjoint`, rows in register order.
+    def apply(self, psi: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """U(t) psi, or U(t)^dagger psi when `adjoint`, as a new array, rows in register order.
 
         Block k reads rows bounds[k]:bounds[k+1] of psi, so every product
         works on contiguous slices.  Their coefficients V^dagger psi go into
-        the first rows of `scratch`, a complex C-contiguous array of at
-        least the largest sector's rows and psi's width, before the block
-        writes the same rows of the result; so the result may go into psi
-        itself.  It goes into `out`, a complex C-contiguous array shaped
-        like psi, when that is given.  Either buffer not given is allocated.
-        A psi without one row per basis index raises ValueError.
+        the first rows of one buffer of the largest sector's rows, which the
+        blocks of a call share, before the block writes the same rows of the
+        result.  A psi without one row per basis index raises ValueError.
         """
         self.register.check_rows(psi)
         # (2^N, r), C-contiguous, so that its row slices view as (re, im) float pairs
         columns = np.ascontiguousarray(psi, dtype=complex).reshape(len(psi), -1)
-        if out is None:
-            out = np.empty(psi.shape, dtype=complex)
-        elif not (out.shape == psi.shape and out.dtype == complex and out.flags.c_contiguous):
-            raise ValueError("out must be a complex C-contiguous array shaped like psi")
-        if scratch is None:
-            scratch = np.empty((max(self.register.sizes), columns.shape[1]), dtype=complex)
-        result = out.reshape(columns.shape)
+        result = np.empty(columns.shape, dtype=complex)
+        buffer = np.empty((max(self.register.sizes), columns.shape[1]), dtype=complex)
         bounds = self.register.bounds
         for lo, hi, v, phase in zip(bounds, bounds[1:], self.propagator.eigenvectors, self.phases):
             phase = (phase.conj() if adjoint else phase)[:, None]
-            coeffs = scratch[: hi - lo]
+            coeffs = buffer[: hi - lo]
             if v.dtype.kind == "f":
                 np.matmul(v.T, columns[lo:hi].view(float), out=coeffs.view(float))
                 coeffs *= phase
@@ -313,7 +295,7 @@ class Evolution:
                 np.conjugate(coeffs, out=coeffs)  # V^dagger psi
                 coeffs *= phase
                 np.matmul(v, coeffs, out=result[lo:hi])
-        return out
+        return result.reshape(psi.shape)
 
 
 def check_chain_sites(n_sites: int) -> None:

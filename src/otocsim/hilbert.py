@@ -21,6 +21,7 @@ the eigenbasis of H, and never forms a block of U(t).
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -37,8 +38,8 @@ def check_axis(axis: str) -> None:
 
 
 def check_site(site: int, n_sites: int) -> None:
-    """Validate a 1-based site label against the register size."""
-    if not 1 <= site <= n_sites:
+    """IndexError unless site is an integer 1-based site label of an n_sites register."""
+    if not (isinstance(site, numbers.Integral) and 1 <= site <= n_sites):
         raise IndexError(f"site {site} out of range for {n_sites} sites")
 
 
@@ -72,7 +73,7 @@ class Register:
     factors, here and in `dynamics.Evolution`, checks them with `check_rows`.
     """
 
-    __slots__ = ("n_sites", "order", "bounds", "_tables")
+    __slots__ = ("n_sites", "order", "bounds", "sizes", "_tables")
 
     def __init__(
         self, n_sites: int, order: np.ndarray | None = None, bounds: tuple[int, ...] | None = None
@@ -90,11 +91,8 @@ class Register:
         self.n_sites = n_sites
         self.order = order
         self.bounds = bounds
+        self.sizes = tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
         self._tables: dict[tuple[int, str], tuple[np.ndarray | None, np.ndarray | None]] = {}
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(hi - lo for lo, hi in zip(self.bounds, self.bounds[1:]))
 
     def sector(self, k: int) -> np.ndarray:
         """The basis indices of sector k, in row order."""
@@ -147,25 +145,17 @@ class Register:
         out[self.order] = psi
         return out
 
-    def pauli(
-        self, psi: np.ndarray, site: int, axis: str, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """sigma_site^axis @ psi in O(psi.size), for psi of shape (2^N,) or (2^N, r).
-
-        The result is written into `out` when given: an array shaped like
-        psi, of the result's dtype, that does not overlap psi.
-        """
+    def pauli(self, psi: np.ndarray, site: int, axis: str) -> np.ndarray:
+        """sigma_site^axis @ psi in O(psi.size), for psi of shape (2^N,) or (2^N, r)."""
         gather, phase = self._kernel(site, axis)
         self.check_rows(psi)
         if gather is None:
-            return np.multiply(_row_weights(phase, psi), psi, out=out)
-        # "clip" (the indices are in range anyway) lets take write straight
-        # into `out`; the default mode first gathers into a buffered copy
-        out = psi.take(gather, axis=0, out=out, mode="clip")
+            return _row_weights(phase, psi) * psi
+        result = psi[gather]
         if phase is not None:
-            out = out.astype(complex, copy=False)
-            out *= _row_weights(phase, out)  # in place on the gather
-        return out
+            result = result.astype(complex, copy=False)
+            result *= _row_weights(phase, result)  # in place on the gather
+        return result
 
 
 class DensityOperator:

@@ -10,15 +10,13 @@ evolution pattern, followed by one expectation value of sigma_i^a;
 a four-angle-set combination reconstructs Im C(t).
 
 A run prepares its state once on its propagator (`prepare`: Psi in the
-propagator's register order, and the three factor slots and the scratch
-that every time point reuses).  Each time point t then builds one
+propagator's register order).  Each time point t then builds one
 `Ladder`, `build_ladder(prepared, t)`, from six applications of U(t) or
-U(t)^dagger, written into those slots: since U^dagger U = I and
-sigma^2 = I, every state of either protocol is a combination of six
-vectors built from four evolved factors, and the ladder keeps only
-their Gram matrices, one entry of which is the direct C(t).  The
-16-branch table and every angle set read from it; no state is collapsed
-or re-evolved.
+U(t)^dagger: since U^dagger U = I and sigma^2 = I, every state of either
+protocol is a combination of six vectors built from four evolved
+factors, and the ladder keeps only their Gram matrices, one entry of
+which is the direct C(t).  The 16-branch table and every angle set read
+from it; no state is collapsed or re-evolved.
 
 A run on the maximally mixed state rho = I/D, D = 2^N, which commutes
 with H, is prepared in the eigenbasis of H instead
@@ -151,28 +149,21 @@ class PreparedState:
 
     `psi` is the state factor in the register order of `propagator`, whose
     `evolution(t)` gives each point's U(t): state and dynamics cannot come
-    apart.  `slots` are three complex arrays shaped like psi and `scratch`
-    one of the largest sector's rows by psi's width: the run's work
-    buffers, which every `build_ladder` overwrites, so that a time point
-    allocates no factor.  Build it with `prepare`.
+    apart.  It is read-only, as every time point of the run reads it.
+    Build it with `prepare`.
     """
 
     propagator: Propagator
     spec: OtocSpec
     psi: np.ndarray
-    slots: tuple[np.ndarray, np.ndarray, np.ndarray]
-    scratch: np.ndarray
 
 
 def prepare(state: DensityOperator, spec: OtocSpec, propagator: Propagator) -> PreparedState:
     """A run of `propagator` on `state`, Psi in its register order, the spec checked against it."""
-    register = propagator.register
-    psi = register.from_computational(state.factor)
-    spec.validate_for(register.n_sites)
+    psi = propagator.register.from_computational(state.factor)
+    spec.validate_for(propagator.n_sites)
     psi.flags.writeable = False  # shared by every time point of the run
-    slots = tuple(np.empty_like(psi) for _ in range(3))
-    scratch = np.empty((max(register.sizes), psi.shape[1]), dtype=complex)
-    return PreparedState(propagator, spec, psi, slots, scratch)
+    return PreparedState(propagator, spec, psi)
 
 
 # The unnormalised state U Pi_j^o3 U^dagger Pi_i^o2 U Pi_j^o1 Psi that the last
@@ -201,8 +192,8 @@ class Ladder:
     G1 = <B_m|sigma_i B_n>, traced over the factor's columns: c . B has
     squared norm c^dagger G0 c and <sigma_i> = c^dagger G1 c.  `direct` is
     the exact C(t) = <X0|sigma_i Z1>.  Both are values: a ladder holds no
-    view of the run's slots.  Build it with `build_ladder`, whose `direct`
-    is bit-equal to `otoc_direct`, or, on I/2^N, with `build_trace_ladder`.
+    factor.  Build it with `build_ladder`, whose `direct` is bit-equal to
+    `otoc_direct`, or, on I/2^N, with `build_trace_ladder`.
     """
 
     grams: np.ndarray
@@ -223,46 +214,46 @@ def build_ladder(prepared: PreparedState, t: float) -> Ladder:
     and Q_ZZ[a, b] = <Z_a|sigma_i Z_b>.  Q_XZ[0, 1] = <T0|M1> is the
     direct C(t) = <Psi|W(t) V W(t) V Psi>, built with the operations of
     `otoc_direct` and so equal to it bit for bit; like it, the ladder
-    raises ValueError when |C| exceeds 1 beyond ATOL_SPECTRUM.  Every
-    factor is written into the three slots of `prepared`, so at most three
-    live beside Psi and the point allocates none.
+    raises ValueError when |C| exceeds 1 beyond ATOL_SPECTRUM.  Each step
+    returns a new factor, bound to one of three names, a, b and c, in turn,
+    and the factor it replaces is dropped: at most four live beside Psi,
+    the three and the one being built.
     """
     ev = prepared.propagator.evolution(t)
     register = ev.register
-    spec, psi, scratch = prepared.spec, prepared.psi, prepared.scratch
-    a, b, c = prepared.slots
+    spec, psi = prepared.spec, prepared.psi
 
-    def sigma_i(factor: np.ndarray, out: np.ndarray) -> None:
-        register.pauli(factor, spec.site_i, spec.axis_a, out=out)
+    def sigma_i(factor: np.ndarray) -> np.ndarray:
+        return register.pauli(factor, spec.site_i, spec.axis_a)
 
-    def sigma_j(factor: np.ndarray, out: np.ndarray) -> None:
-        register.pauli(factor, spec.site_j, spec.axis_b, out=out)
+    def sigma_j(factor: np.ndarray) -> np.ndarray:
+        return register.pauli(factor, spec.site_j, spec.axis_b)
 
     upper = np.zeros((2, 4, 4), dtype=complex)  # P and Q on and above their diagonals
     p, q = upper
-    # each comment names what the slots it writes hold afterwards
-    sigma_j(psi, a)  # a = Psi_1
+    # each comment names what the name it binds holds
+    a = sigma_j(psi)  # Psi_1
     p[0, 0] = p[1, 1] = p[2, 2] = p[3, 3] = np.vdot(psi, psi)
     p[0, 1] = p[2, 3] = np.vdot(psi, a)
-    ev.forward(psi, b, scratch)  # b = X0
-    ev.forward(a, a, scratch)  # a = X1
-    sigma_i(b, c)  # c = S0
+    b = ev.forward(psi)  # X0
+    a = ev.forward(a)  # X1
+    c = sigma_i(b)  # S0
     q[0, 0], q[0, 1] = np.vdot(b, c), np.vdot(c, a)  # <S0|X1> = <X0|S1>
-    sigma_i(a, b)  # b = S1
+    b = sigma_i(a)  # S1
     q[1, 1] = np.vdot(a, b)
-    ev.backward(c, c, scratch)  # c = M0
-    ev.backward(b, b, scratch)  # b = M1
+    c = ev.backward(c)  # M0
+    b = ev.backward(b)  # M1
     p[1, 2], p[1, 3] = np.vdot(psi, c), np.vdot(psi, b)
-    sigma_j(c, a)  # a = T0
+    a = sigma_j(c)  # T0
     p[0, 2], q[0, 2], q[0, 3] = np.vdot(psi, a), np.vdot(c, a), np.vdot(a, b)
     q[1, 2] = q[0, 3].conjugate()  # <M1|T0>
-    sigma_j(b, c)  # c = T1
+    c = sigma_j(b)  # T1
     p[0, 3], q[1, 3] = np.vdot(psi, c), np.vdot(b, c)
-    ev.forward(a, a, scratch)  # a = Z0
-    ev.forward(c, c, scratch)  # c = Z1
-    sigma_i(a, b)  # b = sigma_i Z0
+    a = ev.forward(a)  # Z0
+    c = ev.forward(c)  # Z1
+    b = sigma_i(a)  # sigma_i Z0
     q[2, 2], q[2, 3] = np.vdot(a, b), np.vdot(b, c)
-    sigma_i(c, b)  # b = sigma_i Z1
+    b = sigma_i(c)  # sigma_i Z1
     q[3, 3] = np.vdot(c, b)
     return _ladder(upper, checked_otoc(q[0, 3]))
 
@@ -362,11 +353,12 @@ def build_trace_ladder(prepared: PreparedTrace, t: float) -> Ladder:
     They are taken over the sector blocks of `prepared`:
     W(t)_E = Phi^dagger W_E Phi with Phi = diag(e^(-iwt)), and
     B = V_E W(t)_E, whose powers have the traces of A's.  B is formed only
-    in the blocks the pattern of V_E and W_E allows.  Tr[B^2] sums tr(B_km B_mk) and needs no product; Tr[B^3] sums
-    tr(B_kl B_lm B_mk) over the triples of sectors whose three blocks
-    exist, and as the cyclic rotations of a triple give the same term it
-    forms one product B_kl B_lm per rotation class.  No 2^N-wide array is
-    formed.  Like `build_ladder`, a t that makes a phase non-finite raises
+    in the blocks the pattern of V_E and W_E allows.  Tr[B^2] sums
+    tr(B_km B_mk) and needs no product; Tr[B^3] sums tr(B_kl B_lm B_mk)
+    over the triples of sectors whose three blocks exist, and as the
+    cyclic rotations of a triple give the same term it forms one product
+    B_kl B_lm per rotation class.  No 2^N-wide array is formed.  Like
+    `build_ladder`, a t that makes a phase non-finite raises
     EvolutionTimeError, and |C| above 1 beyond ATOL_SPECTRUM ValueError.
     """
     phases = prepared.propagator.evolution(t).phases

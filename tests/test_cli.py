@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otocsim
 from otocsim import cli
 from otocsim.cli import EXIT_CONFIG, EXIT_OK, main
 from otocsim.config import ROW_BYTES, STATE_FOOTPRINTS, parse_config
@@ -148,6 +153,32 @@ def test_sample_run_is_byte_identical(config_file, tmp_path):
         est, err = float(row["re_estimate"]), float(row["re_stderr"])
         assert abs(est - float(row["re_exact"])) <= 5 * max(err, 1e-12)
         assert row["n_shots"] == "2000"
+
+
+@pytest.mark.parametrize("command", ["exact", "sample", "im"])
+def test_pure_run_is_byte_identical_at_one_and_two_blas_threads(command, tmp_path):
+    """An N = 10 all_up run writes the same bytes with BLAS and OpenMP at one thread
+    and at two.  Each run is a child process, so that its thread counts are set
+    before numpy loads its BLAS."""
+    path = tmp_path / "n10.cfg"
+    path.write_text(
+        BASE_CONFIG.replace("n_sites = 4", "n_sites = 10")
+        .replace("site_i = 2", "site_i = 5")
+        .replace("site_j = 3", "site_j = 6")
+    )
+    package_root = str(Path(otocsim.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        out = tmp_path / f"{command}_{threads}.csv"
+        argv = ["-m", "otocsim.cli", command, "--config", str(path), "--out", str(out), "--quiet"]
+        result = subprocess.run(
+            [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_seed_override_changes_output(config_file, tmp_path):
@@ -460,10 +491,9 @@ def test_pure_state_points_apply_u_six_times(command, tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["exact", "sample", "im"])
 def test_points_carry_nothing_through_the_run_owned_slots(command, tmp_path, monkeypatch):
     """Every point of a 31-point all_up run builds, byte for byte, the ladder of a
-    one-point run at its t, whose slots and scratch start out NaN; so no point reads
-    a buffer before writing it, and the rows, which read only the ladder and the
-    point's substream, do not depend on the points before them.  The exact rows
-    equal those of 31 one-point `exact` runs, byte for byte."""
+    one-point run at its t; so the rows, which read only the ladder and the point's
+    substream, do not depend on the points before them.  The exact rows equal those
+    of 31 one-point `exact` runs, byte for byte."""
     ladders = []
     build = cli.build_ladder
     monkeypatch.setattr(
@@ -480,8 +510,6 @@ def test_points_carry_nothing_through_the_run_owned_slots(command, tmp_path, mon
         t = float(row["t"])
         one_point = replace(config, otoc=replace(config.otoc, t_start=t, t_stop=t, n_times=1))
         prepared, _, _ = cli._build_system(one_point, command)
-        for buffer in (*prepared.slots, prepared.scratch):
-            buffer.fill(np.nan)
         fresh = build(prepared, t)
         assert fresh.grams.tobytes() == ladder.grams.tobytes()
         assert fresh.direct == ladder.direct
@@ -629,7 +657,7 @@ def test_maximally_mixed_exact_matches_free_fermion_oracles(
 
 def test_full_rank_exact_run_stays_within_its_memory_budget(tmp_path):
     """The traced peak of a 31-point N=8 maximally_mixed `exact` run: the prepared
-    state keeps Psi once, in register order, and caches nothing per point."""
+    run holds W_E and V_E, no state factor, and caches nothing per point."""
     path = tmp_path / "mixed8.cfg"
     path.write_text(mixed_yz_config(8, 31))
     out = tmp_path / "exact.csv"

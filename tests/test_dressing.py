@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,18 @@ def test_scan_rejects_a_pair_hamiltonian_it_cannot_resolve(c3, r_min, message):
 def test_rabi_frequencies_nonnegative():
     with pytest.raises(ValueError):
         LevelScheme(-1.0, 4.0)
+
+
+@pytest.mark.parametrize("field", [0, 1, 2, 3])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_level_scheme_rejects_a_non_finite_field(field, value):
+    """A NaN or infinite drive parameter fails at construction, naming the field,
+    before it can reach an eigendecomposition."""
+    values = [2.0, 4.0, 30.0, 18.0]
+    values[field] = value
+    name = ("omega_laser", "delta_laser", "omega_microwave", "delta_microwave")[field]
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        LevelScheme(*values)
 
 
 def test_vdw_branch_exact_without_microwave():

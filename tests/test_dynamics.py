@@ -432,29 +432,6 @@ def test_evolution_matches_expm_on_both_sides_of_the_width_choice(kind, n):
             assert np.max(np.abs(ev.forward(rows[:, 0]) - forward[:, 0])) < 1e-10
 
 
-@pytest.mark.parametrize("adjoint", [False, True])
-@pytest.mark.parametrize("kind", ["xy_chain", "dense"])
-def test_evolution_into_buffers_is_bit_equal_to_the_allocating_form(kind, adjoint):
-    """`apply` into another array, and into psi itself, with and without a given
-    scratch, writes the allocating form's result bit for bit, forward and backward,
-    on the XY chain's real blocks and on one complex block."""
-    rng = np.random.default_rng(11)
-    ham, _, _ = _hamiltonian_case(kind, 6, rng)
-    prop = Propagator.from_hamiltonian(ham)
-    ev = prop.evolution(1.3)
-    for width in (1, 5, 2**6):
-        psi = rng.standard_normal((2**6, width)) + 1j * rng.standard_normal((2**6, width))
-        expected = ev.apply(psi, adjoint).tobytes()
-        for scratch in (None, np.empty((max(prop.register.sizes), width), dtype=complex)):
-            out = np.empty_like(psi)
-            assert ev.apply(psi, adjoint, out, scratch) is out
-            in_place = psi.copy()
-            assert ev.apply(in_place, adjoint, in_place, scratch) is in_place
-            assert out.tobytes() == in_place.tobytes() == expected
-        with pytest.raises(ValueError, match="out must be a complex C-contiguous array"):
-            ev.apply(psi, adjoint, np.empty(psi.shape))
-
-
 def test_evolution_forms_no_u_blocks():
     """At N=10 one column is evolved holding far less than the C(20,10) complex
     entries of U(t), and a full-width factor holding only its result and one

@@ -8,9 +8,11 @@ from otocsim.hilbert import (
     DensityOperator,
     Register,
     all_up_state,
+    check_site,
     hermiticity_defect,
     maximally_mixed_state,
 )
+from otocsim.otoc import OtocSpec
 from otocsim.verification import random_density
 
 import oracles
@@ -116,19 +118,6 @@ def test_index_kernels_match_kronecker_oracle(args, sign, rank, seed, order):
     np.testing.assert_allclose(dense_projector(site, axis, sign, n, register), proj, atol=1e-15)
 
 
-@pytest.mark.parametrize("axis", ["x", "y", "z"])
-def test_pauli_into_a_buffer_is_bit_equal_to_the_allocating_form(axis, rng):
-    """On the XY chain's row order, every site's kernel writes into `out` exactly
-    what it allocates, for a full-rank width and a single column."""
-    register = build_xy_chain(5).register
-    for width in (1, 2**5):
-        psi = rng.standard_normal((2**5, width)) + 1j * rng.standard_normal((2**5, width))
-        out = np.empty_like(psi)
-        for site in range(1, 6):
-            assert register.pauli(psi, site, axis, out=out) is out
-            assert out.tobytes() == register.pauli(psi, site, axis).tobytes()
-
-
 def test_register_order_is_a_checked_permutation(rng):
     for order in ([0, 1, 1, 3], [0, 1, 2], [0, 1, 2, 4], [-1, 0, 1, 2], [0.0, 1.0, 2.0, 3.0]):
         with pytest.raises(ValueError, match="permutation"):
@@ -161,6 +150,19 @@ def test_embed_site_out_of_range():
         dense_pauli(5, "x", 4)
     with pytest.raises(IndexError):
         dense_pauli(0, "x", 4)
+
+
+@pytest.mark.parametrize("site", [1.5, 2.0, "2", None])
+def test_a_non_integer_site_is_out_of_range(site):
+    """A site that is no integer fails with the out-of-range error, before a kernel
+    shifts by it; numpy integers are sites like Python ints."""
+    with pytest.raises(IndexError, match=f"site {site} out of range for 4 sites"):
+        check_site(site, 4)
+    with pytest.raises(IndexError, match=f"site_i={site}: site {site} out of range"):
+        OtocSpec(site, "x", 3, "x").validate_for(4)
+    for integer in (np.int64(2), np.uint8(2), 2):
+        check_site(integer, 4)
+        OtocSpec(integer, "x", 3, "x").validate_for(4)
 
 
 def test_bad_axis_rejected():

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from otocsim.config import FACTORS_AT_PEAK
 from otocsim.dynamics import EvolutionTimeError, Propagator, build_custom, build_xy_chain
-from otocsim.hilbert import DensityOperator, all_up_state, maximally_mixed_state
+from otocsim.hilbert import DensityOperator, Register, all_up_state, maximally_mixed_state
 from otocsim.otoc import OtocSpec, otoc_direct
 from otocsim.protocol import (
     OUTCOME_SEQUENCES,
@@ -311,6 +314,28 @@ def test_ladder_direct_is_otoc_direct_on_xy_chains(n):
             prepared = prepare(state, spec, prop)
             for t in (0.0, 0.7, 2.3):
                 assert build_ladder(prepared, t).direct == otoc_direct(prepared, t)
+
+
+def test_a_pure_run_holds_at_most_factors_at_peak_beside_h_and_v():
+    """The traced peak of an N = 12 all_up run, from `prepare` through a first and a
+    warm `build_ladder` point, stays within the FACTORS_AT_PEAK factors of 16 * 2^N
+    bytes that the register cap adds to H and V, for every axis pair.  Each pair runs
+    on a fresh register, so that its kernel tables are built, and counted, inside
+    the trace."""
+    n = 12
+    prop = Propagator.from_hamiltonian(build_xy_chain(n))
+    for axis_a, axis_b in AXIS_PAIRS:
+        fresh = Register(n, prop.register.order, prop.register.bounds)
+        run = replace(prop, register=fresh)
+        tracemalloc.start()
+        try:
+            prepared = prepare(all_up_state(n), OtocSpec(6, axis_a, 7, axis_b), run)
+            for t in (0.3, 1.7):
+                build_ladder(prepared, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= FACTORS_AT_PEAK * 16 * 2**n, (axis_a, axis_b, peak)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
