@@ -46,8 +46,10 @@ from .protocol import (
     im_otoc_via_protocol,
     outcome_probabilities,
     prepare,
+    prepare_all_up,
     prepare_maximally_mixed,
     re_otoc_via_protocol,
+    reached_weights,
     rotated_expectation,
 )
 from .sampling import (

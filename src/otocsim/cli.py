@@ -21,7 +21,6 @@ from . import __version__
 from .config import ConfigError, RunConfig, parse_config, require
 from .dressing import AdiabaticityError, scan_curve
 from .dynamics import EvolutionTimeError, Propagator, build_xy_chain
-from .hilbert import all_up_state
 from .protocol import (
     DegenerateAnglesError,
     RotationAngles,
@@ -30,8 +29,9 @@ from .protocol import (
     corr_from_table,
     im_otoc_via_protocol,
     outcome_probabilities,
-    prepare,
+    prepare_all_up,
     prepare_maximally_mixed,
+    reached_weights,
 )
 from .sampling import (
     GENERATOR_NAME,
@@ -90,19 +90,22 @@ def _write_csv(path, command, config_hash, seed, columns, rows):
 def _build_system(config: RunConfig, command: str):
     """The run's prepared state, which holds its propagator, its ladder builder and its time grid.
 
-    `maximally_mixed` is prepared in the eigenbasis of H and holds no state
-    factor (`prepare_maximally_mixed`, `build_trace_ladder`).  `all_up`
-    keeps only the prepared factor, in the propagator's register order; the
-    computational-order factor is dropped here.
+    `maximally_mixed` spans every sector; it is prepared in the eigenbasis
+    of the whole chain and holds no state factor (`prepare_maximally_mixed`,
+    `build_trace_ladder`).  `all_up` builds, diagonalizes and holds only the
+    Hamming-weight sectors its chain reaches (`reached_weights`), and its
+    factor is built on that register (`prepare_all_up`).
     """
     system = require(config, "system", command)
     otoc_cfg = require(config, "otoc", command)
-    prop = Propagator.from_hamiltonian(build_xy_chain(system.n_sites))
-    grid = otoc_cfg.time_grid()
+    n_sites, spec, grid = system.n_sites, otoc_cfg.spec, otoc_cfg.time_grid()
     if system.initial_state == "maximally_mixed":
-        return prepare_maximally_mixed(otoc_cfg.spec, prop), build_trace_ladder, grid
-    # all_up_state and build_ladder are read at each call (perfbench wraps the first)
-    return prepare(all_up_state(system.n_sites), otoc_cfg.spec, prop), build_ladder, grid
+        prop = Propagator.from_hamiltonian(build_xy_chain(n_sites))
+        return prepare_maximally_mixed(spec, prop), build_trace_ladder, grid
+    evolved, imaged = reached_weights(n_sites, spec.axis_a, spec.axis_b)
+    prop = Propagator.from_hamiltonian(build_xy_chain(n_sites, evolved, imaged))
+    # build_ladder is read at each call (a test wraps it)
+    return prepare_all_up(spec, prop), build_ladder, grid
 
 
 def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str], bool]:
@@ -151,9 +154,11 @@ def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str
     worst_re = max(row["re_identity_residual"] for row in rows)
     worst_im = max(row["im_identity_residual"] for row in rows)
     prop = prepared.propagator
+    register, blocks = prop.register, [len(w) for w in prop.block_eigenvalues]
     log(f"identity cross-check: max |2corr-1 - Re C| = {worst_re:.3e}, "
-        f"max rotation residual = {worst_im:.3e}; eigendecomposition in "
-        f"{len(prop.register.sizes)} blocks (largest {max(prop.register.sizes)}), "
+        f"max rotation residual = {worst_im:.3e}; register of {len(register.order)} rows "
+        f"in {len(register.sizes)} sectors; eigendecomposition in {len(blocks)} blocks "
+        f"(largest {max(blocks)}), "
         f"{len(prop.eigh_sizes)} parity blocks (largest {max(prop.eigh_sizes)}): "
         f"residual {prop.reconstruction_residual:.3e}, "
         f"unitarity defect {prop.unitarity_defect:.3e}; {counts}")

@@ -17,35 +17,44 @@ import numpy as np
 
 from .dressing import InteractionCoefficients, LevelScheme, check_scan
 from .dynamics import check_chain_sites
+from .hilbert import MAX_BASIS_SITES
 from .otoc import OtocSpec
-from .protocol import RotationAngles
+from .protocol import RotationAngles, reached_weights
 from .sampling import SampleConfig, check_seed
 
 HAMILTONIAN_KINDS = ("xy_chain",)
 
 # The cap is an estimate of the bytes of the arrays an OTOC run holds at
 # once, per initial_state (`STATE_FOOTPRINTS`).  The XY chain's H and its
-# real eigenvectors V are block-diagonal over the Hamming-weight sectors,
-# sum_w C(N,w)^2 = C(2N,N) entries each, both held while the propagator is
-# built, beside at most two real temporaries of the largest sector,
-# C(N, N//2)^2 entries each: the hermiticity check's M - M^T and its
-# modulus, which also cover the parity-split `eigh` and its checks.  U(t)
-# is applied in the eigenbasis at every width, so no block of it is held.
+# real eigenvectors V are block-diagonal over the Hamming-weight sectors
+# the run diagonalizes, C(N,w)^2 entries per sector w, both held while the
+# propagator is built, beside at most two real temporaries of the largest
+# of those sectors: the hermiticity check's M - M^T and its modulus, which
+# also cover the parity-split `eigh` and its checks.  U(t) is applied in
+# the eigenbasis at every width, so no block of it is held.
 #
-# A pure state (all_up) is a 2^N x 1 factor.  Beside H and V a run holds
-# at most FACTORS_AT_PEAK arrays of that factor's 16 * 2^N bytes: Psi in
-# register order (1); the tables of its two Pauli kernels, each at most an
-# int64 gather and a complex phase (3); a time point's phases e^(-iwt)
-# (1); the three factors that `protocol.build_ladder` rebinds and the one
-# it is building (4); and one temporary of at most a factor (1),
-# `Evolution.apply`'s coefficient buffer beside one sector's conjugated
-# phases, or numpy's complex cast of a z kernel's real signs.  An N = 12
-# run traces within them for every axis pair.  One-point all_up runs at
-# N=10 and 12 trace at 1.23 and 1.10 times H and V, so all_up fits up to
-# N = 14, where V alone is 320 MB.
+# all_up diagonalizes only the sectors its chain evolves, and its register
+# holds only those and the sectors of the last sigma_i image
+# (`protocol.reached_weights`), so its estimate depends on the axis pair:
+# x or y for both axes reaches weights 0-3 and holds 0-4, z for both only
+# weight 0.  Its factor has one row per held basis index.  Beside H and V
+# a run holds at most FACTORS_AT_PEAK arrays of that factor's 16 bytes per
+# row: Psi (1); the tables of its two Pauli kernels, each at most an int64
+# gather and a complex phase, and where the register lacks a row's partner
+# an int64 list of such rows, all in its top sector (3); a time point's
+# phases e^(-iwt), one per diagonalized row (1); the three factors that
+# `protocol.build_ladder` rebinds and the one it is building (4); and one
+# temporary of at most a factor (1), `Evolution.apply`'s coefficient
+# buffer beside one sector's conjugated phases, or numpy's complex cast of
+# a z kernel's real signs.  An N = 12 run on the whole register traces
+# within them for every axis pair, and so do runs on the reached register
+# at N = 20 (9.4 factors for y/y, 7.3 for x/x).  So the x/x run fits up to
+# N = 37, where its largest block, weight 3, has C(37,3) = 7770 rows, and a
+# run with a z axis is bounded only by MAX_BASIS_SITES.
 #
-# maximally_mixed, I/2^N, holds no factor (`protocol.prepare_maximally_mixed`):
-# beside H and V it holds W_E and V_E, the two Paulis in the eigenbasis,
+# maximally_mixed, I/2^N, spans every sector and holds no factor
+# (`protocol.prepare_maximally_mixed`): beside H and V on all N + 1 sectors
+# it holds W_E and V_E, the two Paulis in the eigenbasis,
 # and a time point's blocks of B = V_E W(t)_E.  x and y move a sector by
 # +/-1, so each Pauli has at most 2 C(2N,N-1) entries, complex for y, and
 # B's blocks move by -2, 0 or +2, C(2N,N) + 2 C(2N,N-2) complex entries.
@@ -53,10 +62,14 @@ HAMILTONIAN_KINDS = ("xy_chain",)
 # once: a W(t)_E block (or its half-phased intermediate) and its product
 # into B, or a product B_kl B_lm and the elementwise product its trace
 # sums.  So maximally_mixed fits up to N = 13.
+# Either run also holds RUN_OBJECT_BYTES of small objects whatever its size:
+# the config, the array headers and table dicts, a point's ladder and
+# output row; a one-point all_up run traces 45-80 KB above its arrays.
 # Registers whose estimate exceeds the budget are rejected before anything
 # is allocated.
 FACTORS_AT_PEAK = 10
 B_TEMPORARIES = 2
+RUN_OBJECT_BYTES = 2**18
 MEMORY_BUDGET_BYTES = 2 * 2**30
 
 # The same budget bounds what grows with a run's counts.  A shot holds a
@@ -66,35 +79,49 @@ MEMORY_BUDGET_BYTES = 2 * 2**30
 SHOT_BYTES = 9
 ROW_BYTES = 800
 
-def _held_bytes(n_sites: int) -> int:
-    """H, V and two real temporaries of the largest sector."""
-    largest = math.comb(n_sites, n_sites // 2)
-    return 2 * 8 * (math.comb(2 * n_sites, n_sites) + largest**2)
+# the axis pair whose all_up run reaches the most sectors; a system block
+# without an otoc block is capped for it
+WIDEST_AXES = ("x", "x")
 
 
-def _pure_bytes(n_sites: int) -> int:
-    return _held_bytes(n_sites) + FACTORS_AT_PEAK * 16 * 2**n_sites
+def _held_bytes(sizes: list[int]) -> int:
+    """H and V on blocks of these sizes, two real temporaries of the largest, the small objects."""
+    return 2 * 8 * (sum(size * size for size in sizes) + max(sizes) ** 2) + RUN_OBJECT_BYTES
 
 
-def _maximally_mixed_bytes(n_sites: int) -> int:
+def _pure_bytes(n_sites: int, axes: tuple[str, str] = WIDEST_AXES) -> int:
+    """H and V on the sectors the run diagonalizes, and its factors on the rows it holds."""
+    evolved, imaged = reached_weights(n_sites, *axes)
+    sizes = [math.comb(n_sites, w) for w in evolved]
+    rows = sum(sizes) + sum(math.comb(n_sites, w) for w in imaged)
+    return _held_bytes(sizes) + FACTORS_AT_PEAK * 16 * rows
+
+
+def _maximally_mixed_bytes(n_sites: int, axes: tuple[str, str] = WIDEST_AXES) -> int:
+    """The same for every axis pair."""
     paulis = 2 * 16 * 2 * math.comb(2 * n_sites, n_sites - 1)  # W_E and V_E
     b_blocks = 16 * (math.comb(2 * n_sites, n_sites) + 2 * math.comb(2 * n_sites, n_sites - 2))
     temporaries = B_TEMPORARIES * 16 * math.comb(n_sites, n_sites // 2) ** 2
-    return _held_bytes(n_sites) + paulis + b_blocks + temporaries
+    held = _held_bytes([math.comb(n_sites, w) for w in range(n_sites + 1)])
+    return held + paulis + b_blocks + temporaries
 
 
-# initial_state -> estimated peak bytes of an OTOC run on n_sites qubits
-STATE_FOOTPRINTS: dict[str, Callable[[int], int]] = {
+# initial_state -> estimated peak bytes of an OTOC run of an axis pair on n_sites qubits
+STATE_FOOTPRINTS: dict[str, Callable[..., int]] = {
     "all_up": _pure_bytes,
     "maximally_mixed": _maximally_mixed_bytes,
 }
 
 
-# initial_state -> the largest register whose estimate fits the budget
-MAX_SITES = {
-    kind: max(n for n in range(2, 64) if footprint(n) <= MEMORY_BUDGET_BYTES)
-    for kind, footprint in STATE_FOOTPRINTS.items()
-}
+def max_sites(kind: str, axes: tuple[str, str] = WIDEST_AXES) -> int:
+    """The largest register, at most MAX_BASIS_SITES, whose estimate for the run fits the budget.
+
+    Every estimate grows with n_sites, so the search stops at the first that does not fit.
+    """
+    footprint, n_sites = STATE_FOOTPRINTS[kind], 2
+    while n_sites < MAX_BASIS_SITES and footprint(n_sites + 1, axes) <= MEMORY_BUDGET_BYTES:
+        n_sites += 1
+    return n_sites
 
 
 class ConfigError(ValueError):
@@ -300,12 +327,20 @@ def _cross_validate(config: RunConfig, source: str) -> None:
     if config.system is not None:
         kind, n_sites = config.system.initial_state, config.system.n_sites
         _in_block(source, "system", check_chain_sites, n_sites)  # xy_chain is the only H
-        cap = MAX_SITES[kind]
+        spec = config.otoc.spec if config.otoc is not None else None
+        axes = WIDEST_AXES if spec is None else (spec.axis_a, spec.axis_b)
+        cap = max_sites(kind, axes)
         if n_sites > cap:
-            fail(
+            above = (
                 f"n_sites={n_sites} is above {cap}, the largest register on which an "
-                f"initial_state = {kind} run fits in {MEMORY_BUDGET_BYTES / 2**30:g} GiB "
-                f"({STATE_FOOTPRINTS[kind](cap + 1) / 2**30:.3g} GiB needed at {cap + 1} sites)"
+                f"initial_state = {kind} run fits"
+            )
+            if cap == MAX_BASIS_SITES:
+                fail(f"{above}: its basis indices are int64")
+            fail(
+                f"{above} in {MEMORY_BUDGET_BYTES / 2**30:g} GiB with the {axes[0]}/{axes[1]} "
+                f"axes ({STATE_FOOTPRINTS[kind](cap + 1, axes) / 2**30:.3g} GiB needed at "
+                f"{cap + 1} sites)"
             )
     if config.otoc is not None:
         within_budget("n_times", config.otoc.n_times, ROW_BYTES, "its output rows")

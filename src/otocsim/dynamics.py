@@ -3,11 +3,12 @@
 Units: the XY coupling constant is 1 and hbar = 1, so time is
 dimensionless.  A `Hamiltonian` is its sector blocks, and its builder
 declares them: `build_xy_chain` writes the Hamming-weight sectors of the
-XY chain as real blocks by index, and declares the open chain's
-reflection, and `Hamiltonian.from_matrix` holds a dense H as one complex
-block in computational order.  Evolution is exact via a cached Hermitian
-eigendecomposition per block, in the block's own dtype; a block with a
-declared reflection is diagonalized as its even and odd parts.
+XY chain as real blocks by index, only for the weights it is asked for,
+and declares the open chain's reflection, and `Hamiltonian.from_matrix`
+holds a dense H as one complex block in computational order.  Evolution
+is exact via a cached Hermitian eigendecomposition per block, in the
+block's own dtype; a block with a declared reflection is diagonalized as
+its even and odd parts.
 `Propagator.evolution(t)` gives the `Evolution` of one time point: the
 phases e^(-iwt) of every block.  It applies U(t) and U(t)^dagger to a
 factor of any width in the eigenbasis, as V (phase * V^dagger psi), and
@@ -18,7 +19,10 @@ and each makes the point's `Evolution` itself; the traces of
 `PreparedTrace` read only its phases.  H and its eigenbasis, and so
 U(t) and U(t)^dagger, carry the same `hilbert.Register`, the row order
 and sector bounds of H, and act on factors whose rows are in that
-order, where each block is a contiguous slice of rows.
+order, where each block is a contiguous slice of rows.  The register may
+hold sectors after the last block of H, which a factor may reach but
+U(t) is never applied to; `Evolution.apply` raises ValueError on a factor
+with weight there.
 """
 
 from __future__ import annotations
@@ -43,10 +47,13 @@ class EvolutionTimeError(ValueError):
 class Hamiltonian:
     """Hermitian generator of the dynamics, held as its sector blocks.
 
-    H is exactly zero outside the sectors of `register`, and each
-    block keeps its own dtype: real float64 for the XY chain, which
-    `build_xy_chain` writes sector by sector, complex for the one block of
-    a dense H from `from_matrix`.  Every block is checked Hermitian; since
+    blocks[k] is H on sector k of `register`, for its first len(blocks)
+    sectors; H is exactly zero between sectors.  Sectors after the last
+    block are held but not built: the register keeps them for factors
+    that reach them without being evolved there (`build_xy_chain`'s
+    `held`).  Each block keeps its own dtype: real float64 for the XY
+    chain, which `build_xy_chain` writes sector by sector, complex for the
+    one block of a dense H from `from_matrix`.  Every block is checked Hermitian; since
     H is zero off the blocks, the worst block defect is the whole-matrix
     defect.
 
@@ -63,7 +70,7 @@ class Hamiltonian:
     def __post_init__(self):
         register = self.register
         shapes = tuple(block.shape for block in self.blocks)
-        if shapes != tuple((s, s) for s in register.sizes):
+        if not shapes or shapes != tuple((s, s) for s in register.sizes[: len(shapes)]):
             raise ValueError(f"Hamiltonian blocks {shapes} do not tile sectors {register.sizes}")
         for block in self.blocks:
             if not hermiticity_defect(block) <= ATOL_ALGEBRA:
@@ -99,7 +106,7 @@ class Hamiltonian:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense complex 2^N x 2^N H, assembled on each call; for tests and oracles."""
+        """The dense complex 2^N x 2^N H of the built blocks, assembled on each call; for tests."""
         register = self.register
         mat = np.zeros((2**self.n_sites,) * 2, dtype=complex)
         for k, block in enumerate(self.blocks):
@@ -178,8 +185,8 @@ class Propagator:
     the sizes of the nonempty matrices `eigh` ran on.  Immutable after
     construction; `evolution(t)` takes the phases e^(-iwt) from it.
     `register` is H's own: the row order of `eigenvectors`, one V_k per
-    sector, and of the factors the evolution acts on; its kernel tables are
-    built on first use.
+    block of H, and of the factors the evolution acts on; its sectors past
+    the last block have no V_k.  Its kernel tables are built on first use.
     `reconstruction_residual` and `unitarity_defect` are the worst
     max|V diag(w) V^dagger - H| and max|V^dagger V - I| over the matrices
     `eigh` ran on, the residual including each split block's
@@ -248,7 +255,7 @@ class Evolution:
     """U(t) = e^(-iHt) at one time point, and U(t)^dagger, on factors in `register` order.
 
     `ev.forward(psi)` and `ev.backward(psi)` return U(t) psi and
-    U(t)^dagger psi, sector by sector, for psi of shape (2^N,) or (2^N, r),
+    U(t)^dagger psi, sector by sector, for psi of shape (rows,) or (rows, r),
     of any width r, in the eigenbasis: V (phase * V^dagger psi), which for
     a real V is two real products on psi's (re, im) pairs.  No block of
     U(t) is ever formed.  The register and the eigenvectors V are the
@@ -275,15 +282,24 @@ class Evolution:
         works on contiguous slices.  Their coefficients V^dagger psi go into
         the first rows of one buffer of the largest sector's rows, which the
         blocks of a call share, before the block writes the same rows of the
-        result.  A psi without one row per basis index raises ValueError.
+        result.  A psi without one row per basis index raises ValueError,
+        and so does one with weight in a sector that H has no block on: U(t)
+        is not built there.  The result is zero in those sectors.
         """
         self.register.check_rows(psi)
-        # (2^N, r), C-contiguous, so that its row slices view as (re, im) float pairs
+        # (rows, r), C-contiguous, so that its row slices view as (re, im) float pairs
         columns = np.ascontiguousarray(psi, dtype=complex).reshape(len(psi), -1)
+        bounds, vectors = self.register.bounds, self.propagator.eigenvectors
+        unbuilt = bounds[len(vectors)]  # the first row of the sectors without a V_k
+        if unbuilt < len(columns) and np.count_nonzero(columns[unbuilt:]):
+            raise ValueError(
+                f"factor has weight in sectors {len(vectors)} to {len(bounds) - 2} of the "
+                "register, on which U(t) is not built"
+            )
         result = np.empty(columns.shape, dtype=complex)
-        buffer = np.empty((max(self.register.sizes), columns.shape[1]), dtype=complex)
-        bounds = self.register.bounds
-        for lo, hi, v, phase in zip(bounds, bounds[1:], self.propagator.eigenvectors, self.phases):
+        result[unbuilt:] = 0.0
+        buffer = np.empty((max(map(len, self.phases)), columns.shape[1]), dtype=complex)
+        for lo, hi, v, phase in zip(bounds, bounds[1:], vectors, self.phases):
             phase = (phase.conj() if adjoint else phase)[:, None]
             coeffs = buffer[: hi - lo]
             if v.dtype.kind == "f":
@@ -304,37 +320,61 @@ def check_chain_sites(n_sites: int) -> None:
         raise ValueError(f"an XY chain needs n_sites >= 2, got {n_sites}")
 
 
-def build_xy_chain(n_sites: int) -> Hamiltonian:
+def _weight_strings(n_sites: int, top: int) -> list[np.ndarray]:
+    """The n_sites-bit strings of each Hamming weight 0..top, each weight's ascending, as int64."""
+    strings = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * top
+    for bit in range(n_sites):
+        # over bits 0..bit: the strings with this bit clear, then the larger ones with it set
+        strings = [strings[0]] + [
+            np.concatenate([strings[w], strings[w - 1] | (1 << bit)]) for w in range(1, top + 1)
+        ]
+    return strings
+
+
+def build_xy_chain(
+    n_sites: int, weights: Sequence[int] | None = None, held: Sequence[int] = ()
+) -> Hamiltonian:
     """Open-boundary chain H = -sum_k (x_k x_(k+1) + y_k y_(k+1)), as its Hamming-weight blocks.
 
     x_k x_(k+1) + y_k y_(k+1) flips sites k and k+1 with amplitude 2 when
     they differ and annihilates them otherwise, so H has the entry -2 at
     (b ^ (3 << (k-1)), b) for every b whose bits k-1 and k differ.  Such a
     flip keeps the Hamming weight, so H is written straight into one real
-    C(N, w) x C(N, w) block per weight w, its basis indices in ascending
-    order; no 2^N x 2^N array is formed.  The chain's reflection, site k to
-    site N + 1 - k, sends b to its bit reversal, keeps the weight and maps
-    the bond terms onto each other; it is declared as `reflection`.
+    C(N, w) x C(N, w) block per weight w in `weights` (all N + 1 of them by
+    default), its basis indices in ascending order, and a flipped string's
+    row is its rank in the sector; no array of length 2^N is formed.  The
+    register holds those sectors, in the order given, then the sectors of
+    the weights in `held`, on which no block is built.  The chain's
+    reflection, site k to site N + 1 - k, sends b to its bit reversal,
+    keeps the weight and maps the bond terms onto each other; it is
+    declared as `reflection`.
     """
     check_chain_sites(n_sites)
-    basis = np.arange(2**n_sites)
-    weight = sum((basis >> s) & 1 for s in range(n_sites))
-    sizes = [math.comb(n_sites, w) for w in range(n_sites + 1)]
-    bounds = (0, *np.cumsum(sizes).tolist())
-    register = Register(n_sites, np.argsort(weight, kind="stable"), bounds)
-    local = np.empty_like(basis)  # position of each basis index within its block
-    local[register.order] = basis - np.repeat(bounds[:-1], sizes)
-    cols = np.concatenate(
-        [basis[((basis >> (k - 1)) ^ (basis >> k)) & 1 == 1] for k in range(1, n_sites)]
-    )
-    rows = cols ^ np.repeat([3 << (k - 1) for k in range(1, n_sites)], 2 ** (n_sites - 1))
-    blocks = tuple(np.zeros((size, size)) for size in sizes)
-    for w, block in enumerate(blocks):
-        flip = weight[cols] == w
-        block[local[rows[flip]], local[cols[flip]]] = -2.0
-    reverse = sum(((basis >> s) & 1) << (n_sites - 1 - s) for s in range(n_sites))
-    reflection = local[reverse[register.order]] + np.repeat(bounds[:-1], sizes)
-    return Hamiltonian(register, blocks, reflection)
+    weights = tuple(range(n_sites + 1)) if weights is None else tuple(weights)
+    every = weights + tuple(held)
+    if not weights or len(set(every)) != len(every) or not all(0 <= w <= n_sites for w in every):
+        raise ValueError(
+            f"weights {weights} and held {tuple(held)} are not distinct Hamming weights "
+            f"of 0..{n_sites}, with at least one block"
+        )
+    strings = _weight_strings(n_sites, max(every))
+    sectors = [strings[w] for w in every]
+    bounds = (0, *np.cumsum([len(basis) for basis in sectors]).tolist())
+    register = Register(n_sites, np.concatenate(sectors), bounds)
+    blocks = []
+    for basis in sectors[: len(weights)]:
+        block = np.zeros((len(basis), len(basis)))
+        for k in range(1, n_sites):
+            cols = np.flatnonzero(((basis >> (k - 1)) ^ (basis >> k)) & 1)
+            block[np.searchsorted(basis, basis[cols] ^ (3 << (k - 1))), cols] = -2.0
+        blocks.append(block)
+    order = register.order
+    reverse = sum(((order >> s) & 1) << (n_sites - 1 - s) for s in range(n_sites))
+    reflection = np.concatenate([
+        lo + np.searchsorted(basis, reverse[lo:hi])
+        for lo, hi, basis in zip(bounds, bounds[1:], sectors)
+    ])
+    return Hamiltonian(register, tuple(blocks), reflection)
 
 
 def build_custom(

@@ -9,11 +9,14 @@ Sites are 1-based throughout.
 A state rho is carried as a column factor Psi (2^N x r) with
 rho = Psi Psi^dagger: r = 1 for a pure state, r = 2^N for the maximally
 mixed one.  A `DensityOperator` holds Psi in computational order.  H,
-U(t), U(t)^dagger and the evaluators' Psi share one `Register`: a row
-order and its cut into the sectors of H, so that U(t) acts on each sector
-as a contiguous slice of rows.  Single-site Paulis act on Psi through index
-kernels in O(2^N r) (a row gather and a row phase), never as dense
-matrices.  Time evolution U(t) is block-diagonal over the sectors; a
+U(t), U(t)^dagger and the evaluators' Psi share one `Register`: the basis
+indices a run holds, in row order, cut into the sectors of H, so that U(t)
+acts on each sector as a contiguous slice of rows.  A register may hold
+every basis index or only some sectors of them, those a run can reach;
+the indices are int64, so N is at most MAX_BASIS_SITES.  Single-site
+Paulis act on Psi through index kernels in O(rows r) (a row gather and a
+row phase), never as dense matrices, and no kernel builds a table of
+length 2^N.  Time evolution U(t) is block-diagonal over the sectors; a
 time point's `dynamics.Evolution` applies it to a factor of any width in
 the eigenbasis of H, and never forms a block of U(t).
 """
@@ -29,6 +32,9 @@ ATOL_ALGEBRA = 1e-12   # algebraic identities (hermiticity, trace, norm, each pr
 ATOL_SPECTRUM = 1e-10  # spectral quantities (eigenvalues, reconstructions, probability sum)
 
 PAULI_AXES = ("x", "y", "z")
+
+# basis indices are int64, and so is 2^N, one past the largest of them
+MAX_BASIS_SITES = 62
 
 
 def check_axis(axis: str) -> None:
@@ -56,12 +62,14 @@ def _row_weights(weights, psi: np.ndarray) -> np.ndarray:
 
 
 class Register:
-    """The layout of an n_sites register: a row order, its sectors, and the single-site kernels.
+    """The layout of an n_sites register: its basis indices in row order, its sectors, the kernels.
 
-    Row k of a factor in register order is basis index order[k], for a
-    permutation `order` of range(2^N); the identity order is the
-    computational one.  Sector k is rows bounds[k]:bounds[k+1], the basis
-    indices `sector(k)`; by default one sector holds every row.  The
+    Row k of a factor in register order is basis index order[k].  `order`
+    is a set of distinct indices in range(2^N), by default all of them in
+    computational order; a register that holds only some of them stands for
+    the subspace they span, and a factor in its order is zero on every
+    index it does not hold.  Sector k is rows bounds[k]:bounds[k+1], the
+    basis indices `sector(k)`; by default one sector holds every row.  The
     evaluators use H's sectors, so that each block of H and U(t) acts on a
     contiguous slice of rows.
 
@@ -69,30 +77,45 @@ class Register:
     row of b ^ m; sigma^y adds the phase -i (bit of b clear) or +i (set),
     and sigma^z is the row sign +1 (clear) or -1 (set).  Each kernel is one
     row gather and one row phase, read from a table built on the first use
-    of its (site, axis) and kept for the register's lifetime.  Every map on
-    factors, here and in `dynamics.Evolution`, checks them with `check_rows`.
+    of its (site, axis) and kept for the register's lifetime.  The row of
+    b ^ m is found by its rank among the register's sorted indices
+    (`np.searchsorted`), so no table of length 2^N is built.  Where the
+    register does not hold b ^ m, sigma^x and sigma^y would carry the row's
+    weight out of it: `pauli` raises ValueError on a factor with weight
+    there, and the row of its result is zero.  Every map on factors, here
+    and in `dynamics.Evolution`, checks them with `check_rows`.
     """
 
-    __slots__ = ("n_sites", "order", "bounds", "sizes", "_tables")
+    __slots__ = ("n_sites", "order", "bounds", "sizes", "_rank", "_tables")
 
     def __init__(
         self, n_sites: int, order: np.ndarray | None = None, bounds: tuple[int, ...] | None = None
     ):
+        if not 1 <= n_sites <= MAX_BASIS_SITES:
+            raise ValueError(f"a register has 1 to {MAX_BASIS_SITES} sites, got {n_sites}")
         dim = 2**n_sites
-        order = np.asarray(order) if order is not None else np.arange(dim)
-        is_index = order.shape == (dim,) and order.dtype.kind in "iu" and order.min() >= 0
-        # dim indices below dim, none repeated, are a permutation
-        counts = np.bincount(order, minlength=dim) if is_index else None
-        if counts is None or len(counts) != dim or counts.max() != 1:
-            raise ValueError(f"register order is not a permutation of range({dim})")
-        bounds = tuple(map(int, bounds)) if bounds is not None else (0, dim)
-        if bounds[:1] != (0,) or bounds[-1:] != (dim,) or not (np.diff(bounds) > 0).all():
-            raise ValueError(f"sector bounds {bounds} do not tile a {dim}-dim register")
+        if order is None:
+            order = rank = np.arange(dim)
+        else:
+            order = np.asarray(order)
+            valid = order.ndim == 1 and len(order) > 0 and order.dtype.kind in "iu"
+            if valid:
+                # the rows in ascending index order, which the x and y kernels search
+                rank = np.argsort(order, kind="stable")
+                ranked = order[rank]
+                valid = 0 <= ranked[0] and ranked[-1] < dim and bool((np.diff(ranked) > 0).all())
+            if not valid:
+                raise ValueError(f"register order is not a permutation of a subset of range({dim})")
+        rows = len(order)
+        bounds = tuple(map(int, bounds)) if bounds is not None else (0, rows)
+        if bounds[:1] != (0,) or bounds[-1:] != (rows,) or not (np.diff(bounds) > 0).all():
+            raise ValueError(f"sector bounds {bounds} do not tile a {rows}-row register")
         self.n_sites = n_sites
-        self.order = order
+        self.order = order.astype(np.int64, copy=False)
         self.bounds = bounds
         self.sizes = tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-        self._tables: dict[tuple[int, str], tuple[np.ndarray | None, np.ndarray | None]] = {}
+        self._rank = rank
+        self._tables: dict[tuple[int, str], tuple[np.ndarray | None, ...]] = {}
 
     def sector(self, k: int) -> np.ndarray:
         """The basis indices of sector k, in row order."""
@@ -104,7 +127,7 @@ class Register:
             raise ValueError(f"factor has {psi.shape[0]} rows, expected {len(self.order)}")
 
     def _kernel(self, site: int, axis: str):
-        """(row gather or None, row phase or None) of sigma_site^axis."""
+        """(row gather or None, row phase or None, rows lacking a partner or None) of sigma^axis."""
         table = self._tables.get((site, axis))
         if table is None:
             check_site(site, self.n_sites)
@@ -112,45 +135,66 @@ class Register:
             mask = 1 << (site - 1)
             sign = np.where(self.order & mask, -1.0, 1.0)
             if axis == "z":
-                table = (None, sign)
+                table = (None, sign, None)
             else:
-                position = np.empty_like(self.order)
-                position[self.order] = np.arange(len(self.order))
-                table = (position[self.order ^ mask], None if axis == "x" else -1j * sign)
+                partner = self.order ^ mask
+                found = np.searchsorted(self.order, partner, sorter=self._rank)
+                gather = self._rank.take(found, mode="clip")
+                lost = np.flatnonzero(self.order[gather] != partner)
+                gather[lost] = lost  # rows that `pauli` checks are zero
+                phase = None if axis == "x" else -1j * sign
+                table = (gather, phase, lost if len(lost) else None)
             self._tables[site, axis] = table
         return table
 
     def pauli_entries(self, site: int, axis: str) -> tuple[np.ndarray, np.ndarray]:
-        """(columns, values) of sigma_site^axis in register order.
+        """(columns, values) of sigma_site^axis in register order, compressed to the register.
 
         Row r of the matrix holds values[r] at column columns[r] and zeros
-        elsewhere; these are the entries that `pauli` applies.
+        elsewhere; these are the entries that `pauli` applies.  A row whose
+        partner the register does not hold has the value 0.
         """
-        gather, phase = self._kernel(site, axis)
+        gather, phase, lost = self._kernel(site, axis)
         rows = len(self.order)
-        return (
-            np.arange(rows) if gather is None else gather,
-            np.ones(rows) if phase is None else phase,
-        )
+        values = np.ones(rows) if phase is None else phase
+        if lost is not None:
+            values = values.copy()  # the table's phase stays as it is
+            values[lost] = 0.0
+        return (np.arange(rows) if gather is None else gather), values
 
     def from_computational(self, psi: np.ndarray) -> np.ndarray:
-        """A computational-order factor with its rows put in register order."""
-        self.check_rows(psi)
+        """A computational-order factor, 2^N rows, as the register's rows in register order.
+
+        ValueError if it has weight on a basis index the register does not hold.
+        """
+        dim = 2**self.n_sites
+        if psi.shape[0] != dim:
+            raise ValueError(f"factor has {psi.shape[0]} rows, expected {dim}")
+        if len(self.order) < dim:
+            outside = np.ones(dim, dtype=bool)
+            outside[self.order] = False
+            if np.count_nonzero(psi[outside]):
+                raise ValueError("factor has weight on basis indices the register does not hold")
         return psi[self.order]
 
     def to_computational(self, psi: np.ndarray) -> np.ndarray:
-        """A register-order factor with its rows put back in computational order."""
+        """A register-order factor as a computational-order one, 2^N rows, zero off the register."""
         self.check_rows(psi)
-        out = np.empty_like(psi)
+        out = np.zeros((2**self.n_sites,) + psi.shape[1:], dtype=psi.dtype)
         out[self.order] = psi
         return out
 
     def pauli(self, psi: np.ndarray, site: int, axis: str) -> np.ndarray:
-        """sigma_site^axis @ psi in O(psi.size), for psi of shape (2^N,) or (2^N, r)."""
-        gather, phase = self._kernel(site, axis)
+        """sigma_site^axis @ psi in O(psi.size), for psi of shape (rows,) or (rows, r).
+
+        ValueError if psi has weight on a row that sigma_site^axis takes out of the register.
+        """
+        gather, phase, lost = self._kernel(site, axis)
         self.check_rows(psi)
         if gather is None:
             return _row_weights(phase, psi) * psi
+        if lost is not None and np.count_nonzero(psi[lost]):
+            raise ValueError(f"sigma_{site}^{axis} takes the factor's weight out of the register")
         result = psi[gather]
         if phase is not None:
             result = result.astype(complex, copy=False)

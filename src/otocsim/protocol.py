@@ -10,12 +10,14 @@ evolution pattern, followed by one expectation value of sigma_i^a;
 a four-angle-set combination reconstructs Im C(t).
 
 A run prepares its state once on its propagator (`prepare`: Psi in the
-propagator's register order).  Each time point t then builds one
-`Ladder`, `build_ladder(prepared, t)`, from six applications of U(t) or
-U(t)^dagger: since U^dagger U = I and sigma^2 = I, every state of either
-protocol is a combination of six vectors built from four evolved
-factors, and the ladder keeps only their Gram matrices, one entry of
-which is the direct C(t).  The 16-branch table and every angle set read
+propagator's register order).  A run on all_up, |up...up>, needs only the
+few Hamming-weight sectors its chain reaches (`reached_weights`), and
+`prepare_all_up` builds its Psi on a register that holds just those.
+Each time point t then builds one `Ladder`, `build_ladder(prepared, t)`,
+from six applications of U(t) or U(t)^dagger: since U^dagger U = I and
+sigma^2 = I, every state of either protocol is a combination of six
+vectors built from four evolved factors, and the ladder keeps only their
+Gram matrices, one entry of which is the direct C(t).  The 16-branch table and every angle set read
 from it; no state is collapsed or re-evolved.
 
 A run on the maximally mixed state rho = I/D, D = 2^N, which commutes
@@ -160,10 +162,55 @@ class PreparedState:
 
 def prepare(state: DensityOperator, spec: OtocSpec, propagator: Propagator) -> PreparedState:
     """A run of `propagator` on `state`, Psi in its register order, the spec checked against it."""
-    psi = propagator.register.from_computational(state.factor)
+    return _prepared(propagator.register.from_computational(state.factor), spec, propagator)
+
+
+def prepare_all_up(spec: OtocSpec, propagator: Propagator) -> PreparedState:
+    """A run of `propagator` on all_up, basis index 0, its Psi built on the register directly.
+
+    No 2^N-row factor is formed, so the register may hold only the sectors
+    of `reached_weights`.  ValueError if it does not hold basis index 0.
+    """
+    register = propagator.register
+    up = np.flatnonzero(register.order == 0)
+    if not len(up):
+        raise ValueError("the register does not hold basis index 0, the all_up state")
+    psi = np.zeros((len(register.order), 1), dtype=complex)
+    psi[up] = 1.0
+    return _prepared(psi, spec, propagator)
+
+
+def _prepared(psi: np.ndarray, spec: OtocSpec, propagator: Propagator) -> PreparedState:
     spec.validate_for(propagator.n_sites)
     psi.flags.writeable = False  # shared by every time point of the run
     return PreparedState(propagator, spec, psi)
+
+
+# how a single-site Pauli moves a Hamming-weight sector: x and y flip one bit, z none
+PAULI_MOVES = {"x": (-1, 1), "y": (-1, 1), "z": (0,)}
+
+
+def reached_weights(
+    n_sites: int, axis_a: str, axis_b: str
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(evolved, imaged): the Hamming weights an all_up run of sigma^axis_a, sigma^axis_b reaches.
+
+    With W = sigma_i^axis_a and V = sigma_j^axis_b: all_up is weight 0, and
+    U(t) keeps every weight.  `build_ladder` evolves Psi and Psi_1 = V Psi,
+    S_b = W X_b and T_b = V M_b, so `evolved`, the weights U(t) must be
+    built on, is the closure of weight 0 under the moves V, W, V.  `imaged`
+    are the further weights that only the last image, W Z_b, reaches: the
+    register holds them, but U(t) is never applied there.  Both ascend.
+    """
+
+    def move(weights: set[int], axis: str) -> set[int]:
+        return {w + d for w in weights for d in PAULI_MOVES[axis] if 0 <= w + d <= n_sites}
+
+    psi = {0} | move({0}, axis_b)  # Psi and Psi_1; X_b = U Psi_b
+    s = move(psi, axis_a)  # S_b; M_b = U^dagger S_b
+    t = move(s, axis_b)  # T_b; Z_b = U T_b
+    evolved = psi | s | t
+    return tuple(sorted(evolved)), tuple(sorted(move(t, axis_a) - evolved))
 
 
 # The unnormalised state U Pi_j^o3 U^dagger Pi_i^o2 U Pi_j^o1 Psi that the last
@@ -306,7 +353,8 @@ def _eigenbasis_blocks(propagator: Propagator, site: int, axis: str) -> SectorBl
     blocks = {}
     for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         targets = sector_of[columns[lo:hi]]
-        for l in np.unique(targets).tolist():
+        # the sectors hit, ascending, without np.unique (which imports numpy.ma)
+        for l in np.flatnonzero(np.bincount(targets, minlength=len(register.sizes))).tolist():
             rows = lo + np.flatnonzero(targets == l)
             hit = values[rows, None] * vectors[l][columns[rows] - bounds[l]]
             block = vectors[k][rows - lo].conj().T @ hit
@@ -316,7 +364,15 @@ def _eigenbasis_blocks(propagator: Propagator, site: int, axis: str) -> SectorBl
 
 
 def prepare_maximally_mixed(spec: OtocSpec, propagator: Propagator) -> PreparedTrace:
-    """A run of `propagator` on I/2^N: W_E and V_E formed once, the spec checked against it."""
+    """A run of `propagator` on I/2^N: W_E and V_E formed once, the spec checked against it.
+
+    I/2^N spans every sector: ValueError unless the propagator holds and
+    diagonalizes every basis index.
+    """
+    register = propagator.register
+    every_row = len(register.order) == 2**register.n_sites
+    if not (every_row and len(propagator.eigenvectors) == len(register.sizes)):
+        raise ValueError("I/2^N needs a propagator on every basis index of the register")
     spec.validate_for(propagator.n_sites)
     return PreparedTrace(
         propagator,

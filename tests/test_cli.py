@@ -95,17 +95,19 @@ def test_exact_run_writes_metadata_and_residuals(config_file, tmp_path):
 
 def test_exact_reports_spectral_defects_on_stderr_only(config_file, tmp_path, capsys):
     """The N=4 sectors 1, 4, 6, 4, 1 split by reflection parity into 1, 2+2, 4+2,
-    2+2, 1, for a pure and a full-rank state alike.  All of it reaches stderr,
-    none of it the CSV."""
+    2+2, 1.  The full-rank state diagonalizes all five; the pure x/x run holds all
+    five, but diagonalizes only weights 0-3, as only its last sigma_i image reaches
+    weight 4.  All of it reaches stderr, none of it the CSV."""
     mixed = tmp_path / "mixed.cfg"
     mixed.write_text(BASE_CONFIG.replace("initial_state = all_up", "initial_state = maximally_mixed"))
-    for config in (config_file, mixed):
+    cases = ((config_file, "4 blocks (largest 6), 7"), (mixed, "5 blocks (largest 6), 8"))
+    for config, blocks in cases:
         out = tmp_path / "exact.csv"
         assert main(["exact", "--config", str(config), "--out", str(out)]) == EXIT_OK
         err = capsys.readouterr().err
         assert (
-            "eigendecomposition in 5 blocks (largest 6), 8 parity blocks (largest 4): residual "
-            in err
+            f"register of 16 rows in 5 sectors; eigendecomposition in {blocks} parity blocks "
+            "(largest 4): residual " in err
         )
         assert "unitarity defect " in err
         text = out.read_text()
@@ -588,11 +590,11 @@ def test_a_warm_full_rank_point_allocates_less_than_one_factor():
     assert peak < 16 * 4**8
 
 
-@pytest.mark.parametrize("n_sites", [12, 13, 14])
+@pytest.mark.parametrize("n_sites", [12, 13, 14, 16, 20])
 def test_exact_matches_xx_vacuum_oracle_up_to_fourteen_sites(n_sites, tmp_path):
-    """One all_up point of the paper's (6,x)/(7,x) correlator at the largest pure-state
-    registers: the direct C(t) against the free-fermion Wick oracle, and both protocols
-    against it."""
+    """One all_up point of the paper's (6,x)/(7,x) correlator on large pure-state
+    registers, which hold only the weights 0-4 the chain reaches: the direct C(t)
+    against the free-fermion Wick oracle, and both protocols against it."""
     path = tmp_path / "vacuum.cfg"
     path.write_text(
         BASE_CONFIG.replace("n_sites = 4", f"n_sites = {n_sites}")
@@ -607,6 +609,49 @@ def test_exact_matches_xx_vacuum_oracle_up_to_fourteen_sites(n_sites, tmp_path):
     assert abs(complex(float(row["re_exact"]), float(row["im_exact"])) - expected) < 1e-12
     assert float(row["re_identity_residual"]) < 1e-12
     assert float(row["im_identity_residual"]) < 1e-12
+
+
+@pytest.mark.parametrize("axes, cap", [(("x", "x"), 37), (("z", "z"), 62)])
+def test_an_all_up_register_one_site_above_its_cap_exits_2(axes, cap, tmp_path, capsys):
+    """The all_up cap follows the sectors the axis pair reaches: x/x holds weights
+    0-4 and stops at 37 sites, z/z holds weight 0 only and stops at the 62 sites
+    whose basis indices are int64.  One site more exits 2 and names n_sites; the
+    z/z run at its cap, one row, runs."""
+    path, out = tmp_path / "cap.cfg", tmp_path / "cap.csv"
+    text = (
+        BASE_CONFIG.replace("axis_a = x", f"axis_a = {axes[0]}")
+        .replace("axis_b = x", f"axis_b = {axes[1]}")
+        .replace("t_stop = 2.0\nn_times = 9", "t_stop = 2.0\nn_times = 2")
+    )
+    path.write_text(text.replace("n_sites = 4", f"n_sites = {cap + 1}"))
+    assert main(["exact", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert f"n_sites={cap + 1} is above {cap}" in capsys.readouterr().err
+    assert not out.exists()
+    if axes == ("z", "z"):
+        path.write_text(text.replace("n_sites = 4", f"n_sites = {cap}"))
+        assert main(["exact", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert "register of 1 rows in 1 sectors" in capsys.readouterr().err
+        assert [row["re_exact"] for row in read_table(out)[2]] == ["1", "1"]
+
+
+def test_a_maximally_mixed_run_does_not_import_numpy_ma(tmp_path):
+    """An N = 6 maximally_mixed `exact` run, in a fresh interpreter, leaves numpy.ma
+    unimported: finding the sector blocks of a Pauli in the eigenbasis must not call
+    np.unique, which imports it on numpy 2.4."""
+    path = tmp_path / "mixed.cfg"
+    path.write_text(mixed_yz_config(6, 3))
+    code = (
+        "import sys; from otocsim.cli import main; "
+        f"code = main(['exact', '--config', {str(path)!r}, '--out', {str(tmp_path / 'x.csv')!r}, "
+        "'--quiet']); print(code, 'numpy.ma' in sys.modules)"
+    )
+    package_root = str(Path(otocsim.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.stdout.split() == ["0", "False"], result.stderr
 
 
 def mixed_point_config(n_sites, site_i, axis_a, site_j, axis_b, t_stop, n_times):
@@ -685,6 +730,30 @@ def test_one_point_exact_peak_is_within_the_cap_estimate(state, n_sites, tmp_pat
         tracemalloc.stop()
     assert code == EXIT_OK
     assert peak <= STATE_FOOTPRINTS[state](n_sites)
+
+
+@pytest.mark.parametrize("axis_a", ["x", "y", "z"])
+@pytest.mark.parametrize("axis_b", ["x", "y", "z"])
+def test_an_all_up_run_peaks_within_the_estimate_of_its_axes(axis_a, axis_b, tmp_path):
+    """The all_up cap rests on the estimate for the run's own axis pair, which counts
+    only the sectors it reaches: the traced peak of a one-point N = 16 `exact` run,
+    set-up included, stays within it for every pair, from the x/x run's weights 0-4
+    down to the z/z run's single row."""
+    path = tmp_path / "one.cfg"
+    path.write_text(
+        mixed_yz_config(16, 1)
+        .replace("maximally_mixed", "all_up")
+        .replace("axis_a = y", f"axis_a = {axis_a}")
+        .replace("axis_b = z", f"axis_b = {axis_b}")
+    )
+    tracemalloc.start()
+    try:
+        code = main(["exact", "--config", str(path), "--out", str(tmp_path / "x.csv"), "--quiet"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak <= STATE_FOOTPRINTS["all_up"](16, (axis_a, axis_b))
 
 
 TWO_SITE_CONFIG = (

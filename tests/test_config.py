@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from otocsim.config import (
-    MAX_SITES,
     MEMORY_BUDGET_BYTES,
     STATE_FOOTPRINTS,
     ConfigError,
     RunConfig,
+    max_sites,
     parse_config,
     require,
 )
@@ -174,22 +174,39 @@ def test_n_shots_above_memory_budget_rejected():
 
 
 def test_register_above_dense_memory_cap_rejected():
-    """The cap is a size estimate per initial state: nothing of 2^N x 2^N is allocated
-    here.  A pure state fits to N = 14, where V alone is C(28,14) floats, and
-    maximally_mixed, which holds sector blocks and no factor, to 13; the message
-    names the state and the size that does not fit."""
-    for kind in STATE_FOOTPRINTS:
-        cap = MAX_SITES[kind]
-        assert STATE_FOOTPRINTS[kind](cap) <= MEMORY_BUDGET_BYTES
-        assert STATE_FOOTPRINTS[kind](cap + 1) > MEMORY_BUDGET_BYTES
-    assert MAX_SITES == {"all_up": 14, "maximally_mixed": 13}
-    for kind, cap in MAX_SITES.items():
-        text = FULL.replace("initial_state = all_up", f"initial_state = {kind}")
+    """The cap is a size estimate per initial state and, for all_up, per axis pair:
+    nothing of 2^N is allocated here.  all_up holds only the sectors its chain
+    reaches.  With x or y on both axes it diagonalizes weights 0-3 and fits to N = 37,
+    where the weight-3 block has C(37,3) = 7770 rows; with a z axis it reaches weight 2
+    at most and is bounded only by the 62 sites whose basis indices an int64 holds.
+    maximally_mixed, which spans every sector, fits to 13 for every pair.  The
+    message names the key, the state, the axes and the size that does not fit."""
+    pairs = [(a, b) for a in "xyz" for b in "xyz"]
+    caps = {(kind, a, b): max_sites(kind, (a, b)) for kind in STATE_FOOTPRINTS for a, b in pairs}
+    for (kind, a, b), cap in caps.items():
+        assert STATE_FOOTPRINTS[kind](cap, (a, b)) <= MEMORY_BUDGET_BYTES
+        if cap < 62:
+            assert STATE_FOOTPRINTS[kind](cap + 1, (a, b)) > MEMORY_BUDGET_BYTES
+        expected = 13 if kind == "maximally_mixed" else 62 if "z" in a + b else 37
+        assert cap == expected, (kind, a, b)
+    assert max_sites("all_up") == 37 and max_sites("maximally_mixed") == 13
+    for kind, a, b in [("all_up", "x", "x"), ("all_up", "z", "z"), ("maximally_mixed", "y", "z")]:
+        cap = caps[kind, a, b]
+        text = (
+            FULL.replace("initial_state = all_up", f"initial_state = {kind}")
+            .replace("axis_a = x", f"axis_a = {a}")
+            .replace("axis_b = x", f"axis_b = {b}")
+        )
         at_cap = text.replace("n_sites = 4", f"n_sites = {cap}")
         assert parse_config(at_cap).system.n_sites == cap
-        for n_sites in (cap + 1, 16, 40, 10**9):
+        for n_sites in (cap + 1, 63, 10**9):
             with pytest.raises(ConfigError, match=f"n_sites={n_sites} is above {cap}") as info:
                 parse_config(text.replace("n_sites = 4", f"n_sites = {n_sites}"))
-            assert f"initial_state = {kind} " in str(info.value)
-            needed = STATE_FOOTPRINTS[kind](cap + 1) / 2**30
-            assert f"({needed:.3g} GiB needed at {cap + 1} sites)" in str(info.value)
+            message = str(info.value)
+            assert f"initial_state = {kind} run fits" in message
+            if cap == 62:
+                assert message.endswith("fits: its basis indices are int64")
+            else:
+                needed = STATE_FOOTPRINTS[kind](cap + 1, (a, b)) / 2**30
+                needs = f"with the {a}/{b} axes ({needed:.3g} GiB needed at {cap + 1} sites)"
+                assert needs in message

@@ -119,14 +119,60 @@ def test_index_kernels_match_kronecker_oracle(args, sign, rank, seed, order):
 
 
 def test_register_order_is_a_checked_permutation(rng):
-    for order in ([0, 1, 1, 3], [0, 1, 2], [0, 1, 2, 4], [-1, 0, 1, 2], [0.0, 1.0, 2.0, 3.0]):
+    """An order is a permutation of distinct basis indices, all 2^N of them or fewer:
+    repeats, indices out of range, floats and an empty order are rejected."""
+    for order in ([0, 1, 1, 3], [], [0, 1, 2, 4], [-1, 0, 1, 2], [0.0, 1.0, 2.0, 3.0]):
         with pytest.raises(ValueError, match="permutation"):
             Register(2, order)
+    assert Register(2, [3, 0, 1]).sizes == (3,)
     register = Register(3, rng.permutation(8))
     psi = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
     rows = register.from_computational(psi)
     np.testing.assert_array_equal(rows[3], psi[register.order[3]])
     np.testing.assert_array_equal(register.to_computational(rows), psi)
+
+
+def test_a_register_of_some_indices_holds_the_subspace_they_span(rng):
+    """A register that holds 5 of the 8 indices takes in a factor that is zero off them
+    and gives it back, zero off them; a factor with weight off them is rejected."""
+    register = Register(3, [6, 0, 3, 5, 1], (0, 2, 5))
+    psi = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    psi[[2, 4, 7]] = 0.0
+    rows = register.from_computational(psi)
+    np.testing.assert_array_equal(rows, psi[[6, 0, 3, 5, 1]])
+    np.testing.assert_array_equal(register.to_computational(rows), psi)
+    psi[7, 1] = 1e-300
+    with pytest.raises(ValueError, match="does not hold"):
+        register.from_computational(psi)
+
+
+@given(
+    sites_and_axes(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_kernels_on_a_register_of_some_indices_are_the_compressed_paulis(args, seed):
+    """On a register that holds a random subset of the indices, in a random order,
+    the kernels and `pauli_entries` are P sigma P^T, the Kronecker-chain Pauli
+    compressed to the rows it holds, on any factor without weight on a row whose
+    partner it lacks; a factor with weight there is rejected."""
+    site, axis, n = args
+    rng = np.random.Generator(np.random.PCG64(seed))
+    order = rng.permutation(2**n)[: int(rng.integers(1, 2**n + 1))]
+    register = Register(n, order)
+    sigma = oracles.site_operator(n, site, axis)[np.ix_(order, order)]
+    columns, values = register.pauli_entries(site, axis)
+    listed = np.zeros_like(sigma)
+    listed[np.arange(len(order)), columns] = values
+    np.testing.assert_array_equal(listed, sigma)
+    lost = np.abs(sigma).sum(axis=0) == 0  # rows whose partner the register lacks
+    psi = rng.standard_normal((len(order), 2)) + 1j * rng.standard_normal((len(order), 2))
+    psi[lost] = 0.0
+    np.testing.assert_array_equal(register.pauli(psi, site, axis), sigma @ psi)
+    if lost.any():
+        psi[np.flatnonzero(lost)[0], 0] = 1.0
+        with pytest.raises(ValueError, match="out of the register"):
+            register.pauli(psi, site, axis)
 
 
 def _dense_hermiticity_defect(matrix):

@@ -25,8 +25,10 @@ from otocsim.protocol import (
     im_otoc_via_protocol,
     outcome_probabilities,
     prepare,
+    prepare_all_up,
     prepare_maximally_mixed,
     re_otoc_via_protocol,
+    reached_weights,
     rotated_expectation,
 )
 from otocsim.verification import (
@@ -336,6 +338,68 @@ def test_a_pure_run_holds_at_most_factors_at_peak_beside_h_and_v():
         finally:
             tracemalloc.stop()
         assert peak <= FACTORS_AT_PEAK * 16 * 2**n, (axis_a, axis_b, peak)
+
+
+def _chain_weights(prepared, t):
+    """(evolved, all): the Hamming weights where `build_ladder`'s chain has nonzero
+    weight on a full XY-chain register, whose sector k is weight k.  `evolved` are
+    those of the factors U(t) or U(t)^dagger is applied to."""
+    ev, spec = prepared.propagator.evolution(t), prepared.spec
+    register = ev.register
+
+    def sigma(factor, site, axis):
+        return register.pauli(factor, site, axis)
+
+    psi = [prepared.psi, sigma(prepared.psi, spec.site_j, spec.axis_b)]
+    s = [sigma(ev.forward(f), spec.site_i, spec.axis_a) for f in psi]
+    t_ = [sigma(ev.backward(f), spec.site_j, spec.axis_b) for f in s]
+    last = [sigma(ev.forward(f), spec.site_i, spec.axis_a) for f in t_]
+
+    def weights(factors):
+        sectors = list(enumerate(zip(register.bounds, register.bounds[1:])))
+        return {k for f in factors for k, (lo, hi) in sectors if f[lo:hi].any()}
+
+    evolved = weights(psi + s + t_)
+    return evolved, evolved | weights(last)
+
+
+@pytest.mark.parametrize(
+    "spec", [OtocSpec(4, a, 5, b) for a, b in AXIS_PAIRS] + [OtocSpec(3, "y", 3, "x")], ids=repr
+)
+def test_reached_weights_are_where_the_full_chain_has_weight(spec):
+    """At N = 8, the closure of weight 0 under the moves sigma_j, sigma_i, sigma_j is
+    exactly the set of weights where the ladder's evolved factors have weight on the
+    whole register, and with the last sigma_i image it is exactly where any factor of
+    the chain has weight: every axis pair and a same-site spec.  On a register of just
+    those weights, diagonalized on the evolved ones, the ladder's Gram matrices and
+    direct C(t) equal the whole register's within 1e-12."""
+    n, t = 8, 0.7
+    full = prepare(all_up_state(n), spec, Propagator.from_hamiltonian(build_xy_chain(n)))
+    evolved, imaged = reached_weights(n, spec.axis_a, spec.axis_b)
+    assert _chain_weights(full, t) == (set(evolved), set(evolved + imaged))
+    assert not set(evolved) & set(imaged)
+    reached = prepare_all_up(
+        spec, Propagator.from_hamiltonian(build_xy_chain(n, evolved, imaged))
+    )
+    assert len(reached.psi) == sum(math.comb(n, w) for w in evolved + imaged)
+    for time in (0.0, t, 3.0):
+        on_full, on_reached = build_ladder(full, time), build_ladder(reached, time)
+        np.testing.assert_allclose(on_reached.grams, on_full.grams, rtol=0, atol=1e-12)
+        assert abs(on_reached.direct - on_full.direct) < 1e-12
+        assert on_reached.direct == otoc_direct(reached, time)
+
+
+def test_each_state_needs_a_register_that_holds_it():
+    """all_up is basis index 0: a register without weight 0 cannot hold it.  I/2^N
+    spans every sector: a register that lacks one, or holds one without a block,
+    cannot run it."""
+    spec = OtocSpec(1, "x", 2, "x")
+    with pytest.raises(ValueError, match="basis index 0"):
+        prepare_all_up(spec, Propagator.from_hamiltonian(build_xy_chain(4, [1, 2])))
+    for weights, held in (([0, 1, 2, 3], []), ([0, 1, 2, 3], [4])):
+        prop = Propagator.from_hamiltonian(build_xy_chain(4, weights, held))
+        with pytest.raises(ValueError, match="every basis index"):
+            prepare_maximally_mixed(spec, prop)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
