@@ -72,10 +72,13 @@ B_TEMPORARIES = 2
 RUN_OBJECT_BYTES = 2**18
 MEMORY_BUDGET_BYTES = 2 * 2**30
 
-# The same budget bounds what grows with a run's counts.  A shot holds a
-# float64 uniform and a bool of comparison mask.  An output row, a dict and
-# then its line of the CSV text, traces at 695 (exact), 788 (sample), 777
-# (im) and 532 (dressing) bytes, over 20 000 rows at N = 2.
+# The same budget bounds what grows with a run's counts.  SHOT_BYTES is what
+# a shot held when a point drew all its uniforms as one array: a float64
+# uniform and a bool of comparison mask.  `sampling` draws and counts them
+# in chunks of `sampling.CHUNK`, so the draw no longer holds the shots and
+# the n_shots cap, kept at its value, bounds a run's length only.  An output
+# row, a dict and then its line of the CSV text, traces at 695 (exact), 788
+# (sample), 777 (im) and 532 (dressing) bytes, over 20 000 rows at N = 2.
 SHOT_BYTES = 9
 ROW_BYTES = 800
 

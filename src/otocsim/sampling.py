@@ -7,6 +7,10 @@ draws from SeedSequence(s, spawn_key=(k,)), so no two (seed, point) share
 uniforms.  Shots are drawn one uniform per shot through the inverse CDF of
 the 16-way categorical, so single-shot outcome streams can be replayed;
 the shot counts are an int array of shape (16,) in OUTCOME_SEQUENCES order.
+The uniforms are drawn in chunks of CHUNK from the point's substream and
+counted chunk by chunk.  PCG64 is sequential, so the chunks are the same
+uniforms in the same order as one whole draw, and the counts are the same
+integers; memory does not grow with n_shots.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hilbert import ATOL_ALGEBRA
 from .protocol import (
     ANGLE_VARIANT_SIGNS,
     OUTCOME_SIGNS,
@@ -28,6 +33,9 @@ from .protocol import (
 
 GENERATOR_NAME = "numpy-PCG64"
 GENERATOR_VERSION = np.__version__
+
+# uniforms drawn and counted at once: 512 KiB of float64
+CHUNK = 2**16
 
 
 def substream(seed: int, point: int) -> np.random.Generator:
@@ -76,6 +84,19 @@ class Estimate:
             raise ValueError("stderr must be nonnegative")
 
 
+def _tail_counts(rng: np.random.Generator, n_shots: int, edges: np.ndarray) -> np.ndarray:
+    """#(u >= edge) for each edge over the next n_shots uniforms of rng.
+
+    Draws exactly n_shots uniforms, in chunks of CHUNK, and counts every
+    edge on a chunk while it is in cache.
+    """
+    counts = np.zeros(len(edges), dtype=np.int64)
+    for start in range(0, n_shots, CHUNK):
+        chunk = rng.random(min(CHUNK, n_shots - start))
+        counts += [np.count_nonzero(chunk >= edge) for edge in edges]
+    return counts
+
+
 def sample_sequences(table: ProbabilityTable, cfg: SampleConfig) -> np.ndarray:
     """Counts of cfg.n_shots outcome sequences drawn from the stream of (cfg.seed, cfg.point).
 
@@ -85,8 +106,7 @@ def sample_sequences(table: ProbabilityTable, cfg: SampleConfig) -> np.ndarray:
     later, for k = 1..15, with G_0 = n and G_16 = 0, and counts = -diff(G).
     """
     cdf = np.cumsum(table.probabilities)
-    uniforms = substream(cfg.seed, cfg.point).random(cfg.n_shots)
-    at_or_after = [np.count_nonzero(uniforms >= edge) for edge in cdf[:-1]]
+    at_or_after = _tail_counts(substream(cfg.seed, cfg.point), cfg.n_shots, cdf[:-1])
     return -np.diff(np.array([cfg.n_shots, *at_or_after, 0]))
 
 
@@ -116,17 +136,22 @@ def sample_rotation_protocol(
     Each of the four angle sets gets cfg.n_shots single-shot +/-1
     measurements of sigma_i^a, simulated with outcome probabilities
     (1 +/- <sigma_i^a>)/2: a shot is +1 when its uniform is below p_up.
-    The empirical means, (2 #(+1) - n)/n, combine exactly like the exact
-    expectations do.
+    The angle sets draw in order from the one substream of the point.  The
+    empirical means, (2 #(+1) - n)/n, combine exactly like the exact
+    expectations do.  A p_up that is NaN or outside [0, 1] beyond
+    ATOL_ALGEBRA raises ValueError naming the angle set.
     """
     prefactor = angles.checked_prefactor()
     rng = substream(cfg.seed, cfg.point)
     combo = 0.0
     var_sum = 0.0
     for sign, variant in zip(ANGLE_VARIANT_SIGNS, angle_variants(angles)):
-        exact = rotated_expectation(ladder, variant)
-        p_up = min(max((1.0 + exact) / 2.0, 0.0), 1.0)
-        ups = np.count_nonzero(rng.random(cfg.n_shots) < p_up)
+        p_up = (1.0 + rotated_expectation(ladder, variant)) / 2.0
+        # the negated form rejects NaN, which compares False against any bound
+        if not -ATOL_ALGEBRA <= p_up <= 1.0 + ATOL_ALGEBRA:
+            raise ValueError(f"probability {p_up} of +1 at angle set {variant} outside [0, 1]")
+        p_up = min(max(p_up, 0.0), 1.0)
+        ups = cfg.n_shots - int(_tail_counts(rng, cfg.n_shots, np.array([p_up]))[0])
         mean = (2 * ups - cfg.n_shots) / cfg.n_shots
         combo += sign * mean
         var_sum += max(1.0 - mean * mean, 0.0) / cfg.n_shots

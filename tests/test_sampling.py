@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from otocsim.protocol import (
     OUTCOME_SEQUENCES,
     DegenerateAnglesError,
     ProbabilityTable,
+    Ladder,
     RotationAngles,
     angle_variants,
     build_ladder,
@@ -21,6 +23,7 @@ from otocsim.protocol import (
     rotated_expectation,
 )
 from otocsim.sampling import (
+    CHUNK,
     Estimate,
     SampleConfig,
     estimate_re_otoc,
@@ -292,6 +295,76 @@ def test_rotation_sampling_matches_shot_array_oracle(xy4, up4, instance, n_shots
         substream(cfg.seed, cfg.point),
     )
     assert (est.value, est.stderr, est.n_shots) == (value, stderr, n_shots)
+
+
+# shot counts on each side of a chunk boundary
+CHUNK_EDGES = [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+
+
+@pytest.mark.parametrize("n_shots", CHUNK_EDGES)
+def test_chunked_counts_match_categorical_oracle_on_one_whole_draw(n_shots):
+    """Counts over chunks equal the inverse-CDF counts of one whole-array draw."""
+    weights = np.random.Generator(np.random.PCG64(5)).random(16)
+    weights[[2, 9]] = 0.0
+    table = ProbabilityTable(weights / weights.sum())
+    counts = sample_sequences(table, SampleConfig(n_shots, seed=31, point=4))
+    expected = oracles.categorical_counts(table.probabilities, substream(31, 4).random(n_shots))
+    assert np.array_equal(counts, expected)
+
+
+@pytest.mark.parametrize("n_shots", CHUNK_EDGES)
+def test_chunked_rotation_estimate_matches_shot_array_oracle(rng, n_shots):
+    """The four angle sets keep their stream positions across chunk boundaries:
+    value and stderr equal the whole-array oracle's, bit for bit."""
+    prop = Propagator.from_hamiltonian(random_hamiltonian(3, rng))
+    ladder = build_ladder(prepare(random_density(3, rng), OtocSpec(1, "x", 3, "y"), prop), 1.1)
+    angles = RotationAngles(0.4, 1.3, -2.2)
+    cfg = SampleConfig(n_shots, seed=8, point=2)
+    est = sample_rotation_protocol(ladder, angles, cfg)
+    expectations = [rotated_expectation(ladder, v) for v in angle_variants(angles)]
+    value, stderr = oracles.sampled_rotation_estimate(
+        expectations, ANGLE_VARIANT_SIGNS, angles.checked_prefactor(), n_shots,
+        substream(cfg.seed, cfg.point),
+    )
+    assert (est.value, est.stderr, est.n_shots) == (value, stderr, n_shots)
+
+
+def test_sampling_memory_does_not_grow_with_the_shot_count():
+    """4 10^6 shots trace a peak under 2 MiB: the draw holds one chunk of
+    uniforms, not 32 MB of them and a 4 MB comparison mask."""
+    table = ProbabilityTable(np.full(16, 1.0 / 16.0))
+    grams = np.zeros((2, 6, 6), complex)
+    grams[0] = np.eye(6)
+    ladder = Ladder(grams, 0j)
+    runs = [
+        lambda cfg: sample_sequences(table, cfg),
+        lambda cfg: sample_rotation_protocol(ladder, PI_HALF_ANGLES, cfg),
+    ]
+    for run in runs:
+        run(SampleConfig(1, seed=3))  # one-time costs of the first call stay out of the peak
+        tracemalloc.start()
+        try:
+            run(SampleConfig(4 * 10**6, seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize(
+    "g1, shown",
+    [(np.full((6, 6), np.nan), "nan"), (5.0 * np.eye(6), "3.0")],
+    ids=["nan", "above_one"],
+)
+def test_rotation_sampling_rejects_an_expectation_outside_its_range(g1, shown):
+    """A NaN or out-of-range <sigma_i^a> would silently count 0 ups, or all of
+    them, into an estimate; it raises instead, naming the angle set."""
+    grams = np.zeros((2, 6, 6), complex)
+    grams[0] = np.eye(6)
+    grams[1] = g1
+    message = rf"probability {shown} of \+1 at angle set RotationAngles"
+    with pytest.raises(ValueError, match=message):
+        sample_rotation_protocol(Ladder(grams, 0j), PI_HALF_ANGLES, SampleConfig(1000, seed=1))
 
 
 def test_rotation_sampling_deterministic(xy4, up4, spec_xx):
