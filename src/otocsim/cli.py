@@ -13,9 +13,18 @@ defect, not a user error).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from dataclasses import replace
+
+# CPython's built-in SHA-256 needs no OpenSSL, which `hashlib` loads on
+# import; `exact` and `dressing` touch nothing else that would load it
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256
 
 from . import __version__
 from .config import ConfigError, RunConfig, parse_config, require
@@ -182,7 +191,11 @@ def run_dressing(config: RunConfig, log) -> tuple[list[dict], list[str], bool]:
         for r, j_off, j_on in zip(curve_off.distances, curve_off.j_values, curve_on.j_values)
     ]
     inverted = sum(row["sign_inverted"] for row in rows)
-    log(f"dressing scan: {inverted}/{len(rows)} grid points sign-inverted")
+    overlaps = f"{curve_off.min_overlap:.6f} with the microwave off"
+    if d.microwave:
+        overlaps += f", {curve_on.min_overlap:.6f} with it on"
+    log(f"dressing scan: {inverted}/{len(rows)} grid points sign-inverted; "
+        f"smallest branch overlap {overlaps}")
     return rows, ["r", "j_off", "j_on", "sign_inverted"], True
 
 
@@ -242,7 +255,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        config_hash = hashlib.sha256(raw).hexdigest()
+        config_hash = sha256(raw).hexdigest()
         try:
             config = parse_config(raw.decode("utf-8"), source=args.config)
         except (ConfigError, UnicodeDecodeError) as exc:

@@ -72,14 +72,17 @@ B_TEMPORARIES = 2
 RUN_OBJECT_BYTES = 2**18
 MEMORY_BUDGET_BYTES = 2 * 2**30
 
-# The same budget bounds what grows with a run's counts.  SHOT_BYTES is what
-# a shot held when a point drew all its uniforms as one array: a float64
-# uniform and a bool of comparison mask.  `sampling` draws and counts them
-# in chunks of `sampling.CHUNK`, so the draw no longer holds the shots and
-# the n_shots cap, kept at its value, bounds a run's length only.  An output
-# row, a dict and then its line of the CSV text, traces at 695 (exact), 788
-# (sample), 777 (im) and 532 (dressing) bytes, over 20 000 rows at N = 2.
-SHOT_BYTES = 9
+# MAX_SHOTS bounds a run's length, not its memory: `sampling` draws and
+# counts a point's shots in chunks of `sampling.CHUNK`, so what a point
+# holds does not grow with n_shots.  The cap keeps the value the budget gave
+# when a point held its shots whole, 9 bytes each (2 GiB // 9), so the
+# counts that exit 2 are unchanged.
+MAX_SHOTS = 238_609_294
+
+# The same budget bounds the output, which grows with a run's points.  An
+# output row, a dict and then its line of the CSV text, traces at 695
+# (exact), 788 (sample), 777 (im) and 532 (dressing) bytes, over 20 000 rows
+# at N = 2.
 ROW_BYTES = 800
 
 # the axis pair whose all_up run reaches the most sectors; a system block
@@ -356,9 +359,11 @@ def _cross_validate(config: RunConfig, source: str) -> None:
         if config.system is not None:
             _in_block(source, "otoc", config.otoc.spec.validate_for, config.system.n_sites)
     if config.sampling is not None:
-        within_budget(
-            "n_shots", config.sampling.n_shots, SHOT_BYTES, "its uniforms and comparison mask"
-        )
+        if config.sampling.n_shots > MAX_SHOTS:
+            fail(
+                f"n_shots={config.sampling.n_shots} needs a run's length above its bound "
+                f"of {MAX_SHOTS} shots a point"
+            )
     if config.dressing is not None:
         within_budget("n_r", config.dressing.n_r, ROW_BYTES, "its output rows")
 

@@ -88,10 +88,15 @@ class InteractionCoefficients:
 
 @dataclass(frozen=True)
 class DressedCurve:
-    """Dressed Ising coupling J sampled over interatomic distance."""
+    """Dressed Ising coupling J sampled over interatomic distance.
+
+    `min_overlap` is the smallest squared overlap met while tracking the
+    branch from point to point (`scan_curve`), or NaN where none was tracked.
+    """
 
     distances: np.ndarray
     j_values: np.ndarray
+    min_overlap: float = math.nan
 
     def __post_init__(self):
         dist = np.asarray(self.distances, dtype=float)
@@ -148,18 +153,19 @@ def pair_potential(scheme: LevelScheme, coeffs: InteractionCoefficients, r: floa
 
 def dressed_ground(scheme: LevelScheme) -> tuple[float, np.ndarray]:
     """Energy and eigenvector of the single-atom state connected to |g>."""
-    return _gg_connected_energy(
+    energy, vector, _ = _gg_connected_energy(
         single_atom_hamiltonian(scheme),
         np.eye(3)[G],
         lambda overlap: f"no single-atom eigenstate keeps majority ground character "
         f"(best overlap {overlap:.3f}); dressing is too strong",
     )
+    return energy, vector
 
 
 def _gg_connected_energy(
     h: np.ndarray, reference: np.ndarray, lost: Callable[[float], str]
-) -> tuple[float, np.ndarray]:
-    """Energy and eigenvector of h with the largest squared overlap with `reference`.
+) -> tuple[float, np.ndarray, float]:
+    """Energy, eigenvector and squared overlap of the eigenstate of h closest to `reference`.
 
     Raises AdiabaticityError with the message lost(overlap) when even that
     overlap is at most MIN_CONNECTED_OVERLAP.
@@ -169,7 +175,7 @@ def _gg_connected_energy(
     k = int(np.argmax(overlaps))
     if overlaps[k] <= MIN_CONNECTED_OVERLAP:
         raise AdiabaticityError(lost(float(overlaps[k])))
-    return float(evals[k]), evecs[:, k]
+    return float(evals[k]), evecs[:, k], float(overlaps[k])
 
 
 def dressed_ising_coupling(
@@ -185,7 +191,7 @@ def dressed_ising_coupling(
     e_single, v_single = dressed_ground(scheme)
     reference = np.kron(v_single, v_single)
     h = build_two_atom_hamiltonian(scheme, coeffs, r)
-    e_gg, _ = _gg_connected_energy(
+    e_gg, _, _ = _gg_connected_energy(
         h,
         reference,
         lambda overlap: f"pair eigenstate at r={r} keeps only {overlap:.3f} of the "
@@ -236,7 +242,8 @@ def scan_curve(
     The |gg>-connected branch is seeded at r_max from the dressed
     single-atom product state and followed inward by maximum overlap with
     the previous grid point's eigenvector; plain energy ordering would
-    mislabel branches through the avoided crossing.
+    mislabel branches through the avoided crossing.  The curve carries the
+    smallest of those overlaps.
     """
     effective = scheme if microwave_on else replace(scheme, omega_microwave=0.0)
     check_scan(effective, coeffs, r_min, r_max, n_points)
@@ -244,16 +251,18 @@ def scan_curve(
     distances = np.linspace(r_min, r_max, n_points)
     j_values = np.empty(n_points)
     tracked = np.kron(v_single, v_single)
+    min_overlap = 1.0
     for idx in reversed(range(n_points)):
         r = distances[idx]
         h = build_two_atom_hamiltonian(effective, coeffs, r)
-        energy, tracked = _gg_connected_energy(
+        energy, tracked, overlap = _gg_connected_energy(
             h,
             tracked,
             lambda overlap: f"lost the |gg>-connected branch at r={r:.4g} (overlap {overlap:.3f})",
         )
         j_values[idx] = _coupling(energy, e_single)
-    return DressedCurve(distances, j_values)
+        min_overlap = min(min_overlap, overlap)
+    return DressedCurve(distances, j_values, min_overlap)
 
 
 def microwave_detuning_for_lower_level(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ import otocsim
 from otocsim import cli
 from otocsim.cli import EXIT_CONFIG, EXIT_OK, main
 from otocsim.config import ROW_BYTES, STATE_FOOTPRINTS, parse_config
+from otocsim.dressing import scan_curve
 from otocsim.dynamics import Evolution, Propagator
 from otocsim.hilbert import Register
 from otocsim.protocol import (
@@ -652,6 +654,88 @@ def test_a_maximally_mixed_run_does_not_import_numpy_ma(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.stdout.split() == ["0", "False"], result.stderr
+
+
+GOLDEN_CONFIG = Path(__file__).parent / "golden" / "small_many.cfg"
+
+
+def run_child(code):
+    """The stdout of `python -c code` in a fresh interpreter that imports this package."""
+    package_root = str(Path(otocsim.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_config_sha256_is_the_digest_of_the_config_bytes(tmp_path):
+    out = tmp_path / "exact.csv"
+    assert main(["exact", "--config", str(GOLDEN_CONFIG), "--out", str(out), "--quiet"]) == EXIT_OK
+    expected = hashlib.sha256(GOLDEN_CONFIG.read_bytes()).hexdigest()
+    assert f"# config_sha256: {expected}" in read_table(out)[0]
+
+
+def test_config_sha256_falls_back_to_hashlib_without_the_built_in_modules(tmp_path):
+    """With CPython's built-in SHA-256 modules blocked, the CLI hashes the config
+    through hashlib and writes the same header."""
+    out = tmp_path / "exact.csv"
+    run_child(
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None  # their import now fails\n"
+        "from otocsim.cli import main\n"
+        f"argv = ['exact', '--config', {str(GOLDEN_CONFIG)!r}, '--out', {str(out)!r}, '--quiet']\n"
+        "sys.exit(main(argv))\n"
+    )
+    expected = hashlib.sha256(GOLDEN_CONFIG.read_bytes()).hexdigest()
+    assert f"# config_sha256: {expected}" in read_table(out)[0]
+
+
+def test_exact_and_dressing_do_not_load_openssl(tmp_path):
+    """An N = 10 all_up `exact` run and the golden config's `dressing` scan, in a
+    fresh interpreter, leave `_hashlib` (OpenSSL's libcrypto) unimported: the config
+    digest is CPython's built-in SHA-256."""
+    path = tmp_path / "n10.cfg"
+    path.write_text(
+        BASE_CONFIG.replace("n_sites = 4", "n_sites = 10")
+        .replace("site_i = 2", "site_i = 5")
+        .replace("site_j = 3", "site_j = 6")
+    )
+    runs = [("exact", path), ("dressing", GOLDEN_CONFIG)]
+    run_child(
+        "import sys\n"
+        "from otocsim.cli import main\n"
+        f"for command, config in {[(c, str(p)) for c, p in runs]!r}:\n"
+        "    argv = [command, '--config', config, '--out', '/dev/null', '--quiet']\n"
+        "    if main(argv) != 0:\n"
+        "        sys.exit(f'{command} failed')\n"
+        "if '_hashlib' in sys.modules:\n"
+        "    sys.exit('_hashlib (OpenSSL) was loaded')\n"
+    )
+
+
+def test_dressing_logs_its_smallest_branch_overlap_on_stderr_only(tmp_path, capsys):
+    """Each scan's smallest tracked overlap reaches stderr; the CSV is the quiet run's."""
+    path = tmp_path / "dress.cfg"
+    outs = [tmp_path / "loud.csv", tmp_path / "quiet.csv"]
+    d = parse_config(DRESSING_CONFIG).dressing
+    grid = (d.scheme, d.coeffs, d.r_min, d.r_max, d.n_r)
+    off, on = scan_curve(*grid, microwave_on=False), scan_curve(*grid)
+    for text, expected in (
+        (DRESSING_CONFIG, f"{off.min_overlap:.6f} with the microwave off, "
+                          f"{on.min_overlap:.6f} with it on"),
+        (DRESSING_CONFIG.replace("microwave = on", "microwave = off"),
+         f"{off.min_overlap:.6f} with the microwave off\n"),
+    ):
+        path.write_text(text)
+        argv = ["dressing", "--config", str(path), "--out"]
+        assert main([*argv, str(outs[0])]) == EXIT_OK
+        assert f"; smallest branch overlap {expected}" in capsys.readouterr().err
+        assert main([*argv, str(outs[1]), "--quiet"]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert "overlap" not in outs[0].read_text()
 
 
 def mixed_point_config(n_sites, site_i, axis_a, site_j, axis_b, t_stop, n_times):

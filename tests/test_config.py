@@ -164,12 +164,13 @@ def test_non_finite_floats_rejected(key, value):
 
 
 def test_n_shots_above_memory_budget_rejected():
-    """A draw holds 8 bytes of uniform and 1 byte of mask per shot; the largest
-    n_shots that fits the budget parses, one more is rejected, naming the key."""
+    """n_shots is capped as a run's length, at the 2 GiB // 9 it was capped at when a
+    point held 9 bytes a shot; the largest n_shots parses, one more is rejected,
+    naming the key."""
     largest = MEMORY_BUDGET_BYTES // 9
     assert parse_config(f"n_shots = {largest}\nseed = 1\n").sampling.n_shots == largest
     for n_shots in (largest + 1, 10**12):
-        with pytest.raises(ConfigError, match=f"n_shots={n_shots} needs"):
+        with pytest.raises(ConfigError, match=f"n_shots={n_shots} needs a run's length above"):
             parse_config(f"n_shots = {n_shots}\nseed = 1\n")
 
 

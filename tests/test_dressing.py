@@ -243,3 +243,22 @@ def test_dressed_curve_validates_grid():
         scan_curve(LevelScheme(1.0, 4.0), COEFFS, 2.0, 1.0, 5)
     with pytest.raises(ValueError):
         scan_curve(LevelScheme(1.0, 4.0), COEFFS, 1.0, 2.0, 1)
+
+
+def test_scan_carries_its_smallest_branch_overlap():
+    """The curve's min_overlap is the smallest squared overlap of the tracked branch
+    with its previous grid point's eigenvector (the product state at r_max); a coarser
+    grid through the avoided crossing keeps less of the branch from point to point."""
+    scheme = LevelScheme(2.0, 4.0, 20.0, 7.3)
+    curve = scan_curve(scheme, COEFFS, 1.0, 6.0, 11)
+    _, v_single = dressed_ground(scheme)
+    tracked, overlaps = np.kron(v_single, v_single), []
+    for r in curve.distances[::-1]:
+        _, evecs = np.linalg.eigh(build_two_atom_hamiltonian(scheme, COEFFS, float(r)))
+        weights = np.abs(evecs.conj().T @ tracked) ** 2
+        overlaps.append(weights.max())
+        tracked = evecs[:, np.argmax(weights)]
+    assert curve.min_overlap == min(overlaps)
+    fine = scan_curve(scheme, COEFFS, 1.0, 6.0, 101)
+    assert 0.5 < curve.min_overlap < fine.min_overlap <= 1.0
+    assert math.isnan(DressedCurve(curve.distances, curve.j_values).min_overlap)
