@@ -102,7 +102,7 @@ def _build_system(config: RunConfig, command: str):
     `maximally_mixed` spans every sector; it is prepared in the eigenbasis
     of the whole chain and holds no state factor (`prepare_maximally_mixed`,
     `build_trace_ladder`).  `all_up` builds, diagonalizes and holds only the
-    Hamming-weight sectors its chain reaches (`reached_weights`), and its
+    Hamming-weight sectors its chain evolves (`reached_weights`), and its
     factor is built on that register (`prepare_all_up`).
     """
     system = require(config, "system", command)
@@ -111,8 +111,8 @@ def _build_system(config: RunConfig, command: str):
     if system.initial_state == "maximally_mixed":
         prop = Propagator.from_hamiltonian(build_xy_chain(n_sites))
         return prepare_maximally_mixed(spec, prop), build_trace_ladder, grid
-    evolved, imaged = reached_weights(n_sites, spec.axis_a, spec.axis_b)
-    prop = Propagator.from_hamiltonian(build_xy_chain(n_sites, evolved, imaged))
+    weights = reached_weights(n_sites, spec.axis_a, spec.axis_b)
+    prop = Propagator.from_hamiltonian(build_xy_chain(n_sites, weights))
     # build_ladder is read at each call (a test wraps it)
     return prepare_all_up(spec, prop), build_ladder, grid
 
@@ -163,11 +163,10 @@ def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str
     worst_re = max(row["re_identity_residual"] for row in rows)
     worst_im = max(row["im_identity_residual"] for row in rows)
     prop = prepared.propagator
-    register, blocks = prop.register, [len(w) for w in prop.block_eigenvalues]
+    register = prop.register
     log(f"identity cross-check: max |2corr-1 - Re C| = {worst_re:.3e}, "
         f"max rotation residual = {worst_im:.3e}; register of {len(register.order)} rows "
-        f"in {len(register.sizes)} sectors; eigendecomposition in {len(blocks)} blocks "
-        f"(largest {max(blocks)}), "
+        f"in {len(register.sizes)} sectors (largest {max(register.sizes)}), "
         f"{len(prop.eigh_sizes)} parity blocks (largest {max(prop.eigh_sizes)}): "
         f"residual {prop.reconstruction_residual:.3e}, "
         f"unitarity defect {prop.unitarity_defect:.3e}; {counts}")

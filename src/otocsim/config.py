@@ -34,23 +34,24 @@ HAMILTONIAN_KINDS = ("xy_chain",)
 # the eigenbasis at every width, so no block of it is held.
 #
 # all_up diagonalizes only the sectors its chain evolves, and its register
-# holds only those and the sectors of the last sigma_i image
-# (`protocol.reached_weights`), so its estimate depends on the axis pair:
-# x or y for both axes reaches weights 0-3 and holds 0-4, z for both only
-# weight 0.  Its factor has one row per held basis index.  Beside H and V
-# a run holds at most FACTORS_AT_PEAK arrays of that factor's 16 bytes per
-# row: Psi (1); the tables of its two Pauli kernels, each at most an int64
-# gather and a complex phase, and where the register lacks a row's partner
-# an int64 list of such rows, all in its top sector (3); a time point's
-# phases e^(-iwt), one per diagonalized row (1); the three factors that
-# `protocol.build_ladder` rebinds and the one it is building (4); and one
-# temporary of at most a factor (1), `Evolution.apply`'s coefficient
-# buffer beside one sector's conjugated phases, or numpy's complex cast of
-# a z kernel's real signs.  An N = 12 run on the whole register traces
-# within them for every axis pair, and so do runs on the reached register
-# at N = 20 (9.4 factors for y/y, 7.3 for x/x).  So the x/x run fits up to
-# N = 37, where its largest block, weight 3, has C(37,3) = 7770 rows, and a
-# run with a z axis is bounded only by MAX_BASIS_SITES.
+# holds only those (`protocol.reached_weights`): the last sigma_i image is
+# read as matrix elements, not held.  So its estimate depends on the axis
+# pair: x or y for both axes reaches weights 0-3, z for both only weight 0.
+# Beside H and V the estimate counts FACTORS_AT_PEAK arrays of its factor's
+# 16 bytes per row: Psi (1); the tables of its two Pauli kernels, each at
+# most an int64 gather and a complex phase, and where the register lacks a
+# row's partner an int64 list of such rows, all in its top sector (3); a
+# time point's phases e^(-iwt), one per diagonalized row (1); the three
+# factors that `protocol.build_ladder` rebinds and the one it is building
+# (4); and one temporary of at most a factor (1), `Evolution.apply`'s
+# coefficient buffer beside one sector's conjugated phases, or numpy's
+# complex cast of a z kernel's real signs.  An N = 12 run on the whole
+# register traces within them for every axis pair.  At N = 20 on the reached
+# register, whose top sector holds most of its rows, runs trace 10.8 (x/x) to
+# 11.7 (y/y) factors, which the estimate covers, as the run drops H before
+# its first point.  So the x/x run fits up to N = 37, where its largest
+# block, weight 3, has C(37,3) = 7770 rows, and a run with a z axis is
+# bounded only by MAX_BASIS_SITES.
 #
 # maximally_mixed, I/2^N, spans every sector and holds no factor
 # (`protocol.prepare_maximally_mixed`): beside H and V on all N + 1 sectors
@@ -96,11 +97,9 @@ def _held_bytes(sizes: list[int]) -> int:
 
 
 def _pure_bytes(n_sites: int, axes: tuple[str, str] = WIDEST_AXES) -> int:
-    """H and V on the sectors the run diagonalizes, and its factors on the rows it holds."""
-    evolved, imaged = reached_weights(n_sites, *axes)
-    sizes = [math.comb(n_sites, w) for w in evolved]
-    rows = sum(sizes) + sum(math.comb(n_sites, w) for w in imaged)
-    return _held_bytes(sizes) + FACTORS_AT_PEAK * 16 * rows
+    """H and V on the sectors the run diagonalizes, and its factors on their rows."""
+    sizes = [math.comb(n_sites, w) for w in reached_weights(n_sites, *axes)]
+    return _held_bytes(sizes) + FACTORS_AT_PEAK * 16 * sum(sizes)
 
 
 def _maximally_mixed_bytes(n_sites: int, axes: tuple[str, str] = WIDEST_AXES) -> int:

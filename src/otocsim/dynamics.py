@@ -19,10 +19,7 @@ and each makes the point's `Evolution` itself; the traces of
 `PreparedTrace` read only its phases.  H and its eigenbasis, and so
 U(t) and U(t)^dagger, carry the same `hilbert.Register`, the row order
 and sector bounds of H, and act on factors whose rows are in that
-order, where each block is a contiguous slice of rows.  The register may
-hold sectors after the last block of H, which a factor may reach but
-U(t) is never applied to; `Evolution.apply` raises ValueError on a factor
-with weight there.
+order, where each block is a contiguous slice of rows.
 """
 
 from __future__ import annotations
@@ -47,15 +44,12 @@ class EvolutionTimeError(ValueError):
 class Hamiltonian:
     """Hermitian generator of the dynamics, held as its sector blocks.
 
-    blocks[k] is H on sector k of `register`, for its first len(blocks)
-    sectors; H is exactly zero between sectors.  Sectors after the last
-    block are held but not built: the register keeps them for factors
-    that reach them without being evolved there (`build_xy_chain`'s
-    `held`).  Each block keeps its own dtype: real float64 for the XY
-    chain, which `build_xy_chain` writes sector by sector, complex for the
-    one block of a dense H from `from_matrix`.  Every block is checked Hermitian; since
-    H is zero off the blocks, the worst block defect is the whole-matrix
-    defect.
+    blocks[k] is H on sector k of `register`, one block per sector; H is
+    exactly zero between sectors.  Each block keeps its own dtype: real
+    float64 for the XY chain, which `build_xy_chain` writes sector by
+    sector, complex for the one block of a dense H from `from_matrix`.
+    Every block is checked Hermitian; since H is zero off the blocks, the
+    worst block defect is the whole-matrix defect.
 
     `reflection`, when a builder declares one, is a symmetry of H as a row
     permutation in register order: an involution that keeps every sector.
@@ -70,7 +64,7 @@ class Hamiltonian:
     def __post_init__(self):
         register = self.register
         shapes = tuple(block.shape for block in self.blocks)
-        if not shapes or shapes != tuple((s, s) for s in register.sizes[: len(shapes)]):
+        if shapes != tuple((s, s) for s in register.sizes):
             raise ValueError(f"Hamiltonian blocks {shapes} do not tile sectors {register.sizes}")
         for block in self.blocks:
             if not hermiticity_defect(block) <= ATOL_ALGEBRA:
@@ -106,7 +100,7 @@ class Hamiltonian:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense complex 2^N x 2^N H of the built blocks, assembled on each call; for tests."""
+        """The dense complex 2^N x 2^N H, zero off the register, assembled on each call; for tests."""
         register = self.register
         mat = np.zeros((2**self.n_sites,) * 2, dtype=complex)
         for k, block in enumerate(self.blocks):
@@ -185,8 +179,8 @@ class Propagator:
     the sizes of the nonempty matrices `eigh` ran on.  Immutable after
     construction; `evolution(t)` takes the phases e^(-iwt) from it.
     `register` is H's own: the row order of `eigenvectors`, one V_k per
-    block of H, and of the factors the evolution acts on; its sectors past
-    the last block have no V_k.  Its kernel tables are built on first use.
+    sector, and of the factors the evolution acts on.  Its kernel tables
+    are built on first use.
     `reconstruction_residual` and `unitarity_defect` are the worst
     max|V diag(w) V^dagger - H| and max|V^dagger V - I| over the matrices
     `eigh` ran on, the residual including each split block's
@@ -282,22 +276,13 @@ class Evolution:
         works on contiguous slices.  Their coefficients V^dagger psi go into
         the first rows of one buffer of the largest sector's rows, which the
         blocks of a call share, before the block writes the same rows of the
-        result.  A psi without one row per basis index raises ValueError,
-        and so does one with weight in a sector that H has no block on: U(t)
-        is not built there.  The result is zero in those sectors.
+        result.  A psi without one row per basis index raises ValueError.
         """
         self.register.check_rows(psi)
         # (rows, r), C-contiguous, so that its row slices view as (re, im) float pairs
         columns = np.ascontiguousarray(psi, dtype=complex).reshape(len(psi), -1)
         bounds, vectors = self.register.bounds, self.propagator.eigenvectors
-        unbuilt = bounds[len(vectors)]  # the first row of the sectors without a V_k
-        if unbuilt < len(columns) and np.count_nonzero(columns[unbuilt:]):
-            raise ValueError(
-                f"factor has weight in sectors {len(vectors)} to {len(bounds) - 2} of the "
-                "register, on which U(t) is not built"
-            )
         result = np.empty(columns.shape, dtype=complex)
-        result[unbuilt:] = 0.0
         buffer = np.empty((max(map(len, self.phases)), columns.shape[1]), dtype=complex)
         for lo, hi, v, phase in zip(bounds, bounds[1:], vectors, self.phases):
             phase = (phase.conj() if adjoint else phase)[:, None]
@@ -331,9 +316,7 @@ def _weight_strings(n_sites: int, top: int) -> list[np.ndarray]:
     return strings
 
 
-def build_xy_chain(
-    n_sites: int, weights: Sequence[int] | None = None, held: Sequence[int] = ()
-) -> Hamiltonian:
+def build_xy_chain(n_sites: int, weights: Sequence[int] | None = None) -> Hamiltonian:
     """Open-boundary chain H = -sum_k (x_k x_(k+1) + y_k y_(k+1)), as its Hamming-weight blocks.
 
     x_k x_(k+1) + y_k y_(k+1) flips sites k and k+1 with amplitude 2 when
@@ -343,26 +326,23 @@ def build_xy_chain(
     C(N, w) x C(N, w) block per weight w in `weights` (all N + 1 of them by
     default), its basis indices in ascending order, and a flipped string's
     row is its rank in the sector; no array of length 2^N is formed.  The
-    register holds those sectors, in the order given, then the sectors of
-    the weights in `held`, on which no block is built.  The chain's
+    register holds those sectors, in the order given.  The chain's
     reflection, site k to site N + 1 - k, sends b to its bit reversal,
     keeps the weight and maps the bond terms onto each other; it is
     declared as `reflection`.
     """
     check_chain_sites(n_sites)
     weights = tuple(range(n_sites + 1)) if weights is None else tuple(weights)
-    every = weights + tuple(held)
-    if not weights or len(set(every)) != len(every) or not all(0 <= w <= n_sites for w in every):
-        raise ValueError(
-            f"weights {weights} and held {tuple(held)} are not distinct Hamming weights "
-            f"of 0..{n_sites}, with at least one block"
-        )
-    strings = _weight_strings(n_sites, max(every))
-    sectors = [strings[w] for w in every]
+    if not weights or len(set(weights)) != len(weights) or not all(
+        0 <= w <= n_sites for w in weights
+    ):
+        raise ValueError(f"weights {weights} are not distinct Hamming weights of 0..{n_sites}")
+    strings = _weight_strings(n_sites, max(weights))
+    sectors = [strings[w] for w in weights]
     bounds = (0, *np.cumsum([len(basis) for basis in sectors]).tolist())
     register = Register(n_sites, np.concatenate(sectors), bounds)
     blocks = []
-    for basis in sectors[: len(weights)]:
+    for basis in sectors:
         block = np.zeros((len(basis), len(basis)))
         for k in range(1, n_sites):
             cols = np.flatnonzero(((basis >> (k - 1)) ^ (basis >> k)) & 1)

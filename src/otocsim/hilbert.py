@@ -12,7 +12,7 @@ mixed one.  A `DensityOperator` holds Psi in computational order.  H,
 U(t), U(t)^dagger and the evaluators' Psi share one `Register`: the basis
 indices a run holds, in row order, cut into the sectors of H, so that U(t)
 acts on each sector as a contiguous slice of rows.  A register may hold
-every basis index or only some sectors of them, those a run can reach;
+every basis index or only some sectors of them, those a run evolves;
 the indices are int64, so N is at most MAX_BASIS_SITES.  Single-site
 Paulis act on Psi through index kernels in O(rows r) (a row gather and a
 row phase), never as dense matrices, and no kernel builds a table of
@@ -82,8 +82,9 @@ class Register:
     (`np.searchsorted`), so no table of length 2^N is built.  Where the
     register does not hold b ^ m, sigma^x and sigma^y would carry the row's
     weight out of it: `pauli` raises ValueError on a factor with weight
-    there, and the row of its result is zero.  Every map on factors, here
-    and in `dynamics.Evolution`, checks them with `check_rows`.
+    there, and the row of its result is zero, while `pauli_element` reads
+    such rows as zero.  Every map on factors, here and in
+    `dynamics.Evolution`, checks them with `check_rows`.
     """
 
     __slots__ = ("n_sites", "order", "bounds", "sizes", "_rank", "_tables")
@@ -141,8 +142,11 @@ class Register:
                 found = np.searchsorted(self.order, partner, sorter=self._rank)
                 gather = self._rank.take(found, mode="clip")
                 lost = np.flatnonzero(self.order[gather] != partner)
-                gather[lost] = lost  # rows that `pauli` checks are zero
                 phase = None if axis == "x" else -1j * sign
+                if len(lost):  # a zero row of the matrix: the row gathers itself, phase 0
+                    gather[lost] = lost
+                    phase = np.ones(len(sign)) if phase is None else phase
+                    phase[lost] = 0.0
                 table = (gather, phase, lost if len(lost) else None)
             self._tables[site, axis] = table
         return table
@@ -154,12 +158,9 @@ class Register:
         elsewhere; these are the entries that `pauli` applies.  A row whose
         partner the register does not hold has the value 0.
         """
-        gather, phase, lost = self._kernel(site, axis)
+        gather, phase, _ = self._kernel(site, axis)
         rows = len(self.order)
         values = np.ones(rows) if phase is None else phase
-        if lost is not None:
-            values = values.copy()  # the table's phase stays as it is
-            values[lost] = 0.0
         return (np.arange(rows) if gather is None else gather), values
 
     def from_computational(self, psi: np.ndarray) -> np.ndarray:
@@ -191,15 +192,31 @@ class Register:
         """
         gather, phase, lost = self._kernel(site, axis)
         self.check_rows(psi)
-        if gather is None:
-            return _row_weights(phase, psi) * psi
         if lost is not None and np.count_nonzero(psi[lost]):
             raise ValueError(f"sigma_{site}^{axis} takes the factor's weight out of the register")
-        result = psi[gather]
-        if phase is not None:
-            result = result.astype(complex, copy=False)
-            result *= _row_weights(phase, result)  # in place on the gather
-        return result
+        return _gather_and_phase(psi, gather, phase)
+
+    def pauli_element(self, bra: np.ndarray, ket: np.ndarray, site: int, axis: str) -> complex:
+        """<bra|sigma_site^axis ket>, traced over the columns; a row without a partner adds 0.
+
+        Exact, as bra is zero off the register, also for a ket that `pauli`
+        rejects; for any other ket it is np.vdot(bra, pauli(ket, site, axis)).
+        """
+        gather, phase, _ = self._kernel(site, axis)
+        self.check_rows(bra)
+        self.check_rows(ket)
+        return complex(np.vdot(bra, _gather_and_phase(ket, gather, phase)))
+
+
+def _gather_and_phase(psi: np.ndarray, gather, phase) -> np.ndarray:
+    """psi's rows taken by a kernel's row gather, times its row phase, as a new array."""
+    if gather is None:
+        return _row_weights(phase, psi) * psi
+    result = psi[gather]
+    if phase is not None:
+        result = result.astype(complex, copy=False)
+        result *= _row_weights(phase, result)  # in place on the gather
+    return result
 
 
 class DensityOperator:

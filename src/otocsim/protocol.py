@@ -11,7 +11,7 @@ a four-angle-set combination reconstructs Im C(t).
 
 A run prepares its state once on its propagator (`prepare`: Psi in the
 propagator's register order).  A run on all_up, |up...up>, needs only the
-few Hamming-weight sectors its chain reaches (`reached_weights`), and
+few Hamming-weight sectors its chain evolves (`reached_weights`), and
 `prepare_all_up` builds its Psi on a register that holds just those.
 Each time point t then builds one `Ladder`, `build_ladder(prepared, t)`,
 from six applications of U(t) or U(t)^dagger: since U^dagger U = I and
@@ -74,6 +74,12 @@ ZERO_BRANCH_CUTOFF = 1e-14
 PREFACTOR_GUARD = 1e-6
 
 
+def outside_probability_range(p):
+    """Where p (a float or an array) is NaN or outside [-ATOL_ALGEBRA, 1 + ATOL_ALGEBRA]."""
+    # the negated form rejects NaN, which compares False against any bound
+    return np.logical_not((-ATOL_ALGEBRA <= p) & (p <= 1.0 + ATOL_ALGEBRA))
+
+
 class DegenerateAnglesError(ValueError):
     """Rotation angles make the reconstruction prefactor vanish."""
 
@@ -129,8 +135,7 @@ class ProbabilityTable:
         raw = np.array(self.probabilities, dtype=float)
         if raw.shape != (len(OUTCOME_SEQUENCES),):
             raise ValueError("table must have exactly the 16 outcome sequences as entries")
-        # the negated form rejects NaN, which compares False against any bound
-        outside = ~((-ATOL_ALGEBRA <= raw) & (raw <= 1.0 + ATOL_ALGEBRA))
+        outside = outside_probability_range(raw)
         if outside.any():
             k = int(np.argmax(outside))
             raise ValueError(
@@ -190,17 +195,15 @@ def _prepared(psi: np.ndarray, spec: OtocSpec, propagator: Propagator) -> Prepar
 PAULI_MOVES = {"x": (-1, 1), "y": (-1, 1), "z": (0,)}
 
 
-def reached_weights(
-    n_sites: int, axis_a: str, axis_b: str
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(evolved, imaged): the Hamming weights an all_up run of sigma^axis_a, sigma^axis_b reaches.
+def reached_weights(n_sites: int, axis_a: str, axis_b: str) -> tuple[int, ...]:
+    """The Hamming weights an all_up run of sigma^axis_a, sigma^axis_b evolves, ascending.
 
     With W = sigma_i^axis_a and V = sigma_j^axis_b: all_up is weight 0, and
     U(t) keeps every weight.  `build_ladder` evolves Psi and Psi_1 = V Psi,
-    S_b = W X_b and T_b = V M_b, so `evolved`, the weights U(t) must be
-    built on, is the closure of weight 0 under the moves V, W, V.  `imaged`
-    are the further weights that only the last image, W Z_b, reaches: the
-    register holds them, but U(t) is never applied there.  Both ascend.
+    S_b = W X_b and T_b = V M_b, so the weights U(t) must be built on are
+    the closure of weight 0 under the moves V, W, V.  The last image W Z_b
+    may reach one weight further; it is read only as <Z_a|W Z_b>, and Z_a
+    is zero there.
     """
 
     def move(weights: set[int], axis: str) -> set[int]:
@@ -209,8 +212,7 @@ def reached_weights(
     psi = {0} | move({0}, axis_b)  # Psi and Psi_1; X_b = U Psi_b
     s = move(psi, axis_a)  # S_b; M_b = U^dagger S_b
     t = move(s, axis_b)  # T_b; Z_b = U T_b
-    evolved = psi | s | t
-    return tuple(sorted(evolved)), tuple(sorted(move(t, axis_a) - evolved))
+    return tuple(sorted(psi | s | t))
 
 
 # The unnormalised state U Pi_j^o3 U^dagger Pi_i^o2 U Pi_j^o1 Psi that the last
@@ -258,7 +260,8 @@ def build_ladder(prepared: PreparedState, t: float) -> Ladder:
     and sigma^2 = I give every entry from the chain itself:
     P_XX = P_ZZ = <Psi_a|Psi_b>, P_XZ[0, b] = <Psi|T_b>,
     P_XZ[1, b] = <Psi|M_b>, Q_XX[a, b] = <X_a|S_b>, Q_XZ[a, b] = <M_a|T_b>
-    and Q_ZZ[a, b] = <Z_a|sigma_i Z_b>.  Q_XZ[0, 1] = <T0|M1> is the
+    and Q_ZZ[a, b] = <Z_a|sigma_i Z_b>, a `Register.pauli_element`, as
+    sigma_i Z_b may leave the register.  Q_XZ[0, 1] = <T0|M1> is the
     direct C(t) = <Psi|W(t) V W(t) V Psi>, built with the operations of
     `otoc_direct` and so equal to it bit for bit; like it, the ladder
     raises ValueError when |C| exceeds 1 beyond ATOL_SPECTRUM.  Each step
@@ -298,10 +301,10 @@ def build_ladder(prepared: PreparedState, t: float) -> Ladder:
     p[0, 3], q[1, 3] = np.vdot(psi, c), np.vdot(b, c)
     a = ev.forward(a)  # Z0
     c = ev.forward(c)  # Z1
-    b = sigma_i(a)  # sigma_i Z0
-    q[2, 2], q[2, 3] = np.vdot(a, b), np.vdot(b, c)
-    b = sigma_i(c)  # sigma_i Z1
-    q[3, 3] = np.vdot(c, b)
+    q[2, 2], q[2, 3], q[3, 3] = (
+        register.pauli_element(bra, ket, spec.site_i, spec.axis_a)
+        for bra, ket in ((a, a), (a, c), (c, c))
+    )
     return _ladder(upper, checked_otoc(q[0, 3]))
 
 
@@ -366,12 +369,11 @@ def _eigenbasis_blocks(propagator: Propagator, site: int, axis: str) -> SectorBl
 def prepare_maximally_mixed(spec: OtocSpec, propagator: Propagator) -> PreparedTrace:
     """A run of `propagator` on I/2^N: W_E and V_E formed once, the spec checked against it.
 
-    I/2^N spans every sector: ValueError unless the propagator holds and
-    diagonalizes every basis index.
+    I/2^N spans every sector: ValueError unless the propagator holds every
+    basis index.
     """
     register = propagator.register
-    every_row = len(register.order) == 2**register.n_sites
-    if not (every_row and len(propagator.eigenvectors) == len(register.sizes)):
+    if len(register.order) != 2**register.n_sites:
         raise ValueError("I/2^N needs a propagator on every basis index of the register")
     spec.validate_for(propagator.n_sites)
     return PreparedTrace(

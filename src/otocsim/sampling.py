@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import ATOL_ALGEBRA
 from .protocol import (
     ANGLE_VARIANT_SIGNS,
     OUTCOME_SIGNS,
@@ -28,6 +27,7 @@ from .protocol import (
     ProbabilityTable,
     RotationAngles,
     angle_variants,
+    outside_probability_range,
     rotated_expectation,
 )
 
@@ -39,7 +39,7 @@ CHUNK = 2**16
 
 
 def substream(seed: int, point: int) -> np.random.Generator:
-    """PCG64 stream of time point `point` of the run seed.
+    """PCG64 stream of time point `point` of the run seed (or of `verify` check `point`).
 
     The point is the SeedSequence's spawn key, kept apart from the seed: in
     a flat entropy list a seed above 2^32 spills into the next word, so
@@ -147,8 +147,7 @@ def sample_rotation_protocol(
     var_sum = 0.0
     for sign, variant in zip(ANGLE_VARIANT_SIGNS, angle_variants(angles)):
         p_up = (1.0 + rotated_expectation(ladder, variant)) / 2.0
-        # the negated form rejects NaN, which compares False against any bound
-        if not -ATOL_ALGEBRA <= p_up <= 1.0 + ATOL_ALGEBRA:
+        if outside_probability_range(p_up):
             raise ValueError(f"probability {p_up} of +1 at angle set {variant} outside [0, 1]")
         p_up = min(max(p_up, 0.0), 1.0)
         ups = cfg.n_shots - int(_tail_counts(rng, cfg.n_shots, np.array([p_up]))[0])

@@ -16,6 +16,7 @@ from .dynamics import Hamiltonian, Propagator
 from .hilbert import DensityOperator, PAULI_AXES
 from .otoc import OtocSpec, commutator_norm, otoc_direct
 from .protocol import RotationAngles, build_ladder, im_otoc_via_protocol, prepare, re_otoc_via_protocol
+from .sampling import substream
 
 # Largest accepted |reconstructed - direct| of a protocol identity, here and in `otocsim exact`.
 IDENTITY_TOLERANCE = 1e-9
@@ -66,8 +67,9 @@ class CheckResult:
         return self.max_residual < self.tolerance
 
 
-def _instances(n_instances: int, sizes: tuple[int, ...], seed: int):
-    rng = np.random.Generator(np.random.PCG64(seed))
+def _instances(n_instances: int, sizes: tuple[int, ...], seed: int, stream: int):
+    # each check has its own fixed stream index, so no two (seed, check) pairs share uniforms
+    rng = substream(seed, stream)
     for k in range(n_instances):
         n_sites = sizes[k % len(sizes)]
         axes = AXIS_PAIRS[k % len(AXIS_PAIRS)]
@@ -83,7 +85,7 @@ def check_re_identity(
 ) -> CheckResult:
     """2*corr - 1 against Re C on random instances."""
     worst = 0.0
-    for _, prepared, t in _instances(n_instances, sizes, seed):
+    for _, prepared, t in _instances(n_instances, sizes, seed, 0):
         reconstructed = re_otoc_via_protocol(build_ladder(prepared, t))
         direct = otoc_direct(prepared, t).real
         worst = max(worst, abs(reconstructed - direct))
@@ -95,7 +97,7 @@ def check_im_identity(
 ) -> CheckResult:
     """Four-angle-set combination against Im C on random instances."""
     worst = 0.0
-    for rng, prepared, t in _instances(n_instances, sizes, seed):
+    for rng, prepared, t in _instances(n_instances, sizes, seed, 1):
         angles = random_nondegenerate_angles(rng)
         reconstructed = im_otoc_via_protocol(build_ladder(prepared, t), angles)
         direct = otoc_direct(prepared, t).imag
@@ -108,7 +110,7 @@ def check_commutator_relation(
 ) -> CheckResult:
     """Re C = 1 - <|[W(t),V]|^2>/2 on random instances."""
     worst = 0.0
-    for _, prepared, t in _instances(n_instances, sizes, seed):
+    for _, prepared, t in _instances(n_instances, sizes, seed, 2):
         direct = otoc_direct(prepared, t).real
         via_commutator = 1.0 - commutator_norm(prepared, t) / 2.0
         worst = max(worst, abs(direct - via_commutator))
@@ -116,9 +118,9 @@ def check_commutator_relation(
 
 
 def run_verification_suite(seed: int = 1) -> list[CheckResult]:
-    """All randomized identity checks, seeded for reproducibility."""
+    """All randomized identity checks, each on its own stream of `seed`."""
     return [
         check_re_identity(seed=seed),
-        check_im_identity(seed=seed + 1),
-        check_commutator_relation(seed=seed + 2),
+        check_im_identity(seed=seed),
+        check_commutator_relation(seed=seed),
     ]

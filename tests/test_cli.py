@@ -5,13 +5,14 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import otocsim
-from otocsim import cli
+from otocsim import cli, verification
 from otocsim.cli import EXIT_CONFIG, EXIT_OK, main
 from otocsim.config import ROW_BYTES, STATE_FOOTPRINTS, parse_config
 from otocsim.dressing import scan_curve
@@ -97,20 +98,21 @@ def test_exact_run_writes_metadata_and_residuals(config_file, tmp_path):
 
 def test_exact_reports_spectral_defects_on_stderr_only(config_file, tmp_path, capsys):
     """The N=4 sectors 1, 4, 6, 4, 1 split by reflection parity into 1, 2+2, 4+2,
-    2+2, 1.  The full-rank state diagonalizes all five; the pure x/x run holds all
-    five, but diagonalizes only weights 0-3, as only its last sigma_i image reaches
-    weight 4.  All of it reaches stderr, none of it the CSV."""
+    2+2, 1.  The full-rank state holds and diagonalizes all five; the pure x/x run
+    only weights 0-3, the ones its chain evolves, as its last sigma_i image, which
+    alone reaches weight 4, is read as matrix elements.  All of it reaches stderr,
+    none of it the CSV."""
     mixed = tmp_path / "mixed.cfg"
     mixed.write_text(BASE_CONFIG.replace("initial_state = all_up", "initial_state = maximally_mixed"))
-    cases = ((config_file, "4 blocks (largest 6), 7"), (mixed, "5 blocks (largest 6), 8"))
-    for config, blocks in cases:
+    cases = (
+        (config_file, "15 rows in 4 sectors (largest 6), 7"),
+        (mixed, "16 rows in 5 sectors (largest 6), 8"),
+    )
+    for config, register in cases:
         out = tmp_path / "exact.csv"
         assert main(["exact", "--config", str(config), "--out", str(out)]) == EXIT_OK
         err = capsys.readouterr().err
-        assert (
-            f"register of 16 rows in 5 sectors; eigendecomposition in {blocks} parity blocks "
-            "(largest 4): residual " in err
-        )
+        assert f"register of {register} parity blocks (largest 4): residual " in err
         assert "unitarity defect " in err
         text = out.read_text()
         for logged in ("unitarity", "parity"):
@@ -445,27 +447,35 @@ def mixed_yz_config(n_sites, n_times):
 
 @pytest.mark.parametrize("command", ["exact", "sample", "im"])
 @pytest.mark.parametrize("n_times", [1, 3])
-def test_each_point_applies_u_and_a_pauli_seven_times_and_factorizes_nothing(
+def test_each_point_applies_u_six_times_and_a_pauli_eight_times_and_factorizes_nothing(
     command, n_times, tmp_path, monkeypatch
 ):
     """On all_up every time point applies U(t) or U(t)^dagger 6 times and a
-    single-site Pauli 7 times, all in the ladder that carries both protocols and
-    the direct C(t).  On maximally_mixed a point applies neither: the run forms
-    the two Paulis in the eigenbasis once, two kernel lookups at set-up, and
-    every point reads them.  No command calls a QR."""
+    single-site Pauli kernel 8 times, all in the ladder that carries both protocols
+    and the direct C(t): 5 images and 3 matrix elements of the last image.  On
+    maximally_mixed a point applies neither: the run forms the two Paulis in the
+    eigenbasis once, two kernel lookups at set-up, and every point reads them.
+    No command calls a QR."""
     applications, paulis, qr_calls = [], [], []
-    apply, pauli, entries, qr = (
-        Evolution.apply, Register.pauli, Register.pauli_entries, np.linalg.qr
+    apply, pauli, element, entries, qr = (
+        Evolution.apply,
+        Register.pauli,
+        Register.pauli_element,
+        Register.pauli_entries,
+        np.linalg.qr,
     )
     monkeypatch.setattr(
         Evolution, "apply", lambda ev, *a, **k: applications.append(1) or apply(ev, *a, **k)
     )
     monkeypatch.setattr(Register, "pauli", lambda *a, **k: paulis.append(1) or pauli(*a, **k))
     monkeypatch.setattr(
+        Register, "pauli_element", lambda *a, **k: paulis.append(1) or element(*a, **k)
+    )
+    monkeypatch.setattr(
         Register, "pauli_entries", lambda *a, **k: paulis.append(1) or entries(*a, **k)
     )
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
-    for state, per_point, set_up in (("all_up", (6, 7), 0), ("maximally_mixed", (0, 0), 2)):
+    for state, per_point, set_up in (("all_up", (6, 8), 0), ("maximally_mixed", (0, 0), 2)):
         applications.clear()
         paulis.clear()
         path = tmp_path / f"{state}.cfg"
@@ -553,8 +563,10 @@ def test_maximally_mixed_points_equal_one_point_runs(tmp_path):
 @pytest.mark.parametrize("n_sites", [2, 3, 4])
 def test_the_built_state_has_the_rank_the_cap_assumes(kind, n_sites):
     """Every initial_state kind that the memory cap knows builds what its footprint
-    counts: all_up a 2^N x 1 factor and the Schroedinger ladder; maximally_mixed no
-    factor, W_E and V_E of at most 2 C(2N, N-1) entries each, and the trace ladder."""
+    counts: all_up a one-column factor on the weights 0-3 its x/x chain evolves
+    (all 2^N rows up to N = 3, 15 of 16 at N = 4) and the Schroedinger ladder;
+    maximally_mixed no factor, W_E and V_E of at most 2 C(2N, N-1) entries each,
+    and the trace ladder."""
     text = (
         BASE_CONFIG.replace("n_sites = 4", f"n_sites = {n_sites}")
         .replace("initial_state = all_up", f"initial_state = {kind}")
@@ -563,7 +575,7 @@ def test_the_built_state_has_the_rank_the_cap_assumes(kind, n_sites):
     )
     prepared, ladder_at, _ = cli._build_system(parse_config(text), "exact")
     if kind == "all_up":
-        assert prepared.psi.shape == (2**n_sites, 1)
+        assert prepared.psi.shape == ({2: 4, 3: 8, 4: 15}[n_sites], 1)
         assert ladder_at is build_ladder
         return
     assert isinstance(prepared, PreparedTrace)
@@ -950,6 +962,22 @@ def test_verify_passes_and_reports(tmp_path, capsys):
         "commutator_relation",
     }
     assert all(float(row["max_residual"]) < 1e-9 for row in rows)
+
+
+def test_verify_checks_draw_apart_across_neighbouring_seeds(monkeypatch):
+    """No two (seed, check) pairs of `verify --seed 1`, 2 and 3 draw the same first
+    instance: each check draws from its own stream of the suite's seed."""
+    hams = []
+    real = verification.random_hamiltonian
+    monkeypatch.setattr(
+        verification, "random_hamiltonian", lambda *a: hams.append(real(*a)) or hams[-1]
+    )
+    for name in ("check_re_identity", "check_im_identity", "check_commutator_relation"):
+        monkeypatch.setattr(verification, name, partial(getattr(verification, name), 1))
+    for seed in (1, 2, 3):
+        verification.run_verification_suite(seed)
+    firsts = {ham.blocks[0].tobytes() for ham in hams}
+    assert len(hams) == len(firsts) == 9
 
 
 def test_stdout_output_when_no_out_path(config_file, capsys):

@@ -339,45 +339,26 @@ def test_xy_propagator_peak_memory_is_below_one_dense_matrix():
 
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_xy_chain_on_some_weights_is_the_whole_chain_there(n):
-    """Built on some weights, with others held beside them, the chain's register holds
-    just those sectors, in the order given and ascending within each, and its blocks
-    and reflection are the whole chain's there, bit for bit; the held sectors get no
-    block.  Weights that repeat or are out of range, or no weight to build, are rejected."""
+    """Built on some weights, the chain's register holds just those sectors, in the
+    order given and ascending within each, and its blocks and reflection are the
+    whole chain's there, bit for bit.  Weights that repeat or are out of range, or
+    no weight at all, are rejected."""
     whole = build_xy_chain(n)
-    weights, held = [w for w in (2, 0, 1) if w <= n], [w for w in (n, 3) if 2 < w <= n]
-    ham = build_xy_chain(n, weights, held)
+    weights = [w for w in (2, 0, 1) if w <= n]
+    ham = build_xy_chain(n, weights)
     register = ham.register
-    assert register.sizes == tuple(math.comb(n, w) for w in weights + held)
-    assert len(ham.blocks) == len(weights)
-    for k, w in enumerate(weights + held):
+    assert register.sizes == tuple(math.comb(n, w) for w in weights)
+    for k, w in enumerate(weights):
         np.testing.assert_array_equal(register.sector(k), whole.register.sector(w))
         lo, whole_lo = register.bounds[k], whole.register.bounds[w]
         np.testing.assert_array_equal(
             ham.reflection[lo : lo + register.sizes[k]] - lo,
             whole.reflection[whole_lo : whole_lo + register.sizes[k]] - whole_lo,
         )
-        if k < len(weights):
-            np.testing.assert_array_equal(ham.blocks[k], whole.blocks[w])
-    for bad in (([0, 0], ()), ([0], [0]), ([0, n + 1], ()), ([-1], ()), ([], [0])):
+        np.testing.assert_array_equal(ham.blocks[k], whole.blocks[w])
+    for bad in ([0, 0], [0, n + 1], [-1], []):
         with pytest.raises(ValueError, match="Hamming weights"):
-            build_xy_chain(n, *bad)
-
-
-def test_evolution_rejects_weight_where_u_is_not_built():
-    """U(t) exists only on the sectors H has a block on: a factor with weight in a held
-    sector, even a subnormal one, is rejected by both directions, and a factor
-    without any there comes back zero there."""
-    prop = Propagator.from_hamiltonian(build_xy_chain(4, [0, 1], [2]))
-    ev = prop.evolution(0.9)
-    psi = np.zeros((11, 2), dtype=complex)
-    psi[1:5] = 0.5
-    forward = ev.forward(psi)
-    assert not forward[5:].any()
-    np.testing.assert_allclose(ev.backward(forward), psi, atol=1e-15)
-    psi[7, 1] = 1e-310j
-    for apply in (ev.forward, ev.backward):
-        with pytest.raises(ValueError, match="sectors 2 to 2 of the register, on which U"):
-            apply(psi)
+            build_xy_chain(n, bad)
 
 
 def test_hamiltonian_rejects_blocks_that_do_not_tile_the_register():
@@ -385,8 +366,9 @@ def test_hamiltonian_rejects_blocks_that_do_not_tile_the_register():
         with pytest.raises(ValueError, match="tile"):
             Register(3, bounds=bounds)
     ham = build_xy_chain(3)
-    with pytest.raises(ValueError, match="tile"):
-        Hamiltonian(ham.register, tuple(np.zeros((2, 2)) for _ in ham.blocks))
+    for blocks in (tuple(np.zeros((2, 2)) for _ in ham.blocks), ham.blocks[:-1]):
+        with pytest.raises(ValueError, match="tile"):
+            Hamiltonian(ham.register, blocks)
 
 
 @pytest.mark.parametrize(

@@ -175,6 +175,37 @@ def test_kernels_on_a_register_of_some_indices_are_the_compressed_paulis(args, s
             register.pauli(psi, site, axis)
 
 
+@pytest.mark.parametrize("order", REGISTER_ORDERS)
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+@pytest.mark.parametrize("shape", [(32,), (32, 3)])
+def test_pauli_element_on_a_full_register_is_the_vdot_of_the_image(order, axis, shape, rng):
+    """Where every row has its partner, <bra|sigma ket> is np.vdot(bra, pauli(ket)),
+    bit for bit, on every site."""
+    register = register_of(order, 5, rng)
+    bra, ket = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "ab")
+    for site in range(1, 6):
+        expected = np.vdot(bra, register.pauli(ket, site, axis))
+        assert register.pauli_element(bra, ket, site, axis) == expected
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("rank", [None, 2])
+def test_pauli_element_on_a_reached_register_is_the_whole_registers(axis, rank, rng):
+    """On the weights 0-3 of a 6-site chain, a unit ket with weight in the top sector,
+    whose image `pauli` rejects, and a unit bra have the matrix element of the whole
+    register within 1e-15: the rows the image reaches beyond weight 3 meet a zero bra."""
+    n, site = 6, 3
+    reached, whole = build_xy_chain(n, [0, 1, 2, 3]).register, Register(n)
+    shape = (len(reached.order),) if rank is None else (len(reached.order), rank)
+    bra, ket = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "ab")
+    bra, ket = bra / np.linalg.norm(bra), ket / np.linalg.norm(ket)
+    with pytest.raises(ValueError, match="out of the register"):
+        reached.pauli(ket, site, axis)
+    bra_whole, ket_whole = reached.to_computational(bra), reached.to_computational(ket)
+    expected = np.vdot(bra_whole, whole.pauli(ket_whole, site, axis))
+    assert abs(reached.pauli_element(bra, ket, site, axis) - expected) <= 1e-15
+
+
 def _dense_hermiticity_defect(matrix):
     return float(np.max(np.abs(matrix - matrix.conj().T)))
 
