@@ -203,8 +203,9 @@ def run_verify(seed: int, log) -> tuple[list[dict], list[str], bool]:
     rows = []
     ok = True
     for res in results:
-        log(f"{res.name}: max residual {res.max_residual:.3e} "
-            f"(tolerance {res.tolerance:g}) {'PASS' if res.passed else 'FAIL'}")
+        log(f"{res.name}: max residual {res.max_residual:.3e} over {res.instances} instances "
+            f"of {min(res.sizes)}-{max(res.sizes)} sites (tolerance {res.tolerance:g}) "
+            f"{'PASS' if res.passed else 'FAIL'}")
         ok = ok and res.passed
         rows.append(
             {

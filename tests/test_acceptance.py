@@ -24,11 +24,7 @@ from otocsim.cli import main
 from otocsim.dressing import dressed_ising_coupling
 from otocsim.protocol import build_ladder, outcome_probabilities, prepare
 from otocsim.sampling import SampleConfig, estimate_re_otoc, sample_sequences
-from otocsim.verification import (
-    check_commutator_relation,
-    check_im_identity,
-    check_re_identity,
-)
+from otocsim.verification import run_verification_suite
 
 import oracles
 
@@ -55,9 +51,15 @@ def report(name: str, passed: bool, detail: str) -> None:
     assert passed, f"{name}: {detail}"
 
 
-def test_criterion_1_re_identity_randomized():
+@pytest.fixture(scope="module")
+def verify_results():
+    """`otocsim verify`'s three checks at seed 1, by name."""
+    return {result.name: result for result in run_verification_suite(seed=1)}
+
+
+def test_criterion_1_re_identity_randomized(verify_results):
     """2*corr - 1 = Re C over 200 random (H, rho, axes, t) instances."""
-    result = check_re_identity(n_instances=200, sizes=(2, 3, 4, 5), seed=1)
+    result = verify_results["re_identity"]
     report(
         "criterion 1 (projective-protocol identity)",
         result.max_residual < IDENTITY_TOL,
@@ -65,9 +67,9 @@ def test_criterion_1_re_identity_randomized():
     )
 
 
-def test_criterion_2_im_identity_randomized():
+def test_criterion_2_im_identity_randomized(verify_results):
     """Four-angle-set combination = Im C with random non-degenerate angles."""
-    result = check_im_identity(n_instances=200, sizes=(2, 3, 4, 5), seed=2)
+    result = verify_results["im_identity"]
     report(
         "criterion 2 (rotation-protocol identity)",
         result.max_residual < IDENTITY_TOL,
@@ -75,9 +77,9 @@ def test_criterion_2_im_identity_randomized():
     )
 
 
-def test_criterion_3_commutator_relation():
-    """Re C = 1 - <|[W(t),V]|^2>/2 on 100 random instances."""
-    result = check_commutator_relation(n_instances=100, seed=3)
+def test_criterion_3_commutator_relation(verify_results):
+    """Re C = 1 - <|[W(t),V]|^2>/2 on 200 random instances."""
+    result = verify_results["commutator_relation"]
     report(
         "criterion 3 (squared-commutator relation)",
         result.max_residual < IDENTITY_TOL,

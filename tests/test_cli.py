@@ -5,7 +5,6 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -956,28 +955,55 @@ def test_verify_passes_and_reports(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.count("PASS") == 3
     _, _, rows = read_table(out)
-    assert {row["check"] for row in rows} == {
-        "re_identity",
-        "im_identity",
-        "commutator_relation",
-    }
+    assert [row["check"] for row in rows] == ["re_identity", "im_identity", "commutator_relation"]
     assert all(float(row["max_residual"]) < 1e-9 for row in rows)
+    lines = captured.err.splitlines()
+    for row in rows:
+        (line,) = [line for line in lines if line.startswith(f"{row['check']}: ")]
+        assert " over 200 instances of 2-5 sites (tolerance 1e-09) PASS" in line
 
 
-def test_verify_checks_draw_apart_across_neighbouring_seeds(monkeypatch):
-    """No two (seed, check) pairs of `verify --seed 1`, 2 and 3 draw the same first
-    instance: each check draws from its own stream of the suite's seed."""
+def test_verify_fails_on_a_nan_residual(tmp_path, monkeypatch, capsys):
+    """A NaN residual is not a pass: the worst residual carries it."""
+    monkeypatch.setattr(verification, "commutator_norm", lambda *a: math.nan)
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--out", str(out)]) == cli.EXIT_INVARIANT
+    _, _, rows = read_table(out)
+    assert [row["passed"] for row in rows] == ["true", "true", "false"]
+    assert "commutator_relation: max residual nan" in capsys.readouterr().err
+
+
+def test_verify_draws_one_distinct_hamiltonian_per_instance_across_seeds(monkeypatch):
+    """`verify --seed 1`, 2 and 3 each draw 200 instances, one Hamiltonian apiece,
+    and no two of the 600 are equal: neighbouring seeds draw apart."""
     hams = []
     real = verification.random_hamiltonian
     monkeypatch.setattr(
         verification, "random_hamiltonian", lambda *a: hams.append(real(*a)) or hams[-1]
     )
-    for name in ("check_re_identity", "check_im_identity", "check_commutator_relation"):
-        monkeypatch.setattr(verification, name, partial(getattr(verification, name), 1))
     for seed in (1, 2, 3):
         verification.run_verification_suite(seed)
-    firsts = {ham.blocks[0].tobytes() for ham in hams}
-    assert len(hams) == len(firsts) == 9
+    assert len(hams) == 600
+    assert len({ham.blocks[0].tobytes() for ham in hams}) == 600
+
+
+def test_verify_builds_one_ladder_and_one_direct_otoc_per_instance(monkeypatch):
+    """The three checks share each instance's ladder and direct C(t)."""
+    calls = {"build_ladder": 0, "otoc_direct": 0}
+
+    def counted(name):
+        real = getattr(verification, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verification, name, counted(name))
+    verification.run_verification_suite(1)
+    assert calls == {"build_ladder": 200, "otoc_direct": 200}
 
 
 def test_stdout_output_when_no_out_path(config_file, capsys):
