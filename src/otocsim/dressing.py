@@ -52,6 +52,10 @@ COUPLING_NOISE_ULPS = 8
 # about 2e-8 of it.
 PAIR_DYNAMIC_RANGE = 1e8
 
+# `scan_curve` diagonalizes the pair Hamiltonians of at most this many grid
+# points in one `np.linalg.eigh` call, so its memory does not grow with n_points
+SCAN_CHUNK = 128
+
 
 class AdiabaticityError(RuntimeError):
     """No eigenstate retains majority overlap with the tracked branch."""
@@ -125,15 +129,29 @@ def build_two_atom_hamiltonian(
     """9x9 pair Hamiltonian at interatomic distance r (um)."""
     if r <= 0:
         raise ValueError("interatomic distance must be positive")
+    return _pair_hamiltonians(scheme, coeffs, [r])[0]
+
+
+def _pair_hamiltonians(
+    scheme: LevelScheme, coeffs: InteractionCoefficients, distances
+) -> np.ndarray:
+    """The 9x9 pair Hamiltonians at each of `distances`, stacked along the first axis.
+
+    All share one r-independent part, the two single-atom drives; each
+    point's c6/r^6 and c3/r^3 are scalar np.float64 expressions (the power
+    of an array rounds differently at some points).
+    """
     single = single_atom_hamiltonian(scheme)
     eye = np.eye(3)
-    h = np.kron(single, eye) + np.kron(eye, single)
+    base = np.kron(single, eye) + np.kron(eye, single)
+    h = np.repeat(base[np.newaxis], len(distances), axis=0)
     with np.errstate(over="ignore"):  # far out r^6 is inf, so c6/r^6 is exactly 0
-        r = np.float64(r)
-        vdw, exchange = coeffs.c6 / r**6, coeffs.c3 / r**3
-    h[3 * S + S, 3 * S + S] += vdw
-    h[3 * S + P, 3 * P + S] += exchange
-    h[3 * P + S, 3 * S + P] += exchange
+        for k, r in enumerate(distances):
+            r = np.float64(r)
+            vdw, exchange = coeffs.c6 / r**6, coeffs.c3 / r**3
+            h[k, 3 * S + S, 3 * S + S] += vdw
+            h[k, 3 * S + P, 3 * P + S] += exchange
+            h[k, 3 * P + S, 3 * S + P] += exchange
     return h
 
 
@@ -153,8 +171,8 @@ def pair_potential(scheme: LevelScheme, coeffs: InteractionCoefficients, r: floa
 
 def dressed_ground(scheme: LevelScheme) -> tuple[float, np.ndarray]:
     """Energy and eigenvector of the single-atom state connected to |g>."""
-    energy, vector, _ = _gg_connected_energy(
-        single_atom_hamiltonian(scheme),
+    energy, vector, _ = _closest_eigenstate(
+        *np.linalg.eigh(single_atom_hamiltonian(scheme)),
         np.eye(3)[G],
         lambda overlap: f"no single-atom eigenstate keeps majority ground character "
         f"(best overlap {overlap:.3f}); dressing is too strong",
@@ -162,15 +180,15 @@ def dressed_ground(scheme: LevelScheme) -> tuple[float, np.ndarray]:
     return energy, vector
 
 
-def _gg_connected_energy(
-    h: np.ndarray, reference: np.ndarray, lost: Callable[[float], str]
+def _closest_eigenstate(
+    evals: np.ndarray, evecs: np.ndarray, reference: np.ndarray, lost: Callable[[float], str]
 ) -> tuple[float, np.ndarray, float]:
-    """Energy, eigenvector and squared overlap of the eigenstate of h closest to `reference`.
+    """Energy, eigenvector and squared overlap of the eigenstate closest to `reference`.
 
-    Raises AdiabaticityError with the message lost(overlap) when even that
-    overlap is at most MIN_CONNECTED_OVERLAP.
+    `evals` and `evecs` are one Hamiltonian's `np.linalg.eigh`.  Raises
+    AdiabaticityError with the message lost(overlap) when even that overlap
+    is at most MIN_CONNECTED_OVERLAP.
     """
-    evals, evecs = np.linalg.eigh(h)
     overlaps = np.abs(evecs.conj().T @ reference) ** 2
     k = int(np.argmax(overlaps))
     if overlaps[k] <= MIN_CONNECTED_OVERLAP:
@@ -191,8 +209,8 @@ def dressed_ising_coupling(
     e_single, v_single = dressed_ground(scheme)
     reference = np.kron(v_single, v_single)
     h = build_two_atom_hamiltonian(scheme, coeffs, r)
-    e_gg, _, _ = _gg_connected_energy(
-        h,
+    e_gg, _, _ = _closest_eigenstate(
+        *np.linalg.eigh(h),
         reference,
         lambda overlap: f"pair eigenstate at r={r} keeps only {overlap:.3f} of the "
         "dressed-ground overlap; cannot identify the |gg>-connected branch",
@@ -243,7 +261,8 @@ def scan_curve(
     single-atom product state and followed inward by maximum overlap with
     the previous grid point's eigenvector; plain energy ordering would
     mislabel branches through the avoided crossing.  The curve carries the
-    smallest of those overlaps.
+    smallest of those overlaps.  The grid is diagonalized SCAN_CHUNK points
+    per `eigh` call.
     """
     effective = scheme if microwave_on else replace(scheme, omega_microwave=0.0)
     check_scan(effective, coeffs, r_min, r_max, n_points)
@@ -252,16 +271,19 @@ def scan_curve(
     j_values = np.empty(n_points)
     tracked = np.kron(v_single, v_single)
     min_overlap = 1.0
-    for idx in reversed(range(n_points)):
-        r = distances[idx]
-        h = build_two_atom_hamiltonian(effective, coeffs, r)
-        energy, tracked, overlap = _gg_connected_energy(
-            h,
-            tracked,
-            lambda overlap: f"lost the |gg>-connected branch at r={r:.4g} (overlap {overlap:.3f})",
-        )
-        j_values[idx] = _coupling(energy, e_single)
-        min_overlap = min(min_overlap, overlap)
+    for stop in range(n_points, 0, -SCAN_CHUNK):
+        start = max(0, stop - SCAN_CHUNK)
+        evals, evecs = np.linalg.eigh(_pair_hamiltonians(effective, coeffs, distances[start:stop]))
+        for idx in reversed(range(start, stop)):
+            r = distances[idx]
+            energy, tracked, overlap = _closest_eigenstate(
+                evals[idx - start],
+                evecs[idx - start],
+                tracked,
+                lambda overlap: f"lost the |gg>-connected branch at r={r:.4g} (overlap {overlap:.3f})",
+            )
+            j_values[idx] = _coupling(energy, e_single)
+            min_overlap = min(min_overlap, overlap)
     return DressedCurve(distances, j_values, min_overlap)
 
 

@@ -241,3 +241,45 @@ def crossing_gap_two_level(c6, c3, delta_mu, omega_mu, r_values):
         diff = c6 / r**6 - (delta_mu + c3 / r**3)
         gaps.append(np.sqrt(diff**2 + 2.0 * omega_mu**2))
     return float(min(gaps))
+
+
+def tracked_dressing_scan(omega_laser, delta_laser, omega_microwave, delta_microwave, c6, c3, distances):
+    """Per-point J(r) scan of the |gg>-connected branch, one `eigh` per grid point.
+
+    Levels g, S, P in that order; the pair Hamiltonian at r is built from
+    two Kronecker products of the single-atom drive, plus c6/r^6 on |SS>
+    and c3/r^3 between |SP> and |PS>.  The branch starts at the largest
+    distance from the product of single-atom eigenstates with the most |g>
+    weight and follows, inward, the eigenvector of largest squared overlap
+    with the previous one.  J = E_gg - 2 E_g, set to 0 within 8 ulps of
+    2|E_g|.  Returns (J values, smallest overlap, None), or (None, None,
+    (r, overlap)) at the first point whose best overlap is at most 1/2.
+    """
+    single = np.array(
+        [
+            [0.0, omega_laser / 2.0, 0.0],
+            [omega_laser / 2.0, delta_laser, omega_microwave / 2.0],
+            [0.0, omega_microwave / 2.0, delta_laser + delta_microwave],
+        ]
+    )
+    evals, evecs = np.linalg.eigh(single)
+    ground = int(np.argmax(np.abs(evecs[0]) ** 2))
+    e_single, tracked = evals[ground], np.kron(evecs[:, ground], evecs[:, ground])
+    ss, sp, ps = 4, 5, 7
+    j_values, min_overlap = np.empty(len(distances)), 1.0
+    for idx in reversed(range(len(distances))):
+        r = np.float64(distances[idx])
+        h = np.kron(single, np.eye(3)) + np.kron(np.eye(3), single)
+        with np.errstate(over="ignore"):
+            h[ss, ss] += c6 / r**6
+            h[sp, ps] += c3 / r**3
+            h[ps, sp] += c3 / r**3
+        evals, evecs = np.linalg.eigh(h)
+        overlaps = np.abs(evecs.conj().T @ tracked) ** 2
+        k = int(np.argmax(overlaps))
+        if overlaps[k] <= 0.5:
+            return None, None, (r, float(overlaps[k]))
+        j = evals[k] - 2.0 * e_single
+        j_values[idx] = 0.0 if abs(j) <= 8 * np.spacing(abs(2.0 * e_single)) else j
+        tracked, min_overlap = evecs[:, k], min(min_overlap, float(overlaps[k]))
+    return j_values, min_overlap, None

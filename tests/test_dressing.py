@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from otocsim import dressing
 from otocsim.dressing import (
     AdiabaticityError,
     DressedCurve,
@@ -262,3 +263,40 @@ def test_scan_carries_its_smallest_branch_overlap():
     fine = scan_curve(scheme, COEFFS, 1.0, 6.0, 101)
     assert 0.5 < curve.min_overlap < fine.min_overlap <= 1.0
     assert math.isnan(DressedCurve(curve.distances, curve.j_values).min_overlap)
+
+
+@pytest.mark.parametrize("microwave_on", [False, True])
+def test_stacked_scan_is_the_per_point_scan_bit_for_bit(microwave_on):
+    """`scan_curve` diagonalizes its grid SCAN_CHUNK points per `eigh` call; on a grid
+    of more than two chunks its J values and smallest overlap are those of the
+    per-point oracle scan, to the bit, with the microwave off and on."""
+    scheme = LevelScheme(2.0, 4.0, 30.0, 18.386)
+    n_points = 2 * dressing.SCAN_CHUNK + 45
+    curve = scan_curve(scheme, COEFFS, 1.0, 6.0, n_points, microwave_on=microwave_on)
+    omega_microwave = scheme.omega_microwave if microwave_on else 0.0
+    j_values, min_overlap, lost = oracles.tracked_dressing_scan(
+        scheme.omega_laser, scheme.delta_laser, omega_microwave, scheme.delta_microwave,
+        COEFFS.c6, COEFFS.c3, curve.distances,
+    )
+    assert lost is None
+    assert curve.j_values.tobytes() == j_values.tobytes()
+    assert curve.min_overlap == min_overlap
+
+
+@pytest.mark.parametrize("chunk", [2, None])
+def test_stacked_scan_loses_the_branch_where_the_per_point_scan_does(chunk, monkeypatch):
+    """A 5-point grid steps over the avoided crossing: the scan raises at the oracle's
+    r and overlap, also when the lost point lies in a later chunk than the first."""
+    if chunk is not None:
+        monkeypatch.setattr(dressing, "SCAN_CHUNK", chunk)
+    scheme = LevelScheme(4.0, 7.7, 29.3, 19.8)
+    distances = np.linspace(1.0, 6.0, 5)
+    _, _, (r, overlap) = oracles.tracked_dressing_scan(
+        scheme.omega_laser, scheme.delta_laser, scheme.omega_microwave, scheme.delta_microwave,
+        COEFFS.c6, COEFFS.c3, distances,
+    )
+    assert r == distances[1]
+    message = f"lost the |gg>-connected branch at r={r:.4g} (overlap {overlap:.3f})"
+    with pytest.raises(AdiabaticityError) as raised:
+        scan_curve(scheme, COEFFS, 1.0, 6.0, 5)
+    assert str(raised.value) == message

@@ -222,6 +222,32 @@ def test_hermiticity_defect_equals_dense_formula(dim, rng):
     assert hermiticity_defect(np.zeros((dim, dim), dtype=complex)) == 0.0
 
 
+@pytest.mark.parametrize("dim", [1, 255, 256, 257, 700])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_tiled_hermiticity_defect_is_the_dense_one_with_nan_and_inf(dim, dtype, rng):
+    """The check reads tiles on and above the diagonal only: sizes at and around one
+    tile, and several tiles with a partial last one, give the dense value exactly; a
+    NaN entry, an inf entry and an inf on both sides (inf - inf) anywhere give the
+    dense NaN or inf."""
+    herm = rng.standard_normal((dim, dim)).astype(dtype)
+    if dtype is complex:
+        herm += 1j * rng.standard_normal((dim, dim))
+    herm += herm.conj().T
+    skewed = herm.copy()
+    skewed[dim // 3, -1] += 1e-13
+    assert hermiticity_defect(herm) == 0.0
+    assert hermiticity_defect(skewed) == _dense_hermiticity_defect(skewed)
+    for value, both_sides in ((np.nan, False), (np.inf, False), (np.inf, True)):
+        for row, col in ((0, dim - 1), (dim - 1, 0), (dim // 2, dim // 2)):
+            bad = herm.copy()
+            bad[row, col] = value
+            if both_sides:
+                bad[col, row] = value
+            with np.errstate(invalid="ignore"):
+                dense = _dense_hermiticity_defect(bad)
+            assert np.array_equal(hermiticity_defect(bad), dense, equal_nan=True)
+
+
 def test_embed_site_out_of_range():
     with pytest.raises(IndexError):
         dense_pauli(5, "x", 4)

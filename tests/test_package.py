@@ -1,0 +1,73 @@
+"""The package namespace loads each submodule on first use of one of its names.
+
+Every case runs in a fresh interpreter, so that no other test's imports leak in.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import otocsim
+
+SETUP_IMPORT = "from otocsim import Propagator, all_up_state, build_xy_chain, maximally_mixed_state"
+
+
+def fresh(code):
+    """The JSON value that `python -c code` prints in a fresh interpreter."""
+    package_root = str(Path(otocsim.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def loaded_after(statement):
+    """The otocsim submodules loaded once `statement` has run in a fresh interpreter."""
+    return fresh(
+        f"import json, sys\n{statement}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('otocsim.'))))\n"
+    )
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_after("import otocsim") == []
+
+
+def test_the_setup_import_loads_only_dynamics_and_hilbert():
+    """The names a caller needs to build a chain and its state pull in their two
+    submodules, not dressing, sampling, verification or the protocols."""
+    assert loaded_after(SETUP_IMPORT) == ["otocsim.dynamics", "otocsim.hilbert"]
+
+
+def test_every_public_name_is_its_submodules_object():
+    mismatched = fresh(
+        "import importlib, json\n"
+        "import otocsim\n"
+        "bad = [name for name in otocsim.__all__ if getattr(otocsim, name) is not getattr(\n"
+        "    importlib.import_module('otocsim.' + otocsim._HOME[name]), name)]\n"
+        "print(json.dumps([bad, len(otocsim.__all__)]))\n"
+    )
+    assert mismatched == [[], 48]
+
+
+def test_dir_lists_every_public_name_before_any_is_loaded():
+    listed = fresh("import json, otocsim; print(json.dumps([dir(otocsim), otocsim.__all__]))")
+    assert set(listed[1]) <= set(listed[0])
+    assert "__version__" in listed[0]
+
+
+def test_an_unknown_name_raises_attribute_error_and_loads_nothing():
+    outcome = fresh(
+        "import json, sys, otocsim\n"
+        "try:\n"
+        "    otocsim.no_such_name\n"
+        "except AttributeError as error:\n"
+        "    loaded = [m for m in sys.modules if m.startswith('otocsim.')]\n"
+        "    print(json.dumps([str(error), loaded]))\n"
+    )
+    assert outcome == ["module 'otocsim' has no attribute 'no_such_name'", []]
