@@ -23,11 +23,10 @@ _EXPORTS = {
         "pair_potential", "scan_curve",
     ),
     "dynamics": (
-        "Evolution", "EvolutionTimeError", "Hamiltonian", "Propagator", "build_custom",
-        "build_xy_chain", "evolve",
+        "Evolution", "EvolutionTimeError", "Hamiltonian", "Propagator", "build_xy_chain",
     ),
     "hilbert": ("DensityOperator", "Register", "all_up_state", "maximally_mixed_state"),
-    "otoc": ("OtocSpec", "commutator_norm", "otoc_direct"),
+    "otoc": ("OtocSpec", "otoc_commutator", "otoc_direct"),
     "protocol": (
         "DegenerateAnglesError", "Ladder", "OUTCOME_SEQUENCES", "OUTCOME_SIGNS", "PreparedState",
         "PreparedTrace", "ProbabilityTable", "RotationAngles", "build_ladder",

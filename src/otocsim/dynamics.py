@@ -30,10 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import ATOL_ALGEBRA, ATOL_SPECTRUM, DensityOperator, Register, hermiticity_defect
-
-PairCoupling = tuple[int, str, int, str, float]  # (site_k, axis_a, site_l, axis_b, coeff)
-LocalField = tuple[int, str, float]              # (site, axis, coeff)
+from .hilbert import ATOL_ALGEBRA, ATOL_SPECTRUM, Register, hermiticity_defect
 
 
 class EvolutionTimeError(ValueError):
@@ -72,7 +69,7 @@ class Hamiltonian:
         if self.reflection is not None:
             mirror = np.asarray(self.reflection)
             rows = np.arange(len(register.order))
-            sector = np.repeat(np.arange(len(register.sizes)), register.sizes)
+            sector = register.row_sectors()
             if not (
                 mirror.shape == rows.shape
                 and mirror.dtype.kind in "iu"
@@ -97,15 +94,6 @@ class Hamiltonian:
     @property
     def n_sites(self) -> int:
         return self.register.n_sites
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense complex 2^N x 2^N H, zero off the register, assembled on each call; for tests."""
-        register = self.register
-        mat = np.zeros((2**self.n_sites,) * 2, dtype=complex)
-        for k, block in enumerate(self.blocks):
-            mat[np.ix_(register.sector(k), register.sector(k))] = block
-        return mat
 
 
 def _checked_eigh(part: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -356,42 +344,3 @@ def build_xy_chain(n_sites: int, weights: Sequence[int] | None = None) -> Hamilt
     ])
     return Hamiltonian(register, tuple(blocks), reflection)
 
-
-def build_custom(
-    n_sites: int,
-    pair_couplings: Sequence[PairCoupling] = (),
-    fields: Sequence[LocalField] = (),
-    extra_terms: Sequence[np.ndarray] = (),
-) -> Hamiltonian:
-    """Sum of two-site couplings, local fields and raw Hermitian terms.
-
-    Higher-body interactions are passed as full matrices in extra_terms;
-    each must be Hermitian on its own.
-    """
-    dim = 2**n_sites
-    register = Register(n_sites)  # computational order
-    eye = np.eye(dim, dtype=complex)
-    mat = np.zeros_like(eye)
-    for site_k, axis_a, site_l, axis_b, coeff in pair_couplings:
-        mat += coeff * register.pauli(register.pauli(eye, site_l, axis_b), site_k, axis_a)
-    for site, axis, coeff in fields:
-        mat += coeff * register.pauli(eye, site, axis)
-    for term in extra_terms:
-        term = np.asarray(term, dtype=complex)
-        if term.shape != (dim, dim):
-            raise ValueError(f"extra term has shape {term.shape}, expected {(dim, dim)}")
-        if not hermiticity_defect(term) <= ATOL_ALGEBRA:
-            raise ValueError("extra term is not Hermitian")
-        mat += term
-    return Hamiltonian.from_matrix(n_sites, mat)
-
-
-def evolve(state: DensityOperator, ev: Evolution) -> DensityOperator:
-    """Schroedinger evolution, U(t) of `ev` applied to the state factor.
-
-    The factor is taken into the evolution's register order and back, so
-    the result is in computational order, like every `DensityOperator`.
-    """
-    register = ev.register
-    psi = register.from_computational(state.factor)
-    return DensityOperator.from_factor(state.n_sites, register.to_computational(ev.forward(psi)))

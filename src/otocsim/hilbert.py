@@ -85,8 +85,8 @@ class Register:
     is a set of distinct indices in range(2^N), by default all of them in
     computational order; a register that holds only some of them stands for
     the subspace they span, and a factor in its order is zero on every
-    index it does not hold.  Sector k is rows bounds[k]:bounds[k+1], the
-    basis indices `sector(k)`; by default one sector holds every row.  The
+    index it does not hold.  Sector k is rows bounds[k]:bounds[k+1], and
+    `row_sectors` gives each row's k; by default one sector holds every row.  The
     evaluators use H's sectors, so that each block of H and U(t) acts on a
     contiguous slice of rows.
 
@@ -135,9 +135,9 @@ class Register:
         self._rank = rank
         self._tables: dict[tuple[int, str], tuple[np.ndarray | None, ...]] = {}
 
-    def sector(self, k: int) -> np.ndarray:
-        """The basis indices of sector k, in row order."""
-        return self.order[self.bounds[k] : self.bounds[k + 1]]
+    def row_sectors(self) -> np.ndarray:
+        """The sector of each row, in row order."""
+        return np.repeat(np.arange(len(self.sizes)), self.sizes)
 
     def check_rows(self, psi: np.ndarray) -> None:
         """ValueError unless psi has one row per basis index of the register."""
@@ -195,13 +195,6 @@ class Register:
                 raise ValueError("factor has weight on basis indices the register does not hold")
         return psi[self.order]
 
-    def to_computational(self, psi: np.ndarray) -> np.ndarray:
-        """A register-order factor as a computational-order one, 2^N rows, zero off the register."""
-        self.check_rows(psi)
-        out = np.zeros((2**self.n_sites,) + psi.shape[1:], dtype=psi.dtype)
-        out[self.order] = psi
-        return out
-
     def pauli(self, psi: np.ndarray, site: int, axis: str) -> np.ndarray:
         """sigma_site^axis @ psi in O(psi.size), for psi of shape (rows,) or (rows, r).
 
@@ -243,10 +236,10 @@ class DensityOperator:
     semidefinite, and the factor is V sqrt(w) over the positive eigenvalues
     w of the eigendecomposition that the PSD check performs.  Built with
     `from_factor`, rho is PSD by construction and unit trace is checked as
-    ||factor||_F^2 = 1.  The dense `matrix` is formed only when asked for.
+    ||factor||_F^2 = 1.  The evaluators read only the factor.
     """
 
-    __slots__ = ("n_sites", "factor", "_matrix")
+    __slots__ = ("n_sites", "factor")
 
     def __init__(self, n_sites: int, matrix: np.ndarray):
         mat = np.asarray(matrix, dtype=complex)
@@ -264,7 +257,6 @@ class DensityOperator:
         keep = evals > 0.0
         self.n_sites = n_sites
         self.factor = evecs[:, keep] * np.sqrt(evals[keep])
-        self._matrix = mat
 
     @classmethod
     def from_factor(cls, n_sites: int, factor: np.ndarray) -> "DensityOperator":
@@ -276,15 +268,8 @@ class DensityOperator:
         if not abs(norm2 - 1.0) <= ATOL_ALGEBRA:
             raise ValueError(f"state factor squared Frobenius norm {norm2} is not 1")
         state = object.__new__(cls)
-        state.n_sites, state.factor, state._matrix = n_sites, psi, None
+        state.n_sites, state.factor = n_sites, psi
         return state
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense 2^N x 2^N rho; no evaluator needs it."""
-        if self._matrix is None:
-            self._matrix = self.factor @ self.factor.conj().T
-        return self._matrix
 
 
 def all_up_state(n_sites: int) -> DensityOperator:

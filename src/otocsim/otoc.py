@@ -8,10 +8,11 @@ For a pure state C(t) = <V W(t) Psi|W(t) V Psi> is one entry of
 operations, so it is the same value bit for bit.  For `maximally_mixed`
 the CLI takes C(t) = Tr[(W(t) V)^2]/2^N from `build_trace_ladder`'s
 eigenbasis traces, equal to `otoc_direct` on `maximally_mixed_state`
-within rounding but not bit for bit.  `otoc_direct` stays the standalone
-evaluator that `verify` and the tests check against.  Like the ladder,
-both evaluators take the prepared state and a time t, and make U(t) from
-the propagator it holds.
+within rounding but not bit for bit.  `otoc_commutator` is the standalone
+chain that `verify` and the tests check against: from the prepared state
+and a time t it makes the point's U(t) from the propagator the state
+holds, and reads both C(t) and the squared commutator off the same two
+vectors; `otoc_direct` is its first value.
 """
 
 from __future__ import annotations
@@ -58,20 +59,6 @@ class OtocSpec:
                 raise IndexError(f"{name}={site}: {exc}") from None
 
 
-def _operands(prepared: PreparedState, t: float):
-    """W(t) = U(t)^dagger W U(t) and V as maps on factors in the register order."""
-    ev = prepared.propagator.evolution(t)
-    register, spec = ev.register, prepared.spec
-
-    def w_t(psi: np.ndarray) -> np.ndarray:
-        return ev.backward(register.pauli(ev.forward(psi), spec.site_i, spec.axis_a))
-
-    def v(psi: np.ndarray) -> np.ndarray:
-        return register.pauli(psi, spec.site_j, spec.axis_b)
-
-    return w_t, v
-
-
 def checked_otoc(value) -> complex:
     """`value` as a complex C(t), or ValueError when |C| exceeds 1 beyond ATOL_SPECTRUM."""
     value = complex(value)
@@ -80,20 +67,29 @@ def checked_otoc(value) -> complex:
     return value
 
 
-def otoc_direct(prepared: PreparedState, t: float) -> complex:
-    """Exact complex C(t) = Tr[rho sigma_i^a(t) sigma_j^b sigma_i^a(t) sigma_j^b].
+def otoc_commutator(prepared: PreparedState, t: float) -> tuple[complex, float]:
+    """(C(t), <|[W(t), V]|^2>), both from V W(t) Psi and W(t) V Psi.
 
-    Evaluated as <V W(t) Psi|W(t) V Psi>, traced over the columns of the
-    prepared factor Psi: four applications of U(t) or U(t)^dagger.
+    W(t) = U(t)^dagger W U(t) acts twice, so the chain is four
+    applications of U(t) or U(t)^dagger on the prepared factor Psi.
+    C(t) = <V W(t) Psi|W(t) V Psi> and ||[W(t), V] Psi||_F^2 are traced
+    over Psi's columns; the squared norm is nonnegative by construction.
     """
-    w_t, v = _operands(prepared, t)
-    psi = prepared.psi
-    return checked_otoc(np.vdot(v(w_t(psi)), w_t(v(psi))))
+    ev = prepared.propagator.evolution(t)
+    register, spec, psi = ev.register, prepared.spec, prepared.psi
+
+    def w_t(factor: np.ndarray) -> np.ndarray:
+        return ev.backward(register.pauli(ev.forward(factor), spec.site_i, spec.axis_a))
+
+    def v(factor: np.ndarray) -> np.ndarray:
+        return register.pauli(factor, spec.site_j, spec.axis_b)
+
+    vw, wv = v(w_t(psi)), w_t(v(psi))
+    commutator = wv - vw
+    return checked_otoc(np.vdot(vw, wv)), float(np.vdot(commutator, commutator).real)
 
 
-def commutator_norm(prepared: PreparedState, t: float) -> float:
-    """<|[W(t), V]|^2> = ||[W(t), V] Psi||_F^2, nonnegative by construction."""
-    w_t, v = _operands(prepared, t)
-    psi = prepared.psi
-    comm_psi = w_t(v(psi)) - v(w_t(psi))
-    return float(np.vdot(comm_psi, comm_psi).real)
+def otoc_direct(prepared: PreparedState, t: float) -> complex:
+    """Exact complex C(t) = Tr[rho sigma_i^a(t) sigma_j^b sigma_i^a(t) sigma_j^b], as
+    `otoc_commutator`'s first value."""
+    return otoc_commutator(prepared, t)[0]

@@ -352,7 +352,7 @@ def _eigenbasis_blocks(propagator: Propagator, site: int, axis: str) -> SectorBl
     register = propagator.register
     columns, values = register.pauli_entries(site, axis)
     bounds, vectors = register.bounds, propagator.eigenvectors
-    sector_of = np.repeat(np.arange(len(register.sizes)), register.sizes)
+    sector_of = register.row_sectors()
     blocks = {}
     for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         targets = sector_of[columns[lo:hi]]

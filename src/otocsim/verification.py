@@ -14,7 +14,7 @@ import numpy as np
 
 from .dynamics import Hamiltonian, Propagator
 from .hilbert import DensityOperator, PAULI_AXES
-from .otoc import OtocSpec, commutator_norm, otoc_direct
+from .otoc import OtocSpec, otoc_commutator
 from .protocol import RotationAngles, build_ladder, im_otoc_via_protocol, prepare, re_otoc_via_protocol
 from .sampling import substream
 
@@ -90,15 +90,16 @@ def _instances(n_instances: int, seed: int):
 def run_verification_suite(seed: int = 1) -> list[CheckResult]:
     """2*corr - 1 = Re C, the four-angle combination = Im C and Re C = 1 - <|[W(t),V]|^2>/2
     on the same random instances: each instance's one ladder serves both protocols, and
-    C(t) comes from otoc_direct, never from the ladder under test."""
+    C(t) and the squared commutator come from one otoc_commutator chain, never from the
+    ladder under test."""
     residuals = []
     for prepared, t, angles in _instances(VERIFY_INSTANCES, seed):
         ladder = build_ladder(prepared, t)
-        direct = otoc_direct(prepared, t)
+        direct, commutator = otoc_commutator(prepared, t)
         residuals.append((
             abs(re_otoc_via_protocol(ladder) - direct.real),
             abs(im_otoc_via_protocol(ladder, angles) - direct.imag),
-            abs(direct.real - (1.0 - commutator_norm(prepared, t) / 2.0)),
+            abs(direct.real - (1.0 - commutator / 2.0)),
         ))
     # np.max, unlike the builtin, carries a NaN residual through, and NaN fails `passed`
     worst = np.max(residuals, axis=0)

@@ -36,6 +36,12 @@ def site_operator(n_sites, site, axis):
     return kron_chain([SIGMA[f] for f in factors])
 
 
+def in_register_order(register, operator):
+    """P A P^T: a computational-order operator compressed to the rows a register holds, in its
+    row order."""
+    return operator[np.ix_(register.order, register.order)]
+
+
 def site_projector(n_sites, site, axis, sign):
     return (np.eye(2**n_sites) + sign * site_operator(n_sites, site, axis)) / 2.0
 
@@ -151,6 +157,15 @@ def otoc_value(rho, h, n_sites, site_i, axis_a, site_j, axis_b, t):
     w_t = u.conj().T @ site_operator(n_sites, site_i, axis_a) @ u
     v = site_operator(n_sites, site_j, axis_b)
     return complex(np.trace(rho @ w_t @ v @ w_t @ v))
+
+
+def squared_commutator(rho, h, n_sites, site_i, axis_a, site_j, axis_b, t):
+    """<|[W(t), V]|^2> = Tr[rho C^dagger C] with C = [W(t), V] and W(t) from expm."""
+    u = expm(-1j * h * t)
+    w_t = u.conj().T @ site_operator(n_sites, site_i, axis_a) @ u
+    v = site_operator(n_sites, site_j, axis_b)
+    c = w_t @ v - v @ w_t
+    return float(np.trace(rho @ c.conj().T @ c).real)
 
 
 def probability_table(rho, h, n_sites, site_i, axis_a, site_j, axis_b, t):

@@ -160,11 +160,11 @@ def test_sample_run_is_byte_identical(config_file, tmp_path):
         assert row["n_shots"] == "2000"
 
 
-@pytest.mark.parametrize("command", ["exact", "sample", "im"])
+@pytest.mark.parametrize("command", ["exact", "sample", "im", "verify"])
 def test_pure_run_is_byte_identical_at_one_and_two_blas_threads(command, tmp_path):
-    """An N = 10 all_up run writes the same bytes with BLAS and OpenMP at one thread
-    and at two.  Each run is a child process, so that its thread counts are set
-    before numpy loads its BLAS."""
+    """An N = 10 all_up run, and `verify --seed 1` (no config), write the same bytes
+    with BLAS and OpenMP at one thread and at two.  Each run is a child process, so
+    that its thread counts are set before numpy loads its BLAS."""
     path = tmp_path / "n10.cfg"
     path.write_text(
         BASE_CONFIG.replace("n_sites = 4", "n_sites = 10")
@@ -177,7 +177,8 @@ def test_pure_run_is_byte_identical_at_one_and_two_blas_threads(command, tmp_pat
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         out = tmp_path / f"{command}_{threads}.csv"
-        argv = ["-m", "otocsim.cli", command, "--config", str(path), "--out", str(out), "--quiet"]
+        source = ["--seed", "1"] if command == "verify" else ["--config", str(path)]
+        argv = ["-m", "otocsim.cli", command, *source, "--out", str(out), "--quiet"]
         result = subprocess.run(
             [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
         )
@@ -965,7 +966,8 @@ def test_verify_passes_and_reports(tmp_path, capsys):
 
 def test_verify_fails_on_a_nan_residual(tmp_path, monkeypatch, capsys):
     """A NaN residual is not a pass: the worst residual carries it."""
-    monkeypatch.setattr(verification, "commutator_norm", lambda *a: math.nan)
+    real = verification.otoc_commutator
+    monkeypatch.setattr(verification, "otoc_commutator", lambda *a: (real(*a)[0], math.nan))
     out = tmp_path / "verify.csv"
     assert main(["verify", "--out", str(out)]) == cli.EXIT_INVARIANT
     _, _, rows = read_table(out)
@@ -988,22 +990,26 @@ def test_verify_draws_one_distinct_hamiltonian_per_instance_across_seeds(monkeyp
 
 
 def test_verify_builds_one_ladder_and_one_direct_otoc_per_instance(monkeypatch):
-    """The three checks share each instance's ladder and direct C(t)."""
-    calls = {"build_ladder": 0, "otoc_direct": 0}
+    """The three checks share each instance's ladder and its one direct chain, which
+    gives both C(t) and the squared commutator: two evolutions per instance, six
+    applications of U(t) or U(t)^dagger for the ladder and four for the chain."""
+    calls = {"build_ladder": 0, "otoc_commutator": 0, "evolution": 0, "apply": 0}
 
-    def counted(name):
-        real = getattr(verification, name)
+    def counted(owner, name):
+        real = getattr(owner, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(verification, name, counted(name))
+    for name in ("build_ladder", "otoc_commutator"):
+        counted(verification, name)
+    counted(Propagator, "evolution")
+    counted(Evolution, "apply")
     verification.run_verification_suite(1)
-    assert calls == {"build_ladder": 200, "otoc_direct": 200}
+    assert calls == {"build_ladder": 200, "otoc_commutator": 200, "evolution": 400, "apply": 2000}
 
 
 def test_stdout_output_when_no_out_path(config_file, capsys):

@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oracles
-from otocsim.dynamics import (
-    Hamiltonian,
-    Propagator,
-    build_custom,
-    build_xy_chain,
-    evolve,
-)
+from otocsim.dynamics import Hamiltonian, Propagator, build_xy_chain
 from otocsim.hilbert import DensityOperator, Register, all_up_state, maximally_mixed_state
 from otocsim.otoc import OtocSpec, otoc_direct
 from otocsim.protocol import OUTCOME_SEQUENCES, ProbabilityTable, build_ladder, prepare
@@ -32,21 +26,35 @@ XY_TWO_SITE = np.array(
 )
 
 
+def assembled(register, blocks):
+    """The dense computational-order matrix of one block per sector, zero between sectors."""
+    order, bounds = register.order, register.bounds
+    mat = np.zeros((2**register.n_sites,) * 2, dtype=complex)
+    for lo, hi, block in zip(bounds, bounds[1:], blocks):
+        mat[np.ix_(order[lo:hi], order[lo:hi])] = block
+    return mat
+
+
+def xy_matrix(n):
+    """`build_xy_chain(n)` as a dense computational-order matrix."""
+    ham = build_xy_chain(n)
+    return assembled(ham.register, ham.blocks)
+
+
 def test_xy_two_site_matrix():
-    np.testing.assert_allclose(build_xy_chain(2).matrix, XY_TWO_SITE, atol=1e-15)
+    np.testing.assert_allclose(xy_matrix(2), XY_TWO_SITE, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_xy_annihilates_all_up(n):
-    ham = build_xy_chain(n)
     vec = np.zeros(2**n)
     vec[0] = 1.0
-    assert np.max(np.abs(ham.matrix @ vec)) == 0.0
+    assert np.max(np.abs(xy_matrix(n) @ vec)) == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_xy_conserves_total_magnetization(n):
-    ham = build_xy_chain(n).matrix
+    ham = xy_matrix(n)
     eye = np.eye(2**n, dtype=complex)
     total_z = sum(Register(n).pauli(eye, k, "z") for k in range(1, n + 1))
     assert np.max(np.abs(ham @ total_z - total_z @ ham)) < 1e-12
@@ -57,45 +65,15 @@ def test_xy_needs_two_sites():
         build_xy_chain(1)
 
 
-def test_custom_empty_is_zero():
-    assert np.max(np.abs(build_custom(3).matrix)) == 0.0
-
-
-def test_custom_reproduces_xy_chain():
-    n = 4
-    pairs = []
-    for k in range(1, n):
-        pairs.append((k, "x", k + 1, "x", -1.0))
-        pairs.append((k, "y", k + 1, "y", -1.0))
-    np.testing.assert_allclose(build_custom(n, pairs).matrix, build_xy_chain(n).matrix, atol=1e-15)
-
-
-def test_custom_random_terms_stay_hermitian(rng):
-    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    ham = build_custom(3, [(1, "x", 3, "z", 0.7)], [(2, "y", -0.3)], [(g + g.conj().T) / 2])
-    assert np.max(np.abs(ham.matrix - ham.matrix.conj().T)) < 1e-12
-
-
-def test_custom_rejects_non_hermitian_extra():
-    bad = np.zeros((8, 8), dtype=complex)
-    bad[0, 1] = 1.0
-    with pytest.raises(ValueError, match="Hermitian"):
-        build_custom(3, extra_terms=[bad])
-
-
 def dense(register, apply):
-    """The computational-order matrix of a map on factors in register order."""
-    eye = np.eye(2**register.n_sites, dtype=complex)
-    return register.to_computational(apply(register.from_computational(eye)))
+    """The matrix of a map on factors, in register order."""
+    return apply(np.eye(len(register.order), dtype=complex))
 
 
 def reconstruction(prop):
-    """V diag(w) V^dagger assembled block by block, as a dense matrix."""
-    register = prop.register
-    mat = np.zeros((2**prop.n_sites,) * 2, dtype=complex)
-    for k, (v, w) in enumerate(zip(prop.eigenvectors, prop.block_eigenvalues)):
-        mat[np.ix_(register.sector(k), register.sector(k))] = (v * w) @ v.conj().T
-    return mat
+    """V diag(w) V^dagger assembled block by block, as a dense computational-order matrix."""
+    parts = [(v * w) @ v.conj().T for v, w in zip(prop.eigenvectors, prop.block_eigenvalues)]
+    return assembled(prop.register, parts)
 
 
 def dense_unitary(prop, t):
@@ -105,9 +83,8 @@ def dense_unitary(prop, t):
 def test_propagator_reconstructs_hamiltonian(rng):
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     ham_matrix = (g + g.conj().T) / 2
-    ham = build_custom(4, extra_terms=[ham_matrix])
-    prop = Propagator.from_hamiltonian(ham)
-    assert np.max(np.abs(reconstruction(prop) - ham.matrix)) < 1e-10
+    prop = Propagator.from_hamiltonian(Hamiltonian.from_matrix(4, ham_matrix))
+    assert np.max(np.abs(reconstruction(prop) - ham_matrix)) < 1e-10
 
 
 def test_unitary_roundtrip_random_times(xy4, rng):
@@ -116,43 +93,49 @@ def test_unitary_roundtrip_random_times(xy4, rng):
         assert np.max(np.abs(dense_unitary(xy4, t) @ dense_unitary(xy4, -t) - eye)) < 1e-10
 
 
+def random_factor(register, rng):
+    """The factor of a random full-rank 4-site density operator, in register order."""
+    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    mat = g @ g.conj().T
+    return register.from_computational(DensityOperator(4, mat / np.trace(mat).real).factor)
+
+
 def test_evolve_zero_time_identity(xy4, up4):
-    np.testing.assert_allclose(evolve(up4, xy4.evolution(0.0)).matrix, up4.matrix, atol=1e-15)
+    psi = xy4.register.from_computational(up4.factor)
+    np.testing.assert_allclose(xy4.evolution(0.0).forward(psi), psi, atol=1e-15)
 
 
 def test_evolve_forward_backward_roundtrip(xy4, rng):
-    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    mat = g @ g.conj().T
-    rho = DensityOperator(4, mat / np.trace(mat).real)
-    back = evolve(evolve(rho, xy4.evolution(1.7)), xy4.evolution(-1.7))
-    assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-10
+    psi = random_factor(xy4.register, rng)
+    ev = xy4.evolution(1.7)
+    assert np.max(np.abs(xy4.evolution(-1.7).forward(ev.forward(psi)) - psi)) < 1e-10
+    assert np.max(np.abs(ev.backward(ev.forward(psi)) - psi)) < 1e-10
 
 
 def test_all_up_stationary_under_xy(xy4, up4):
-    evolved = evolve(up4, xy4.evolution(2.3))
-    np.testing.assert_allclose(evolved.matrix, up4.matrix, atol=1e-12)
+    psi = xy4.register.from_computational(up4.factor)
+    evolved = xy4.evolution(2.3).forward(psi)
+    np.testing.assert_allclose(evolved @ evolved.conj().T, psi @ psi.conj().T, atol=1e-12)
 
 
 def test_energy_conserved_along_trajectory(xy4, rng):
-    ham = build_xy_chain(4).matrix
-    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    mat = g @ g.conj().T
-    rho = DensityOperator(4, mat / np.trace(mat).real)
-    e0 = np.trace(rho.matrix @ ham).real
+    ham = oracles.in_register_order(xy4.register, oracles.xy_chain(4))
+    psi = random_factor(xy4.register, rng)
+    e0 = np.vdot(psi, ham @ psi).real
     for t in (0.3, 1.1, 4.0, -2.2):
-        e_t = np.trace(evolve(rho, xy4.evolution(t)).matrix @ ham).real
-        assert abs(e_t - e0) < 1e-10
+        evolved = xy4.evolution(t).forward(psi)
+        assert abs(np.vdot(evolved, ham @ evolved).real - e0) < 1e-10
 
 
 def heisenberg_pauli(prop, site, axis, t):
-    """Dense W(t) = U(t)^dagger sigma_site^axis U(t), as `otoc` applies it."""
+    """Dense W(t) = U(t)^dagger sigma_site^axis U(t) in register order, as `otoc` applies it."""
     ev, register = prop.evolution(t), prop.register
-    eye = register.from_computational(np.eye(2**prop.n_sites, dtype=complex))
-    return register.to_computational(ev.backward(register.pauli(ev.forward(eye), site, axis)))
+    eye = np.eye(len(register.order), dtype=complex)
+    return ev.backward(register.pauli(ev.forward(eye), site, axis))
 
 
 def test_heisenberg_zero_time(xy4):
-    op = Register(4).pauli(np.eye(16, dtype=complex), 1, "x")
+    op = oracles.in_register_order(xy4.register, oracles.site_operator(4, 1, "x"))
     np.testing.assert_allclose(heisenberg_pauli(xy4, 1, "x", 0.0), op, atol=1e-15)
 
 
@@ -172,28 +155,27 @@ def test_a_factor_without_a_row_per_basis_index_is_rejected_by_its_register(xy4,
         lambda: ev.forward(extra_row),
         lambda: ev.backward(extra_row),
         lambda: register.from_computational(extra_row),
-        lambda: register.to_computational(extra_row),
         lambda: register.pauli(extra_row, 1, "x"),
     ):
         with pytest.raises(ValueError, match="^factor has 17 rows, expected 16$"):
             apply()
     up3 = all_up_state(3)
-    for apply in (lambda: prepare(up3, spec_xx, xy4), lambda: evolve(up3, ev)):
+    for apply in (lambda: prepare(up3, spec_xx, xy4), lambda: ev.forward(up3.factor)):
         with pytest.raises(ValueError, match="^factor has 8 rows, expected 16$"):
             apply()
 
 
-def test_evolution_time_must_be_finite(xy4, up4):
+def test_evolution_time_must_be_finite(xy4):
     with pytest.raises(ValueError, match="finite"):
-        evolve(up4, xy4.evolution(np.inf))
+        xy4.evolution(np.inf)
     with pytest.raises(ValueError, match="finite"):
-        evolve(up4, xy4.evolution(np.nan))
+        xy4.evolution(np.nan)
 
 
 def test_evolution_is_shared_and_checked(xy4):
     evolution = xy4.evolution(0.5)
     eye = np.eye(16)
-    u = expm(-0.5j * oracles.xy_chain(4))
+    u = oracles.in_register_order(xy4.register, expm(-0.5j * oracles.xy_chain(4)))
     np.testing.assert_allclose(dense(xy4.register, evolution.forward), u, atol=1e-12)
     np.testing.assert_allclose(dense(xy4.register, evolution.backward), u.conj().T, atol=1e-12)
     # every evaluator of a point makes its own evolution, each with the same phases
@@ -230,11 +212,6 @@ NONFINITE_ENTRY_POINTS = [
         lambda bad: Hamiltonian.from_matrix(2, with_corner(XY_TWO_SITE, bad)),
         "Hamiltonian is not Hermitian",
         id="hamiltonian",
-    ),
-    pytest.param(
-        lambda bad: build_custom(2, extra_terms=[with_corner(XY_TWO_SITE, bad)]),
-        "extra term is not Hermitian",
-        id="extra_term",
     ),
     pytest.param(
         lambda bad: DensityOperator(2, with_corner(np.eye(4) / 4, bad)),
@@ -283,15 +260,16 @@ def test_nonfinite_entries_fail_closed(entry_point, message, bad):
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_xy_chain_matches_kronecker_oracle(n):
-    np.testing.assert_array_equal(build_xy_chain(n).matrix, oracles.xy_chain(n))
+    np.testing.assert_array_equal(xy_matrix(n), oracles.xy_chain(n))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_xy_sectors_are_hamming_weight_classes(n):
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
     assert prop.register.sizes == tuple(math.comb(n, k) for k in range(n + 1))
+    order, bounds = prop.register.order, prop.register.bounds
     for k in range(n + 1):
-        rows = prop.register.sector(k)
+        rows = order[bounds[k] : bounds[k + 1]]
         assert {bin(int(b)).count("1") for b in rows} == {k}
         assert list(rows) == sorted(rows)
     assert 0.0 <= prop.reconstruction_residual < 1e-10
@@ -349,8 +327,11 @@ def test_xy_chain_on_some_weights_is_the_whole_chain_there(n):
     register = ham.register
     assert register.sizes == tuple(math.comb(n, w) for w in weights)
     for k, w in enumerate(weights):
-        np.testing.assert_array_equal(register.sector(k), whole.register.sector(w))
         lo, whole_lo = register.bounds[k], whole.register.bounds[w]
+        np.testing.assert_array_equal(
+            register.order[lo : register.bounds[k + 1]],
+            whole.register.order[whole_lo : whole.register.bounds[w + 1]],
+        )
         np.testing.assert_array_equal(
             ham.reflection[lo : lo + register.sizes[k]] - lo,
             whole.reflection[whole_lo : whole_lo + register.sizes[k]] - whole_lo,
@@ -372,7 +353,11 @@ def test_hamiltonian_rejects_blocks_that_do_not_tile_the_register():
 
 
 @pytest.mark.parametrize(
-    "make", [lambda: build_xy_chain(4), lambda: build_custom(3, fields=[(1, "x", 0.5)])]
+    "make",
+    [
+        lambda: build_xy_chain(4),
+        lambda: Hamiltonian.from_matrix(3, 0.5 * oracles.site_operator(3, 1, "x")),
+    ],
 )
 def test_one_register_is_shared_by_every_operator_and_the_state(make):
     """H, its eigenbasis, U(t), U(t)^dagger and the prepared state share one layout object."""
@@ -389,22 +374,22 @@ def test_one_register_is_shared_by_every_operator_and_the_state(make):
 def _hamiltonian_case(kind, n, rng):
     """(H from the package, the same H from Kronecker chains, the expected block sizes).
 
-    `build_xy_chain` declares the Hamming-weight sectors; `build_custom`
+    `build_xy_chain` declares the Hamming-weight sectors; `Hamiltonian.from_matrix`
     declares none, so whatever its terms conserve, its H is one dense block.
     """
     if kind == "xy_chain":
         return build_xy_chain(n), oracles.xy_chain(n), tuple(math.comb(n, k) for k in range(n + 1))
     if kind in ("z_fields", "x_fields", "z_only"):
         axis = kind[0]
-        fields = [(site, axis, float(c)) for site, c in zip(range(1, n + 1), rng.normal(size=n))]
-        oracle = sum(c * oracles.site_operator(n, site, axis) for site, _, c in fields)
-        if kind == "z_only":
-            return build_custom(n, fields=fields), oracle, (2**n,)
-        pairs = [(k, ax, k + 1, ax, -1.0) for k in range(1, n) for ax in ("x", "y")]
-        return build_custom(n, pairs, fields), oracles.xy_chain(n) + oracle, (2**n,)
-    g = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
-    dense = (g + g.conj().T) / 4.0
-    return build_custom(n, extra_terms=[dense]), dense, (2**n,)
+        fields = sum(
+            c * oracles.site_operator(n, site, axis)
+            for site, c in zip(range(1, n + 1), rng.normal(size=n))
+        )
+        oracle = fields if kind == "z_only" else oracles.xy_chain(n) + fields
+    else:
+        g = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        oracle = (g + g.conj().T) / 4.0
+    return Hamiltonian.from_matrix(n, oracle), oracle, (2**n,)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -421,7 +406,8 @@ def test_blocked_evolution_matches_expm_oracle(kind, n, rank, seed, t):
     prop = Propagator.from_hamiltonian(ham)
     assert prop.register.sizes == sizes
     u = expm(-1j * oracle * t)
-    assert np.max(np.abs(dense_unitary(prop, t) - u)) < 1e-10
+    u_rows = oracles.in_register_order(prop.register, u)
+    assert np.max(np.abs(dense_unitary(prop, t) - u_rows)) < 1e-10
     assert np.max(np.abs(reconstruction(prop) - oracle)) < 1e-10
     psi = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
     evolution, register = prop.evolution(t), prop.register

@@ -13,7 +13,6 @@ from otocsim.hilbert import (
     maximally_mixed_state,
 )
 from otocsim.otoc import OtocSpec
-from otocsim.verification import random_density
 
 import oracles
 
@@ -53,11 +52,6 @@ def register_of(kind, n_sites, rng):
     if kind == "sectors" and n_sites >= 2:  # one site has only the identity order
         return build_xy_chain(n_sites).register
     return Register(n_sites)
-
-
-def in_register_order(register, operator):
-    """P A P^T, with P the permutation taking computational rows to register rows."""
-    return operator[np.ix_(register.order, register.order)]
 
 
 def test_single_site_sigma_z_is_diag():
@@ -106,8 +100,8 @@ def test_index_kernels_match_kronecker_oracle(args, sign, rank, seed, order):
     rng = np.random.Generator(np.random.PCG64(seed))
     psi = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
     register = register_of(order, n, rng)
-    sigma = in_register_order(register, oracles.site_operator(n, site, axis))
-    proj = in_register_order(register, oracles.site_projector(n, site, axis, sign))
+    sigma = oracles.in_register_order(register, oracles.site_operator(n, site, axis))
+    proj = oracles.in_register_order(register, oracles.site_projector(n, site, axis, sign))
     projected = (psi + sign * register.pauli(psi, site, axis)) / 2.0
     np.testing.assert_array_equal(register.pauli(psi, site, axis), sigma @ psi)
     columns, values = register.pauli_entries(site, axis)
@@ -116,6 +110,18 @@ def test_index_kernels_match_kronecker_oracle(args, sign, rank, seed, order):
     np.testing.assert_array_equal(listed, sigma)
     np.testing.assert_allclose(projected, proj @ psi, atol=1e-14)
     np.testing.assert_allclose(dense_projector(site, axis, sign, n, register), proj, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "register",
+    [Register(3), Register(3, [6, 0, 3, 5, 1], (0, 2, 5)), build_xy_chain(5, [2, 0, 1]).register],
+    ids=["one_sector", "some_indices", "xy_weights"],
+)
+def test_row_sectors_label_each_row_with_the_sector_whose_bounds_hold_it(register):
+    sectors = register.row_sectors()
+    assert sectors.shape == register.order.shape
+    for k, (lo, hi) in enumerate(zip(register.bounds, register.bounds[1:])):
+        assert (sectors[lo:hi] == k).all()
 
 
 def test_register_order_is_a_checked_permutation(rng):
@@ -129,18 +135,17 @@ def test_register_order_is_a_checked_permutation(rng):
     psi = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
     rows = register.from_computational(psi)
     np.testing.assert_array_equal(rows[3], psi[register.order[3]])
-    np.testing.assert_array_equal(register.to_computational(rows), psi)
+    np.testing.assert_array_equal(rows[np.argsort(register.order)], psi)
 
 
 def test_a_register_of_some_indices_holds_the_subspace_they_span(rng):
-    """A register that holds 5 of the 8 indices takes in a factor that is zero off them
-    and gives it back, zero off them; a factor with weight off them is rejected."""
+    """A register that holds 5 of the 8 indices takes in a factor that is zero off them,
+    as its rows there in register order; a factor with weight off them is rejected."""
     register = Register(3, [6, 0, 3, 5, 1], (0, 2, 5))
     psi = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
     psi[[2, 4, 7]] = 0.0
     rows = register.from_computational(psi)
     np.testing.assert_array_equal(rows, psi[[6, 0, 3, 5, 1]])
-    np.testing.assert_array_equal(register.to_computational(rows), psi)
     psi[7, 1] = 1e-300
     with pytest.raises(ValueError, match="does not hold"):
         register.from_computational(psi)
@@ -193,16 +198,17 @@ def test_pauli_element_on_a_full_register_is_the_vdot_of_the_image(order, axis, 
 def test_pauli_element_on_a_reached_register_is_the_whole_registers(axis, rank, rng):
     """On the weights 0-3 of a 6-site chain, a unit ket with weight in the top sector,
     whose image `pauli` rejects, and a unit bra have the matrix element of the whole
-    register within 1e-15: the rows the image reaches beyond weight 3 meet a zero bra."""
+    register within 1e-15: the rows the image reaches beyond weight 3 meet a zero bra,
+    so it is the Kronecker-chain Pauli's compressed to the register."""
     n, site = 6, 3
-    reached, whole = build_xy_chain(n, [0, 1, 2, 3]).register, Register(n)
+    reached = build_xy_chain(n, [0, 1, 2, 3]).register
     shape = (len(reached.order),) if rank is None else (len(reached.order), rank)
     bra, ket = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "ab")
     bra, ket = bra / np.linalg.norm(bra), ket / np.linalg.norm(ket)
     with pytest.raises(ValueError, match="out of the register"):
         reached.pauli(ket, site, axis)
-    bra_whole, ket_whole = reached.to_computational(bra), reached.to_computational(ket)
-    expected = np.vdot(bra_whole, whole.pauli(ket_whole, site, axis))
+    sigma = oracles.in_register_order(reached, oracles.site_operator(n, site, axis))
+    expected = np.vdot(bra, sigma @ ket)
     assert abs(reached.pauli_element(bra, ket, site, axis) - expected) <= 1e-15
 
 
@@ -289,14 +295,20 @@ def test_projector_algebra(site, axis):
     np.testing.assert_allclose(plus @ plus, plus, atol=1e-14)
 
 
+def density(state):
+    """The dense rho = Psi Psi^dagger of a state, from its factor."""
+    return state.factor @ state.factor.conj().T
+
+
 def test_all_up_single_site():
-    np.testing.assert_allclose(all_up_state(1).matrix, np.diag([1.0, 0.0]))
+    np.testing.assert_allclose(density(all_up_state(1)), np.diag([1.0, 0.0]))
 
 
 def test_all_up_is_pure_and_polarized():
     state = all_up_state(3)
-    assert abs(np.trace(state.matrix) - 1.0) < 1e-15
-    assert abs(np.trace(state.matrix @ state.matrix) - 1.0) < 1e-15
+    rho = density(state)
+    assert abs(np.trace(rho) - 1.0) < 1e-15
+    assert abs(np.trace(rho @ rho) - 1.0) < 1e-15
     for k in (1, 2, 3):
         val = expectation(state, k, "z")
         assert abs(val - 1.0) < 1e-14
@@ -339,15 +351,17 @@ def test_density_operator_rejects_negative_eigenvalue():
 def test_state_vector_to_density():
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
     rho = DensityOperator.from_factor(1, plus[:, None])
-    np.testing.assert_allclose(rho.matrix, np.full((2, 2), 0.5), atol=1e-15)
+    np.testing.assert_allclose(density(rho), np.full((2, 2), 0.5), atol=1e-15)
 
 
 def test_state_factors_reproduce_density(rng):
-    mixed = random_density(3, rng)
-    np.testing.assert_allclose(mixed.factor @ mixed.factor.conj().T, mixed.matrix, atol=1e-14)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    mat = g @ g.conj().T
+    mat /= np.trace(mat).real
+    np.testing.assert_allclose(density(DensityOperator(3, mat)), mat, atol=1e-14)
     assert all_up_state(3).factor.shape == (8, 1)
     assert maximally_mixed_state(3).factor.shape == (8, 8)
-    np.testing.assert_allclose(maximally_mixed_state(3).matrix, np.eye(8) / 8, atol=1e-16)
+    np.testing.assert_allclose(density(maximally_mixed_state(3)), np.eye(8) / 8, atol=1e-16)
     pure = DensityOperator(1, np.full((2, 2), 0.5))  # rank 1: zero eigenvalue dropped
     assert pure.factor.shape == (2, 1)
 

@@ -3,7 +3,7 @@ import pytest
 
 from otocsim.dynamics import Propagator, build_xy_chain
 from otocsim.hilbert import all_up_state, maximally_mixed_state
-from otocsim.otoc import OtocSpec, commutator_norm, otoc_direct
+from otocsim.otoc import OtocSpec, otoc_commutator, otoc_direct
 from otocsim.protocol import prepare
 from otocsim.verification import random_density, random_hamiltonian
 
@@ -39,7 +39,7 @@ def test_derived_value_frozen_and_live_oracle(xy4, up4, spec_xx):
 
 def test_commutator_vanishes_initially(xy4, up4):
     prepared = prepare(up4, OtocSpec(1, "x", 4, "y"), xy4)
-    assert abs(commutator_norm(prepared, 0.0)) < 1e-12
+    assert abs(otoc_commutator(prepared, 0.0)[1]) < 1e-12
 
 
 def test_commutator_norm_nonnegative(rng):
@@ -49,7 +49,7 @@ def test_commutator_norm_nonnegative(rng):
         state = random_density(n, rng)
         sites = rng.choice(np.arange(1, n + 1), size=2, replace=False)
         prepared = prepare(state, OtocSpec(int(sites[0]), "y", int(sites[1]), "x"), prop)
-        assert commutator_norm(prepared, float(rng.uniform(0, 5))) >= -1e-12
+        assert otoc_commutator(prepared, float(rng.uniform(0, 5)))[1] >= -1e-12
 
 
 def test_commutator_relation_random_instances(rng):
@@ -63,9 +63,34 @@ def test_commutator_relation_random_instances(rng):
         spec = OtocSpec(int(sites[0]), axes[k % 3], int(sites[1]), axes[(k // 3) % 3])
         prepared = prepare(state, spec, prop)
         t = float(rng.uniform(0, 5))
-        lhs = otoc_direct(prepared, t).real
-        rhs = 1.0 - commutator_norm(prepared, t) / 2.0
-        assert abs(lhs - rhs) < 1e-9
+        direct, commutator = otoc_commutator(prepared, t)
+        assert direct == otoc_direct(prepared, t)
+        assert abs(direct.real - (1.0 - commutator / 2.0)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_squared_commutator_matches_expm_oracle(n, rng):
+    """The squared commutator on a full-rank random state, for all 9 axis pairs on
+    distinct sites and one same-site spec, against Tr[rho C^dagger C] with
+    C = [W(t), V] from expm and Kronecker chains."""
+    ham = random_hamiltonian(n, rng)
+    prop = Propagator.from_hamiltonian(ham)
+    state = random_density(n, rng)
+    rho = state.factor @ state.factor.conj().T
+    (h,) = ham.blocks  # a dense H is one block in computational order
+    specs = []
+    for axis_a in "xyz":
+        for axis_b in "xyz":
+            site_i, site_j = map(int, rng.choice(np.arange(1, n + 1), size=2, replace=False))
+            specs.append(OtocSpec(site_i, axis_a, site_j, axis_b))
+    specs.append(OtocSpec(n, "x", n, "y"))
+    for spec in specs:
+        prepared = prepare(state, spec, prop)
+        for t in (0.0, float(rng.uniform(0, 5))):
+            expected = oracles.squared_commutator(
+                rho, h, n, spec.site_i, spec.axis_a, spec.site_j, spec.axis_b, t
+            )
+            assert abs(otoc_commutator(prepared, t)[1] - expected) < 1e-10
 
 
 def test_magnitude_bounded_by_one(rng):

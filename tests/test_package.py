@@ -44,6 +44,12 @@ def test_the_setup_import_loads_only_dynamics_and_hilbert():
     assert loaded_after(SETUP_IMPORT) == ["otocsim.dynamics", "otocsim.hilbert"]
 
 
+def test_the_reference_evaluator_loads_only_otoc_and_hilbert():
+    """The direct C(t) that the protocols are checked against pulls in no protocol,
+    dynamics or verification code: it stays apart from what it checks."""
+    assert loaded_after("from otocsim import otoc_direct") == ["otocsim.hilbert", "otocsim.otoc"]
+
+
 def test_every_public_name_is_its_submodules_object():
     mismatched = fresh(
         "import importlib, json\n"
@@ -52,7 +58,7 @@ def test_every_public_name_is_its_submodules_object():
         "    importlib.import_module('otocsim.' + otocsim._HOME[name]), name)]\n"
         "print(json.dumps([bad, len(otocsim.__all__)]))\n"
     )
-    assert mismatched == [[], 48]
+    assert mismatched == [[], 46]
 
 
 def test_dir_lists_every_public_name_before_any_is_loaded():

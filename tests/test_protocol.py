@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from otocsim.config import FACTORS_AT_PEAK
-from otocsim.dynamics import EvolutionTimeError, Propagator, build_custom, build_xy_chain
+from otocsim.dynamics import EvolutionTimeError, Hamiltonian, Propagator, build_xy_chain
 from otocsim.hilbert import DensityOperator, Register, all_up_state, maximally_mixed_state
 from otocsim.otoc import OtocSpec, otoc_direct
 from otocsim.protocol import (
@@ -83,12 +83,10 @@ def test_mixed_state_conserved_axis_flip_symmetry():
     """With [H, sigma_j^b] = 0 and rho = I/d the table is invariant under
     flipping all four outcomes."""
     n = 3
-    ham = build_custom(
-        n,
-        [(1, "z", 2, "z", 0.7), (2, "z", 3, "z", -1.3)],
-        [(1, "x", 0.4), (3, "x", 0.9), (2, "z", 0.5)],
-    )
-    prop = Propagator.from_hamiltonian(ham)
+    z1, z2, z3 = (oracles.site_operator(n, site, "z") for site in (1, 2, 3))
+    x1, x3 = (oracles.site_operator(n, site, "x") for site in (1, 3))
+    ham = 0.7 * z1 @ z2 - 1.3 * z2 @ z3 + 0.4 * x1 + 0.9 * x3 + 0.5 * z2
+    prop = Propagator.from_hamiltonian(Hamiltonian.from_matrix(n, ham))
     prepared = prepare(maximally_mixed_state(n), OtocSpec(1, "x", 2, "z"), prop)
     table = outcome_probabilities(build_ladder(prepared, 0.73))
     probs = table.probabilities
@@ -282,7 +280,9 @@ def test_factor_evaluators_match_dense_oracles(axes, n, data, mixed, seed, t):
     state = random_density(n, rng) if mixed else all_up_state(n)
     spec = OtocSpec(site_i, axes[0], site_j, axes[1])
     angles = RotationAngles(*rng.uniform(-math.pi, math.pi, size=3))
-    dense = (state.matrix, ham.matrix, n, site_i, axes[0], site_j, axes[1], t)
+    (h,) = ham.blocks  # a dense H is one block in computational order
+    rho = state.factor @ state.factor.conj().T
+    dense = (rho, h, n, site_i, axes[0], site_j, axes[1], t)
 
     prepared = prepare(state, spec, prop)
     assert abs(otoc_direct(prepared, t) - oracles.otoc_value(*dense)) < 1e-10
@@ -549,15 +549,18 @@ def test_compressed_tree_matches_probability_oracle(axes, n, data, kind, xy, see
     site_i = data.draw(st.integers(min_value=1, max_value=n))
     site_j = data.draw(st.one_of(st.just(site_i), st.integers(min_value=1, max_value=n)))
     rng = np.random.Generator(np.random.PCG64(seed))
-    ham = build_xy_chain(n) if xy and n >= 2 else random_hamiltonian(n, rng)
+    if xy and n >= 2:
+        ham, h = build_xy_chain(n), oracles.xy_chain(n)
+    else:
+        ham = random_hamiltonian(n, rng)
+        (h,) = ham.blocks  # a dense H is one block in computational order
     prop = Propagator.from_hamiltonian(ham)
     state = DensityOperator.from_factor(n, _factor_of_width(n, kind, rng))
     spec = OtocSpec(site_i, axes[0], site_j, axes[1])
     ladder = build_ladder(prepare(state, spec, prop), t)
     table = outcome_probabilities(ladder)
-    expected = oracles.probability_table(
-        state.matrix, ham.matrix, n, site_i, axes[0], site_j, axes[1], t
-    )
+    rho = state.factor @ state.factor.conj().T
+    expected = oracles.probability_table(rho, h, n, site_i, axes[0], site_j, axes[1], t)
     assert np.max(np.abs(table.probabilities - in_sequence_order(expected))) < 1e-10
 
 
