@@ -29,14 +29,14 @@ _EXPORTS = {
     "otoc": ("OtocSpec", "otoc_commutator", "otoc_direct"),
     "protocol": (
         "DegenerateAnglesError", "Ladder", "OUTCOME_SEQUENCES", "OUTCOME_SIGNS", "PreparedState",
-        "PreparedTrace", "ProbabilityTable", "RotationAngles", "build_ladder",
-        "build_trace_ladder", "corr_from_table", "im_otoc_via_protocol", "outcome_probabilities",
-        "prepare", "prepare_all_up", "prepare_maximally_mixed", "re_otoc_via_protocol",
-        "reached_weights", "rotated_expectation",
+        "PreparedTrace", "ProbabilityTable", "RotationAngles", "build_ladder", "corr_from_table",
+        "im_otoc_via_protocol", "outcome_probabilities", "prepare", "prepare_all_up",
+        "prepare_maximally_mixed", "re_otoc_via_protocol", "reached_weights",
+        "rotated_expectation",
     ),
     "sampling": (
         "Estimate", "SampleConfig", "estimate_re_otoc", "sample_rotation_protocol",
-        "sample_sequences",
+        "sample_sequences", "substream",
     ),
     "verification": ("run_verification_suite",),
 }

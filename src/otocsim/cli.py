@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 # CPython's built-in SHA-256 needs no OpenSSL, which `hashlib` loads on
 # import; `exact` and `dressing` touch nothing else that would load it
@@ -34,7 +33,6 @@ from .protocol import (
     DegenerateAnglesError,
     RotationAngles,
     build_ladder,
-    build_trace_ladder,
     corr_from_table,
     im_otoc_via_protocol,
     outcome_probabilities,
@@ -49,6 +47,7 @@ from .sampling import (
     estimate_re_otoc,
     sample_rotation_protocol,
     sample_sequences,
+    substream,
 )
 from .verification import IDENTITY_TOLERANCE, run_verification_suite
 
@@ -97,43 +96,41 @@ def _write_csv(path, command, config_hash, seed, columns, rows):
 
 
 def _build_system(config: RunConfig, command: str):
-    """The run's prepared state, which holds its propagator, its ladder builder and its time grid.
+    """The run's prepared state, which holds its propagator, and its time grid.
 
-    `maximally_mixed` spans every sector; it is prepared in the eigenbasis
-    of the whole chain and holds no state factor (`prepare_maximally_mixed`,
-    `build_trace_ladder`).  `all_up` builds, diagonalizes and holds only the
-    Hamming-weight sectors its chain evolves (`reached_weights`), and its
-    factor is built on that register (`prepare_all_up`).
+    `maximally_mixed` spans every sector, so it is prepared in the eigenbasis
+    of the whole chain with no state factor (`prepare_maximally_mixed`).
+    `all_up` builds, diagonalizes and holds only the Hamming-weight sectors
+    its chain evolves (`reached_weights`), its factor on that register.
     """
     system = require(config, "system", command)
     otoc_cfg = require(config, "otoc", command)
     n_sites, spec, grid = system.n_sites, otoc_cfg.spec, otoc_cfg.time_grid()
     if system.initial_state == "maximally_mixed":
         prop = Propagator.from_hamiltonian(build_xy_chain(n_sites))
-        return prepare_maximally_mixed(spec, prop), build_trace_ladder, grid
+        return prepare_maximally_mixed(spec, prop), grid
     weights = reached_weights(n_sites, spec.axis_a, spec.axis_b)
     prop = Propagator.from_hamiltonian(build_xy_chain(n_sites, weights))
-    # build_ladder is read at each call (a test wraps it)
-    return prepare_all_up(spec, prop), build_ladder, grid
+    return prepare_all_up(spec, prop), grid
 
 
-def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str], bool]:
+def run_otoc(config: RunConfig, command: str, seed, log) -> tuple[list[dict], list[str], bool]:
     """The time loop of `exact`, `sample` and `im`: one `Evolution` and one ladder per point.
 
     The state is prepared once per run (`_build_system`).  Every point
     builds the point's `Ladder`, which carries the direct C(t) and which
     both protocols read: `exact` and `sample` take the 16-branch table from
     it, `exact` the two identity residuals against the direct C(t),
-    `sample` and `im` the finite-shot draws of the point's substream.
+    `sample` and `im` the finite-shot draws of the point's substream of `seed`.
     """
-    prepared, ladder_at, grid = _build_system(config, command)
+    prepared, grid = _build_system(config, command)
     sampling = None if command == "exact" else require(config, "sampling", command)
     angles = config.angles or RotationAngles()
     rows = []
     pruned = clamped = 0
     for index, t in enumerate(grid):
         t = float(t)
-        ladder = ladder_at(prepared, t)
+        ladder = build_ladder(prepared, t)
         direct = ladder.direct
         row = {"t": t, "re_exact": direct.real, "im_exact": direct.imag}
         if command != "im":
@@ -145,12 +142,12 @@ def run_otoc(config: RunConfig, command: str, log) -> tuple[list[dict], list[str
             im_c = im_otoc_via_protocol(ladder, angles)
             row["im_identity_residual"] = abs(im_c - direct.imag)
         else:
-            cfg = replace(sampling, point=index)
+            rng = substream(seed, index)
             if command == "sample":
-                est = estimate_re_otoc(sample_sequences(table, cfg))
+                est = estimate_re_otoc(sample_sequences(table, sampling.n_shots, rng))
                 row.update(re_estimate=est.value, re_stderr=est.stderr, n_shots=est.n_shots)
             else:
-                est = sample_rotation_protocol(ladder, angles, cfg)
+                est = sample_rotation_protocol(ladder, angles, sampling.n_shots, rng)
                 row.update(im_estimate=est.value, im_stderr=est.stderr, n_shots=est.n_shots)
         rows.append(row)
     counts = f"{pruned} branches pruned, {clamped} probabilities clamped"
@@ -268,16 +265,15 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: --seed: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        if config.sampling is not None:
-            config = replace(config, sampling=replace(config.sampling, seed=args.seed))
 
-    seed = config.sampling.seed if config.sampling is not None else args.seed
-    if args.command == "verify":
-        seed = args.seed if args.seed is not None else 1
+    # the run seed: --seed, else the config's, else 1 for verify, which always draws
+    seed = config.sampling.seed if args.seed is None and config.sampling is not None else args.seed
+    if seed is None and args.command == "verify":
+        seed = 1
 
     try:
         if args.command in ("exact", "sample", "im"):
-            rows, columns, ok = run_otoc(config, args.command, log)
+            rows, columns, ok = run_otoc(config, args.command, seed, log)
         elif args.command == "dressing":
             rows, columns, ok = run_dressing(config, log)
         else:

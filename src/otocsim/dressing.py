@@ -56,6 +56,10 @@ PAIR_DYNAMIC_RANGE = 1e8
 # points in one `np.linalg.eigh` call, so its memory does not grow with n_points
 SCAN_CHUNK = 128
 
+# the microwave candidates `find_sign_inversion_config` tries, in grid order
+OMEGA_MICROWAVE_GRID = (20.0, 25.0, 30.0, 35.0, 40.0)
+BLUE_DETUNING_FACTORS = (0.75, 0.875, 1.0, 1.125, 1.25)
+
 
 class AdiabaticityError(RuntimeError):
     """No eigenstate retains majority overlap with the tracked branch."""
@@ -95,12 +99,12 @@ class DressedCurve:
     """Dressed Ising coupling J sampled over interatomic distance.
 
     `min_overlap` is the smallest squared overlap met while tracking the
-    branch from point to point (`scan_curve`), or NaN where none was tracked.
+    branch from point to point (`scan_curve`).
     """
 
     distances: np.ndarray
     j_values: np.ndarray
-    min_overlap: float = math.nan
+    min_overlap: float
 
     def __post_init__(self):
         dist = np.asarray(self.distances, dtype=float)
@@ -325,24 +329,22 @@ def find_sign_inversion_config(
     r_min: float,
     r_max: float,
     n_points: int = 121,
-    omega_microwave_grid: tuple[float, ...] = (20.0, 25.0, 30.0, 35.0, 40.0),
-    blue_detuning_factors: tuple[float, ...] = (0.75, 0.875, 1.0, 1.125, 1.25),
     ratio_bounds: tuple[float, float] = (0.5, 2.0),
     min_span: float = 2.0,
 ) -> SignInversionResult:
     """Grid search for a microwave drive that inverts the Ising coupling.
 
-    Candidates are all combinations of omega_microwave_grid with target
-    positions of the lower microwave-shifted level at
-    -factor * delta_laser (i.e. blue of the laser by roughly the original
-    red detuning).  A candidate is accepted when J_off * J_on < 0 and
-    |J_on / J_off| stays within ratio_bounds over a contiguous window of
-    distances spanning at least a factor min_span.  Returns the first
-    acceptable candidate in grid order.
+    Candidates are all combinations of the Rabi frequencies (MHz) of
+    OMEGA_MICROWAVE_GRID with target positions of the lower microwave-shifted
+    level at -factor * delta_laser, factor in BLUE_DETUNING_FACTORS (i.e.
+    blue of the laser by roughly the original red detuning).  A candidate
+    is accepted when J_off * J_on < 0 and |J_on / J_off| stays within
+    ratio_bounds over a contiguous window of distances spanning at least a
+    factor min_span.  Returns the first acceptable candidate in grid order.
     """
     curve_off = scan_curve(scheme, coeffs, r_min, r_max, n_points, microwave_on=False)
-    for omega_mu in omega_microwave_grid:
-        for factor in blue_detuning_factors:
+    for omega_mu in OMEGA_MICROWAVE_GRID:
+        for factor in BLUE_DETUNING_FACTORS:
             target = -factor * scheme.delta_laser
             try:
                 delta_mu = microwave_detuning_for_lower_level(

@@ -33,9 +33,9 @@ E = Tr[A^3]/D for A = W(t) V:
          [a, 0, 1, 0],           [0, C, 0, E],
          [0, a, 0, 1]]           [C, 0, E, 0]]
 
-`build_trace_ladder(prepared, t)` takes them from the phased W_E and
-V_E blocks and returns the same `Ladder`, so both protocols read it
-unchanged.
+On this `PreparedTrace`, `build_ladder(prepared, t)` takes them from the
+phased W_E and V_E blocks and returns the same `Ladder`, so both
+protocols read it unchanged.
 """
 
 from __future__ import annotations
@@ -241,17 +241,18 @@ class Ladder:
     G1 = <B_m|sigma_i B_n>, traced over the factor's columns: c . B has
     squared norm c^dagger G0 c and <sigma_i> = c^dagger G1 c.  `direct` is
     the exact C(t) = <X0|sigma_i Z1>.  Both are values: a ladder holds no
-    factor.  Build it with `build_ladder`, whose `direct` is bit-equal to
-    `otoc_direct`, or, on I/2^N, with `build_trace_ladder`.
+    factor.  Build it with `build_ladder`; on a `PreparedState` its
+    `direct` is bit-equal to `otoc_direct`.
     """
 
     grams: np.ndarray
     direct: complex
 
 
-def build_ladder(prepared: PreparedState, t: float) -> Ladder:
+def build_ladder(prepared: PreparedState | PreparedTrace, t: float) -> Ladder:
     """The ladder of time point t, from six applications of U(t) or U(t)^dagger.
 
+    On a `PreparedTrace` it is `_trace_ladder`'s, from three eigenbasis traces.
     K = (X0, X1, Z0, Z1) gives P_ab = <K_a|K_b> and Q_ab = <K_a|sigma_i K_b>.
     As sigma_i is Hermitian and squares to I, G0 takes P where both basis
     vectors carry sigma_i or neither does, and Q otherwise; G1 the reverse.
@@ -269,6 +270,8 @@ def build_ladder(prepared: PreparedState, t: float) -> Ladder:
     and the factor it replaces is dropped: at most four live beside Psi,
     the three and the one being built.
     """
+    if isinstance(prepared, PreparedTrace):
+        return _trace_ladder(prepared, t)
     ev = prepared.propagator.evolution(t)
     register = ev.register
     spec, psi = prepared.spec, prepared.psi
@@ -330,7 +333,7 @@ class PreparedTrace:
     rho commutes with H, so the run needs no state factor: `w_blocks` and
     `v_blocks` are W_E = V^dagger sigma_i^a V and V_E = V^dagger sigma_j^b V,
     V the eigenvectors of `propagator`, as their nonzero blocks keyed by
-    (row sector, column sector).  Every `build_trace_ladder` reads them.
+    (row sector, column sector).  Every `build_ladder` on it reads them.
     Build it with `prepare_maximally_mixed`.
     """
 
@@ -397,7 +400,7 @@ def _trace_of_product(x: np.ndarray, y: np.ndarray) -> complex:
     return complex((x * y.T).sum())
 
 
-def build_trace_ladder(prepared: PreparedTrace, t: float) -> Ladder:
+def _trace_ladder(prepared: PreparedTrace, t: float) -> Ladder:
     """The ladder of time point t on rho = I/D, D = 2^N, from three traces in the eigenbasis.
 
     With U = U(t), W(t) = U^dagger sigma_i U and V = sigma_j, the vectors
@@ -415,8 +418,8 @@ def build_trace_ladder(prepared: PreparedTrace, t: float) -> Ladder:
     tr(B_km B_mk) and needs no product; Tr[B^3] sums tr(B_kl B_lm B_mk)
     over the triples of sectors whose three blocks exist, and as the
     cyclic rotations of a triple give the same term it forms one product
-    B_kl B_lm per rotation class.  No 2^N-wide array is formed.  Like
-    `build_ladder`, a t that makes a phase non-finite raises
+    B_kl B_lm per rotation class.  No 2^N-wide array is formed.  Like the
+    Schroedinger chain, a t that makes a phase non-finite raises
     EvolutionTimeError, and |C| above 1 beyond ATOL_SPECTRUM ValueError.
     """
     phases = prepared.propagator.evolution(t).phases

@@ -2,12 +2,12 @@
 
 Randomness comes from numpy's PCG64 generator (name and numpy version are
 pinned in CLI output metadata).  Runs are deterministic for a given seed.
-Every stream comes from `substream`: time point k of a run with seed s
-draws from SeedSequence(s, spawn_key=(k,)), so no two (seed, point) share
-uniforms.  Shots are drawn one uniform per shot through the inverse CDF of
-the 16-way categorical, so single-shot outcome streams can be replayed;
-the shot counts are an int array of shape (16,) in OUTCOME_SEQUENCES order.
-The uniforms are drawn in chunks of CHUNK from the point's substream and
+A sampler draws from the generator it is given; a run gives time point k
+of seed s its own, `substream(s, k)` = SeedSequence(s, spawn_key=(k,)),
+so no two (seed, point) share uniforms.  A shot takes exactly one uniform,
+through the inverse CDF of the 16-way categorical, so single-shot outcome
+streams can be replayed; the shot counts are an int array of shape (16,)
+in OUTCOME_SEQUENCES order.  The uniforms are drawn in chunks of CHUNK and
 counted chunk by chunk.  PCG64 is sequential, so the chunks are the same
 uniforms in the same order as one whole draw, and the counts are the same
 integers; memory does not grow with n_shots.
@@ -57,18 +57,15 @@ def check_seed(seed: int) -> int:
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Shot budget and seeding for one simulated experiment at time point `point`."""
+    """The sampling block of a run: shots per time point and the run seed."""
 
     n_shots: int
     seed: int
-    point: int = 0
 
     def __post_init__(self):
         if self.n_shots < 1:
             raise ValueError("n_shots must be >= 1")
         check_seed(self.seed)
-        if self.point < 0:
-            raise ValueError("point must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -88,8 +85,10 @@ def _tail_counts(rng: np.random.Generator, n_shots: int, edges: np.ndarray) -> n
     """#(u >= edge) for each edge over the next n_shots uniforms of rng.
 
     Draws exactly n_shots uniforms, in chunks of CHUNK, and counts every
-    edge on a chunk while it is in cache.
+    edge on a chunk while it is in cache.  ValueError if n_shots < 1.
     """
+    if n_shots < 1:
+        raise ValueError("n_shots must be >= 1")
     counts = np.zeros(len(edges), dtype=np.int64)
     for start in range(0, n_shots, CHUNK):
         chunk = rng.random(min(CHUNK, n_shots - start))
@@ -97,8 +96,8 @@ def _tail_counts(rng: np.random.Generator, n_shots: int, edges: np.ndarray) -> n
     return counts
 
 
-def sample_sequences(table: ProbabilityTable, cfg: SampleConfig) -> np.ndarray:
-    """Counts of cfg.n_shots outcome sequences drawn from the stream of (cfg.seed, cfg.point).
+def sample_sequences(table: ProbabilityTable, n_shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Counts of n_shots outcome sequences drawn with the next n_shots uniforms of rng.
 
     A shot with uniform u lands on sequence k when cdf[k-1] <= u < cdf[k],
     and on the last sequence when u >= cdf[15] (the cumulative sum may fall
@@ -106,8 +105,8 @@ def sample_sequences(table: ProbabilityTable, cfg: SampleConfig) -> np.ndarray:
     later, for k = 1..15, with G_0 = n and G_16 = 0, and counts = -diff(G).
     """
     cdf = np.cumsum(table.probabilities)
-    at_or_after = _tail_counts(substream(cfg.seed, cfg.point), cfg.n_shots, cdf[:-1])
-    return -np.diff(np.array([cfg.n_shots, *at_or_after, 0]))
+    at_or_after = _tail_counts(rng, n_shots, cdf[:-1])
+    return -np.diff(np.array([n_shots, *at_or_after, 0]))
 
 
 def estimate_re_otoc(counts: np.ndarray) -> Estimate:
@@ -129,20 +128,19 @@ def estimate_re_otoc(counts: np.ndarray) -> Estimate:
 
 
 def sample_rotation_protocol(
-    ladder: Ladder, angles: RotationAngles, cfg: SampleConfig
+    ladder: Ladder, angles: RotationAngles, n_shots: int, rng: np.random.Generator
 ) -> Estimate:
     """Finite-shot estimate of Im C(t) from the rotation protocol.
 
-    Each of the four angle sets gets cfg.n_shots single-shot +/-1
+    Each of the four angle sets gets n_shots single-shot +/-1
     measurements of sigma_i^a, simulated with outcome probabilities
     (1 +/- <sigma_i^a>)/2: a shot is +1 when its uniform is below p_up.
-    The angle sets draw in order from the one substream of the point.  The
+    The angle sets draw in order from rng, 4 n_shots uniforms in all.  The
     empirical means, (2 #(+1) - n)/n, combine exactly like the exact
     expectations do.  A p_up that is NaN or outside [0, 1] beyond
     ATOL_ALGEBRA raises ValueError naming the angle set.
     """
     prefactor = angles.checked_prefactor()
-    rng = substream(cfg.seed, cfg.point)
     combo = 0.0
     var_sum = 0.0
     for sign, variant in zip(ANGLE_VARIANT_SIGNS, angle_variants(angles)):
@@ -150,8 +148,8 @@ def sample_rotation_protocol(
         if outside_probability_range(p_up):
             raise ValueError(f"probability {p_up} of +1 at angle set {variant} outside [0, 1]")
         p_up = min(max(p_up, 0.0), 1.0)
-        ups = cfg.n_shots - int(_tail_counts(rng, cfg.n_shots, np.array([p_up]))[0])
-        mean = (2 * ups - cfg.n_shots) / cfg.n_shots
+        ups = n_shots - int(_tail_counts(rng, n_shots, np.array([p_up]))[0])
+        mean = (2 * ups - n_shots) / n_shots
         combo += sign * mean
-        var_sum += max(1.0 - mean * mean, 0.0) / cfg.n_shots
-    return Estimate(combo / prefactor, math.sqrt(var_sum) / abs(prefactor), cfg.n_shots)
+        var_sum += max(1.0 - mean * mean, 0.0) / n_shots
+    return Estimate(combo / prefactor, math.sqrt(var_sum) / abs(prefactor), n_shots)

@@ -87,7 +87,7 @@ def _instances(n_instances: int, seed: int):
         yield prepared, float(rng.uniform(0.0, 5.0)), random_nondegenerate_angles(rng)
 
 
-def run_verification_suite(seed: int = 1) -> list[CheckResult]:
+def run_verification_suite(seed: int) -> list[CheckResult]:
     """2*corr - 1 = Re C, the four-angle combination = Im C and Re C = 1 - <|[W(t),V]|^2>/2
     on the same random instances: each instance's one ladder serves both protocols, and
     C(t) and the squared commutator come from one otoc_commutator chain, never from the

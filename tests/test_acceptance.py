@@ -23,7 +23,7 @@ from otocsim import (
 from otocsim.cli import main
 from otocsim.dressing import dressed_ising_coupling
 from otocsim.protocol import build_ladder, outcome_probabilities, prepare
-from otocsim.sampling import SampleConfig, estimate_re_otoc, sample_sequences
+from otocsim.sampling import estimate_re_otoc, sample_sequences, substream
 from otocsim.verification import run_verification_suite
 
 import oracles
@@ -132,7 +132,7 @@ def test_criterion_5_sampled_estimator_coverage(xy4, up4, spec_xx):
         table = outcome_probabilities(build_ladder(prepared, float(t)))
         for seed in range(100):
             est = estimate_re_otoc(
-                sample_sequences(table, SampleConfig(10_000, seed=1_000 * index + seed))
+                sample_sequences(table, 10_000, substream(1_000 * index + seed, 0))
             )
             total += 1
             # the 1e-12 floor covers float roundoff of the dense reference
@@ -157,7 +157,7 @@ def test_criterion_6_error_band_scaling(xy4, up4, spec_xx):
     def band(table, n_shots, seed):
         return np.std(
             [
-                estimate_re_otoc(sample_sequences(table, SampleConfig(n_shots, seed, point=m))).value
+                estimate_re_otoc(sample_sequences(table, n_shots, substream(seed, m))).value
                 for m in range(100)
             ]
         )

@@ -18,9 +18,9 @@ from otocsim.dressing import scan_curve
 from otocsim.dynamics import Evolution, Propagator
 from otocsim.hilbert import Register
 from otocsim.protocol import (
+    PreparedState,
     PreparedTrace,
     build_ladder,
-    build_trace_ladder,
     im_otoc_via_protocol,
     outcome_probabilities,
 )
@@ -200,6 +200,38 @@ def test_seed_override_changes_output(config_file, tmp_path):
     )
     assert base.read_bytes() != reseeded.read_bytes()
     assert "# seed: 7" in reseeded.read_text()
+
+
+@pytest.mark.parametrize("command", ["exact", "sample", "im", "dressing", "verify"])
+def test_every_command_resolves_its_seed_by_one_rule(command, tmp_path):
+    """The run seed is --seed, else the config's, else 1 for `verify`, which always
+    draws, and none for the others.  `verify` draws from the seed it writes."""
+    seeded = tmp_path / "seeded.cfg"
+    seeded.write_text((BASE_CONFIG + DRESSING_CONFIG).replace("seed = 42", "seed = 5"))
+    unsampled = tmp_path / "unsampled.cfg"
+    unsampled.write_text(
+        (BASE_CONFIG + DRESSING_CONFIG).replace("n_shots = 2000\nseed = 42\n", "")
+    )
+
+    def run(*argv):
+        out = tmp_path / "out.csv"
+        code = main([command, *argv, "--out", str(out), "--quiet"])
+        if code != EXIT_OK:
+            return code, None, None
+        comments, _, rows = read_table(out)
+        return code, next(c for c in comments if c.startswith("# seed: ")), rows
+
+    _, seed, rows = run("--config", str(seeded))
+    assert seed == "# seed: 5"
+    assert run("--config", str(seeded), "--seed", "7")[1] == "# seed: 7"
+    if command == "verify":
+        assert rows == run("--seed", "5")[2]
+        assert rows != run("--seed", "1")[2]
+    code, seed, _ = run("--config", str(unsampled))
+    if command in ("sample", "im"):
+        assert code == EXIT_CONFIG  # they draw, so they need the sampling block
+    else:
+        assert seed == ("# seed: 1" if command == "verify" else "# seed: none")
 
 
 def test_im_run_covers_exact_value(config_file, tmp_path):
@@ -523,7 +555,7 @@ def test_points_carry_nothing_through_the_run_owned_slots(command, tmp_path, mon
     for row, ladder in zip(rows, ladders):
         t = float(row["t"])
         one_point = replace(config, otoc=replace(config.otoc, t_start=t, t_stop=t, n_times=1))
-        prepared, _, _ = cli._build_system(one_point, command)
+        prepared, _ = cli._build_system(one_point, command)
         fresh = build(prepared, t)
         assert fresh.grams.tobytes() == ladder.grams.tobytes()
         assert fresh.direct == ladder.direct
@@ -563,23 +595,23 @@ def test_maximally_mixed_points_equal_one_point_runs(tmp_path):
 @pytest.mark.parametrize("n_sites", [2, 3, 4])
 def test_the_built_state_has_the_rank_the_cap_assumes(kind, n_sites):
     """Every initial_state kind that the memory cap knows builds what its footprint
-    counts: all_up a one-column factor on the weights 0-3 its x/x chain evolves
-    (all 2^N rows up to N = 3, 15 of 16 at N = 4) and the Schroedinger ladder;
-    maximally_mixed no factor, W_E and V_E of at most 2 C(2N, N-1) entries each,
-    and the trace ladder."""
+    counts: all_up a `PreparedState`, whose ladder is the Schroedinger chain, with a
+    one-column factor on the weights 0-3 its x/x chain evolves (all 2^N rows up to
+    N = 3, 15 of 16 at N = 4); maximally_mixed a `PreparedTrace`, whose ladder is the
+    eigenbasis traces, with no factor and W_E and V_E of at most 2 C(2N, N-1) entries
+    each."""
     text = (
         BASE_CONFIG.replace("n_sites = 4", f"n_sites = {n_sites}")
         .replace("initial_state = all_up", f"initial_state = {kind}")
         .replace("site_i = 2", "site_i = 1")
         .replace("site_j = 3", "site_j = 2")
     )
-    prepared, ladder_at, _ = cli._build_system(parse_config(text), "exact")
+    prepared, _ = cli._build_system(parse_config(text), "exact")
     if kind == "all_up":
+        assert isinstance(prepared, PreparedState)
         assert prepared.psi.shape == ({2: 4, 3: 8, 4: 15}[n_sites], 1)
-        assert ladder_at is build_ladder
         return
     assert isinstance(prepared, PreparedTrace)
-    assert ladder_at is build_trace_ladder
     for blocks in (prepared.w_blocks, prepared.v_blocks):
         assert sum(block.size for block in blocks.values()) <= 2 * math.comb(
             2 * n_sites, n_sites - 1
@@ -590,12 +622,12 @@ def test_a_warm_full_rank_point_allocates_less_than_one_factor():
     """After the first point of a full-rank N = 8 run, a point's ladder, 16-branch table
     and rotation combination allocate less than one 2^N x 2^N complex factor: the
     trace ladder forms sector blocks only."""
-    prepared, ladder_at, grid = cli._build_system(parse_config(mixed_yz_config(8, 31)), "exact")
-    ladder_at(prepared, float(grid[0]))
+    prepared, grid = cli._build_system(parse_config(mixed_yz_config(8, 31)), "exact")
+    build_ladder(prepared, float(grid[0]))
     tracemalloc.start()
     try:
         for t in grid[1:4]:
-            ladder = ladder_at(prepared, float(t))
+            ladder = build_ladder(prepared, float(t))
             outcome_probabilities(ladder)
             im_otoc_via_protocol(ladder)
         _, peak = tracemalloc.get_traced_memory()

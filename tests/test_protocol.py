@@ -20,7 +20,6 @@ from otocsim.protocol import (
     RotationAngles,
     angle_variants,
     build_ladder,
-    build_trace_ladder,
     corr_from_table,
     im_otoc_via_protocol,
     outcome_probabilities,
@@ -411,7 +410,7 @@ def test_trace_ladder_equals_the_schroedinger_ladder_on_the_maximally_mixed_stat
     for axis_a, axis_b, site_i, site_j, t in cases:
         spec = OtocSpec(site_i, axis_a, site_j, axis_b)
         expected = build_ladder(prepare(state, spec, prop), t)
-        ladder = build_trace_ladder(prepare_maximally_mixed(spec, prop), t)
+        ladder = build_ladder(prepare_maximally_mixed(spec, prop), t)
         assert np.max(np.abs(ladder.grams - expected.grams)) < 1e-12
         assert abs(ladder.direct - expected.direct) < 1e-12
 
@@ -428,7 +427,7 @@ def test_trace_ladder_equals_the_schroedinger_ladder_on_dense_hamiltonians(seed)
             spec = OtocSpec(site_i, axis_a, site_j, axis_b)
             t = float(rng.uniform(0, 5))
             expected = build_ladder(prepare(maximally_mixed_state(n), spec, prop), t)
-            ladder = build_trace_ladder(prepare_maximally_mixed(spec, prop), t)
+            ladder = build_ladder(prepare_maximally_mixed(spec, prop), t)
             assert np.max(np.abs(ladder.grams - expected.grams)) < 1e-12
             assert abs(ladder.direct - expected.direct) < 1e-12
 
@@ -441,7 +440,7 @@ def test_trace_ladder_rejects_a_time_whose_phases_are_not_finite(t):
         OtocSpec(2, "x", 3, "y"), Propagator.from_hamiltonian(build_xy_chain(4))
     )
     with pytest.raises(EvolutionTimeError, match="non-finite"):
-        build_trace_ladder(prepared, t)
+        build_ladder(prepared, t)
 
 
 def _free_fermion_protocol_cases(n, pairs, times):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otocsim import sampling
 from otocsim.dynamics import Propagator
 from otocsim.otoc import OtocSpec, otoc_direct
 from otocsim.protocol import (
@@ -57,7 +56,7 @@ def spread(table, n_shots, seed, repeats=100):
     return float(
         np.std(
             [
-                estimate_re_otoc(sample_sequences(table, SampleConfig(n_shots, seed, point=m))).value
+                estimate_re_otoc(sample_sequences(table, n_shots, substream(seed, m))).value
                 for m in range(repeats)
             ]
         )
@@ -65,13 +64,13 @@ def spread(table, n_shots, seed, repeats=100):
 
 
 def test_deterministic_table_puts_all_shots_on_one_sequence():
-    counts = sample_sequences(deterministic_table(), SampleConfig(500, seed=7))
+    counts = sample_sequences(deterministic_table(), 500, substream(7, 0))
     assert np.array_equal(counts, 500 * one_hot(0))
 
 
 def test_uniform_table_counts_within_five_sigma():
     n_shots = 16000
-    counts = sample_sequences(uniform_table(), SampleConfig(n_shots, seed=11))
+    counts = sample_sequences(uniform_table(), n_shots, substream(11, 0))
     sigma = math.sqrt(n_shots * (1 / 16) * (15 / 16))
     assert counts.shape == (16,)
     assert counts.sum() == n_shots
@@ -100,14 +99,14 @@ def test_threshold_counts_match_categorical_oracle(weights, n_shots, seed, point
     """Counts by thresholds equal the per-shot inverse-CDF index on the same uniforms."""
     weights = np.asarray(weights, dtype=float)
     table = ProbabilityTable(weights / weights.sum())
-    counts = sample_sequences(table, SampleConfig(n_shots, seed, point=point))
+    counts = sample_sequences(table, n_shots, substream(seed, point))
     expected = oracles.categorical_counts(
         table.probabilities, substream(seed, point).random(n_shots)
     )
     assert np.array_equal(counts, expected)
 
 
-def test_threshold_counts_on_edges_and_past_the_cdf(monkeypatch):
+def test_threshold_counts_on_edges_and_past_the_cdf():
     """Uniforms exactly on each cumulative edge go to the next sequence, and
     uniforms past a cumulative sum that rounds below 1 go to the last one."""
     probs = np.full(16, 1.0 / 16.0)
@@ -121,8 +120,7 @@ def test_threshold_counts_on_edges_and_past_the_cdf(monkeypatch):
             assert n == uniforms.size
             return uniforms
 
-    monkeypatch.setattr(sampling, "substream", lambda seed, point: Stream())
-    counts = sample_sequences(table, SampleConfig(uniforms.size, seed=0))
+    counts = sample_sequences(table, uniforms.size, Stream())
     assert np.array_equal(counts, oracles.categorical_counts(table.probabilities, uniforms))
     assert counts[3] == 0
     assert counts[15] == 3  # the edge cdf[14], just below cdf[15] and past it
@@ -135,18 +133,18 @@ def test_neighbouring_seeds_and_points_share_no_uniforms():
     assert np.unique(draws).size == draws.size
     table = uniform_table()
     assert not np.array_equal(
-        sample_sequences(table, SampleConfig(4000, 42, point=1)),
-        sample_sequences(table, SampleConfig(4000, 43, point=0)),
+        sample_sequences(table, 4000, substream(42, 1)),
+        sample_sequences(table, 4000, substream(43, 0)),
     )
 
 
 def test_sampling_is_deterministic_per_seed(xy4, up4, spec_xx):
     ladder = build_ladder(prepare(up4, spec_xx, xy4), 0.5)
     table = outcome_probabilities(ladder)
-    cfg = SampleConfig(1000, seed=42)
-    assert np.array_equal(sample_sequences(table, cfg), sample_sequences(table, cfg))
-    other = sample_sequences(table, SampleConfig(1000, seed=43))
-    assert not np.array_equal(other, sample_sequences(table, cfg))
+    counts = sample_sequences(table, 1000, substream(42, 0))
+    assert np.array_equal(counts, sample_sequences(table, 1000, substream(42, 0)))
+    other = sample_sequences(table, 1000, substream(43, 0))
+    assert not np.array_equal(other, counts)
 
 
 def test_estimate_from_deterministic_counts():
@@ -176,7 +174,7 @@ def test_estimator_coverage_on_exact_table(xy4, up4, spec_xx):
     table = outcome_probabilities(ladder)
     hits = 0
     for seed in range(100):
-        est = estimate_re_otoc(sample_sequences(table, SampleConfig(10_000, seed=seed)))
+        est = estimate_re_otoc(sample_sequences(table, 10_000, substream(seed, 0)))
         if abs(est.value - exact) <= 4.0 * est.stderr:
             hits += 1
     assert hits >= 99
@@ -189,7 +187,7 @@ def test_estimator_unbiased_over_many_repetitions(xy4, up4, spec_xx):
     repeats = 1000
     values, stderrs = [], []
     for seed in range(repeats):
-        est = estimate_re_otoc(sample_sequences(table, SampleConfig(100, seed=seed)))
+        est = estimate_re_otoc(sample_sequences(table, 100, substream(seed, 0)))
         values.append(est.value)
         stderrs.append(est.stderr)
     deviation = abs(np.mean(values) - exact)
@@ -215,7 +213,7 @@ def test_stderr_scales_with_shot_count(xy4, up4, spec_xx):
     means = []
     for n_shots in (100, 1000, 10_000):
         stderrs = [
-            estimate_re_otoc(sample_sequences(table, SampleConfig(n_shots, seed=s))).stderr
+            estimate_re_otoc(sample_sequences(table, n_shots, substream(s, 0))).stderr
             for s in range(20)
         ]
         means.append(np.mean(stderrs))
@@ -226,7 +224,7 @@ def test_stderr_scales_with_shot_count(xy4, up4, spec_xx):
 def test_rotation_sampling_zero_time(xy4, up4, spec_xx):
     prepared = prepare(up4, spec_xx, xy4)
     est = sample_rotation_protocol(
-        build_ladder(prepared, 0.0), PI_HALF_ANGLES, SampleConfig(2000, seed=17)
+        build_ladder(prepared, 0.0), PI_HALF_ANGLES, 2000, substream(17, 0)
     )
     assert est.stderr > 0.0
     assert abs(est.value) <= 4.0 * est.stderr
@@ -238,7 +236,7 @@ def test_rotation_sampling_zero_variance_when_expectations_saturate(xy4, up4):
     spec = OtocSpec(2, "z", 3, "z")
     prepared = prepare(up4, spec, xy4)
     est = sample_rotation_protocol(
-        build_ladder(prepared, 1.0), PI_HALF_ANGLES, SampleConfig(100, seed=2)
+        build_ladder(prepared, 1.0), PI_HALF_ANGLES, 100, substream(2, 0)
     )
     assert est == Estimate(0.0, 0.0, 100)
 
@@ -246,7 +244,7 @@ def test_rotation_sampling_zero_variance_when_expectations_saturate(xy4, up4):
 def test_rotation_sampling_tracks_exact_im(xy4, up4, spec_xx, rng):
     prepared = prepare(up4, spec_xx, xy4)
     ladder = build_ladder(prepared, 0.5)
-    est = sample_rotation_protocol(ladder, PI_HALF_ANGLES, SampleConfig(10_000, seed=21))
+    est = sample_rotation_protocol(ladder, PI_HALF_ANGLES, 10_000, substream(21, 0))
     exact = otoc_direct(prepared, 0.5).imag
     assert abs(est.value - exact) <= 4.0 * est.stderr
     # also on an instance with genuinely complex C
@@ -256,7 +254,7 @@ def test_rotation_sampling_tracks_exact_im(xy4, up4, spec_xx, rng):
     exact_im = otoc_direct(prepared, 1.1).imag
     assert abs(exact_im) > 1e-3
     ladder = build_ladder(prepared, 1.1)
-    est2 = sample_rotation_protocol(ladder, PI_HALF_ANGLES, SampleConfig(200_000, seed=23))
+    est2 = sample_rotation_protocol(ladder, PI_HALF_ANGLES, 200_000, substream(23, 0))
     assert abs(est2.value - exact_im) <= 4.0 * est2.stderr
 
 
@@ -286,13 +284,12 @@ def test_rotation_sampling_matches_shot_array_oracle(xy4, up4, instance, n_shots
         ),
         "random": random_instance,
     }[instance]()
-    cfg = SampleConfig(n_shots, seed=2024, point=5)
     ladder = build_ladder(prepared, t)
-    est = sample_rotation_protocol(ladder, angles, cfg)
+    est = sample_rotation_protocol(ladder, angles, n_shots, substream(2024, 5))
     expectations = [rotated_expectation(ladder, v) for v in angle_variants(angles)]
     value, stderr = oracles.sampled_rotation_estimate(
         expectations, ANGLE_VARIANT_SIGNS, angles.checked_prefactor(), n_shots,
-        substream(cfg.seed, cfg.point),
+        substream(2024, 5),
     )
     assert (est.value, est.stderr, est.n_shots) == (value, stderr, n_shots)
 
@@ -307,7 +304,7 @@ def test_chunked_counts_match_categorical_oracle_on_one_whole_draw(n_shots):
     weights = np.random.Generator(np.random.PCG64(5)).random(16)
     weights[[2, 9]] = 0.0
     table = ProbabilityTable(weights / weights.sum())
-    counts = sample_sequences(table, SampleConfig(n_shots, seed=31, point=4))
+    counts = sample_sequences(table, n_shots, substream(31, 4))
     expected = oracles.categorical_counts(table.probabilities, substream(31, 4).random(n_shots))
     assert np.array_equal(counts, expected)
 
@@ -319,14 +316,31 @@ def test_chunked_rotation_estimate_matches_shot_array_oracle(rng, n_shots):
     prop = Propagator.from_hamiltonian(random_hamiltonian(3, rng))
     ladder = build_ladder(prepare(random_density(3, rng), OtocSpec(1, "x", 3, "y"), prop), 1.1)
     angles = RotationAngles(0.4, 1.3, -2.2)
-    cfg = SampleConfig(n_shots, seed=8, point=2)
-    est = sample_rotation_protocol(ladder, angles, cfg)
+    est = sample_rotation_protocol(ladder, angles, n_shots, substream(8, 2))
     expectations = [rotated_expectation(ladder, v) for v in angle_variants(angles)]
     value, stderr = oracles.sampled_rotation_estimate(
         expectations, ANGLE_VARIANT_SIGNS, angles.checked_prefactor(), n_shots,
-        substream(cfg.seed, cfg.point),
+        substream(8, 2),
     )
     assert (est.value, est.stderr, est.n_shots) == (value, stderr, n_shots)
+
+
+@pytest.mark.parametrize("n_shots", [1, *CHUNK_EDGES])
+@pytest.mark.parametrize("protocol", ["projective", "rotation"])
+def test_a_sampler_draws_exactly_its_shots_from_the_generator_it_is_given(protocol, n_shots):
+    """A run hands each point's substream to its sampler: the 16-way draw takes
+    n_shots uniforms from it and the rotation draw 4 n_shots, one per shot and angle
+    set, and the generator is left just past them, across chunk boundaries too."""
+    grams = np.zeros((2, 6, 6), complex)
+    grams[0] = np.eye(6)
+    rng = substream(17, 3)
+    if protocol == "projective":
+        sample_sequences(uniform_table(), n_shots, rng)
+        drawn = n_shots
+    else:
+        sample_rotation_protocol(Ladder(grams, 0j), PI_HALF_ANGLES, n_shots, rng)
+        drawn = 4 * n_shots
+    assert rng.random() == substream(17, 3).random(drawn + 1)[-1]
 
 
 def test_sampling_memory_does_not_grow_with_the_shot_count():
@@ -337,14 +351,14 @@ def test_sampling_memory_does_not_grow_with_the_shot_count():
     grams[0] = np.eye(6)
     ladder = Ladder(grams, 0j)
     runs = [
-        lambda cfg: sample_sequences(table, cfg),
-        lambda cfg: sample_rotation_protocol(ladder, PI_HALF_ANGLES, cfg),
+        lambda n, rng: sample_sequences(table, n, rng),
+        lambda n, rng: sample_rotation_protocol(ladder, PI_HALF_ANGLES, n, rng),
     ]
     for run in runs:
-        run(SampleConfig(1, seed=3))  # one-time costs of the first call stay out of the peak
+        run(1, substream(3, 0))  # one-time costs of the first call stay out of the peak
         tracemalloc.start()
         try:
-            run(SampleConfig(4 * 10**6, seed=3))
+            run(4 * 10**6, substream(3, 0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -364,15 +378,14 @@ def test_rotation_sampling_rejects_an_expectation_outside_its_range(g1, shown):
     grams[1] = g1
     message = rf"probability {shown} of \+1 at angle set RotationAngles"
     with pytest.raises(ValueError, match=message):
-        sample_rotation_protocol(Ladder(grams, 0j), PI_HALF_ANGLES, SampleConfig(1000, seed=1))
+        sample_rotation_protocol(Ladder(grams, 0j), PI_HALF_ANGLES, 1000, substream(1, 0))
 
 
 def test_rotation_sampling_deterministic(xy4, up4, spec_xx):
-    cfg = SampleConfig(500, seed=99)
     prepared = prepare(up4, spec_xx, xy4)
     ladder = build_ladder(prepared, 0.7)
-    a = sample_rotation_protocol(ladder, PI_HALF_ANGLES, cfg)
-    b = sample_rotation_protocol(ladder, PI_HALF_ANGLES, cfg)
+    a = sample_rotation_protocol(ladder, PI_HALF_ANGLES, 500, substream(99, 0))
+    b = sample_rotation_protocol(ladder, PI_HALF_ANGLES, 500, substream(99, 0))
     assert a == b
 
 
@@ -381,7 +394,7 @@ def test_rotation_sampling_rejects_degenerate_angles(xy4, up4, spec_xx):
     prepared = prepare(up4, spec_xx, xy4)
     with pytest.raises(DegenerateAnglesError):
         ladder = build_ladder(prepared, 0.5)
-        sample_rotation_protocol(ladder, angles, SampleConfig(10, seed=1))
+        sample_rotation_protocol(ladder, angles, 10, substream(1, 0))
 
 
 def test_sample_config_validation():
@@ -391,7 +404,7 @@ def test_sample_config_validation():
         SampleConfig(10, seed=-1)
     with pytest.raises(ValueError):
         SampleConfig(10, seed=2**64)
-    with pytest.raises(ValueError):
-        SampleConfig(10, seed=1, point=-1)
+    with pytest.raises(ValueError, match="n_shots"):
+        sample_sequences(uniform_table(), 0, substream(1, 0))
     with pytest.raises(ValueError):
         Estimate(0.0, -1.0, 10)
