@@ -29,15 +29,15 @@ _EXPORTS = {
     "otoc": ("OtocSpec", "otoc_commutator", "otoc_direct"),
     "protocol": (
         "DegenerateAnglesError", "Ladder", "OUTCOME_SEQUENCES", "OUTCOME_SIGNS", "PreparedState",
-        "PreparedTrace", "ProbabilityTable", "RotationAngles", "build_ladder", "corr_from_table",
+        "ProbabilityTable", "RotationAngles", "build_ladder", "corr_from_table",
         "im_otoc_via_protocol", "outcome_probabilities", "prepare", "prepare_all_up",
-        "prepare_maximally_mixed", "re_otoc_via_protocol", "reached_weights",
-        "rotated_expectation",
+        "re_otoc_via_protocol", "reached_weights", "rotated_expectation",
     ),
     "sampling": (
         "Estimate", "SampleConfig", "estimate_re_otoc", "sample_rotation_protocol",
         "sample_sequences", "substream",
     ),
+    "traces": ("PreparedTrace", "prepare_maximally_mixed"),
     "verification": ("run_verification_suite",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -37,7 +37,6 @@ from .protocol import (
     im_otoc_via_protocol,
     outcome_probabilities,
     prepare_all_up,
-    prepare_maximally_mixed,
     reached_weights,
 )
 from .sampling import (
@@ -99,7 +98,9 @@ def _build_system(config: RunConfig, command: str):
     """The run's prepared state, which holds its propagator, and its time grid.
 
     `maximally_mixed` spans every sector, so it is prepared in the eigenbasis
-    of the whole chain with no state factor (`prepare_maximally_mixed`).
+    of the whole chain with no state factor (`prepare_maximally_mixed`); the
+    whole chain declares the spin flip, so only the sectors of weight
+    w <= N/2 are diagonalized and traced.
     `all_up` builds, diagonalizes and holds only the Hamming-weight sectors
     its chain evolves (`reached_weights`), its factor on that register.
     """
@@ -107,6 +108,8 @@ def _build_system(config: RunConfig, command: str):
     otoc_cfg = require(config, "otoc", command)
     n_sites, spec, grid = system.n_sites, otoc_cfg.spec, otoc_cfg.time_grid()
     if system.initial_state == "maximally_mixed":
+        from .traces import prepare_maximally_mixed  # loaded by full-rank runs only
+
         prop = Propagator.from_hamiltonian(build_xy_chain(n_sites))
         return prepare_maximally_mixed(spec, prop), grid
     weights = reached_weights(n_sites, spec.axis_a, spec.axis_b)
@@ -161,9 +164,11 @@ def run_otoc(config: RunConfig, command: str, seed, log) -> tuple[list[dict], li
     worst_im = max(row["im_identity_residual"] for row in rows)
     prop = prepared.propagator
     register = prop.register
+    sectors, mirrored = len(register.sizes), len(prop.mirrored)
     log(f"identity cross-check: max |2corr-1 - Re C| = {worst_re:.3e}, "
         f"max rotation residual = {worst_im:.3e}; register of {len(register.order)} rows "
-        f"in {len(register.sizes)} sectors (largest {max(register.sizes)}), "
+        f"in {sectors} sectors (largest {max(register.sizes)}), "
+        f"{sectors - mirrored} of {sectors} sectors diagonalized, {mirrored} mirrored, as "
         f"{len(prop.eigh_sizes)} parity blocks (largest {max(prop.eigh_sizes)}): "
         f"residual {prop.reconstruction_residual:.3e}, "
         f"unitarity defect {prop.unitarity_defect:.3e}; {counts}")

@@ -54,15 +54,25 @@ HAMILTONIAN_KINDS = ("xy_chain",)
 # bounded only by MAX_BASIS_SITES.
 #
 # maximally_mixed, I/2^N, spans every sector and holds no factor
-# (`protocol.prepare_maximally_mixed`): beside H and V on all N + 1 sectors
-# it holds W_E and V_E, the two Paulis in the eigenbasis,
-# and a time point's blocks of B = V_E W(t)_E.  x and y move a sector by
-# +/-1, so each Pauli has at most 2 C(2N,N-1) entries, complex for y, and
-# B's blocks move by -2, 0 or +2, C(2N,N) + 2 C(2N,N-2) complex entries.
-# A point adds at most B_TEMPORARIES complex blocks of the largest sector at
-# once: a W(t)_E block (or its half-phased intermediate) and its product
-# into B, or a product B_kl B_lm and the elementwise product its trace
-# sums.  So maximally_mixed fits up to N = 13.
+# (`traces.prepare_maximally_mixed`).  The whole chain declares the spin
+# flip X^N, which maps weight w onto N - w, so its run diagonalizes only the
+# sectors w <= N/2 (V's mirrored blocks are views), and holds H on all N + 1
+# of them only while it is built: the set-up holds H, V and the two real
+# temporaries, and what follows holds V, W_E and V_E (the two Paulis in the
+# eigenbasis) and a time point's blocks of B = V_E W(t)_E, so the estimate is
+# the larger of the two.  x and y move a sector by +/-1, so each Pauli has
+# 2 C(2N,N-1) entries, complex for y, and B's blocks move by -2, 0 or +2,
+# C(2N,N) + 2 C(2N,N-2) complex entries.  A block that X^N sends onto
+# another is that block times a sign and is not formed, nor is a block of B
+# that only mirrored terms of the traces read (`traces._trace_plan`),
+# which leaves half of each; but X^N maps the middle sector of an even N onto
+# itself in another basis, so every block that touches it is formed: the
+# Paulis' 4 C(N,N/2) C(N,N/2-1) entries there, and B's C(N,N/2)^2 entries of
+# block (N/2, N/2).  That is exactly what an x/x run forms, and no axis pair
+# forms more.  A point adds at most B_TEMPORARIES complex blocks of the
+# largest sector at once: a W(t)_E block and its product into B, or a
+# product B_kl B_lm and the elementwise product its trace sums.  So
+# maximally_mixed fits up to N = 13.
 # Either run also holds RUN_OBJECT_BYTES of small objects whatever its size:
 # the config, the array headers and table dicts, a point's ladder and
 # output row; a one-point all_up run traces 45-80 KB above its arrays.
@@ -103,12 +113,17 @@ def _pure_bytes(n_sites: int, axes: tuple[str, str] = WIDEST_AXES) -> int:
 
 
 def _maximally_mixed_bytes(n_sites: int, axes: tuple[str, str] = WIDEST_AXES) -> int:
-    """The same for every axis pair."""
-    paulis = 2 * 16 * 2 * math.comb(2 * n_sites, n_sites - 1)  # W_E and V_E
-    b_blocks = 16 * (math.comb(2 * n_sites, n_sites) + 2 * math.comb(2 * n_sites, n_sites - 2))
-    temporaries = B_TEMPORARIES * 16 * math.comb(n_sites, n_sites // 2) ** 2
-    held = _held_bytes([math.comb(n_sites, w) for w in range(n_sites + 1)])
-    return held + paulis + b_blocks + temporaries
+    """The same for every axis pair: the larger of the set-up and the points, see above."""
+    n, half = n_sites, n_sites // 2
+    sizes = [math.comb(n, w) for w in range(n + 1)]
+    largest_block = sizes[half] ** 2
+    v = 8 * sum(size * size for size in sizes[: half + 1])  # the sectors w <= N/2
+    set_up = 8 * sum(size * size for size in sizes) + v + 2 * 8 * largest_block
+    middle = sizes[half] if n % 2 == 0 else 0
+    pauli = math.comb(2 * n, n - 1) + 2 * middle * math.comb(n, half - 1)  # W_E or V_E
+    b_blocks = (math.comb(2 * n, n) + 2 * math.comb(2 * n, n - 2) + middle**2) // 2
+    points = v + 16 * (2 * pauli + b_blocks) + B_TEMPORARIES * 16 * largest_block
+    return max(set_up, points) + RUN_OBJECT_BYTES
 
 
 # initial_state -> estimated peak bytes of an OTOC run of an axis pair on n_sites qubits

@@ -4,17 +4,19 @@ Units: the XY coupling constant is 1 and hbar = 1, so time is
 dimensionless.  A `Hamiltonian` is its sector blocks, and its builder
 declares them: `build_xy_chain` writes the Hamming-weight sectors of the
 XY chain as real blocks by index, only for the weights it is asked for,
-and declares the open chain's reflection, and `Hamiltonian.from_matrix`
+and declares the open chain's reflection and, when its weights are closed
+under w -> N - w, the global spin flip X^N; `Hamiltonian.from_matrix`
 holds a dense H as one complex block in computational order.  Evolution
 is exact via a cached Hermitian eigendecomposition per block, in the
 block's own dtype; a block with a declared reflection is diagonalized as
-its even and odd parts.
+its even and odd parts, and a sector that the flip mirrors takes its
+mirror's decomposition with the rows of V reversed.
 `Propagator.evolution(t)` gives the `Evolution` of one time point: the
 phases e^(-iwt) of every block.  It applies U(t) and U(t)^dagger to a
 factor of any width in the eigenbasis, as V (phase * V^dagger psi), and
 returns the result as a new array; no block of U(t) is formed.  The
 evaluators of a time point take the run's `protocol.PreparedState` or
-`protocol.PreparedTrace`, which holds the propagator, and the time t,
+`traces.PreparedTrace`, which holds the propagator, and the time t,
 and each makes the point's `Evolution` itself; the traces of
 `PreparedTrace` read only its phases.  H and its eigenbasis, and so
 U(t) and U(t)^dagger, carry the same `hilbert.Register`, the row order
@@ -52,11 +54,20 @@ class Hamiltonian:
     permutation in register order: an involution that keeps every sector.
     It is checked to be one here; that it commutes with H is checked where
     it is used, by `Propagator.from_hamiltonian`.
+
+    `flip`, when a builder declares it, is the global spin flip X^N as a
+    map of sectors: X^N sends sector k onto sector flip[k].  X^N sends
+    basis index b to its complement b ^ (2^N - 1), which reverses the
+    order of a sector's indices, so it is checked here, exactly, that flip
+    is an involution, that the complements of sector k's indices are
+    sector flip[k]'s in reverse order, and that
+    blocks[flip[k]] == blocks[k][::-1, ::-1], which is X^N H X^N = H.
     """
 
     register: Register
     blocks: tuple[np.ndarray, ...]
     reflection: np.ndarray | None = None
+    flip: tuple[int, ...] | None = None
 
     def __post_init__(self):
         register = self.register
@@ -78,6 +89,30 @@ class Hamiltonian:
                 and np.array_equal(sector[mirror], sector)
             ):
                 raise ValueError("reflection is not an involution of the rows of each sector")
+        if self.flip is not None and not self._is_spin_flip(tuple(self.flip)):
+            raise ValueError(
+                "flip is not the spin flip: an involution of the sectors that sends each "
+                "onto its complement, with the block reversed"
+            )
+
+    def _is_spin_flip(self, flip: tuple[int, ...]) -> bool:
+        """Whether flip is X^N on this register and H, as the class docstring states."""
+        register, blocks = self.register, self.blocks
+        sectors = range(len(register.sizes))
+        if len(flip) != len(sectors) or not all(
+            isinstance(f, (int, np.integer)) and f in sectors and flip[f] == k
+            for k, f in enumerate(flip)
+        ):
+            return False
+        complement, order, bounds = 2**register.n_sites - 1, register.order, register.bounds
+        for k, f in enumerate(flip):
+            if k <= f and not (
+                np.array_equal(order[bounds[f] : bounds[f + 1]][::-1],
+                               complement ^ order[bounds[k] : bounds[k + 1]])
+                and np.array_equal(blocks[f], blocks[k][::-1, ::-1])
+            ):
+                return False
+        return True
 
     @classmethod
     def from_matrix(cls, n_sites: int, matrix: np.ndarray) -> "Hamiltonian":
@@ -163,9 +198,20 @@ class Propagator:
     Each block of H is diagonalized in its own dtype (real arithmetic for
     the XY chain) as H_k = V_k diag(w_k) V_k^dagger; a block with a declared
     reflection is diagonalized as its even and odd parts (`_eigh_by_parity`),
-    and its V_k assembled from theirs in register order.  `eigh_sizes` are
-    the sizes of the nonempty matrices `eigh` ran on.  Immutable after
-    construction; `evolution(t)` takes the phases e^(-iwt) from it.
+    and its V_k assembled from theirs in register order.  Where H declares
+    the spin flip, only the representative of each mirror pair, the lower
+    sector k <= flip[k], is diagonalized: the mirrored sector m has
+    H_m = J H_k J exactly, J the row reversal, so it takes w_k itself and
+    V_m = J V_k, the rows of V_k reversed, as a view.  That is an exact
+    eigendecomposition of H_m: its residual V_m diag(w_k) V_m^T - H_m is
+    H_k's with rows and columns reversed, so the checks on H_k cover it.
+    No matrix product reads a mirrored V_m, which BLAS cannot take with
+    its negative stride: `Evolution.apply` reverses the factor's rows
+    instead, and the eigenbasis blocks of `traces` are formed by row
+    gathers.  `flip` is H's, and `mirrored` lists the mirrored sectors.
+    `eigh_sizes` are the sizes of the nonempty matrices `eigh` ran on.
+    Immutable after construction; `evolution(t)` takes the phases
+    e^(-iwt) from it.
     `register` is H's own: the row order of `eigenvectors`, one V_k per
     sector, and of the factors the evolution acts on.  Its kernel tables
     are built on first use.
@@ -183,13 +229,18 @@ class Propagator:
     eigh_sizes: tuple[int, ...]
     reconstruction_residual: float
     unitarity_defect: float
+    flip: tuple[int, ...] | None = None
 
     @classmethod
     def from_hamiltonian(cls, ham: Hamiltonian) -> "Propagator":
-        register = ham.register
+        register, flip = ham.register, ham.flip
         evals, evecs, sizes = [], [], []
         residual = unit = 0.0
-        for lo, hi, block in zip(register.bounds, register.bounds[1:], ham.blocks):
+        for k, (lo, hi, block) in enumerate(zip(register.bounds, register.bounds[1:], ham.blocks)):
+            if flip is not None and flip[k] < k:
+                evals.append(evals[flip[k]])
+                evecs.append(evecs[flip[k]][::-1])
+                continue
             if ham.reflection is None:
                 w, v, block_residual, block_unit = _checked_eigh(block)
                 parts = (len(w),)
@@ -207,7 +258,13 @@ class Propagator:
             raise ValueError(f"eigendecomposition residual {residual} above tolerance")
         if not unit <= ATOL_SPECTRUM:
             raise ValueError(f"eigenvector unitarity defect {unit} above tolerance")
-        return cls(register, tuple(evecs), tuple(evals), tuple(sizes), residual, unit)
+        flip = None if flip is None else tuple(map(int, flip))
+        return cls(register, tuple(evecs), tuple(evals), tuple(sizes), residual, unit, flip)
+
+    @property
+    def mirrored(self) -> tuple[int, ...]:
+        """The sectors that take their mirror's decomposition, ascending."""
+        return tuple([k for k, f in enumerate(self.flip or ()) if f < k])
 
     @property
     def n_sites(self) -> int:
@@ -220,8 +277,11 @@ class Propagator:
         the `Evolution` holds the phases.  A t that is not finite, or so
         large that some w_k t overflows, raises `EvolutionTimeError`.
         """
-        phases = []
-        for w in self.block_eigenvalues:
+        phases, mirrored = [], self.mirrored
+        for k, w in enumerate(self.block_eigenvalues):
+            if k in mirrored:
+                phases.append(phases[self.flip[k]])  # the mirror's eigenvalues
+                continue
             with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
                 angle = w * t
             if not np.isfinite(angle).all():
@@ -264,26 +324,35 @@ class Evolution:
         works on contiguous slices.  Their coefficients V^dagger psi go into
         the first rows of one buffer of the largest sector's rows, which the
         blocks of a call share, before the block writes the same rows of the
-        result.  A psi without one row per basis index raises ValueError.
+        result.  A mirrored sector, V_m = J V_k, applies its mirror's V_k to
+        a reversed copy of its rows and reverses the rows it writes, as
+        U_m = J U_k J.  A psi without one row per basis index raises ValueError.
         """
         self.register.check_rows(psi)
         # (rows, r), C-contiguous, so that its row slices view as (re, im) float pairs
         columns = np.ascontiguousarray(psi, dtype=complex).reshape(len(psi), -1)
         bounds, vectors = self.register.bounds, self.propagator.eigenvectors
+        flip, mirrored = self.propagator.flip, self.propagator.mirrored
         result = np.empty(columns.shape, dtype=complex)
         buffer = np.empty((max(map(len, self.phases)), columns.shape[1]), dtype=complex)
-        for lo, hi, v, phase in zip(bounds, bounds[1:], vectors, self.phases):
+        for k, (lo, hi, v, phase) in enumerate(zip(bounds, bounds[1:], vectors, self.phases)):
             phase = (phase.conj() if adjoint else phase)[:, None]
-            coeffs = buffer[: hi - lo]
+            coeffs, rows, out = buffer[: hi - lo], columns[lo:hi], result[lo:hi]
+            if k in mirrored:  # the reversed rows go through the result's, which BLAS reads
+                v, out[:] = vectors[flip[k]], rows[::-1]
+                rows = out
             if v.dtype.kind == "f":
-                np.matmul(v.T, columns[lo:hi].view(float), out=coeffs.view(float))
+                np.matmul(v.T, rows.view(float), out=coeffs.view(float))
                 coeffs *= phase
-                np.matmul(v, coeffs.view(float), out=result[lo:hi].view(float))
+                np.matmul(v, coeffs.view(float), out=out.view(float))
             else:
-                np.matmul(v.T, columns[lo:hi].conj(), out=coeffs)
+                np.matmul(v.T, rows.conj(), out=coeffs)
                 np.conjugate(coeffs, out=coeffs)  # V^dagger psi
                 coeffs *= phase
-                np.matmul(v, coeffs, out=result[lo:hi])
+                np.matmul(v, coeffs, out=out)
+            if k in mirrored:  # reversed through the spent coefficients' rows
+                coeffs[:] = out
+                out[:] = coeffs[::-1]
         return result.reshape(psi.shape)
 
 
@@ -317,7 +386,11 @@ def build_xy_chain(n_sites: int, weights: Sequence[int] | None = None) -> Hamilt
     register holds those sectors, in the order given.  The chain's
     reflection, site k to site N + 1 - k, sends b to its bit reversal,
     keeps the weight and maps the bond terms onto each other; it is
-    declared as `reflection`.
+    declared as `reflection`.  The global spin flip X^N sends b to its
+    complement, weight w to N - w, and keeps every bond term; where the
+    weights are closed under w -> N - w (always for the whole chain) it is
+    declared as `flip`.  The complement reverses the ascending order of a
+    sector, so block N - w is block w reversed on both axes, bit for bit.
     """
     check_chain_sites(n_sites)
     weights = tuple(range(n_sites + 1)) if weights is None else tuple(weights)
@@ -342,5 +415,7 @@ def build_xy_chain(n_sites: int, weights: Sequence[int] | None = None) -> Hamilt
         lo + np.searchsorted(basis, reverse[lo:hi])
         for lo, hi, basis in zip(bounds, bounds[1:], sectors)
     ])
-    return Hamiltonian(register, tuple(blocks), reflection)
+    closed = set(weights) == {n_sites - w for w in weights}
+    flip = tuple(weights.index(n_sites - w) for w in weights) if closed else None
+    return Hamiltonian(register, tuple(blocks), reflection, flip)
 

@@ -19,11 +19,11 @@ from otocsim.dynamics import Evolution, Propagator
 from otocsim.hilbert import Register
 from otocsim.protocol import (
     PreparedState,
-    PreparedTrace,
     build_ladder,
     im_otoc_via_protocol,
     outcome_probabilities,
 )
+from otocsim.traces import PreparedTrace
 
 import oracles
 
@@ -97,21 +97,23 @@ def test_exact_run_writes_metadata_and_residuals(config_file, tmp_path):
 
 def test_exact_reports_spectral_defects_on_stderr_only(config_file, tmp_path, capsys):
     """The N=4 sectors 1, 4, 6, 4, 1 split by reflection parity into 1, 2+2, 4+2,
-    2+2, 1.  The full-rank state holds and diagonalizes all five; the pure x/x run
-    only weights 0-3, the ones its chain evolves, as its last sigma_i image, which
-    alone reaches weight 4, is read as matrix elements.  All of it reaches stderr,
-    none of it the CSV."""
+    2+2, 1.  The full-rank state holds all five and, as the whole chain declares the
+    spin flip, diagonalizes weights 0-2 and mirrors weights 3 and 4; the pure x/x run
+    holds and diagonalizes only weights 0-3, the ones its chain evolves, as its last
+    sigma_i image, which alone reaches weight 4, is read as matrix elements, and
+    weights 0-3 are not closed under the flip.  All of it reaches stderr, none of it
+    the CSV."""
     mixed = tmp_path / "mixed.cfg"
     mixed.write_text(BASE_CONFIG.replace("initial_state = all_up", "initial_state = maximally_mixed"))
     cases = (
-        (config_file, "15 rows in 4 sectors (largest 6), 7"),
-        (mixed, "16 rows in 5 sectors (largest 6), 8"),
+        (config_file, "15 rows in 4 sectors (largest 6), 4 of 4 sectors diagonalized, 0 mirrored"),
+        (mixed, "16 rows in 5 sectors (largest 6), 3 of 5 sectors diagonalized, 2 mirrored"),
     )
-    for config, register in cases:
+    for (config, register), blocks in zip(cases, (7, 5)):
         out = tmp_path / "exact.csv"
         assert main(["exact", "--config", str(config), "--out", str(out)]) == EXIT_OK
         err = capsys.readouterr().err
-        assert f"register of {register} parity blocks (largest 4): residual " in err
+        assert f"register of {register}, as {blocks} parity blocks (largest 4): residual " in err
         assert "unitarity defect " in err
         text = out.read_text()
         for logged in ("unitarity", "parity"):
@@ -598,8 +600,9 @@ def test_the_built_state_has_the_rank_the_cap_assumes(kind, n_sites):
     counts: all_up a `PreparedState`, whose ladder is the Schroedinger chain, with a
     one-column factor on the weights 0-3 its x/x chain evolves (all 2^N rows up to
     N = 3, 15 of 16 at N = 4); maximally_mixed a `PreparedTrace`, whose ladder is the
-    eigenbasis traces, with no factor and W_E and V_E of at most 2 C(2N, N-1) entries
-    each."""
+    eigenbasis traces, with no factor and W_E and V_E of C(2N, N-1) entries each, half
+    of their 2 C(2N, N-1), and at even N the 2 C(N, N/2) C(N, N/2-1) more of the
+    blocks that touch the middle sector, which the spin flip maps onto itself."""
     text = (
         BASE_CONFIG.replace("n_sites = 4", f"n_sites = {n_sites}")
         .replace("initial_state = all_up", f"initial_state = {kind}")
@@ -612,9 +615,11 @@ def test_the_built_state_has_the_rank_the_cap_assumes(kind, n_sites):
         assert prepared.psi.shape == ({2: 4, 3: 8, 4: 15}[n_sites], 1)
         return
     assert isinstance(prepared, PreparedTrace)
+    half = n_sites // 2
+    middle = 2 * math.comb(n_sites, half) * math.comb(n_sites, half - 1) if n_sites % 2 == 0 else 0
     for blocks in (prepared.w_blocks, prepared.v_blocks):
-        assert sum(block.size for block in blocks.values()) <= 2 * math.comb(
-            2 * n_sites, n_sites - 1
+        assert sum(block.size for block in blocks.values()) == (
+            math.comb(2 * n_sites, n_sites - 1) + middle
         )
 
 

@@ -12,7 +12,13 @@ import oracles
 from otocsim.dynamics import Hamiltonian, Propagator, build_xy_chain
 from otocsim.hilbert import DensityOperator, Register, all_up_state, maximally_mixed_state
 from otocsim.otoc import OtocSpec, otoc_direct
-from otocsim.protocol import OUTCOME_SEQUENCES, ProbabilityTable, build_ladder, prepare
+from otocsim.protocol import (
+    OUTCOME_SEQUENCES,
+    ProbabilityTable,
+    build_ladder,
+    prepare,
+    reached_weights,
+)
 
 # Expanding -(x1 x2 + y1 y2) by hand on the 4-dim basis leaves only the
 # flip-flop entries |up,down><down,up| and its transpose, each -2.
@@ -499,3 +505,73 @@ def test_propagator_rejects_a_reflection_that_does_not_commute_with_h():
     mirror[[1, 2]] = [2, 1]  # sites 1 and 2 of weight 1; the chain is not symmetric under it
     with pytest.raises(ValueError, match="residual"):
         Propagator.from_hamiltonian(Hamiltonian(ham.register, ham.blocks, mirror))
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_the_whole_xy_chain_declares_the_spin_flip(n):
+    """Weight w maps onto N - w, and the Hamiltonian's own check of the declaration
+    (complemented indices in reverse order, blocks reversed bit for bit) passes."""
+    assert build_xy_chain(n).flip == tuple(range(n, -1, -1))
+
+
+@pytest.mark.parametrize("axis_a", ["x", "y", "z"])
+@pytest.mark.parametrize("axis_b", ["x", "y", "z"])
+def test_an_all_up_register_declares_no_flip(axis_a, axis_b):
+    """The weights an all_up run evolves start at 0 and reach at most 3, so from N = 4
+    on they are not closed under w -> N - w; at N = 2 and 3 an x/x run reaches them
+    all."""
+    for n in range(4, 17):
+        assert build_xy_chain(n, reached_weights(n, axis_a, axis_b)).flip is None
+    for n in (2, 3):
+        assert build_xy_chain(n, reached_weights(n, "x", "x")).flip is not None
+
+
+def test_hamiltonian_rejects_a_flip_that_is_not_the_spin_flip():
+    """Sectors 1, 3, 3, 1 at N = 3: the flip must be an involution of the sectors that
+    sends each onto the complements of its basis indices, in reverse order, with
+    the block reversed; a block that breaks X^N H X^N = H is caught too."""
+    ham = build_xy_chain(3)
+    assert ham.flip == (3, 2, 1, 0)
+    for bad in [(0, 1, 2, 3), (3, 2, 1, 1), (3, 2, 1), (4, 2, 1, 0), (3.0, 2, 1, 0), (3, 1, 2, 0)]:
+        with pytest.raises(ValueError, match="spin flip"):
+            Hamiltonian(ham.register, ham.blocks, ham.reflection, bad)
+    blocks = list(ham.blocks)
+    blocks[2] = blocks[2] + np.diag([1.0, 0.0, 0.0])  # a field on one site of weight 2 only
+    with pytest.raises(ValueError, match="spin flip"):
+        Hamiltonian(ham.register, tuple(blocks), ham.reflection, ham.flip)
+    Hamiltonian(ham.register, tuple(blocks), ham.reflection)  # undeclared, it is a valid H
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_a_mirrored_sector_takes_its_mirrors_decomposition_reversed(n):
+    """Only the sectors w <= N/2 are diagonalized; sector N - w has the eigenvalues of
+    sector w and its V with the rows reversed, bit for bit, which diagonalizes its
+    own block as well: the row reversal permutes the entries of V diag(w) V^T - H, so
+    the mirrored residual is the mirror's, entry for entry, up to the rounding of
+    the products."""
+    ham = build_xy_chain(n)
+    prop = Propagator.from_hamiltonian(ham)
+    assert prop.flip == ham.flip and prop.mirrored == tuple(range(n // 2 + 1, n + 1))
+    assert sum(prop.eigh_sizes) == sum(math.comb(n, w) for w in range(n // 2 + 1))
+    for k in prop.mirrored:
+        w, v = prop.block_eigenvalues[n - k], prop.eigenvectors[n - k]
+        np.testing.assert_array_equal(prop.block_eigenvalues[k], w)
+        np.testing.assert_array_equal(prop.eigenvectors[k], v[::-1])
+        mirror = np.ascontiguousarray(v[::-1])
+        residual = (v * w) @ v.T - ham.blocks[n - k]
+        mirrored = ((mirror * w) @ mirror.T - ham.blocks[k])[::-1, ::-1]
+        np.testing.assert_allclose(mirrored, residual, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_evolution_of_a_mirrored_sector_is_its_mirrors_reversed(n, rng):
+    """U(t) and U(t)^dagger on the whole chain, which reverse a mirrored sector's rows
+    around its mirror's V, equal the same propagator read without the flip, whose
+    mirrored V are applied as they are."""
+    prop = Propagator.from_hamiltonian(build_xy_chain(n))
+    plain = replace(prop, flip=None)
+    psi = rng.standard_normal((2**n, 3)) + 1j * rng.standard_normal((2**n, 3))
+    for t in (0.4, 2.5):
+        ev, plain_ev = prop.evolution(t), plain.evolution(t)
+        np.testing.assert_allclose(ev.forward(psi), plain_ev.forward(psi), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(ev.backward(psi), plain_ev.backward(psi), rtol=0, atol=1e-13)

@@ -50,6 +50,13 @@ def test_the_reference_evaluator_loads_only_otoc_and_hilbert():
     assert loaded_after("from otocsim import otoc_direct") == ["otocsim.hilbert", "otocsim.otoc"]
 
 
+def test_the_command_line_loads_the_full_rank_evaluator_only_for_a_full_rank_run():
+    """Every CLI child imports `cli`, which leaves `traces` to the runs that prepare
+    I/2^N, so the others do not compile it."""
+    loaded = loaded_after("import otocsim.cli")
+    assert "otocsim.protocol" in loaded and "otocsim.traces" not in loaded
+
+
 def test_every_public_name_is_its_submodules_object():
     mismatched = fresh(
         "import importlib, json\n"

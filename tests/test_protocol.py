@@ -25,11 +25,11 @@ from otocsim.protocol import (
     outcome_probabilities,
     prepare,
     prepare_all_up,
-    prepare_maximally_mixed,
     re_otoc_via_protocol,
     reached_weights,
     rotated_expectation,
 )
+from otocsim.traces import FLIP_SIGNS, prepare_maximally_mixed
 from otocsim.verification import (
     AXIS_PAIRS,
     _instances,
@@ -413,6 +413,30 @@ def test_trace_ladder_equals_the_schroedinger_ladder_on_the_maximally_mixed_stat
         ladder = build_ladder(prepare_maximally_mixed(spec, prop), t)
         assert np.max(np.abs(ladder.grams - expected.grams)) < 1e-12
         assert abs(ladder.direct - expected.direct) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_the_flip_halves_the_trace_products_and_keeps_the_ladder(n):
+    """Read without its spin flip, the same propagator forms every block of W_E, V_E
+    and B.  With it, each pair of mirrored blocks that avoids the middle sector is
+    formed once, and each orbit of walks is summed once: the ladder agrees within
+    1e-12 for every axis pair, at odd N a point does exactly half the products, and
+    where s_a s_b = -1 no walk of odd power is summed, as Tr[B] and Tr[B^3] vanish."""
+    prop = Propagator.from_hamiltonian(build_xy_chain(n))
+    plain = replace(prop, flip=None)
+    for axis_a, axis_b in AXIS_PAIRS:
+        spec = OtocSpec(n // 2, axis_a, n // 2 + 1, axis_b)
+        halved, whole = prepare_maximally_mixed(spec, prop), prepare_maximally_mixed(spec, plain)
+        for t in (0.0, 0.7, 3.0):
+            ladder, expected = build_ladder(halved, t), build_ladder(whole, t)
+            assert np.max(np.abs(ladder.grams - expected.grams)) < 1e-12
+            assert abs(ladder.direct - expected.direct) < 1e-12
+        if n % 2:
+            assert 2 * len(halved.products) == len(whole.products)
+        else:
+            assert len(halved.products) < len(whole.products)
+        if FLIP_SIGNS[axis_a] != FLIP_SIGNS[axis_b]:
+            assert {len(steps) for _, steps in halved.walks} == {2}
 
 
 @pytest.mark.parametrize("seed", range(1, 4))
