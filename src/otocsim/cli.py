@@ -29,6 +29,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, parse_config, require
 from .dressing import AdiabaticityError, scan_curve
 from .dynamics import EvolutionTimeError, Propagator, build_xy_chain
+from .hilbert import IDENTITY_TOLERANCE
 from .protocol import (
     DegenerateAnglesError,
     RotationAngles,
@@ -48,7 +49,6 @@ from .sampling import (
     sample_sequences,
     substream,
 )
-from .verification import IDENTITY_TOLERANCE, run_verification_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -201,6 +201,8 @@ def run_dressing(config: RunConfig, log) -> tuple[list[dict], list[str], bool]:
 
 
 def run_verify(seed: int, log) -> tuple[list[dict], list[str], bool]:
+    from .verification import run_verification_suite  # loaded by verify only
+
     results = run_verification_suite(seed)
     rows = []
     ok = True

@@ -2,22 +2,23 @@
 
 Unknown keys are errors: a silently ignored typo in a physics parameter
 is worse than a rejected file.  Keys are grouped into blocks (system,
-otoc, sampling, angles, dressing); a command validates only the blocks it
-needs, so one file can drive every subcommand.  A rule that a library
-type checks is checked there only, and its error names the block.
+otoc, sampling, angles, dressing).  Every block a file holds is built and
+validated when it is parsed, whichever command reads it, so every command
+loads the modules of every block's types; a command only requires the
+blocks it needs, so one file can drive every subcommand.  A rule that a
+library type checks is checked there only, and its error names the block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .dressing import InteractionCoefficients, LevelScheme, check_scan
 from .dynamics import check_chain_sites
-from .hilbert import MAX_BASIS_SITES
+from .hilbert import MAX_BASIS_SITES, Record
 from .otoc import OtocSpec
 from .protocol import RotationAngles, reached_weights
 from .sampling import SampleConfig, check_seed
@@ -148,19 +149,18 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-@dataclass(frozen=True)
-class SystemConfig:
-    n_sites: int
-    hamiltonian: str
-    initial_state: str
+class SystemConfig(Record):
+    __slots__ = ("n_sites", "hamiltonian", "initial_state")
+
+    def __init__(self, n_sites: int, hamiltonian: str, initial_state: str):
+        self._set(n_sites, hamiltonian, initial_state)
 
 
-@dataclass(frozen=True)
-class OtocConfig:
-    spec: OtocSpec
-    t_start: float
-    t_stop: float
-    n_times: int
+class OtocConfig(Record):
+    __slots__ = ("spec", "t_start", "t_stop", "n_times")
+
+    def __init__(self, spec: OtocSpec, t_start: float, t_stop: float, n_times: int):
+        self._set(spec, t_start, t_stop, n_times)
 
     def time_grid(self) -> np.ndarray:
         if self.n_times == 1:
@@ -168,23 +168,25 @@ class OtocConfig:
         return np.linspace(self.t_start, self.t_stop, self.n_times)
 
 
-@dataclass(frozen=True)
-class DressingConfig:
-    scheme: LevelScheme
-    coeffs: InteractionCoefficients
-    r_min: float
-    r_max: float
-    n_r: int
-    microwave: bool
+class DressingConfig(Record):
+    __slots__ = ("scheme", "coeffs", "r_min", "r_max", "n_r", "microwave")
+
+    def __init__(
+        self, scheme: LevelScheme, coeffs: InteractionCoefficients, r_min: float, r_max: float,
+        n_r: int, microwave: bool,
+    ):
+        self._set(scheme, coeffs, r_min, r_max, n_r, microwave)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    system: SystemConfig | None = None
-    otoc: OtocConfig | None = None
-    sampling: SampleConfig | None = None
-    angles: RotationAngles | None = None
-    dressing: DressingConfig | None = None
+class RunConfig(Record):
+    __slots__ = ("system", "otoc", "sampling", "angles", "dressing")
+
+    def __init__(
+        self, system: SystemConfig | None = None, otoc: OtocConfig | None = None,
+        sampling: SampleConfig | None = None, angles: RotationAngles | None = None,
+        dressing: DressingConfig | None = None,
+    ):
+        self._set(system, otoc, sampling, angles, dressing)
 
 
 def _parse_bool(raw: str) -> bool:

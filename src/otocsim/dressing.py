@@ -22,10 +22,11 @@ illustrative values placing the crossing near 3-4 um, not atomic data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+
+from .hilbert import Record
 
 # Illustrative interaction coefficients (MHz um^6, MHz um^3).
 DEFAULT_C6 = 3.0e4
@@ -65,56 +66,51 @@ class AdiabaticityError(RuntimeError):
     """No eigenstate retains majority overlap with the tracked branch."""
 
 
-@dataclass(frozen=True)
-class LevelScheme:
+class LevelScheme(Record):
     """Drive parameters of the two-color dressing scheme (MHz)."""
 
-    omega_laser: float
-    delta_laser: float
-    omega_microwave: float = 0.0
-    delta_microwave: float = 0.0
+    __slots__ = ("omega_laser", "delta_laser", "omega_microwave", "delta_microwave")
 
-    def __post_init__(self):
-        for name in ("omega_laser", "delta_laser", "omega_microwave", "delta_microwave"):
+    def __init__(
+        self, omega_laser: float, delta_laser: float, omega_microwave: float = 0.0,
+        delta_microwave: float = 0.0,
+    ):
+        self._set(omega_laser, delta_laser, omega_microwave, delta_microwave)
+        for name in self.__slots__:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.omega_laser < 0 or self.omega_microwave < 0:
+        if omega_laser < 0 or omega_microwave < 0:
             raise ValueError("Rabi frequencies must be nonnegative")
 
 
-@dataclass(frozen=True)
-class InteractionCoefficients:
+class InteractionCoefficients(Record):
     """Pair interaction strengths: c6 for S-S vdW, c3 for S-P exchange."""
 
-    c6: float = DEFAULT_C6
-    c3: float = DEFAULT_C3
+    __slots__ = ("c6", "c3")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.c6) and math.isfinite(self.c3)):
+    def __init__(self, c6: float = DEFAULT_C6, c3: float = DEFAULT_C3):
+        if not (math.isfinite(c6) and math.isfinite(c3)):
             raise ValueError("interaction coefficients must be finite")
+        self._set(c6, c3)
 
 
-@dataclass(frozen=True)
-class DressedCurve:
+class DressedCurve(Record, eq=False):
     """Dressed Ising coupling J sampled over interatomic distance.
 
     `min_overlap` is the smallest squared overlap met while tracking the
     branch from point to point (`scan_curve`).
     """
 
-    distances: np.ndarray
-    j_values: np.ndarray
-    min_overlap: float
+    __slots__ = ("distances", "j_values", "min_overlap")
 
-    def __post_init__(self):
-        dist = np.asarray(self.distances, dtype=float)
-        jv = np.asarray(self.j_values, dtype=float)
+    def __init__(self, distances: np.ndarray, j_values: np.ndarray, min_overlap: float):
+        dist = np.asarray(distances, dtype=float)
+        jv = np.asarray(j_values, dtype=float)
         if dist.shape != jv.shape or dist.ndim != 1:
             raise ValueError("distances and J values must be 1-d arrays of equal length")
         if not np.all(np.diff(dist) > 0):
             raise ValueError("distances must be strictly increasing")
-        object.__setattr__(self, "distances", dist)
-        object.__setattr__(self, "j_values", jv)
+        self._set(dist, jv, min_overlap)
 
 
 def single_atom_hamiltonian(scheme: LevelScheme) -> np.ndarray:
@@ -268,7 +264,7 @@ def scan_curve(
     smallest of those overlaps.  The grid is diagonalized SCAN_CHUNK points
     per `eigh` call.
     """
-    effective = scheme if microwave_on else replace(scheme, omega_microwave=0.0)
+    effective = scheme if microwave_on else scheme.replace(omega_microwave=0.0)
     check_scan(effective, coeffs, r_min, r_max, n_points)
     e_single, v_single = dressed_ground(effective)
     distances = np.linspace(r_min, r_max, n_points)
@@ -312,15 +308,16 @@ def microwave_detuning_for_lower_level(
     return (omega_microwave**2 - 4.0 * shift**2) / (4.0 * shift)
 
 
-@dataclass(frozen=True)
-class SignInversionResult:
+class SignInversionResult(Record):
     """Outcome of the sign-inversion parameter search."""
 
-    scheme_on: LevelScheme
-    curve_off: DressedCurve
-    curve_on: DressedCurve
-    window_lo: float
-    window_hi: float
+    __slots__ = ("scheme_on", "curve_off", "curve_on", "window_lo", "window_hi")
+
+    def __init__(
+        self, scheme_on: LevelScheme, curve_off: DressedCurve, curve_on: DressedCurve,
+        window_lo: float, window_hi: float,
+    ):
+        self._set(scheme_on, curve_off, curve_on, window_lo, window_hi)
 
 
 def find_sign_inversion_config(
@@ -352,9 +349,7 @@ def find_sign_inversion_config(
                 )
             except ValueError:
                 continue
-            candidate = replace(
-                scheme, omega_microwave=omega_mu, delta_microwave=delta_mu
-            )
+            candidate = scheme.replace(omega_microwave=omega_mu, delta_microwave=delta_mu)
             try:
                 curve_on = scan_curve(candidate, coeffs, r_min, r_max, n_points)
             except AdiabaticityError:

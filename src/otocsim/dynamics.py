@@ -27,20 +27,18 @@ order, where each block is a contiguous slice of rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .hilbert import ATOL_ALGEBRA, ATOL_SPECTRUM, Register, hermiticity_defect
+from .hilbert import ATOL_ALGEBRA, ATOL_SPECTRUM, Record, Register, hermiticity_defect
 
 
 class EvolutionTimeError(ValueError):
     """A time t at which some phase w t of U(t) = e^(-iHt) is not a finite float."""
 
 
-@dataclass(frozen=True, eq=False)
-class Hamiltonian:
+class Hamiltonian(Record, eq=False):
     """Hermitian generator of the dynamics, held as its sector blocks.
 
     blocks[k] is H on sector k of `register`, one block per sector; H is
@@ -64,21 +62,21 @@ class Hamiltonian:
     blocks[flip[k]] == blocks[k][::-1, ::-1], which is X^N H X^N = H.
     """
 
-    register: Register
-    blocks: tuple[np.ndarray, ...]
-    reflection: np.ndarray | None = None
-    flip: tuple[int, ...] | None = None
+    __slots__ = ("register", "blocks", "reflection", "flip")
 
-    def __post_init__(self):
-        register = self.register
-        shapes = tuple(block.shape for block in self.blocks)
+    def __init__(
+        self, register: Register, blocks: tuple[np.ndarray, ...],
+        reflection: np.ndarray | None = None, flip: tuple[int, ...] | None = None,
+    ):
+        self._set(register, blocks, reflection, flip)
+        shapes = tuple(block.shape for block in blocks)
         if shapes != tuple((s, s) for s in register.sizes):
             raise ValueError(f"Hamiltonian blocks {shapes} do not tile sectors {register.sizes}")
-        for block in self.blocks:
+        for block in blocks:
             if not hermiticity_defect(block) <= ATOL_ALGEBRA:
                 raise ValueError("Hamiltonian is not Hermitian")
-        if self.reflection is not None:
-            mirror = np.asarray(self.reflection)
+        if reflection is not None:
+            mirror = np.asarray(reflection)
             rows = np.arange(len(register.order))
             sector = register.row_sectors()
             if not (
@@ -89,7 +87,7 @@ class Hamiltonian:
                 and np.array_equal(sector[mirror], sector)
             ):
                 raise ValueError("reflection is not an involution of the rows of each sector")
-        if self.flip is not None and not self._is_spin_flip(tuple(self.flip)):
+        if flip is not None and not self._is_spin_flip(tuple(flip)):
             raise ValueError(
                 "flip is not the spin flip: an involution of the sectors that sends each "
                 "onto its complement, with the block reversed"
@@ -191,8 +189,7 @@ def _eigh_by_parity(block: np.ndarray, mirror: np.ndarray):
     return np.concatenate([w_even, w_odd]), v, (n_even, len(w_odd)), residual, unit
 
 
-@dataclass(frozen=True)
-class Propagator:
+class Propagator(Record, eq=False):
     """Cached spectral decomposition of H, one eigendecomposition per sector block.
 
     Each block of H is diagonalized in its own dtype (real arithmetic for
@@ -223,13 +220,21 @@ class Propagator:
     whole-matrix ones.
     """
 
-    register: Register
-    eigenvectors: tuple[np.ndarray, ...]
-    block_eigenvalues: tuple[np.ndarray, ...]
-    eigh_sizes: tuple[int, ...]
-    reconstruction_residual: float
-    unitarity_defect: float
-    flip: tuple[int, ...] | None = None
+    __slots__ = (
+        "register", "eigenvectors", "block_eigenvalues", "eigh_sizes", "reconstruction_residual",
+        "unitarity_defect", "flip",
+    )
+
+    def __init__(
+        self, register: Register, eigenvectors: tuple[np.ndarray, ...],
+        block_eigenvalues: tuple[np.ndarray, ...], eigh_sizes: tuple[int, ...],
+        reconstruction_residual: float, unitarity_defect: float,
+        flip: tuple[int, ...] | None = None,
+    ):
+        self._set(
+            register, eigenvectors, block_eigenvalues, eigh_sizes, reconstruction_residual,
+            unitarity_defect, flip,
+        )
 
     @classmethod
     def from_hamiltonian(cls, ham: Hamiltonian) -> "Propagator":
@@ -292,8 +297,7 @@ class Propagator:
         return Evolution(self, tuple(phases))
 
 
-@dataclass(frozen=True, eq=False)
-class Evolution:
+class Evolution(Record, eq=False):
     """U(t) = e^(-iHt) at one time point, and U(t)^dagger, on factors in `register` order.
 
     `ev.forward(psi)` and `ev.backward(psi)` return U(t) psi and
@@ -304,8 +308,10 @@ class Evolution:
     propagator's.
     """
 
-    propagator: Propagator
-    phases: tuple[np.ndarray, ...]
+    __slots__ = ("propagator", "phases")
+
+    def __init__(self, propagator: Propagator, phases: tuple[np.ndarray, ...]):
+        self._set(propagator, phases)
 
     @property
     def register(self) -> Register:

@@ -19,6 +19,9 @@ row phase), never as dense matrices, and no kernel builds a table of
 length 2^N.  Time evolution U(t) is block-diagonal over the sectors; a
 time point's `dynamics.Evolution` applies it to a factor of any width in
 the eigenbasis of H, and never forms a block of U(t).
+
+The other modules all import this one, so it also holds the tolerances and
+`Record`, the base of the package's immutable records.
 """
 
 from __future__ import annotations
@@ -30,11 +33,66 @@ import numpy as np
 
 ATOL_ALGEBRA = 1e-12   # algebraic identities (hermiticity, trace, norm, each probability)
 ATOL_SPECTRUM = 1e-10  # spectral quantities (eigenvalues, reconstructions, probability sum)
+IDENTITY_TOLERANCE = 1e-9  # |reconstructed - direct| of a protocol identity, in exact and verify
 
 PAULI_AXES = ("x", "y", "z")
 
 # basis indices are int64, and so is 2^N, one past the largest of them
 MAX_BASIS_SITES = 62
+
+
+class Record:
+    """Base of the package's immutable records, whose fields are their class's `__slots__`.
+
+    A record's own `__init__` checks its arguments and stores them with
+    `_set`; after that, assigning or deleting a field raises AttributeError.
+    Records compare and hash field by field, in `__slots__` order, except
+    those declared with `eq=False`, which hold arrays and compare by
+    identity.  `repr` reads Name(field=value, ...), and `replace(**changes)`
+    builds a new record through `__init__`, so the checks run again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def _set(self, *values) -> None:
+        """Store the fields, in `__slots__` order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # what copy and pickle restore, as (None, slots)
+        self._set(*(state[1][name] for name in self.__slots__))
+
+    def replace(self, **changes):
+        """A record of this type with `changes` to the arguments of `__init__`, built by it."""
+        code = type(self).__init__.__code__
+        fields = {name: getattr(self, name) for name in code.co_varnames[1 : code.co_argcount]}
+        return type(self)(**{**fields, **changes})
 
 
 def check_axis(axis: str) -> None:

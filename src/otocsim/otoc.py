@@ -17,37 +17,32 @@ vectors; `otoc_direct` is its first value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hilbert import ATOL_SPECTRUM, check_axis, check_site
+from .hilbert import ATOL_SPECTRUM, Record, check_axis, check_site
 
 if TYPE_CHECKING:  # protocol imports OtocSpec from here
     from .protocol import PreparedState
 
 
-@dataclass(frozen=True)
-class OtocSpec:
+class OtocSpec(Record):
     """Which correlator: W = sigma_(site_i)^(axis_a), V = sigma_(site_j)^(axis_b).
 
     site_i == site_j is allowed by the algebra; the disjoint-support
     reading (C(0) = 1) assumes distinct sites.
     """
 
-    site_i: int
-    axis_a: str
-    site_j: int
-    axis_b: str
+    __slots__ = ("site_i", "axis_a", "site_j", "axis_b")
 
-    def __post_init__(self):
-        for name in ("axis_a", "axis_b"):
-            axis = getattr(self, name)
+    def __init__(self, site_i: int, axis_a: str, site_j: int, axis_b: str):
+        for name, axis in (("axis_a", axis_a), ("axis_b", axis_b)):
             try:
                 check_axis(axis)
             except ValueError as exc:
                 raise ValueError(f"{name}={axis!r}: {exc}") from None
+        self._set(site_i, axis_a, site_j, axis_b)
 
     def validate_for(self, n_sites: int) -> None:
         """IndexError, naming site_i or site_j, when a site is outside an n_sites register."""

@@ -29,13 +29,12 @@ takes either, and that module is loaded only by the runs that need it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dynamics import Propagator
-from .hilbert import ATOL_ALGEBRA, ATOL_SPECTRUM, DensityOperator
+from .hilbert import ATOL_ALGEBRA, ATOL_SPECTRUM, DensityOperator, Record
 from .otoc import OtocSpec, checked_otoc
 
 if TYPE_CHECKING:
@@ -76,16 +75,16 @@ class DegenerateAnglesError(ValueError):
     """Rotation angles make the reconstruction prefactor vanish."""
 
 
-@dataclass(frozen=True)
-class RotationAngles:
+class RotationAngles(Record):
     """Angle triple (theta1, theta2, theta3) of the rotation protocol, pi/2 each by default."""
 
-    theta1: float = math.pi / 2
-    theta2: float = math.pi / 2
-    theta3: float = math.pi / 2
+    __slots__ = ("theta1", "theta2", "theta3")
 
-    def __post_init__(self):
-        for name in ("theta1", "theta2", "theta3"):
+    def __init__(
+        self, theta1: float = math.pi / 2, theta2: float = math.pi / 2, theta3: float = math.pi / 2
+    ):
+        self._set(theta1, theta2, theta3)
+        for name in self.__slots__:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
@@ -109,8 +108,7 @@ class RotationAngles:
         return prefactor
 
 
-@dataclass(frozen=True, eq=False)
-class ProbabilityTable:
+class ProbabilityTable(Record, eq=False):
     """Probabilities of the 16 outcome sequences of the projective protocol.
 
     `probabilities` is a read-only float array of shape (16,) in
@@ -119,12 +117,10 @@ class ProbabilityTable:
     the entries the clamp onto [0, 1] moved.
     """
 
-    probabilities: np.ndarray
-    pruned: int = 0
-    clamped: int = field(init=False, default=0)
+    __slots__ = ("probabilities", "pruned", "clamped")
 
-    def __post_init__(self):
-        raw = np.array(self.probabilities, dtype=float)
+    def __init__(self, probabilities: np.ndarray, pruned: int = 0):
+        raw = np.array(probabilities, dtype=float)
         if raw.shape != (len(OUTCOME_SEQUENCES),):
             raise ValueError("table must have exactly the 16 outcome sequences as entries")
         outside = outside_probability_range(raw)
@@ -138,12 +134,10 @@ class ProbabilityTable:
         if not abs(total - 1.0) <= ATOL_SPECTRUM:
             raise ValueError(f"probabilities sum to {total}, not 1")
         probs.flags.writeable = False
-        object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "clamped", int(np.count_nonzero(probs != raw)))
+        self._set(probs, pruned, int(np.count_nonzero(probs != raw)))
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedState:
+class PreparedState(Record, eq=False):
     """What every evaluator of a run shares: the dynamics, the correlator and the state.
 
     `psi` is the state factor in the register order of `propagator`, whose
@@ -152,9 +146,10 @@ class PreparedState:
     Build it with `prepare`.
     """
 
-    propagator: Propagator
-    spec: OtocSpec
-    psi: np.ndarray
+    __slots__ = ("propagator", "spec", "psi")
+
+    def __init__(self, propagator: Propagator, spec: OtocSpec, psi: np.ndarray):
+        self._set(propagator, spec, psi)
 
 
 def prepare(state: DensityOperator, spec: OtocSpec, propagator: Propagator) -> PreparedState:
@@ -220,8 +215,7 @@ _LEAF_COEFFICIENTS = np.array(
 ) / 8.0
 
 
-@dataclass(frozen=True, eq=False)
-class Ladder:
+class Ladder(Record, eq=False):
     """What both protocols read at one time point: two Hermitian 6 x 6 Gram matrices.
 
     Both protocols interleave single-site operations with U, U^dagger, U
@@ -237,8 +231,10 @@ class Ladder:
     `direct` is bit-equal to `otoc_direct`.
     """
 
-    grams: np.ndarray
-    direct: complex
+    __slots__ = ("grams", "direct")
+
+    def __init__(self, grams: np.ndarray, direct: complex):
+        self._set(grams, direct)
 
 
 def build_ladder(prepared: PreparedState | PreparedTrace, t: float) -> Ladder:

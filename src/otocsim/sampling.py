@@ -16,10 +16,10 @@ integers; memory does not grow with n_shots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .hilbert import Record
 from .protocol import (
     ANGLE_VARIANT_SIGNS,
     OUTCOME_SIGNS,
@@ -55,30 +55,26 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class SampleConfig(Record):
     """The sampling block of a run: shots per time point and the run seed."""
 
-    n_shots: int
-    seed: int
+    __slots__ = ("n_shots", "seed")
 
-    def __post_init__(self):
-        if self.n_shots < 1:
+    def __init__(self, n_shots: int, seed: int):
+        if n_shots < 1:
             raise ValueError("n_shots must be >= 1")
-        check_seed(self.seed)
+        self._set(n_shots, check_seed(seed))
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(Record):
     """Point estimate with its plug-in standard error."""
 
-    value: float
-    stderr: float
-    n_shots: int
+    __slots__ = ("value", "stderr", "n_shots")
 
-    def __post_init__(self):
-        if self.stderr < 0.0:
+    def __init__(self, value: float, stderr: float, n_shots: int):
+        if stderr < 0.0:
             raise ValueError("stderr must be nonnegative")
+        self._set(value, stderr, n_shots)
 
 
 def _tail_counts(rng: np.random.Generator, n_shots: int, edges: np.ndarray) -> np.ndarray:

@@ -37,11 +37,11 @@ Only a run that prepares I/2^N loads this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Propagator
+from .hilbert import Record
 from .otoc import OtocSpec, checked_otoc
 from .protocol import Ladder, ladder_from_upper
 
@@ -52,8 +52,7 @@ SectorBlocks = dict[SectorKey, np.ndarray]
 FLIP_SIGNS = {"x": 1, "y": -1, "z": -1}
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedTrace:
+class PreparedTrace(Record, eq=False):
     """What every evaluator of a run on rho = I/2^N shares, held in the eigenbasis of H.
 
     rho commutes with H, so the run needs no state factor: `w_blocks` and
@@ -67,12 +66,13 @@ class PreparedTrace:
     it reads them.  Build it with `prepare_maximally_mixed`.
     """
 
-    propagator: Propagator
-    spec: OtocSpec
-    w_blocks: SectorBlocks
-    v_blocks: SectorBlocks
-    products: tuple
-    walks: tuple
+    __slots__ = ("propagator", "spec", "w_blocks", "v_blocks", "products", "walks")
+
+    def __init__(
+        self, propagator: Propagator, spec: OtocSpec, w_blocks: SectorBlocks,
+        v_blocks: SectorBlocks, products: tuple, walks: tuple,
+    ):
+        self._set(propagator, spec, w_blocks, v_blocks, products, walks)
 
     def ladder(self, t: float) -> Ladder:
         """The ladder of time point t on rho = I/D, D = 2^N, from three traces in the eigenbasis.

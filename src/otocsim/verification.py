@@ -8,18 +8,14 @@ orders below the 1e-9 tolerance, so a failure indicates a real defect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Hamiltonian, Propagator
-from .hilbert import DensityOperator, PAULI_AXES
+from .hilbert import IDENTITY_TOLERANCE, PAULI_AXES, DensityOperator, Record
 from .otoc import OtocSpec, otoc_commutator
 from .protocol import RotationAngles, build_ladder, im_otoc_via_protocol, prepare, re_otoc_via_protocol
 from .sampling import substream
-
-# Largest accepted |reconstructed - direct| of a protocol identity, here and in `otocsim exact`.
-IDENTITY_TOLERANCE = 1e-9
 
 AXIS_PAIRS = tuple((a, b) for a in PAULI_AXES for b in PAULI_AXES)
 
@@ -63,13 +59,14 @@ def random_nondegenerate_angles(rng: np.random.Generator) -> RotationAngles:
             return angles
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    max_residual: float
-    tolerance: float
-    instances: int
-    sizes: tuple[int, ...]
+class CheckResult(Record):
+    __slots__ = ("name", "max_residual", "tolerance", "instances", "sizes")
+
+    def __init__(
+        self, name: str, max_residual: float, tolerance: float, instances: int,
+        sizes: tuple[int, ...],
+    ):
+        self._set(name, max_residual, tolerance, instances, sizes)
 
     @property
     def passed(self) -> bool:

@@ -1,10 +1,10 @@
+import gc
 import hashlib
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +436,22 @@ def test_bad_input_fails_closed(tmp_path, capsys, command, text, message):
     assert not out.exists()
 
 
+def test_exact_validates_a_dressing_block_it_does_not_read(tmp_path, capsys):
+    """Every block a config holds is validated when it is parsed, whichever command
+    runs: `exact` on an N = 10 all_up config whose dressing block has a negative Rabi
+    frequency exits 2 with that block's error.  So an `exact` child loads `dressing`."""
+    path, out = tmp_path / "n10.cfg", tmp_path / "n10.csv"
+    path.write_text(
+        BASE_CONFIG.replace("n_sites = 4", "n_sites = 10")
+        .replace("site_i = 2", "site_i = 5")
+        .replace("site_j = 3", "site_j = 6")
+        + DRESSING_CONFIG.replace("omega_laser = 2.0", "omega_laser = -1.0")
+    )
+    assert main(["exact", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "dressing block: Rabi frequencies must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sample", "verify"])
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_seed_outside_unsigned_64_bit_fails_closed(config_file, tmp_path, capsys, command, seed):
@@ -556,7 +572,7 @@ def test_points_carry_nothing_through_the_run_owned_slots(command, tmp_path, mon
     assert len(ladders) == len(rows) == 31
     for row, ladder in zip(rows, ladders):
         t = float(row["t"])
-        one_point = replace(config, otoc=replace(config.otoc, t_start=t, t_stop=t, n_times=1))
+        one_point = config.replace(otoc=config.otoc.replace(t_start=t, t_stop=t, n_times=1))
         prepared, _ = cli._build_system(one_point, command)
         fresh = build(prepared, t)
         assert fresh.grams.tobytes() == ladder.grams.tobytes()
@@ -912,6 +928,7 @@ def test_an_output_row_costs_at_most_row_bytes(command, text, key, rows, tmp_pat
 
     def peak(n_rows):
         path.write_text(text.replace(line, f"{key} = {n_rows}"))
+        gc.collect()  # earlier garbage awaiting the cyclic collector is not the rows' cost
         tracemalloc.start()
         try:
             code = main([command, "--config", str(path), "--out", str(out), "--quiet"])

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,7 +203,7 @@ def propagator_of_edited_hamiltonian(bad):
 def nonfinite_point(bad, state=all_up_state):
     """A state prepared on a propagator whose every eigenvector entry is bad, and a time."""
     prop = Propagator.from_hamiltonian(build_xy_chain(2))
-    broken = replace(prop, eigenvectors=tuple(np.full_like(v, bad) for v in prop.eigenvectors))
+    broken = prop.replace(eigenvectors=tuple(np.full_like(v, bad) for v in prop.eigenvectors))
     return prepare(state(2), OtocSpec(1, "x", 2, "x"), broken), 0.5
 
 
@@ -569,7 +568,7 @@ def test_evolution_of_a_mirrored_sector_is_its_mirrors_reversed(n, rng):
     around its mirror's V, equal the same propagator read without the flip, whose
     mirrored V are applied as they are."""
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
-    plain = replace(prop, flip=None)
+    plain = prop.replace(flip=None)
     psi = rng.standard_normal((2**n, 3)) + 1j * rng.standard_normal((2**n, 3))
     for t in (0.4, 2.5):
         ev, plain_ev = prop.evolution(t), plain.evolution(t)

@@ -57,6 +57,24 @@ def test_the_command_line_loads_the_full_rank_evaluator_only_for_a_full_rank_run
     assert "otocsim.protocol" in loaded and "otocsim.traces" not in loaded
 
 
+def test_the_command_line_generates_no_code_and_leaves_verification_to_verify():
+    """`import otocsim.cli`, which every CLI child runs, loads neither `dataclasses`,
+    whose generated methods each child would compile, nor `verification` nor `traces`;
+    `run_verify` loads `verification` itself."""
+    assert fresh(
+        "import json, sys\n"
+        "import otocsim.cli\n"
+        "print(json.dumps([m for m in ('dataclasses', 'otocsim.verification', 'otocsim.traces')\n"
+        "                  if m in sys.modules]))\n"
+    ) == []
+    assert fresh(
+        "import json, sys\n"
+        "from otocsim.cli import run_verify\n"
+        "rows, _, ok = run_verify(1, lambda message: None)\n"
+        "print(json.dumps([len(rows), ok, 'otocsim.verification' in sys.modules]))\n"
+    ) == [3, True, True]
+
+
 def test_every_public_name_is_its_submodules_object():
     mismatched = fresh(
         "import importlib, json\n"

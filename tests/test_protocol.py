@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -327,7 +326,7 @@ def test_a_pure_run_holds_at_most_factors_at_peak_beside_h_and_v():
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
     for axis_a, axis_b in AXIS_PAIRS:
         fresh = Register(n, prop.register.order, prop.register.bounds)
-        run = replace(prop, register=fresh)
+        run = prop.replace(register=fresh)
         tracemalloc.start()
         try:
             prepared = prepare(all_up_state(n), OtocSpec(6, axis_a, 7, axis_b), run)
@@ -423,7 +422,7 @@ def test_the_flip_halves_the_trace_products_and_keeps_the_ladder(n):
     1e-12 for every axis pair, at odd N a point does exactly half the products, and
     where s_a s_b = -1 no walk of odd power is summed, as Tr[B] and Tr[B^3] vanish."""
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
-    plain = replace(prop, flip=None)
+    plain = prop.replace(flip=None)
     for axis_a, axis_b in AXIS_PAIRS:
         spec = OtocSpec(n // 2, axis_a, n // 2 + 1, axis_b)
         halved, whole = prepare_maximally_mixed(spec, prop), prepare_maximally_mixed(spec, plain)
