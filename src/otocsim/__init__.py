@@ -25,7 +25,7 @@ _EXPORTS = {
     "dynamics": (
         "Evolution", "EvolutionTimeError", "Hamiltonian", "Propagator", "build_xy_chain",
     ),
-    "hilbert": ("DensityOperator", "Register", "all_up_state", "maximally_mixed_state"),
+    "hilbert": ("Register", "all_up_state", "maximally_mixed_state"),
     "otoc": ("OtocSpec", "otoc_commutator", "otoc_direct"),
     "protocol": (
         "DegenerateAnglesError", "Ladder", "OUTCOME_SEQUENCES", "OUTCOME_SIGNS", "PreparedState",

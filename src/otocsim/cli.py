@@ -77,21 +77,22 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, command, config_hash, seed, columns, rows):
-    header = [
-        f"# otocsim {__version__}",
-        f"# command: {command}",
-        f"# config_sha256: {config_hash}",
-        f"# seed: {seed if seed is not None else 'none'}",
-        f"# rng: {GENERATOR_NAME} (numpy {GENERATOR_VERSION})",
-    ]
-    lines = header + [",".join(columns)]
-    lines += [",".join(_fmt(row.get(col)) for col in columns) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+    """The header, then each row as it is formatted, so the whole text is never held at once."""
+    fh = sys.stdout if path is None else open(path, "w", newline="\n")
+    try:
+        fh.write(
+            f"# otocsim {__version__}\n"
+            f"# command: {command}\n"
+            f"# config_sha256: {config_hash}\n"
+            f"# seed: {seed if seed is not None else 'none'}\n"
+            f"# rng: {GENERATOR_NAME} (numpy {GENERATOR_VERSION})\n"
+            f"{','.join(columns)}\n"
+        )
+        for row in rows:
+            fh.write(",".join(_fmt(row.get(col)) for col in columns) + "\n")
+    finally:
+        if path is not None:
+            fh.close()
 
 
 def _build_system(config: RunConfig, command: str):

@@ -6,9 +6,11 @@ significant bit, and |up> is bit 0.  Hence basis index 0 is the fully
 polarized state |up...up>, and for a single site sigma^z = diag(+1, -1).
 Sites are 1-based throughout.
 
-A state rho is carried as a column factor Psi (2^N x r) with
-rho = Psi Psi^dagger: r = 1 for a pure state, r = 2^N for the maximally
-mixed one.  A `DensityOperator` holds Psi in computational order.  H,
+A state rho is carried as a column factor Psi (rows x r) with
+rho = Psi Psi^dagger and unit Frobenius norm: r = 1 for a pure state,
+r = 2^N for the maximally mixed one.  `all_up_state` and
+`maximally_mixed_state` build Psi in computational order, and a run
+takes it in its register's order (`protocol.prepare`).  H,
 U(t), U(t)^dagger and the evaluators' Psi share one `Register`: the basis
 indices a run holds, in row order, cut into the sectors of H, so that U(t)
 acts on each sector as a contiguous slice of rows.  A register may hold
@@ -31,8 +33,8 @@ import numbers
 
 import numpy as np
 
-ATOL_ALGEBRA = 1e-12   # algebraic identities (hermiticity, trace, norm, each probability)
-ATOL_SPECTRUM = 1e-10  # spectral quantities (eigenvalues, reconstructions, probability sum)
+ATOL_ALGEBRA = 1e-12   # algebraic identities (hermiticity, a factor's norm, each probability)
+ATOL_SPECTRUM = 1e-10  # spectral quantities (reconstructions, unitarity, probability sum)
 IDENTITY_TOLERANCE = 1e-9  # |reconstructed - direct| of a protocol identity, in exact and verify
 
 PAULI_AXES = ("x", "y", "z")
@@ -238,21 +240,6 @@ class Register:
         values = np.ones(rows) if phase is None else phase
         return (np.arange(rows) if gather is None else gather), values
 
-    def from_computational(self, psi: np.ndarray) -> np.ndarray:
-        """A computational-order factor, 2^N rows, as the register's rows in register order.
-
-        ValueError if it has weight on a basis index the register does not hold.
-        """
-        dim = 2**self.n_sites
-        if psi.shape[0] != dim:
-            raise ValueError(f"factor has {psi.shape[0]} rows, expected {dim}")
-        if len(self.order) < dim:
-            outside = np.ones(dim, dtype=bool)
-            outside[self.order] = False
-            if np.count_nonzero(psi[outside]):
-                raise ValueError("factor has weight on basis indices the register does not hold")
-        return psi[self.order]
-
     def pauli(self, psi: np.ndarray, site: int, axis: str) -> np.ndarray:
         """sigma_site^axis @ psi in O(psi.size), for psi of shape (rows,) or (rows, r).
 
@@ -287,61 +274,20 @@ def _gather_and_phase(psi: np.ndarray, gather, phase) -> np.ndarray:
     return result
 
 
-class DensityOperator:
-    """Mixed (or pure) state rho = factor @ factor^dagger, factor of shape (2^N, r).
-
-    Built from a matrix, rho is checked Hermitian, unit-trace and positive
-    semidefinite, and the factor is V sqrt(w) over the positive eigenvalues
-    w of the eigendecomposition that the PSD check performs.  Built with
-    `from_factor`, rho is PSD by construction and unit trace is checked as
-    ||factor||_F^2 = 1.  The evaluators read only the factor.
-    """
-
-    __slots__ = ("n_sites", "factor")
-
-    def __init__(self, n_sites: int, matrix: np.ndarray):
-        mat = np.asarray(matrix, dtype=complex)
-        dim = 2**n_sites
-        if mat.shape != (dim, dim):
-            raise ValueError(f"density matrix has shape {mat.shape}, expected {(dim, dim)}")
-        if not hermiticity_defect(mat) <= ATOL_ALGEBRA:
-            raise ValueError("density matrix is not Hermitian")
-        trace = complex(np.trace(mat))
-        if not abs(trace - 1.0) <= ATOL_ALGEBRA:
-            raise ValueError(f"density matrix trace {trace} is not 1")
-        evals, evecs = np.linalg.eigh(mat)
-        if not evals[0] >= -ATOL_SPECTRUM:
-            raise ValueError(f"density matrix has negative eigenvalue {evals[0]}")
-        keep = evals > 0.0
-        self.n_sites = n_sites
-        self.factor = evecs[:, keep] * np.sqrt(evals[keep])
-
-    @classmethod
-    def from_factor(cls, n_sites: int, factor: np.ndarray) -> "DensityOperator":
-        """The state factor @ factor^dagger; factor has 2^N rows and at least one column."""
-        psi = np.asarray(factor, dtype=complex)
-        if psi.ndim != 2 or psi.shape[0] != 2**n_sites or psi.shape[1] < 1:
-            raise ValueError(f"state factor has shape {psi.shape}, expected ({2**n_sites}, r)")
-        norm2 = float(np.vdot(psi, psi).real)
-        if not abs(norm2 - 1.0) <= ATOL_ALGEBRA:
-            raise ValueError(f"state factor squared Frobenius norm {norm2} is not 1")
-        state = object.__new__(cls)
-        state.n_sites, state.factor = n_sites, psi
-        return state
-
-
-def all_up_state(n_sites: int) -> DensityOperator:
-    """Pure fully polarized +z product state; its factor is basis vector 0."""
+def all_up_state(n_sites: int) -> np.ndarray:
+    """The fully polarized +z product state's factor, read-only: basis vector 0, 2^N x 1."""
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
-    factor = np.zeros((2**n_sites, 1), dtype=complex)
-    factor[0, 0] = 1.0  # |up...up> is basis index 0
-    return DensityOperator.from_factor(n_sites, factor)
+    factor = np.eye(2**n_sites, 1, dtype=complex)  # |up...up> is basis index 0
+    factor.flags.writeable = False
+    return factor
 
 
-def maximally_mixed_state(n_sites: int) -> DensityOperator:
-    """Identity / 2^N; its factor is the identity / sqrt(2^N)."""
+def maximally_mixed_state(n_sites: int) -> np.ndarray:
+    """The factor of Identity / 2^N, read-only: the identity / sqrt(2^N)."""
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
     dim = 2**n_sites
-    return DensityOperator.from_factor(n_sites, np.eye(dim, dtype=complex) / math.sqrt(dim))
+    factor = np.eye(dim, dtype=complex) / math.sqrt(dim)
+    factor.flags.writeable = False
+    return factor

@@ -6,13 +6,13 @@ The CLI reads C(t) off the time point's ladder instead (`Ladder.direct`).
 For a pure state C(t) = <V W(t) Psi|W(t) V Psi> is one entry of
 `build_ladder`'s Gram matrices, formed from the same chain with the same
 operations, so it is the same value bit for bit.  For `maximally_mixed`
-`build_ladder` takes C(t) = Tr[(W(t) V)^2]/2^N from eigenbasis
-traces, equal to `otoc_direct` on `maximally_mixed_state`
-within rounding but not bit for bit.  `otoc_commutator` is the standalone
-chain that `verify` and the tests check against: from the prepared state
-and a time t it makes the point's U(t) from the propagator the state
-holds, and reads both C(t) and the squared commutator off the same two
-vectors; `otoc_direct` is its first value.
+`build_ladder` takes C(t) = Tr[(W(t) V)^2]/2^N from eigenbasis traces,
+equal to `otoc_direct` on the factor `maximally_mixed_state` within
+rounding but not bit for bit.  `otoc_commutator` is the standalone chain
+that `verify` and the tests check against: from the prepared state and a
+time t it makes the point's U(t) from the propagator the state holds, and
+reads both C(t) and the squared commutator off the same two vectors;
+`otoc_direct` is its first value.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dynamics import Propagator
-from .hilbert import ATOL_ALGEBRA, ATOL_SPECTRUM, DensityOperator, Record
+from .hilbert import ATOL_ALGEBRA, ATOL_SPECTRUM, Record
 from .otoc import OtocSpec, checked_otoc
 
 if TYPE_CHECKING:
@@ -152,9 +152,18 @@ class PreparedState(Record, eq=False):
         self._set(propagator, spec, psi)
 
 
-def prepare(state: DensityOperator, spec: OtocSpec, propagator: Propagator) -> PreparedState:
-    """A run of `propagator` on `state`, Psi in its register order, the spec checked against it."""
-    return _prepared(propagator.register.from_computational(state.factor), spec, propagator)
+def prepare(psi: np.ndarray, spec: OtocSpec, propagator: Propagator) -> PreparedState:
+    """A run of `propagator` on rho = psi psi^dagger, psi's rows in its register order.
+
+    ValueError unless psi has those rows and unit Frobenius norm, which NaN and inf fail;
+    IndexError unless the spec's sites fit the register."""
+    propagator.register.check_rows(psi)
+    norm2 = float(np.vdot(psi, psi).real)
+    if not abs(norm2 - 1.0) <= ATOL_ALGEBRA:
+        raise ValueError(f"state factor squared Frobenius norm {norm2} is not 1")
+    spec.validate_for(propagator.n_sites)
+    psi.flags.writeable = False  # shared by every time point of the run
+    return PreparedState(propagator, spec, psi)
 
 
 def prepare_all_up(spec: OtocSpec, propagator: Propagator) -> PreparedState:
@@ -169,13 +178,7 @@ def prepare_all_up(spec: OtocSpec, propagator: Propagator) -> PreparedState:
         raise ValueError("the register does not hold basis index 0, the all_up state")
     psi = np.zeros((len(register.order), 1), dtype=complex)
     psi[up] = 1.0
-    return _prepared(psi, spec, propagator)
-
-
-def _prepared(psi: np.ndarray, spec: OtocSpec, propagator: Propagator) -> PreparedState:
-    spec.validate_for(propagator.n_sites)
-    psi.flags.writeable = False  # shared by every time point of the run
-    return PreparedState(propagator, spec, psi)
+    return prepare(psi, spec, propagator)
 
 
 # how a single-site Pauli moves a Hamming-weight sector: x and y flip one bit, z none

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .dynamics import Hamiltonian, Propagator
-from .hilbert import IDENTITY_TOLERANCE, PAULI_AXES, DensityOperator, Record
+from .hilbert import IDENTITY_TOLERANCE, PAULI_AXES, Record
 from .otoc import OtocSpec, otoc_commutator
 from .protocol import RotationAngles, build_ladder, im_otoc_via_protocol, prepare, re_otoc_via_protocol
 from .sampling import substream
@@ -38,12 +38,12 @@ def random_hamiltonian(n_sites: int, rng: np.random.Generator) -> Hamiltonian:
     return Hamiltonian.from_matrix(n_sites, h)
 
 
-def random_density(n_sites: int, rng: np.random.Generator) -> DensityOperator:
-    """Random full-rank density operator (Wishart plus a small ridge)."""
+def random_density(n_sites: int, rng: np.random.Generator) -> np.ndarray:
+    """The factor G / ||G||_F, G a 2^N x 2^N complex Ginibre matrix, of a random Wishart state:
+    PSD by construction, full rank almost surely, rows in `random_hamiltonian`'s order."""
     dim = 2**n_sites
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    mat = g @ g.conj().T + 1e-3 * np.eye(dim)
-    return DensityOperator(n_sites, mat / np.trace(mat).real)
+    return g / np.linalg.norm(g)
 
 
 def random_spec(n_sites: int, rng: np.random.Generator, axes: tuple[str, str]) -> OtocSpec:

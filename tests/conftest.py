@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+
 from otocsim import OtocSpec, Propagator, all_up_state, build_xy_chain
 
 
@@ -11,8 +13,9 @@ def xy4():
 
 
 @pytest.fixture(scope="session")
-def up4():
-    return all_up_state(4)
+def up4(xy4):
+    """The all_up factor in xy4's register order."""
+    return oracles.factor_in_register_order(xy4.register, all_up_state(4))
 
 
 @pytest.fixture

@@ -42,6 +42,18 @@ def in_register_order(register, operator):
     return operator[np.ix_(register.order, register.order)]
 
 
+def factor_in_register_order(register, psi):
+    """P psi: a computational-order factor, 2^N rows, as the rows a register holds, in its row
+    order; ValueError if psi has weight on a basis index the register does not hold."""
+    if psi.shape[0] != 2**register.n_sites:
+        raise ValueError(f"factor has {psi.shape[0]} rows, expected {2**register.n_sites}")
+    outside = np.ones(len(psi), dtype=bool)
+    outside[register.order] = False
+    if np.count_nonzero(psi[outside]):
+        raise ValueError("factor has weight on basis indices the register does not hold")
+    return psi[register.order]
+
+
 def site_projector(n_sites, site, axis, sign):
     return (np.eye(2**n_sites) + sign * site_operator(n_sites, site, axis)) / 2.0
 

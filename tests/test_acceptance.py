@@ -94,7 +94,7 @@ def test_criterion_4_quasilocality_ordering():
     ok = True
     for n in (4, 6, 8):
         prop = Propagator.from_hamiltonian(build_xy_chain(n))
-        state = all_up_state(n)
+        state = oracles.factor_in_register_order(prop.register, all_up_state(n))
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 prepared = prepare(state, OtocSpec(i, "x", j, "x"), prop)

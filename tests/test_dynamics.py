@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 import oracles
 from otocsim.dynamics import Hamiltonian, Propagator, build_xy_chain
-from otocsim.hilbert import DensityOperator, Register, all_up_state, maximally_mixed_state
+from otocsim.hilbert import Register, all_up_state, maximally_mixed_state
 from otocsim.otoc import OtocSpec, otoc_direct
 from otocsim.protocol import (
     OUTCOME_SEQUENCES,
@@ -99,15 +99,13 @@ def test_unitary_roundtrip_random_times(xy4, rng):
 
 
 def random_factor(register, rng):
-    """The factor of a random full-rank 4-site density operator, in register order."""
+    """The factor of a random full-rank 4-site Wishart state, in register order."""
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    mat = g @ g.conj().T
-    return register.from_computational(DensityOperator(4, mat / np.trace(mat).real).factor)
+    return oracles.factor_in_register_order(register, g / np.linalg.norm(g))
 
 
 def test_evolve_zero_time_identity(xy4, up4):
-    psi = xy4.register.from_computational(up4.factor)
-    np.testing.assert_allclose(xy4.evolution(0.0).forward(psi), psi, atol=1e-15)
+    np.testing.assert_allclose(xy4.evolution(0.0).forward(up4), up4, atol=1e-15)
 
 
 def test_evolve_forward_backward_roundtrip(xy4, rng):
@@ -118,9 +116,8 @@ def test_evolve_forward_backward_roundtrip(xy4, rng):
 
 
 def test_all_up_stationary_under_xy(xy4, up4):
-    psi = xy4.register.from_computational(up4.factor)
-    evolved = xy4.evolution(2.3).forward(psi)
-    np.testing.assert_allclose(evolved @ evolved.conj().T, psi @ psi.conj().T, atol=1e-12)
+    evolved = xy4.evolution(2.3).forward(up4)
+    np.testing.assert_allclose(evolved @ evolved.conj().T, up4 @ up4.conj().T, atol=1e-12)
 
 
 def test_energy_conserved_along_trajectory(xy4, rng):
@@ -159,13 +156,12 @@ def test_a_factor_without_a_row_per_basis_index_is_rejected_by_its_register(xy4,
     for apply in (
         lambda: ev.forward(extra_row),
         lambda: ev.backward(extra_row),
-        lambda: register.from_computational(extra_row),
         lambda: register.pauli(extra_row, 1, "x"),
     ):
         with pytest.raises(ValueError, match="^factor has 17 rows, expected 16$"):
             apply()
     up3 = all_up_state(3)
-    for apply in (lambda: prepare(up3, spec_xx, xy4), lambda: ev.forward(up3.factor)):
+    for apply in (lambda: prepare(up3, spec_xx, xy4), lambda: ev.forward(up3)):
         with pytest.raises(ValueError, match="^factor has 8 rows, expected 16$"):
             apply()
 
@@ -204,7 +200,8 @@ def nonfinite_point(bad, state=all_up_state):
     """A state prepared on a propagator whose every eigenvector entry is bad, and a time."""
     prop = Propagator.from_hamiltonian(build_xy_chain(2))
     broken = prop.replace(eigenvectors=tuple(np.full_like(v, bad) for v in prop.eigenvectors))
-    return prepare(state(2), OtocSpec(1, "x", 2, "x"), broken), 0.5
+    psi = oracles.factor_in_register_order(broken.register, state(2))
+    return prepare(psi, OtocSpec(1, "x", 2, "x"), broken), 0.5
 
 
 # the hand-built inf eigenvectors make the evaluators' own products warn on the way
@@ -219,12 +216,11 @@ NONFINITE_ENTRY_POINTS = [
         id="hamiltonian",
     ),
     pytest.param(
-        lambda bad: DensityOperator(2, with_corner(np.eye(4) / 4, bad)),
-        "density matrix is not Hermitian",
-        id="density_matrix",
-    ),
-    pytest.param(
-        lambda bad: DensityOperator.from_factor(2, np.full((4, 1), bad)),
+        lambda bad: prepare(
+            np.full((4, 1), bad, dtype=complex),
+            OtocSpec(1, "x", 2, "x"),
+            Propagator.from_hamiltonian(build_xy_chain(2)),
+        ),
         "Frobenius norm",
         id="state_factor",
     ),
@@ -369,7 +365,8 @@ def test_one_register_is_shared_by_every_operator_and_the_state(make):
     ham = make()
     prop = Propagator.from_hamiltonian(ham)
     ev = prop.evolution(0.3)
-    prepared = prepare(all_up_state(ham.n_sites), OtocSpec(1, "x", 2, "z"), prop)
+    psi = oracles.factor_in_register_order(prop.register, all_up_state(ham.n_sites))
+    prepared = prepare(psi, OtocSpec(1, "x", 2, "z"), prop)
     register = ham.register
     assert prop.register is register and prepared.propagator is prop
     assert ev.register is register
@@ -415,12 +412,16 @@ def test_blocked_evolution_matches_expm_oracle(kind, n, rank, seed, t):
     assert np.max(np.abs(dense_unitary(prop, t) - u_rows)) < 1e-10
     assert np.max(np.abs(reconstruction(prop) - oracle)) < 1e-10
     psi = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
-    evolution, register = prop.evolution(t), prop.register
-    rows = register.from_computational(psi)  # the evaluators hold factors in register order
-    assert np.max(np.abs(evolution.forward(rows) - register.from_computational(u @ psi))) < 1e-9
-    back = register.from_computational(u.conj().T @ psi)
+    evolution = prop.evolution(t)
+
+    def in_rows(factor):  # the evaluators hold factors in register order
+        return oracles.factor_in_register_order(prop.register, factor)
+
+    rows = in_rows(psi)
+    assert np.max(np.abs(evolution.forward(rows) - in_rows(u @ psi))) < 1e-9
+    back = in_rows(u.conj().T @ psi)
     assert np.max(np.abs(evolution.backward(rows) - back)) < 1e-9
-    column = register.from_computational(u @ psi[:, 0])
+    column = in_rows(u @ psi[:, 0])
     assert np.max(np.abs(evolution.forward(rows[:, 0]) - column)) < 1e-9
 
 
@@ -439,9 +440,9 @@ def test_evolution_matches_expm_on_both_sides_of_the_width_choice(kind, n):
     ev = prop.evolution(t)
     for width in sorted({1, 2, max(largest - 1, 1), largest, largest + 1, 2**n}):
         psi = rng.standard_normal((2**n, width)) + 1j * rng.standard_normal((2**n, width))
-        rows = register.from_computational(psi)
-        forward = register.from_computational(u @ psi)
-        backward = register.from_computational(u.conj().T @ psi)
+        rows = oracles.factor_in_register_order(register, psi)
+        forward = oracles.factor_in_register_order(register, u @ psi)
+        backward = oracles.factor_in_register_order(register, u.conj().T @ psi)
         assert np.max(np.abs(ev.forward(rows) - forward)) < 1e-10
         assert np.max(np.abs(ev.backward(rows) - backward)) < 1e-10
         if width == 1:  # a 1-D operand keeps its shape

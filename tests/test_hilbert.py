@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from otocsim.dynamics import build_xy_chain
 from otocsim.hilbert import (
-    DensityOperator,
     Register,
     all_up_state,
     check_site,
@@ -36,10 +35,10 @@ def dense_projector(site, axis, sign, n_sites, register=None):
     return (eye + sign * register.pauli(eye, site, axis)) / 2.0
 
 
-def expectation(state, site, axis):
-    """<sigma_site^axis> = Tr(Psi^dagger sigma Psi) on the state factor."""
-    psi = state.factor
-    return complex(np.vdot(psi, Register(state.n_sites).pauli(psi, site, axis)))
+def expectation(psi, site, axis):
+    """<sigma_site^axis> = Tr(Psi^dagger sigma Psi) on a computational-order state factor."""
+    n_sites = len(psi).bit_length() - 1
+    return complex(np.vdot(psi, Register(n_sites).pauli(psi, site, axis)))
 
 
 REGISTER_ORDERS = ("identity", "sectors", "random")
@@ -131,11 +130,6 @@ def test_register_order_is_a_checked_permutation(rng):
         with pytest.raises(ValueError, match="permutation"):
             Register(2, order)
     assert Register(2, [3, 0, 1]).sizes == (3,)
-    register = Register(3, rng.permutation(8))
-    psi = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-    rows = register.from_computational(psi)
-    np.testing.assert_array_equal(rows[3], psi[register.order[3]])
-    np.testing.assert_array_equal(rows[np.argsort(register.order)], psi)
 
 
 def test_a_register_of_some_indices_holds_the_subspace_they_span(rng):
@@ -144,11 +138,11 @@ def test_a_register_of_some_indices_holds_the_subspace_they_span(rng):
     register = Register(3, [6, 0, 3, 5, 1], (0, 2, 5))
     psi = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
     psi[[2, 4, 7]] = 0.0
-    rows = register.from_computational(psi)
+    rows = oracles.factor_in_register_order(register, psi)
     np.testing.assert_array_equal(rows, psi[[6, 0, 3, 5, 1]])
     psi[7, 1] = 1e-300
     with pytest.raises(ValueError, match="does not hold"):
-        register.from_computational(psi)
+        oracles.factor_in_register_order(register, psi)
 
 
 @given(
@@ -295,9 +289,9 @@ def test_projector_algebra(site, axis):
     np.testing.assert_allclose(plus @ plus, plus, atol=1e-14)
 
 
-def density(state):
-    """The dense rho = Psi Psi^dagger of a state, from its factor."""
-    return state.factor @ state.factor.conj().T
+def density(psi):
+    """The dense rho = Psi Psi^dagger of a state factor."""
+    return psi @ psi.conj().T
 
 
 def test_all_up_single_site():
@@ -329,47 +323,17 @@ def test_maximally_mixed_expectations_vanish(axis):
 def test_expectation_dimension_mismatch():
     """A factor of a 2-site state under a 3-site kernel is rejected by its row count."""
     with pytest.raises(ValueError, match="4 rows, expected 8"):
-        Register(3).pauli(all_up_state(2).factor, 1, "z")
+        Register(3).pauli(all_up_state(2), 1, "z")
 
 
-def test_density_operator_rejects_non_hermitian():
-    mat = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
-    with pytest.raises(ValueError, match="Hermitian"):
-        DensityOperator(1, mat)
-
-
-def test_density_operator_rejects_bad_trace():
-    with pytest.raises(ValueError, match="trace"):
-        DensityOperator(1, np.diag([0.6, 0.6]).astype(complex))
-
-
-def test_density_operator_rejects_negative_eigenvalue():
-    with pytest.raises(ValueError, match="negative"):
-        DensityOperator(1, np.diag([1.5, -0.5]).astype(complex))
-
-
-def test_state_vector_to_density():
-    plus = np.array([1.0, 1.0]) / np.sqrt(2)
-    rho = DensityOperator.from_factor(1, plus[:, None])
-    np.testing.assert_allclose(density(rho), np.full((2, 2), 0.5), atol=1e-15)
-
-
-def test_state_factors_reproduce_density(rng):
-    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    mat = g @ g.conj().T
-    mat /= np.trace(mat).real
-    np.testing.assert_allclose(density(DensityOperator(3, mat)), mat, atol=1e-14)
-    assert all_up_state(3).factor.shape == (8, 1)
-    assert maximally_mixed_state(3).factor.shape == (8, 8)
+def test_state_factors_reproduce_density():
+    """The two builders give read-only computational-order factors of their states."""
+    assert all_up_state(3).shape == (8, 1)
+    assert maximally_mixed_state(3).shape == (8, 8)
     np.testing.assert_allclose(density(maximally_mixed_state(3)), np.eye(8) / 8, atol=1e-16)
-    pure = DensityOperator(1, np.full((2, 2), 0.5))  # rank 1: zero eigenvalue dropped
-    assert pure.factor.shape == (2, 1)
+    for state in (all_up_state(3), maximally_mixed_state(3)):
+        assert not state.flags.writeable
+    for build in (all_up_state, maximally_mixed_state):
+        with pytest.raises(ValueError, match=">= 1"):
+            build(0)
 
-
-def test_from_factor_checks_shape_and_norm():
-    with pytest.raises(ValueError, match="Frobenius"):
-        DensityOperator.from_factor(1, np.ones((2, 1)))
-    with pytest.raises(ValueError, match="shape"):
-        DensityOperator.from_factor(2, np.ones((2, 1)) / np.sqrt(2))
-    with pytest.raises(ValueError, match="shape"):
-        DensityOperator.from_factor(1, np.ones(2) / np.sqrt(2))

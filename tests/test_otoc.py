@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from otocsim.dynamics import Propagator, build_xy_chain
-from otocsim.hilbert import all_up_state, maximally_mixed_state
+from otocsim.hilbert import maximally_mixed_state
 from otocsim.otoc import OtocSpec, otoc_commutator, otoc_direct
-from otocsim.protocol import prepare
+from otocsim.protocol import prepare, prepare_all_up
 from otocsim.verification import random_density, random_hamiltonian
 
 import oracles
@@ -76,7 +76,7 @@ def test_squared_commutator_matches_expm_oracle(n, rng):
     ham = random_hamiltonian(n, rng)
     prop = Propagator.from_hamiltonian(ham)
     state = random_density(n, rng)
-    rho = state.factor @ state.factor.conj().T
+    rho = state @ state.conj().T
     (h,) = ham.blocks  # a dense H is one block in computational order
     specs = []
     for axis_a in "xyz":
@@ -115,7 +115,7 @@ def test_spec_validates_axes_and_sites(xy4, up4):
 
 def _free_fermion_cases(n, pairs, times):
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
-    state = maximally_mixed_state(n)
+    state = oracles.factor_in_register_order(prop.register, maximally_mixed_state(n))
     for site_i, site_j in pairs:
         prepared = prepare(state, OtocSpec(site_i, "z", site_j, "z"), prop)
         for t in times:
@@ -146,7 +146,7 @@ def test_xx_vacuum_matches_wick_oracle(n):
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
     for site_i in range(1, n + 1):
         for site_j in range(1, n + 1):
-            prepared = prepare(all_up_state(n), OtocSpec(site_i, "x", site_j, "x"), prop)
+            prepared = prepare_all_up(OtocSpec(site_i, "x", site_j, "x"), prop)
             for t in (0.6, 2.3):
                 expected = oracles.free_fermion_xx_vacuum_otoc(n, site_i, site_j, t)
                 assert abs(otoc_direct(prepared, t) - expected) < 1e-12

@@ -9,19 +9,29 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import otocsim
 
 SETUP_IMPORT = "from otocsim import Propagator, all_up_state, build_xy_chain, maximally_mixed_state"
 
 
-def fresh(code):
-    """The JSON value that `python -c code` prints in a fresh interpreter."""
+SETUP_CHILD = Path(__file__).parents[1] / "perfbench" / "setup_child.py"
+
+
+def run_fresh(*argv):
+    """`python *argv` in a fresh interpreter that imports this otocsim, run to completion."""
     package_root = str(Path(otocsim.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def fresh(code):
+    """The JSON value that `python -c code` prints in a fresh interpreter."""
+    result = run_fresh("-c", code)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
 
@@ -42,6 +52,14 @@ def test_the_setup_import_loads_only_dynamics_and_hilbert():
     """The names a caller needs to build a chain and its state pull in their two
     submodules, not dressing, sampling, verification or the protocols."""
     assert loaded_after(SETUP_IMPORT) == ["otocsim.dynamics", "otocsim.hilbert"]
+
+
+@pytest.mark.parametrize("initial_state", ["all_up", "maximally_mixed"])
+def test_the_benchmark_setup_child_builds_each_state(initial_state):
+    """The benchmark times `perfbench/setup_child.py` as its set-up step and counts a
+    failing child as a failed operation, so the names it imports must stay."""
+    result = run_fresh(str(SETUP_CHILD), "4", initial_state)
+    assert result.returncode == 0, result.stderr
 
 
 def test_the_reference_evaluator_loads_only_otoc_and_hilbert():
@@ -83,7 +101,7 @@ def test_every_public_name_is_its_submodules_object():
         "    importlib.import_module('otocsim.' + otocsim._HOME[name]), name)]\n"
         "print(json.dumps([bad, len(otocsim.__all__)]))\n"
     )
-    assert mismatched == [[], 46]
+    assert mismatched == [[], 45]
 
 
 def test_dir_lists_every_public_name_before_any_is_loaded():

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from otocsim.config import FACTORS_AT_PEAK
 from otocsim.dynamics import EvolutionTimeError, Hamiltonian, Propagator, build_xy_chain
-from otocsim.hilbert import DensityOperator, Register, all_up_state, maximally_mixed_state
+from otocsim.hilbert import Register, all_up_state, maximally_mixed_state
 from otocsim.otoc import OtocSpec, otoc_direct
 from otocsim.protocol import (
     OUTCOME_SEQUENCES,
@@ -279,7 +279,7 @@ def test_factor_evaluators_match_dense_oracles(axes, n, data, mixed, seed, t):
     spec = OtocSpec(site_i, axes[0], site_j, axes[1])
     angles = RotationAngles(*rng.uniform(-math.pi, math.pi, size=3))
     (h,) = ham.blocks  # a dense H is one block in computational order
-    rho = state.factor @ state.factor.conj().T
+    rho = state @ state.conj().T
     dense = (rho, h, n, site_i, axes[0], site_j, axes[1], t)
 
     prepared = prepare(state, spec, prop)
@@ -310,8 +310,9 @@ def test_ladder_direct_is_otoc_direct_on_xy_chains(n):
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
     specs = [OtocSpec(2, a, n - 1, b) for a, b in AXIS_PAIRS] + [OtocSpec(3, "y", 3, "x")]
     for state in (all_up_state(n), maximally_mixed_state(n)):
+        psi = oracles.factor_in_register_order(prop.register, state)
         for spec in specs:
-            prepared = prepare(state, spec, prop)
+            prepared = prepare(psi, spec, prop)
             for t in (0.0, 0.7, 2.3):
                 assert build_ladder(prepared, t).direct == otoc_direct(prepared, t)
 
@@ -329,7 +330,8 @@ def test_a_pure_run_holds_at_most_factors_at_peak_beside_h_and_v():
         run = prop.replace(register=fresh)
         tracemalloc.start()
         try:
-            prepared = prepare(all_up_state(n), OtocSpec(6, axis_a, 7, axis_b), run)
+            psi = oracles.factor_in_register_order(fresh, all_up_state(n))
+            prepared = prepare(psi, OtocSpec(6, axis_a, 7, axis_b), run)
             for t in (0.3, 1.7):
                 build_ladder(prepared, t)
             _, peak = tracemalloc.get_traced_memory()
@@ -365,7 +367,8 @@ def test_reached_weights_are_where_the_full_chain_has_weight(spec):
     those weights, which lacks the further weight the last sigma_i image reaches, the
     ladder's Gram matrices and direct C(t) equal the whole register's within 1e-12."""
     n, t = 8, 0.7
-    full = prepare(all_up_state(n), spec, Propagator.from_hamiltonian(build_xy_chain(n)))
+    chain = Propagator.from_hamiltonian(build_xy_chain(n))
+    full = prepare(oracles.factor_in_register_order(chain.register, all_up_state(n)), spec, chain)
     weights = reached_weights(n, spec.axis_a, spec.axis_b)
     assert _chain_weights(full, t) == set(weights)
     reached = prepare_all_up(spec, Propagator.from_hamiltonian(build_xy_chain(n, weights)))
@@ -396,7 +399,7 @@ def test_trace_ladder_equals_the_schroedinger_ladder_on_the_maximally_mixed_stat
     at N = 9 and 10, where a Schroedinger point costs a 2^N x 2^N factor, each
     axis pair once, cycling the specs and times."""
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
-    state = maximally_mixed_state(n)
+    state = oracles.factor_in_register_order(prop.register, maximally_mixed_state(n))
     pairs = list(dict.fromkeys([(n // 2, n // 2 + 1), (2, 2), (1, n)]))
     times = (0.0, 0.7, 3.0, 50.0)
     if n <= 8:
@@ -470,7 +473,7 @@ def _free_fermion_protocol_cases(n, pairs, times):
     """(Re C from the tree, Im C from the rotations, the Jordan-Wigner C) on the
     infinite-temperature XY chain: (i,z)/(j,z) for every pair, (1,x)/(j,z) for every j."""
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
-    state = maximally_mixed_state(n)
+    state = oracles.factor_in_register_order(prop.register, maximally_mixed_state(n))
     cases = [
         (OtocSpec(i, "z", j, "z"), lambda t, i=i, j=j: oracles.free_fermion_zz_otoc(n, i, j, t))
         for i, j in pairs
@@ -510,7 +513,7 @@ def test_protocols_match_xx_vacuum_oracle(n):
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
     for site_i in range(1, n + 1):
         for site_j in range(1, n + 1):
-            prepared = prepare(all_up_state(n), OtocSpec(site_i, "x", site_j, "x"), prop)
+            prepared = prepare_all_up(OtocSpec(site_i, "x", site_j, "x"), prop)
             for t in (0.6, 2.3):
                 expected = oracles.free_fermion_xx_vacuum_otoc(n, site_i, site_j, t)
                 ladder = build_ladder(prepared, t)
@@ -528,8 +531,8 @@ def test_protocols_match_thermal_oracle(n):
     pairs = [(1, n), (n // 2, n // 2 + 1), (2, 2)]
     largest_im = 0.0
     for beta in (0.3, 1.1):
-        rho = expm(-beta * h)
-        state = DensityOperator(n, rho / np.trace(rho).real)
+        half = expm(-beta * h / 2.0)  # rho = half half^dagger / Z, Z = ||half||_F^2
+        state = oracles.factor_in_register_order(prop.register, half / np.linalg.norm(half))
         for site_i, site_j in pairs:
             prepared = prepare(state, OtocSpec(site_i, "z", site_j, "z"), prop)
             for t in (0.7, 2.9):
@@ -577,20 +580,52 @@ def test_compressed_tree_matches_probability_oracle(axes, n, data, kind, xy, see
         ham = random_hamiltonian(n, rng)
         (h,) = ham.blocks  # a dense H is one block in computational order
     prop = Propagator.from_hamiltonian(ham)
-    state = DensityOperator.from_factor(n, _factor_of_width(n, kind, rng))
+    psi = _factor_of_width(n, kind, rng)
     spec = OtocSpec(site_i, axes[0], site_j, axes[1])
-    ladder = build_ladder(prepare(state, spec, prop), t)
+    prepared = prepare(oracles.factor_in_register_order(prop.register, psi), spec, prop)
+    ladder = build_ladder(prepared, t)
     table = outcome_probabilities(ladder)
-    rho = state.factor @ state.factor.conj().T
+    rho = psi @ psi.conj().T
     expected = oracles.probability_table(rho, h, n, site_i, axes[0], site_j, axes[1], t)
     assert np.max(np.abs(table.probabilities - in_sequence_order(expected))) < 1e-10
+
+
+def test_prepare_checks_rows_and_norm(xy4, spec_xx):
+    """`prepare` takes a factor with one row per basis index of the register and unit
+    Frobenius norm."""
+    with pytest.raises(ValueError, match="^factor has 8 rows, expected 16$"):
+        prepare(np.ones((8, 1), dtype=complex) / np.sqrt(8), spec_xx, xy4)
+    for scale in (2.0, 1.0 + 1e-9):  # the unit-norm factor is 0.25 on each of 16 rows
+        with pytest.raises(ValueError, match="Frobenius norm"):
+            prepare(np.full((16, 1), 0.25 * scale, dtype=complex), spec_xx, xy4)
+
+
+def test_prepare_makes_its_factor_read_only(xy4, spec_xx):
+    """Every time point of a run reads the prepared factor: `prepare` makes it
+    read-only, in place, and holds that same array."""
+    psi = np.full((16, 2), 1.0 / np.sqrt(32), dtype=complex)
+    prepared = prepare(psi, spec_xx, xy4)
+    assert prepared.psi is psi and not psi.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        psi[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_random_density_is_a_unit_norm_full_rank_factor(n):
+    """`verify`'s states: 2^N x 2^N factors of unit Frobenius norm and full rank,
+    so rho = psi psi^dagger is a full-rank state of unit trace."""
+    psi = random_density(n, np.random.Generator(np.random.PCG64(n)))
+    assert psi.shape == (2**n, 2**n)
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-14
+    assert np.linalg.matrix_rank(psi) == 2**n
 
 
 def test_tree_counts_pruned_branches(xy4, up4):
     prepared = prepare(up4, OtocSpec(2, "z", 3, "z"), xy4)
     table = outcome_probabilities(build_ladder(prepared, 1.3))
     assert table.pruned == 4  # the -1 branch of each of the four measurements
-    mixed = prepare(maximally_mixed_state(4), OtocSpec(2, "x", 3, "y"), xy4)
+    psi = oracles.factor_in_register_order(xy4.register, maximally_mixed_state(4))
+    mixed = prepare(psi, OtocSpec(2, "x", 3, "y"), xy4)
     assert outcome_probabilities(build_ladder(mixed, 1.3)).pruned == 0
 
 
