@@ -44,6 +44,7 @@ from .sampling import (
     GENERATOR_NAME,
     GENERATOR_VERSION,
     check_seed,
+    describe_draw,
     estimate_re_otoc,
     sample_rotation_protocol,
     sample_sequences,
@@ -156,10 +157,12 @@ def run_otoc(config: RunConfig, command: str, seed, log) -> tuple[list[dict], li
         rows.append(row)
     counts = f"{pruned} branches pruned, {clamped} probabilities clamped"
     if command == "im":
-        log(f"rotation protocol sampled at {sampling.n_shots} shots per angle set")
+        log(f"rotation protocol sampled at {sampling.n_shots} shots per angle set, "
+            f"{describe_draw()}")
         return rows, list(RESULT_COLUMNS), True
     if command == "sample":
-        log(f"sampled {len(rows)} time points at {sampling.n_shots} shots each; {counts}")
+        log(f"sampled {len(rows)} time points at {sampling.n_shots} shots each, "
+            f"{describe_draw()}; {counts}")
         return rows, list(RESULT_COLUMNS), True
     worst_re = max(row["re_identity_residual"] for row in rows)
     worst_im = max(row["im_identity_residual"] for row in rows)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import otocsim
-from otocsim import cli, verification
+from otocsim import cli, sampling, verification
 from otocsim.cli import EXIT_CONFIG, EXIT_OK, main
 from otocsim.config import ROW_BYTES, STATE_FOOTPRINTS, parse_config
 from otocsim.dressing import scan_curve
@@ -136,17 +136,37 @@ def test_exact_reports_pruned_and_clamped_counts_on_stderr_only(tmp_path, capsys
     assert "pruned" not in logged.read_text()
 
 
-def test_sample_reports_pruned_and_clamped_counts_on_stderr_only(tmp_path, capsys):
+def test_sample_reports_pruned_and_clamped_counts_on_stderr_only(tmp_path, capsys, monkeypatch):
     """The all_up zz tables of `sample` prune as in `exact`; the counts reach
     stderr, not the CSV."""
+    monkeypatch.setattr(sampling, "_draw_threads", lambda: 2)
     config = tmp_path / "zz.cfg"
     config.write_text(BASE_CONFIG.replace("axis_a = x", "axis_a = z").replace(
         "axis_b = x", "axis_b = z"))
     out = tmp_path / "sample.csv"
     assert main(["sample", "--config", str(config), "--out", str(out)]) == EXIT_OK
     err = capsys.readouterr().err
-    assert "at 2000 shots each; 36 branches pruned, 0 probabilities clamped" in err
+    assert "at 2000 shots each, drawn on up to 2 threads; 36 branches pruned, " \
+        "0 probabilities clamped" in err
     assert "pruned" not in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "threads, drawn", [(1, "drawn on 1 thread"), (2, "drawn on up to 2 threads")]
+)
+def test_sample_and_im_name_the_draw_thread_limit_on_stderr(
+    config_file, tmp_path, capsys, monkeypatch, threads, drawn
+):
+    """The summaries of `sample` and `im` say how many threads may draw a point."""
+    monkeypatch.setattr(sampling, "_draw_threads", lambda: threads)
+    summaries = {
+        "sample": f"time points at 2000 shots each, {drawn}; ",
+        "im": f"rotation protocol sampled at 2000 shots per angle set, {drawn}\n",
+    }
+    for command, summary in summaries.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(config_file), "--out", str(out)]) == EXIT_OK
+        assert summary in capsys.readouterr().err
 
 
 def test_sample_run_is_byte_identical(config_file, tmp_path):

@@ -3,14 +3,16 @@
 `tests/golden/` holds the header and data rows (not the '#' metadata,
 which names the numpy version) that `sample` and `im` wrote for the
 small_many benchmark config at seeds 1-3.  Sampled cells must match as
-strings; the exact columns only within 1e-12, since their last digit can
-vary with the BLAS build.
+strings, whether a point's shots are drawn on 1, 2 or 3 threads; the exact
+columns only within 1e-12, since their last digit can vary with the BLAS
+build.
 """
 
 from pathlib import Path
 
 import pytest
 
+from otocsim import sampling
 from otocsim.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -21,9 +23,11 @@ def data_lines(text):
     return [line for line in text.splitlines() if not line.startswith("#")]
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("command", ["sample", "im"])
-def test_sampled_rows_match_golden(command, seed, tmp_path):
+def test_sampled_rows_match_golden(command, seed, threads, tmp_path, monkeypatch):
+    monkeypatch.setattr(sampling, "_draw_threads", lambda: threads)
     out = tmp_path / "out.csv"
     argv = [command, "--config", str(GOLDEN / "small_many.cfg"), "--seed", str(seed)]
     assert main(argv + ["--out", str(out), "--quiet"]) == EXIT_OK

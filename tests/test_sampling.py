@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otocsim import sampling
 from otocsim.dynamics import Propagator
 from otocsim.otoc import OtocSpec, otoc_direct
 from otocsim.protocol import (
@@ -116,9 +119,10 @@ def test_threshold_counts_on_edges_and_past_the_cdf():
     uniforms = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf, 0.0), [1.0 - 1e-12]])
 
     class Stream:
-        def random(self, n):
-            assert n == uniforms.size
-            return uniforms
+        def random(self, out):
+            assert out.size == uniforms.size
+            out[:] = uniforms
+            return out
 
     counts = sample_sequences(table, uniforms.size, Stream())
     assert np.array_equal(counts, oracles.categorical_counts(table.probabilities, uniforms))
@@ -298,7 +302,21 @@ def test_rotation_sampling_matches_shot_array_oracle(xy4, up4, instance, n_shots
 CHUNK_EDGES = [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
 
 
+@pytest.fixture(params=[1, 2, 3], ids=lambda threads: f"{threads}_threads")
+def draw_threads(request, monkeypatch):
+    """Draw on 1, 2 or 3 threads whatever the host's CPUs, with the interpreter
+    lock switched every 10 us so the threads interleave: the counts must not move."""
+    monkeypatch.setattr(sampling, "_draw_threads", lambda: request.param)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("n_shots", CHUNK_EDGES)
+@pytest.mark.usefixtures("draw_threads")
 def test_chunked_counts_match_categorical_oracle_on_one_whole_draw(n_shots):
     """Counts over chunks equal the inverse-CDF counts of one whole-array draw."""
     weights = np.random.Generator(np.random.PCG64(5)).random(16)
@@ -310,6 +328,7 @@ def test_chunked_counts_match_categorical_oracle_on_one_whole_draw(n_shots):
 
 
 @pytest.mark.parametrize("n_shots", CHUNK_EDGES)
+@pytest.mark.usefixtures("draw_threads")
 def test_chunked_rotation_estimate_matches_shot_array_oracle(rng, n_shots):
     """The four angle sets keep their stream positions across chunk boundaries:
     value and stderr equal the whole-array oracle's, bit for bit."""
@@ -327,6 +346,7 @@ def test_chunked_rotation_estimate_matches_shot_array_oracle(rng, n_shots):
 
 @pytest.mark.parametrize("n_shots", [1, *CHUNK_EDGES])
 @pytest.mark.parametrize("protocol", ["projective", "rotation"])
+@pytest.mark.usefixtures("draw_threads")
 def test_a_sampler_draws_exactly_its_shots_from_the_generator_it_is_given(protocol, n_shots):
     """A run hands each point's substream to its sampler: the 16-way draw takes
     n_shots uniforms from it and the rotation draw 4 n_shots, one per shot and angle
@@ -343,9 +363,57 @@ def test_a_sampler_draws_exactly_its_shots_from_the_generator_it_is_given(protoc
     assert rng.random() == substream(17, 3).random(drawn + 1)[-1]
 
 
+@pytest.mark.parametrize("threads", [2, 3])
+def test_a_failing_job_raises_on_the_caller_after_every_thread_is_joined(monkeypatch, threads):
+    """Jobs 1 and 2 of four fail, on different threads: the caller gets job 1's
+    exception, the first in job order, and no drawing thread outlives the call."""
+    monkeypatch.setattr(sampling, "_draw_threads", lambda: threads)
+    counted = []
+
+    def count(rng, n_shots, edges, uniforms, mask):
+        if edges[0] < 0.0:
+            raise ValueError(f"job with edge {edges[0]}")
+        counted.append(edges[0])
+        return np.zeros(1, dtype=np.int64)
+
+    monkeypatch.setattr(sampling, "_count", count)
+    segments = [(CHUNK, [edge]) for edge in (0.5, -1.0, -2.0, 0.25)]
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="job with edge -1.0"):
+        sampling._segment_counts(substream(4, 0), segments)
+    assert threading.active_count() == before
+    assert 0.5 in counted  # the jobs ahead of the failures ran
+
+
+@pytest.mark.parametrize("protocol", ["projective", "rotation"])
+def test_a_draw_below_two_chunks_starts_no_thread(monkeypatch, protocol):
+    """Below 2 CHUNK uniforms a point is counted on its own generator in the
+    calling thread; at 2 CHUNK the second thread starts."""
+    monkeypatch.setattr(sampling, "_draw_threads", lambda: 2)
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+    grams = np.zeros((2, 6, 6), complex)
+    grams[0] = np.eye(6)
+    per_shot = 1 if protocol == "projective" else 4
+    for n_shots, threads_started in ((2 * CHUNK // per_shot - 1, 0), (2 * CHUNK // per_shot, 1)):
+        if protocol == "projective":
+            sample_sequences(uniform_table(), n_shots, substream(5, 0))
+        else:
+            sample_rotation_protocol(Ladder(grams, 0j), PI_HALF_ANGLES, n_shots, substream(5, 0))
+        assert len(started) == threads_started
+        started.clear()
+
+
 def test_sampling_memory_does_not_grow_with_the_shot_count():
     """4 10^6 shots trace a peak under 2 MiB: the draw holds one chunk of
-    uniforms, not 32 MB of them and a 4 MB comparison mask."""
+    uniforms and one comparison mask per drawing thread (at most
+    DRAW_THREADS), not 32 MB of uniforms and a 4 MB mask."""
     table = ProbabilityTable(np.full(16, 1.0 / 16.0))
     grams = np.zeros((2, 6, 6), complex)
     grams[0] = np.eye(6)
