@@ -7,8 +7,8 @@ emulation of the experiment and a reduced two-atom model of
 microwave-assisted Rydberg-dressing sign inversion.
 
 Each public name loads its submodule on first use (PEP 562), so a caller
-that needs only the dynamics imports neither dressing, sampling nor
-verification.
+that needs only the dynamics imports neither dressing, sampling,
+sign_inversion nor verification.
 """
 
 import importlib
@@ -17,10 +17,10 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it exports
 _EXPORTS = {
+    "config": ("SampleConfig",),
     "dressing": (
         "AdiabaticityError", "DressedCurve", "InteractionCoefficients", "LevelScheme",
-        "build_two_atom_hamiltonian", "dressed_ising_coupling", "find_sign_inversion_config",
-        "pair_potential", "scan_curve",
+        "build_two_atom_hamiltonian", "dressed_ising_coupling", "pair_potential", "scan_curve",
     ),
     "dynamics": (
         "Evolution", "EvolutionTimeError", "Hamiltonian", "Propagator", "build_xy_chain",
@@ -34,9 +34,9 @@ _EXPORTS = {
         "re_otoc_via_protocol", "reached_weights", "rotated_expectation",
     ),
     "sampling": (
-        "Estimate", "SampleConfig", "estimate_re_otoc", "sample_rotation_protocol",
-        "sample_sequences", "substream",
+        "Estimate", "estimate_re_otoc", "sample_rotation_protocol", "sample_sequences", "substream",
     ),
+    "sign_inversion": ("find_sign_inversion_config",),
     "traces": ("PreparedTrace", "prepare_maximally_mixed"),
     "verification": ("run_verification_suite",),
 }

@@ -1,19 +1,25 @@
 """Experiment runner CLI.
 
-Subcommands: exact, sample, im, dressing, verify.  Every output file
-starts with '#'-prefixed metadata (version, config hash, seed, RNG) and
-uses comma-separated values, 17-significant-digit reals, and LF line
-endings so reruns with identical configuration are byte-identical.
+    otocsim COMMAND [--config PATH] [--out PATH] [--seed INT] [--quiet]
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-invariant
-violation (an identity residual above tolerance points at a library
-defect, not a user error).
+COMMAND is one of exact, sample, im, dressing, verify; every command but
+verify needs --config.  `--version` and `-h`/`--help` print to stdout and
+exit 0.  The grammar is fixed, so `_parse_args` reads it by hand and a CLI
+child loads no argparse; it loads `sampling` only for the commands that
+draw.  Every output file starts with '#'-prefixed metadata (version,
+config hash, seed, RNG) and uses comma-separated values,
+17-significant-digit reals, and LF line endings so reruns with identical
+configuration are byte-identical.
+
+Exit codes: 0 success, 2 usage or configuration error, 3
+numerical-invariant violation (an identity residual above tolerance
+points at a library defect, not a user error).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 # CPython's built-in SHA-256 needs no OpenSSL, which `hashlib` loads on
 # import; `exact` and `dressing` touch nothing else that would load it
@@ -25,8 +31,10 @@ except ImportError:
     except ImportError:  # an interpreter built without them
         from hashlib import sha256
 
+from numpy import __version__ as NUMPY_VERSION
+
 from . import __version__
-from .config import ConfigError, RunConfig, parse_config, require
+from .config import ConfigError, RunConfig, check_seed, parse_config, require
 from .dressing import AdiabaticityError, scan_curve
 from .dynamics import EvolutionTimeError, Propagator, build_xy_chain
 from .hilbert import IDENTITY_TOLERANCE
@@ -40,20 +48,39 @@ from .protocol import (
     prepare_all_up,
     reached_weights,
 )
-from .sampling import (
-    GENERATOR_NAME,
-    GENERATOR_VERSION,
-    check_seed,
-    describe_draw,
-    estimate_re_otoc,
-    sample_rotation_protocol,
-    sample_sequences,
-    substream,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
+
+COMMANDS = ("exact", "sample", "im", "dressing", "verify")
+USAGE = (
+    "usage: otocsim {exact,sample,im,dressing,verify} "
+    "[--config PATH] [--out PATH] [--seed INT] [--quiet]"
+)
+HELP = f"""{USAGE}
+
+OTOC measurement-protocol simulator.
+
+commands:
+  exact      exact curves and identity residuals
+  sample     finite-shot Re C estimates
+  im         finite-shot Im C estimates
+  dressing   dressed Ising coupling J(r)
+  verify     randomized identity suite
+
+options:
+  --config PATH  key = value config file (every command but verify needs one)
+  --out PATH     output CSV path (default: stdout)
+  --seed INT     run seed, overriding the config's
+  --quiet        no progress log on stderr
+  --version      print the version and exit
+  -h, --help     print this help and exit
+"""
+
+# the generator every sampled column is drawn from (`sampling.substream`), as the
+# CSV header names it with numpy's version
+GENERATOR_NAME = "numpy-PCG64"
 
 RESULT_COLUMNS = (
     "t",
@@ -86,7 +113,7 @@ def _write_csv(path, command, config_hash, seed, columns, rows):
             f"# command: {command}\n"
             f"# config_sha256: {config_hash}\n"
             f"# seed: {seed if seed is not None else 'none'}\n"
-            f"# rng: {GENERATOR_NAME} (numpy {GENERATOR_VERSION})\n"
+            f"# rng: {GENERATOR_NAME} (numpy {NUMPY_VERSION})\n"
             f"{','.join(columns)}\n"
         )
         for row in rows:
@@ -129,7 +156,16 @@ def run_otoc(config: RunConfig, command: str, seed, log) -> tuple[list[dict], li
     `sample` and `im` the finite-shot draws of the point's substream of `seed`.
     """
     prepared, grid = _build_system(config, command)
-    sampling = None if command == "exact" else require(config, "sampling", command)
+    if command != "exact":  # loaded by the commands that draw only
+        from .sampling import (
+            describe_draw,
+            estimate_re_otoc,
+            sample_rotation_protocol,
+            sample_sequences,
+            substream,
+        )
+
+        sampling = require(config, "sampling", command)
     angles = config.angles or RotationAngles()
     rows = []
     pruned = clamped = 0
@@ -226,29 +262,65 @@ def run_verify(seed: int, log) -> tuple[list[dict], list[str], bool]:
     return rows, ["check", "max_residual", "tolerance", "passed"], ok
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="otocsim", description="OTOC measurement-protocol simulator"
-    )
-    parser.add_argument("--version", action="version", version=f"otocsim {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("exact", True),
-        ("sample", True),
-        ("im", True),
-        ("dressing", True),
-        ("verify", False),
-    ):
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=needs_config, help="path to a key=value config file")
-        cmd.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--quiet", action="store_true", help="suppress progress logging")
-    return parser
+class UsageError(ValueError):
+    """Command-line arguments outside the grammar of USAGE."""
+
+
+def _is_option(token: str) -> bool:
+    """Whether `token` reads as an option rather than a value: "-" and "-5" are values."""
+    return token.startswith("-") and token != "-" and not token[1:].isdigit()
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and options of argv, or UsageError.
+
+    An option's value is the next token or follows '='; an option given twice
+    keeps its last value.
+    """
+    if not argv:
+        raise UsageError(f"no command given (choose from {', '.join(COMMANDS)})")
+    command, *tokens = argv
+    if command not in COMMANDS:
+        raise UsageError(f"unknown command {command!r} (choose from {', '.join(COMMANDS)})")
+    args = SimpleNamespace(command=command, config=None, out=None, seed=None, quiet=False)
+    tokens = iter(tokens)
+    for token in tokens:
+        if token == "--quiet":
+            args.quiet = True
+            continue
+        name, inline, value = token.partition("=")
+        if name not in ("--config", "--out", "--seed"):
+            raise UsageError(
+                f"unknown option {token!r}" if _is_option(token) else f"unexpected argument {token!r}"
+            )
+        if not inline:
+            value = next(tokens, None)
+            if value is None or _is_option(value):
+                raise UsageError(f"option {name} needs a value")
+        setattr(args, name[2:], value)
+    if args.seed is not None:
+        try:
+            args.seed = int(args.seed)
+        except ValueError:
+            raise UsageError(f"--seed needs an integer, got {args.seed!r}") from None
+    if args.config is None and command != "verify":
+        raise UsageError(f"command {command!r} needs --config PATH")
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(HELP, end="")
+        return EXIT_OK
+    if "--version" in argv:
+        print(f"otocsim {__version__}")
+        return EXIT_OK
+    try:
+        args = _parse_args(argv)
+    except UsageError as exc:
+        print(f"{USAGE}\nerror: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     def log(message: str) -> None:
         if not args.quiet:

@@ -7,6 +7,11 @@ validated when it is parsed, whichever command reads it, so every command
 loads the modules of every block's types; a command only requires the
 blocks it needs, so one file can drive every subcommand.  A rule that a
 library type checks is checked there only, and its error names the block.
+
+The sampling block is a record of this module, `SampleConfig`, like
+`SystemConfig`, and the run seed's range check, `check_seed`, is this
+module's too, so that parsing a config loads no `sampling`: only the
+commands that draw load it.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .dynamics import check_chain_sites
 from .hilbert import MAX_BASIS_SITES, Record
 from .otoc import OtocSpec
 from .protocol import RotationAngles, reached_weights
-from .sampling import SampleConfig, check_seed
 
 HAMILTONIAN_KINDS = ("xy_chain",)
 
@@ -149,6 +153,13 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
+def check_seed(seed: int) -> int:
+    """`seed`, or ValueError when it is outside the unsigned 64-bit range of a run seed."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} outside the unsigned 64-bit range")
+    return seed
+
+
 class SystemConfig(Record):
     __slots__ = ("n_sites", "hamiltonian", "initial_state")
 
@@ -166,6 +177,17 @@ class OtocConfig(Record):
         if self.n_times == 1:
             return np.array([self.t_start])
         return np.linspace(self.t_start, self.t_stop, self.n_times)
+
+
+class SampleConfig(Record):
+    """The sampling block of a run: shots per time point and the run seed."""
+
+    __slots__ = ("n_shots", "seed")
+
+    def __init__(self, n_shots: int, seed: int):
+        if n_shots < 1:
+            raise ValueError("n_shots must be >= 1")
+        self._set(n_shots, check_seed(seed))
 
 
 class DressingConfig(Record):

@@ -1,7 +1,11 @@
 """Finite-shot Monte Carlo simulation of the measurement protocols.
 
-Randomness comes from numpy's PCG64 generator (name and numpy version are
-pinned in CLI output metadata).  Runs are deterministic for a given seed.
+Randomness comes from numpy's PCG64 generator, which `cli.GENERATOR_NAME`
+names with numpy's version in every CSV header.  Runs are deterministic
+for a given seed.  The run seed's range check, `check_seed`, and the
+sampling block, `SampleConfig`, live in `config`, so that only the commands
+that draw (`sample`, `im` and `verify`) load this module.
+
 A sampler draws from the generator it is given; a run gives time point k
 of seed s its own, `substream(s, k)` = SeedSequence(s, spawn_key=(k,)),
 so no two (seed, point) share uniforms.  A shot takes exactly one uniform,
@@ -39,9 +43,6 @@ from .protocol import (
     rotated_expectation,
 )
 
-GENERATOR_NAME = "numpy-PCG64"
-GENERATOR_VERSION = np.__version__
-
 # uniforms drawn and counted at once: 512 KiB of float64
 CHUNK = 2**16
 # most threads a point's draw runs on: at most 2 x (CHUNK float64 + CHUNK bool)
@@ -57,24 +58,6 @@ def substream(seed: int, point: int) -> np.random.Generator:
     seed s + k 2^32 at point 0 would replay seed s at point k.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(point,))))
-
-
-def check_seed(seed: int) -> int:
-    """`seed`, or ValueError when it is outside the unsigned 64-bit range of a run seed."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed {seed} outside the unsigned 64-bit range")
-    return seed
-
-
-class SampleConfig(Record):
-    """The sampling block of a run: shots per time point and the run seed."""
-
-    __slots__ = ("n_shots", "seed")
-
-    def __init__(self, n_shots: int, seed: int):
-        if n_shots < 1:
-            raise ValueError("n_shots must be >= 1")
-        self._set(n_shots, check_seed(seed))
 
 
 class Estimate(Record):

@@ -1092,6 +1092,92 @@ def test_stdout_output_when_no_out_path(config_file, capsys):
     assert captured.out.startswith("# otocsim ")
 
 
+# argv outside the grammar -> the start of its one `error:` line
+USAGE_ERRORS = {
+    "no_command": ([], "no command given (choose from exact, sample, im, dressing, verify)"),
+    "unknown_command": (["bogus"], "unknown command 'bogus'"),
+    "option_before_the_command": (["--quiet", "verify"], "unknown command '--quiet'"),
+    "unknown_option": (["verify", "--bogus"], "unknown option '--bogus'"),
+    "stray_argument": (["verify", "extra"], "unexpected argument 'extra'"),
+    "option_at_the_end_without_its_value": (["exact", "--config"], "option --config needs a value"),
+    "option_followed_by_an_option": (["verify", "--out", "--quiet"], "option --out needs a value"),
+    "non_integer_seed": (["verify", "--seed", "abc"], "--seed needs an integer, got 'abc'"),
+    **{
+        f"{command}_without_config": ([command, "--quiet"], f"command {command!r} needs --config PATH")
+        for command in ("exact", "sample", "im", "dressing")
+    },
+}
+
+
+def cli_child(*argv):
+    """`python -m otocsim.cli *argv` in a fresh interpreter, run to completion."""
+    package_root = str(Path(otocsim.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "otocsim.cli", *argv], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+def is_usage_error(err, message):
+    """Whether stderr `err` is the usage line and one `error:` line starting with `message`."""
+    lines = err.splitlines()
+    return len(lines) == 2 and lines[0] == cli.USAGE and lines[1].startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_a_usage_error_returns_2_with_the_usage_line_and_one_error_line(case, capsys):
+    """`main` returns 2 to an in-process caller instead of raising SystemExit, and
+    prints the usage line and one `error:` line on stderr, nothing on stdout."""
+    argv, message = USAGE_ERRORS[case]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert is_usage_error(captured.err, message), captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_a_usage_error_exits_2_in_a_child_without_a_traceback(case):
+    argv, message = USAGE_ERRORS[case]
+    result = cli_child(*argv)
+    assert result.returncode == EXIT_CONFIG
+    assert is_usage_error(result.stderr, message), result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["-h"], ["exact", "--help"], ["verify", "--seed", "1", "-h"]]
+)
+def test_help_prints_the_grammar_to_stdout_and_exits_0(argv, capsys):
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == cli.HELP and captured.out.startswith(cli.USAGE + "\n")
+    assert captured.err == ""
+    result = cli_child(*argv)
+    assert (result.returncode, result.stdout, result.stderr) == (EXIT_OK, cli.HELP, "")
+
+
+def test_version_prints_the_version_to_stdout_and_exits_0(capsys):
+    assert main(["--version"]) == EXIT_OK
+    assert capsys.readouterr().out == f"otocsim {otocsim.__version__}\n"
+    result = cli_child("--version")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        EXIT_OK, f"otocsim {otocsim.__version__}\n", ""
+    )
+
+
+def test_an_option_value_may_follow_an_equals_sign_and_the_last_value_counts(tmp_path):
+    """`--out=PATH` is `--out PATH`; `--seed -1` is a value, checked as a seed."""
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    config = str(GOLDEN_CONFIG)
+    assert main(["sample", "--config", config, "--seed", "3", "--out", str(spaced), "--quiet"]) == 0
+    argv = ["sample", f"--config={config}", "--seed", "9", "--seed=3", f"--out={joined}", "--quiet"]
+    assert main(argv) == EXIT_OK
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert main(["verify", "--seed", "-1", "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+
+
 def departure_time(rows, threshold=0.05):
     for row in rows:
         if abs(1.0 - float(row["re_exact"])) > threshold:

@@ -8,13 +8,13 @@ from otocsim.config import (
     STATE_FOOTPRINTS,
     ConfigError,
     RunConfig,
+    SampleConfig,
     max_sites,
     parse_config,
     require,
 )
 from otocsim.dressing import InteractionCoefficients, LevelScheme
 from otocsim.otoc import OtocSpec
-from otocsim.sampling import SampleConfig
 
 FULL = """
 # system

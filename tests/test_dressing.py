@@ -12,11 +12,10 @@ from otocsim.dressing import (
     build_two_atom_hamiltonian,
     dressed_ground,
     dressed_ising_coupling,
-    find_sign_inversion_config,
-    microwave_detuning_for_lower_level,
     pair_potential,
     scan_curve,
 )
+from otocsim.sign_inversion import find_sign_inversion_config, microwave_detuning_for_lower_level
 
 import oracles
 

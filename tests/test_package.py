@@ -17,6 +17,7 @@ SETUP_IMPORT = "from otocsim import Propagator, all_up_state, build_xy_chain, ma
 
 
 SETUP_CHILD = Path(__file__).parents[1] / "perfbench" / "setup_child.py"
+GOLDEN_CONFIG = Path(__file__).parent / "golden" / "small_many.cfg"
 
 
 def run_fresh(*argv):
@@ -91,6 +92,44 @@ def test_the_command_line_generates_no_code_and_leaves_verification_to_verify():
         "rows, _, ok = run_verify(1, lambda message: None)\n"
         "print(json.dumps([len(rows), ok, 'otocsim.verification' in sys.modules]))\n"
     ) == [3, True, True]
+
+
+def test_the_command_line_loads_no_argparse_and_no_sampling():
+    """`import otocsim.cli` parses its fixed grammar by hand, so it loads neither
+    `argparse` nor the `gettext` that argparse loads, and leaves `sampling` to the
+    commands that draw."""
+    assert fresh(
+        "import json, sys\n"
+        "import otocsim.cli\n"
+        "print(json.dumps([m for m in ('argparse', 'gettext', 'otocsim.sampling')\n"
+        "                  if m in sys.modules]))\n"
+    ) == []
+
+
+@pytest.mark.parametrize(
+    "command, draws",
+    [("exact", False), ("dressing", False), ("sample", True), ("im", True), ("verify", True)],
+)
+def test_a_command_line_child_loads_sampling_only_where_it_draws(command, draws):
+    """A CLI child, as the benchmark starts it, on the golden config, which holds
+    every block: `exact` and `dressing` load neither `sampling` nor `numpy.random`,
+    `sample`, `im` and `verify` load `sampling`, and no command loads the
+    sign-inversion search, which no command runs."""
+    argv = [command, "--out", os.devnull, "--quiet"]
+    if command != "verify":
+        argv += ["--config", str(GOLDEN_CONFIG)]
+    code, loaded = fresh(
+        "import json, sys\n"
+        "from otocsim.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, [m for m in ('otocsim.sampling', 'numpy.random',\n"
+        "    'otocsim.sign_inversion') if m in sys.modules]]))\n"
+    )
+    assert code == 0
+    assert "otocsim.sign_inversion" not in loaded
+    assert ("otocsim.sampling" in loaded) == draws
+    if not draws:
+        assert "numpy.random" not in loaded
 
 
 def test_every_public_name_is_its_submodules_object():

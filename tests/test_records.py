@@ -8,7 +8,16 @@ import pickle
 import numpy as np
 import pytest
 
-from otocsim import config, dressing, dynamics, protocol, sampling, traces, verification
+from otocsim import (
+    config,
+    dressing,
+    dynamics,
+    protocol,
+    sampling,
+    sign_inversion,
+    traces,
+    verification,
+)
 from otocsim.hilbert import Record
 
 BASE_CONFIG = """
@@ -55,7 +64,7 @@ def _samples() -> dict[str, Record]:
     records = [
         run, run.system, run.otoc, run.otoc.spec, run.sampling, run.angles, run.dressing,
         run.dressing.scheme, run.dressing.coeffs, curve,
-        dressing.SignInversionResult(run.dressing.scheme, curve, curve, 1.0, 2.0),
+        sign_inversion.SignInversionResult(run.dressing.scheme, curve, curve, 1.0, 2.0),
         ham, prop, prop.evolution(0.5), prepared, ladder, protocol.outcome_probabilities(ladder),
         traces.prepare_maximally_mixed(run.otoc.spec, prop),
         sampling.Estimate(0.5, 0.1, 10),

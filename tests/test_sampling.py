@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otocsim import sampling
+from otocsim.config import SampleConfig
 from otocsim.dynamics import Propagator
 from otocsim.otoc import OtocSpec, otoc_direct
 from otocsim.protocol import (
@@ -27,7 +28,6 @@ from otocsim.protocol import (
 from otocsim.sampling import (
     CHUNK,
     Estimate,
-    SampleConfig,
     estimate_re_otoc,
     sample_rotation_protocol,
     sample_sequences,
