@@ -54,6 +54,7 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 
 COMMANDS = ("exact", "sample", "im", "dressing", "verify")
+INFO_OPTIONS = ("-h", "--help", "--version")  # print and exit 0
 USAGE = (
     "usage: otocsim {exact,sample,im,dressing,verify} "
     "[--config PATH] [--out PATH] [--seed INT] [--quiet]"
@@ -275,16 +276,21 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
     """The command and options of argv, or UsageError.
 
     An option's value is the next token or follows '='; an option given twice
-    keeps its last value.
+    keeps its last value.  `-h`, `--help` or `--version` where the command
+    or an option may stand ends the parse, and is the command returned.
     """
     if not argv:
         raise UsageError(f"no command given (choose from {', '.join(COMMANDS)})")
     command, *tokens = argv
+    if command in INFO_OPTIONS:
+        return SimpleNamespace(command=command)
     if command not in COMMANDS:
         raise UsageError(f"unknown command {command!r} (choose from {', '.join(COMMANDS)})")
     args = SimpleNamespace(command=command, config=None, out=None, seed=None, quiet=False)
     tokens = iter(tokens)
     for token in tokens:
+        if token in INFO_OPTIONS:
+            return SimpleNamespace(command=token)
         if token == "--quiet":
             args.quiet = True
             continue
@@ -310,17 +316,14 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if "-h" in argv or "--help" in argv:
-        print(HELP, end="")
-        return EXIT_OK
-    if "--version" in argv:
-        print(f"otocsim {__version__}")
-        return EXIT_OK
     try:
         args = _parse_args(argv)
     except UsageError as exc:
         print(f"{USAGE}\nerror: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.command in INFO_OPTIONS:
+        print(f"otocsim {__version__}\n" if args.command == "--version" else HELP, end="")
+        return EXIT_OK
 
     def log(message: str) -> None:
         if not args.quiet:

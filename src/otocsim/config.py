@@ -60,9 +60,9 @@ HAMILTONIAN_KINDS = ("xy_chain",)
 #
 # maximally_mixed, I/2^N, spans every sector and holds no factor
 # (`traces.prepare_maximally_mixed`).  The whole chain declares the spin
-# flip X^N, which maps weight w onto N - w, so its run diagonalizes only the
-# sectors w <= N/2 (V's mirrored blocks are views), and holds H on all N + 1
-# of them only while it is built: the set-up holds H, V and the two real
+# flip X^N, which maps weight w onto N - w, so its run builds H and V only on
+# the sectors w <= N/2 (a mirrored sector shares its mirror's), and holds H
+# only while it is built: the set-up holds H, V and the two real
 # temporaries, and what follows holds V, W_E and V_E (the two Paulis in the
 # eigenbasis) and a time point's blocks of B = V_E W(t)_E, so the estimate is
 # the larger of the two.  x and y move a sector by +/-1, so each Pauli has
@@ -122,8 +122,8 @@ def _maximally_mixed_bytes(n_sites: int, axes: tuple[str, str] = WIDEST_AXES) ->
     n, half = n_sites, n_sites // 2
     sizes = [math.comb(n, w) for w in range(n + 1)]
     largest_block = sizes[half] ** 2
-    v = 8 * sum(size * size for size in sizes[: half + 1])  # the sectors w <= N/2
-    set_up = 8 * sum(size * size for size in sizes) + v + 2 * 8 * largest_block
+    v = 8 * sum(size * size for size in sizes[: half + 1])  # the sectors w <= N/2, as H
+    set_up = 2 * v + 2 * 8 * largest_block
     middle = sizes[half] if n % 2 == 0 else 0
     pauli = math.comb(2 * n, n - 1) + 2 * middle * math.comb(n, half - 1)  # W_E or V_E
     b_blocks = (math.comb(2 * n, n) + 2 * math.comb(2 * n, n - 2) + middle**2) // 2

@@ -10,7 +10,7 @@ holds a dense H as one complex block in computational order.  Evolution
 is exact via a cached Hermitian eigendecomposition per block, in the
 block's own dtype; a block with a declared reflection is diagonalized as
 its even and odd parts, and a sector that the flip mirrors takes its
-mirror's decomposition with the rows of V reversed.
+mirror's decomposition.
 `Propagator.evolution(t)` gives the `Evolution` of one time point: the
 phases e^(-iwt) of every block.  It applies U(t) and U(t)^dagger to a
 factor of any width in the eigenbasis, as V (phase * V^dagger psi), and
@@ -46,7 +46,8 @@ class Hamiltonian(Record, eq=False):
     float64 for the XY chain, which `build_xy_chain` writes sector by
     sector, complex for the one block of a dense H from `from_matrix`.
     Every block is checked Hermitian; since H is zero off the blocks, the
-    worst block defect is the whole-matrix defect.
+    worst block defect is the whole-matrix defect; a block that sectors
+    share is checked once.
 
     `reflection`, when a builder declares one, is a symmetry of H as a row
     permutation in register order: an involution that keeps every sector.
@@ -54,12 +55,11 @@ class Hamiltonian(Record, eq=False):
     it is used, by `Propagator.from_hamiltonian`.
 
     `flip`, when a builder declares it, is the global spin flip X^N as a
-    map of sectors: X^N sends sector k onto sector flip[k].  X^N sends
-    basis index b to its complement b ^ (2^N - 1), which reverses the
-    order of a sector's indices, so it is checked here, exactly, that flip
-    is an involution, that the complements of sector k's indices are
-    sector flip[k]'s in reverse order, and that
-    blocks[flip[k]] == blocks[k][::-1, ::-1], which is X^N H X^N = H.
+    map of sectors: X^N sends sector k onto sector flip[k], and basis index
+    b to its complement b ^ (2^N - 1).  It is checked here, exactly, that
+    flip is an involution and that X^N H X^N = H: a pair's complemented
+    indices and blocks match in the same order, those of a sector that
+    flip maps onto itself reversed.
     """
 
     __slots__ = ("register", "blocks", "reflection", "flip")
@@ -72,7 +72,7 @@ class Hamiltonian(Record, eq=False):
         shapes = tuple(block.shape for block in blocks)
         if shapes != tuple((s, s) for s in register.sizes):
             raise ValueError(f"Hamiltonian blocks {shapes} do not tile sectors {register.sizes}")
-        for block in blocks:
+        for block in {id(block): block for block in blocks}.values():  # a shared block once
             if not hermiticity_defect(block) <= ATOL_ALGEBRA:
                 raise ValueError("Hamiltonian is not Hermitian")
         if reflection is not None:
@@ -90,7 +90,7 @@ class Hamiltonian(Record, eq=False):
         if flip is not None and not self._is_spin_flip(tuple(flip)):
             raise ValueError(
                 "flip is not the spin flip: an involution of the sectors that sends each "
-                "onto its complement, with the block reversed"
+                "onto its complement, row for row, with the same block"
             )
 
     def _is_spin_flip(self, flip: tuple[int, ...]) -> bool:
@@ -104,10 +104,12 @@ class Hamiltonian(Record, eq=False):
             return False
         complement, order, bounds = 2**register.n_sites - 1, register.order, register.bounds
         for k, f in enumerate(flip):
+            step = -1 if f == k else 1  # a pair maps row for row, a sector onto itself reversed
             if k <= f and not (
-                np.array_equal(order[bounds[f] : bounds[f + 1]][::-1],
+                np.array_equal(order[bounds[f] : bounds[f + 1]][::step],
                                complement ^ order[bounds[k] : bounds[k + 1]])
-                and np.array_equal(blocks[f], blocks[k][::-1, ::-1])
+                and (step == 1 and blocks[f] is blocks[k]
+                     or np.array_equal(blocks[f], blocks[k][::step, ::step]))
             ):
                 return False
         return True
@@ -198,14 +200,9 @@ class Propagator(Record, eq=False):
     and its V_k assembled from theirs in register order.  Where H declares
     the spin flip, only the representative of each mirror pair, the lower
     sector k <= flip[k], is diagonalized: the mirrored sector m has
-    H_m = J H_k J exactly, J the row reversal, so it takes w_k itself and
-    V_m = J V_k, the rows of V_k reversed, as a view.  That is an exact
-    eigendecomposition of H_m: its residual V_m diag(w_k) V_m^T - H_m is
-    H_k's with rows and columns reversed, so the checks on H_k cover it.
-    No matrix product reads a mirrored V_m, which BLAS cannot take with
-    its negative stride: `Evolution.apply` reverses the factor's rows
-    instead, and the eigenbasis blocks of `traces` are formed by row
-    gathers.  `flip` is H's, and `mirrored` lists the mirrored sectors.
+    H_m = H_k row for row (`Hamiltonian`), so it takes w_k and V_k, the
+    same objects, and the checks on H_k cover it.  `flip` is H's, and
+    `mirrored` lists the mirrored sectors.
     `eigh_sizes` are the sizes of the nonempty matrices `eigh` ran on.
     Immutable after construction; `evolution(t)` takes the phases
     e^(-iwt) from it.
@@ -244,7 +241,7 @@ class Propagator(Record, eq=False):
         for k, (lo, hi, block) in enumerate(zip(register.bounds, register.bounds[1:], ham.blocks)):
             if flip is not None and flip[k] < k:
                 evals.append(evals[flip[k]])
-                evecs.append(evecs[flip[k]][::-1])
+                evecs.append(evecs[flip[k]])
                 continue
             if ham.reflection is None:
                 w, v, block_residual, block_unit = _checked_eigh(block)
@@ -282,11 +279,8 @@ class Propagator(Record, eq=False):
         the `Evolution` holds the phases.  A t that is not finite, or so
         large that some w_k t overflows, raises `EvolutionTimeError`.
         """
-        phases, mirrored = [], self.mirrored
-        for k, w in enumerate(self.block_eigenvalues):
-            if k in mirrored:
-                phases.append(phases[self.flip[k]])  # the mirror's eigenvalues
-                continue
+        phases = []
+        for w in self.block_eigenvalues:
             with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
                 angle = w * t
             if not np.isfinite(angle).all():
@@ -330,23 +324,17 @@ class Evolution(Record, eq=False):
         works on contiguous slices.  Their coefficients V^dagger psi go into
         the first rows of one buffer of the largest sector's rows, which the
         blocks of a call share, before the block writes the same rows of the
-        result.  A mirrored sector, V_m = J V_k, applies its mirror's V_k to
-        a reversed copy of its rows and reverses the rows it writes, as
-        U_m = J U_k J.  A psi without one row per basis index raises ValueError.
+        result.  A psi without one row per basis index raises ValueError.
         """
         self.register.check_rows(psi)
         # (rows, r), C-contiguous, so that its row slices view as (re, im) float pairs
         columns = np.ascontiguousarray(psi, dtype=complex).reshape(len(psi), -1)
         bounds, vectors = self.register.bounds, self.propagator.eigenvectors
-        flip, mirrored = self.propagator.flip, self.propagator.mirrored
         result = np.empty(columns.shape, dtype=complex)
         buffer = np.empty((max(map(len, self.phases)), columns.shape[1]), dtype=complex)
-        for k, (lo, hi, v, phase) in enumerate(zip(bounds, bounds[1:], vectors, self.phases)):
+        for lo, hi, v, phase in zip(bounds, bounds[1:], vectors, self.phases):
             phase = (phase.conj() if adjoint else phase)[:, None]
             coeffs, rows, out = buffer[: hi - lo], columns[lo:hi], result[lo:hi]
-            if k in mirrored:  # the reversed rows go through the result's, which BLAS reads
-                v, out[:] = vectors[flip[k]], rows[::-1]
-                rows = out
             if v.dtype.kind == "f":
                 np.matmul(v.T, rows.view(float), out=coeffs.view(float))
                 coeffs *= phase
@@ -356,9 +344,6 @@ class Evolution(Record, eq=False):
                 np.conjugate(coeffs, out=coeffs)  # V^dagger psi
                 coeffs *= phase
                 np.matmul(v, coeffs, out=out)
-            if k in mirrored:  # reversed through the spent coefficients' rows
-                coeffs[:] = out
-                out[:] = coeffs[::-1]
         return result.reshape(psi.shape)
 
 
@@ -395,8 +380,13 @@ def build_xy_chain(n_sites: int, weights: Sequence[int] | None = None) -> Hamilt
     declared as `reflection`.  The global spin flip X^N sends b to its
     complement, weight w to N - w, and keeps every bond term; where the
     weights are closed under w -> N - w (always for the whole chain) it is
-    declared as `flip`.  The complement reverses the ascending order of a
-    sector, so block N - w is block w reversed on both axes, bit for bit.
+    declared as `flip`, and it lays out the register: a sector listed
+    after its mirror (flip[k] < k) holds its mirror's indices complemented,
+    (2^N - 1) ^ b, in its mirror's order.  X^N sends row r of one to row r
+    of the other, so the two share one block object, and their reflections
+    differ by the offset of their rows.  The middle sector of an even N,
+    which X^N maps onto itself, stays ascending.  Strings are enumerated
+    and blocks built for the unmirrored sectors only.
     """
     check_chain_sites(n_sites)
     weights = tuple(range(n_sites + 1)) if weights is None else tuple(weights)
@@ -404,24 +394,29 @@ def build_xy_chain(n_sites: int, weights: Sequence[int] | None = None) -> Hamilt
         0 <= w <= n_sites for w in weights
     ):
         raise ValueError(f"weights {weights} are not distinct Hamming weights of 0..{n_sites}")
-    strings = _weight_strings(n_sites, max(weights))
-    sectors = [strings[w] for w in weights]
+    closed = set(weights) == {n_sites - w for w in weights}
+    flip = tuple(weights.index(n_sites - w) for w in weights) if closed else None
+    mirrored = [flip is not None and flip[k] < k for k in range(len(weights))]
+    strings = _weight_strings(n_sites, max(w for w, m in zip(weights, mirrored) if not m))
+    sectors = []
+    for sector, w in enumerate(weights):
+        sectors.append((2**n_sites - 1) ^ sectors[flip[sector]] if mirrored[sector] else strings[w])
     bounds = (0, *np.cumsum([len(basis) for basis in sectors]).tolist())
     register = Register(n_sites, np.concatenate(sectors), bounds)
-    blocks = []
-    for basis in sectors:
+    order = register.order
+    reverse = sum(((order >> s) & 1) << (n_sites - 1 - s) for s in range(n_sites))
+    blocks, reflection = [], []
+    for sector, (lo, hi, basis) in enumerate(zip(bounds, bounds[1:], sectors)):
+        if mirrored[sector]:
+            mirror = flip[sector]
+            blocks.append(blocks[mirror])
+            reflection.append(reflection[mirror] - bounds[mirror] + lo)
+            continue
         block = np.zeros((len(basis), len(basis)))
         for k in range(1, n_sites):
             cols = np.flatnonzero(((basis >> (k - 1)) ^ (basis >> k)) & 1)
             block[np.searchsorted(basis, basis[cols] ^ (3 << (k - 1))), cols] = -2.0
         blocks.append(block)
-    order = register.order
-    reverse = sum(((order >> s) & 1) << (n_sites - 1 - s) for s in range(n_sites))
-    reflection = np.concatenate([
-        lo + np.searchsorted(basis, reverse[lo:hi])
-        for lo, hi, basis in zip(bounds, bounds[1:], sectors)
-    ])
-    closed = set(weights) == {n_sites - w for w in weights}
-    flip = tuple(weights.index(n_sites - w) for w in weights) if closed else None
-    return Hamiltonian(register, tuple(blocks), reflection, flip)
+        reflection.append(lo + np.searchsorted(basis, reverse[lo:hi]))
+    return Hamiltonian(register, tuple(blocks), np.concatenate(reflection), flip)
 

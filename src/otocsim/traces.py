@@ -19,17 +19,16 @@ returns the same `Ladder`, so both protocols read it unchanged.
 
 The whole XY chain declares the global spin flip X^N, which maps weight
 w onto N - w; its propagator diagonalizes w <= N/2 only and gives sector
-N - w the eigenvectors of w with the rows reversed.  In that eigenbasis
-X^N is the identity between mirrored sectors, and X^N sigma^a X^N =
-s_a sigma^a with s = +1 for x and -1 for y and z.  So a block of W_E,
-V_E or B = V_E W(t)_E between mirrored sectors is s_a, s_b or s_a s_b
-times its mirror's, and only one of each pair is formed; the middle
-sector of an even N maps onto itself in another basis, so the blocks
-that touch it are all formed.  Tr[B^p] sums closed walks of sectors,
-and a walk and its mirror give terms that differ by (s_a s_b)^p, so each
-orbit is evaluated once and counted twice with that sign, or once if it
-is its own mirror (`_trace_plan`): a point does about half the block
-products.
+N - w the eigenvectors of w.  In that eigenbasis X^N is the identity
+between mirrored sectors, and X^N sigma^a X^N = s_a sigma^a with s = +1
+for x and -1 for y and z.  So a block of W_E, V_E or B = V_E W(t)_E
+between mirrored sectors is s_a, s_b or s_a s_b times its mirror's,
+and only one of each pair is formed; the middle sector of an even N
+maps onto itself in another basis, so the blocks that touch it are all
+formed.  Tr[B^p] sums closed walks of sectors, and a walk and its
+mirror give terms that differ by (s_a s_b)^p, so each orbit is
+evaluated once and counted twice with that sign, or once if it is its
+own mirror (`_trace_plan`): a point does about half the block products.
 
 Only a run that prepares I/2^N loads this module.
 """
@@ -131,8 +130,9 @@ def _is_formed(flip: tuple[int, ...], key: SectorKey) -> bool:
     """Whether the block at key is formed, rather than read off its mirror's.
 
     In the eigenbasis X^N is the identity from a sector onto its mirror,
-    as V_flip[k] = J V_k, but on a sector it maps onto itself (the middle
-    weight N/2) it is Q = V_k^dagger J V_k, which is not.  So an operator
+    whose V is the same, but on a sector it maps onto itself (the middle
+    weight N/2) it is Q = V_k^dagger J V_k, J the row reversal, which is
+    not.  So an operator
     O with X^N O X^N = s O has O[mirror key] = s O[key] exactly where
     neither sector is such a sector: of those pairs of keys only the
     lesser is formed, and every key that touches such a sector is.
@@ -149,8 +149,7 @@ def _eigenbasis_blocks(propagator: Propagator, site: int, axis: str) -> SectorBl
     block is real where V and the Pauli's entries are (x and z on the XY
     chain), complex otherwise.  Where the propagator declares the spin
     flip, X^N sigma X^N = s sigma (`FLIP_SIGNS`), so a block that is not
-    formed is s times its mirror's.  V is read by row gathers, which copy
-    a mirrored V_l into BLAS order.
+    formed is s times its mirror's.
     """
     register = propagator.register
     columns, values = register.pauli_entries(site, axis)

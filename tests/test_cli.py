@@ -698,6 +698,36 @@ def test_exact_matches_xx_vacuum_oracle_up_to_fourteen_sites(n_sites, tmp_path):
     assert float(row["im_identity_residual"]) < 1e-12
 
 
+@pytest.mark.parametrize("axis_a", ["x", "y"])
+@pytest.mark.parametrize("axis_b", ["x", "y"])
+@pytest.mark.parametrize("n_sites, mirrored", [(2, 1), (3, 2)])
+def test_an_all_up_run_across_mirrored_sectors_matches_the_dense_oracle(
+    n_sites, mirrored, axis_a, axis_b, tmp_path, capsys
+):
+    """At N = 2 and 3 the weights an x or y all_up run reaches, 0 to N, are closed
+    under the spin flip, so its register declares it and the upper sectors take
+    their mirror's block and V.  Every point, t = 0 included, is the dense expm
+    value on |up...up>, and stderr counts the mirrored sectors."""
+    path, out = tmp_path / "mirrored.cfg", tmp_path / "exact.csv"
+    path.write_text(
+        BASE_CONFIG.replace("n_sites = 4", f"n_sites = {n_sites}")
+        .replace("site_i = 2\naxis_a = x", f"site_i = 1\naxis_a = {axis_a}")
+        .replace("site_j = 3\naxis_b = x", f"site_j = {n_sites}\naxis_b = {axis_b}")
+    )
+    assert main(["exact", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    summary = f"{n_sites + 1 - mirrored} of {n_sites + 1} sectors diagonalized, {mirrored} mirrored"
+    assert summary in capsys.readouterr().err
+    rows = read_table(out)[2]
+    assert len(rows) == 9 and float(rows[0]["t"]) == 0.0
+    rho = np.zeros((2**n_sites,) * 2)
+    rho[0, 0] = 1.0  # |up...up> is basis index 0
+    h = oracles.xy_chain(n_sites)
+    for row in rows:
+        expected = oracles.otoc_value(rho, h, n_sites, 1, axis_a, n_sites, axis_b, float(row["t"]))
+        assert abs(float(row["re_exact"]) - expected.real) < 1e-12
+        assert abs(float(row["im_exact"]) - expected.imag) < 1e-12
+
+
 @pytest.mark.parametrize("axes, cap", [(("x", "x"), 37), (("z", "z"), 62)])
 def test_an_all_up_register_one_site_above_its_cap_exits_2(axes, cap, tmp_path, capsys):
     """The all_up cap follows the sectors the axis pair reaches: x/x holds weights
@@ -1102,6 +1132,10 @@ USAGE_ERRORS = {
     "option_at_the_end_without_its_value": (["exact", "--config"], "option --config needs a value"),
     "option_followed_by_an_option": (["verify", "--out", "--quiet"], "option --out needs a value"),
     "non_integer_seed": (["verify", "--seed", "abc"], "--seed needs an integer, got 'abc'"),
+    # -h, --help and --version are obeyed only where an option may stand, not as a value
+    "help_as_a_value": (["exact", "--config", "c.cfg", "--out", "-h"], "option --out needs a value"),
+    "version_as_a_value": (["verify", "--seed", "--version"], "option --seed needs a value"),
+    "long_help_as_a_value": (["exact", "--config", "--help"], "option --config needs a value"),
     **{
         f"{command}_without_config": ([command, "--quiet"], f"command {command!r} needs --config PATH")
         for command in ("exact", "sample", "im", "dressing")

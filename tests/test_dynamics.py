@@ -264,15 +264,25 @@ def test_xy_chain_matches_kronecker_oracle(n):
     np.testing.assert_array_equal(xy_matrix(n), oracles.xy_chain(n))
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_xy_sectors_are_hamming_weight_classes(n):
-    prop = Propagator.from_hamiltonian(build_xy_chain(n))
+    """Sector w holds the strings of weight w.  Those of w <= N/2 are ascending, and
+    sector N - w > N/2 holds the complements of sector w's in the same order, so that
+    X^N keeps the row: the two share one block object and one V."""
+    ham = build_xy_chain(n)
+    prop = Propagator.from_hamiltonian(ham)
     assert prop.register.sizes == tuple(math.comb(n, k) for k in range(n + 1))
     order, bounds = prop.register.order, prop.register.bounds
     for k in range(n + 1):
         rows = order[bounds[k] : bounds[k + 1]]
         assert {bin(int(b)).count("1") for b in rows} == {k}
-        assert list(rows) == sorted(rows)
+        if k <= n // 2:
+            assert list(rows) == sorted(rows)
+        else:
+            mirror_rows = order[bounds[n - k] : bounds[n - k + 1]]
+            np.testing.assert_array_equal(rows, (2**n - 1) ^ mirror_rows)
+            assert ham.blocks[k] is ham.blocks[n - k]
+            assert prop.eigenvectors[k] is prop.eigenvectors[n - k]
     assert 0.0 <= prop.reconstruction_residual < 1e-10
     assert 0.0 <= prop.unitarity_defect < 1e-10
 
@@ -510,7 +520,8 @@ def test_propagator_rejects_a_reflection_that_does_not_commute_with_h():
 @pytest.mark.parametrize("n", range(2, 15))
 def test_the_whole_xy_chain_declares_the_spin_flip(n):
     """Weight w maps onto N - w, and the Hamiltonian's own check of the declaration
-    (complemented indices in reverse order, blocks reversed bit for bit) passes."""
+    (complemented indices and shared blocks in the same order, the middle sector's
+    reversed) passes."""
     assert build_xy_chain(n).flip == tuple(range(n, -1, -1))
 
 
@@ -528,8 +539,8 @@ def test_an_all_up_register_declares_no_flip(axis_a, axis_b):
 
 def test_hamiltonian_rejects_a_flip_that_is_not_the_spin_flip():
     """Sectors 1, 3, 3, 1 at N = 3: the flip must be an involution of the sectors that
-    sends each onto the complements of its basis indices, in reverse order, with
-    the block reversed; a block that breaks X^N H X^N = H is caught too."""
+    sends each onto the complements of its basis indices, in the same order, with
+    the same block; a block that breaks X^N H X^N = H is caught too."""
     ham = build_xy_chain(3)
     assert ham.flip == (3, 2, 1, 0)
     for bad in [(0, 1, 2, 3), (3, 2, 1, 1), (3, 2, 1), (4, 2, 1, 0), (3.0, 2, 1, 0), (3, 1, 2, 0)]:
@@ -540,38 +551,56 @@ def test_hamiltonian_rejects_a_flip_that_is_not_the_spin_flip():
     with pytest.raises(ValueError, match="spin flip"):
         Hamiltonian(ham.register, tuple(blocks), ham.reflection, ham.flip)
     Hamiltonian(ham.register, tuple(blocks), ham.reflection)  # undeclared, it is a valid H
+    middle = build_xy_chain(2)  # sectors 1, 2, 1: X^N maps the middle one onto itself
+    blocks = list(middle.blocks)
+    blocks[1] = blocks[1] + np.diag([1.0, 0.0])
+    with pytest.raises(ValueError, match="spin flip"):
+        Hamiltonian(middle.register, tuple(blocks), middle.reflection, middle.flip)
+    # every sector ascending, a mirrored block reversed: X^N H X^N = H, but not row for row
+    ascending = Register(3, np.array([0, 1, 2, 4, 3, 5, 6, 7]), ham.register.bounds)
+    blocks = ham.blocks[:2] + tuple(block[::-1, ::-1] for block in ham.blocks[2:])
+    Hamiltonian(ascending, blocks)
+    with pytest.raises(ValueError, match="spin flip"):
+        Hamiltonian(ascending, blocks, flip=ham.flip)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
-def test_a_mirrored_sector_takes_its_mirrors_decomposition_reversed(n):
-    """Only the sectors w <= N/2 are diagonalized; sector N - w has the eigenvalues of
-    sector w and its V with the rows reversed, bit for bit, which diagonalizes its
-    own block as well: the row reversal permutes the entries of V diag(w) V^T - H, so
-    the mirrored residual is the mirror's, entry for entry, up to the rounding of
-    the products."""
+def test_a_mirrored_sector_shares_its_mirrors_block_and_decomposition(n):
+    """Only the sectors w <= N/2 are built and diagonalized; sector N - w takes the
+    block, eigenvalues and V of sector w, the same C-contiguous objects, which BLAS
+    reads as they are.  The middle sector of an even N, which X^N maps onto itself,
+    is its own: its complements are its rows reversed, and its block is itself
+    reversed on both axes."""
     ham = build_xy_chain(n)
     prop = Propagator.from_hamiltonian(ham)
     assert prop.flip == ham.flip and prop.mirrored == tuple(range(n // 2 + 1, n + 1))
     assert sum(prop.eigh_sizes) == sum(math.comb(n, w) for w in range(n // 2 + 1))
+    assert len({id(block) for block in ham.blocks}) == n // 2 + 1
     for k in prop.mirrored:
-        w, v = prop.block_eigenvalues[n - k], prop.eigenvectors[n - k]
-        np.testing.assert_array_equal(prop.block_eigenvalues[k], w)
-        np.testing.assert_array_equal(prop.eigenvectors[k], v[::-1])
-        mirror = np.ascontiguousarray(v[::-1])
-        residual = (v * w) @ v.T - ham.blocks[n - k]
-        mirrored = ((mirror * w) @ mirror.T - ham.blocks[k])[::-1, ::-1]
-        np.testing.assert_allclose(mirrored, residual, rtol=0, atol=1e-14)
+        assert ham.blocks[k] is ham.blocks[n - k]
+        assert prop.block_eigenvalues[k] is prop.block_eigenvalues[n - k]
+        assert prop.eigenvectors[k] is prop.eigenvectors[n - k]
+        assert prop.eigenvectors[k].flags.c_contiguous
+    if n % 2 == 0:
+        lo, hi = prop.register.bounds[n // 2 : n // 2 + 2]
+        rows = prop.register.order[lo:hi]
+        np.testing.assert_array_equal((2**n - 1) ^ rows, rows[::-1])
+        block = ham.blocks[n // 2]
+        np.testing.assert_array_equal(block, block[::-1, ::-1])
 
 
 @pytest.mark.parametrize("n", [3, 6])
-def test_evolution_of_a_mirrored_sector_is_its_mirrors_reversed(n, rng):
-    """U(t) and U(t)^dagger on the whole chain, which reverse a mirrored sector's rows
-    around its mirror's V, equal the same propagator read without the flip, whose
-    mirrored V are applied as they are."""
+def test_evolution_commutes_with_the_spin_flip(n, rng):
+    """X^N as a row permutation of the whole chain's register, which sends row r of a
+    mirrored pair's sector to row r of the other and reverses the middle sector,
+    commutes with U(t) and U(t)^dagger."""
     prop = Propagator.from_hamiltonian(build_xy_chain(n))
-    plain = prop.replace(flip=None)
+    order = prop.register.order
+    position = np.empty(2**n, dtype=np.int64)
+    position[order] = np.arange(2**n)
+    flipped = position[(2**n - 1) ^ order]  # (X^N psi)[row] = psi[flipped[row]]
     psi = rng.standard_normal((2**n, 3)) + 1j * rng.standard_normal((2**n, 3))
     for t in (0.4, 2.5):
-        ev, plain_ev = prop.evolution(t), plain.evolution(t)
-        np.testing.assert_allclose(ev.forward(psi), plain_ev.forward(psi), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(ev.backward(psi), plain_ev.backward(psi), rtol=0, atol=1e-13)
+        ev = prop.evolution(t)
+        np.testing.assert_allclose(ev.forward(psi[flipped]), ev.forward(psi)[flipped], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(ev.backward(psi[flipped]), ev.backward(psi)[flipped], rtol=0, atol=1e-13)
